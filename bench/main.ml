@@ -48,7 +48,6 @@ let emp_m_perop =
     ~db:emp_db ()
 
 let tpc_m = M.create ~db:tpc_db ()
-let emp_m_compiled = M.create ~backend:M.Compiled ~db:emp_db ()
 let emp_m_no_opt = M.create ~optimize:false ~db:emp_db ()
 
 let seq_test m suite name =
@@ -106,8 +105,6 @@ let ablation_tests =
        Test.make ~name:"agg-1-literal-fig4" (seq_test emp_m_literal Q.employee "agg-1");
        Test.make ~name:"join-1-optimized" (seq_test emp_m Q.employee "join-1");
        Test.make ~name:"join-1-per-op-coalesce" (seq_test emp_m_perop Q.employee "join-1");
-       Test.make ~name:"join-1-compiled-backend" (seq_test emp_m_compiled Q.employee "join-1");
-       Test.make ~name:"agg-1-compiled-backend" (seq_test emp_m_compiled Q.employee "agg-1");
        Test.make ~name:"join-4-no-join-reorder" (seq_test emp_m_no_opt Q.employee "join-4");
        Test.make ~name:"join-4-with-join-reorder" (seq_test emp_m Q.employee "join-4");
      ]

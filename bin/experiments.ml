@@ -331,11 +331,9 @@ let ablation () =
       printf "%-34s %10.4f %10.4f %10.4f\n%!" label (t "join-1") (t "agg-1")
         (t "agg-2"))
     configs;
-  (* hash join + overlap residual vs the dedicated sort-based interval join *)
-  (* execution backends and the join-order optimizer *)
-  printf "\nExecution backends and join ordering (seconds):\n";
-  let m_int = M.create ~backend:M.Interpreted ~db () in
-  let m_cmp = M.create ~backend:M.Compiled ~db () in
+  (* the join-order optimizer *)
+  printf "\nJoin ordering (seconds):\n";
+  let m_opt = M.create ~db () in
   let m_noopt = M.create ~optimize:false ~db () in
   let t tag m q =
     let p = M.prepare m (Q.lookup q Q.employee) in
@@ -344,15 +342,13 @@ let ablation () =
       (time_run (fun () -> M.run_prepared m p))
   in
   printf "  %-34s %10s %10s\n" "" "join-4" "agg-1";
-  printf "  %-34s %10.4f %10.4f\n" "interpreted, join reordering"
-    (t "interpreted" m_int "join-4")
-    (t "interpreted" m_int "agg-1");
-  printf "  %-34s %10.4f %10.4f\n" "compiled closures"
-    (t "compiled" m_cmp "join-4")
-    (t "compiled" m_cmp "agg-1");
+  printf "  %-34s %10.4f %10.4f\n" "join reordering"
+    (t "reorder" m_opt "join-4")
+    (t "reorder" m_opt "agg-1");
   printf "  %-34s %10.4f %10.4f\n%!" "no join reordering"
     (t "no-reorder" m_noopt "join-4")
     (t "no-reorder" m_noopt "agg-1");
+  (* hash join + overlap residual vs the dedicated sort-based interval join *)
   printf "\nOverlap join strategies (salaries x titles on emp_no):\n";
   let salaries = Database.find db "salaries" in
   let titles = Database.find db "titles" in

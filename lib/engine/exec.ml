@@ -265,7 +265,7 @@ let distinct (t : Table.t) : Table.t =
   Table.make (Table.schema t) (List.rev !buf)
 
 (** Display name of the operator at the root of a plan (trace span
-    labels; shared with the compiled backend so traces line up). *)
+    labels; shared with the vectorized engine so traces line up). *)
 let op_label (q : Algebra.t) : string =
   match q with
   | Rel n -> "scan(" ^ n ^ ")"

@@ -39,8 +39,8 @@ val aggregate :
 val distinct : Table.t -> Table.t
 
 val op_label : Algebra.t -> string
-(** Trace span label of the root operator (shared with {!Compiled} so the
-    two backends produce comparable traces). *)
+(** Trace span label of the root operator (shared with
+    {!Tkr_vec.Vexec} so both engines produce comparable traces). *)
 
 val index_select :
   ?sp:Tkr_obs.Trace.span -> Database.t -> Expr.t -> string -> Table.t option
@@ -49,19 +49,6 @@ val index_select :
     Byte-identical to [select pred (find db name)]: probe bounds are
     necessary conditions, candidates keep physical row order, and the
     full predicate is re-applied. *)
-
-val index_join :
-  ?sp:Tkr_obs.Trace.span ->
-  Database.t ->
-  Expr.t ->
-  Table.t ->
-  string ->
-  Table.t option
-(** Index nested-loop join against a stored period table on the right:
-    one interval probe per left row.  [None] when the conjuncts do not
-    sandwich the right period between left columns.  Byte-identical to
-    {!nested_loop_join} (callers must ensure the predicate has no
-    equi-keys, i.e. the nested-loop regime). *)
 
 val eval :
   ?obs:Tkr_obs.Trace.t ->

@@ -42,8 +42,6 @@ let err ?pos code fmt =
     (fun s -> raise (Error (Diagnostic.v ?pos code "%s" s)))
     fmt
 
-type backend = Interpreted | Compiled
-
 type engine = Row | Vec
 
 (* ---- observability: per-statement phase timings ---- *)
@@ -107,12 +105,10 @@ type t = {
   db : Database.t;
   mutable options : Rewriter.options;
   mutable optimize : bool;  (** run the cost-based join-order optimizer *)
-  mutable backend : backend;
-      (** execute plans by AST interpretation or as compiled closures *)
   mutable engine : engine;
       (** row-at-a-time ({!Row}, the oracle) or columnar batch-at-a-time
           ({!Vec}) execution; the vectorized engine reproduces the row
-          engine's output byte-for-byte and supersedes [backend] *)
+          engine's output byte-for-byte *)
   mutable strict : bool;
       (** --Werror: the check phase rejects on warnings too *)
   mutable prune : bool;
@@ -163,13 +159,12 @@ let locked mu f =
   Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
 
 let create ?(options = Rewriter.optimized) ?(optimize = true)
-    ?(prune = true) ?(index = true) ?(backend = Interpreted) ?(engine = Row)
+    ?(prune = true) ?(index = true) ?(engine = Row)
     ?(strict = false) ?(parallelism = 1) ?(db = Database.create ()) () =
   {
     db;
     options;
     optimize;
-    backend;
     engine;
     strict;
     prune;
@@ -212,7 +207,6 @@ let set_prune m b = write_locked m (fun () -> m.prune <- b)
 let prune m = m.prune
 let set_index m b = write_locked m (fun () -> m.index <- b)
 let index_enabled m = m.index
-let set_backend m b = write_locked m (fun () -> m.backend <- b)
 let set_engine m e = write_locked m (fun () -> m.engine <- e)
 let engine m = m.engine
 let set_strict m b = write_locked m (fun () -> m.strict <- b)
@@ -262,8 +256,8 @@ let plain_catalog m : Analyzer.catalog =
 type prepared = {
   plan : Algebra.t;  (** ready to execute against the engine *)
   exec : Trace.t -> Database.t -> Table.t;
-      (** the plan, possibly compiled to closures (see {!backend});
-          applied to a trace collector ({!Trace.disabled} when not
+      (** the plan bound to the engine chosen at prepare time; applied
+          to a trace collector ({!Trace.disabled} when not
           observing) *)
   out_schema : Schema.t;  (** user-visible output schema *)
   snapshot : bool;
@@ -296,18 +290,14 @@ type prepared = {
 
 let make_exec m plan : Trace.t -> Database.t -> Table.t =
   (* the pool and index flag are captured at prepare time, like the
-     backend *)
+     engine *)
   let pool = m.pool in
   let use_index = m.index in
-  match (m.engine, m.backend) with
-  | Vec, _ ->
+  match m.engine with
+  | Vec ->
       (* the vectorized engine is serial; the pool never applies *)
       fun obs db -> Tkr_vec.Vexec.eval ~obs ~use_index db plan
-  | Row, Interpreted -> fun obs db -> Exec.eval ~obs ~use_index ?pool db plan
-  | Row, Compiled ->
-      Tkr_engine.Compiled.compile ?pool ~use_index
-        ~lookup:(fun n -> Database.schema_of m.db n)
-        plan
+  | Row -> fun obs db -> Exec.eval ~obs ~use_index ?pool db plan
 
 (* time one preparation phase into a [phase_stats] cell *)
 let phase (set : int64 -> unit) (f : unit -> 'a) : 'a =

@@ -36,10 +36,6 @@ exception Rejected of Diagnostic.t list
 
 type t
 
-type backend = Interpreted | Compiled
-(** Execute plans by AST interpretation or compiled to OCaml closures
-    (faster for prepared statements run repeatedly). *)
-
 type engine = Row | Vec
 (** Row-at-a-time interpreted execution ({!Row}, the default and the
     differential-testing oracle) or columnar batch-at-a-time execution
@@ -52,7 +48,6 @@ val create :
   ?optimize:bool ->
   ?prune:bool ->
   ?index:bool ->
-  ?backend:backend ->
   ?engine:engine ->
   ?strict:bool ->
   ?parallelism:int ->
@@ -91,7 +86,6 @@ val set_index : t -> bool -> unit
     keep the flag they captured. *)
 
 val index_enabled : t -> bool
-val set_backend : t -> backend -> unit
 
 val set_engine : t -> engine -> unit
 (** Switch between row and vectorized execution (affects statements

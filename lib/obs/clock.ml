@@ -15,7 +15,7 @@ let now_ns () : int64 = monotonic ()
 
 let frozen : t = fun () -> 0L
 (** A clock stuck at 0: every measured duration is exactly zero.  Used by
-    tests that compare traces across backends. *)
+    tests that need deterministic traces and metrics. *)
 
 (** Elapsed nanoseconds of [f ()], alongside its result. *)
 let elapsed ?(clock = monotonic) (f : unit -> 'a) : int64 * 'a =

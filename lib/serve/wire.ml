@@ -27,18 +27,29 @@ let really_write fd (buf : Bytes.t) =
     off := !off + n
   done
 
-(* [exact = true]: EOF mid-read is a protocol error; [false]: EOF before
-   the first byte is a clean close ([None]). *)
+let read_chunk = 64 * 1024
+
+(* Read exactly [len] bytes, at most [read_chunk] per read.  The buffer
+   starts at one chunk and doubles only as bytes arrive, so a peer that
+   announces a large frame and stalls pins memory in proportion to what
+   it sent, not to the announced length; a frame of at most one chunk
+   costs one allocation of its own size.  EOF before the first byte is a
+   clean close ([None]); EOF later is a protocol error. *)
 let really_read fd len : Bytes.t option =
-  let buf = Bytes.create len in
+  let buf = ref (Bytes.create (min len read_chunk)) in
   let off = ref 0 in
   let eof = ref false in
   while (not !eof) && !off < len do
-    match Unix.read fd buf !off (len - !off) with
+    if !off = Bytes.length !buf then (
+      let grown = Bytes.create (min len (2 * !off)) in
+      Bytes.blit !buf 0 grown 0 !off;
+      buf := grown);
+    let want = min read_chunk (Bytes.length !buf - !off) in
+    match Unix.read fd !buf !off want with
     | 0 -> eof := true
     | n -> off := !off + n
   done;
-  if !off = len then Some buf
+  if !off = len then Some !buf
   else if !off = 0 then None
   else raise (Protocol_error "truncated frame")
 
@@ -58,7 +69,8 @@ let read_frame fd : string option =
       if n < 0 || n > max_frame then
         raise (Protocol_error (Printf.sprintf "bad frame length %d" n));
       (match really_read fd n with
-      | Some body -> Some (Bytes.to_string body)
+      (* [body] is exactly [n] bytes and never escapes: no copy needed *)
+      | Some body -> Some (Bytes.unsafe_to_string body)
       | None -> raise (Protocol_error "truncated frame"))
 
 (* ---- values and tables ---- *)

@@ -2,7 +2,7 @@
    tests, inferred-fact checks, TKR4xx emission rules, EXPLAIN bounds
    rendering, and the soundness bar of analysis-driven pruning — pruned
    plans are byte-identical (same rows, same order) to unpruned ones on
-   random plans (both backends) and on the committed workloads. *)
+   random plans (both engines) and on the committed workloads. *)
 
 module M = Tkr_middleware.Middleware
 module D = Tkr_check.Diagnostic
@@ -12,8 +12,7 @@ module Check = Tkr_check.Check
 module Database = Tkr_engine.Database
 module Table = Tkr_engine.Table
 module Exec = Tkr_engine.Exec
-module Compiled = Tkr_engine.Compiled
-module Trace = Tkr_obs.Trace
+module Vexec = Tkr_vec.Vexec
 module Schema = Tkr_relation.Schema
 module Value = Tkr_relation.Value
 module Tuple = Tkr_relation.Tuple
@@ -166,11 +165,9 @@ let check_prune_identity ?(env = enc_env) db q =
   if not (same_bytes r1 r2) then
     Alcotest.failf "pruned plan differs (Exec):@.%a@.vs@.%a" Algebra.pp q
       Algebra.pp pruned;
-  let lookup n = Database.schema_of db n in
-  let c1 = Compiled.compile ~lookup q Trace.disabled db
-  and c2 = Compiled.compile ~lookup pruned Trace.disabled db in
-  if not (same_bytes c1 c2) then
-    Alcotest.failf "pruned plan differs (Compiled):@.%a@.vs@.%a" Algebra.pp q
+  let v1 = Vexec.eval db q and v2 = Vexec.eval db pruned in
+  if not (same_bytes v1 v2) then
+    Alcotest.failf "pruned plan differs (Vexec):@.%a@.vs@.%a" Algebra.pp q
       Algebra.pp pruned;
   pruned
 
@@ -281,7 +278,7 @@ let arb_plan =
 
 let prop_prune_byte_identity =
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:500 ~name:"pruning is byte-identical (both backends)"
+    (QCheck.Test.make ~count:500 ~name:"pruning is byte-identical (both engines)"
        arb_plan (fun q ->
          let db = small_db () in
          (* the analysis must also never raise while diagnosing *)

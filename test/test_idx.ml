@@ -1,8 +1,8 @@
 (* Tkr_idx: delta-summation prefix sums at interval boundaries, interval
    index probe units, and qcheck differential properties asserting the
    index access paths are byte-identical to the scan paths — on the row
-   interpreter, the compiled backend and the vectorized engine, over
-   NULL-heavy and empty inputs. *)
+   interpreter and the vectorized engine, over NULL-heavy and empty
+   inputs. *)
 
 module Value = Tkr_relation.Value
 module Schema = Tkr_relation.Schema
@@ -12,7 +12,6 @@ module Algebra = Tkr_relation.Algebra
 module Table = Tkr_engine.Table
 module Database = Tkr_engine.Database
 module Exec = Tkr_engine.Exec
-module Compiled = Tkr_engine.Compiled
 module Idx_cache = Tkr_engine.Idx_cache
 module Vexec = Tkr_vec.Vexec
 module Delta = Tkr_idx.Delta
@@ -187,14 +186,13 @@ let alive_pred arity t =
 let prop_select_differential =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:150
-       ~name:"AS OF selection: index = scan on row, compiled and vec engines"
+       ~name:"AS OF selection: index = scan on row and vec engines"
        QCheck.(pair arb_rows (int_range (-4) 28))
        (fun (rows, t) ->
          let db = mk_db rows in
          let q = Algebra.Select (alive_pred 3 t, Algebra.Rel "w") in
          let oracle = Exec.eval ~use_index:false db q in
          byte_identical oracle (Exec.eval ~use_index:true db q)
-         && byte_identical oracle (Compiled.eval ~use_index:true db q)
          && byte_identical oracle (Vexec.eval ~use_index:true db q)))
 
 (* interval join: overlap of the left row's period with the right
@@ -230,7 +228,7 @@ let prop_join_differential =
          in
          let oracle = Exec.eval ~use_index:false db q in
          byte_identical oracle (Exec.eval ~use_index:true db q)
-         && byte_identical oracle (Compiled.eval ~use_index:true db q)))
+         && byte_identical oracle (Vexec.eval ~use_index:true db q)))
 
 (* ---- middleware end to end: flag, DML invalidation, EXPLAIN ---- *)
 

@@ -1,6 +1,5 @@
-(* Observability: metrics/span arithmetic, join-strategy reporting in
-   EXPLAIN ANALYZE, and trace parity between the two execution backends
-   (interpreted AST walker vs compiled closures). *)
+(* Observability: metrics/span arithmetic and join-strategy reporting in
+   EXPLAIN ANALYZE. *)
 
 module Metrics = Tkr_obs.Metrics
 module Trace = Tkr_obs.Trace
@@ -174,48 +173,6 @@ let test_explain_statement () =
           "split_agg"; "scan(works)"; "result: 7 rows"; "execute";
         ]
 
-(* --- (c) interpreted and compiled backends emit identical traces --- *)
-
-let seed_m backend =
-  let m = M.create ~backend () in
-  Database.set_time_bounds (M.database m) ~tmin:0 ~tmax:24;
-  ignore
-    (M.execute_script m
-       {|
-       CREATE TABLE works (name text, skill text, b int, e int) PERIOD (b, e);
-       INSERT INTO works VALUES
-         ('Ann', 'SP', 3, 10), ('Joe', 'NS', 8, 16),
-         ('Sam', 'SP', 8, 16), ('Ann', 'SP', 18, 20);
-       CREATE TABLE assign (mach text, skill text, b int, e int) PERIOD (b, e);
-       INSERT INTO assign VALUES
-         ('M1', 'SP', 3, 12), ('M2', 'SP', 6, 14), ('M3', 'NS', 3, 16);
-     |});
-  m
-
-let trace_json m sql =
-  let p = M.prepare m sql in
-  (* frozen clock: every elapsed_ns is 0, so the JSON compares equal iff
-     the operator tree and every cardinality counter agree *)
-  let obs = Trace.create ~clock:Clock.frozen () in
-  ignore (M.run_prepared ~obs m p);
-  String.concat "\n" (List.map Trace.to_json (Trace.roots obs))
-
-let test_backend_trace_parity () =
-  let mi = seed_m M.Interpreted in
-  let mc = seed_m M.Compiled in
-  List.iter
-    (fun sql ->
-      Alcotest.(check string) sql (trace_json mi sql) (trace_json mc sql))
-    [
-      "SEQ VT (SELECT count(*) AS cnt FROM works WHERE skill = 'SP')";
-      "SEQ VT (SELECT w.name, a.mach FROM works w JOIN assign a ON \
-       w.skill = a.skill)";
-      "SEQ VT (SELECT skill FROM assign EXCEPT ALL SELECT skill FROM works)";
-      "SEQ VT (SELECT DISTINCT skill FROM works)";
-      "SEQ VT AS OF 9 (SELECT name FROM works)";
-      "SELECT name, count(*) AS n FROM works GROUP BY name";
-    ]
-
 let suite =
   ( "observability",
     [
@@ -227,6 +184,4 @@ let suite =
         test_join_strategy;
       Alcotest.test_case "EXPLAIN ANALYZE statement" `Quick
         test_explain_statement;
-      Alcotest.test_case "backend trace parity" `Quick
-        test_backend_trace_parity;
     ] )

@@ -12,7 +12,6 @@ module Agg = Tkr_relation.Agg
 module Table = Tkr_engine.Table
 module Database = Tkr_engine.Database
 module Exec = Tkr_engine.Exec
-module Compiled = Tkr_engine.Compiled
 module Ops = Tkr_engine.Ops
 module Interval_join = Tkr_engine.Interval_join
 module Pool = Tkr_par.Pool
@@ -220,7 +219,7 @@ let test_encode_parallel () =
 let prop_parallel_plans_deterministic =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:80
-       ~name:"random plan: pooled Exec/Compiled rows = serial rows"
+       ~name:"random plan: pooled Exec rows = serial rows"
        Test_representation.arb
        (fun ((q, _tys), (wfacts, afacts)) ->
          let works_p = NP.P.of_facts works_schema wfacts in
@@ -238,8 +237,7 @@ let prop_parallel_plans_deterministic =
              ~lookup q
          in
          Pool.with_pool ~jobs:3 @@ fun pool ->
-         same_rows (Exec.eval db q') (Exec.eval ?pool db q')
-         && same_rows (Compiled.eval db q') (Compiled.eval ?pool db q')))
+         same_rows (Exec.eval db q') (Exec.eval ?pool db q')))
 
 let suite =
   ( "parallel engine (Tkr_par)",

@@ -75,6 +75,26 @@ let test_wire_frames () =
   Unix.close a;
   check "clean EOF is None" true (Wire.read_frame b = None)
 
+(* a peer announcing a max-size frame that then stalls must not make the
+   reader allocate the announced length up front *)
+let test_wire_stalled_frame () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let close fd = try Unix.close fd with Unix.Unix_error _ -> () in
+  Fun.protect ~finally:(fun () -> close a; close b) @@ fun () ->
+  let hdr = Bytes.create 4 in
+  Bytes.set_int32_be hdr 0 (Int32.of_int Wire.max_frame);
+  ignore (Unix.write a hdr 0 4);
+  ignore (Unix.write_substring a "0123456789" 0 10);
+  Unix.close a;
+  let before = Gc.allocated_bytes () in
+  (match Wire.read_frame b with
+  | _ -> Alcotest.fail "expected a truncated-frame error"
+  | exception Wire.Protocol_error msg ->
+      Alcotest.(check string) "error" "truncated frame" msg);
+  let allocated = Gc.allocated_bytes () -. before in
+  if allocated >= 1024. *. 1024. then
+    Alcotest.failf "read of a stalled frame allocated %.0f bytes" allocated
+
 let test_wire_request_response () =
   let req = Wire.request ~id:7 ~deadline_ms:250 ~trace:true "SELECT 1" in
   let req' =
@@ -775,4 +795,6 @@ let suite =
         test_e2e_telemetry;
       Alcotest.test_case "e2e: no trace ids when telemetry off" `Quick
         test_e2e_no_trace_when_tel_off;
+      Alcotest.test_case "wire: stalled frame allocates what arrived" `Quick
+        test_wire_stalled_frame;
     ] )
