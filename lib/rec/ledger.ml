@@ -107,28 +107,26 @@ let assign t fp stmt : slot =
   Hashtbl.replace t.index fp i;
   s
 
-let observe t ~fp ~stmt ~ok ~disposition ~queue_us ~exec_us ~total_us ~rows_out
-    ~gc_minor_w ~gc_major_w =
+let observe t (e : Record.entry) =
   locked t.lock @@ fun () ->
   let s =
-    match Hashtbl.find_opt t.index fp with
+    match Hashtbl.find_opt t.index e.e_fp with
     | Some i -> t.slots.(i)
-    | None -> assign t fp stmt
+    | None -> assign t e.e_fp e.e_stmt
   in
   s.s_count <- s.s_count + 1;
-  if not ok then s.s_errors <- s.s_errors + 1;
-  (match disposition with
+  if e.e_status <> "ok" then s.s_errors <- s.s_errors + 1;
+  (match e.e_disposition with
   | "hit" -> s.s_hits <- s.s_hits + 1
   | "miss" -> s.s_misses <- s.s_misses + 1
   | _ -> ());
-  s.s_total_us <- s.s_total_us + total_us;
-  s.s_queue_us <- s.s_queue_us + queue_us;
-  ignore exec_us;
-  if total_us > s.s_max_us then s.s_max_us <- total_us;
-  s.s_rows_out <- s.s_rows_out + rows_out;
-  s.s_gc_minor_w <- s.s_gc_minor_w + gc_minor_w;
-  s.s_gc_major_w <- s.s_gc_major_w + gc_major_w;
-  Metrics.observe s.slot_hist total_us
+  s.s_total_us <- s.s_total_us + e.e_total_us;
+  s.s_queue_us <- s.s_queue_us + e.e_queue_us;
+  if e.e_total_us > s.s_max_us then s.s_max_us <- e.e_total_us;
+  s.s_rows_out <- s.s_rows_out + e.e_rows_out;
+  s.s_gc_minor_w <- s.s_gc_minor_w + e.e_gc_minor_w;
+  s.s_gc_major_w <- s.s_gc_major_w + e.e_gc_major_w;
+  Metrics.observe s.slot_hist e.e_total_us
 
 type row = {
   r_fp : string;

@@ -29,22 +29,11 @@ val size : t -> int
 val evictions : t -> int
 (** Fingerprints displaced by ring reuse since creation. *)
 
-val observe :
-  t ->
-  fp:string ->
-  stmt:string ->
-  ok:bool ->
-  disposition:string ->
-  queue_us:int ->
-  exec_us:int ->
-  total_us:int ->
-  rows_out:int ->
-  gc_minor_w:int ->
-  gc_major_w:int ->
-  unit
-(** Account one finished request under its plan fingerprint.  [stmt] is
-    kept as the exemplar statement of a fresh slot; [disposition] feeds
-    the hit/miss split (["hit"] / ["miss"]; other dispositions count
+val observe : t -> Record.entry -> unit
+(** Account one finished request under its plan fingerprint [e_fp].
+    [e_stmt] is kept as the exemplar statement of a fresh slot; any
+    [e_status] but ["ok"] counts as an error; [e_disposition] feeds the
+    hit/miss split (["hit"] / ["miss"]; other dispositions count
     neither). *)
 
 (** One fingerprint's accounting, snapshotted. *)

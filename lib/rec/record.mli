@@ -17,10 +17,14 @@
     remaining fields (queue/exec split, GC word deltas, rows in/out,
     cache disposition) feed the resource ledger and offline analysis.
 
+    An {!entry} is also the serve tier's one per-request record: the
+    server builds it for every finished request, recording on or off,
+    and feeds its counters, the {!Ledger} and the event log from it.
+
     The recorder mirrors [Tkr_tel.Tel]'s sink machinery: {!disabled} is a
-    shared no-op value, {!enabled} is a physical-equality check, and call
-    sites guard entry construction on it so recording off costs
-    nothing. *)
+    shared no-op value, {!enabled} is a physical-equality check, and the
+    server guards the response {!digest} on it so recording off costs
+    no MD5. *)
 
 module Json = Tkr_obs.Json
 
@@ -100,10 +104,11 @@ val create : ?header:header -> sink -> t
     channel (if any) and closes it after {!close}. *)
 
 val enabled : t -> bool
-(** [false] for {!disabled} and closed recorders.  Guard entry
-    construction on this to keep disabled recording allocation-free. *)
+(** [false] for {!disabled} and closed recorders.  Guard work that only
+    the recorder consumes (the response {!digest}) on this. *)
 
 val write : t -> entry -> unit
+(** Append one entry; a no-op when not {!enabled}. *)
 
 val recorded : t -> int
 (** Entries written so far. *)

@@ -27,9 +27,12 @@ type outcome = {
   sessions : int;
 }
 
-(* recorded outcomes that depend on capture-time load, not on the data:
-   replayed for program order but excluded from the byte-diff *)
-let incomparable (e : Record.entry) =
+(* requests the capture server rejected before running them (queued past
+   their deadline, or turned away busy): an outcome of capture-time load,
+   not of the data.  They keep their turn in arrival order but are not
+   sent — re-sent without their deadline, a rejected write would run at
+   replay and every later read would diverge — nor byte-diffed *)
+let rejected (e : Record.entry) =
   e.Record.e_status = "DEADLINE_EXCEEDED" || e.Record.e_status = "SERVER_BUSY"
 
 let window = 32
@@ -180,7 +183,8 @@ let run ?(paced = false) ?(host = "127.0.0.1") ~port
     List.iter
       (fun gi ->
         let e = entries.(gi) in
-        let barrier = is_barrier e in
+        let skip = rejected e in
+        let barrier = is_barrier e && not skip in
         locked t_lock (fun () ->
             while !turn <> gi do
               Condition.wait t_cond t_lock
@@ -192,7 +196,7 @@ let run ?(paced = false) ?(host = "127.0.0.1") ~port
               while !g_inflight > 0 do
                 Condition.wait t_cond t_lock
               done);
-        if paced then begin
+        if paced && not skip then begin
           let target_s =
             Int64.to_float (Int64.sub e.Record.e_arrive_ns base_arrive_ns)
             /. 1e9
@@ -203,7 +207,8 @@ let run ?(paced = false) ?(host = "127.0.0.1") ~port
           if target_s > elapsed_s then Thread.delay (target_s -. elapsed_s)
         end;
         let send =
-          locked sc.sc_lock (fun () ->
+          (not skip)
+          && locked sc.sc_lock (fun () ->
               while sc.sc_inflight >= window && not sc.sc_dead do
                 Condition.wait sc.sc_cond sc.sc_lock
               done;
@@ -256,7 +261,10 @@ let run ?(paced = false) ?(host = "127.0.0.1") ~port
       sc.sc_indices
   in
   let reader (sc : session_chan) () =
-    let expected = List.length sc.sc_indices in
+    let expected =
+      List.length
+        (List.filter (fun gi -> not (rejected entries.(gi))) sc.sc_indices)
+    in
     let rec loop () =
       let continue =
         locked sc.sc_lock (fun () -> sc.sc_received < expected && not sc.sc_dead)
@@ -318,7 +326,7 @@ let run ?(paced = false) ?(host = "127.0.0.1") ~port
       if recv_ns.(gi) <> 0L && send_ns.(gi) <> 0L then
         lat_us.(gi) <-
           Int64.to_float (Int64.sub recv_ns.(gi) send_ns.(gi)) /. 1e3;
-      if incomparable e then incr skipped
+      if rejected e then incr skipped
       else
         match got.(gi) with
         | None -> incr failed

@@ -21,10 +21,12 @@
       (exact ok-frame payload bytes, or error code/message) and diffed
       against [e_digest].
 
-    Recorded [DEADLINE_EXCEEDED] / [SERVER_BUSY] outcomes depend on
-    capture-time load, not on the data: they are re-sent (to keep
-    program order intact) but excluded from the byte-diff and counted
-    as [skipped].
+    Recorded [DEADLINE_EXCEEDED] / [SERVER_BUSY] outcomes are requests
+    the capture server rejected before running them — an outcome of
+    capture-time load, not of the data.  They keep their turn in the
+    arrival order but are not sent (a rejected write re-sent would run
+    at replay, where it never ran at capture), are excluded from the
+    byte-diff and are counted as [skipped].
 
     With [paced] the sender additionally sleeps until each request's
     recorded monotonic offset, reproducing the original arrival tempo;
@@ -45,7 +47,7 @@ type outcome = {
   compared : int;  (** entries byte-diffed (total - skipped - failed) *)
   matched : int;
   mismatches : mismatch list;
-  skipped : int;  (** recorded deadline/busy outcomes, not comparable *)
+  skipped : int;  (** recorded deadline/busy rejections, not sent *)
   failed : int;  (** no response arrived (connection died) *)
   cached : int;  (** replayed responses served from the result cache *)
   wall_ns : float;

@@ -171,52 +171,77 @@ let trace_json obs =
   | [] -> None
   | roots -> Some (Json.List (List.map Trace.to_json_value roots))
 
-(* what [execute] reports back to the worker loop for telemetry, the
-   resource ledger and the flight recorder *)
-type outcome = {
-  o_status : string;  (* "ok" or the wire error code *)
-  o_cached : bool;
-  o_fp : string;  (* plan fingerprint (digest of statement for non-queries) *)
-  o_disposition : string;  (* hit | miss | bypass | off | error *)
-  o_epoch : int;  (* catalog epoch observed at execution *)
-  o_deps : (string * int) list;  (* table-version vector at execution *)
-  o_rows_in : int;  (* total cardinality of the dependency tables *)
-  o_rows_out : int;
-  o_digest : string;  (* response digest; "" when recording is off *)
-}
+(* a finished request's reply: the result payload (with the execution
+   trace, when one was asked for) or a typed error *)
+type reply = (string * Json.t option, Wire.error) result
 
-(* one executed query, before the envelope is assembled *)
-type qres = {
-  q_payload : string;
-  q_cached : bool;
-  q_trace : Json.t option;
-  q_fp : string;
-  q_disposition : string;
-  q_epoch : int;
-  q_deps : (string * int) list;
-  q_rows_in : int;
-  q_rows_out : int;
-}
+let us_between t0 t1 = Int64.to_int (Int64.div (Int64.sub t1 t0) 1000L)
+
+(* The request's one record.  Every exit path of a job (query, bypass
+   statement, typed error, queued deadline) stamps it here once the
+   reply is ready; the response frame and every observer read from it.
+   [exec_ns] and [gc0] mark the job's execution start. *)
+let record srv (j : job) ~exec_ns ~gc0 ~fp ~epoch ~deps ~rows_in ~disposition
+    ~rows_out (reply : reply) : reply * Record.entry =
+  let total_us = us_between j.j_enq_ns (Clock.now_ns ()) in
+  let queue_us = us_between j.j_enq_ns exec_ns in
+  let gc1 = Gc.quick_stat () in
+  (* digesting the response costs an MD5 over the payload: only when the
+     flight recorder will consume it *)
+  let digest = Record.enabled srv.recorder in
+  let status, e_digest =
+    match reply with
+    | Ok (payload, _) -> ("ok", if digest then Record.digest payload else "")
+    | Error { Wire.code; message } ->
+        let code = Wire.error_code_to_string code in
+        (code, if digest then Record.digest_error ~code ~message else "")
+  in
+  ( reply,
+    {
+      Record.e_seq = j.j_seq;
+      e_session = Session.id j.j_sess;
+      e_req_id = j.j_req.Wire.id;
+      e_trace_id = j.j_trace;
+      e_stmt = j.j_req.Wire.stmt;
+      e_deadline_ms = j.j_req.Wire.deadline_ms;
+      e_arrive_ms = j.j_arrive_ms;
+      e_arrive_ns = j.j_enq_ns;
+      e_queue_us = queue_us;
+      e_exec_us = max 0 (total_us - queue_us);
+      e_total_us = total_us;
+      e_status = status;
+      e_cached = disposition = "hit";
+      e_disposition = disposition;
+      e_fp = fp;
+      e_epoch = epoch;
+      e_deps = deps;
+      e_rows_in = rows_in;
+      e_rows_out = rows_out;
+      e_gc_minor_w = int_of_float (gc1.Gc.minor_words -. gc0.Gc.minor_words);
+      e_gc_major_w = int_of_float (gc1.Gc.major_words -. gc0.Gc.major_words);
+      e_digest;
+    } )
 
 (* Run one plain query with the cache.  The read_locked bracket makes
    (version read, execute, cache fill) atomic with respect to DDL/DML —
    versions observed here are the versions the result was computed
-   from. *)
-let run_query srv sess (req : Wire.request) trace_id : qres =
+   from, and the ones [record] pins. *)
+let run_query srv (j : job) record : reply * Record.entry =
+  let req = j.j_req in
   Middleware.read_locked srv.mw @@ fun () ->
-  let p = Session.prepared sess srv.mw req.Wire.stmt in
+  let p = Session.prepared j.j_sess srv.mw req.Wire.stmt in
   let db = Middleware.database srv.mw in
   let key = plan_key p in
   let fp = fingerprint key in
   let deps =
     List.map (fun tb -> (tb, Database.version db tb)) p.Middleware.tables
   in
-  let epoch = Middleware.epoch srv.mw in
   let rows_in =
     List.fold_left
       (fun acc tb -> acc + Table.cardinality (Database.find db tb))
       0 p.Middleware.tables
   in
+  let record = record ~fp ~epoch:(Middleware.epoch srv.mw) ~deps ~rows_in in
   let tel = srv.tel in
   let execute_fresh disposition =
     let obs = if req.Wire.trace then Trace.create () else Trace.disabled in
@@ -224,7 +249,7 @@ let run_query srv sess (req : Wire.request) trace_id : qres =
       (* tie the execution trace to the request's correlation id: the
          extra root span only appears when the response carries a
          trace_id, so trace output without one is unchanged *)
-      match trace_id with
+      match j.j_trace with
       | Some tid when req.Wire.trace ->
           Trace.with_span obs "request" (fun sp ->
               Trace.set_str sp "trace_id" tid;
@@ -238,42 +263,19 @@ let run_query srv sess (req : Wire.request) trace_id : qres =
       Metrics.add srv.m_cache_evictions evicted;
       if Tel.enabled tel then Tel.emit tel (Tel.Cache_evict { count = evicted })
     end;
-    {
-      q_payload = payload;
-      q_cached = false;
-      q_trace = trace_json obs;
-      q_fp = fp;
-      q_disposition = disposition;
-      q_epoch = epoch;
-      q_deps = deps;
-      q_rows_in = rows_in;
-      q_rows_out = rows_out;
-    }
+    record ~disposition ~rows_out (Ok (payload, trace_json obs))
   in
   if not (Cache.enabled srv.cache) then execute_fresh "off"
   else
     match Cache.lookup srv.cache ~key ~deps with
     | Cache.Hit (payload, rows) ->
-        Metrics.incr srv.m_cache_hits;
         if Tel.enabled tel then Tel.emit tel (Tel.Cache_hit { fingerprint = fp });
-        {
-          q_payload = payload;
-          q_cached = true;
-          q_trace = None;
-          q_fp = fp;
-          q_disposition = "hit";
-          q_epoch = epoch;
-          q_deps = deps;
-          q_rows_in = rows_in;
-          q_rows_out = rows;
-        }
+        record ~disposition:"hit" ~rows_out:rows (Ok (payload, None))
     | Cache.Miss ->
-        Metrics.incr srv.m_cache_misses;
         if Tel.enabled tel then
           Tel.emit tel (Tel.Cache_miss { fingerprint = fp });
         execute_fresh "miss"
     | Cache.Stale changed ->
-        Metrics.incr srv.m_cache_misses;
         if Tel.enabled tel then begin
           List.iter
             (fun (table, version) ->
@@ -291,84 +293,40 @@ let run_statement srv stmt : string * int =
       (Wire.body_to_payload (Wire.Rows tbl), Table.cardinality tbl)
   | Middleware.Done msg -> (Wire.body_to_payload (Wire.Message msg), 0)
 
-let execute srv (j : job) : outcome =
-  let req = j.j_req in
-  let id = req.Wire.id in
-  let trace_id = j.j_trace in
-  let stmt_fp () = fingerprint req.Wire.stmt in
-  (* digesting the response costs an MD5 over the payload: only when the
-     flight recorder will consume it *)
-  let digest_ok payload =
-    if Record.enabled srv.recorder then Record.digest payload else ""
-  in
-  let reply_ok (q : qres) =
-    let elapsed_us =
-      Int64.to_int (Int64.div (Int64.sub (Clock.now_ns ()) j.j_enq_ns) 1000L)
-    in
-    Metrics.observe srv.m_latency elapsed_us;
-    send_raw j.j_conn
-      (Wire.ok_frame ~id ~cached:q.q_cached ~elapsed_us ?trace:q.q_trace
-         ?trace_id q.q_payload);
-    {
-      o_status = "ok";
-      o_cached = q.q_cached;
-      o_fp = q.q_fp;
-      o_disposition = q.q_disposition;
-      o_epoch = q.q_epoch;
-      o_deps = q.q_deps;
-      o_rows_in = q.q_rows_in;
-      o_rows_out = q.q_rows_out;
-      o_digest = digest_ok q.q_payload;
-    }
-  in
-  let fail code message =
-    send_error srv j.j_conn ~id ?trace_id code message;
-    {
-      o_status = Wire.error_code_to_string code;
-      o_cached = false;
-      o_fp = stmt_fp ();
-      o_disposition = "error";
-      o_epoch = Middleware.epoch srv.mw;
-      o_deps = [];
-      o_rows_in = 0;
-      o_rows_out = 0;
-      o_digest =
-        (if Record.enabled srv.recorder then
-           Record.digest_error ~code:(Wire.error_code_to_string code) ~message
-         else "");
-    }
-  in
-  match
-    (* plain queries go through the session's prepared table and the
-       cache; EXPLAIN/CHECK/DDL/DML take the execute_statement path *)
-    match Tkr_sql.Parser.statement req.Wire.stmt with
-    | Ast.Query _ -> run_query srv j.j_sess req trace_id
-    | stmt ->
-        let payload, rows_out = run_statement srv stmt in
-        {
-          q_payload = payload;
-          q_cached = false;
-          q_trace = None;
-          q_fp = stmt_fp ();
-          q_disposition = "bypass";
-          q_epoch = Middleware.epoch srv.mw;
-          q_deps = [];
-          q_rows_in = 0;
-          q_rows_out = rows_out;
-        }
-  with
-  | result -> reply_ok result
-  | exception Tkr_sql.Parser.Error d | exception Tkr_sql.Lexer.Error d ->
-      fail Wire.Parse_error (Diagnostic.to_string d)
-  | exception Middleware.Rejected diags ->
-      fail Wire.Check_error (Diagnostic.report_to_text diags)
-  | exception Middleware.Error d ->
-      fail Wire.Runtime_error (Diagnostic.to_string d)
-  | exception Tkr_sql.Analyzer.Error d ->
-      fail Wire.Runtime_error (Diagnostic.to_string d)
-  | exception Schema.Unknown name ->
-      fail Wire.Runtime_error ("unknown name " ^ name)
-  | exception exn -> fail Wire.Runtime_error (Printexc.to_string exn)
+(* Feed one finished request's record to every observer: the serve
+   counters and latency histogram, the resource ledger, the flight
+   recorder and the event log. *)
+let observe srv (e : Record.entry) =
+  Metrics.incr srv.m_requests;
+  Metrics.observe srv.m_latency e.e_total_us;
+  (match e.e_status with
+  | "ok" -> ()
+  | "DEADLINE_EXCEEDED" -> Metrics.incr srv.m_deadline
+  | _ -> Metrics.incr srv.m_errors);
+  (match e.e_disposition with
+  | "hit" -> Metrics.incr srv.m_cache_hits
+  | "miss" -> Metrics.incr srv.m_cache_misses
+  | _ -> ());
+  Ledger.observe srv.ledger e;
+  Record.write srv.recorder e;
+  let tel = srv.tel in
+  if Tel.enabled tel then begin
+    (match e.e_trace_id with
+    | Some trace_id ->
+        Tel.emit tel
+          (Tel.Request_finish
+             { session = e.e_session; req_id = e.e_req_id; trace_id;
+               status = e.e_status; cached = e.e_cached;
+               elapsed_us = e.e_total_us })
+    | None -> ());
+    if e.e_total_us >= srv.cfg.slow_ms * 1000 then
+      Tel.emit tel
+        (Tel.Slow_query
+           { trace_id = Option.value ~default:"" e.e_trace_id;
+             fingerprint = e.e_fp; stmt = e.e_stmt; queue_us = e.e_queue_us;
+             exec_us = e.e_exec_us; total_us = e.e_total_us;
+             disposition = e.e_disposition })
+  end
 
 (* ---- per-session ordering ---- *)
 
@@ -423,117 +381,66 @@ let session_next srv (job : job) =
 (* ---- worker threads ---- *)
 
 let run_one srv (job : job) =
-  Metrics.incr srv.m_requests;
   Metrics.gauge_add srv.g_inflight 1;
   Fun.protect ~finally:(fun () -> Metrics.gauge_add srv.g_inflight (-1))
   @@ fun () ->
   let req = job.j_req in
-  let sid = Session.id job.j_sess in
-  let tel = srv.tel in
-  let exec_start_ns = Clock.now_ns () in
-  let queue_us =
-    Int64.to_int (Int64.div (Int64.sub exec_start_ns job.j_enq_ns) 1000L)
-  in
+  let exec_ns = Clock.now_ns () in
   (* allocation attribution: words this domain allocates while the job
      runs.  Parallel operator segments allocate on pool domains and are
      not counted — the ledger tracks the serial (worker-side) cost. *)
   let gc0 = Gc.quick_stat () in
-  (if Tel.enabled tel then
+  (if Tel.enabled srv.tel then
      match job.j_trace with
      | Some trace_id ->
-         Tel.emit tel
+         Tel.emit srv.tel
            (Tel.Request_start
-              { session = sid; req_id = req.Wire.id; trace_id;
-                stmt = req.Wire.stmt })
+              { session = Session.id job.j_sess; req_id = req.Wire.id;
+                trace_id; stmt = req.Wire.stmt })
      | None -> ());
-  let finish (o : outcome) =
-    let total_us =
-      Int64.to_int (Int64.div (Int64.sub (Clock.now_ns ()) job.j_enq_ns) 1000L)
-    in
-    let exec_us = max 0 (total_us - queue_us) in
-    let gc1 = Gc.quick_stat () in
-    let gc_minor_w =
-      int_of_float (gc1.Gc.minor_words -. gc0.Gc.minor_words)
-    in
-    let gc_major_w =
-      int_of_float (gc1.Gc.major_words -. gc0.Gc.major_words)
-    in
-    Ledger.observe srv.ledger ~fp:o.o_fp ~stmt:req.Wire.stmt
-      ~ok:(o.o_status = "ok") ~disposition:o.o_disposition ~queue_us ~exec_us
-      ~total_us ~rows_out:o.o_rows_out ~gc_minor_w ~gc_major_w;
-    (if Record.enabled srv.recorder then
-       Record.write srv.recorder
-         {
-           Record.e_seq = job.j_seq;
-           e_session = sid;
-           e_req_id = req.Wire.id;
-           e_trace_id = job.j_trace;
-           e_stmt = req.Wire.stmt;
-           e_deadline_ms = req.Wire.deadline_ms;
-           e_arrive_ms = job.j_arrive_ms;
-           e_arrive_ns = job.j_enq_ns;
-           e_queue_us = queue_us;
-           e_exec_us = exec_us;
-           e_total_us = total_us;
-           e_status = o.o_status;
-           e_cached = o.o_cached;
-           e_disposition = o.o_disposition;
-           e_fp = o.o_fp;
-           e_epoch = o.o_epoch;
-           e_deps = o.o_deps;
-           e_rows_in = o.o_rows_in;
-           e_rows_out = o.o_rows_out;
-           e_gc_minor_w = gc_minor_w;
-           e_gc_major_w = gc_major_w;
-           e_digest = o.o_digest;
-         });
-    if Tel.enabled tel then begin
-      (match job.j_trace with
-      | Some trace_id ->
-          Tel.emit tel
-            (Tel.Request_finish
-               { session = sid; req_id = req.Wire.id; trace_id;
-                 status = o.o_status; cached = o.o_cached;
-                 elapsed_us = total_us })
-      | None -> ());
-      if total_us >= srv.cfg.slow_ms * 1000 then
-        Tel.emit tel
-          (Tel.Slow_query
-             { trace_id = Option.value ~default:"" job.j_trace;
-               fingerprint = o.o_fp; stmt = req.Wire.stmt; queue_us;
-               exec_us = total_us - queue_us; total_us;
-               disposition = o.o_disposition })
-    end
+  let record = record srv job ~exec_ns ~gc0 in
+  (* bypass statements and errors pin no plan: their fingerprint is the
+     statement's and they depend on no table version *)
+  let unplanned ~disposition ~rows_out reply =
+    record ~fp:(fingerprint req.Wire.stmt) ~epoch:(Middleware.epoch srv.mw)
+      ~deps:[] ~rows_in:0 ~disposition ~rows_out reply
   in
-  match req.Wire.deadline_ms with
-  | Some budget_ms
-    when Int64.to_int
-           (Int64.div (Int64.sub exec_start_ns job.j_enq_ns) 1_000_000L)
-         >= budget_ms ->
-      Metrics.incr srv.m_deadline;
-      let message =
-        Printf.sprintf "deadline of %d ms exceeded in queue" budget_ms
-      in
-      send_raw job.j_conn
-        (Wire.error_frame ~id:req.Wire.id ?trace_id:job.j_trace
-           { Wire.code = Wire.Deadline_exceeded; message });
-      let code = Wire.error_code_to_string Wire.Deadline_exceeded in
-      finish
-        {
-          o_status = code;
-          o_cached = false;
-          o_fp = fingerprint req.Wire.stmt;
-          o_disposition = "error";
-          o_epoch = Middleware.epoch srv.mw;
-          o_deps = [];
-          o_rows_in = 0;
-          o_rows_out = 0;
-          o_digest =
-            (if Record.enabled srv.recorder then
-               Record.digest_error ~code ~message
-             else "");
-        }
-  | _ -> finish (execute srv job)
+  let fail code message =
+    unplanned ~disposition:"error" ~rows_out:0 (Error { Wire.code; message })
+  in
+  let reply, e =
+    match req.Wire.deadline_ms with
+    | Some budget_ms when us_between job.j_enq_ns exec_ns >= budget_ms * 1000
+      ->
+        fail Wire.Deadline_exceeded
+          (Printf.sprintf "deadline of %d ms exceeded in queue" budget_ms)
+    | _ -> (
+        (* plain queries go through the session's prepared table and the
+           cache; EXPLAIN/CHECK/DDL/DML take the execute_statement path *)
+        try
+          match Tkr_sql.Parser.statement req.Wire.stmt with
+          | Ast.Query _ -> run_query srv job record
+          | stmt ->
+              let payload, rows_out = run_statement srv stmt in
+              unplanned ~disposition:"bypass" ~rows_out (Ok (payload, None))
+        with
+        | Tkr_sql.Parser.Error d | Tkr_sql.Lexer.Error d ->
+            fail Wire.Parse_error (Diagnostic.to_string d)
+        | Middleware.Rejected diags ->
+            fail Wire.Check_error (Diagnostic.report_to_text diags)
+        | Middleware.Error d | Tkr_sql.Analyzer.Error d ->
+            fail Wire.Runtime_error (Diagnostic.to_string d)
+        | Schema.Unknown name -> fail Wire.Runtime_error ("unknown name " ^ name)
+        | exn -> fail Wire.Runtime_error (Printexc.to_string exn))
+  in
+  let id = req.Wire.id and trace_id = job.j_trace in
+  send_raw job.j_conn
+    (match reply with
+    | Ok (payload, trace) ->
+        Wire.ok_frame ~id ~cached:e.Record.e_cached
+          ~elapsed_us:e.Record.e_total_us ?trace ?trace_id payload
+    | Error err -> Wire.error_frame ~id ?trace_id err);
+  observe srv e
 
 let worker_loop srv () =
   (* every job handed out by the admission queue carries its session's

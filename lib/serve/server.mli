@@ -51,8 +51,15 @@
 
     {2 Flight recording}
 
-    A server started with a live {!Tkr_rec.Record.t} appends one
-    versioned JSONL entry per finished request — canonical statement,
+    Every finished request (ok, bypass statement, typed error or queued
+    deadline) is described by one {!Tkr_rec.Record.entry}, built once
+    when its reply is ready.  The response's [elapsed_us], the serve
+    counters and [serve_latency_us], the resource ledger, the recorder
+    and the event log's request-finish and slow-query lines all read
+    from that one value.
+
+    A server started with a live {!Tkr_rec.Record.t} appends that entry
+    as one versioned JSONL line — canonical statement,
     session, arrival order, the [(table, version)] vector and catalog
     epoch observed at execution, cache disposition, queue/exec split, GC
     word deltas, rows in/out, and an MD5 digest of the exact response
@@ -108,7 +115,8 @@ val ledger : t -> Ledger.t
 
 val stats_json : t -> Tkr_obs.Json.t
 (** The [STATS] payload: uptime, request/error counters, live gauges,
-    latency quantiles (p50/p95/p99 of [serve_latency_us]), cache stats
+    latency quantiles (p50/p95/p99 of [serve_latency_us], which observes
+    every finished request, errors included), cache stats
     and the top slow-query fingerprints. *)
 
 val metrics_text : t -> string

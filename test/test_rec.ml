@@ -4,7 +4,9 @@
    capture through a live server, deterministic replay byte-identity
    over a 4-session interleaved DML workload with the cache on and off
    (alcotest + a qcheck shuffle of cross-session arrival order), the
-   LEDGER scrape surface, and the zero-window [tkr_cli top] frame. *)
+   LEDGER scrape surface, the zero-window [tkr_cli top] frame, replay
+   leaving unsent the writes the capture server rejected, and the
+   recorder, event log, ledger and STATS agreeing on every request. *)
 
 module M = Tkr_middleware.Middleware
 module Wire = Tkr_serve.Wire
@@ -152,11 +154,29 @@ let test_read_restores_arrival_order () =
 
 (* ---- resource ledger ---- *)
 
+(* one finished request as the server records it *)
+let finished ~fp ~stmt ~status ~disposition ~queue_us ~total_us ~rows_out
+    ~gc_minor_w ~gc_major_w =
+  {
+    sample_entry with
+    Record.e_fp = fp;
+    e_stmt = stmt;
+    e_status = status;
+    e_cached = disposition = "hit";
+    e_disposition = disposition;
+    e_queue_us = queue_us;
+    e_exec_us = total_us - queue_us;
+    e_total_us = total_us;
+    e_rows_out = rows_out;
+    e_gc_minor_w = gc_minor_w;
+    e_gc_major_w = gc_major_w;
+  }
+
 let observe_n l ~fp ~stmt ~disposition ~total_us n =
   for _ = 1 to n do
-    Ledger.observe l ~fp ~stmt ~ok:true ~disposition ~queue_us:5
-      ~exec_us:(total_us - 5) ~total_us ~rows_out:3 ~gc_minor_w:100
-      ~gc_major_w:10
+    Ledger.observe l
+      (finished ~fp ~stmt ~status:"ok" ~disposition ~queue_us:5 ~total_us
+         ~rows_out:3 ~gc_minor_w:100 ~gc_major_w:10)
   done
 
 let test_ledger_accounting () =
@@ -167,8 +187,10 @@ let test_ledger_accounting () =
   observe_n l ~fp:"aaa" ~stmt:"SELECT a" ~disposition:"miss" ~total_us:1000 1;
   observe_n l ~fp:"aaa" ~stmt:"SELECT a" ~disposition:"hit" ~total_us:200 3;
   observe_n l ~fp:"bbb" ~stmt:"SELECT b" ~disposition:"off" ~total_us:9000 1;
-  Ledger.observe l ~fp:"bbb" ~stmt:"SELECT b" ~ok:false ~disposition:"error"
-    ~queue_us:1 ~exec_us:1 ~total_us:2 ~rows_out:0 ~gc_minor_w:0 ~gc_major_w:0;
+  Ledger.observe l
+    (finished ~fp:"bbb" ~stmt:"SELECT b" ~status:"RUNTIME_ERROR"
+       ~disposition:"error" ~queue_us:1 ~total_us:2 ~rows_out:0 ~gc_minor_w:0
+       ~gc_major_w:0);
   check_int "two fingerprints" 2 (Ledger.size l);
   let row fp = List.find (fun r -> r.Ledger.r_fp = fp) (Ledger.rows l) in
   let a = row "aaa" and b = row "bbb" in
@@ -507,6 +529,140 @@ let test_console_zero_window () =
     (contains with_index
        "index     on    built 2   rebuilds 1   probes 40   candidates 120")
 
+(* ---- replay: requests the capture server rejected stay unsent ---- *)
+
+(* a write rejected in the queue never ran at capture; replay keeps its
+   turn in arrival order but must not send it, or the replayed server
+   executes it and every later read diverges *)
+let test_replay_skips_rejected_write () =
+  let path = Filename.temp_file "tkr_rec_rejected" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let oc = open_out path in
+  let recorder = Record.create (Record.Chan oc) in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
+      Fun.protect ~finally:(fun () -> Record.close recorder) @@ fun () ->
+      with_rec_server ~recorder @@ fun _m srv ->
+      Client.with_client ~port:(Server.port srv) @@ fun c ->
+      (match
+         (Client.run ~deadline_ms:0 c "INSERT INTO kv VALUES (99)").Wire.body
+       with
+      | Error { Wire.code = Wire.Deadline_exceeded; _ } -> ()
+      | _ -> Alcotest.fail "expected DEADLINE_EXCEEDED");
+      ignore (Client.run_exn c "SELECT x FROM kv"));
+  let _, entries = Record.read_file path in
+  check_int "both requests recorded" 2 (List.length entries);
+  let o = replay_against ~cache_mb:16 entries in
+  check_int "rejected write skipped" 1 o.Replay.skipped;
+  check_int "read compared" 1 o.Replay.compared;
+  check_int "read matched" 1 o.Replay.matched;
+  check "replay identical" true (Replay.identical o)
+
+(* ---- one record, many observers: the recorder, the event log, the
+   ledger and the STATS counters tell the same story ---- *)
+
+let test_observers_agree () =
+  let lock = Mutex.create () in
+  let collect r j =
+    Mutex.lock lock;
+    r := j :: !r;
+    Mutex.unlock lock
+  in
+  let events = ref [] and lines = ref [] in
+  let tel = Tel.create (Tel.Fn (collect events)) in
+  let recorder = Record.create (Record.Fn (collect lines)) in
+  let stats, ledger_count =
+    with_rec_server ~tel ~recorder @@ fun _m srv ->
+    (Client.with_client ~port:(Server.port srv) @@ fun c ->
+     let q = "SELECT x FROM kv" in
+     check "first read misses" false (Client.run_exn c q).Wire.cached;
+     check "second read hits" true (Client.run_exn c q).Wire.cached;
+     ignore (Client.run_exn c "INSERT INTO kv VALUES (5)");
+     (match (Client.run c "SELEC x").Wire.body with
+     | Error { Wire.code = Wire.Parse_error; _ } -> ()
+     | _ -> Alcotest.fail "expected PARSE_ERROR");
+     match (Client.run ~deadline_ms:0 c q).Wire.body with
+     | Error { Wire.code = Wire.Deadline_exceeded; _ } -> ()
+     | _ -> Alcotest.fail "expected DEADLINE_EXCEEDED");
+    (* the drain joins the workers: every observer has seen every request *)
+    Server.stop srv;
+    ( Server.stats_json srv,
+      List.fold_left
+        (fun acc r -> acc + r.Ledger.r_count)
+        0
+        (Ledger.rows (Server.ledger srv)) )
+  in
+  Record.close recorder;
+  let entries =
+    List.filter_map
+      (fun j ->
+        if Json.member "stmt" j = None then None
+        else Some (Record.entry_of_json j))
+      !lines
+  in
+  let finishes =
+    List.filter
+      (fun j ->
+        Option.bind (Json.member "event" j) Json.to_string_opt
+        = Some "request_finish")
+      !events
+  in
+  check_int "one entry per request" 5 (List.length entries);
+  check_int "one request_finish per request" 5 (List.length finishes);
+  List.iter
+    (fun (e : Record.entry) ->
+      let tid =
+        match e.Record.e_trace_id with
+        | Some t -> t
+        | None -> Alcotest.fail "entry without a trace id"
+      in
+      match
+        List.filter
+          (fun j ->
+            Option.bind (Json.member "trace_id" j) Json.to_string_opt
+            = Some tid)
+          finishes
+      with
+      | [ f ] ->
+          check_str ("status of " ^ tid) e.Record.e_status
+            (Option.value ~default:""
+               (Option.bind (Json.member "status" f) Json.to_string_opt));
+          check ("cached of " ^ tid) true
+            (Json.member "cached" f = Some (Json.Bool e.Record.e_cached))
+      | fs ->
+          Alcotest.fail
+            (Printf.sprintf "%d request_finish lines for %s" (List.length fs)
+               tid))
+    entries;
+  let count p = List.length (List.filter p entries) in
+  let status s (e : Record.entry) = e.Record.e_status = s in
+  let disp d (e : Record.entry) = e.Record.e_disposition = d in
+  check_int "ledger counts = STATS requests" (jint stats "requests")
+    ledger_count;
+  check_int "STATS requests = recorded entries" (List.length entries)
+    (jint stats "requests");
+  let cache =
+    match Json.member "cache" stats with
+    | Some c -> c
+    | None -> Alcotest.fail "STATS without cache"
+  in
+  List.iter
+    (fun (what, stat, recorded, expected) ->
+      check_int (what ^ " matches the record") recorded stat;
+      check_int (what ^ " value") expected stat)
+    [
+      ( "errors",
+        jint stats "errors",
+        count (fun e -> not (status "ok" e || status "DEADLINE_EXCEEDED" e)),
+        1 );
+      ( "deadline_exceeded",
+        jint stats "deadline_exceeded",
+        count (status "DEADLINE_EXCEEDED"),
+        1 );
+      ("cache hits", jint cache "hits", count (disp "hit"), 1);
+      ("cache misses", jint cache "misses", count (disp "miss"), 1);
+    ];
+  check_int "one bypass" 1 (count (disp "bypass"))
+
 let suite =
   ( "rec",
     [
@@ -526,4 +682,8 @@ let suite =
         test_ledger_scrape_and_metrics;
       Alcotest.test_case "top: zero-window frame" `Quick
         test_console_zero_window;
+      Alcotest.test_case "e2e: replay skips writes rejected at capture" `Quick
+        test_replay_skips_rejected_write;
+      Alcotest.test_case "e2e: recorder, event log, ledger and STATS agree"
+        `Quick test_observers_agree;
     ] )

@@ -751,6 +751,31 @@ let test_e2e_no_trace_when_tel_off () =
   check "client id echoes without telemetry" true
     (r2.Wire.rsp_trace_id = Some "want-this")
 
+(* the latency histogram observes every finished request, errors and
+   queued deadlines included, so STATS latency_us.count = requests *)
+let test_e2e_latency_counts_every_request () =
+  with_server @@ fun _m srv ->
+  (Client.with_client ~port:(Server.port srv) @@ fun c ->
+   ignore (Client.run_exn c "CREATE TABLE lat (x int)");
+   (match (Client.run c "SELEC x").Wire.body with
+   | Error { Wire.code = Wire.Parse_error; _ } -> ()
+   | _ -> Alcotest.fail "expected PARSE_ERROR");
+   match (Client.run ~deadline_ms:0 c "SELECT x FROM lat").Wire.body with
+   | Error { Wire.code = Wire.Deadline_exceeded; _ } -> ()
+   | _ -> Alcotest.fail "expected DEADLINE_EXCEEDED");
+  (* the drain joins the workers: every request has been observed *)
+  Server.stop srv;
+  let stats = Server.stats_json srv in
+  let int j key =
+    match Option.bind (Json.member key j) Json.to_int_opt with
+    | Some n -> n
+    | None -> Alcotest.fail ("stats missing " ^ key)
+  in
+  check_int "requests" 3 (int stats "requests");
+  match Json.member "latency_us" stats with
+  | Some lat -> check_int "latency_us.count = requests" 3 (int lat "count")
+  | None -> Alcotest.fail "stats missing latency_us"
+
 let suite =
   ( "serve",
     [
@@ -797,4 +822,6 @@ let suite =
         test_e2e_no_trace_when_tel_off;
       Alcotest.test_case "wire: stalled frame allocates what arrived" `Quick
         test_wire_stalled_frame;
+      Alcotest.test_case "e2e: latency histogram counts every request" `Quick
+        test_e2e_latency_counts_every_request;
     ] )
