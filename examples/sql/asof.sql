@@ -10,18 +10,23 @@ INSERT INTO works VALUES
   ('Ann', 'SP', 3, 10), ('Joe', 'NS', 8, 16),
   ('Sam', 'SP', 8, 16), ('Ann', 'SP', 18, 20);
 
--- the snapshot at one point in time: the AS OF pushdown becomes a
--- stab probe (Abegin <= 9 < Aend) into the endpoint-sorted index
+-- the snapshot at one point in time: the query runs as a plain query
+-- over the timeslice of works, whose selection (Abegin <= 9 < Aend)
+-- is a stab probe into the endpoint-sorted index
 SEQ VT AS OF 9 (SELECT name, skill FROM works);
 
--- a user filter above the timeslice fuses with the pushdown into one
--- index-answerable selection; the residual predicate re-filters the
--- candidates, so the result matches the scan byte for byte
+-- a user filter applies to the stabbed rows; the probe re-applies the
+-- full timeslice predicate to its candidates, so the result matches the
+-- scan byte for byte
 SEQ VT AS OF 9 (SELECT name FROM works WHERE skill = 'SP');
 
--- timeslice cardinality: what the delta-summation structure counts in
--- O(log n) (two binary searches over the endpoint arrays)
+-- timeslice cardinality: a plain count(*) over the stabbed rows (the
+-- delta-summation structure could count it in O(log n); the planner
+-- does not use it yet)
 SEQ VT AS OF 9 (SELECT count(*) AS headcount FROM works);
+
+-- aggregation at one point is plain aggregation: no split or coalesce
+SEQ VT AS OF 9 (SELECT skill, count(*) AS c FROM works GROUP BY skill);
 
 -- an overlap range over the period columns directly: rows alive at any
 -- point of [8, 16) — begin bounded above, end bounded below

@@ -241,11 +241,10 @@ let optimize ?(prune : (Algebra.t -> Algebra.t) option)
 (** Collapse stacked selections: [Select (p1, Select (p2, q))] becomes
     [Select (And (p2, p1), q)] (inner predicate first, matching the
     filter order of the stacked form; Kleene AND makes the filtered rows
-    identical).  Run after the AS OF pushdown so a user filter stacked on
-    the pushed-down aliveness selection fuses into one conjunction whose
-    conjuncts carry both period bounds — the shape {!Exec.index_select}
-    recognizes.  Applied unconditionally: the plan shape does not depend
-    on whether the index is enabled. *)
+    identical).  Stacked filters that bound the period columns separately
+    fuse into one conjunction whose conjuncts carry both period bounds —
+    the shape {!Exec.index_select} recognizes.  Applied unconditionally:
+    the plan shape does not depend on whether the index is enabled. *)
 let rec merge_selects (q : Algebra.t) : Algebra.t =
   match q with
   | Rel _ | ConstRel _ -> q

@@ -28,11 +28,11 @@ val optimize :
 
 val merge_selects : Algebra.t -> Algebra.t
 (** Collapse stacked selections into one conjunctive selection
-    ([Select (p1, Select (p2, q))] → [Select (And (p2, p1), q)]), so a
-    user filter above the AS OF aliveness pushdown fuses into a single
-    index-answerable predicate.  Filtered rows and their order are
-    identical.  Applied to physical plans unconditionally — the plan
-    shape never depends on the index flag. *)
+    ([Select (p1, Select (p2, q))] → [Select (And (p2, p1), q)]), so
+    stacked filters over a period table — one bounding [Abegin], one
+    bounding [Aend] — fuse into a single index-answerable predicate.
+    Filtered rows and their order are identical.  Applied to final plans
+    unconditionally — the plan shape never depends on the index flag. *)
 
 val access :
   use_index:bool ->

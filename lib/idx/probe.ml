@@ -7,8 +7,8 @@
     Any such pair of bounds is a {e necessary} condition for the whole
     predicate, so the index's candidate set is a superset of the rows the
     scan keeps, and re-applying the full predicate to the candidates
-    reproduces the scan exactly.  The [AS OF t] pushdown
-    ([Abegin <= t AND t < Aend]) is the canonical instance.
+    reproduces the scan exactly.  The [AS OF t] timeslice of a base
+    table ([Abegin <= t AND t < Aend]) is the canonical instance.
 
     {!join_bounds} recognizes the per-row analogue for interval joins:
     conjuncts comparing the {e right} table's period columns against

@@ -6,7 +6,9 @@
     tables it references (the period attributes are implicit), rewritten
     with REWR (Fig. 4) and executed as a plain multiset query over the
     period encoding.  The result is a period table whose period is exposed
-    as the trailing [vt_begin]/[vt_end] columns.
+    as the trailing [vt_begin]/[vt_end] columns.  [SEQ VT AS OF t (...)]
+    skips REWR: the optimized logical plan runs as a plain query over the
+    timeslices of its base tables.
 
     Queries without [SEQ VT] run as ordinary SQL (period attributes are
     then visible as regular columns).  CREATE TABLE ... PERIOD(b, e),
@@ -261,9 +263,6 @@ type prepared = {
           observing) *)
   out_schema : Schema.t;  (** user-visible output schema *)
   snapshot : bool;
-  as_of : int option;
-      (** timeslice: return the snapshot at this point, without period
-          columns (SEQ VT AS OF t) *)
   order_by : (int * bool) list;
   limit : int option;
   stats : phase_stats;  (** phase timings; execute accumulates per run *)
@@ -370,14 +369,42 @@ let drop_dup4 ~(prior : Diagnostic.t list) (ds : Diagnostic.t list) :
               prior))
     ds
 
+(* τ_t of a logical snapshot plan (Thm 6.3/7.2): every base table is
+   replaced by its rows alive at [t] ([Abegin <= t < Aend]) with the
+   period columns projected away.  τ_t is a semiring homomorphism, so the
+   plain query over these slices is the snapshot of the temporal query
+   at [t] — plain aggregation and EXCEPT ALL already are snapshot
+   semantics at a single point. *)
+let timeslice m t (q : Algebra.t) : Algebra.t =
+  let rec go (q : Algebra.t) : Algebra.t =
+    match q with
+    | Algebra.Rel n ->
+        let s = Database.schema_of m.db n in
+        let a = Schema.arity s in
+        let alive =
+          Expr.(
+            And
+              ( Cmp (Le, Col (a - 2), Const (Value.Int t)),
+                Cmp (Lt, Const (Value.Int t), Col (a - 1)) ))
+        in
+        Project (Algebra.cols_proj s 0 (a - 2), Select (alive, q))
+    | ConstRel _ -> q
+    | Select (p, q) -> Select (p, go q)
+    | Project (ps, q) -> Project (ps, go q)
+    | Join (p, l, r) -> Join (p, go l, go r)
+    | Union (l, r) -> Union (go l, go r)
+    | Diff (l, r) -> Diff (go l, go r)
+    | Agg (g, a, q) -> Agg (g, a, go q)
+    | Distinct q -> Distinct (go q)
+    | Coalesce _ | Split _ | Split_agg _ ->
+        err "TKR201" "timeslice: physical operator in logical query"
+  in
+  go q
+
 let prepare_statement_unlocked m (stmt : Ast.statement) : prepared =
   match stmt with
   | Ast.Query { q; order_by; limit; origin } -> (
       let stats = fresh_stats () in
-      let finish (p : prepared) =
-        locked m.lock (fun () -> add_stats ~into:m.totals p.stats);
-        p
-      in
       (* one stage of the obs-timed static [check] phase: accumulate
          elapsed time, reject right away on errors (or warnings when
          strict) so later phases never see an invalid plan *)
@@ -388,6 +415,50 @@ let prepare_statement_unlocked m (stmt : Ast.statement) : prepared =
         | Ok ds -> ds
         | Error ds -> raise (Rejected (Diagnostic.sort ds))
       in
+      let is_period n = Database.is_period m.db n in
+      let tmin, tmax = Database.time_bounds m.db in
+      let enc_lookup n =
+        if Database.mem m.db n then Some (Database.schema_of m.db n) else None
+      in
+      (* the prepared statement over a final plan; [env] seeds the
+         analysis rendered by EXPLAIN *)
+      let finish ~env ~snapshot ~out_schema ~diags plan =
+        locked m.lock (fun () -> add_stats ~into:m.totals stats);
+        {
+          plan;
+          exec = make_exec m plan;
+          out_schema;
+          snapshot;
+          order_by = List.map (Analyzer.resolve_order out_schema) order_by;
+          limit;
+          stats;
+          diags;
+          analysis = Absint.render env plan;
+          access =
+            Tkr_engine.Optimizer.access ~use_index:m.index ~is_period
+              ~lookup:(Database.schema_of m.db) plan;
+          tables = List.sort_uniq String.compare (collect_rels [] plan);
+          pooled = (m.engine = Row && Option.is_some m.pool);
+        }
+      in
+      (* the plain-query back end, shared by plain SQL and AS OF
+         timeslices: the plan reads the stored tables with their period
+         columns exposed, so the abstract interpreter seeds those from
+         the stored time bounds *)
+      let plain ~prior ~snapshot ~out_schema algebra =
+        let env = Absint.env ~is_period ~time_bounds:(tmin, tmax) enc_lookup in
+        let diags =
+          drop_dup4 ~prior
+            ( checked @@ fun () ->
+              Check.logical ~absint:env ~lookup:enc_lookup algebra )
+        in
+        let plan = if m.prune then Absint.prune env algebra else algebra in
+        (* fuse selection stacks into single conjunctions — the shape the
+           index probe recognizer works on.  Unconditional: the plan
+           never depends on the index flag. *)
+        finish ~env ~snapshot ~out_schema ~diags:(prior @ diags)
+          (Tkr_engine.Optimizer.merge_selects plan)
+      in
       let kind =
         match q with
         | Ast.Seq_vt inner -> `Snapshot (inner, None, false)
@@ -396,7 +467,7 @@ let prepare_statement_unlocked m (stmt : Ast.statement) : prepared =
         | q -> `Plain q
       in
       match kind with
-      | `Snapshot (inner, as_of, set_mode) ->
+      | `Snapshot (inner, as_of, set_mode) -> (
           let analyzed =
             phase (fun ns -> stats.analyze_ns <- ns) @@ fun () ->
             let analyzed = Analyzer.analyze_query (snapshot_catalog m) inner in
@@ -408,12 +479,11 @@ let prepare_statement_unlocked m (stmt : Ast.statement) : prepared =
             (* every base relation must be a period table *)
             List.iter
               (fun n ->
-                if not (Database.is_period m.db n) then
+                if not (is_period n) then
                   err "TKR020" "table %s inside SEQ VT is not a period table" n)
               (collect_rels [] analyzed.algebra);
             analyzed
           in
-          let tmin, tmax = Database.time_bounds m.db in
           let lookup n = Database.data_schema_of m.db n in
           let data_lookup n =
             if Database.mem m.db n then Some (Database.data_schema_of m.db n)
@@ -448,82 +518,14 @@ let prepare_statement_unlocked m (stmt : Ast.statement) : prepared =
             drop_dup4 ~prior:diags_analyzed
               (checked @@ fun () -> Check.logical ~lookup:data_lookup logical)
           in
-          let plan =
-            phase (fun ns -> stats.rewrite_ns <- ns) @@ fun () ->
-            let plan =
-              Simplify.simplify
-                (Rewriter.rewrite ~options:m.options ~tmin ~tmax ~lookup logical)
-            in
-            let plan =
-              match as_of with
-              | None -> plan
-              | Some t ->
-                (* τ_T commutes with queries (Thm 6.3/7.2): restricting
-                   every base table to the tuples alive at T computes the
-                   same snapshot far more cheaply *)
-                  let rec push (q : Algebra.t) : Algebra.t =
-                    match q with
-                    | Algebra.Rel n ->
-                        let arity = Schema.arity (Database.schema_of m.db n) in
-                        let alive =
-                          Expr.(
-                            And
-                              ( Cmp (Le, Col (arity - 2), Const (Value.Int t)),
-                                Cmp (Lt, Const (Value.Int t), Col (arity - 1))
-                              ))
-                        in
-                        Algebra.Select (alive, q)
-                    | ConstRel _ -> q
-                    | Select (p, q) -> Select (p, push q)
-                    | Project (ps, q) -> Project (ps, push q)
-                    | Join (p, l, r) -> Join (p, push l, push r)
-                    | Union (l, r) -> Union (push l, push r)
-                    | Diff (l, r) -> Diff (push l, push r)
-                    | Agg (g, a, q) -> Agg (g, a, push q)
-                    | Distinct q -> Distinct (push q)
-                    | Coalesce q -> Coalesce (push q)
-                    | Split (g, l, r) ->
-                        if l == r then
-                          let l' = push l in
-                          Split (g, l', l')
-                        else Split (g, push l, push r)
-                    | Split_agg sa ->
-                        Split_agg { sa with sa_child = push sa.sa_child }
-                  in
-                  push plan
-            in
-            (* fuse selection stacks (user filter over the AS OF aliveness
-               pushdown) into single conjunctions — the shape the index
-               probe recognizer works on.  Unconditional: the plan never
-               depends on the index flag. *)
-            Tkr_engine.Optimizer.merge_selects plan
-          in
-          (* check: period-encoding invariants on the rewritten plan, with
-             the abstract interpreter seeded from the period catalog and
-             the database time bounds *)
-          let enc_lookup n =
-            if Database.mem m.db n then Some (Database.schema_of m.db n)
-            else None
-          in
-          let env_phys =
-            Absint.env ~temporal:true
-              ~is_period:(fun n -> Database.is_period m.db n)
-              ~time_bounds:(tmin, tmax) enc_lookup
-          in
-          let diags_physical =
-            drop_dup4 ~prior:(diags_analyzed @ diags_optimized)
-              ( checked @@ fun () ->
-                Check.physical ~absint:env_phys ~lookup:enc_lookup plan )
-          in
-          (* a timeslice point outside the stored bounds is provably
-             empty: the bounds are widened to cover every stored period,
-             so no row can be alive there.  Decided on the pre-prune plan
-             — pruning replaces exactly these provably-empty reads with
-             constants, which must not silence the warning. *)
-          let diags_timeslice =
-            match as_of with
-            | Some t
-              when (t < tmin || t >= tmax) && collect_rels [] plan <> [] ->
+          let prior = diags_analyzed @ diags_optimized in
+          match as_of with
+          | Some t when t < tmin || t >= tmax ->
+              (* the bounds are widened to cover every stored period, so
+                 no row is alive at [t]: the snapshot is empty, even for
+                 an ungrouped aggregate (whose plain evaluation over the
+                 empty slices would return one row) *)
+              let diags =
                 checked @@ fun () ->
                 [
                   Diagnostic.warning "TKR408"
@@ -531,89 +533,51 @@ let prepare_statement_unlocked m (stmt : Ast.statement) : prepared =
                      the timeslice is provably empty"
                     t tmin tmax;
                 ]
-            | _ -> []
-          in
-          let plan = if m.prune then Absint.prune env_phys plan else plan in
-          let diags =
-            List.sort_uniq compare
-              (diags_analyzed @ diags_optimized @ diags_physical
-             @ diags_timeslice)
-          in
-          let access =
-            Tkr_engine.Optimizer.access ~use_index:m.index
-              ~is_period:(fun n -> Database.is_period m.db n)
-              ~lookup:(fun n -> Database.schema_of m.db n)
-              plan
-          in
-          let out_schema =
-            match as_of with
-            | None ->
-                Schema.make
-                  (Schema.attrs analyzed.schema
-                  @ [
-                      Schema.attr vt_begin Value.TInt;
-                      Schema.attr vt_end Value.TInt;
-                    ])
-            | Some _ -> analyzed.schema
-          in
-          let order_by = List.map (Analyzer.resolve_order out_schema) order_by in
-          finish
-            { plan; exec = make_exec m plan; out_schema; snapshot = true; as_of;
-              order_by; limit; stats; diags;
-              analysis = Absint.render env_phys plan; access;
-              tables = List.sort_uniq String.compare (collect_rels [] plan);
-              pooled = (m.engine = Row && Option.is_some m.pool) }
+              in
+              plain ~prior:(prior @ diags) ~snapshot:true
+                ~out_schema:analyzed.schema
+                (Algebra.ConstRel (analyzed.schema, []))
+          | Some t ->
+              plain ~prior ~snapshot:true ~out_schema:analyzed.schema
+                (Simplify.simplify (timeslice m t logical))
+          | None ->
+              let plan =
+                phase (fun ns -> stats.rewrite_ns <- ns) @@ fun () ->
+                Tkr_engine.Optimizer.merge_selects
+                  (Simplify.simplify
+                     (Rewriter.rewrite ~options:m.options ~tmin ~tmax ~lookup
+                        logical))
+              in
+              (* check: period-encoding invariants on the rewritten plan,
+                 with the abstract interpreter seeded from the period
+                 catalog and the database time bounds *)
+              let env =
+                Absint.env ~temporal:true ~is_period ~time_bounds:(tmin, tmax)
+                  enc_lookup
+              in
+              let diags_physical =
+                drop_dup4 ~prior
+                  ( checked @@ fun () ->
+                    Check.physical ~absint:env ~lookup:enc_lookup plan )
+              in
+              let plan = if m.prune then Absint.prune env plan else plan in
+              finish ~env ~snapshot:true
+                ~out_schema:
+                  (Schema.make
+                     (Schema.attrs analyzed.schema
+                     @ [
+                         Schema.attr vt_begin Value.TInt;
+                         Schema.attr vt_end Value.TInt;
+                       ]))
+                ~diags:(List.sort_uniq compare (prior @ diags_physical))
+                plan)
       | `Plain inner ->
           let analyzed =
             phase (fun ns -> stats.analyze_ns <- ns) @@ fun () ->
             Analyzer.analyze_query (plain_catalog m) inner
           in
-          let plain_lookup n =
-            if Database.mem m.db n then Some (Database.schema_of m.db n)
-            else None
-          in
-          (* plain queries see period tables with their encoding exposed,
-             so seed the period columns from the stored time bounds *)
-          let env_plain =
-            Absint.env
-              ~is_period:(fun n -> Database.is_period m.db n)
-              ~time_bounds:(Database.time_bounds m.db) plain_lookup
-          in
-          let diags =
-            checked @@ fun () ->
-            Check.logical ~absint:env_plain ~lookup:plain_lookup
-              analyzed.algebra
-          in
-          let plan =
-            if m.prune then Absint.prune env_plain analyzed.algebra
-            else analyzed.algebra
-          in
-          let plan = Tkr_engine.Optimizer.merge_selects plan in
-          let access =
-            Tkr_engine.Optimizer.access ~use_index:m.index
-              ~is_period:(fun n -> Database.is_period m.db n)
-              ~lookup:(fun n -> Database.schema_of m.db n)
-              plan
-          in
-          let order_by =
-            List.map (Analyzer.resolve_order analyzed.schema) order_by
-          in
-          finish
-            {
-              plan;
-              exec = make_exec m plan;
-              out_schema = analyzed.schema;
-              snapshot = false;
-              as_of = None;
-              order_by;
-              limit;
-              stats;
-              diags;
-              analysis = Absint.render env_plain plan;
-              access;
-              tables = List.sort_uniq String.compare (collect_rels [] plan);
-              pooled = (m.engine = Row && Option.is_some m.pool);
-            })
+          plain ~prior:[] ~snapshot:false ~out_schema:analyzed.schema
+            analyzed.algebra)
   | _ -> err "TKR021" "not a query"
 
 let prepare_statement m stmt =
@@ -656,24 +620,6 @@ let run_prepared ?(obs = Trace.disabled) m (p : prepared) : Table.t =
   Metrics.observe
     (Metrics.histogram m.metrics "execute_us")
     (Int64.to_int (Int64.div ns 1000L));
-  let result =
-    match p.as_of with
-    | None -> result
-    | Some t ->
-        (* keep the rows alive at [t], drop the period columns *)
-        let n = Schema.arity (Table.schema result) in
-        let keep = List.init (n - 2) Fun.id in
-        let rows =
-          Array.to_seq (Table.rows result)
-          |> Seq.filter (fun row ->
-                 match (Tuple.get row (n - 2), Tuple.get row (n - 1)) with
-                 | Value.Int b, Value.Int e -> b <= t && t < e
-                 | _ -> false)
-          |> Seq.map (Tuple.project keep)
-          |> Array.of_seq
-        in
-        Table.of_array p.out_schema rows
-  in
   let result = Table.of_array p.out_schema (Table.rows result) in
   let rows =
     if p.order_by = [] then Table.rows result
@@ -721,9 +667,8 @@ let const_value (e : Ast.expr) : Value.t =
 (** The final (optimized, rewritten) plan of a prepared query as text. *)
 let render_plan (p : prepared) : string =
   let head =
-    Format.asprintf "@[<v>%s query%s@,output: %a@,plan:@,  @[%a@]@]"
+    Format.asprintf "@[<v>%s query@,output: %a@,plan:@,  @[%a@]@]"
       (if p.snapshot then "snapshot" else "plain")
-      (match p.as_of with Some t -> Printf.sprintf " (AS OF %d)" t | None -> "")
       Schema.pp p.out_schema Algebra.pp p.plan
   in
   let buf = Buffer.create (String.length head + String.length p.analysis + 32) in

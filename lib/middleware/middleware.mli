@@ -5,8 +5,12 @@
       tables it references; the result is a period table with trailing
       [vt_begin]/[vt_end] columns and the canonical (coalesced) encoding.
     - [SEQ VT AS OF t (q)] returns the snapshot of [q] at time [t]
-      (non-temporal result), pushing the timeslice to the base tables —
-      sound because τ_T commutes with queries.
+      (non-temporal result): [q] is planned as a plain query over the
+      timeslice τ_t of each base table (its rows alive at [t], period
+      columns dropped) — no REWR, split or coalesce, because τ_t is a
+      semiring homomorphism (Thm 6.3/7.2).  A point outside the stored
+      time bounds yields no rows (warning TKR408).  Without ORDER BY,
+      rows come in plain-plan order, as for plain queries.
     - Queries without [SEQ VT] run as ordinary SQL.
     - DDL/DML: [CREATE TABLE ... PERIOD (b, e)], [INSERT], [DROP TABLE],
       [UPDATE]/[DELETE] including SQL:2011 [FOR PORTION OF].
@@ -165,7 +169,6 @@ type prepared = {
           instrumentation) *)
   out_schema : Schema.t;
   snapshot : bool;
-  as_of : int option;
   order_by : (int * bool) list;
   limit : int option;
   stats : phase_stats;
@@ -188,8 +191,9 @@ type prepared = {
       (** the exec closure captured a worker pool (executions serialize
           on the middleware's pool lock) *)
 }
-(** A parsed, analyzed, statically checked and (for snapshot queries)
-    rewritten statement, ready for repeated execution. *)
+(** A parsed, analyzed, statically checked and (for [SEQ VT] queries
+    other than [AS OF]) rewritten statement, ready for repeated
+    execution. *)
 
 val prepare : t -> string -> prepared
 (** @raise Rejected when the static check phase reports errors (or

@@ -157,7 +157,6 @@ let plan_key (p : Middleware.prepared) =
            p.Middleware.order_by);
       (match p.Middleware.limit with Some n -> string_of_int n | None -> "");
       (if p.Middleware.snapshot then "s" else "");
-      (match p.Middleware.as_of with Some v -> string_of_int v | None -> "");
     ]
 
 (* the short digest of a cache key: the identity that the slow-query log

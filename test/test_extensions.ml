@@ -29,33 +29,137 @@ let fresh () =
 
 (* --- SEQ VT AS OF: timeslice queries --- *)
 
-let test_as_of_matches_snapshot () =
-  let m = fresh () in
-  (* for every time point, AS OF t equals the rows of the full snapshot
-     query whose period contains t *)
-  let full =
-    M.query m "SEQ VT (SELECT count(*) AS cnt FROM works WHERE skill = 'SP')"
+(* AS OF t (Q) is Q over the timeslices τ_t of the base tables; τ_t is a
+   semiring homomorphism (Thm 6.3/7.2), so it must equal the rows of the
+   full snapshot query SEQ VT (Q) alive at t, period columns dropped, as
+   multisets — at every point, on every engine/index/prune setting *)
+
+type prow = { x : int option; y : int option; pb : int; pe : int }
+
+let arb_period_tables =
+  let open QCheck.Gen in
+  let v = frequency [ (1, return None); (4, map Option.some (int_range 0 3)) ] in
+  let row =
+    let* x = v and* y = v and* pb = int_range 0 10 in
+    (* empty ([b = e]) and single-point periods are frequent *)
+    let+ len = frequency [ (1, return 0); (1, return 1); (3, int_range 2 6) ] in
+    { x; y; pb; pe = pb + len }
   in
-  for t = 0 to 23 do
-    let sliced =
-      M.query m
-        (Printf.sprintf
-           "SEQ VT AS OF %d (SELECT count(*) AS cnt FROM works WHERE skill = 'SP')"
-           t)
-    in
-    Alcotest.(check int) (Printf.sprintf "one row at %d" t) 1
-      (Table.cardinality sliced);
-    let expected =
-      Array.to_list (Table.rows full)
-      |> List.filter_map (fun row ->
-             match (Tuple.get row 1, Tuple.get row 2) with
-             | Value.Int b, Value.Int e when b <= t && t < e ->
-                 Some (Tuple.get row 0)
-             | _ -> None)
-    in
-    Alcotest.(check int) "matches full query" 0
-      (Value.compare (List.hd expected) (Tuple.get (Table.rows sliced).(0) 0))
-  done
+  let rows =
+    let* rs = list_size (int_range 0 8) row in
+    (* exact duplicates *)
+    let+ dups = int_range 0 2 in
+    rs @ List.filteri (fun i _ -> i < dups) rs
+  in
+  let show rs =
+    String.concat "; "
+      (List.map
+         (fun r ->
+           let o = function None -> "NULL" | Some i -> string_of_int i in
+           Printf.sprintf "(%s,%s,[%d,%d))" (o r.x) (o r.y) r.pb r.pe)
+         rs)
+  in
+  QCheck.make
+    ~print:(fun (r, s) -> Printf.sprintf "r: %s\ns: %s" (show r) (show s))
+    (pair rows rows)
+
+let as_of_queries =
+  [
+    "SELECT x, y FROM r WHERE y > 1";
+    "SELECT x FROM r";
+    "SELECT r.x, s.y FROM r, s WHERE r.x = s.x";
+    "SELECT x FROM r UNION ALL SELECT y FROM s";
+    "SELECT x FROM r EXCEPT ALL SELECT x FROM s";
+    "SELECT DISTINCT x FROM r";
+    "SELECT x, count(*) AS n, sum(y) AS sm, min(y) AS mn, avg(y) AS av \
+     FROM r GROUP BY x";
+    "SELECT count(*) AS n, sum(y) AS sm, min(y) AS mn, avg(y) AS av FROM r";
+    "SELECT count(y) AS n FROM s WHERE x = 1";
+  ]
+
+let load_period_tables (r, s) =
+  let db = Database.create () in
+  let m = M.create ~db () in
+  let load name rows =
+    ignore
+      (M.execute m
+         (Printf.sprintf "CREATE TABLE %s (x int, y int, b int, e int) PERIOD (b, e)"
+            name));
+    if rows <> [] then
+      let o = function None -> "NULL" | Some i -> string_of_int i in
+      ignore
+        (M.execute m
+           (Printf.sprintf "INSERT INTO %s VALUES %s" name
+              (String.concat ", "
+                 (List.map
+                    (fun p -> Printf.sprintf "(%s, %s, %d, %d)" (o p.x) (o p.y) p.pb p.pe)
+                    rows))))
+  in
+  load "r" r;
+  load "s" s;
+  db
+
+let row_list t = Array.to_list (Table.rows t)
+let sorted_rows t = List.sort Tuple.compare (row_list t)
+
+let rec has_temporal_op (q : Algebra.t) =
+  match q with
+  | Algebra.Coalesce _ | Split _ | Split_agg _ -> true
+  | Rel _ | ConstRel _ -> false
+  | Select (_, q) | Project (_, q) | Agg (_, _, q) | Distinct q -> has_temporal_op q
+  | Join (_, l, r) | Union (l, r) | Diff (l, r) -> has_temporal_op l || has_temporal_op r
+
+(* the rows of a [SEQ VT] result alive at [t], period columns dropped *)
+let alive_at full t =
+  let n = Schema.arity (Table.schema full) in
+  List.filter_map
+    (fun row ->
+      match (Tuple.get row (n - 2), Tuple.get row (n - 1)) with
+      | Value.Int b, Value.Int e when b <= t && t < e ->
+          Some (Tuple.project (List.init (n - 2) Fun.id) row)
+      | _ -> None)
+    (row_list full)
+
+let prop_as_of_matches_snapshot =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:20 ~name:"AS OF matches full snapshot query"
+       arb_period_tables (fun tables ->
+         let db = load_period_tables tables in
+         let tmin, tmax = Database.time_bounds db in
+         List.iter
+           (fun (index, prune) ->
+             let row = M.create ~engine:M.Row ~index ~prune ~db ()
+             and vec = M.create ~engine:M.Vec ~index ~prune ~db () in
+             List.iter
+               (fun q ->
+                 let full m = M.query m (Printf.sprintf "SEQ VT (%s)" q) in
+                 let full_row = full row and full_vec = full vec in
+                 for t = tmin - 2 to tmax + 1 do
+                   let sql = Printf.sprintf "SEQ VT AS OF %d (%s)" t q in
+                   let sliced m full =
+                     let p = M.prepare m sql in
+                     if has_temporal_op p.M.plan then
+                       QCheck.Test.fail_reportf "%s: temporal operator in plan" sql;
+                     let r = M.run_prepared m p in
+                     if
+                       List.compare Tuple.compare (sorted_rows r)
+                         (List.sort Tuple.compare (alive_at full t))
+                       <> 0
+                     then
+                       QCheck.Test.fail_reportf "%s (index=%b prune=%b):@.%s" sql
+                         index prune (Table.to_text r);
+                     r
+                   in
+                   if
+                     List.compare Tuple.compare
+                       (row_list (sliced row full_row))
+                       (row_list (sliced vec full_vec))
+                     <> 0
+                   then QCheck.Test.fail_reportf "%s: row and vec differ" sql
+                 done)
+               as_of_queries)
+           [ (true, true); (true, false); (false, true); (false, false) ];
+         true))
 
 let test_as_of_schema () =
   let m = fresh () in
@@ -63,6 +167,66 @@ let test_as_of_schema () =
   Alcotest.(check (list string)) "no period columns" [ "name" ]
     (Schema.names (Table.schema t));
   Alcotest.(check int) "Ann and Sam at 9" 2 (Table.cardinality t)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let test_as_of_domain_edges () =
+  let m = fresh () in
+  let count_at t =
+    let sql = Printf.sprintf "SEQ VT AS OF %d (SELECT count(*) AS c FROM works)" t in
+    (M.query m sql, List.map (fun (d : M.Diagnostic.t) -> d.code) (M.check m sql))
+  in
+  (* outside [tmin, tmax) = [0, 24): no row at all, not one 0 row *)
+  List.iter
+    (fun t ->
+      let r, codes = count_at t in
+      Alcotest.(check int) (Printf.sprintf "no rows at %d" t) 0 (Table.cardinality r);
+      Alcotest.(check bool) (Printf.sprintf "TKR408 at %d" t) true
+        (List.mem "TKR408" codes))
+    [ -1; 24; 99 ];
+  (* in the domain with nothing alive: plain aggregation's one 0 row *)
+  let r, codes = count_at 17 in
+  Alcotest.(check (list string)) "one 0 row at 17" [ "0" ]
+    (List.map (fun row -> Value.to_string (Tuple.get row 0)) (row_list r));
+  Alcotest.(check bool) "no TKR408 at 17" false (List.mem "TKR408" codes);
+  let ex =
+    M.explain m "SEQ VT AS OF 9 (SELECT skill, count(*) AS c FROM works GROUP BY skill)"
+  in
+  Alcotest.(check bool) "index access" true (contains ex "access: works=index");
+  List.iter
+    (fun op ->
+      Alcotest.(check bool) ("no " ^ op ^ " operator") false (contains ex op))
+    [ "C("; "N["; "Nγ" ]
+
+(* temporal semijoin and antijoin written in SQL: a's periods restricted
+   to (resp. outside) the times some matching b row exists *)
+let test_semijoin_antijoin () =
+  let m = M.create () in
+  ignore
+    (M.execute_script m
+       {|
+       CREATE TABLE a (id int, b int, e int) PERIOD (b, e);
+       CREATE TABLE b (id int, b int, e int) PERIOD (b, e);
+       INSERT INTO a VALUES (1, 1, 20);
+       INSERT INTO b VALUES (1, 5, 10), (1, 15, 30);
+     |});
+  let semi = "SELECT DISTINCT a.id FROM a, b WHERE a.id = b.id" in
+  let anti = "SELECT id FROM a EXCEPT ALL " ^ semi in
+  let texts t = List.map (fun row -> Tuple.to_string row) (sorted_rows t) in
+  Alcotest.(check (list string)) "semijoin periods"
+    [ "(1, 5, 10)"; "(1, 15, 20)" ]
+    (texts (M.query m (Printf.sprintf "SEQ VT (%s)" semi)));
+  Alcotest.(check (list string)) "antijoin periods"
+    [ "(1, 1, 5)"; "(1, 10, 15)" ]
+    (texts (M.query m (Printf.sprintf "SEQ VT (%s)" anti)));
+  let at t q = texts (M.query m (Printf.sprintf "SEQ VT AS OF %d (%s)" t q)) in
+  Alcotest.(check (list string)) "semijoin at 7" [ "(1)" ] (at 7 semi);
+  Alcotest.(check (list string)) "antijoin at 7" [] (at 7 anti);
+  Alcotest.(check (list string)) "semijoin at 12" [] (at 12 semi);
+  Alcotest.(check (list string)) "antijoin at 12" [ "(1)" ] (at 12 anti)
 
 (* --- FOR PORTION OF --- *)
 
@@ -213,9 +377,12 @@ let test_bitemporal_union_multiplicity () =
 let suite =
   ( "extensions (AS OF, portion updates, bitemporal)",
     [
-      Alcotest.test_case "AS OF matches full snapshot query" `Quick
-        test_as_of_matches_snapshot;
+      prop_as_of_matches_snapshot;
       Alcotest.test_case "AS OF output schema" `Quick test_as_of_schema;
+      Alcotest.test_case "AS OF domain edges and plan shape" `Quick
+        test_as_of_domain_edges;
+      Alcotest.test_case "temporal semijoin and antijoin" `Quick
+        test_semijoin_antijoin;
       Alcotest.test_case "FOR PORTION OF update splits rows" `Quick
         test_portion_update;
       Alcotest.test_case "portion update outside period" `Quick

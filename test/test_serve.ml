@@ -502,7 +502,7 @@ let test_e2e_dml_invalidates () =
     (Server.cache_stats srv).Cache.invalidations
 
 (* A session's cached prepared plan bakes catalog state: snapshot plans
-   bake the time bounds of prepare time, AS OF pushdown bakes schema
+   bake the time bounds of prepare time, AS OF timeslices bake schema
    arities.  After DML that extends the time bounds, or DROP+CREATE that
    changes a schema, re-executing the same statement text on the same
    connection must return the bytes a fresh preparation computes — the
