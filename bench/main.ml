@@ -1,6 +1,6 @@
 (* Bechamel micro-benchmark harness: one Test.make per paper table/figure
    (Figure 5, Table 3 top/bottom), plus ablations for the Section 9
-   optimizations and the interval-join integration point.
+   optimizations.
 
    Workloads are scaled to keep the full run in the low minutes; the
    experiment binary (bin/experiments.exe) runs the larger, closer-to-paper
@@ -15,20 +15,6 @@ module T = Tkr_workload.Tpcbih
 module Q = Tkr_workload.Queries
 module Ops = Tkr_engine.Ops
 module Rewriter = Tkr_sqlenc.Rewriter
-module Pool = Tkr_par.Pool
-
-(* [--jobs N] sizes the worker pool of the par-ablation group (default:
-   half the cores, at least 2 — enough to show scaling without pinning
-   the machine) *)
-let jobs =
-  let rec find = function
-    | "--jobs" :: n :: _ -> ( match int_of_string_opt n with Some n -> n | None -> 2)
-    | _ :: rest -> find rest
-    | [] -> max 2 (Domain.recommended_domain_count () / 2)
-  in
-  find (Array.to_list Sys.argv)
-
-let pool = Pool.create ~jobs ()
 
 (* ---- fixtures (built once) ---- *)
 
@@ -121,44 +107,7 @@ let ablation_tests =
     [
       Test.make ~name:"overlap-join-hash"
         (Staged.stage (fun () -> ignore (Tkr_engine.Exec.join pred salaries titles)));
-      Test.make ~name:"overlap-join-sweep"
-        (Staged.stage (fun () ->
-             ignore
-               (Tkr_engine.Interval_join.overlap_join ~left_keys:[ 0 ]
-                  ~right_keys:[ 0 ] salaries titles)));
     ])
-
-(* ---- parallel ablations: serial vs pooled temporal operators ---- *)
-
-let par_ablation_tests =
-  let salaries = Tkr_engine.Database.find emp_db "salaries" in
-  let titles = Tkr_engine.Database.find emp_db "titles" in
-  let coalesce_in = W.coalesce_input ~n:50_000 ~seed:11 ~tmax:2500 in
-  let sa_aggs =
-    [ { Tkr_relation.Algebra.func = Tkr_relation.Agg.Count_star; agg_name = "cnt" } ]
-  in
-  Test.make_grouped
-    ~name:(Printf.sprintf "par-j%d" jobs)
-    [
-      Test.make ~name:"overlap-join-sweep-par"
-        (Staged.stage (fun () ->
-             ignore
-               (Tkr_engine.Interval_join.overlap_join ~pool ~left_keys:[ 0 ]
-                  ~right_keys:[ 0 ] salaries titles)));
-      Test.make ~name:"coalesce-par"
-        (Staged.stage (fun () -> ignore (Ops.coalesce ~pool coalesce_in)));
-      Test.make ~name:"coalesce-serial"
-        (Staged.stage (fun () -> ignore (Ops.coalesce coalesce_in)));
-      Test.make ~name:"split-agg-par"
-        (Staged.stage (fun () ->
-             ignore
-               (Ops.split_agg ~pool ~group:[ 0 ] ~aggs:sa_aggs ~gap:None
-                  coalesce_in)));
-      Test.make ~name:"split-agg-serial"
-        (Staged.stage (fun () ->
-             ignore
-               (Ops.split_agg ~group:[ 0 ] ~aggs:sa_aggs ~gap:None coalesce_in)));
-    ]
 
 (* ---- harness ---- *)
 
@@ -255,7 +204,5 @@ let () =
       ("Table 3 (top): employee workload", table3_emp_tests);
       ("Table 3 (bottom): TPC-BiH workload", table3_tpc_tests);
       ("Ablations (Section 9)", ablation_tests);
-      (Printf.sprintf "Parallel ablations (%d jobs)" jobs, par_ablation_tests);
     ];
-  write_json json_path;
-  Pool.shutdown pool
+  write_json json_path

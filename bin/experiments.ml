@@ -347,30 +347,7 @@ let ablation () =
     (t "reorder" m_opt "agg-1");
   printf "  %-34s %10.4f %10.4f\n%!" "no join reordering"
     (t "no-reorder" m_noopt "join-4")
-    (t "no-reorder" m_noopt "agg-1");
-  (* hash join + overlap residual vs the dedicated sort-based interval join *)
-  printf "\nOverlap join strategies (salaries x titles on emp_no):\n";
-  let salaries = Database.find db "salaries" in
-  let titles = Database.find db "titles" in
-  let module Expr = Tkr_relation.Expr in
-  let pred =
-    Expr.(
-      And
-        ( Cmp (Eq, Col 0, Col 4),
-          And (Cmp (Lt, Col 2, Col 7), Cmp (Lt, Col 6, Col 3)) ))
-  in
-  let hash =
-    record "ablation/overlap-join/hash"
-      (time_run (fun () -> Tkr_engine.Exec.join pred salaries titles))
-  in
-  let sweep =
-    record "ablation/overlap-join/sweep"
-      (time_run (fun () ->
-           Tkr_engine.Interval_join.overlap_join ~left_keys:[ 0 ]
-             ~right_keys:[ 0 ] salaries titles))
-  in
-  printf "  hash join + overlap residual: %.4f s\n" hash;
-  printf "  sort-based interval join:     %.4f s\n" sweep
+    (t "no-reorder" m_noopt "agg-1")
 
 (* ------------------------------------------------------------------ *)
 

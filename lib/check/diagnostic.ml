@@ -159,7 +159,7 @@ let registry : (string * string) list =
     ("TKR204", "rewritten difference operands must be aligned split pairs");
     ("TKR205", "rewritten aggregation input must be endpoint-split");
     ("TKR206", "plan output is not coalesced");
-    ("TKR207", "ungrouped split-aggregate must cover the time domain");
+    ("TKR207", "split-aggregate gap coverage must match its grouping");
     (* snapshot-semantics lint (pass 3) *)
     ("TKR301", "AG bug: ungrouped aggregation without gap coverage");
     ("TKR302", "BD bug: difference compiled as NOT EXISTS / set semantics");

@@ -19,7 +19,8 @@
     - the plan's root must coalesce, otherwise the output encoding is not
       unique (TKR206, warning);
     - an ungrouped [Split_agg] must carry [sa_gap = Some _] to cover the
-      whole time domain — the paper's AG fix, Section 6 (TKR207). *)
+      whole time domain — the paper's AG fix, Section 6 — and a grouped
+      one must not: gap rows exist only for the empty group (TKR207). *)
 
 open Tkr_relation
 
@@ -176,13 +177,22 @@ let physical ~(lookup : Typecheck.lookup) (q : Algebra.t) : Diagnostic.t list =
         go r
     | Split_agg sa ->
         check_group ~what:"split-aggregate" ~child:sa.sa_child sa.sa_group;
-        if sa.sa_group = [] && sa.sa_gap = None then
-          add
-            (Diagnostic.error "TKR207"
-               ~hint:
-                 "ungrouped aggregation must produce rows over gaps \
-                  (sa_gap = Some (tmin, tmax)); see Section 6 on the AG bug"
-               "ungrouped split-aggregate does not cover the time domain");
+        (match (sa.sa_group, sa.sa_gap) with
+        | [], None ->
+            add
+              (Diagnostic.error "TKR207"
+                 ~hint:
+                   "ungrouped aggregation must produce rows over gaps \
+                    (sa_gap = Some (tmin, tmax)); see Section 6 on the AG bug"
+                 "ungrouped split-aggregate does not cover the time domain")
+        | _ :: _, Some _ ->
+            add
+              (Diagnostic.error "TKR207"
+                 ~hint:
+                   "a grouped aggregation has no row over a gap (no group \
+                    exists there); only ungrouped aggregation sets sa_gap"
+                 "grouped split-aggregate carries a gap")
+        | _ -> ());
         go sa.sa_child
   in
   go q;

@@ -36,11 +36,9 @@ module Make
   val timeslice : t -> int -> KR.t
   (** Def. 6.2; commutes with queries (Thm. 6.3 / 7.2). *)
 
-  val encode : ?pool:Tkr_par.Pool.t -> Snap.t -> t
+  val encode : Snap.t -> t
   (** ENC_K (Def. 6.3): bijective (Lemma 6.4), snapshot-preserving
-      (Lemma 6.5).  [?pool] parallelizes the per-tuple coalescing
-      normalization; the result is byte-identical to the serial
-      encoding. *)
+      (Lemma 6.5). *)
 
   val decode : t -> Snap.t
   (** ENC_K⁻¹, via timeslices. *)

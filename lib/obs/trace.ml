@@ -45,14 +45,6 @@ let gc_major_words = "gc_major_words"
 let gc_minor_collections = "gc_minor_collections"
 let gc_major_collections = "gc_major_collections"
 
-(* parallel-plan attribute names, set by pool-aware operators so EXPLAIN
-   ANALYZE shows the chunk decomposition and per-domain attribution *)
-let par_jobs = "par_jobs"
-let par_chunks = "chunks"
-let par_steals = "steals"
-let par_merge_ns = "merge_ns"
-let par_domains = "domains"
-
 let with_span (t : t) (name : string) (f : span option -> 'a) : 'a =
   match t with
   | Disabled -> f None

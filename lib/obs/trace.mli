@@ -29,15 +29,6 @@ val gc_minor_collections : string
 val gc_major_collections : string
 (** Attribute names used by [~gc:true] profiling. *)
 
-val par_jobs : string
-val par_chunks : string
-val par_steals : string
-val par_merge_ns : string
-val par_domains : string
-(** Attribute names set by pool-aware operators: jobs, chunk count, chunks
-    executed off the calling domain, ordered-merge time, and a per-domain
-    [slot:chunks/busy-ms] attribution string. *)
-
 val enabled : t -> bool
 
 val with_span : t -> string -> (span option -> 'a) -> 'a

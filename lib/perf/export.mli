@@ -4,10 +4,7 @@ val to_openmetrics : Bench_result.report -> string
 (** The report as one OpenMetrics document:
     [tkr_bench_wall_ns_per_run{suite,test}], [tkr_bench_runs],
     [tkr_bench_counter{...,counter}] gauges and a [tkr_bench_env_info]
-    metadata gauge, terminated by [# EOF].  Reports that store operator
-    traces with pool attribution additionally get
-    [tkr_bench_par{query,stat}] (stat one of jobs/chunks/steals/merge_ns)
-    and [tkr_bench_par_domain_chunks{query,domain}] gauges. *)
+    metadata gauge, terminated by [# EOF]. *)
 
 val to_folded : Bench_result.report -> string
 (** Stored operator traces as flamegraph-compatible folded stacks

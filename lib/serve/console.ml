@@ -45,9 +45,8 @@ let frame ~host ~port ~interval ~prev_requests ~stats ~health ~ledger () :
     (qps_text ~interval ~prev_requests ~requests)
     (jint stats "errors") (jint stats "busy")
     (jint stats "deadline_exceeded");
-  pr "sessions  %d   queue %d   inflight %d   pool domains %d\n"
-    (jint stats "sessions") (jint stats "queue_depth") (jint stats "inflight")
-    (jint stats "pool_domains");
+  pr "sessions  %d   queue %d   inflight %d\n"
+    (jint stats "sessions") (jint stats "queue_depth") (jint stats "inflight");
   pr "latency   p50 %d us   p95 %d us   p99 %d us   (%d samples)\n"
     (jint lat "p50") (jint lat "p95") (jint lat "p99") (jint lat "count");
   pr

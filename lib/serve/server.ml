@@ -106,7 +106,6 @@ type t = {
   g_sessions : Metrics.gauge;
   g_cache_entries : Metrics.gauge;
   g_cache_bytes : Metrics.gauge;
-  g_pool : Metrics.gauge;
   g_uptime : Metrics.gauge;
   (* temporal interval index activity (Tkr_idx.Stats), sampled at
      scrape time like the other levels *)
@@ -386,8 +385,8 @@ let run_one srv (job : job) =
   let req = job.j_req in
   let exec_ns = Clock.now_ns () in
   (* allocation attribution: words this domain allocates while the job
-     runs.  Parallel operator segments allocate on pool domains and are
-     not counted — the ledger tracks the serial (worker-side) cost. *)
+     runs.  Execution is serial, so the job's operators all allocate
+     here. *)
   let gc0 = Gc.quick_stat () in
   (if Tel.enabled srv.tel then
      match job.j_trace with
@@ -469,7 +468,6 @@ let sync_gauges srv =
   let cs = Cache.stats srv.cache in
   Metrics.set srv.g_cache_entries cs.Cache.entries;
   Metrics.set srv.g_cache_bytes cs.Cache.bytes;
-  Metrics.set srv.g_pool (Middleware.parallelism srv.mw);
   Metrics.set srv.g_uptime (uptime_s srv);
   let i = Tkr_idx.Stats.snapshot () in
   Metrics.set srv.g_idx_built i.Tkr_idx.Stats.s_built;
@@ -533,7 +531,6 @@ let stats_json srv : Json.t =
       ("sessions", Json.Int (Metrics.gauge_value srv.g_sessions));
       ("queue_depth", Json.Int (Metrics.gauge_value srv.g_queue));
       ("inflight", Json.Int (Metrics.gauge_value srv.g_inflight));
-      ("pool_domains", Json.Int (Metrics.gauge_value srv.g_pool));
       ( "latency_us",
         Json.Obj
           [
@@ -769,7 +766,6 @@ let start ?(config = default_config) ?(tel = Tel.disabled)
       g_sessions = Metrics.gauge reg "serve_sessions";
       g_cache_entries = Metrics.gauge reg "serve_cache_entries";
       g_cache_bytes = Metrics.gauge reg "serve_cache_bytes";
-      g_pool = Metrics.gauge reg "serve_pool_domains";
       g_uptime = Metrics.gauge reg "uptime_seconds";
       g_idx_built = Metrics.gauge reg "tkr_idx_built";
       g_idx_rebuilds = Metrics.gauge reg "tkr_idx_rebuilds";

@@ -59,10 +59,6 @@ let value (c : col) (i : int) : Value.t =
     | Strs a -> Value.Str a.(i)
     | Boxed a -> a.(i)
 
-(** The full row at physical index [i], boxed. *)
-let tuple_at (b : t) (i : int) : Tuple.t =
-  Tuple.of_array (Array.map (fun c -> value c i) b.cols)
-
 (* ---- column construction ---- *)
 
 (** Build a column of [n] values fetched by [get], stored unboxed when

@@ -107,14 +107,23 @@ let rec eval (b : Batch.t) (e : Expr.t) : Batch.col =
   | Expr.Like _ | Expr.In_list _ | Expr.Case _ -> rowwise b e
 
 (* row-at-a-time fallback for the rare constructors: materialize each
-   logical row and defer to the oracle's own evaluator *)
+   logical row and defer to the oracle's own evaluator.  Only the columns
+   [e] reads are boxed, the rest stay NULL: a join's residual view holds
+   empty placeholders for the columns its predicate does not need. *)
 and rowwise (b : Batch.t) (e : Expr.t) : Batch.col =
   let n = Batch.length b in
+  let width = Array.length b.Batch.cols in
+  let needed = List.sort_uniq Int.compare (Expr.cols e) in
   {
     Batch.data =
       Batch.Boxed
         (Array.init n (fun li ->
-             Expr.eval (Batch.tuple_at b (Batch.phys b li)) e));
+             let i = Batch.phys b li in
+             let row = Array.make width Value.Null in
+             List.iter
+               (fun j -> row.(j) <- Batch.value b.Batch.cols.(j) i)
+               needed;
+             Expr.eval (Tuple.of_array row) e));
     nulls = None;
   }
 

@@ -15,13 +15,10 @@
     semantics for EXCEPT ALL, first-appearance + stable-by-begin entry
     order for the split_agg combine.
 
-    Operators the vectorized engine does not (or is asked not to) handle
-    natively cross the batch↔row boundary: the subtree is delegated to
-    [Exec.eval] and its table re-imported with {!Batch.of_table}.  The
-    [force_row] hook exposes that boundary for differential tests.
-
-    Execution is serial: results do not depend on a worker pool, so
-    [--jobs N] trivially reproduces the same bytes. *)
+    Every operator runs natively.  Subtrees the [force_row] hook marks
+    cross the batch↔row boundary instead: they are delegated to
+    [Exec.eval] and their table re-imported with {!Batch.of_table}, which
+    differential tests use to exercise the boundary. *)
 
 open Tkr_relation
 module Table = Tkr_engine.Table
@@ -1172,11 +1169,9 @@ let rec eval_batch (ctx : ctx) (q : Algebra.t) : Batch.t =
           let b = eval_batch ctx sa.sa_child in
           rows_in sp [ b ];
           if sa.sa_gap <> None && sa.sa_group <> [] then
-            (* gap-filling with grouping has no defined output shape; keep
-               the oracle's behaviour by delegating *)
-            Batch.of_table
-              (Tkr_engine.Ops.split_agg ?sp ~group:sa.sa_group
-                 ~aggs:sa.sa_aggs ~gap:sa.sa_gap (Batch.to_table b))
+            (* the rewriter sets a gap only without GROUP BY; Plan_check
+               rejects the converse (TKR207) *)
+            invalid_arg "vec: grouped split_agg with a gap"
           else
             split_agg sp ~group:sa.sa_group ~aggs:sa.sa_aggs ~gap:sa.sa_gap b
     in

@@ -156,6 +156,13 @@ let golden : (string * (unit -> D.t list)) list =
              (Split_agg
                 { sa_group = []; sa_aggs = [ count ]; sa_gap = None;
                   sa_child = Rel "enc" })));
+    ("TKR207", fun () ->
+        (* the converse: gap rows exist only for the empty group *)
+        Plan_check.physical ~lookup:enc_lookup
+          (Algebra.Coalesce
+             (Split_agg
+                { sa_group = [ 0 ]; sa_aggs = [ count ]; sa_gap = Some (0, 24);
+                  sa_child = Rel "enc" })));
     ("TKR301", fun () ->
         Lint.plan Lint.teradata (Algebra.Agg ([], [ count ], Rel "t")));
     ("TKR302", fun () -> Lint.plan Lint.alignment (Algebra.Diff (Rel "t", Rel "t")));

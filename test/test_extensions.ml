@@ -32,7 +32,9 @@ let fresh () =
 (* AS OF t (Q) is Q over the timeslices τ_t of the base tables; τ_t is a
    semiring homomorphism (Thm 6.3/7.2), so it must equal the rows of the
    full snapshot query SEQ VT (Q) alive at t, period columns dropped, as
-   multisets — at every point, on every engine/index/prune setting *)
+   multisets — at every point, on every engine/index/prune setting — and,
+   at every point of the time domain, the timeslice of Q evaluated in the
+   abstract model (snapshot N-relations, Section 4.2) *)
 
 type prow = { x : int option; y : int option; pb : int; pe : int }
 
@@ -102,6 +104,25 @@ let load_period_tables (r, s) =
 let row_list t = Array.to_list (Table.rows t)
 let sorted_rows t = List.sort Tuple.compare (row_list t)
 
+(* the same period tables as snapshot N-relations over the stored time
+   domain: the abstract-model database *)
+let snapshot_tables db (r, s) =
+  let tmin, tmax = Database.time_bounds db in
+  let domain = Tkr_timeline.Domain.make ~tmin ~tmax in
+  let rel name rows =
+    let v = function None -> Value.Null | Some i -> Value.Int i in
+    Snap.of_facts domain
+      (Database.data_schema_of db name)
+      (List.map (fun p -> (Tuple.make [ v p.x; v p.y ], (p.pb, p.pe), 1)) rows)
+  in
+  let r = rel "r" r and s = rel "s" s in
+  function "r" -> r | "s" -> s | n -> invalid_arg ("unknown relation " ^ n)
+
+(* a snapshot N-relation as a sorted bag of tuples *)
+let sorted_bag (rel : Snap.R.t) =
+  List.sort Tuple.compare
+    (Snap.R.fold (fun row k acc -> List.init k (Fun.const row) @ acc) rel [])
+
 let rec has_temporal_op (q : Algebra.t) =
   match q with
   | Algebra.Coalesce _ | Split _ | Split_agg _ -> true
@@ -126,6 +147,15 @@ let prop_as_of_matches_snapshot =
        arb_period_tables (fun tables ->
          let db = load_period_tables tables in
          let tmin, tmax = Database.time_bounds db in
+         let env = snapshot_tables db tables in
+         let abstract =
+           let m = M.create ~db () in
+           List.map
+             (fun q ->
+               let alg, _ = M.snapshot_algebra m (Printf.sprintf "SEQ VT (%s)" q) in
+               (q, Snap.eval env alg))
+             as_of_queries
+         in
          List.iter
            (fun (index, prune) ->
              let row = M.create ~engine:M.Row ~index ~prune ~db ()
@@ -148,6 +178,16 @@ let prop_as_of_matches_snapshot =
                      then
                        QCheck.Test.fail_reportf "%s (index=%b prune=%b):@.%s" sql
                          index prune (Table.to_text r);
+                     if
+                       tmin <= t && t < tmax
+                       && List.compare Tuple.compare (sorted_rows r)
+                            (sorted_bag (Snap.timeslice (List.assoc q abstract) t))
+                          <> 0
+                     then
+                       QCheck.Test.fail_reportf
+                         "%s (index=%b prune=%b): differs from the abstract \
+                          model:@.%s"
+                         sql index prune (Table.to_text r);
                      r
                    in
                    if

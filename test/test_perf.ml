@@ -207,13 +207,7 @@ let test_openmetrics_bench_export () =
   contains "tkr_bench_runs{suite=\"employee\",test=\"join-1\"} 3";
   contains "tkr_bench_counter{suite=\"employee\",test=\"join-1\",counter=\"rows_out\"} 10";
   contains "git_sha=\"abc123\"";
-  contains "# EOF\n";
-  (* no stored traces -> no pool families *)
-  let rec has i m =
-    i + m <= String.length out
-    && (String.sub out i m = "tkr_bench_par" || has (i + 1) m)
-  in
-  Alcotest.(check bool) "no par families" false (has 0 13)
+  contains "# EOF\n"
 
 (* exposition-grammar edges: name sanitization, label escaping, and the
    gauge-family renderer the exporters are built on *)
@@ -242,52 +236,6 @@ let test_openmetrics_escaping () =
     "registry gauge golden"
     "# TYPE queue_depth gauge\nqueue_depth 3\n# EOF\n"
     (Openmetrics.of_metrics r)
-
-(* pool attribution stored on trace spans surfaces as
-   tkr_bench_par{query,stat} and tkr_bench_par_domain_chunks gauges *)
-let test_openmetrics_par_export () =
-  let span =
-    Json.Obj
-      [
-        ("op", Json.Str "join");
-        ("elapsed_ns", Json.Int 1000);
-        ( "attrs",
-          Json.Obj
-            [
-              (Trace.par_jobs, Json.Int 4);
-              (Trace.par_chunks, Json.Int 8);
-              (Trace.par_steals, Json.Int 2);
-              (Trace.par_merge_ns, Json.Int 1500);
-              (Trace.par_domains, Json.Str "0:5/1.234ms 1:3/0.567ms");
-            ] );
-        ("children", Json.List []);
-      ]
-  in
-  let rep =
-    sample_report
-      ~extra:
-        [
-          ( "operator_traces",
-            Json.List
-              [
-                Json.Obj
-                  [ ("query", Json.Str "q-par"); ("trace", Json.List [ span ]) ];
-              ] );
-        ]
-      [ ("employee", "join-1", 1234.5) ]
-  in
-  let out = Export.to_openmetrics rep in
-  let contains needle =
-    let n = String.length out and m = String.length needle in
-    let rec go i = i + m <= n && (String.sub out i m = needle || go (i + 1)) in
-    Alcotest.(check bool) needle true (go 0)
-  in
-  contains "tkr_bench_par{query=\"q-par\",stat=\"jobs\"} 4";
-  contains "tkr_bench_par{query=\"q-par\",stat=\"chunks\"} 8";
-  contains "tkr_bench_par{query=\"q-par\",stat=\"steals\"} 2";
-  contains "tkr_bench_par{query=\"q-par\",stat=\"merge_ns\"} 1500";
-  contains "tkr_bench_par_domain_chunks{query=\"q-par\",domain=\"0\"} 5";
-  contains "tkr_bench_par_domain_chunks{query=\"q-par\",domain=\"1\"} 3"
 
 (* --- folded stacks --- *)
 
@@ -467,8 +415,6 @@ let suite =
         test_openmetrics_bench_export;
       Alcotest.test_case "openmetrics escaping and gauges" `Quick
         test_openmetrics_escaping;
-      Alcotest.test_case "openmetrics pool attribution" `Quick
-        test_openmetrics_par_export;
       Alcotest.test_case "folded stacks" `Quick test_folded;
       Alcotest.test_case "gc counters monotone" `Quick test_gc_monotone;
       Alcotest.test_case "runner" `Quick test_runner;

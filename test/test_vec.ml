@@ -343,6 +343,13 @@ let e2e_queries =
     "SEQ VT (SELECT DISTINCT skill FROM works)";
     "SELECT name, skill FROM works EXCEPT ALL SELECT name, skill FROM works \
      WHERE skill = 'NS'";
+    (* join residuals evaluated row-at-a-time (IN, LIKE, CASE) *)
+    "SELECT w.name, a.mach FROM works w JOIN assign a ON w.skill = a.skill \
+     WHERE w.name IN ('Joe') OR a.mach = 'M1'";
+    "SEQ VT (SELECT w.name, a.mach FROM works w JOIN assign a ON w.skill = \
+     a.skill WHERE w.name LIKE 'J%' OR a.mach = 'M1')";
+    "SELECT w.name, a.mach FROM works w JOIN assign a ON w.skill = a.skill \
+     WHERE CASE WHEN a.mach = 'M1' THEN w.b ELSE 0 END > 2";
   ]
 
 let test_middleware_engines () =
