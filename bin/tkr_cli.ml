@@ -214,18 +214,18 @@ let workload_queries = function
   | `Employee -> Tkr_workload.Queries.employee
   | `Tpch -> Tkr_workload.Queries.tpch
 
-(* --engine row|vec, shared by run, explain, serve and bench run: the
-   vectorized engine is byte-identical to the row engine (the CI
+(* --engine row|vec, shared by run, explain, serve, replay and bench run:
+   the vectorized engine is byte-identical to the row engine (the CI
    vec-differential job diffs the two), so the flag only changes speed *)
 let engine_arg =
   Arg.(
     value
-    & opt (enum [ ("row", M.Row); ("vec", M.Vec) ]) M.Row
+    & opt (enum [ ("row", M.Row); ("vec", M.Vec) ]) M.Vec
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
-          "execution engine: $(b,row) (interpreted row-at-a-time, the \
-           default and the differential-testing oracle) or $(b,vec) \
-           (columnar batch-at-a-time); both produce byte-identical output")
+          "execution engine: $(b,vec) (columnar batch-at-a-time, the \
+           default) or $(b,row) (interpreted row-at-a-time, the \
+           differential-testing oracle); both produce byte-identical output")
 
 (* --index on|off, shared by run, explain, serve and bench run: interval
    indexes only change the access path (EXPLAIN's [access:] line), never
@@ -1161,7 +1161,9 @@ let bench_suite ~scale ~runs ~engine ~index :
   (* with --engine vec, a row-engine middleware over the same catalog
      provides the per-query reference timing behind [speedup_vs_row_x] *)
   let m_row =
-    match engine with M.Vec -> Some (M.create ~db ()) | M.Row -> None
+    match engine with
+    | M.Vec -> Some (M.create ~engine:M.Row ~db ())
+    | M.Row -> None
   in
   let measured ~suite ~name ?(counters = []) f =
     let s = Perf_runner.measure ~runs f in

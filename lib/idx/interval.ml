@@ -100,7 +100,7 @@ let probe (t : t) ~(b_hi : bound) ~(e_lo : bound) : int array =
     let a = Array.make !k 0 in
     List.iteri (fun i r -> a.(!k - 1 - i) <- r) !out;
     (* sweep order is by begin, not by row id: restore scan order *)
-    Array.sort Int.compare a;
+    Isort.sort_below a ~bound:m;
     a
   end
 

@@ -5,7 +5,9 @@
     merge sorts compare machine ints inline; [perm]/[perm_prefix] return a
     {e stable} permutation (ties keep their original order), which is what
     the sweeps rely on to reproduce the row oracle's first-appearance
-    ordering. *)
+    ordering.  [sort_below] needs no comparisons at all when the values
+    are bounded, as row ids are: it puts index probe candidates back in
+    scan order. *)
 
 (* merge src[lo,mid) and src[mid,hi) into dst, by value *)
 let merge_vals (src : int array) (dst : int array) lo mid hi =
@@ -36,7 +38,7 @@ let merge_vals (src : int array) (dst : int array) lo mid hi =
 let sort (a : int array) : unit =
   let n = Array.length a in
   if n > 1 then begin
-    let b = Array.make n 0 in
+    let b = Scratch.get n in
     let src = ref a and dst = ref b in
     let width = ref 1 in
     while !width < n do
@@ -52,7 +54,48 @@ let sort (a : int array) : unit =
       dst := t;
       width := !width * 2
     done;
-    if !src != a then Array.blit !src 0 a 0 n
+    if !src != a then Array.blit !src 0 a 0 n;
+    Scratch.release b
+  end
+
+(** In-place ascending sort of [a], whose values all lie in
+    [\[0, bound)]: a least-significant-digit radix sort over 8-bit
+    digits, O(length * digits) with no comparisons — for row ids, where
+    the bound is the table size. *)
+let sort_below (a : int array) ~(bound : int) : unit =
+  let n = Array.length a in
+  if n > 1 then begin
+    let tmp = Scratch.get n in
+    (* 256 words: a minor-heap block *)
+    let start = Array.make 256 0 in
+    let src = ref a and dst = ref tmp in
+    let shift = ref 0 in
+    while (bound - 1) lsr !shift > 0 do
+      let s = !src and d = !dst and sh = !shift in
+      Array.fill start 0 256 0;
+      for i = 0 to n - 1 do
+        let b = (s.(i) lsr sh) land 255 in
+        start.(b) <- start.(b) + 1
+      done;
+      (* counts to first output slots; the stable scatter keeps the
+         order of the earlier digits *)
+      let sum = ref 0 in
+      for b = 0 to 255 do
+        let c = start.(b) in
+        start.(b) <- !sum;
+        sum := !sum + c
+      done;
+      for i = 0 to n - 1 do
+        let b = (s.(i) lsr sh) land 255 in
+        d.(start.(b)) <- s.(i);
+        start.(b) <- start.(b) + 1
+      done;
+      src := d;
+      dst := s;
+      shift := sh + 8
+    done;
+    if !src != a then Array.blit !src 0 a 0 n;
+    Scratch.release tmp
   end
 
 (* merge src[lo,mid) and src[mid,hi) into dst, by keys.(index); [<=]

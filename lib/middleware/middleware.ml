@@ -107,9 +107,9 @@ type t = {
   mutable options : Rewriter.options;
   mutable optimize : bool;  (** run the cost-based join-order optimizer *)
   mutable engine : engine;
-      (** row-at-a-time ({!Row}, the oracle) or columnar batch-at-a-time
-          ({!Vec}) execution; the vectorized engine reproduces the row
-          engine's output byte-for-byte *)
+      (** columnar batch-at-a-time ({!Vec}, the default) or
+          row-at-a-time ({!Row}, the oracle) execution; the vectorized
+          engine reproduces the row engine's output byte-for-byte *)
   mutable strict : bool;
       (** --Werror: the check phase rejects on warnings too *)
   mutable prune : bool;
@@ -153,7 +153,7 @@ let locked mu f =
   Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
 
 let create ?(options = Rewriter.optimized) ?(optimize = true)
-    ?(prune = true) ?(index = true) ?(engine = Row)
+    ?(prune = true) ?(index = true) ?(engine = Vec)
     ?(strict = false) ?(db = Database.create ()) () =
   {
     db;

@@ -39,10 +39,10 @@ exception Rejected of Diagnostic.t list
 type t
 
 type engine = Row | Vec
-(** Row-at-a-time interpreted execution ({!Row}, the default and the
-    differential-testing oracle) or columnar batch-at-a-time execution
-    ({!Vec}, {!Tkr_vec.Vexec}).  The vectorized engine reproduces the row
-    engine's output byte-for-byte. *)
+(** Columnar batch-at-a-time execution ({!Vec}, {!Tkr_vec.Vexec}, the
+    default) or row-at-a-time interpreted execution ({!Row},
+    {!Tkr_engine.Exec}, the differential-testing oracle).  The vectorized
+    engine reproduces the row engine's output byte-for-byte. *)
 
 val create :
   ?options:Rewriter.options ->
@@ -58,8 +58,9 @@ val create :
     options: {!Rewriter.optimized}.  [prune] (default true) applies the
     {!Tkr_check.Absint} analysis-driven plan pruning (provably-empty
     subplans, provably-idempotent Distinct/Coalesce) — byte-identity
-    preserving, so results are unchanged.  [strict] (--Werror, default
-    false) makes the check phase reject statements on warnings too. *)
+    preserving, so results are unchanged.  [engine] defaults to {!Vec}.
+    [strict] (--Werror, default false) makes the check phase reject
+    statements on warnings too. *)
 
 val database : t -> Database.t
 val set_options : t -> Rewriter.options -> unit

@@ -23,10 +23,12 @@ type span = {
 type state = {
   clock : Clock.t;
   gc : bool;  (** annotate every span with GC/allocation deltas *)
-  mutable stack : (span * int64 * (float * Gc.stat) option) list;
+  mutable stack :
+    (span * int64 * ((float * float * float) * Gc.stat) option) list;
       (** open spans with start times and (when profiling) start GC
-          stats; the float is [Gc.minor_words ()], which is precise
-          between collections where [quick_stat]'s minor_words is not *)
+          stats: word counts from [Gc.counters ()], which is precise
+          between collections where [quick_stat]'s word counts are not,
+          and collection counts from [Gc.quick_stat ()] *)
   mutable finished : span list;  (** finished root spans, reversed *)
 }
 
@@ -51,7 +53,7 @@ let with_span (t : t) (name : string) (f : span option -> 'a) : 'a =
   | Enabled st ->
       let sp = { sp_name = name; sp_attrs = []; sp_children = []; sp_elapsed_ns = 0L } in
       let gc0 =
-        if st.gc then Some (Gc.minor_words (), Gc.quick_stat ()) else None
+        if st.gc then Some (Gc.counters (), Gc.quick_stat ()) else None
       in
       let t0 = st.clock () in
       st.stack <- (sp, t0, gc0) :: st.stack;
@@ -59,13 +61,13 @@ let with_span (t : t) (name : string) (f : span option -> 'a) : 'a =
         sp.sp_elapsed_ns <- Int64.sub (st.clock ()) t0;
         (match gc0 with
         | None -> ()
-        | Some (mw0, g0) ->
-            let mw1 = Gc.minor_words () in
+        | Some ((mw0, _, jw0), g0) ->
+            let mw1, _, jw1 = Gc.counters () in
             let g1 = Gc.quick_stat () in
             sp.sp_attrs <-
               (gc_major_collections, Int (g1.major_collections - g0.major_collections))
               :: (gc_minor_collections, Int (g1.minor_collections - g0.minor_collections))
-              :: (gc_major_words, Float (g1.major_words -. g0.major_words))
+              :: (gc_major_words, Float (jw1 -. jw0))
               :: (gc_minor_words, Float (mw1 -. mw0))
               :: sp.sp_attrs);
         (match st.stack with

@@ -179,11 +179,11 @@ let us_between t0 t1 = Int64.to_int (Int64.div (Int64.sub t1 t0) 1000L)
    statement, typed error, queued deadline) stamps it here once the
    reply is ready; the response frame and every observer read from it.
    [exec_ns] and [gc0] mark the job's execution start. *)
-let record srv (j : job) ~exec_ns ~gc0 ~fp ~epoch ~deps ~rows_in ~disposition
-    ~rows_out (reply : reply) : reply * Record.entry =
+let record srv (j : job) ~exec_ns ~gc0:(minor0, _, major0) ~fp ~epoch ~deps
+    ~rows_in ~disposition ~rows_out (reply : reply) : reply * Record.entry =
   let total_us = us_between j.j_enq_ns (Clock.now_ns ()) in
   let queue_us = us_between j.j_enq_ns exec_ns in
-  let gc1 = Gc.quick_stat () in
+  let minor1, _, major1 = Gc.counters () in
   (* digesting the response costs an MD5 over the payload: only when the
      flight recorder will consume it *)
   let digest = Record.enabled srv.recorder in
@@ -215,8 +215,8 @@ let record srv (j : job) ~exec_ns ~gc0 ~fp ~epoch ~deps ~rows_in ~disposition
       e_deps = deps;
       e_rows_in = rows_in;
       e_rows_out = rows_out;
-      e_gc_minor_w = int_of_float (gc1.Gc.minor_words -. gc0.Gc.minor_words);
-      e_gc_major_w = int_of_float (gc1.Gc.major_words -. gc0.Gc.major_words);
+      e_gc_minor_w = int_of_float (minor1 -. minor0);
+      e_gc_major_w = int_of_float (major1 -. major0);
       e_digest;
     } )
 
@@ -386,8 +386,9 @@ let run_one srv (job : job) =
   let exec_ns = Clock.now_ns () in
   (* allocation attribution: words this domain allocates while the job
      runs.  Execution is serial, so the job's operators all allocate
-     here. *)
-  let gc0 = Gc.quick_stat () in
+     here.  [Gc.counters] is precise and domain-local; [Gc.quick_stat]'s
+     minor count only advances at minor collections. *)
+  let gc0 = Gc.counters () in
   (if Tel.enabled srv.tel then
      match job.j_trace with
      | Some trace_id ->

@@ -132,18 +132,22 @@ let const_col (v : Value.t) (n : int) : col =
 
 (* ---- gather / compact ---- *)
 
-let gather_data (d : data) (idx : int array) : data =
+(* [len] (default: all of [idx]) gathers the rows [idx.(0 .. len-1)],
+   so a scratch buffer longer than its contents can serve as [idx] *)
+let gather_data ?len (d : data) (idx : int array) : data =
+  let n = Option.value len ~default:(Array.length idx) in
   match d with
-  | Ints a -> Ints (Array.map (fun i -> a.(i)) idx)
-  | Floats a -> Floats (Array.map (fun i -> a.(i)) idx)
-  | Bools a -> Bools (Array.map (fun i -> a.(i)) idx)
-  | Strs a -> Strs (Array.map (fun i -> a.(i)) idx)
-  | Boxed a -> Boxed (Array.map (fun i -> a.(i)) idx)
+  | Ints a -> Ints (Array.init n (fun k -> a.(idx.(k))))
+  | Floats a -> Floats (Array.init n (fun k -> a.(idx.(k))))
+  | Bools a -> Bools (Array.init n (fun k -> a.(idx.(k))))
+  | Strs a -> Strs (Array.init n (fun k -> a.(idx.(k))))
+  | Boxed a -> Boxed (Array.init n (fun k -> a.(idx.(k))))
 
-let gather_col (c : col) (idx : int array) : col =
+let gather_col ?len (c : col) (idx : int array) : col =
+  let n = Option.value len ~default:(Array.length idx) in
   {
-    data = gather_data c.data idx;
-    nulls = Option.map (fun m -> Array.map (fun i -> m.(i)) idx) c.nulls;
+    data = gather_data ~len:n c.data idx;
+    nulls = Option.map (fun m -> Array.init n (fun k -> m.(idx.(k)))) c.nulls;
   }
 
 (** Materialize the selection: same logical rows, dense columns, no

@@ -17,6 +17,7 @@
     fallback column can meet in one keyset. *)
 
 open Tkr_relation
+module Scratch = Tkr_idx.Scratch
 
 let null_hash = 0x4e55
 let mix h x = (h * 0x01000193) lxor (x land max_int)
@@ -121,16 +122,32 @@ let create ?(hint = 16) (srcs : Batch.col array array) : t =
                 | _ -> assert false))
            srcs)
   in
+  (* slot and entry arrays are scratch buffers: [cap] is a power of two,
+     so each comes back exactly [cap] long *)
+  let slots = Scratch.get !cap in
+  Array.fill slots 0 !cap 0;
   {
     srcs;
     ints;
-    slots = Array.make !cap 0;
+    slots;
     mask = !cap - 1;
     count = 0;
-    e_src = Array.make !cap 0;
-    e_row = Array.make !cap 0;
-    e_hash = Array.make !cap 0;
+    e_src = Scratch.get !cap;
+    e_row = Scratch.get !cap;
+    e_hash = Scratch.get !cap;
   }
+
+(** Give the keyset's arrays back to {!Scratch}; the keyset must not be
+    used afterwards. *)
+let release t =
+  Scratch.release t.slots;
+  Scratch.release t.e_src;
+  Scratch.release t.e_row;
+  Scratch.release t.e_hash;
+  t.slots <- [||];
+  t.e_src <- [||];
+  t.e_row <- [||];
+  t.e_hash <- [||]
 
 let count t = t.count
 let entry_src t e = t.e_src.(e)
@@ -169,16 +186,18 @@ let find_slot_int t (srcs : int array array array) ~hash
 let grow t =
   let old_slots = t.slots in
   let cap = (t.mask + 1) * 2 in
-  t.slots <- Array.make cap 0;
+  t.slots <- Scratch.get cap;
+  Array.fill t.slots 0 cap 0;
   t.mask <- cap - 1;
-  let e_src = Array.make cap 0 and e_row = Array.make cap 0 in
-  let e_hash = Array.make cap 0 in
-  Array.blit t.e_src 0 e_src 0 t.count;
-  Array.blit t.e_row 0 e_row 0 t.count;
-  Array.blit t.e_hash 0 e_hash 0 t.count;
-  t.e_src <- e_src;
-  t.e_row <- e_row;
-  t.e_hash <- e_hash;
+  let regrow old =
+    let a = Scratch.get cap in
+    Array.blit old 0 a 0 t.count;
+    Scratch.release old;
+    a
+  in
+  t.e_src <- regrow t.e_src;
+  t.e_row <- regrow t.e_row;
+  t.e_hash <- regrow t.e_hash;
   (* reinsert by cached hash; entries keep their ids *)
   Array.iter
     (fun s ->
@@ -190,7 +209,8 @@ let grow t =
         in
         place (t.e_hash.(e) land t.mask)
       end)
-    old_slots
+    old_slots;
+  Scratch.release old_slots
 
 (** Intern (source, row): the existing group id when an equal row was
     interned before, otherwise the next fresh id (ids are dense, in

@@ -12,6 +12,7 @@
     exactly. *)
 
 open Tkr_relation
+module Scratch = Tkr_idx.Scratch
 
 let cmp_result (op : Expr.cmp) (c : int) : bool =
   match op with
@@ -262,42 +263,102 @@ and cmp n (op : Expr.cmp) (ca : Batch.col) (cb : Batch.col) : Batch.col =
       done;
       { Batch.data = Batch.Bools out; nulls = Some mask }
 
+(* A conjunct [Col op Const (Int _)] (either way round) over a null-free
+   [Ints] column is two-valued, so it tests the physical rows in place:
+   the column's raw array and the row test, or [None] for any other
+   conjunct. *)
+let int_const_test (b : Batch.t) (conj : Expr.t) :
+    (int array * (int -> bool)) option =
+  let test op i k =
+    match b.Batch.cols.(i) with
+    | { Batch.data = Batch.Ints a; nulls = None } ->
+        let f : int -> bool =
+          match (op : Expr.cmp) with
+          | Expr.Eq -> fun x -> x = k
+          | Expr.Ne -> fun x -> x <> k
+          | Expr.Lt -> fun x -> x < k
+          | Expr.Le -> fun x -> x <= k
+          | Expr.Gt -> fun x -> x > k
+          | Expr.Ge -> fun x -> x >= k
+        in
+        Some (a, f)
+    | _ -> None
+  in
+  match conj with
+  | Expr.Cmp (op, Expr.Col i, Expr.Const (Value.Int k)) -> test op i k
+  | Expr.Cmp (op, Expr.Const (Value.Int k), Expr.Col i) ->
+      let flipped : Expr.cmp =
+        match op with
+        | Expr.Lt -> Expr.Gt
+        | Expr.Le -> Expr.Ge
+        | Expr.Gt -> Expr.Lt
+        | Expr.Ge -> Expr.Le
+        | (Expr.Eq | Expr.Ne) as op -> op
+      in
+      test flipped i k
+  | _ -> None
+
+(* the survivors so far: every physical row, the batch's own selection,
+   or the first [n] cells of a {!Scratch} buffer this filter owns *)
+type cursor = All | Given of int array | Owned of int array * int
+
 (** [filter b pred]: the physical rows of [b]'s selection on which [pred]
     holds (evaluates to TRUE), in logical order.  The predicate is split
     into conjuncts and applied with predicate fusion: each conjunct only
-    evaluates on the survivors of the previous ones. *)
+    evaluates on the survivors of the previous ones, narrowing one
+    scratch buffer in place.  When no row is dropped the result is [b]'s
+    own selection. *)
 let filter (b : Batch.t) (pred : Expr.t) : int array =
-  let conjs = Expr.conjuncts pred in
-  (* [None] = every physical row in order; keeping the dense case symbolic
-     lets the first conjunct evaluate straight off the columns instead of
-     gathering them through an identity selection *)
-  let cur = ref b.sel in
+  let cur = ref (match b.sel with Some s -> Given s | None -> All) in
   List.iter
     (fun conj ->
-      let n = match !cur with Some s -> Array.length s | None -> b.nrows in
+      let n, phys =
+        match !cur with
+        | All -> (b.nrows, Fun.id)
+        | Given s -> (Array.length s, Array.get s)
+        | Owned (buf, n) -> (n, Array.get buf)
+      in
       if n > 0 then begin
-        let view =
-          match !cur with None -> b | Some s -> Batch.with_sel b s
-        in
-        let c = eval view conj in
-        let keep = Array.make n 0 in
+        (* [phys] reads position [li] before [keep.(k)] is written, and
+           [k <= li], so narrowing an owned buffer in place is safe *)
+        let keep = match !cur with Owned (buf, _) -> buf | _ -> Scratch.get n in
         let k = ref 0 in
-        (match !cur with
-        | None ->
+        (match int_const_test b conj with
+        | Some (a, test) ->
             for li = 0 to n - 1 do
-              if truth c li = 1 then begin
-                keep.(!k) <- li;
+              let p = phys li in
+              if test a.(p) then begin
+                keep.(!k) <- p;
                 incr k
               end
             done
-        | Some s ->
+        | None ->
+            (* the generic path evaluates the conjunct over a view of the
+               current survivors *)
+            let view =
+              match !cur with
+              | All -> b
+              | Given s -> Batch.with_sel b s
+              | Owned (buf, n) -> Batch.with_sel b (Array.sub buf 0 n)
+            in
+            let c = eval view conj in
             for li = 0 to n - 1 do
               if truth c li = 1 then begin
-                keep.(!k) <- s.(li);
+                keep.(!k) <- phys li;
                 incr k
               end
             done);
-        cur := Some (Array.sub keep 0 !k)
+        match !cur with
+        | (All | Given _) when !k = n ->
+            (* nothing dropped: keep the selection as it was *)
+            Scratch.release keep
+        | _ -> cur := Owned (keep, !k)
       end)
-    conjs;
-  match !cur with Some s -> s | None -> Array.init b.nrows Fun.id
+    (Expr.conjuncts pred);
+  match !cur with
+  | All -> Array.init b.nrows Fun.id
+  | Given s -> s
+  | Owned (buf, n) ->
+      let s = Array.sub buf 0 n in
+      Scratch.release buf;
+      s

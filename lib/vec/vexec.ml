@@ -26,6 +26,8 @@ module Database = Tkr_engine.Database
 module Exec = Tkr_engine.Exec
 module Idx_cache = Tkr_engine.Idx_cache
 module Trace = Tkr_obs.Trace
+module Isort = Tkr_idx.Isort
+module Scratch = Tkr_idx.Scratch
 
 type ctx = {
   obs : Trace.t;
@@ -89,8 +91,22 @@ let project (projs : Algebra.proj list) (b : Batch.t) : Batch.t =
            Schema.attr p.name (Expr.infer_ty schema p.expr))
          projs)
   in
-  let cols = Array.of_list (List.map (fun (p : Algebra.proj) -> Veval.eval b p.expr) projs) in
-  Batch.of_cols out_schema (Batch.length b) cols
+  let col_refs =
+    List.filter_map
+      (fun (p : Algebra.proj) ->
+        match p.expr with Expr.Col j -> Some b.Batch.cols.(j) | _ -> None)
+      projs
+  in
+  if List.compare_lengths col_refs projs = 0 then
+    (* only column references: share the input's columns and keep its
+       selection, gathering nothing *)
+    { b with Batch.schema = out_schema; cols = Array.of_list col_refs }
+  else
+    let cols =
+      Array.of_list
+        (List.map (fun (p : Algebra.proj) -> Veval.eval b p.expr) projs)
+    in
+    Batch.of_cols out_schema (Batch.length b) cols
 
 (* ---- union / except ---- *)
 
@@ -104,64 +120,79 @@ let union (a : Batch.t) (b : Batch.t) : Batch.t =
 let except_all (a : Batch.t) (b : Batch.t) : Batch.t =
   if not (Schema.union_compatible (Batch.schema a) (Batch.schema b)) then
     invalid_arg "engine: EXCEPT ALL over incompatible schemas";
-  let key = Key.create ~hint:(Batch.length b) [| b.Batch.cols; a.Batch.cols |] in
-  let counts = ref (Array.make 16 0) in
-  let bump g =
-    if g >= Array.length !counts then begin
-      let c' = Array.make (max (2 * Array.length !counts) (g + 1)) 0 in
-      Array.blit !counts 0 c' 0 (Array.length !counts);
-      counts := c'
-    end;
-    !counts.(g) <- !counts.(g) + 1
-  in
   let nb = Batch.length b in
+  let key = Key.create ~hint:nb [| b.Batch.cols; a.Batch.cols |] in
+  (* group ids are dense and at most [nb] *)
+  let counts = Scratch.get (max nb 1) in
+  Array.fill counts 0 (max nb 1) 0;
   for ri = 0 to nb - 1 do
-    bump (Key.intern key ~src:0 ~row:(Batch.phys b ri))
+    let g = Key.intern key ~src:0 ~row:(Batch.phys b ri) in
+    counts.(g) <- counts.(g) + 1
   done;
   let na = Batch.length a in
   let keep = Ibuf.create ~cap:na () in
   for li = 0 to na - 1 do
     let pi = Batch.phys a li in
     let g = Key.lookup key ~src:1 ~row:pi in
-    if g >= 0 && !counts.(g) > 0 then !counts.(g) <- !counts.(g) - 1
+    if g >= 0 && counts.(g) > 0 then counts.(g) <- counts.(g) - 1
     else Ibuf.push keep pi
   done;
-  Batch.with_sel a (Ibuf.to_array keep)
+  Key.release key;
+  Scratch.release counts;
+  let sel = Ibuf.take keep in
+  Batch.with_sel a sel
 
 (* ---- join ---- *)
 
-(* Filter candidate pairs by [residual] and gather the joined output.
-   Only the columns the residual references are gathered before the
-   filter; the full gather happens on the survivors. *)
-let pair_result out_schema (lb : Batch.t) (rb : Batch.t) (lphys : int array)
-    (rphys : int array) (residual : Expr.t option) : Batch.t * int =
+(* An output column no consumer reads: empty, never indexed. *)
+let placeholder = { Batch.data = Batch.Ints [||]; nulls = None }
+
+(* Filter the candidate pairs [(lp.(k), rp.(k))], [k < npairs], by
+   [residual] and gather the joined output.  Only the columns the
+   residual references are gathered before the filter; the survivors are
+   compacted into [lp]/[rp] in place (the filter's selection is
+   ascending) and the output gather happens on them, for the columns in
+   [need] (default: all) only — the rest are {!placeholder}s. *)
+let pair_result ?need out_schema (lb : Batch.t) (rb : Batch.t)
+    (lp : int array) (rp : int array) (npairs : int)
+    (residual : Expr.t option) : Batch.t * int =
   let la = Array.length lb.Batch.cols and ra = Array.length rb.Batch.cols in
-  let npairs = Array.length lphys in
-  let lkeep, rkeep, passed =
+  let passed =
     match residual with
-    | None -> (lphys, rphys, npairs)
+    | None -> npairs
     | Some p ->
         let needed = List.sort_uniq Int.compare (Expr.cols p) in
-        let placeholder = { Batch.data = Batch.Ints [||]; nulls = None } in
         let cols = Array.make (la + ra) placeholder in
         List.iter
           (fun j ->
             cols.(j) <-
-              (if j < la then Batch.gather_col lb.Batch.cols.(j) lphys
-               else Batch.gather_col rb.Batch.cols.(j - la) rphys))
+              (if j < la then Batch.gather_col ~len:npairs lb.Batch.cols.(j) lp
+               else Batch.gather_col ~len:npairs rb.Batch.cols.(j - la) rp))
           needed;
         let pview = Batch.of_cols out_schema npairs cols in
         let sel = Veval.filter pview p in
-        ( Array.map (fun k -> lphys.(k)) sel,
-          Array.map (fun k -> rphys.(k)) sel,
-          Array.length sel )
+        Array.iteri
+          (fun k i ->
+            lp.(k) <- lp.(i);
+            rp.(k) <- rp.(i))
+          sel;
+        Array.length sel
+  in
+  let wanted =
+    match need with
+    | None -> Fun.const true
+    | Some js ->
+        let w = Array.make (la + ra) false in
+        List.iter (fun j -> w.(j) <- true) js;
+        Array.get w
   in
   let cols =
     Array.init (la + ra) (fun j ->
-        if j < la then Batch.gather_col lb.Batch.cols.(j) lkeep
-        else Batch.gather_col rb.Batch.cols.(j - la) rkeep)
+        if not (wanted j) then placeholder
+        else if j < la then Batch.gather_col ~len:passed lb.Batch.cols.(j) lp
+        else Batch.gather_col ~len:passed rb.Batch.cols.(j - la) rp)
   in
-  (Batch.of_cols out_schema (Array.length lkeep) cols, passed)
+  (Batch.of_cols out_schema passed cols, passed)
 
 (* Candidate-pair test compiled from a residual whose every conjunct
    compares two non-null unboxed int columns — the shape the period
@@ -202,7 +233,35 @@ let fused_residual (la : int) (lb : Batch.t) (rb : Batch.t) (p : Expr.t) :
   | Some ts -> Some (fun lp rp -> List.for_all (fun t -> t lp rp) ts)
   | None -> None
 
-let hash_join sp keys residual (lb : Batch.t) (rb : Batch.t) : Batch.t =
+(* Counting sort of [n] rows by dense group id ([gid_of i] in
+   [\[0, ngid)], or negative to leave row [i] out): group [g]'s rows are
+   [bucket.(offsets.(g)) .. bucket.(offsets.(g+1) - 1)], as [row_of i], in
+   input order.  The arrays come from [get]. *)
+let buckets ~get ~ngid ~n ~gid_of ~row_of : int array * int array =
+  let counts = get (max ngid 1) in
+  Array.fill counts 0 (max ngid 1) 0;
+  for i = 0 to n - 1 do
+    let g = gid_of i in
+    if g >= 0 then counts.(g) <- counts.(g) + 1
+  done;
+  let offsets = get (ngid + 1) in
+  offsets.(0) <- 0;
+  for g = 1 to ngid do
+    offsets.(g) <- offsets.(g - 1) + counts.(g - 1)
+  done;
+  let bucket = get (max offsets.(ngid) 1) in
+  let fill = get (max ngid 1) in
+  Array.blit offsets 0 fill 0 ngid;
+  for i = 0 to n - 1 do
+    let g = gid_of i in
+    if g >= 0 then begin
+      bucket.(fill.(g)) <- row_of i;
+      fill.(g) <- fill.(g) + 1
+    end
+  done;
+  (offsets, bucket)
+
+let hash_join ?need sp keys residual (lb : Batch.t) (rb : Batch.t) : Batch.t =
   let out_schema = Schema.concat (Batch.schema lb) (Batch.schema rb) in
   let lkeys = List.map fst keys and rkeys = List.map snd keys in
   let lkey_cols =
@@ -256,7 +315,9 @@ let hash_join sp keys residual (lb : Batch.t) (rb : Batch.t) : Batch.t =
   in
   (* Build the keyset on the smaller input; either way the pairs come out
      left-major (left order, and right order within a left row), exactly
-     like the row oracle's nested emission. *)
+     like the row oracle's nested emission.  The build arrays are
+     operator-private scratch buffers. *)
+  Scratch.scoped @@ fun get ->
   if nl < nr then begin
     (* Build on the left.  Left rows sharing a group id match the same
        right rows, so matched right rows bucketed per gid (in right
@@ -264,34 +325,23 @@ let hash_join sp keys residual (lb : Batch.t) (rb : Batch.t) : Batch.t =
        out of the table: the keyset equates NULL with NULL, but SQL join
        keys never do. *)
     let key = Key.create ~hint:nl [| lkey_cols; rkey_cols |] in
-    let lgids = Array.make (max nl 1) (-1) in
+    let lgids = get (max nl 1) in
     for li = 0 to nl - 1 do
       let pi = Batch.phys lb li in
-      if not (lkey_has_null pi) then lgids.(li) <- Key.intern key ~src:0 ~row:pi
+      lgids.(li) <-
+        (if lkey_has_null pi then -1 else Key.intern key ~src:0 ~row:pi)
     done;
-    let ngid = Key.count key in
-    let rg = Array.make (max nr 1) (-1) in
-    let counts = Array.make (max ngid 1) 0 in
+    let rg = get (max nr 1) in
     for ri = 0 to nr - 1 do
       (* a NULL right key can only hash-match a NULL entry, and none were
          interned, so no explicit right-side NULL check is needed *)
-      let g = Key.lookup key ~src:1 ~row:(Batch.phys rb ri) in
-      rg.(ri) <- g;
-      if g >= 0 then counts.(g) <- counts.(g) + 1
+      rg.(ri) <- Key.lookup key ~src:1 ~row:(Batch.phys rb ri)
     done;
-    let offsets = Array.make (ngid + 1) 0 in
-    for g = 1 to ngid do
-      offsets.(g) <- offsets.(g - 1) + counts.(g - 1)
-    done;
-    let bucket = Array.make (max offsets.(ngid) 1) 0 in
-    let fill = Array.sub offsets 0 (max ngid 1) in
-    for ri = 0 to nr - 1 do
-      let g = rg.(ri) in
-      if g >= 0 then begin
-        bucket.(fill.(g)) <- Batch.phys rb ri;
-        fill.(g) <- fill.(g) + 1
-      end
-    done;
+    let offsets, bucket =
+      buckets ~get ~ngid:(Key.count key) ~n:nr ~gid_of:(Array.get rg)
+        ~row_of:(Batch.phys rb)
+    in
+    Key.release key;
     for li = 0 to nl - 1 do
       let g = lgids.(li) in
       if g >= 0 then begin
@@ -307,23 +357,14 @@ let hash_join sp keys residual (lb : Batch.t) (rb : Batch.t) : Batch.t =
        order.  NULL right keys may sit in the table, but a non-NULL left
        probe never equals them. *)
     let key = Key.create ~hint:nr [| rkey_cols; lkey_cols |] in
-    let rgids =
-      Array.init nr (fun ri -> Key.intern key ~src:0 ~row:(Batch.phys rb ri))
-    in
-    let ngid = Key.count key in
-    let counts = Array.make (max ngid 1) 0 in
-    Array.iter (fun g -> counts.(g) <- counts.(g) + 1) rgids;
-    let offsets = Array.make (ngid + 1) 0 in
-    for g = 1 to ngid do
-      offsets.(g) <- offsets.(g - 1) + counts.(g - 1)
-    done;
-    let bucket = Array.make (max nr 1) 0 in
-    let fill = Array.sub offsets 0 (max ngid 1) in
+    let rgids = get (max nr 1) in
     for ri = 0 to nr - 1 do
-      let g = rgids.(ri) in
-      bucket.(fill.(g)) <- ri;
-      fill.(g) <- fill.(g) + 1
+      rgids.(ri) <- Key.intern key ~src:0 ~row:(Batch.phys rb ri)
     done;
+    let ngid = Key.count key in
+    let offsets, bucket =
+      buckets ~get ~ngid ~n:nr ~gid_of:(Array.get rgids) ~row_of:Fun.id
+    in
     for li = 0 to nl - 1 do
       let pi = Batch.phys lb li in
       if not (lkey_has_null pi) then begin
@@ -333,24 +374,31 @@ let hash_join sp keys residual (lb : Batch.t) (rb : Batch.t) : Batch.t =
             emit pi (Batch.phys rb bucket.(k))
           done
       end
-    done
+    done;
+    Key.release key
   end;
+  let npairs = Ibuf.length lpairs in
   let result, passed =
-    pair_result out_schema lb rb (Ibuf.to_array lpairs) (Ibuf.to_array rpairs)
+    pair_result ?need out_schema lb rb (Ibuf.data lpairs) (Ibuf.data rpairs)
+      npairs
       (if Option.is_none fused then residual else None)
   in
+  Ibuf.release lpairs;
+  Ibuf.release rpairs;
   Trace.set_int sp "candidates" !candidates;
   Trace.set_bool sp "residual" (residual <> None);
   Trace.set_int sp "residual_passed"
-    (if Option.is_none fused then passed else Ibuf.length lpairs);
+    (if Option.is_none fused then passed else npairs);
   result
 
-let nested_loop_join (pred : Expr.t) (lb : Batch.t) (rb : Batch.t) : Batch.t =
+
+let nested_loop_join ?need (pred : Expr.t) (lb : Batch.t) (rb : Batch.t) :
+    Batch.t =
   let out_schema = Schema.concat (Batch.schema lb) (Batch.schema rb) in
   let nl = Batch.length lb and nr = Batch.length rb in
   let npairs = nl * nr in
-  let lphys = Array.make (max npairs 1) 0 in
-  let rphys = Array.make (max npairs 1) 0 in
+  let lphys = Scratch.get (max npairs 1) in
+  let rphys = Scratch.get (max npairs 1) in
   let k = ref 0 in
   for li = 0 to nl - 1 do
     let pi = Batch.phys lb li in
@@ -360,19 +408,23 @@ let nested_loop_join (pred : Expr.t) (lb : Batch.t) (rb : Batch.t) : Batch.t =
       incr k
     done
   done;
-  let lphys = Array.sub lphys 0 npairs and rphys = Array.sub rphys 0 npairs in
-  fst (pair_result out_schema lb rb lphys rphys (Some pred))
+  let result =
+    fst (pair_result ?need out_schema lb rb lphys rphys npairs (Some pred))
+  in
+  Scratch.release lphys;
+  Scratch.release rphys;
+  result
 
-let join sp pred (lb : Batch.t) (rb : Batch.t) : Batch.t =
+let join ?need sp pred (lb : Batch.t) (rb : Batch.t) : Batch.t =
   match Expr.equi_keys ~left_arity:(Schema.arity (Batch.schema lb)) pred with
   | [], _ ->
       Trace.set_str sp "strategy" "nested_loop";
       Trace.set_int sp "pairs" (Batch.length lb * Batch.length rb);
-      nested_loop_join pred lb rb
+      nested_loop_join ?need pred lb rb
   | keys, residual ->
       Trace.set_str sp "strategy" "hash";
       Trace.set_int sp "equi_keys" (List.length keys);
-      hash_join sp keys residual lb rb
+      hash_join ?need sp keys residual lb rb
 
 (* ---- aggregate / distinct ---- *)
 
@@ -432,8 +484,9 @@ let aggregate (group : Algebra.proj list) (aggs : Algebra.agg_spec list)
     accs_add accs naggs;
     Ibuf.push reps 0
   end;
+  Key.release key;
   let ng = accs.groups in
-  let rep_arr = Ibuf.to_array reps in
+  let rep_arr = Ibuf.take reps in
   let key_cols = Array.map (fun c -> Batch.gather_col c rep_arr) gcols in
   let agg_cols =
     Array.mapi
@@ -455,7 +508,9 @@ let distinct (b : Batch.t) : Batch.t =
     let before = Key.count key in
     if Key.intern key ~src:0 ~row:pi = before then Ibuf.push keep pi
   done;
-  Batch.with_sel b (Ibuf.to_array keep)
+  Key.release key;
+  let sel = Ibuf.take keep in
+  Batch.with_sel b sel
 
 (* ---- temporal operators: sweeps over dense endpoint arrays ---- *)
 
@@ -499,26 +554,20 @@ let coalesce sp (b : Batch.t) : Batch.t =
   let pb, pe = Batch.period_arrays b in
   let prefix = Array.sub b.Batch.cols 0 (k - 2) in
   let key = Key.create ~hint:n [| prefix |] in
-  let gids = Array.init n (fun li -> Key.intern key ~src:0 ~row:(Batch.phys b li)) in
+  Scratch.scoped @@ fun get ->
+  let gids = get (max n 1) in
+  for li = 0 to n - 1 do
+    gids.(li) <- Key.intern key ~src:0 ~row:(Batch.phys b li)
+  done;
   let ng = Key.count key in
   (* per-group logical rows via counting sort (stable) *)
-  let counts = Array.make (max ng 1) 0 in
-  Array.iter (fun g -> counts.(g) <- counts.(g) + 1) gids;
-  let offsets = Array.make (ng + 1) 0 in
-  for g = 1 to ng do
-    offsets.(g) <- offsets.(g - 1) + counts.(g - 1)
-  done;
-  let bucket = Array.make (max n 1) 0 in
-  let fill = Array.sub offsets 0 (max ng 1) in
-  for li = 0 to n - 1 do
-    let g = gids.(li) in
-    bucket.(fill.(g)) <- li;
-    fill.(g) <- fill.(g) + 1
-  done;
+  let offsets, bucket =
+    buckets ~get ~ngid:ng ~n ~gid_of:(Array.get gids) ~row_of:Fun.id
+  in
   let out_rep = Ibuf.create () and out_b = Ibuf.create () and out_e = Ibuf.create () in
   let segments = ref 0 in
   for g = 0 to ng - 1 do
-    let cnt = counts.(g) in
+    let cnt = offsets.(g + 1) - offsets.(g) in
     let rep = Key.entry_row key g in
     if cnt = 1 then begin
       (* a singleton group coalesces to itself (nothing when the period is
@@ -568,16 +617,17 @@ let coalesce sp (b : Batch.t) : Batch.t =
     end
     end
   done;
+  Key.release key;
   Trace.set_int sp "groups" ng;
   Trace.set_int sp "endpoints" (2 * n);
   Trace.set_int sp "segments" !segments;
-  let rep_arr = Ibuf.to_array out_rep in
+  let rep_arr = Ibuf.take out_rep in
   let cols =
     Array.append
       (Array.map (fun c -> Batch.gather_col c rep_arr) prefix)
       [|
-        { Batch.data = Batch.Ints (Ibuf.to_array out_b); nulls = None };
-        { Batch.data = Batch.Ints (Ibuf.to_array out_e); nulls = None };
+        { Batch.data = Batch.Ints (Ibuf.take out_b); nulls = None };
+        { Batch.data = Batch.Ints (Ibuf.take out_e); nulls = None };
       |]
   in
   Batch.of_cols (Batch.schema b) (Array.length rep_arr) cols
@@ -632,7 +682,8 @@ let split sp (group_cols : int list) (lb : Batch.t) (rb : Batch.t) : Batch.t =
     Ibuf.push eps.bufs.(g) rpe.(pi)
   done;
   let ng = Key.count key in
-  let sorted = Array.init ng (fun g -> sort_dedup (Ibuf.to_array eps.bufs.(g))) in
+  Key.release key;
+  let sorted = Array.init ng (fun g -> sort_dedup (Ibuf.take eps.bufs.(g))) in
   let out_rep = Ibuf.create () and out_b = Ibuf.create () and out_e = Ibuf.create () in
   for li = 0 to nl - 1 do
     let pi = Batch.phys lb li in
@@ -658,7 +709,7 @@ let split sp (group_cols : int list) (lb : Batch.t) (rb : Batch.t) : Batch.t =
       Trace.set_int sp "endpoints"
         (Array.fold_left (fun acc a -> acc + Array.length a) 0 sorted);
       Trace.set_int sp "fragments" (Ibuf.length out_rep));
-  let rep_arr = Ibuf.to_array out_rep in
+  let rep_arr = Ibuf.take out_rep in
   let k = Array.length lb.Batch.cols in
   let cols =
     Array.append
@@ -666,8 +717,8 @@ let split sp (group_cols : int list) (lb : Batch.t) (rb : Batch.t) : Batch.t =
          (fun c -> Batch.gather_col c rep_arr)
          (Array.sub lb.Batch.cols 0 (k - 2)))
       [|
-        { Batch.data = Batch.Ints (Ibuf.to_array out_b); nulls = None };
-        { Batch.data = Batch.Ints (Ibuf.to_array out_e); nulls = None };
+        { Batch.data = Batch.Ints (Ibuf.take out_b); nulls = None };
+        { Batch.data = Batch.Ints (Ibuf.take out_e); nulls = None };
       |]
   in
   Batch.of_cols (Batch.schema lb) (Array.length rep_arr) cols
@@ -698,7 +749,8 @@ let split_agg sp ~(group : int list) ~(aggs : Algebra.agg_spec list)
   while !pre_cap < 2 * max n 1 do
     pre_cap := !pre_cap * 2
   done;
-  let pre_slots = Array.make !pre_cap 0 (* entry id + 1; 0 = empty *) in
+  let pre_slots = Scratch.get !pre_cap (* entry id + 1; 0 = empty *) in
+  Array.fill pre_slots 0 !pre_cap 0;
   let pre_mask = !pre_cap - 1 in
   let e_g = Ibuf.create () in
   let e_b = Ibuf.create () and e_e = Ibuf.create () in
@@ -753,12 +805,14 @@ let split_agg sp ~(group : int list) ~(aggs : Algebra.agg_spec list)
            inputs)
     else None
   in
+  (* counters start at zero; sum/min/max are written before they are
+     read (at an entry's first non-null input) *)
   let st_len = if fast_in = None then 1 else max (n * naggs) 1 in
-  let st_rows = Array.make st_len 0 in
-  let st_nn = Array.make st_len 0 in
-  let st_sum = Array.make st_len 0 in
-  let st_min = Array.make st_len 0 in
-  let st_max = Array.make st_len 0 in
+  let st_rows = Scratch.get st_len and st_nn = Scratch.get st_len in
+  Array.fill st_rows 0 st_len 0;
+  Array.fill st_nn 0 st_len 0;
+  let st_sum = Scratch.get st_len in
+  let st_min = Scratch.get st_len and st_max = Scratch.get st_len in
   for li = 0 to n - 1 do
     let pi = Batch.phys child li in
     let g = Key.intern key ~src:0 ~row:pi in
@@ -838,6 +892,7 @@ let split_agg sp ~(group : int list) ~(aggs : Algebra.agg_spec list)
         done
       done
   | None -> ());
+  List.iter Scratch.release [ pre_slots; st_rows; st_nn; st_sum; st_min; st_max ];
   (* the empty group must exist (and span the time domain) for
      gap-covering aggregation; with [group = []] it is the one group *)
   (match gap with
@@ -894,10 +949,10 @@ let split_agg sp ~(group : int list) ~(aggs : Algebra.agg_spec list)
   let endpoints = ref 0 in
   for g = 0 to ng - 1 do
     let rep = Key.entry_row key g in
-    let segs = sort_dedup (Ibuf.to_array group_eps.bufs.(g)) in
+    let segs = sort_dedup (Ibuf.take group_eps.bufs.(g)) in
     endpoints := !endpoints + Array.length segs;
     (* entries of this group in begin order, stable on first appearance *)
-    let ids = Ibuf.to_array group_entries.bufs.(g) in
+    let ids = Ibuf.take group_entries.bufs.(g) in
     let nid = Array.length ids in
     let bs = Array.make (max nid 1) 0 and es = Array.make (max nid 1) 0 in
     for i = 0 to nid - 1 do
@@ -1043,6 +1098,7 @@ let split_agg sp ~(group : int list) ~(aggs : Algebra.agg_spec list)
       done
     end
   done;
+  Key.release key;
   (match sp with
   | None -> ()
   | Some _ ->
@@ -1061,7 +1117,7 @@ let split_agg sp ~(group : int list) ~(aggs : Algebra.agg_spec list)
       (gattrs @ aattrs
       @ [ Schema.attr "__b" Value.TInt; Schema.attr "__e" Value.TInt ])
   in
-  let rep_arr = Ibuf.to_array out_rep in
+  let rep_arr = Ibuf.take out_rep in
   let nout = Array.length rep_arr in
   let finals_cols =
     Array.mapi
@@ -1079,8 +1135,8 @@ let split_agg sp ~(group : int list) ~(aggs : Algebra.agg_spec list)
         Array.map (fun c -> Batch.gather_col c rep_arr) gcols;
         finals_cols;
         [|
-          { Batch.data = Batch.Ints (Ibuf.to_array out_b); nulls = None };
-          { Batch.data = Batch.Ints (Ibuf.to_array out_e); nulls = None };
+          { Batch.data = Batch.Ints (Ibuf.take out_b); nulls = None };
+          { Batch.data = Batch.Ints (Ibuf.take out_e); nulls = None };
         |];
       ]
   in
@@ -1088,7 +1144,11 @@ let split_agg sp ~(group : int list) ~(aggs : Algebra.agg_spec list)
 
 (* ---- the interpreter loop ---- *)
 
-let rec eval_batch (ctx : ctx) (q : Algebra.t) : Batch.t =
+(* [need] (default: all) lists the output columns of [q] its consumer
+   reads; a join gathers only those.  Project and Agg pass down the
+   columns they read, Select adds its predicate's columns to its own
+   [need], and every other operator reads all of its input. *)
+let rec eval_batch ?need (ctx : ctx) (q : Algebra.t) : Batch.t =
   if ctx.force_row q then
     (* batch↔row boundary: this subtree runs on the interpreted engine *)
     Batch.of_table (Exec.eval ~obs:ctx.obs ctx.db q)
@@ -1107,7 +1167,8 @@ let rec eval_batch (ctx : ctx) (q : Algebra.t) : Batch.t =
           b
       | Select (p, q) -> (
           let scan () =
-            let b = eval_batch ctx q in
+            let need = Option.map (List.append (Expr.cols p)) need in
+            let b = eval_batch ?need ctx q in
             rows_in sp [ b ];
             select sp p b
           in
@@ -1122,14 +1183,17 @@ let rec eval_batch (ctx : ctx) (q : Algebra.t) : Batch.t =
                   scan ())
           | _ -> scan ())
       | Project (projs, q) ->
-          let b = eval_batch ctx q in
+          let need =
+            List.concat_map (fun (p : Algebra.proj) -> Expr.cols p.expr) projs
+          in
+          let b = eval_batch ~need ctx q in
           rows_in sp [ b ];
           project projs b
       | Join (p, l, r) ->
           let lb = eval_batch ctx l in
           let rb = eval_batch ctx r in
           rows_in sp [ lb; rb ];
-          join sp p lb rb
+          join ?need sp p lb rb
       | Union (l, r) ->
           let lb = eval_batch ctx l in
           let rb = eval_batch ctx r in
@@ -1141,7 +1205,14 @@ let rec eval_batch (ctx : ctx) (q : Algebra.t) : Batch.t =
           rows_in sp [ lb; rb ];
           except_all lb rb
       | Agg (group, aggs, q) ->
-          let b = eval_batch ctx q in
+          let need =
+            List.concat_map (fun (p : Algebra.proj) -> Expr.cols p.expr) group
+            @ List.concat_map
+                (fun (a : Algebra.agg_spec) ->
+                  Option.fold ~none:[] ~some:Expr.cols (Agg.input_expr a.func))
+                aggs
+          in
+          let b = eval_batch ~need ctx q in
           rows_in sp [ b ];
           aggregate group aggs b
       | Distinct q ->

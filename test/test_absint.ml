@@ -303,10 +303,11 @@ let prop_prune_joins =
 
 (* ---- workloads end-to-end: prune on/off through the middleware ---- *)
 
+(* the shipped (vec) engine with pruning against the row oracle without *)
 let test_workload_identity () =
   let db = W.generate { (W.scaled 60) with W.tmax = 1200 } in
   let m_on = M.create ~prune:true ~db ()
-  and m_off = M.create ~prune:false ~db () in
+  and m_off = M.create ~engine:M.Row ~prune:false ~db () in
   let extra =
     [
       ("as-of", "SEQ VT AS OF 600 (SELECT emp_no, salary FROM salaries)");

@@ -108,6 +108,19 @@ let test_interval_probe () =
     (Interval.stab empty 0);
   check_int "empty index size" 0 (Interval.size empty)
 
+(* the probe's scan-order sort: row ids below the table size, over one
+   to three 8-bit digits *)
+let prop_sort_below =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:200 ~name:"radix sort_below = List.sort"
+       QCheck.(pair (int_range 1 3) (list (int_range 0 max_int)))
+       (fun (digits, xs) ->
+         let bound = 1 lsl (8 * digits) in
+         let a = Array.of_list (List.map (fun x -> x mod bound) xs) in
+         let expected = List.sort Int.compare (Array.to_list a) in
+         Tkr_idx.Isort.sort_below a ~bound;
+         Array.to_list a = expected))
+
 let prop_probe_vs_brute =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:300
@@ -245,13 +258,17 @@ let seed_m () =
      |});
   m
 
+(* the shipped (vec) engine with the index against the row oracle
+   without it *)
 let test_middleware_flag () =
   let m = seed_m () in
   List.iter
     (fun sql ->
       M.set_index m true;
+      M.set_engine m M.Vec;
       let on_ = Table.to_text (M.query m sql) in
       M.set_index m false;
+      M.set_engine m M.Row;
       let off = Table.to_text (M.query m sql) in
       Alcotest.(check string) sql on_ off)
     [
@@ -313,4 +330,5 @@ let suite =
         test_dml_invalidation;
       Alcotest.test_case "EXPLAIN access line" `Quick test_explain_access;
       Alcotest.test_case "index cache reuse" `Quick test_cache_reuse;
+      prop_sort_below;
     ] )

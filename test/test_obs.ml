@@ -145,6 +145,39 @@ let test_join_strategy () =
   Alcotest.(check bool) "nested loop only" false
     (contains out "strategy=hash")
 
+(* A vec join over more than 256 rows allocates its output columns
+   directly in the major heap; the span's [gc_major_words] must see them
+   between collections. *)
+let test_explain_major_words () =
+  let m = M.create ~engine:M.Vec () in
+  let values = String.concat ", " (List.init 400 (Printf.sprintf "(%d)")) in
+  ignore
+    (M.execute_script m
+       (Printf.sprintf
+          "CREATE TABLE r (a int); INSERT INTO r VALUES %s;\n\
+           CREATE TABLE s (a int); INSERT INTO s VALUES %s;"
+          values values));
+  let out = M.explain_analyze m "SELECT r.a, s.a FROM r JOIN s ON r.a = s.a" in
+  let join_line =
+    List.find_opt
+      (fun l -> contains l "join" && contains l "engine=vec")
+      (String.split_on_char '\n' out)
+  in
+  let major =
+    match join_line with
+    | None -> Alcotest.failf "no vec join span in:@.%s" out
+    | Some l ->
+        List.find_map
+          (fun kv ->
+            match String.split_on_char '=' kv with
+            | [ "gc_major_words"; v ] -> float_of_string_opt v
+            | _ -> None)
+          (String.split_on_char ' ' l)
+  in
+  match major with
+  | Some w -> Alcotest.(check bool) "join gc_major_words > 0" true (w > 0.)
+  | None -> Alcotest.failf "no gc_major_words on the join span:@.%s" out
+
 let test_explain_statement () =
   (* EXPLAIN ANALYZE as a SQL statement, through execute; the tree carries
      rows in/out and the coalesce internals on the Figure 1b query *)
@@ -184,4 +217,6 @@ let suite =
         test_join_strategy;
       Alcotest.test_case "EXPLAIN ANALYZE statement" `Quick
         test_explain_statement;
+      Alcotest.test_case "EXPLAIN ANALYZE major words (vec join)" `Quick
+        test_explain_major_words;
     ] )

@@ -114,11 +114,11 @@ let test_estimate_monotone () =
     (e (Algebra.Union (Algebra.Rel "big", Algebra.Rel "mid")) > e (Algebra.Rel "big"))
 
 (* full pipeline: workload queries give identical results with and
-   without the optimizer *)
+   without the optimizer (the unoptimized side on the row oracle) *)
 let test_workload_equivalence () =
   let d = W.generate { (W.scaled 80) with tmax = 1200 } in
   let m_on = M.create ~optimize:true ~db:d () in
-  let m_off = M.create ~optimize:false ~db:d () in
+  let m_off = M.create ~engine:M.Row ~optimize:false ~db:d () in
   List.iter
     (fun name ->
       let sql = Q.lookup name Q.employee in

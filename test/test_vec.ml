@@ -375,6 +375,77 @@ let test_middleware_engines () =
          (M.query mrow (List.hd e2e_queries))
          (M.query mvec (List.hd e2e_queries)))
 
+(* ---- the shipped default at benchmark scale ---- *)
+
+(* the benchmark's catalog: 1000 employees over [0, 4000) *)
+let bench_db =
+  lazy
+    (Tkr_workload.Employees.generate
+       { (Tkr_workload.Employees.scaled 1000) with tmax = 4000 })
+
+(* the inner queries of the benchmark's AS OF reads: the four served
+   shapes, then the three read after writes *)
+let serve_shapes =
+  [
+    "SELECT d.dept_no, s.emp_no, s.salary FROM dept_emp d, salaries s WHERE \
+     d.emp_no = s.emp_no";
+    "SELECT d.dept_no, avg(s.salary) AS avg_salary FROM dept_emp d, salaries \
+     s WHERE d.emp_no = s.emp_no GROUP BY d.dept_no";
+    "SELECT m.dept_no FROM dept_manager m, salaries s WHERE m.emp_no = \
+     s.emp_no AND s.salary > 70000";
+    "SELECT emp_no FROM employees EXCEPT ALL SELECT emp_no FROM dept_manager";
+  ]
+
+let write_read_shapes =
+  [
+    "SELECT title, count(*) AS n FROM titles GROUP BY title";
+    "SELECT d.dept_no, count(*) AS n FROM titles t, dept_emp d WHERE \
+     t.emp_no = d.emp_no GROUP BY d.dept_no";
+    "SELECT t.title, avg(s.salary) AS pay FROM salaries s, titles t WHERE \
+     s.emp_no = t.emp_no GROUP BY t.title";
+  ]
+
+(* the default middleware (vec, index and pruning on) renders every
+   benchmark statement byte for byte like the row oracle with index and
+   pruning off *)
+let test_bench_scale_identity () =
+  let db = Lazy.force bench_db in
+  let m = M.create ~db () in
+  let oracle = M.create ~engine:M.Row ~index:false ~prune:false ~db () in
+  check "vec is the default engine" true (M.engine m = M.Vec);
+  let as_of =
+    List.concat_map
+      (fun q ->
+        List.map
+          (fun t -> Printf.sprintf "SEQ VT AS OF %d (%s)" t q)
+          [ 600; 2000; 3500 ])
+      (serve_shapes @ write_read_shapes)
+  in
+  List.iter
+    (fun sql ->
+      if not (byte_identical (M.query oracle sql) (M.query m sql)) then
+        Alcotest.failf "default differs from the row oracle: %s" sql)
+    (List.map snd Tkr_workload.Queries.employee @ as_of)
+
+(* A warm execution of the hottest served statement allocates at most
+   10k words directly in the major heap (major minus promoted words):
+   operator scratch buffers are reused, projections share columns, and
+   constant filters test rows in place. *)
+let test_alloc_guard () =
+  let m = M.create ~engine:M.Vec ~db:(Lazy.force bench_db) () in
+  let p =
+    M.prepare m
+      (Printf.sprintf "SEQ VT AS OF 2000 (%s)" (List.nth serve_shapes 1))
+  in
+  ignore (M.run_prepared m p);
+  let _, promoted0, major0 = Gc.counters () in
+  ignore (M.run_prepared m p);
+  let _, promoted1, major1 = Gc.counters () in
+  let direct = major1 -. major0 -. (promoted1 -. promoted0) in
+  if direct > 10_000. then
+    Alcotest.failf "warm agg-1 AS OF 2000 allocated %.0f words directly in \
+                    the major heap (bound 10000)" direct
+
 let suite =
   ( "vectorized engine (Tkr_vec)",
     [
@@ -399,4 +470,8 @@ let suite =
       prop_random_boundary;
       Alcotest.test_case "middleware: row vs vec end to end" `Quick
         test_middleware_engines;
+      Alcotest.test_case "benchmark scale: default = row oracle" `Slow
+        test_bench_scale_identity;
+      Alcotest.test_case "warm serve read: direct major allocation" `Quick
+        test_alloc_guard;
     ] )

@@ -74,12 +74,15 @@ let test_tpch_queries_run () =
 
 let test_optimizations_agree_on_workload () =
   (* the heart of the ablation: all rewriter configurations produce the
-     same relation on real workload queries *)
+     same relation on real workload queries (the literal rewriting on the
+     row oracle) *)
   let queries =
     [ "join-1"; "join-3"; "agg-1"; "agg-2"; "agg-3"; "diff-1"; "diff-2" ]
   in
   let m_opt = mw ~options:Rewriter.optimized (emp_db ()) in
-  let m_lit = mw ~options:Rewriter.literal (emp_db ()) in
+  let m_lit =
+    M.create ~engine:M.Row ~options:Rewriter.literal ~db:(emp_db ()) ()
+  in
   List.iter
     (fun name ->
       let sql = Q.lookup name Q.employee in
