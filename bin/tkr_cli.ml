@@ -17,11 +17,6 @@
      top                       live console view of a running server
                                (QPS, latency quantiles, cache hit rate,
                                per-fingerprint resource ledger)
-     bench run|compare|export|serve|replay
-                               perf trajectory: run the quick suite,
-                               detect regressions between two BENCH
-                               files, export to OpenMetrics/flamegraphs,
-                               benchmark the query server or a recording
 
    Exit codes: 0 ok, 2 parse/lex error, 3 static check failure, 4
    semantic/runtime error, 5 I/O or transport error, 124 usage error. *)
@@ -34,10 +29,6 @@ module Lint = Tkr_check.Lint
 module Database = Tkr_engine.Database
 module Table = Tkr_engine.Table
 module Csv_io = Tkr_engine.Csv_io
-module Bench_result = Tkr_perf.Bench_result
-module Perf_compare = Tkr_perf.Compare
-module Perf_export = Tkr_perf.Export
-module Perf_runner = Tkr_perf.Runner
 module Server = Tkr_serve.Server
 module Client = Tkr_serve.Client
 module Wire = Tkr_serve.Wire
@@ -87,7 +78,6 @@ let guarded f =
       fail 5
         (Printf.sprintf "%s: %s%s" fn (Unix.error_message e)
            (if arg = "" then "" else " (" ^ arg ^ ")"))
-  | exception Bench_result.Invalid e -> fail 5 ("invalid bench file: " ^ e)
   | exception Tkr_obs.Json.Parse_error e -> fail 5 ("malformed JSON: " ^ e)
   | exception Client.Server_error e ->
       fail
@@ -214,7 +204,7 @@ let workload_queries = function
   | `Employee -> Tkr_workload.Queries.employee
   | `Tpch -> Tkr_workload.Queries.tpch
 
-(* --engine row|vec, shared by run, explain, serve, replay and bench run:
+(* --engine row|vec, shared by run, explain, serve and replay:
    the vectorized engine is byte-identical to the row engine (the CI
    vec-differential job diffs the two), so the flag only changes speed *)
 let engine_arg =
@@ -227,19 +217,21 @@ let engine_arg =
            default) or $(b,row) (interpreted row-at-a-time, the \
            differential-testing oracle); both produce byte-identical output")
 
-(* --index on|off, shared by run, explain, serve and bench run: interval
-   indexes only change the access path (EXPLAIN's [access:] line), never
-   a byte of any result — the CI determinism job diffs on/off outputs *)
+(* --index on|off, shared by run, explain and serve: interval indexes
+   only change the vec engine's access path (EXPLAIN's [access:] line),
+   never a byte of any result — the CI determinism job diffs on/off
+   outputs *)
 let index_arg =
   Arg.(
     value
     & opt (enum [ ("on", true); ("off", false) ]) true
     & info [ "index" ] ~docv:"on|off"
         ~doc:
-          "temporal interval indexes: answer $(b,AS OF) timeslices and \
-           overlap selections over stored period tables by endpoint-sorted \
-           index probes instead of scans; $(b,on) (default) and $(b,off) \
-           produce byte-identical output")
+          "temporal interval indexes: the vec engine answers $(b,AS OF) \
+           timeslices and overlap selections over stored period tables by \
+           endpoint-sorted index probes instead of scans (the row oracle \
+           always scans); $(b,on) (default) and $(b,off) produce \
+           byte-identical output")
 
 let run data workload engine index no_prune sql file explain stats
     max_rows =
@@ -826,15 +818,12 @@ let replay_pass ~data ~workload ~cache_mb ~paced path =
     }
   in
   let srv = Server.start ~config m in
-  let outcome =
-    Fun.protect ~finally:(fun () -> Server.stop srv) @@ fun () ->
-    Replay.run ~paced ~port:(Server.port srv) entries
-  in
-  (header, outcome, Server.cache_stats srv)
+  Fun.protect ~finally:(fun () -> Server.stop srv) @@ fun () ->
+  Replay.run ~paced ~port:(Server.port srv) entries
 
 let replay data workload cache_mb paced fast show path =
   if paced && fast then usage "--paced excludes --as-fast-as-possible";
-  let _header, o, _stats = replay_pass ~data ~workload ~cache_mb ~paced path in
+  let o = replay_pass ~data ~workload ~cache_mb ~paced path in
   Printf.printf
     "replayed %d request(s) over %d session(s) in %.1f ms (%s)\n" o.Replay.total
     o.Replay.sessions
@@ -1139,629 +1128,6 @@ let top_cmd =
       const (fun a b c d -> guarded (fun () -> top a b c d))
       $ host_arg $ port_arg $ interval $ iterations)
 
-(* --- bench --- *)
-
-(* The quick, deterministic bench suite behind [bench run]: the employee
-   snapshot workload through the middleware, the multiset-coalescing and
-   split-agg operator microbenchmarks, measured with the
-   shared Tkr_perf harness (median of --runs, GC counters included).  It
-   is intentionally much smaller than bench/main.exe — small enough for
-   CI smoke jobs — but written in the same canonical schema, so
-   [bench compare] works across any pair. *)
-let bench_suite ~scale ~runs ~engine ~index :
-    Bench_result.result list * (string * Tkr_obs.Json.t) list =
-  let module W = Tkr_workload.Employees in
-  let module Q = Tkr_workload.Queries in
-  let module Ops = Tkr_engine.Ops in
-  let module Trace = Tkr_obs.Trace in
-  let module Json = Tkr_obs.Json in
-  let employees = max 20 (int_of_float (150. *. scale)) in
-  let db = W.generate { (W.scaled employees) with W.tmax = 2000 } in
-  let m = M.create ~engine ~index ~db () in
-  (* with --engine vec, a row-engine middleware over the same catalog
-     provides the per-query reference timing behind [speedup_vs_row_x] *)
-  let m_row =
-    match engine with
-    | M.Vec -> Some (M.create ~engine:M.Row ~db ())
-    | M.Row -> None
-  in
-  let measured ~suite ~name ?(counters = []) f =
-    let s = Perf_runner.measure ~runs f in
-    Printf.printf "  %-24s %12.1f us/run\n%!"
-      (suite ^ "/" ^ name)
-      (s.Perf_runner.wall_ns /. 1e3);
-    Bench_result.result ~suite ~name ~runs
-      ~counters:(counters @ Perf_runner.gc_counters s)
-      s.Perf_runner.wall_ns
-  in
-  let employee =
-    List.map
-      (fun (name, sql) ->
-        let p = M.prepare m sql in
-        let s = Perf_runner.measure ~runs (fun () -> M.run_prepared m p) in
-        let rows = Table.cardinality (M.run_prepared m p) in
-        (* the vec-vs-row trajectory: same query, row engine, same runs *)
-        let speedup =
-          match m_row with
-          | None -> []
-          | Some mr ->
-              let pr = M.prepare mr sql in
-              let sr =
-                Perf_runner.measure ~runs (fun () -> M.run_prepared mr pr)
-              in
-              [
-                ("row_ns_per_run", sr.Perf_runner.wall_ns);
-                ( "speedup_vs_row_x",
-                  sr.Perf_runner.wall_ns /. s.Perf_runner.wall_ns );
-              ]
-        in
-        Printf.printf "  %-24s %12.1f us/run  %8d rows%s\n%!" name
-          (s.Perf_runner.wall_ns /. 1e3) rows
-          (match speedup with
-          | [ _; (_, x) ] -> Printf.sprintf "  %5.2fx vs row" x
-          | _ -> "");
-        Bench_result.result ~suite:"employee" ~name ~runs
-          ~counters:
-            (("rows_out", float_of_int rows)
-            :: (speedup @ Perf_runner.gc_counters s))
-          s.Perf_runner.wall_ns)
-      Q.employee
-  in
-  let coalesce =
-    List.map
-      (fun n ->
-        let n = max 100 (int_of_float (float_of_int n *. scale)) in
-        let t = W.coalesce_input ~n ~seed:11 ~tmax:2000 in
-        measured ~suite:"coalesce"
-          ~name:(Printf.sprintf "coalesce-%d" n)
-          (fun () -> Ops.coalesce t))
-      [ 1_000; 10_000 ]
-  in
-  (* scaled split-agg suite over the shared generator *)
-  let split_agg_aggs =
-    [ { Tkr_relation.Algebra.func = Tkr_relation.Agg.Count_star; agg_name = "cnt" } ]
-  in
-  let split_agg =
-    List.map
-      (fun n ->
-        let n = max 200 (int_of_float (float_of_int n *. scale)) in
-        let t = W.coalesce_input ~n ~seed:23 ~tmax:2000 in
-        measured ~suite:"split-agg"
-          ~name:(Printf.sprintf "split-agg-%d" n)
-          (fun () ->
-            Ops.split_agg ~group:[ 0 ] ~aggs:split_agg_aggs ~gap:None t))
-      [ 2_000; 8_000 ]
-  in
-  (* AS OF point lookups over a scaled period table: the interval-index
-     stab against the full-scan reference.  [speedup_vs_scan_x] is the
-     tracked trajectory (CI gates the asof suite at >= 1.0x), exactly
-     like [speedup_vs_row_x] tracks vec-vs-row. *)
-  let asof =
-    let n = max 2_000 (int_of_float (40_000. *. scale)) in
-    let adb = Database.create ~tmin:0 ~tmax:2000 () in
-    Database.add_period_table adb "history"
-      (W.coalesce_input ~n ~seed:31 ~tmax:2000);
-    let mi = M.create ~engine ~db:adb () in
-    let ms = M.create ~engine ~index:false ~db:adb () in
-    List.map
-      (fun (name, sql) ->
-        let p = M.prepare mi sql in
-        let s = Perf_runner.measure ~runs (fun () -> M.run_prepared mi p) in
-        let ps = M.prepare ms sql in
-        let ss =
-          Perf_runner.measure ~runs (fun () -> M.run_prepared ms ps)
-        in
-        let speedup = ss.Perf_runner.wall_ns /. s.Perf_runner.wall_ns in
-        let rows = Table.cardinality (M.run_prepared mi p) in
-        Printf.printf "  %-24s %12.1f us/run  %8d rows  %5.2fx vs scan\n%!"
-          ("asof/" ^ name)
-          (s.Perf_runner.wall_ns /. 1e3)
-          rows speedup;
-        Bench_result.result ~suite:"asof" ~name ~runs
-          ~counters:
-            (("rows_out", float_of_int rows)
-            :: ("scan_ns_per_run", ss.Perf_runner.wall_ns)
-            :: ("speedup_vs_scan_x", speedup)
-            :: Perf_runner.gc_counters s)
-          s.Perf_runner.wall_ns)
-      [
-        ("stab-mid", "SEQ VT AS OF 1000 (SELECT emp_no FROM history)");
-        ("stab-early", "SEQ VT AS OF 13 (SELECT emp_no FROM history)");
-        (* an early stab so the O(n) scan — not the shared downstream
-           aggregation — is the dominant term being replaced *)
-        ( "stab-count",
-          "SEQ VT AS OF 13 (SELECT count(*) AS c FROM history)" );
-      ]
-  in
-  (* one traced execution per employee query, so [bench export --folded]
-     works on CLI-produced reports too *)
-  let traces =
-    Json.List
-      (List.map
-         (fun (name, sql) ->
-           let p = M.prepare m sql in
-           let obs = Trace.create ~gc:true () in
-           ignore (M.run_prepared ~obs m p);
-           Json.Obj
-             [
-               ("query", Json.Str name);
-               ( "trace",
-                 Json.List (List.map Trace.to_json_value (Trace.roots obs)) );
-             ])
-         Q.employee)
-  in
-  ( employee @ coalesce @ split_agg @ asof,
-    [ ("operator_traces", traces) ] )
-
-let bench_run out scale runs engine index =
-  let path = match out with Some p -> p | None -> Bench_result.default_filename () in
-  Printf.printf "quick bench suite (scale %.2f, %d runs, %s engine):\n%!"
-    scale runs
-    (match engine with M.Row -> "row" | M.Vec -> "vec");
-  let results, extra = bench_suite ~scale ~runs ~engine ~index in
-  let report = Bench_result.make ~extra ~source:"tkr_cli bench run" results in
-  Bench_result.write path report;
-  Printf.printf "wrote %s (%d results)\n" path (List.length results)
-
-let bench_compare base fresh threshold suite =
-  match (Bench_result.read base, Bench_result.read fresh) with
-  | b, f ->
-      if b.Bench_result.env.Tkr_perf.Env.hostname
-         <> f.Bench_result.env.Tkr_perf.Env.hostname
-      then
-        Printf.eprintf
-          "warning: comparing runs from different hosts (%s vs %s)\n%!"
-          b.Bench_result.env.Tkr_perf.Env.hostname
-          f.Bench_result.env.Tkr_perf.Env.hostname;
-      (* a +dirty report did not come from the commit its SHA names *)
-      List.iter
-        (fun (label, path, (r : Bench_result.report)) ->
-          Option.iter (Printf.eprintf "warning: %s\n%!")
-            (Perf_runner.provenance_warning ~label ~path r.Bench_result.env))
-        [ ("base", base, b); ("new", fresh, f) ];
-      let outcome = Perf_compare.compare_reports ~threshold ?suite b f in
-      print_string (Perf_compare.render outcome);
-      if Perf_compare.has_regression outcome then
-        raise
-          (Fail
-             ( 1,
-               Printf.sprintf "%d test(s) regressed beyond %.2fx"
-                 (List.length (Perf_compare.regressions outcome))
-                 threshold ))
-
-let bench_export file openmetrics folded =
-  let rep = Bench_result.read file in
-  match (openmetrics, folded) with
-  | true, false -> print_string (Perf_export.to_openmetrics rep)
-  | false, true ->
-      let out = Perf_export.to_folded rep in
-      if out = "" then
-        raise
-          (Fail
-             ( 5,
-               "no operator_traces in this file (produced by bench run? \
-                use bench/main.exe or experiments --json)" ))
-      else print_string out
-  | _ -> usage "choose exactly one of --openmetrics or --folded"
-
-let bench_run_cmd =
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out"; "o" ] ~docv:"PATH"
-          ~doc:
-            "output file; defaults to the next trajectory name \
-             (BENCH_PR<n>.json past the highest one present, or \
-             \\$TKR_BENCH_PR)")
-  in
-  let scale =
-    Arg.(
-      value & opt float 1.0
-      & info [ "scale"; "s" ] ~docv:"F" ~doc:"workload scale factor")
-  in
-  let runs =
-    Arg.(
-      value & opt int 3
-      & info [ "runs"; "r" ] ~docv:"N" ~doc:"timed samples per test (median)")
-  in
-  Cmd.v
-    (Cmd.info "run"
-       ~doc:
-         "Run the quick bench suite and write the canonical JSON report")
-    Term.(
-      const (fun a b c d e -> guarded (fun () -> bench_run a b c d e))
-      $ out $ scale $ runs $ engine_arg $ index_arg)
-
-let bench_compare_cmd =
-  let base =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"BASE")
-  in
-  let fresh = Arg.(required & pos 1 (some string) None & info [] ~docv:"NEW") in
-  let threshold =
-    Arg.(
-      value
-      & opt float Perf_compare.default_threshold
-      & info [ "threshold"; "t" ] ~docv:"F"
-          ~doc:
-            "regression ratio: NEW/BASE above $(docv) fails, its inverse \
-             reports an improvement, anything between is noise")
-  in
-  let suite =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "suite" ] ~docv:"NAME"
-          ~doc:
-            "compare only this suite's tests on both sides (e.g. \
-             $(b,employee) for the CI row-vs-vec gate)")
-  in
-  Cmd.v
-    (Cmd.info "compare"
-       ~doc:
-         "Compare two bench reports test-by-test; exit non-zero when any \
-          test regressed beyond the threshold")
-    Term.(
-      const (fun a b c d -> guarded (fun () -> bench_compare a b c d))
-      $ base $ fresh $ threshold $ suite)
-
-let bench_export_cmd =
-  let file = Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE") in
-  let openmetrics =
-    Arg.(
-      value & flag
-      & info [ "openmetrics" ]
-          ~doc:"print the report as an OpenMetrics/Prometheus text document")
-  in
-  let folded =
-    Arg.(
-      value & flag
-      & info [ "folded" ]
-          ~doc:
-            "print the stored operator traces as flamegraph-compatible \
-             folded stacks (query;operator;... self-ns)")
-  in
-  Cmd.v
-    (Cmd.info "export"
-       ~doc:"Export a bench report for Prometheus or flamegraph tooling")
-    Term.(
-      const (fun a b c -> guarded (fun () -> bench_export a b c))
-      $ file $ openmetrics $ folded)
-
-(* --- bench serve --- *)
-
-(* The timeslice-heavy repeated workload behind [bench serve]: a few
-   snapshot timeslices of the employee join/agg/diff queries, cycled by
-   every client.  After the first coverage every request is a cache hit,
-   so the cached-vs-uncached ratio measures the result cache itself. *)
-let timeslice_statements =
-  let inners =
-    [
-      ( "join-1",
-        "SELECT d.dept_no, s.emp_no, s.salary FROM dept_emp d, salaries s \
-         WHERE d.emp_no = s.emp_no" );
-      ( "join-4",
-        "SELECT m.dept_no, m.emp_no, s.salary, e.name FROM dept_manager m, \
-         salaries s, employees e WHERE m.emp_no = s.emp_no AND m.emp_no = \
-         e.emp_no" );
-      ( "agg-1",
-        "SELECT d.dept_no, avg(s.salary) AS avg_salary FROM dept_emp d, \
-         salaries s WHERE d.emp_no = s.emp_no GROUP BY d.dept_no" );
-      ( "agg-join",
-        "SELECT e.name FROM employees e, dept_emp d, salaries s, (SELECT \
-         d2.dept_no AS dn, max(s2.salary) AS ms FROM dept_emp d2, salaries \
-         s2 WHERE d2.emp_no = s2.emp_no GROUP BY d2.dept_no) AS mx WHERE \
-         e.emp_no = d.emp_no AND e.emp_no = s.emp_no AND d.dept_no = mx.dn \
-         AND s.salary = mx.ms" );
-      ( "diff-1",
-        "SELECT emp_no FROM employees EXCEPT ALL SELECT emp_no FROM \
-         dept_manager" );
-    ]
-  in
-  List.concat_map
-    (fun t ->
-      List.map
-        (fun (n, q) ->
-          ( Printf.sprintf "%s@%d" n t,
-            Printf.sprintf "SEQ VT AS OF %d (%s)" t q ))
-        inners)
-    [ 100; 400; 700; 1000; 1300 ]
-
-(* one closed-loop pass: N clients x M requests against an in-process
-   server; returns per-request latencies (us), total wall ns, cache
-   stats, error count *)
-let serve_bench_pass ~scale ~connections ~requests ~cache_mb =
-  let db =
-    let module W = Tkr_workload.Employees in
-    W.generate
-      { (W.scaled (max 20 (int_of_float (600. *. scale)))) with W.tmax = 2000 }
-  in
-  let m = M.create ~db () in
-  let config =
-    {
-      Server.default_config with
-      port = 0;
-      max_sessions = connections + 4;
-      queue_depth = max 128 (connections * 4);
-      cache_mb;
-    }
-  in
-  let srv = Server.start ~config m in
-  let port = Server.port srv in
-  let stmts = Array.of_list (List.map snd timeslice_statements) in
-  let nst = Array.length stmts in
-  let lat_us = Array.make (connections * requests) 0.0 in
-  let errors = Atomic.make 0 in
-  let worker k () =
-    try
-      Client.with_client ~port @@ fun c ->
-      for i = 0 to requests - 1 do
-        let stmt = stmts.((k + i) mod nst) in
-        let t0 = Clock.now_ns () in
-        (match (Client.run c stmt).Wire.body with
-        | Ok _ -> ()
-        | Error _ -> Atomic.incr errors);
-        lat_us.((k * requests) + i) <-
-          Int64.to_float (Int64.sub (Clock.now_ns ()) t0) /. 1e3
-      done
-    with _ -> Atomic.incr errors
-  in
-  let t0 = Clock.now_ns () in
-  let threads = List.init connections (fun k -> Thread.create (worker k) ()) in
-  List.iter Thread.join threads;
-  let total_ns = Int64.to_float (Int64.sub (Clock.now_ns ()) t0) in
-  let stats = Server.cache_stats srv in
-  Server.stop srv;
-  (lat_us, total_ns, stats, Atomic.get errors)
-
-let percentile = Perf_runner.percentile
-
-let bench_serve out append scale connections requests cache_mb =
-  Printf.printf
-    "serve bench: %d clients x %d requests (%d distinct statements), scale \
-     %.2f, cache %d MiB vs off:\n%!"
-    connections requests
-    (List.length timeslice_statements)
-    scale cache_mb;
-  let pass label cache_mb =
-    let lat, total_ns, stats, errors =
-      serve_bench_pass ~scale ~connections ~requests ~cache_mb
-    in
-    if errors > 0 then
-      raise (Fail (4, Printf.sprintf "%s pass: %d request(s) failed" label errors));
-    Array.sort compare lat;
-    let n = connections * requests in
-    let rps = float_of_int n /. (total_ns /. 1e9) in
-    let looked = stats.Cache.hits + stats.Cache.misses in
-    let hit_rate =
-      if looked = 0 then 0.0
-      else float_of_int stats.Cache.hits /. float_of_int looked
-    in
-    Printf.printf
-      "  %-8s %8.0f req/s  p50 %8.0f us  p95 %8.0f us  p99 %8.0f us  hit \
-       rate %.2f\n%!"
-      label rps (percentile lat 0.50) (percentile lat 0.95)
-      (percentile lat 0.99) hit_rate;
-    (lat, total_ns, rps, hit_rate)
-  in
-  let lat_c, ns_c, rps_c, hits_c = pass "cached" cache_mb in
-  let lat_u, ns_u, rps_u, hits_u = pass "uncached" 0 in
-  let speedup = ns_u /. ns_c in
-  Printf.printf "  cache speedup: %.2fx throughput\n%!" speedup;
-  let mean a = Array.fold_left ( +. ) 0.0 a /. float_of_int (Array.length a) in
-  let result name lat rps hit_rate extra =
-    Bench_result.result ~suite:"serve" ~name ~runs:(connections * requests)
-      ~counters:
-        ([
-           ("connections", float_of_int connections);
-           ("requests", float_of_int (connections * requests));
-           ("p50_us", percentile lat 0.50);
-           ("p95_us", percentile lat 0.95);
-           ("p99_us", percentile lat 0.99);
-           ("rps", rps);
-           ("cache_hit_rate", hit_rate);
-         ]
-        @ extra)
-      (mean lat *. 1e3)
-  in
-  let results =
-    [
-      result "cached" lat_c rps_c hits_c [ ("speedup_x", speedup) ];
-      result "uncached" lat_u rps_u hits_u [];
-    ]
-  in
-  match append with
-  | Some path ->
-      let r = Bench_result.read path in
-      let keep =
-        List.filter
-          (fun (x : Bench_result.result) -> x.Bench_result.suite <> "serve")
-          r.Bench_result.results
-      in
-      (* the appended suite was measured now: re-stamp the report with the
-         current environment instead of keeping the file's stale one *)
-      let env, warn = Perf_runner.refresh_env ~path r.Bench_result.env in
-      Option.iter (Printf.eprintf "warning: %s\n%!") warn;
-      Bench_result.write path
-        { r with Bench_result.results = keep @ results; Bench_result.env = env };
-      Printf.printf "appended serve suite to %s\n" path
-  | None ->
-      let path =
-        match out with Some p -> p | None -> Bench_result.default_filename ()
-      in
-      Bench_result.write path
-        (Bench_result.make ~source:"tkr_cli bench serve" results);
-      Printf.printf "wrote %s (%d results)\n" path (List.length results)
-
-let bench_serve_cmd =
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out"; "o" ] ~docv:"PATH"
-          ~doc:"output file (defaults like [bench run])")
-  in
-  let append =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "append" ] ~docv:"PATH"
-          ~doc:
-            "append/replace the serve suite inside an existing bench \
-             report instead of writing a fresh file")
-  in
-  let scale =
-    Arg.(
-      value & opt float 1.0
-      & info [ "scale"; "s" ] ~docv:"F"
-          ~doc:"workload scale factor (600 employees at 1.0)")
-  in
-  let connections =
-    Arg.(
-      value & opt int 8
-      & info [ "connections"; "c" ] ~docv:"N" ~doc:"closed-loop clients")
-  in
-  let requests =
-    Arg.(
-      value & opt int 60
-      & info [ "requests"; "r" ] ~docv:"M" ~doc:"requests per client")
-  in
-  let cache_mb =
-    Arg.(
-      value & opt int 64
-      & info [ "cache-mb" ] ~docv:"MB"
-          ~doc:"cache budget of the cached pass (the other pass runs at 0)")
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Benchmark the query server: closed-loop clients over a \
-          timeslice-heavy repeated workload, cached vs uncached, \
-          p50/p95/p99 latency, throughput and cache hit rate")
-    Term.(
-      const (fun a b c d e f -> guarded (fun () -> bench_serve a b c d e f))
-      $ out $ append $ scale $ connections $ requests $ cache_mb)
-
-(* --- bench replay --- *)
-
-(* a recording as a benchmark: replay it at full speed through a fresh
-   in-process server and write the result in the canonical Perf schema,
-   so recordings of real workloads join the BENCH_PR<n>.json trajectory
-   and [bench compare] works on them *)
-let bench_replay out append data workload cache_mb path =
-  let _header, o, stats =
-    replay_pass ~data ~workload ~cache_mb ~paced:false path
-  in
-  if not (Replay.identical o) then
-    raise
-      (Fail
-         ( 4,
-           Printf.sprintf
-             "replay diverged (%d mismatch(es), %d failure(s)): fix the \
-              recording or catalog before benchmarking it"
-             (List.length o.Replay.mismatches)
-             o.Replay.failed ));
-  let lat = Array.copy o.Replay.lat_us in
-  Array.sort compare lat;
-  let n = max 1 o.Replay.total in
-  let mean =
-    Array.fold_left ( +. ) 0.0 lat /. float_of_int (max 1 (Array.length lat))
-  in
-  let rps = float_of_int o.Replay.total /. (o.Replay.wall_ns /. 1e9) in
-  let looked = stats.Cache.hits + stats.Cache.misses in
-  let hit_rate =
-    if looked = 0 then 0.0
-    else float_of_int stats.Cache.hits /. float_of_int looked
-  in
-  let name = Filename.remove_extension (Filename.basename path) in
-  Printf.printf
-    "replay bench %s: %d requests, %d sessions, %8.0f req/s, p50 %8.0f us, \
-     p95 %8.0f us, hit rate %.2f\n%!"
-    name o.Replay.total o.Replay.sessions rps (percentile lat 0.50)
-    (percentile lat 0.95) hit_rate;
-  let results =
-    [
-      Bench_result.result ~suite:"replay" ~name ~runs:n
-        ~counters:
-          [
-            ("requests", float_of_int o.Replay.total);
-            ("sessions", float_of_int o.Replay.sessions);
-            ("matched", float_of_int o.Replay.matched);
-            ("mismatches", float_of_int (List.length o.Replay.mismatches));
-            ("cached", float_of_int o.Replay.cached);
-            ("rps", rps);
-            ("p50_us", percentile lat 0.50);
-            ("p95_us", percentile lat 0.95);
-            ("p99_us", percentile lat 0.99);
-            ("cache_hit_rate", hit_rate);
-          ]
-        (mean *. 1e3)
-    ]
-  in
-  match append with
-  | Some path ->
-      let r = Bench_result.read path in
-      let keep =
-        List.filter
-          (fun (x : Bench_result.result) -> x.Bench_result.suite <> "replay")
-          r.Bench_result.results
-      in
-      (* replay baselines carry current provenance, like bench compare's
-         warnings assume: never inherit the old file's env *)
-      let env, warn = Perf_runner.refresh_env ~path r.Bench_result.env in
-      Option.iter (Printf.eprintf "warning: %s\n%!") warn;
-      Bench_result.write path
-        { r with Bench_result.results = keep @ results; Bench_result.env = env };
-      Printf.printf "appended replay suite to %s\n" path
-  | None ->
-      let path =
-        match out with Some p -> p | None -> Bench_result.default_filename ()
-      in
-      Bench_result.write path
-        (Bench_result.make ~source:"tkr_cli bench replay" results);
-      Printf.printf "wrote %s (%d results)\n" path (List.length results)
-
-let bench_replay_cmd =
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out"; "o" ] ~docv:"PATH"
-          ~doc:"output file (defaults like [bench run])")
-  in
-  let append =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "append" ] ~docv:"PATH"
-          ~doc:
-            "append/replace the replay suite inside an existing bench \
-             report instead of writing a fresh file")
-  in
-  Cmd.v
-    (Cmd.info "replay"
-       ~doc:
-         "Benchmark a flight recording: replay it at full speed through a \
-          fresh in-process server (verifying byte-identity first) and \
-          write latency/throughput counters in the canonical bench \
-          schema, compatible with [bench compare]")
-    Term.(
-      const (fun a b c d e f -> guarded (fun () -> bench_replay a b c d e f))
-      $ out $ append $ replay_data_arg $ replay_workload_arg
-      $ replay_cache_mb_arg $ replay_path_arg)
-
-let bench_cmd =
-  Cmd.group
-    (Cmd.info "bench"
-       ~doc:
-         "Performance trajectory: run the quick suite, detect regressions, \
-          export to external tooling, benchmark the query server, \
-          benchmark flight recordings")
-    [
-      bench_run_cmd; bench_compare_cmd; bench_export_cmd; bench_serve_cmd;
-      bench_replay_cmd;
-    ]
-
 let () =
   let doc = "snapshot-semantics temporal query middleware" in
   exit
@@ -1769,5 +1135,5 @@ let () =
        (Cmd.group (Cmd.info "tkr" ~doc)
           [
             demo_cmd; gen_cmd; run_cmd; explain_cmd; lint_cmd; serve_cmd;
-            replay_cmd; connect_cmd; top_cmd; bench_cmd;
+            replay_cmd; connect_cmd; top_cmd;
           ]))

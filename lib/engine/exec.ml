@@ -117,86 +117,6 @@ let hash_join ?sp keys residual (l : Table.t) (r : Table.t) : Table.t =
   Trace.set_int sp "residual_passed" !passed;
   Table.make out_schema (List.rev !buf)
 
-(** Index-assisted selection over a stored period table: when the
-    conjuncts bound the period columns on both sides ({!Tkr_idx.Probe}),
-    probe the interval index for the candidate rows and re-apply the
-    {e full} predicate to them.  The probe bounds are necessary conditions
-    of the predicate and candidates come back in physical row order, so
-    the result is byte-identical to the scan.  [None] when the predicate
-    is not index-answerable (caller falls back to the scan). *)
-let index_select ?sp (db : Database.t) pred (n : string) : Table.t option =
-  let t = Database.find db n in
-  let arity = Schema.arity (Table.schema t) in
-  match Tkr_idx.Probe.bounds ~arity pred with
-  | None -> None
-  | Some { Tkr_idx.Probe.b_hi; e_lo } -> (
-      match Idx_cache.get db n with
-      | None -> None
-      | Some idx ->
-          let cand = Tkr_idx.Interval.probe idx ~b_hi ~e_lo in
-          Tkr_idx.Stats.record_probes ~probes:1
-            ~candidates:(Array.length cand);
-          Trace.set_str sp "access" "index";
-          Trace.set_int sp "candidates" (Array.length cand);
-          let rows = Table.rows t in
-          let buf = ref [] in
-          Array.iter
-            (fun i ->
-              let row = rows.(i) in
-              if Expr.holds row pred then buf := row :: !buf)
-            cand;
-          Some (Table.make (Table.schema t) (List.rev !buf)))
-
-(** Index nested-loop join: for [Join (p, l, Rel r)] with no equi-keys
-    (the nested-loop regime) whose conjuncts sandwich the right table's
-    period between left columns, probe the right side's index once per
-    left row instead of scanning it.  Candidates are in right physical
-    order and the full predicate is re-applied, so emission matches
-    {!nested_loop_join} row for row.  A left probe key that is not an
-    integer (e.g. NULL) falls back to scanning the right side for that
-    row, which the full predicate then filters identically. *)
-let index_join ?sp (db : Database.t) pred (lt : Table.t) (rn : string) :
-    Table.t option =
-  let rt = Database.find db rn in
-  let la = Schema.arity (Table.schema lt) in
-  let ra = Schema.arity (Table.schema rt) in
-  match Tkr_idx.Probe.join_bounds ~left_arity:la ~right_arity:ra pred with
-  | None -> None
-  | Some jb -> (
-      match Idx_cache.get db rn with
-      | None -> None
-      | Some idx ->
-          let out_schema = Schema.concat (Table.schema lt) (Table.schema rt) in
-          let rrows = Table.rows rt in
-          let buf = ref [] in
-          let probes = ref 0 and cands = ref 0 in
-          Array.iter
-            (fun lrow ->
-              let emit rrow =
-                let row = Tuple.append lrow rrow in
-                if Expr.holds row pred then buf := row :: !buf
-              in
-              match
-                (Tuple.get lrow jb.Tkr_idx.Probe.jb_col,
-                 Tuple.get lrow jb.Tkr_idx.Probe.je_col)
-              with
-              | Value.Int bv, Value.Int ev ->
-                  incr probes;
-                  let cand =
-                    Tkr_idx.Interval.probe idx
-                      ~b_hi:{ Tkr_idx.Interval.v = bv; incl = jb.jb_incl }
-                      ~e_lo:{ Tkr_idx.Interval.v = ev; incl = jb.je_incl }
-                  in
-                  cands := !cands + Array.length cand;
-                  Array.iter (fun i -> emit rrows.(i)) cand
-              | _ -> Array.iter emit rrows)
-            (Table.rows lt);
-          Tkr_idx.Stats.record_probes ~probes:!probes ~candidates:!cands;
-          Trace.set_str sp "strategy" "index_nested_loop";
-          Trace.set_str sp "access" "index";
-          Trace.set_int sp "probes" !probes;
-          Trace.set_int sp "candidates" !cands;
-          Some (Table.make out_schema (List.rev !buf)))
 
 let join ?sp pred (l : Table.t) (r : Table.t) : Table.t =
   match Expr.equi_keys ~left_arity:(Schema.arity (Table.schema l)) pred with
@@ -288,8 +208,8 @@ let rows_in sp tables =
       Trace.set_int sp "rows_in"
         (List.fold_left (fun acc t -> acc + Table.cardinality t) 0 tables)
 
-let rec eval ?(obs = Trace.disabled) ?(use_index = false)
-    (db : Database.t) (q : Algebra.t) : Table.t =
+let rec eval ?(obs = Trace.disabled) (db : Database.t) (q : Algebra.t) :
+    Table.t =
   Trace.with_span obs (op_label q) @@ fun sp ->
   let result =
     match q with
@@ -301,84 +221,54 @@ let rec eval ?(obs = Trace.disabled) ?(use_index = false)
         let t = Table.make schema tuples in
         rows_in sp [ t ];
         t
-    | Select (p, q) -> (
-        let scan () =
-          let t = eval ~obs ~use_index db q in
-          rows_in sp [ t ];
-          select p t
-        in
-        match q with
-        | Rel n when Database.is_period db n -> (
-            match if use_index then index_select ?sp db p n else None with
-            | Some result ->
-                rows_in sp [ Database.find db n ];
-                result
-            | None ->
-                Trace.set_str sp "access" "scan";
-                scan ())
-        | _ -> scan ())
+    | Select (p, q) ->
+        let t = eval ~obs db q in
+        rows_in sp [ t ];
+        select p t
     | Project (projs, q) ->
-        let t = eval ~obs ~use_index db q in
+        let t = eval ~obs db q in
         rows_in sp [ t ];
         project projs t
-    | Join (p, l, r) -> (
-        let lt = eval ~obs ~use_index db l in
-        let indexed =
-          match r with
-          | Rel rn when use_index && Database.is_period db rn -> (
-              match
-                Expr.equi_keys ~left_arity:(Schema.arity (Table.schema lt)) p
-              with
-              | [], _ -> (
-                  match index_join ?sp db p lt rn with
-                  | Some res -> Some (res, Database.find db rn)
-                  | None -> None)
-              | _ -> None)
-          | _ -> None
-        in
-        match indexed with
-        | Some (res, rt) ->
-            rows_in sp [ lt; rt ];
-            res
-        | None ->
-            let rt = eval ~obs ~use_index db r in
-            rows_in sp [ lt; rt ];
-            join ?sp p lt rt)
+    | Join (p, l, r) ->
+        let lt = eval ~obs db l in
+        let rt = eval ~obs db r in
+        rows_in sp [ lt; rt ];
+        join ?sp p lt rt
     | Union (l, r) ->
-        let lt = eval ~obs ~use_index db l in
-        let rt = eval ~obs ~use_index db r in
+        let lt = eval ~obs db l in
+        let rt = eval ~obs db r in
         rows_in sp [ lt; rt ];
         union lt rt
     | Diff (l, r) ->
-        let lt = eval ~obs ~use_index db l in
-        let rt = eval ~obs ~use_index db r in
+        let lt = eval ~obs db l in
+        let rt = eval ~obs db r in
         rows_in sp [ lt; rt ];
         except_all lt rt
     | Agg (group, aggs, q) ->
-        let t = eval ~obs ~use_index db q in
+        let t = eval ~obs db q in
         rows_in sp [ t ];
         aggregate group aggs t
     | Distinct q ->
-        let t = eval ~obs ~use_index db q in
+        let t = eval ~obs db q in
         rows_in sp [ t ];
         distinct t
     | Coalesce q ->
-        let t = eval ~obs ~use_index db q in
+        let t = eval ~obs db q in
         rows_in sp [ t ];
         Ops.coalesce ?sp t
     | Split (g, l, r) ->
         (* avoid evaluating a shared subquery twice *)
         if l == r then (
-          let t = eval ~obs ~use_index db l in
+          let t = eval ~obs db l in
           rows_in sp [ t ];
           Ops.split ?sp g t t)
         else
-          let lt = eval ~obs ~use_index db l in
-          let rt = eval ~obs ~use_index db r in
+          let lt = eval ~obs db l in
+          let rt = eval ~obs db r in
           rows_in sp [ lt; rt ];
           Ops.split ?sp g lt rt
     | Split_agg sa ->
-        let t = eval ~obs ~use_index db sa.sa_child in
+        let t = eval ~obs db sa.sa_child in
         rows_in sp [ t ];
         Ops.split_agg ?sp ~group:sa.sa_group ~aggs:sa.sa_aggs ~gap:sa.sa_gap t
   in

@@ -42,25 +42,10 @@ val op_label : Algebra.t -> string
 (** Trace span label of the root operator (shared with
     {!Tkr_vec.Vexec} so both engines produce comparable traces). *)
 
-val index_select :
-  ?sp:Tkr_obs.Trace.span -> Database.t -> Expr.t -> string -> Table.t option
-(** Index-assisted selection over a stored period table, or [None] when
-    the predicate does not bound both period columns ({!Tkr_idx.Probe}).
-    Byte-identical to [select pred (find db name)]: probe bounds are
-    necessary conditions, candidates keep physical row order, and the
-    full predicate is re-applied. *)
-
-val eval :
-  ?obs:Tkr_obs.Trace.t ->
-  ?use_index:bool ->
-  Database.t ->
-  Algebra.t ->
-  Table.t
+val eval : ?obs:Tkr_obs.Trace.t -> Database.t -> Algebra.t -> Table.t
 (** Evaluate a full plan.  [Split] with physically equal children
     evaluates the shared subplan once.  With an enabled [obs] collector,
     every operator reports a span carrying rows in/out and operator
-    internals (default: the disabled collector — no overhead).
-    [?use_index] (default off) lets selections and no-equi-key joins over
-    stored period tables answer through the temporal interval index when
-    their predicates are index-answerable; output is byte-identical
-    either way, spans record [access=index|scan]. *)
+    internals (default: the disabled collector — no overhead).  Every
+    table is scanned: the interval-index access paths live in the
+    shipped engine ({!Tkr_vec.Vexec}), which this interpreter specifies. *)

@@ -243,7 +243,7 @@ let optimize ?(prune : (Algebra.t -> Algebra.t) option)
     filter order of the stacked form; Kleene AND makes the filtered rows
     identical).  Stacked filters that bound the period columns separately
     fuse into one conjunction whose conjuncts carry both period bounds —
-    the shape {!Exec.index_select} recognizes.  Applied unconditionally:
+    the shape the vectorized engine's index selection recognizes.  Applied unconditionally:
     the plan shape does not depend on whether the index is enabled. *)
 let rec merge_selects (q : Algebra.t) : Algebra.t =
   match q with
@@ -266,11 +266,11 @@ let rec merge_selects (q : Algebra.t) : Algebra.t =
       else Split (g, merge_selects l, merge_selects r)
   | Split_agg sa -> Split_agg { sa with sa_child = merge_selects sa.sa_child }
 
-(** The access paths the interpreter will choose for each stored period
-    table read through a selection or a no-equi-key join — the
-    [access=index|scan] decision of {!Exec.eval}, precomputed for
-    EXPLAIN.  Entries are [(table, "index" | "scan")] in plan order;
-    tables read by a bare scan (no selection) are not listed. *)
+(** The access path the vectorized engine will choose for each stored
+    period table read through a selection — the [access=index|scan]
+    decision of [Vexec.eval], precomputed for EXPLAIN.  Entries are
+    [(table, "index" | "scan")] in plan order; tables read by a bare scan
+    (no selection) are not listed. *)
 let access ~(use_index : bool) ~(is_period : string -> bool)
     ~(lookup : string -> Schema.t) (q : Algebra.t) : (string * string) list =
   let out = ref [] in
@@ -286,17 +286,6 @@ let access ~(use_index : bool) ~(is_period : string -> bool)
         add n (if use_index && answerable then "index" else "scan")
     | Select (_, q) -> go q
     | Project (_, q) | Agg (_, _, q) | Distinct q | Coalesce q -> go q
-    | Join (p, l, (Rel rn as r)) when is_period rn ->
-        go l;
-        go r;
-        let la = Schema.arity (Algebra.schema_of ~lookup l) in
-        let ra = Schema.arity (lookup rn) in
-        let answerable =
-          fst (Expr.equi_keys ~left_arity:la p) = []
-          && Option.is_some
-               (Tkr_idx.Probe.join_bounds ~left_arity:la ~right_arity:ra p)
-        in
-        add rn (if use_index && answerable then "index" else "scan")
     | Join (_, l, r) | Union (l, r) | Diff (l, r) ->
         go l;
         go r

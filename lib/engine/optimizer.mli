@@ -40,7 +40,8 @@ val access :
   lookup:(string -> Schema.t) ->
   Algebra.t ->
   (string * string) list
-(** The [(table, "index" | "scan")] access-path decisions {!Exec.eval}
-    will make for stored period tables read through selections or
-    no-equi-key joins, in plan order — rendered by EXPLAIN so the chosen
-    path is visible without running the query. *)
+(** The [(table, "index" | "scan")] access-path decisions the vectorized
+    engine will make for stored period tables read through selections, in
+    plan order — rendered by EXPLAIN so the chosen path is visible
+    without running the query.  [use_index] is whether the plan runs on
+    an engine with index access paths at all. *)

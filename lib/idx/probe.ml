@@ -8,12 +8,7 @@
     predicate, so the index's candidate set is a superset of the rows the
     scan keeps, and re-applying the full predicate to the candidates
     reproduces the scan exactly.  The [AS OF t] timeslice of a base
-    table ([Abegin <= t AND t < Aend]) is the canonical instance.
-
-    {!join_bounds} recognizes the per-row analogue for interval joins:
-    conjuncts comparing the {e right} table's period columns against
-    {e left} columns, so each left row yields a stab/overlap probe into
-    the right side's index. *)
+    table ([Abegin <= t AND t < Aend]) is the canonical instance. *)
 
 open Tkr_relation
 
@@ -77,63 +72,4 @@ let bounds ~(arity : int) (p : Expr.t) : bounds option =
     (Expr.conjuncts p);
   match (!b_hi, !e_lo) with
   | Some b_hi, Some e_lo -> Some { b_hi; e_lo }
-  | _ -> None
-
-type join_bounds = {
-  jb_col : int;  (** left column bounding the right [Abegin] from above *)
-  jb_incl : bool;
-  je_col : int;  (** left column bounding the right [Aend] from below *)
-  je_incl : bool;
-}
-
-(** Per-left-row probe bounds for [Join (p, l, Rel r)] where [r] is an
-    encoded period table: conjuncts of the overlap shape
-    [l.col > r.Abegin] / [l.col < r.Aend] (in any orientation).  [None]
-    unless both sides of the sandwich are present. *)
-let join_bounds ~(left_arity : int) ~(right_arity : int) (p : Expr.t) :
-    join_bounds option =
-  let rb = left_arity + right_arity - 2
-  and re = left_arity + right_arity - 1 in
-  let b_hi = ref None and e_lo = ref None in
-  let set cell col incl = if !cell = None then cell := Some (col, incl) in
-  List.iter
-    (fun conj ->
-      match conj with
-      | Expr.Cmp (op, Expr.Col x, Expr.Col y) when y = rb && x < left_arity
-        -> (
-          (* l.x OP r.Abegin *)
-          match op with
-          | Expr.Ge -> set b_hi x true
-          | Expr.Gt -> set b_hi x false
-          | Expr.Eq -> set b_hi x true
-          | Expr.Le | Expr.Lt | Expr.Ne -> ())
-      | Expr.Cmp (op, Expr.Col x, Expr.Col y) when x = rb && y < left_arity
-        -> (
-          (* r.Abegin OP l.y *)
-          match op with
-          | Expr.Le -> set b_hi y true
-          | Expr.Lt -> set b_hi y false
-          | Expr.Eq -> set b_hi y true
-          | Expr.Ge | Expr.Gt | Expr.Ne -> ())
-      | Expr.Cmp (op, Expr.Col x, Expr.Col y) when y = re && x < left_arity
-        -> (
-          (* l.x OP r.Aend *)
-          match op with
-          | Expr.Le -> set e_lo x true
-          | Expr.Lt -> set e_lo x false
-          | Expr.Eq -> set e_lo x true
-          | Expr.Ge | Expr.Gt | Expr.Ne -> ())
-      | Expr.Cmp (op, Expr.Col x, Expr.Col y) when x = re && y < left_arity
-        -> (
-          (* r.Aend OP l.y *)
-          match op with
-          | Expr.Ge -> set e_lo y true
-          | Expr.Gt -> set e_lo y false
-          | Expr.Eq -> set e_lo y true
-          | Expr.Le | Expr.Lt | Expr.Ne -> ())
-      | _ -> ())
-    (Expr.conjuncts p);
-  match (!b_hi, !e_lo) with
-  | Some (jb_col, jb_incl), Some (je_col, je_incl) ->
-      Some { jb_col; jb_incl; je_col; je_incl }
   | _ -> None

@@ -249,9 +249,9 @@ type prepared = {
           duplicate-freeness), shown by [EXPLAIN] *)
   access : (string * string) list;
       (** the planner's access-path decision per stored period table read
-          through a selection or a no-equi-key join —
-          [(table, "index" | "scan")] in plan order, shown by [EXPLAIN];
-          empty when the plan touches no such read *)
+          through a selection — [(table, "index" | "scan")] in plan order,
+          shown by [EXPLAIN]; "index" only on the vec engine with indexes
+          on, empty when the plan touches no such read *)
   tables : string list;
       (** base tables the final plan reads, sorted and deduplicated —
           with {!Tkr_engine.Database.version} these form the dependency
@@ -263,7 +263,7 @@ let make_exec m plan : Trace.t -> Database.t -> Table.t =
   let use_index = m.index in
   match m.engine with
   | Vec -> fun obs db -> Tkr_vec.Vexec.eval ~obs ~use_index db plan
-  | Row -> fun obs db -> Exec.eval ~obs ~use_index db plan
+  | Row -> fun obs db -> Exec.eval ~obs db plan
 
 (* time one preparation phase into a [phase_stats] cell *)
 let phase (set : int64 -> unit) (f : unit -> 'a) : 'a =
@@ -402,7 +402,9 @@ let prepare_statement_unlocked m (stmt : Ast.statement) : prepared =
           diags;
           analysis = Absint.render env plan;
           access =
-            Tkr_engine.Optimizer.access ~use_index:m.index ~is_period
+            Tkr_engine.Optimizer.access
+              ~use_index:(m.index && m.engine = Vec)
+              ~is_period
               ~lookup:(Database.schema_of m.db) plan;
           tables = List.sort_uniq String.compare (collect_rels [] plan);
         }

@@ -74,9 +74,10 @@ val set_prune : t -> bool -> unit
 val prune : t -> bool
 
 val set_index : t -> bool -> unit
-(** Toggle temporal interval index usage (default on): index-answerable
-    selections and no-equi-key joins over stored period tables answer
-    through {!Tkr_idx} instead of scanning.  Byte-identity preserving —
+(** Toggle temporal interval index usage (default on): on the vec
+    engine, index-answerable selections over stored period tables answer
+    through {!Tkr_idx} instead of scanning (the row oracle always scans).
+    Byte-identity preserving —
     toggling never changes any query's rows or their order, only the
     access path (visible as [access: ...=index|scan] in EXPLAIN).
     Affects statements prepared afterwards; already-prepared statements
@@ -165,8 +166,9 @@ type prepared = {
           duplicate-freeness), shown by [EXPLAIN] *)
   access : (string * string) list;
       (** the planner's access-path decision per stored period table read
-          through a selection or a no-equi-key join —
-          [(table, "index" | "scan")] in plan order, shown by [EXPLAIN] *)
+          through a selection — [(table, "index" | "scan")] in plan order,
+          shown by [EXPLAIN]; "index" only on the vec engine with indexes
+          on *)
   tables : string list;
       (** base tables the final plan reads, sorted and deduplicated —
           with {!Tkr_engine.Database.version} these form the dependency

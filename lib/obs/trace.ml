@@ -160,66 +160,6 @@ let rec to_json_value (sp : span) : Json.t =
 
 let to_json (sp : span) : string = Json.to_string (to_json_value sp)
 
-(** Inverse of {!to_json_value}: rebuild a span tree from a trace dump, so
-    stored traces (bench JSON files) can be re-rendered by any sink. *)
-let rec of_json_value (j : Json.t) : span =
-  let str_of = function
-    | Json.Str s -> s
-    | Json.Int i -> string_of_int i
-    | Json.Float f -> Printf.sprintf "%g" f
-    | Json.Bool b -> string_of_bool b
-    | Json.Null -> "null"
-    | Json.List _ | Json.Obj _ -> "?"
-  in
-  let attr_value = function
-    | Json.Int i -> Int i
-    | Json.Float f -> Float f
-    | Json.Bool b -> Bool b
-    | v -> Str (str_of v)
-  in
-  {
-    sp_name = (match Json.member "op" j with Some v -> str_of v | None -> "?");
-    sp_elapsed_ns =
-      (match Option.bind (Json.member "elapsed_ns" j) Json.to_int_opt with
-      | Some ns -> Int64.of_int ns
-      | None -> 0L);
-    sp_attrs =
-      (match Json.member "attrs" j with
-      | Some (Json.Obj fields) ->
-          List.rev_map (fun (k, v) -> (k, attr_value v)) fields
-      | _ -> []);
-    sp_children =
-      (match Json.member "children" j with
-      | Some (Json.List items) -> List.rev_map of_json_value items
-      | _ -> []);
-  }
-
-(** Folded-stack (flamegraph-collapse) rendering: one line per span,
-    [root;child;grandchild <self-time-ns>], self time being the span's
-    elapsed time minus its children's (clamped at zero).  Feed the output
-    straight to [flamegraph.pl] or speedscope. *)
-let to_folded (sp : span) : string =
-  let buf = Buffer.create 256 in
-  (* frame separators inside names would corrupt the stack structure *)
-  let frame name =
-    String.map (function ';' -> ',' | '\n' | ' ' -> '_' | c -> c) name
-  in
-  let rec go prefix sp =
-    let stack =
-      if prefix = "" then frame sp.sp_name else prefix ^ ";" ^ frame sp.sp_name
-    in
-    let kids = children sp in
-    let child_ns =
-      List.fold_left (fun acc c -> Int64.add acc c.sp_elapsed_ns) 0L kids
-    in
-    let self = Int64.sub sp.sp_elapsed_ns child_ns in
-    let self = if Int64.compare self 0L < 0 then 0L else self in
-    Buffer.add_string buf (Printf.sprintf "%s %Ld\n" stack self);
-    List.iter (go stack) kids
-  in
-  go "" sp;
-  Buffer.contents buf
-
 type sink = Noop | Text of out_channel | Json_chan of out_channel | Fn of (span -> unit)
 
 let noop = Noop

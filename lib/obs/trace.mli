@@ -66,15 +66,6 @@ val to_text : ?show_time:bool -> span -> string
 val to_json_value : span -> Json.t
 val to_json : span -> string
 
-val of_json_value : Json.t -> span
-(** Rebuild a span tree from the {!to_json_value} dump format (missing
-    fields default sensibly), so stored traces can be re-rendered. *)
-
-val to_folded : span -> string
-(** Folded-stack (flamegraph-collapse) rendering: one
-    [root;child;leaf <self-ns>] line per span, self time clamped at zero.
-    Compatible with [flamegraph.pl] and speedscope. *)
-
 type sink = Noop | Text of out_channel | Json_chan of out_channel | Fn of (span -> unit)
 
 val noop : sink

@@ -1,6 +1,5 @@
-(** Environment metadata stamped into every benchmark report, so a perf
-    trajectory across commits can tell a real regression from a change of
-    machine or toolchain. *)
+(** Environment metadata stamped into every benchmark report, so a result
+    says which commit, machine and toolchain produced it. *)
 
 module Json = Tkr_obs.Json
 
@@ -112,33 +111,3 @@ let to_json (e : t) : Json.t =
       ("word_size", Json.Int e.word_size);
       ("os_type", Json.Str e.os_type);
     ]
-
-let of_json (j : Json.t) : t =
-  let str key dflt =
-    match Option.bind (Json.member key j) Json.to_string_opt with
-    | Some s -> s
-    | None -> dflt
-  in
-  {
-    ocaml_version = str "ocaml_version" "unknown";
-    git_sha = str "git_sha" "unknown";
-    dirty =
-      (* pre-PR4 reports have no dirty flag; a clean tree is the
-         conservative default for regression comparisons *)
-      (match Json.member "git_dirty" j with
-      | Some (Json.Bool b) -> b
-      | _ -> false);
-    hostname = str "hostname" "unknown";
-    word_size =
-      (match Option.bind (Json.member "word_size" j) Json.to_int_opt with
-      | Some w -> w
-      | None -> 0);
-    os_type = str "os_type" "unknown";
-  }
-
-let pp ppf (e : t) =
-  Format.fprintf ppf "ocaml %s | git %s%s | %s | %d-bit %s" e.ocaml_version
-    (if String.length e.git_sha > 12 then String.sub e.git_sha 0 12
-     else e.git_sha)
-    (if e.dirty then "+dirty" else "")
-    e.hostname e.word_size e.os_type

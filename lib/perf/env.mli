@@ -1,4 +1,5 @@
-(** Environment metadata stamped into every benchmark report. *)
+(** Environment metadata stamped into every benchmark report and the
+    server's METRICS build info. *)
 
 type t = {
   ocaml_version : string;
@@ -15,9 +16,6 @@ val capture : unit -> t
     an override for builds from exported trees.  [dirty] comes from
     [git status --porcelain] ([$TKR_GIT_DIRTY] overrides; clean when git
     is unavailable) — a report stamped [git <sha>+dirty] did not come
-    from the commit its SHA names, which {!Tkr_perf.Compare} consumers
-    should surface before trusting a regression verdict. *)
+    from the commit its SHA names. *)
 
 val to_json : t -> Tkr_obs.Json.t
-val of_json : Tkr_obs.Json.t -> t
-val pp : Format.formatter -> t -> unit

@@ -13,12 +13,7 @@
     emission order: probe order and per-key right-row order for hash
     joins, first-appearance order for groups and DISTINCT, counting
     semantics for EXCEPT ALL, first-appearance + stable-by-begin entry
-    order for the split_agg combine.
-
-    Every operator runs natively.  Subtrees the [force_row] hook marks
-    cross the batch↔row boundary instead: they are delegated to
-    [Exec.eval] and their table re-imported with {!Batch.of_table}, which
-    differential tests use to exercise the boundary. *)
+    order for the split_agg combine. *)
 
 open Tkr_relation
 module Table = Tkr_engine.Table
@@ -32,9 +27,6 @@ module Scratch = Tkr_idx.Scratch
 type ctx = {
   obs : Trace.t;
   db : Database.t;
-  force_row : Algebra.t -> bool;
-      (* the batch↔row boundary: subtrees matching this predicate run on
-         the interpreted engine *)
   use_index : bool;
       (* answer index-answerable period-table selections through the
          temporal interval index (byte-identical either way) *)
@@ -53,13 +45,15 @@ let select sp pred (b : Batch.t) : Batch.t =
   Trace.set_int sp "conjuncts" (List.length (Expr.conjuncts pred));
   Batch.with_sel b (Veval.filter b pred)
 
-(* Mirror of [Exec.index_select] at batch level: probe the interval index
-   for the candidate physical rows, install them as the batch's
-   selection, and let [Veval.filter] re-apply the full predicate over
-   that view.  The probe bounds are necessary conditions and candidates
-   come back in ascending physical order (= the identity selection's
-   order), so the surviving selection vector is exactly the one the full
-   filter would produce. *)
+(* Index-assisted selection over a stored period table: when the
+   conjuncts bound the period columns on both sides ({!Tkr_idx.Probe}),
+   probe the interval index for the candidate physical rows, install them
+   as the batch's selection, and let [Veval.filter] re-apply the full
+   predicate over that view.  The probe bounds are necessary conditions
+   and candidates come back in ascending physical order (= the identity
+   selection's order), so the surviving selection vector is exactly the
+   one the full filter would produce.  [None] when the predicate is not
+   index-answerable (the caller scans). *)
 let index_select (db : Database.t) sp pred (n : string) : Batch.t option =
   let t = Database.find db n in
   let arity = Schema.arity (Table.schema t) in
@@ -1149,116 +1143,107 @@ let split_agg sp ~(group : int list) ~(aggs : Algebra.agg_spec list)
    columns they read, Select adds its predicate's columns to its own
    [need], and every other operator reads all of its input. *)
 let rec eval_batch ?need (ctx : ctx) (q : Algebra.t) : Batch.t =
-  if ctx.force_row q then
-    (* batch↔row boundary: this subtree runs on the interpreted engine *)
-    Batch.of_table (Exec.eval ~obs:ctx.obs ctx.db q)
-  else begin
-    Trace.with_span ctx.obs (Exec.op_label q) @@ fun sp ->
-    Trace.set_str sp "engine" "vec";
-    let result =
-      match q with
-      | Algebra.Rel n ->
-          let b = Batch.of_table (Database.find ctx.db n) in
+  Trace.with_span ctx.obs (Exec.op_label q) @@ fun sp ->
+  Trace.set_str sp "engine" "vec";
+  let result =
+    match q with
+    | Algebra.Rel n ->
+        let b = Batch.of_table (Database.find ctx.db n) in
+        rows_in sp [ b ];
+        b
+    | ConstRel (schema, tuples) ->
+        let b = Batch.of_rows schema (Array.of_list tuples) in
+        rows_in sp [ b ];
+        b
+    | Select (p, q) -> (
+        let scan () =
+          let need = Option.map (List.append (Expr.cols p)) need in
+          let b = eval_batch ?need ctx q in
           rows_in sp [ b ];
-          b
-      | ConstRel (schema, tuples) ->
-          let b = Batch.of_rows schema (Array.of_list tuples) in
+          select sp p b
+        in
+        match q with
+        | Algebra.Rel n when Database.is_period ctx.db n -> (
+            match
+              if ctx.use_index then index_select ctx.db sp p n else None
+            with
+            | Some res -> res
+            | None ->
+                Trace.set_str sp "access" "scan";
+                scan ())
+        | _ -> scan ())
+    | Project (projs, q) ->
+        let need =
+          List.concat_map (fun (p : Algebra.proj) -> Expr.cols p.expr) projs
+        in
+        let b = eval_batch ~need ctx q in
+        rows_in sp [ b ];
+        project projs b
+    | Join (p, l, r) ->
+        let lb = eval_batch ctx l in
+        let rb = eval_batch ctx r in
+        rows_in sp [ lb; rb ];
+        join ?need sp p lb rb
+    | Union (l, r) ->
+        let lb = eval_batch ctx l in
+        let rb = eval_batch ctx r in
+        rows_in sp [ lb; rb ];
+        union lb rb
+    | Diff (l, r) ->
+        let lb = eval_batch ctx l in
+        let rb = eval_batch ctx r in
+        rows_in sp [ lb; rb ];
+        except_all lb rb
+    | Agg (group, aggs, q) ->
+        let need =
+          List.concat_map (fun (p : Algebra.proj) -> Expr.cols p.expr) group
+          @ List.concat_map
+              (fun (a : Algebra.agg_spec) ->
+                Option.fold ~none:[] ~some:Expr.cols (Agg.input_expr a.func))
+              aggs
+        in
+        let b = eval_batch ~need ctx q in
+        rows_in sp [ b ];
+        aggregate group aggs b
+    | Distinct q ->
+        let b = eval_batch ctx q in
+        rows_in sp [ b ];
+        distinct b
+    | Coalesce q ->
+        let b = eval_batch ctx q in
+        rows_in sp [ b ];
+        coalesce sp b
+    | Split (g, l, r) ->
+        (* avoid evaluating a shared subquery twice *)
+        if l == r then begin
+          let b = eval_batch ctx l in
           rows_in sp [ b ];
-          b
-      | Select (p, q) -> (
-          let scan () =
-            let need = Option.map (List.append (Expr.cols p)) need in
-            let b = eval_batch ?need ctx q in
-            rows_in sp [ b ];
-            select sp p b
-          in
-          match q with
-          | Algebra.Rel n when Database.is_period ctx.db n -> (
-              match
-                if ctx.use_index then index_select ctx.db sp p n else None
-              with
-              | Some res -> res
-              | None ->
-                  Trace.set_str sp "access" "scan";
-                  scan ())
-          | _ -> scan ())
-      | Project (projs, q) ->
-          let need =
-            List.concat_map (fun (p : Algebra.proj) -> Expr.cols p.expr) projs
-          in
-          let b = eval_batch ~need ctx q in
-          rows_in sp [ b ];
-          project projs b
-      | Join (p, l, r) ->
+          split sp g b b
+        end
+        else begin
           let lb = eval_batch ctx l in
           let rb = eval_batch ctx r in
           rows_in sp [ lb; rb ];
-          join ?need sp p lb rb
-      | Union (l, r) ->
-          let lb = eval_batch ctx l in
-          let rb = eval_batch ctx r in
-          rows_in sp [ lb; rb ];
-          union lb rb
-      | Diff (l, r) ->
-          let lb = eval_batch ctx l in
-          let rb = eval_batch ctx r in
-          rows_in sp [ lb; rb ];
-          except_all lb rb
-      | Agg (group, aggs, q) ->
-          let need =
-            List.concat_map (fun (p : Algebra.proj) -> Expr.cols p.expr) group
-            @ List.concat_map
-                (fun (a : Algebra.agg_spec) ->
-                  Option.fold ~none:[] ~some:Expr.cols (Agg.input_expr a.func))
-                aggs
-          in
-          let b = eval_batch ~need ctx q in
-          rows_in sp [ b ];
-          aggregate group aggs b
-      | Distinct q ->
-          let b = eval_batch ctx q in
-          rows_in sp [ b ];
-          distinct b
-      | Coalesce q ->
-          let b = eval_batch ctx q in
-          rows_in sp [ b ];
-          coalesce sp b
-      | Split (g, l, r) ->
-          (* avoid evaluating a shared subquery twice *)
-          if l == r then begin
-            let b = eval_batch ctx l in
-            rows_in sp [ b ];
-            split sp g b b
-          end
-          else begin
-            let lb = eval_batch ctx l in
-            let rb = eval_batch ctx r in
-            rows_in sp [ lb; rb ];
-            split sp g lb rb
-          end
-      | Split_agg sa ->
-          let b = eval_batch ctx sa.sa_child in
-          rows_in sp [ b ];
-          if sa.sa_gap <> None && sa.sa_group <> [] then
-            (* the rewriter sets a gap only without GROUP BY; Plan_check
-               rejects the converse (TKR207) *)
-            invalid_arg "vec: grouped split_agg with a gap"
-          else
-            split_agg sp ~group:sa.sa_group ~aggs:sa.sa_aggs ~gap:sa.sa_gap b
-    in
-    (match sp with
-    | None -> ()
-    | Some _ -> Trace.set_int sp "rows_out" (Batch.length result));
-    result
-  end
+          split sp g lb rb
+        end
+    | Split_agg sa ->
+        let b = eval_batch ctx sa.sa_child in
+        rows_in sp [ b ];
+        if sa.sa_gap <> None && sa.sa_group <> [] then
+          (* the rewriter sets a gap only without GROUP BY; Plan_check
+             rejects the converse (TKR207) *)
+          invalid_arg "vec: grouped split_agg with a gap"
+        else
+          split_agg sp ~group:sa.sa_group ~aggs:sa.sa_aggs ~gap:sa.sa_gap b
+  in
+  (match sp with
+  | None -> ()
+  | Some _ -> Trace.set_int sp "rows_out" (Batch.length result));
+  result
 
-(** Evaluate a plan on the vectorized engine.  [force_row] (default:
-    never) marks subtrees to delegate to the row oracle across the
-    batch↔row boundary — the differential tests drive it with random
-    predicates to exercise the boundary at every operator.  [use_index]
-    (default off) answers index-answerable period-table selections
-    through the temporal interval index; output is byte-identical either
-    way. *)
-let eval ?(obs = Trace.disabled) ?(force_row = fun _ -> false)
-    ?(use_index = false) (db : Database.t) (q : Algebra.t) : Table.t =
-  Batch.to_table (eval_batch { obs; db; force_row; use_index } q)
+(** Evaluate a plan on the vectorized engine.  [use_index] (default off)
+    answers index-answerable period-table selections through the temporal
+    interval index; output is byte-identical either way. *)
+let eval ?(obs = Trace.disabled) ?(use_index = false) (db : Database.t)
+    (q : Algebra.t) : Table.t =
+  Batch.to_table (eval_batch { obs; db; use_index } q)

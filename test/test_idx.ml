@@ -1,8 +1,7 @@
 (* Tkr_idx: delta-summation prefix sums at interval boundaries, interval
    index probe units, and qcheck differential properties asserting the
-   index access paths are byte-identical to the scan paths — on the row
-   interpreter and the vectorized engine, over NULL-heavy and empty
-   inputs. *)
+   vectorized engine's index access path is byte-identical to the row
+   oracle's scan, over NULL-heavy and empty inputs. *)
 
 module Value = Tkr_relation.Value
 module Schema = Tkr_relation.Schema
@@ -18,6 +17,7 @@ module Delta = Tkr_idx.Delta
 module Interval = Tkr_idx.Interval
 module Probe = Tkr_idx.Probe
 module M = Tkr_middleware.Middleware
+module Trace = Tkr_obs.Trace
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -204,44 +204,7 @@ let prop_select_differential =
        (fun (rows, t) ->
          let db = mk_db rows in
          let q = Algebra.Select (alive_pred 3 t, Algebra.Rel "w") in
-         let oracle = Exec.eval ~use_index:false db q in
-         byte_identical oracle (Exec.eval ~use_index:true db q)
-         && byte_identical oracle (Vexec.eval ~use_index:true db q)))
-
-(* interval join: overlap of the left row's period with the right
-   table's, the no-equi-key regime the index nested loop serves *)
-let overlap_join_pred ~la ~ra =
-  let lb = la - 2 and le = la - 1 in
-  let rb = la + ra - 2 and re_ = la + ra - 1 in
-  Expr.(
-    And (Cmp (Lt, Col lb, Col re_), Cmp (Lt, Col rb, Col le)))
-
-let prop_join_differential =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:100
-       ~name:"overlap join: index nested loop = scan nested loop"
-       QCheck.(pair arb_rows arb_rows)
-       (fun (lrows, rrows) ->
-         let db = mk_db lrows in
-         let tuples =
-           List.map
-             (fun (n, b, e) ->
-               Tuple.make
-                 [
-                   (match n with None -> Value.Null | Some s -> Value.Str s);
-                   Value.Int b;
-                   Value.Int e;
-                 ])
-             rrows
-         in
-         Database.add_period_table db "r" (Table.make w_schema tuples);
-         let q =
-           Algebra.Join
-             (overlap_join_pred ~la:3 ~ra:3, Algebra.Rel "w", Algebra.Rel "r")
-         in
-         let oracle = Exec.eval ~use_index:false db q in
-         byte_identical oracle (Exec.eval ~use_index:true db q)
-         && byte_identical oracle (Vexec.eval ~use_index:true db q)))
+         byte_identical (Exec.eval db q) (Vexec.eval ~use_index:true db q)))
 
 (* ---- middleware end to end: flag, DML invalidation, EXPLAIN ---- *)
 
@@ -289,6 +252,34 @@ let test_dml_invalidation () =
   ignore (M.execute m "DELETE FROM works WHERE name = 'Joe'");
   check_int "index rebuilt after DELETE" 3 (Table.cardinality (M.query m q))
 
+(* the access=index|scan attributes of an executed plan's spans, in
+   execution (pre-)order *)
+let span_access obs =
+  let out = ref [] in
+  List.iter
+    (Trace.iter (fun sp ->
+         match Trace.find_attr sp "access" with
+         | Some (Trace.Str v) -> out := v :: !out
+         | _ -> ()))
+    (Trace.roots obs);
+  List.rev !out
+
+(* EXPLAIN's access line against EXPLAIN ANALYZE's spans: the tables the
+   line marks [=index] are exactly the reads that ran as index probes.
+   Plan order and execution order agree, so on vec (which reports an
+   access path for every period-table selection) the whole line must
+   equal the span sequence; on row no read may claim the index. *)
+let check_access_agrees m sql =
+  let p = M.prepare m sql in
+  let obs = Trace.create () in
+  ignore (M.run_prepared ~obs m p);
+  let decided = List.map snd p.M.access and ran = span_access obs in
+  let index l = List.filter (String.equal "index") l in
+  Alcotest.(check (list string))
+    ("index reads: " ^ sql) (index decided) (index ran);
+  if M.engine m = M.Vec then
+    Alcotest.(check (list string)) ("access paths: " ^ sql) decided ran
+
 let test_explain_access () =
   let m = seed_m () in
   let ex = M.explain m "SEQ VT AS OF 9 (SELECT name FROM works)" in
@@ -301,7 +292,44 @@ let test_explain_access () =
   M.set_index m true;
   (* a data-column-only filter is not index-answerable *)
   let ex = M.explain m "SELECT name FROM works WHERE skill = 'SP'" in
-  check "non-period predicate scans" true (contains ex "works=scan")
+  check "non-period predicate scans" true (contains ex "works=scan");
+  (* the row oracle always scans, whatever the flag says *)
+  M.set_engine m M.Row;
+  let ex = M.explain m "SEQ VT AS OF 9 (SELECT name FROM works)" in
+  check "row engine scans" true (contains ex "access: works=scan");
+  (* the line agrees with the executed spans on both engines: the Fig. 1
+     interval join, AS OF stabs, and the ten employee queries *)
+  ignore
+    (M.execute_script m
+       {|
+       CREATE TABLE assign (mach text, skill text, b int, e int) PERIOD (b, e);
+       INSERT INTO assign VALUES
+         ('M1', 'SP', 3, 12), ('M2', 'SP', 6, 14), ('M3', 'NS', 3, 16);
+     |});
+  let edb =
+    Tkr_workload.Employees.(generate { (scaled 40) with tmax = 2000 })
+  in
+  Database.add_period_table edb "history"
+    (Tkr_workload.Employees.coalesce_input ~n:2_000 ~seed:31 ~tmax:2000);
+  let me = M.create ~db:edb () in
+  List.iter
+    (fun engine ->
+      M.set_engine m engine;
+      M.set_engine me engine;
+      List.iter (check_access_agrees m)
+        [
+          "SEQ VT (SELECT w.name, a.mach FROM works w, assign a)";
+          "SEQ VT AS OF 9 (SELECT name FROM works)";
+          "SEQ VT AS OF 9 (SELECT w.name, a.mach FROM works w, assign a \
+           WHERE w.skill = a.skill)";
+        ];
+      List.iter (check_access_agrees me)
+        ([
+           "SEQ VT AS OF 1000 (SELECT emp_no FROM history)";
+           "SEQ VT AS OF 13 (SELECT count(*) AS c FROM history)";
+         ]
+        @ List.map snd Tkr_workload.Queries.employee))
+    [ M.Vec; M.Row ]
 
 let test_cache_reuse () =
   let db = Database.create ~tmin:0 ~tmax:24 () in
@@ -323,7 +351,6 @@ let suite =
         test_interval_probe;
       prop_probe_vs_brute;
       prop_select_differential;
-      prop_join_differential;
       Alcotest.test_case "middleware index on/off identity" `Quick
         test_middleware_flag;
       Alcotest.test_case "DML invalidates the cached index" `Quick

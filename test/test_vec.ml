@@ -1,8 +1,7 @@
 (* The vectorized engine (Tkr_vec): batch representation roundtrips,
    selection-vector edge cases, per-operator differential tests against the
    interpreted row oracle, and qcheck properties asserting byte-identity of
-   full random plans — including plans crossing the batch↔row boundary at
-   random subtrees — plus the middleware Row/Vec end-to-end surface. *)
+   full random plans, plus the middleware Row/Vec end-to-end surface. *)
 
 open Fixtures
 module Value = Tkr_relation.Value
@@ -38,8 +37,7 @@ let fig1_db () =
   Database.add_period_table db "assign" (PE.to_table assign_period);
   db
 
-let differential ?force_row db q =
-  byte_identical (Exec.eval db q) (Vexec.eval ?force_row db q)
+let differential db q = byte_identical (Exec.eval db q) (Vexec.eval db q)
 
 (* ---- batch representation ---- *)
 
@@ -261,30 +259,6 @@ let test_null_heavy () =
     (differential db
        (Algebra.Diff (t, Algebra.Select (Expr.Is_null (col 0), t))))
 
-(* ---- batch↔row boundary ---- *)
-
-(* forcing every node to the row path turns Vexec into a wrapper around
-   the oracle; forcing random subtrees exercises the of_table/to_table
-   boundary in the middle of plans *)
-let test_boundary_everywhere () =
-  let db = fig1_db () in
-  let q =
-    Algebra.Coalesce
-      (Algebra.Project
-         ( [
-             Algebra.proj (col 1) "skill";
-             Algebra.proj (col 2) "b";
-             Algebra.proj (col 3) "e";
-           ],
-           works ))
-  in
-  check "force_row everywhere: vec = row" true
-    (differential ~force_row:(fun _ -> true) db q);
-  check "force_row at scans only: vec = row" true
-    (differential
-       ~force_row:(function Algebra.Rel _ -> true | _ -> false)
-       db q)
-
 (* ---- qcheck: random plans are byte-identical, row vs vec ---- *)
 
 let rewrite_random ((q, _tys), (wfacts, afacts)) =
@@ -308,18 +282,6 @@ let prop_random_plans =
        (fun input ->
          let db, q' = rewrite_random input in
          differential db q'))
-
-(* salt-driven pseudo-random boundary: structural hashing of the subtree
-   is deterministic, so failures shrink and replay *)
-let prop_random_boundary =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:120
-       ~name:"random plan + random batch↔row boundary: vec = row"
-       QCheck.(pair (make ~print:string_of_int QCheck.Gen.(0 -- 1000)) Test_representation.arb)
-       (fun (salt, input) ->
-         let db, q' = rewrite_random input in
-         let force_row sub = Hashtbl.hash (salt, sub) mod 3 = 0 in
-         differential ~force_row db q'))
 
 (* ---- middleware end to end ---- *)
 
@@ -465,9 +427,7 @@ let suite =
       Alcotest.test_case "operator: coalesce / split / split_agg" `Quick
         test_op_temporal;
       Alcotest.test_case "NULL-heavy inputs" `Quick test_null_heavy;
-      Alcotest.test_case "batch↔row boundary" `Quick test_boundary_everywhere;
       prop_random_plans;
-      prop_random_boundary;
       Alcotest.test_case "middleware: row vs vec end to end" `Quick
         test_middleware_engines;
       Alcotest.test_case "benchmark scale: default = row oracle" `Slow
