@@ -20,9 +20,7 @@ SEQ VT AS OF 9 (SELECT name, skill FROM works);
 -- scan byte for byte
 SEQ VT AS OF 9 (SELECT name FROM works WHERE skill = 'SP');
 
--- timeslice cardinality: a plain count(*) over the stabbed rows (the
--- delta-summation structure could count it in O(log n); the planner
--- does not use it yet)
+-- timeslice cardinality: a plain count(*) over the stabbed rows
 SEQ VT AS OF 9 (SELECT count(*) AS headcount FROM works);
 
 -- aggregation at one point is plain aggregation: no split or coalesce
@@ -30,4 +28,13 @@ SEQ VT AS OF 9 (SELECT skill, count(*) AS c FROM works GROUP BY skill);
 
 -- an overlap range over the period columns directly: rows alive at any
 -- point of [8, 16) — begin bounded above, end bounded below
+SELECT name, b, e FROM works WHERE b < 16 AND e > 8;
+
+-- DML installs a new value of works; the next read builds its index
+-- afresh, and the stabs over the changed rows still match the scan
+INSERT INTO works VALUES ('Eve', 'NS', 1, 23);
+SEQ VT AS OF 9 (SELECT name, skill FROM works);
+DELETE FROM works FOR PORTION OF vt FROM 5 TO 12 WHERE skill = 'SP';
+SEQ VT AS OF 9 (SELECT name, skill FROM works);
+SEQ VT AS OF 4 (SELECT count(*) AS headcount FROM works);
 SELECT name, b, e FROM works WHERE b < 16 AND e > 8;

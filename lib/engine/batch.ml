@@ -15,10 +15,10 @@
     batch's logical rows are the physical rows [s.(0), s.(1), ...] in that
     order.  Filters narrow the selection instead of materializing; payload
     columns are only gathered when an operator needs dense data
-    ({!compact}) or at the row boundary ({!to_table}). *)
+    ({!compact}) or at the row boundary ({!to_rows}).  A stored table's
+    columnar image is built once per table value ({!Table.columnar}). *)
 
 open Tkr_relation
-module Table = Tkr_engine.Table
 
 type data =
   | Ints of int array
@@ -179,27 +179,12 @@ let of_rows (schema : Schema.t) (rows : Tuple.t array) : t =
   in
   { schema; nrows = n; cols; sel = None }
 
-let to_table (b : t) : Table.t =
-  let n = length b in
+(** The logical rows, boxed, in logical order. *)
+let to_rows (b : t) : Tuple.t array =
   let k = Array.length b.cols in
-  Table.of_array b.schema
-    (Array.init n (fun li ->
-         let i = phys b li in
-         Tuple.of_array (Array.init k (fun j -> value b.cols.(j) i))))
-
-(* The columnar image of a base table is cached on the table value itself:
-   tables are immutable (DML installs fresh values), so the memo never
-   goes stale.  Concurrent executors may race to columnarize; both compute
-   the same image and the last write wins. *)
-type Table.memo += Columnar of t
-
-let of_table (tbl : Table.t) : t =
-  match Table.memo tbl with
-  | Some (Columnar b) -> b
-  | _ ->
-      let b = of_rows (Table.schema tbl) (Table.rows tbl) in
-      Table.set_memo tbl (Columnar b);
-      b
+  Array.init (length b) (fun li ->
+      let i = phys b li in
+      Tuple.of_array (Array.init k (fun j -> value b.cols.(j) i)))
 
 (** Append two dense batches (compacting as needed); the schemas must be
     union-compatible, the left schema names the result. *)

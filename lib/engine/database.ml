@@ -8,7 +8,14 @@
 
 open Tkr_relation
 
-type entry = { table : Table.t; is_period : bool }
+type entry = {
+  table : Table.t;
+  is_period : bool;
+  order : int array;
+      (** declared -> stored column permutation: stored column [j] is
+          declared column [order.(j)] (the identity unless registration
+          moved the period columns last) *)
+}
 
 type t = {
   tables : (string, entry) Hashtbl.t;
@@ -24,12 +31,7 @@ type t = {
           set and [tmin]/[tmax] are all unchanged) *)
   mutable tmin : int;
   mutable tmax : int;
-  uid : int;
-      (** process-unique database identity, for caches keyed outside the
-          database value itself (e.g. per-table index build bookkeeping) *)
 }
-
-let next_uid = Atomic.make 0
 
 let create ?(tmin = 0) ?(tmax = 1) () =
   {
@@ -38,10 +40,7 @@ let create ?(tmin = 0) ?(tmax = 1) () =
     generation = 0;
     tmin;
     tmax;
-    uid = Atomic.fetch_and_add next_uid 1;
   }
-
-let uid db = db.uid
 
 let version db name =
   Option.value ~default:0
@@ -60,11 +59,35 @@ let set_time_bounds db ~tmin ~tmax =
   db.tmin <- tmin;
   db.tmax <- tmax
 
+let install db name entry =
+  bump_version db name;
+  Hashtbl.replace db.tables (String.lowercase_ascii name) entry
+
+(* widen [tmin, tmax) to cover the periods (trailing two columns) of
+   [rows]; [fn] names the caller in the error.  All or nothing: a
+   rejected row leaves the bounds as they were. *)
+let widen_bounds db fn (rows : Tuple.t array) =
+  let lo = ref db.tmin and hi = ref db.tmax in
+  Array.iter
+    (fun row ->
+      let n = Tuple.arity row in
+      match (Tuple.get row (n - 2), Tuple.get row (n - 1)) with
+      | Value.Int b, Value.Int e ->
+          if b < !lo then lo := b;
+          if e > !hi then hi := e
+      | _ -> invalid_arg (fn ^ ": non-integer period"))
+    rows;
+  db.tmin <- !lo;
+  db.tmax <- !hi
+
 (** Register a plain (non-temporal) table. *)
 let add_table db name table =
-  bump_version db name;
-  Hashtbl.replace db.tables (String.lowercase_ascii name)
-    { table; is_period = false }
+  install db name
+    {
+      table;
+      is_period = false;
+      order = Array.init (Schema.arity (Table.schema table)) Fun.id;
+    }
 
 (** Register a period table.  [begin_col]/[end_col] give the current
     positions of the period attributes; the stored table moves them to the
@@ -86,18 +109,9 @@ let add_period_table db name ?begin_col ?end_col table =
         (Schema.project schema order)
         (Array.map (Tuple.project order) (Table.rows table))
   in
-  Array.iter
-    (fun row ->
-      let n = Tuple.arity row in
-      match (Tuple.get row (n - 2), Tuple.get row (n - 1)) with
-      | Value.Int b, Value.Int e ->
-          if b < db.tmin then db.tmin <- b;
-          if e > db.tmax then db.tmax <- e
-      | _ -> invalid_arg "Database.add_period_table: non-integer period")
-    (Table.rows reordered);
-  bump_version db name;
-  Hashtbl.replace db.tables (String.lowercase_ascii name)
-    { table = reordered; is_period = true }
+  widen_bounds db "Database.add_period_table" (Table.rows reordered);
+  install db name
+    { table = reordered; is_period = true; order = Array.of_list order }
 
 let find_entry db name =
   match Hashtbl.find_opt db.tables (String.lowercase_ascii name) with
@@ -118,44 +132,29 @@ let data_schema_of db name =
     Schema.project s (List.init (Schema.arity s - 2) Fun.id)
   else s
 
+(** A row in the table's declared column order, in stored order. *)
+let stored_row db name (values : Value.t array) : Tuple.t =
+  let e = find_entry db name in
+  Tuple.of_array (Array.map (fun i -> values.(i)) e.order)
+
 (** Append rows to an existing table (INSERT).  Period tables get their
     time bounds widened; rows must already follow the stored column order. *)
 let append_rows db name (rows : Tuple.t list) =
   let e = find_entry db name in
-  let table =
-    Table.of_array (Table.schema e.table)
-      (Array.append (Table.rows e.table) (Array.of_list rows))
-  in
-  if e.is_period then
-    List.iter
-      (fun row ->
-        let n = Tuple.arity row in
-        match (Tuple.get row (n - 2), Tuple.get row (n - 1)) with
-        | Value.Int b, Value.Int e ->
-            if b < db.tmin then db.tmin <- b;
-            if e > db.tmax then db.tmax <- e
-        | _ -> invalid_arg "Database.append_rows: non-integer period")
-      rows;
-  bump_version db name;
-  Hashtbl.replace db.tables (String.lowercase_ascii name) { e with table }
+  let rows = Array.of_list rows in
+  if e.is_period then widen_bounds db "Database.append_rows" rows;
+  install db name
+    {
+      e with
+      table = Table.with_rows e.table (Array.append (Table.rows e.table) rows);
+    }
 
 (** Replace a table's rows wholesale (UPDATE/DELETE), keeping its schema
     and period registration; period tables widen the time bounds. *)
 let set_rows db name (rows : Tuple.t array) =
   let e = find_entry db name in
-  if e.is_period then
-    Array.iter
-      (fun row ->
-        let n = Tuple.arity row in
-        match (Tuple.get row (n - 2), Tuple.get row (n - 1)) with
-        | Value.Int b, Value.Int e ->
-            if b < db.tmin then db.tmin <- b;
-            if e > db.tmax then db.tmax <- e
-        | _ -> invalid_arg "Database.set_rows: non-integer period")
-      rows;
-  bump_version db name;
-  Hashtbl.replace db.tables (String.lowercase_ascii name)
-    { e with table = Table.of_array (Table.schema e.table) rows }
+  if e.is_period then widen_bounds db "Database.set_rows" rows;
+  install db name { e with table = Table.with_rows e.table rows }
 
 let remove_table db name =
   bump_version db name;

@@ -19,7 +19,8 @@ val add_period_table :
   t -> string -> ?begin_col:int -> ?end_col:int -> Table.t -> unit
 (** Register a period table.  The period columns (by default the last two)
     are moved to the trailing positions; time bounds are widened to cover
-    the data.
+    the data.  The given table's column order is the table's declared
+    order ({!stored_row}).
     @raise Invalid_argument on non-integer periods. *)
 
 val find : t -> string -> Table.t
@@ -32,11 +33,21 @@ val schema_of : t -> string -> Schema.t
 val data_schema_of : t -> string -> Schema.t
 (** The schema a snapshot query sees: period columns hidden. *)
 
+val stored_row : t -> string -> Value.t array -> Tuple.t
+(** [stored_row db name values]: a row given in [name]'s declared column
+    order (the order of the table passed to {!add_table} or
+    {!add_period_table}), in stored order — period columns last.  The
+    permutation belongs to the catalog entry, so every client of the
+    database stores an INSERT the same way, and DROP forgets it. *)
+
 val append_rows : t -> string -> Tuple.t list -> unit
-(** INSERT: rows must follow the stored column order. *)
+(** INSERT: rows must follow the stored column order.  Installs the
+    successor of the current table value ({!Table.with_rows}). *)
 
 val set_rows : t -> string -> Tuple.t array -> unit
-(** Replace all rows (UPDATE/DELETE), keeping schema and registration. *)
+(** Replace all rows (UPDATE/DELETE), keeping schema and registration.
+    Installs the successor of the current table value
+    ({!Table.with_rows}). *)
 
 val remove_table : t -> string -> unit
 val names : t -> string list
@@ -55,8 +66,3 @@ val generation : t -> int
     set, all schemas and the time bounds are unchanged, so plans prepared
     against this catalog state are still valid — the staleness signal for
     prepared-statement caches. *)
-
-val uid : t -> int
-(** Process-unique identity of this database value, assigned at
-    {!create}.  Lets caches keyed outside the database (e.g. index build
-    bookkeeping) distinguish same-named tables of different databases. *)

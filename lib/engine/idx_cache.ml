@@ -1,72 +1,6 @@
-(** Maintenance of per-table temporal interval indexes.
+(** Per-table temporal interval indexes, by catalog name: the index is
+    one of the derived images a table value owns ({!Table.index}). *)
 
-    Indexes are derived data: the authoritative state is the table's rows,
-    and the index is rebuilt lazily on first use after any DML.  Staleness
-    detection rides on the existing machinery — every {!Database} mutation
-    installs a fresh immutable {!Table.t} (whose memo slots start empty)
-    and bumps the table's version counter — so a cached index found in the
-    table value's second memo slot is valid iff its stamped version equals
-    the current {!Database.version}.  The belt-and-braces version check
-    guards against a table value being re-registered under a bumped
-    version.
-
-    Build bookkeeping (for the [tkr_idx_rebuilds] gauge) lives outside the
-    table values, keyed by {!Database.uid} and table name: a build for a
-    (database, name) pair that was already built at an older version is a
-    {e rebuild} — the index followed a DML — while a first build is not. *)
-
-open Tkr_relation
-
-type Table.memo +=
-  | Temporal_index of { idx : Tkr_idx.Interval.t option; version : int }
-        (** [idx = None] caches a negative result (a period table whose
-            stored endpoints are not all integers — unreachable through
-            the validated DML paths, but cheap to tolerate). *)
-
-(* (Database.uid, lowercased name) -> version of the last index built *)
-let last_built : (int * string, int) Hashtbl.t = Hashtbl.create 16
-let last_built_lock = Mutex.create ()
-
-let note_build db name version =
-  let key = (Database.uid db, String.lowercase_ascii name) in
-  Mutex.lock last_built_lock;
-  let rebuild =
-    match Hashtbl.find_opt last_built key with
-    | Some v -> v <> version
-    | None -> false
-  in
-  Hashtbl.replace last_built key version;
-  Mutex.unlock last_built_lock;
-  Tkr_idx.Stats.record_build ~rebuild
-
-let periods_of (t : Table.t) : (int * int) array option =
-  let n = Schema.arity (Table.schema t) in
-  if n < 2 then None
-  else
-    try
-      Some
-        (Array.map
-           (fun row ->
-             match (Tuple.get row (n - 2), Tuple.get row (n - 1)) with
-             | Value.Int b, Value.Int e -> (b, e)
-             | _ -> raise Exit)
-           (Table.rows t))
-    with Exit -> None
-
-(** The interval index for period table [name], building (and caching on
-    the table value) if absent or stale.  [None] when [name] is not a
-    period table or its endpoints are malformed. *)
 let get (db : Database.t) (name : string) : Tkr_idx.Interval.t option =
-  if not (Database.is_period db name) then None
-  else
-    let table = Database.find db name in
-    let version = Database.version db name in
-    match Table.memo2 table with
-    | Some (Temporal_index e) when e.version = version -> e.idx
-    | _ ->
-        let idx =
-          Option.map Tkr_idx.Interval.build (periods_of table)
-        in
-        Table.set_memo2 table (Temporal_index { idx; version });
-        note_build db name version;
-        idx
+  if Database.is_period db name then Table.index (Database.find db name)
+  else None

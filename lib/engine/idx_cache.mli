@@ -1,13 +1,10 @@
-(** Lazy, version-checked maintenance of per-table temporal interval
-    indexes.  Built on first use, cached on the table value's memo slot,
-    invalidated for free by the DML paths (which install fresh table
-    values and bump version counters). *)
-
-type Table.memo +=
-  | Temporal_index of { idx : Tkr_idx.Interval.t option; version : int }
+(** Per-table temporal interval indexes, by catalog name.  The index
+    lives on the table value ({!Table.index}): built on first use, and
+    gone with the value when DML installs a successor. *)
 
 val get : Database.t -> string -> Tkr_idx.Interval.t option
-(** The index over [name]'s [(Abegin, Aend)] columns, building if absent
-    or stale.  [None] when [name] is not registered as a period table (or
-    stores malformed endpoints).  Raises [Schema.Unknown] like
-    {!Database.find} when the table does not exist. *)
+(** The index over [name]'s [(Abegin, Aend)] columns, building it if the
+    current table value has none yet.  [None] when [name] is not
+    registered as a period table (or stores malformed endpoints).  Raises
+    [Schema.Unknown] like {!Database.find} when the table does not
+    exist. *)

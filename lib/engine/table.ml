@@ -5,45 +5,72 @@
 
 open Tkr_relation
 
-type memo = ..
-
 type t = {
   schema : Schema.t;
   rows : Tuple.t array;
-  memo : memo option Atomic.t;
-      (* engine-owned cache slot for a derived representation of this
-         table value (e.g. the columnar image).  Tables are immutable —
-         every [Database] mutation installs a fresh [t] — so the slot
-         never needs invalidation.  Racing writers may both compute the
-         derivation; last write wins, which is benign for pure
-         derivations. *)
-  memo2 : memo option Atomic.t;
-      (* second, independently-owned slot (e.g. the temporal interval
-         index) so two cache clients don't evict each other. *)
+  columnar : Batch.t option Atomic.t;
+  index : Tkr_idx.Interval.t option option Atomic.t;
+      (* the two derived images, filled on first use.  A table value is
+         immutable (DML installs a successor), so a filled slot never goes
+         stale.  Racing readers may both derive an image; both compute the
+         same one and the last write wins. *)
+  indexed_before : bool;
+      (* some predecessor of this value, reached through {!with_rows},
+         had its index built: building this value's index is a rebuild *)
 }
 
-let make schema rows : t =
+let of_array schema rows : t =
   {
     schema;
-    rows = Array.of_list rows;
-    memo = Atomic.make None;
-    memo2 = Atomic.make None;
+    rows;
+    columnar = Atomic.make None;
+    index = Atomic.make None;
+    indexed_before = false;
   }
 
-let of_array schema rows : t =
-  { schema; rows; memo = Atomic.make None; memo2 = Atomic.make None }
+let make schema rows = of_array schema (Array.of_list rows)
+let empty schema = of_array schema [||]
 
-let empty schema : t =
-  { schema; rows = [||]; memo = Atomic.make None; memo2 = Atomic.make None }
+let with_rows (t : t) rows : t =
+  {
+    (of_array t.schema rows) with
+    indexed_before = t.indexed_before || Option.is_some (Atomic.get t.index);
+  }
 
-let memo t = Atomic.get t.memo
-let set_memo t m = Atomic.set t.memo (Some m)
-let memo2 t = Atomic.get t.memo2
-let set_memo2 t m = Atomic.set t.memo2 (Some m)
 let schema t = t.schema
 let rows t = t.rows
 let cardinality t = Array.length t.rows
 let to_list t = Array.to_list t.rows
+
+let columnar (t : t) : Batch.t =
+  match Atomic.get t.columnar with
+  | Some b -> b
+  | None ->
+      let b = Batch.of_rows t.schema t.rows in
+      Atomic.set t.columnar (Some b);
+      b
+
+let of_batch (b : Batch.t) : t = of_array (Batch.schema b) (Batch.to_rows b)
+
+(* the index reads the trailing two columns of the columnar image; it
+   exists only when both are null-free int columns *)
+let index (t : t) : Tkr_idx.Interval.t option =
+  match Atomic.get t.index with
+  | Some idx -> idx
+  | None ->
+      let cols = (columnar t).Batch.cols in
+      let k = Array.length cols in
+      let idx =
+        if k < 2 then None
+        else
+          match (cols.(k - 2), cols.(k - 1)) with
+          | { data = Ints b; nulls = None }, { data = Ints e; nulls = None } ->
+              Some (Tkr_idx.Interval.build b e)
+          | _ -> None
+      in
+      Atomic.set t.index (Some idx);
+      Tkr_idx.Stats.record_build ~rebuild:t.indexed_before;
+      idx
 
 (** Multiset view as an N-relation (tuple -> multiplicity). *)
 let to_nrel (t : t) : Tkr_semiring.Nat.t Krel.t =

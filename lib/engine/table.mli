@@ -5,9 +5,11 @@
 open Tkr_relation
 
 type t
-
-type memo = ..
-(** Extensible derived-representation cache (see {!memo} below). *)
+(** An immutable table value.  It owns its two derived images, the
+    columnar image ({!columnar}) and the interval index ({!index}): each
+    is built on first use and kept for the value's lifetime.  A mutation
+    never changes a value; the database installs a successor
+    ({!with_rows}) whose images start empty. *)
 
 val make : Schema.t -> Tuple.t list -> t
 val of_array : Schema.t -> Tuple.t array -> t
@@ -29,22 +31,27 @@ val equal_bag : t -> t -> bool
 val sorted_rows : t -> Tuple.t array
 (** A sorted copy, for deterministic output. *)
 
-val memo : t -> memo option
-(** The table's cached derived representation, if one was attached.  A
-    table value is immutable (mutations install a fresh [t] in the
-    database), so an attached memo stays valid for the value's lifetime. *)
+val with_rows : t -> Tuple.t array -> t
+(** [with_rows t rows]: the successor of [t] after DML — same schema,
+    the given rows, empty image slots.  Building the successor's index
+    counts as a rebuild ({!Tkr_idx.Stats}) when [t] or any value it
+    succeeded had its index built.  A value made any other way (a fresh
+    CREATE or load, including DROP then CREATE) starts without that
+    history. *)
 
-val set_memo : t -> memo -> unit
-(** Attach a derived representation.  One slot per table: a later
-    {!set_memo} replaces the previous memo.  Safe under concurrent
-    writers for pure derivations (last write wins). *)
+val columnar : t -> Batch.t
+(** The columnar image, built on first use.  Concurrent first uses may
+    both build it; they build the same image and the last write wins. *)
 
-val memo2 : t -> memo option
-(** A second cache slot with the same contract as {!memo}, owned
-    independently (the vectorized engine holds the columnar image in the
-    first slot; the temporal index cache uses this one). *)
+val of_batch : Batch.t -> t
+(** The logical rows of a batch as a fresh table. *)
 
-val set_memo2 : t -> memo -> unit
+val index : t -> Tkr_idx.Interval.t option
+(** The interval index over the trailing two columns of the columnar
+    image ([Abegin], [Aend] of a period table), built on first use; each
+    build is counted in {!Tkr_idx.Stats}.  [None] (also kept) unless both
+    columns are null-free [int] columns.  Callers check that the table is
+    a period table ({!Idx_cache.get}). *)
 
 val pp : Format.formatter -> t -> unit
 (** Sorted, for deterministic test failure output. *)

@@ -18,9 +18,7 @@
 
     Candidates are returned in {e ascending physical row order} — the
     scan emission order — so re-applying the full predicate to the
-    candidates reproduces the scan byte-for-byte.  A {!Delta.t} built
-    from the same endpoints ({!count_at}) answers cardinality questions
-    without reporting rows. *)
+    candidates reproduces the scan byte-for-byte. *)
 
 type bound = {
   v : int;
@@ -37,21 +35,18 @@ type t = {
          [leaves] leaves, [seg.(leaves + k)] = [ends_.(k)], padded with
          [min_int] *)
   leaves : int;  (* power of two >= number of indexed rows *)
-  delta : Delta.t;
 }
 
 let size (t : t) = Array.length t.rows
 
-let build (periods : (int * int) array) : t =
-  let m = Array.length periods in
-  let rows = Array.init m Fun.id in
-  Array.sort
-    (fun i j ->
-      let c = Int.compare (fst periods.(i)) (fst periods.(j)) in
-      if c <> 0 then c else Int.compare i j)
-    rows;
-  let begins = Array.map (fun i -> fst periods.(i)) rows in
-  let ends_ = Array.map (fun i -> snd periods.(i)) rows in
+(** The index over the periods [\[b.(i), e.(i))] of physical rows [i];
+    [b] and [e] have equal length. *)
+let build (b : int array) (e : int array) : t =
+  let m = Array.length b in
+  (* a stable sort by begin: ties stay in physical row order *)
+  let rows = Isort.perm b in
+  let begins = Array.map (fun i -> b.(i)) rows in
+  let ends_ = Array.map (fun i -> e.(i)) rows in
   let leaves =
     let l = ref 1 in
     while !l < m do
@@ -64,7 +59,25 @@ let build (periods : (int * int) array) : t =
   for node = leaves - 1 downto 1 do
     seg.(node) <- max seg.(2 * node) seg.((2 * node) + 1)
   done;
-  { rows; begins; ends_; seg; leaves; delta = Delta.build periods }
+  { rows; begins; ends_; seg; leaves }
+
+(** Number of elements of the sorted array [a] that are [<= x]. *)
+let upper_bound (a : int array) (x : int) : int =
+  let lo = ref 0 and hi = ref (Array.length a) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if a.(mid) <= x then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(** Number of elements of the sorted array [a] that are [< x]. *)
+let lower_bound (a : int array) (x : int) : int =
+  let lo = ref 0 and hi = ref (Array.length a) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if a.(mid) < x then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
 (** Candidate rows with begin within [b_hi] (from above) and end within
     [e_lo] (from below), ascending by physical row id. *)
@@ -72,8 +85,8 @@ let probe (t : t) ~(b_hi : bound) ~(e_lo : bound) : int array =
   let m = Array.length t.rows in
   (* prefix of the sweep order whose begins satisfy the upper bound *)
   let ub =
-    if b_hi.incl then Delta.upper_bound t.begins b_hi.v
-    else Delta.lower_bound t.begins b_hi.v
+    if b_hi.incl then upper_bound t.begins b_hi.v
+    else lower_bound t.begins b_hi.v
   in
   (* report ends as [>= min_end]; an exclusive max_int bound matches
      nothing (there is no end beyond max_int) *)
@@ -107,8 +120,3 @@ let probe (t : t) ~(b_hi : bound) ~(e_lo : bound) : int array =
 (** Rows alive at [t] ([b <= t < e]), ascending by physical row id. *)
 let stab (t : t) (at : int) : int array =
   probe t ~b_hi:{ v = at; incl = true } ~e_lo:{ v = at; incl = false }
-
-(** O(log n) cardinality of {!stab}, by delta summation. *)
-let count_at (t : t) (at : int) : int = Delta.count_at t.delta at
-
-let delta (t : t) : Delta.t = t.delta

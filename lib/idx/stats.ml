@@ -1,4 +1,4 @@
-(** Process-wide index telemetry: builds, epoch-check rebuilds, probes
+(** Process-wide index telemetry: builds, rebuilds after DML, probes
     and reported candidates, as lock-free atomics.  The serve scrape path
     exports them as [tkr_idx_*] gauges; [tkr_cli top] and [STATS] render
     the same numbers. *)
@@ -10,8 +10,8 @@ let candidates = Atomic.make 0
 
 let add cell n = ignore (Atomic.fetch_and_add cell n)
 
-(** One index construction; [rebuild] marks a build that replaced a stale
-    entry (the table's version counter moved past the entry's stamp). *)
+(** One index construction; [rebuild] marks a build for a table value
+    installed by DML over an earlier value whose index had been built. *)
 let record_build ~rebuild =
   add built 1;
   if rebuild then add rebuilds 1

@@ -104,24 +104,22 @@ let phase_stats_json (s : phase_stats) : Json.t =
 
 type t = {
   db : Database.t;
-  mutable options : Rewriter.options;
-  mutable optimize : bool;  (** run the cost-based join-order optimizer *)
-  mutable engine : engine;
+  options : Rewriter.options;
+  optimize : bool;  (** run the cost-based join-order optimizer *)
+  engine : engine;
       (** columnar batch-at-a-time ({!Vec}, the default) or
           row-at-a-time ({!Row}, the oracle) execution; the vectorized
           engine reproduces the row engine's output byte-for-byte *)
-  mutable strict : bool;
+  strict : bool;
       (** --Werror: the check phase rejects on warnings too *)
-  mutable prune : bool;
+  prune : bool;
       (** apply {!Tkr_check.Absint}-driven plan pruning (drop provably
           empty subplans and provably idempotent Distinct/Coalesce);
           byte-identity-preserving, on by default *)
-  mutable index : bool;
-      (** answer index-answerable period-table selections and joins
-          through the temporal interval index ({!Tkr_idx}); output is
-          byte-identical to the scan path, on by default *)
-  insert_order : (string, int list) Hashtbl.t;
-      (** CREATE TABLE column order -> stored order (period cols last) *)
+  index : bool;
+      (** on the vec engine, answer index-answerable period-table
+          selections through the temporal interval index ({!Tkr_idx});
+          output is byte-identical to the scan path, on by default *)
   totals : phase_stats;
       (** phase timings accumulated over every statement this middleware
           prepared or ran *)
@@ -134,11 +132,10 @@ type t = {
       (** guards the cumulative stats ([totals], per-prepared
           [phase_stats]) against concurrent callers *)
   rw : Rwlock.t;
-      (** catalog/settings lock: queries hold the (reentrant) read side,
-          DDL/DML and settings changes the exclusive write side — many
-          queries execute concurrently, mutations are serialized against
-          everything *)
-  settings_epoch : int Atomic.t;
+      (** catalog lock: queries hold the (reentrant) read side, DDL/DML
+          the exclusive write side — many queries execute concurrently,
+          mutations are serialized against everything *)
+  write_epoch : int Atomic.t;
       (** bumped by every {!write_locked} section; together with
           {!Database.generation} it forms {!epoch}, the staleness signal
           for prepared statements cached outside the middleware *)
@@ -163,12 +160,11 @@ let create ?(options = Rewriter.optimized) ?(optimize = true)
     strict;
     prune;
     index;
-    insert_order = Hashtbl.create 8;
     totals = fresh_stats ();
     metrics = Metrics.create ();
     lock = Mutex.create ();
     rw = Rwlock.create ();
-    settings_epoch = Atomic.make 0;
+    write_epoch = Atomic.make 0;
     epoch_hook = None;
   }
 
@@ -177,7 +173,7 @@ let read_locked m f = Rwlock.with_read m.rw f
 (* both summands are monotone non-decreasing, so the sum changes whenever
    either does; reading it under [read_locked] excludes writers, making
    (epoch read, prepare, execute) atomic with respect to mutations *)
-let epoch m = Atomic.get m.settings_epoch + Database.generation m.db
+let epoch m = Atomic.get m.write_epoch + Database.generation m.db
 
 let set_epoch_hook m hook = m.epoch_hook <- hook
 
@@ -185,7 +181,7 @@ let write_locked m f =
   Rwlock.with_write m.rw (fun () ->
       (* bump first: even if [f] raises mid-mutation, cached plans are
          (conservatively) treated as stale *)
-      Atomic.incr m.settings_epoch;
+      Atomic.incr m.write_epoch;
       let r = f () in
       (match m.epoch_hook with Some h -> h (epoch m) | None -> ());
       r)
@@ -194,20 +190,14 @@ let totals m = m.totals
 let totals_report m = locked m.lock (fun () -> Format.asprintf "%a" pp_phase_stats m.totals)
 let metrics m = m.metrics
 
-let set_optimize m b = write_locked m (fun () -> m.optimize <- b)
-let set_prune m b = write_locked m (fun () -> m.prune <- b)
 let prune m = m.prune
-let set_index m b = write_locked m (fun () -> m.index <- b)
 let index_enabled m = m.index
-let set_engine m e = write_locked m (fun () -> m.engine <- e)
 let engine m = m.engine
-let set_strict m b = write_locked m (fun () -> m.strict <- b)
 let strict m = m.strict
 
 let parallelism _ = 1
 
 let database m = m.db
-let set_options m options = write_locked m (fun () -> m.options <- options)
 let options m = m.options
 
 (* ---- catalogs ---- *)
@@ -769,6 +759,48 @@ let rec execute_query_statement m (stmt : Ast.statement) : result =
       | _ -> err "TKR021" "EXPLAIN expects a query")
   | _ -> err "TKR021" "not a query"
 
+(* The rows of an UPDATE or DELETE over [rows], and how many matched:
+   [change] maps a matching row to its new value ([None]: deleted).
+   Under FOR PORTION OF [a, b) (SQL:2011) a matching row changes only on
+   the overlap of its period (the trailing two columns) with [a, b);
+   the parts before and after keep the old values, and a row whose
+   period misses the portion is neither changed nor counted. *)
+let dml_rows ~matches ~portion ~(change : Tuple.t -> Tuple.t option)
+    (rows : Tuple.t array) : Tuple.t array * int =
+  let count = ref 0 in
+  let with_period r b e =
+    let n = Tuple.arity r in
+    let out = Array.copy (r : Tuple.t :> Value.t array) in
+    out.(n - 2) <- Value.Int b;
+    out.(n - 1) <- Value.Int e;
+    Tuple.of_array out
+  in
+  let out =
+    Array.to_seq rows
+    |> Seq.concat_map (fun row ->
+           if not (matches row) then Seq.return row
+           else
+             match portion with
+             | None ->
+                 incr count;
+                 Option.to_seq (change row)
+             | Some (a, b) ->
+                 let rb, re = Tkr_engine.Ops.period_of_row row in
+                 let ob = max rb a and oe = min re b in
+                 if ob >= oe then Seq.return row
+                 else begin
+                   incr count;
+                   List.to_seq
+                     ((if rb < ob then [ with_period row rb ob ] else [])
+                     @ (match change row with
+                       | Some r -> [ with_period r ob oe ]
+                       | None -> [])
+                     @ if oe < re then [ with_period row oe re ] else [])
+                 end)
+    |> Array.of_seq
+  in
+  (out, !count)
+
 (* DDL/DML: the caller holds the exclusive write side of the catalog
    lock — no query executes while the catalog or a table mutates *)
 let execute_update_statement m (stmt : Ast.statement) : result =
@@ -781,7 +813,6 @@ let execute_update_statement m (stmt : Ast.statement) : result =
       match period with
       | None ->
           Database.add_table m.db tbl_name empty;
-          Hashtbl.remove m.insert_order tbl_name;
           Done (Printf.sprintf "created table %s" tbl_name)
       | Some (b, e) ->
           let find c =
@@ -798,31 +829,16 @@ let execute_update_statement m (stmt : Ast.statement) : result =
             [ bi; ei ];
           Database.add_period_table m.db tbl_name ~begin_col:bi ~end_col:ei
             empty;
-          (* remember declared -> stored order for INSERT *)
-          let n = List.length cols in
-          let data =
-            List.filter (fun i -> i <> bi && i <> ei) (List.init n Fun.id)
-          in
-          Hashtbl.replace m.insert_order (String.lowercase_ascii tbl_name)
-            (data @ [ bi; ei ]);
           Done (Printf.sprintf "created period table %s" tbl_name))
   | Ast.Insert { ins_name; rows } ->
-      let schema = Database.schema_of m.db ins_name in
-      let order =
-        match
-          Hashtbl.find_opt m.insert_order (String.lowercase_ascii ins_name)
-        with
-        | Some o -> o
-        | None -> List.init (Schema.arity schema) Fun.id
-      in
+      let arity = Schema.arity (Database.schema_of m.db ins_name) in
       let tuples =
         List.map
           (fun row ->
-            if List.length row <> Schema.arity schema then
+            if List.length row <> arity then
               err "TKR022" "INSERT arity mismatch for %s" ins_name;
-            let vals = Array.of_list (List.map const_value row) in
-            Tuple.of_array
-              (Array.of_list (List.map (fun i -> vals.(i)) order)))
+            Database.stored_row m.db ins_name
+              (Array.of_list (List.map const_value row)))
           rows
       in
       Database.append_rows m.db ins_name tuples;
@@ -864,41 +880,15 @@ let execute_update_statement m (stmt : Ast.statement) : result =
         List.iter (fun (i, e) -> out.(i) <- Expr.eval row e) sets;
         Tuple.of_array out
       in
-      let updated = ref 0 in
-      let rows =
-        Array.to_seq (Table.rows (Database.find m.db upd_name))
-        |> Seq.concat_map (fun row ->
-               if not (matches row) then Seq.return row
-               else
-                 match portion with
-                 | None ->
-                     incr updated;
-                     Seq.return (apply_sets row)
-                 | Some (a, b) -> (
-                     let rb, re = Tkr_engine.Ops.period_of_row row in
-                     let ob = max rb a and oe = min re b in
-                     if ob >= oe then Seq.return row
-                     else (
-                       incr updated;
-                       let with_period r b e =
-                         let out = Array.copy (r : Tuple.t :> Value.t array) in
-                         out.(n - 2) <- Value.Int b;
-                         out.(n - 1) <- Value.Int e;
-                         Tuple.of_array out
-                       in
-                       let frags =
-                         (if rb < ob then [ with_period row rb ob ] else [])
-                         @ [ with_period (apply_sets row) ob oe ]
-                         @ if oe < re then [ with_period row oe re ] else []
-                       in
-                       List.to_seq frags)))
-        |> Array.of_seq
+      let rows, updated =
+        dml_rows ~matches ~portion
+          ~change:(fun row -> Some (apply_sets row))
+          (Table.rows (Database.find m.db upd_name))
       in
       Database.set_rows m.db upd_name rows;
-      Done (Printf.sprintf "updated %d rows in %s" !updated upd_name)
+      Done (Printf.sprintf "updated %d rows in %s" updated upd_name)
   | Ast.Delete { del_name; del_portion; del_where } ->
       let schema = Database.schema_of m.db del_name in
-      let n = Schema.arity schema in
       let is_period = Database.is_period m.db del_name in
       if del_portion <> None && not is_period then
         err "TKR025" "FOR PORTION OF requires a period table";
@@ -910,37 +900,13 @@ let execute_update_statement m (stmt : Ast.statement) : result =
       let matches row =
         match pred with None -> true | Some p -> Expr.holds row p
       in
-      let deleted = ref 0 in
-      let rows =
-        Array.to_seq (Table.rows (Database.find m.db del_name))
-        |> Seq.concat_map (fun row ->
-               if not (matches row) then Seq.return row
-               else
-                 match del_portion with
-                 | None ->
-                     incr deleted;
-                     Seq.empty
-                 | Some (a, b) -> (
-                     let rb, re = Tkr_engine.Ops.period_of_row row in
-                     let ob = max rb a and oe = min re b in
-                     if ob >= oe then Seq.return row
-                     else (
-                       incr deleted;
-                       let with_period r b e =
-                         let out = Array.copy (r : Tuple.t :> Value.t array) in
-                         out.(n - 2) <- Value.Int b;
-                         out.(n - 1) <- Value.Int e;
-                         Tuple.of_array out
-                       in
-                       let frags =
-                         (if rb < ob then [ with_period row rb ob ] else [])
-                         @ if oe < re then [ with_period row oe re ] else []
-                       in
-                       List.to_seq frags)))
-        |> Array.of_seq
+      let rows, deleted =
+        dml_rows ~matches ~portion:del_portion
+          ~change:(fun _ -> None)
+          (Table.rows (Database.find m.db del_name))
       in
       Database.set_rows m.db del_name rows;
-      Done (Printf.sprintf "deleted %d rows from %s" !deleted del_name)
+      Done (Printf.sprintf "deleted %d rows from %s" deleted del_name)
   | Ast.Query _ | Ast.Explain _ | Ast.Check _ ->
       err "TKR021" "not a DDL/DML statement"
 

@@ -17,8 +17,7 @@
 
     A middleware is safe for concurrent callers (threads or domains):
     queries prepare and execute under the shared read side of an internal
-    readers-writer lock, DDL/DML and settings changes take the exclusive
-    write side, cumulative stats are mutex-guarded and the metrics
+    readers-writer lock, DDL/DML take the exclusive write side, cumulative stats are mutex-guarded and the metrics
     registry is itself thread-safe.  Execution is serial within a
     statement; statements run concurrently. *)
 
@@ -58,42 +57,20 @@ val create :
     options: {!Rewriter.optimized}.  [prune] (default true) applies the
     {!Tkr_check.Absint} analysis-driven plan pruning (provably-empty
     subplans, provably-idempotent Distinct/Coalesce) — byte-identity
-    preserving, so results are unchanged.  [engine] defaults to {!Vec}.
+    preserving, so results are unchanged.  [index] (default true) lets
+    the vec engine answer index-answerable selections over stored period
+    tables through {!Tkr_idx} instead of scanning (the row oracle always
+    scans); also byte-identity preserving, visible only as
+    [access: ...=index|scan] in EXPLAIN.  [engine] defaults to {!Vec}.
     [strict] (--Werror, default false) makes the check phase reject
-    statements on warnings too. *)
+    statements on warnings too.  Settings are fixed for the middleware's
+    lifetime; a different setting is a second middleware, possibly over
+    the same database. *)
 
 val database : t -> Database.t
-val set_options : t -> Rewriter.options -> unit
-val set_optimize : t -> bool -> unit
-
-val set_prune : t -> bool -> unit
-(** Toggle {!Tkr_check.Absint}-driven plan pruning (default on).
-    Pruning is byte-identity preserving: toggling never changes any
-    query's rows or their order, only the plan shape. *)
-
 val prune : t -> bool
-
-val set_index : t -> bool -> unit
-(** Toggle temporal interval index usage (default on): on the vec
-    engine, index-answerable selections over stored period tables answer
-    through {!Tkr_idx} instead of scanning (the row oracle always scans).
-    Byte-identity preserving —
-    toggling never changes any query's rows or their order, only the
-    access path (visible as [access: ...=index|scan] in EXPLAIN).
-    Affects statements prepared afterwards; already-prepared statements
-    keep the flag they captured. *)
-
 val index_enabled : t -> bool
-
-val set_engine : t -> engine -> unit
-(** Switch between row and vectorized execution (affects statements
-    prepared afterwards; already-prepared statements keep the engine they
-    captured). *)
-
 val engine : t -> engine
-val set_strict : t -> bool -> unit
-(** --Werror: reject statements whose check phase reports warnings. *)
-
 val strict : t -> bool
 val options : t -> Rewriter.options
 
@@ -114,8 +91,8 @@ val write_locked : t -> (unit -> 'a) -> 'a
     [write_locked] section bumps {!epoch}. *)
 
 val epoch : t -> int
-(** Catalog/settings generation: changes whenever a {!write_locked}
-    section ran (DDL, DML, settings) or the underlying
+(** Catalog generation: changes whenever a {!write_locked}
+    section ran (DDL, DML) or the underlying
     {!Tkr_engine.Database.t} was mutated directly.  A {!prepared}
     statement bakes the catalog state of prepare time (time bounds,
     schema arities, rewrite options), so a plan cached outside the
@@ -125,7 +102,7 @@ val epoch : t -> int
 
 val set_epoch_hook : t -> (int -> unit) option -> unit
 (** Observer notified with the new {!epoch} after every completed
-    {!write_locked} section (DDL, DML, settings), while the write lock is
+    {!write_locked} section (DDL, DML), while the write lock is
     still held — keep it cheap and non-reentrant.  [None] removes it.
     The query server installs its epoch-bump telemetry here. *)
 

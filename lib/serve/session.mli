@@ -6,7 +6,7 @@
     → rewrite → optimize pipeline after the first round.  Entries are
     validated against {!Middleware.epoch}: a plan bakes catalog state of
     prepare time (snapshot time bounds, schema arities), so after any
-    DDL/DML or settings change the entry is stale and is transparently
+    DDL/DML the entry is stale and is transparently
     re-prepared on next use.  The manager enforces the server's
     [max_sessions] admission limit.
 
@@ -34,7 +34,7 @@ val active : manager -> int
 val prepared : session -> Middleware.t -> string -> Middleware.prepared
 (** The session's prepared statement for [stmt], preparing (and caching)
     it on first sight and re-preparing when the cached entry's
-    {!Middleware.epoch} is stale (the catalog or settings changed since).
+    {!Middleware.epoch} is stale (the catalog changed since).
     Call under {!Middleware.read_locked} when executing the returned plan,
     so no mutation can intervene between validation and execution.
     Raises whatever {!Middleware.prepare} raises; failures are not

@@ -18,6 +18,7 @@
 
 open Tkr_relation
 module Scratch = Tkr_idx.Scratch
+module Batch = Tkr_engine.Batch
 
 let null_hash = 0x4e55
 let mix h x = (h * 0x01000193) lxor (x land max_int)

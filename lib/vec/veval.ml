@@ -13,6 +13,7 @@
 
 open Tkr_relation
 module Scratch = Tkr_idx.Scratch
+module Batch = Tkr_engine.Batch
 
 let cmp_result (op : Expr.cmp) (c : int) : bool =
   match op with

@@ -16,6 +16,7 @@
     order for the split_agg combine. *)
 
 open Tkr_relation
+module Batch = Tkr_engine.Batch
 module Table = Tkr_engine.Table
 module Database = Tkr_engine.Database
 module Exec = Tkr_engine.Exec
@@ -63,7 +64,7 @@ let index_select (db : Database.t) sp pred (n : string) : Batch.t option =
       match Idx_cache.get db n with
       | None -> None
       | Some idx ->
-          let b = Batch.of_table t in
+          let b = Table.columnar t in
           let cand = Tkr_idx.Interval.probe idx ~b_hi ~e_lo in
           Tkr_idx.Stats.record_probes ~probes:1
             ~candidates:(Array.length cand);
@@ -1148,7 +1149,7 @@ let rec eval_batch ?need (ctx : ctx) (q : Algebra.t) : Batch.t =
   let result =
     match q with
     | Algebra.Rel n ->
-        let b = Batch.of_table (Database.find ctx.db n) in
+        let b = Table.columnar (Database.find ctx.db n) in
         rows_in sp [ b ];
         b
     | ConstRel (schema, tuples) ->
@@ -1246,4 +1247,4 @@ let rec eval_batch ?need (ctx : ctx) (q : Algebra.t) : Batch.t =
     interval index; output is byte-identical either way. *)
 let eval ?(obs = Trace.disabled) ?(use_index = false) (db : Database.t)
     (q : Algebra.t) : Table.t =
-  Batch.to_table (eval_batch { obs; db; use_index } q)
+  Table.of_batch (eval_batch { obs; db; use_index } q)

@@ -1,7 +1,7 @@
-(* Tkr_idx: delta-summation prefix sums at interval boundaries, interval
-   index probe units, and qcheck differential properties asserting the
-   vectorized engine's index access path is byte-identical to the row
-   oracle's scan, over NULL-heavy and empty inputs. *)
+(* Tkr_idx: interval index probe units, build/rebuild accounting, and
+   qcheck differential properties asserting the vectorized engine's index
+   access path is byte-identical to the row oracle's scan, over
+   NULL-heavy and empty inputs. *)
 
 module Value = Tkr_relation.Value
 module Schema = Tkr_relation.Schema
@@ -13,7 +13,6 @@ module Database = Tkr_engine.Database
 module Exec = Tkr_engine.Exec
 module Idx_cache = Tkr_engine.Idx_cache
 module Vexec = Tkr_vec.Vexec
-module Delta = Tkr_idx.Delta
 module Interval = Tkr_idx.Interval
 module Probe = Tkr_idx.Probe
 module M = Tkr_middleware.Middleware
@@ -33,43 +32,6 @@ let byte_identical a b =
   && Array.for_all2 Tuple.equal ra rb
   && String.equal (Table.to_text a) (Table.to_text b)
 
-(* ---- delta summation at interval boundaries ---- *)
-
-let test_delta_boundaries () =
-  (* adjacent periods [0,5) and [5,10): half-open, no double count at
-     the seam *)
-  let d = Delta.build [| (0, 5); (5, 10) |] in
-  check_int "alive at 0 (closed begin)" 1 (Delta.count_at d 0);
-  check_int "alive at 4" 1 (Delta.count_at d 4);
-  check_int "seam at 5: first ended exactly as second starts" 1
-    (Delta.count_at d 5);
-  check_int "alive at 9" 1 (Delta.count_at d 9);
-  check_int "dead at 10 (open end)" 0 (Delta.count_at d 10);
-  check_int "before all begins" 0 (Delta.count_at d (-1));
-  check_int "overlap [4,6) sees both" 2 (Delta.count_overlapping d ~lo:4 ~hi:6);
-  check_int "empty window [5,5)" 0 (Delta.count_overlapping d ~lo:5 ~hi:5);
-  check_int "inverted window" 0 (Delta.count_overlapping d ~lo:9 ~hi:2);
-  (* zero-length period [3,3): the +1 and -1 deltas cancel everywhere *)
-  let z = Delta.build [| (3, 3) |] in
-  check_int "zero-length period alive nowhere" 0 (Delta.count_at z 3);
-  (* count_overlapping is the endpoint estimate [b < hi && e > lo]: a
-     zero-length period inside the window is a candidate (the full
-     predicate later rejects it), one outside the endpoint bounds not *)
-  check_int "zero-length inside window is a candidate" 1
-    (Delta.count_overlapping z ~lo:0 ~hi:10);
-  check_int "zero-length right of window" 0
-    (Delta.count_overlapping z ~lo:0 ~hi:3);
-  check_int "zero-length left of window" 0
-    (Delta.count_overlapping z ~lo:3 ~hi:10);
-  (* open-ended period [2, max_int): alive arbitrarily far out *)
-  let o = Delta.build [| (2, max_int) |] in
-  check_int "open-ended alive at max_int - 1" 1 (Delta.count_at o (max_int - 1));
-  check_int "open-ended not alive before its begin" 0 (Delta.count_at o 1);
-  (* empty structure *)
-  let e = Delta.build [||] in
-  check_int "empty delta counts zero" 0 (Delta.count_at e 0);
-  check_int "empty delta overlaps zero" 0 (Delta.count_overlapping e ~lo:0 ~hi:9)
-
 (* ---- interval index probes vs brute force ---- *)
 
 let brute_stab periods at =
@@ -77,18 +39,17 @@ let brute_stab periods at =
   Array.iteri (fun i (b, e) -> if b <= at && at < e then out := i :: !out) periods;
   Array.of_list (List.rev !out)
 
+let build periods =
+  Interval.build (Array.map fst periods) (Array.map snd periods)
+
 let test_interval_probe () =
   let periods = [| (3, 10); (8, 16); (8, 16); (18, 20); (5, 5); (0, max_int) |] in
-  let idx = Interval.build periods in
+  let idx = build periods in
   List.iter
     (fun at ->
       Alcotest.(check (array int))
         (Printf.sprintf "stab %d = brute force, in physical order" at)
-        (brute_stab periods at) (Interval.stab idx at);
-      check_int
-        (Printf.sprintf "delta count_at %d = reported candidates" at)
-        (Array.length (brute_stab periods at))
-        (Interval.count_at idx at))
+        (brute_stab periods at) (Interval.stab idx at))
     [ -1; 0; 3; 5; 8; 9; 10; 15; 16; 18; 19; 20; 1000 ];
   (* an exclusive lower bound at max_int matches nothing (no end lies
      beyond max_int); guards the min_end overflow *)
@@ -103,7 +64,7 @@ let test_interval_probe () =
     (Interval.probe idx
        ~b_hi:{ Interval.v = max_int; incl = true }
        ~e_lo:{ Interval.v = max_int; incl = true });
-  let empty = Interval.build [||] in
+  let empty = build [||] in
   Alcotest.(check (array int)) "empty index stabs empty" [||]
     (Interval.stab empty 0);
   check_int "empty index size" 0 (Interval.size empty)
@@ -131,7 +92,7 @@ let prop_probe_vs_brute =
            (quad (int_range (-6) 31) bool (int_range (-6) 31) bool))
        (fun (ps, (bv, bi, ev, ei)) ->
          let periods = Array.of_list ps in
-         let idx = Interval.build periods in
+         let idx = build periods in
          let b_hi = { Interval.v = bv; incl = bi }
          and e_lo = { Interval.v = ev; incl = ei } in
          let brute =
@@ -208,8 +169,8 @@ let prop_select_differential =
 
 (* ---- middleware end to end: flag, DML invalidation, EXPLAIN ---- *)
 
-let seed_m () =
-  let m = M.create () in
+let seed_m ?index ?engine () =
+  let m = M.create ?index ?engine () in
   Database.set_time_bounds (M.database m) ~tmin:0 ~tmax:24;
   ignore
     (M.execute_script m
@@ -224,16 +185,12 @@ let seed_m () =
 (* the shipped (vec) engine with the index against the row oracle
    without it *)
 let test_middleware_flag () =
-  let m = seed_m () in
+  let m = seed_m () and oracle = seed_m ~index:false ~engine:M.Row () in
   List.iter
     (fun sql ->
-      M.set_index m true;
-      M.set_engine m M.Vec;
-      let on_ = Table.to_text (M.query m sql) in
-      M.set_index m false;
-      M.set_engine m M.Row;
-      let off = Table.to_text (M.query m sql) in
-      Alcotest.(check string) sql on_ off)
+      Alcotest.(check string) sql
+        (Table.to_text (M.query m sql))
+        (Table.to_text (M.query oracle sql)))
     [
       "SEQ VT AS OF 9 (SELECT name FROM works)";
       "SEQ VT AS OF 9 (SELECT name FROM works WHERE skill = 'SP')";
@@ -281,41 +238,37 @@ let check_access_agrees m sql =
     Alcotest.(check (list string)) ("access paths: " ^ sql) decided ran
 
 let test_explain_access () =
+  let stab = "SEQ VT AS OF 9 (SELECT name FROM works)" in
   let m = seed_m () in
-  let ex = M.explain m "SEQ VT AS OF 9 (SELECT name FROM works)" in
   check "EXPLAIN shows the index access path" true
-    (contains ex "access: works=index");
-  M.set_index m false;
-  let ex = M.explain m "SEQ VT AS OF 9 (SELECT name FROM works)" in
+    (contains (M.explain m stab) "access: works=index");
   check "EXPLAIN shows the scan path when disabled" true
-    (contains ex "access: works=scan");
-  M.set_index m true;
+    (contains (M.explain (seed_m ~index:false ()) stab) "access: works=scan");
   (* a data-column-only filter is not index-answerable *)
   let ex = M.explain m "SELECT name FROM works WHERE skill = 'SP'" in
   check "non-period predicate scans" true (contains ex "works=scan");
   (* the row oracle always scans, whatever the flag says *)
-  M.set_engine m M.Row;
-  let ex = M.explain m "SEQ VT AS OF 9 (SELECT name FROM works)" in
-  check "row engine scans" true (contains ex "access: works=scan");
+  check "row engine scans" true
+    (contains (M.explain (seed_m ~engine:M.Row ()) stab) "access: works=scan");
   (* the line agrees with the executed spans on both engines: the Fig. 1
      interval join, AS OF stabs, and the ten employee queries *)
-  ignore
-    (M.execute_script m
-       {|
-       CREATE TABLE assign (mach text, skill text, b int, e int) PERIOD (b, e);
-       INSERT INTO assign VALUES
-         ('M1', 'SP', 3, 12), ('M2', 'SP', 6, 14), ('M3', 'NS', 3, 16);
-     |});
   let edb =
     Tkr_workload.Employees.(generate { (scaled 40) with tmax = 2000 })
   in
   Database.add_period_table edb "history"
     (Tkr_workload.Employees.coalesce_input ~n:2_000 ~seed:31 ~tmax:2000);
-  let me = M.create ~db:edb () in
   List.iter
     (fun engine ->
-      M.set_engine m engine;
-      M.set_engine me engine;
+      let m = seed_m ~engine () in
+      ignore
+        (M.execute_script m
+           {|
+           CREATE TABLE assign (mach text, skill text, b int, e int)
+             PERIOD (b, e);
+           INSERT INTO assign VALUES
+             ('M1', 'SP', 3, 12), ('M2', 'SP', 6, 14), ('M3', 'NS', 3, 16);
+         |});
+      let me = M.create ~engine ~db:edb () in
       List.iter (check_access_agrees m)
         [
           "SEQ VT (SELECT w.name, a.mach FROM works w, assign a)";
@@ -342,11 +295,53 @@ let test_cache_reuse () =
       check_int "index covers the rows" 1 (Interval.size a)
   | _ -> Alcotest.fail "expected an index over a period table"
 
+(* Tkr_idx.Stats deltas: an index is built once per table value, and a
+   build after DML is a rebuild however many DMLs ran since the last
+   read; DROP then CREATE starts a fresh history *)
+let test_build_accounting () =
+  let m = seed_m () in
+  let db = M.database m in
+  let q = "SEQ VT AS OF 9 (SELECT name FROM works)" in
+  let counts () =
+    let s = Tkr_idx.Stats.snapshot () in
+    (s.Tkr_idx.Stats.s_built, s.Tkr_idx.Stats.s_rebuilds)
+  in
+  let expect what f (built, rebuilt) =
+    let b0, r0 = counts () in
+    let r = f () in
+    let b1, r1 = counts () in
+    check_int (what ^ ": builds") built (b1 - b0);
+    check_int (what ^ ": rebuilds") rebuilt (r1 - r0);
+    r
+  in
+  let first = expect "first get" (fun () -> Idx_cache.get db "works") (1, 0) in
+  let second = expect "second get" (fun () -> Idx_cache.get db "works") (0, 0) in
+  check "second get returns the same index" true
+    (match (first, second) with Some a, Some b -> a == b | _ -> false);
+  ignore (M.execute m "INSERT INTO works VALUES ('Eve', 'SP', 1, 23)");
+  expect "first read after INSERT" (fun () -> ignore (M.query m q)) (1, 1);
+  expect "two DMLs, then a read"
+    (fun () ->
+      ignore (M.execute m "INSERT INTO works VALUES ('Bob', 'NS', 2, 4)");
+      ignore (M.execute m "DELETE FROM works WHERE name = 'Joe'");
+      ignore (M.query m q))
+    (1, 1);
+  expect "DROP then CREATE"
+    (fun () ->
+      ignore
+        (M.execute_script m
+           {|
+           DROP TABLE works;
+           CREATE TABLE works (name text, skill text, b int, e int)
+             PERIOD (b, e);
+           INSERT INTO works VALUES ('Ann', 'SP', 3, 10);
+         |});
+      ignore (M.query m q))
+    (1, 0)
+
 let suite =
   ( "temporal indexes (Tkr_idx)",
     [
-      Alcotest.test_case "delta summation at boundaries" `Quick
-        test_delta_boundaries;
       Alcotest.test_case "interval probe vs brute force" `Quick
         test_interval_probe;
       prop_probe_vs_brute;
@@ -357,5 +352,7 @@ let suite =
         test_dml_invalidation;
       Alcotest.test_case "EXPLAIN access line" `Quick test_explain_access;
       Alcotest.test_case "index cache reuse" `Quick test_cache_reuse;
+      Alcotest.test_case "index build and rebuild accounting" `Quick
+        test_build_accounting;
       prop_sort_below;
     ] )

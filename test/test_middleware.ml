@@ -176,6 +176,19 @@ let test_insert_widens_domain () =
   let tmin, tmax = Tkr_engine.Database.time_bounds (M.database m) in
   Alcotest.(check (pair int int)) "bounds" (0, 30) (tmin, tmax)
 
+(* a rejected INSERT changes nothing: no rows, and no wider domain *)
+let test_rejected_insert_keeps_domain () =
+  let m = fresh () in
+  (try
+     ignore
+       (M.execute m
+          "INSERT INTO works VALUES ('Zoe', 'SP', -5, 50), ('Max', 'SP', NULL, 3)")
+   with Invalid_argument _ -> ());
+  let tmin, tmax = Tkr_engine.Database.time_bounds (M.database m) in
+  Alcotest.(check (pair int int)) "bounds" (0, 24) (tmin, tmax);
+  Alcotest.(check int) "rows" 4
+    (Table.cardinality (Tkr_engine.Database.find (M.database m) "works"))
+
 let test_drop_table () =
   let m = fresh () in
   ignore (M.execute m "DROP TABLE assign");
@@ -183,6 +196,36 @@ let test_drop_table () =
     ignore (M.query m "SELECT * FROM assign");
     Alcotest.fail "expected unknown table"
   with _ -> ()
+
+(* INSERT takes the declared column order of the catalog entry: every
+   middleware over one database stores a row the same way, and DROP
+   forgets the order with the table *)
+let test_insert_order_in_catalog () =
+  let stored m t =
+    Array.to_list
+      (Array.map Tuple.to_list
+         (Table.rows (Tkr_engine.Database.find (M.database m) t)))
+  in
+  let ints = List.map (fun i -> Value.Int i) in
+  let rows = Alcotest.(list (list (testable Value.pp Value.equal))) in
+  let m1 = M.create () in
+  ignore
+    (M.execute m1 "CREATE TABLE t (b int, e int, name int) PERIOD (b, e)");
+  let m2 = M.create ~db:(M.database m1) () in
+  ignore (M.execute m1 "INSERT INTO t VALUES (1, 5, 7)");
+  ignore (M.execute m2 "INSERT INTO t VALUES (1, 5, 7)");
+  Alcotest.check rows "both middlewares store name|b|e"
+    [ ints [ 7; 1; 5 ]; ints [ 7; 1; 5 ] ]
+    (stored m1 "t");
+  ignore (M.execute m1 "DROP TABLE t");
+  let schema =
+    Schema.make
+      (List.map (fun n -> Schema.attr n Value.TInt) [ "x"; "y"; "z" ])
+  in
+  Tkr_engine.Database.add_table (M.database m1) "t" (Table.empty schema);
+  ignore (M.execute m1 "INSERT INTO t VALUES (1, 2, 3)");
+  Alcotest.check rows "a plain table re-registered after DROP keeps x|y|z"
+    [ ints [ 1; 2; 3 ] ] (stored m1 "t")
 
 let suite =
   ( "middleware (SQL end-to-end)",
@@ -199,4 +242,8 @@ let suite =
       Alcotest.test_case "subquery inside SEQ VT" `Quick test_subquery_in_snapshot;
       Alcotest.test_case "insert widens time domain" `Quick test_insert_widens_domain;
       Alcotest.test_case "drop table" `Quick test_drop_table;
+      Alcotest.test_case "rejected INSERT keeps the time domain" `Quick
+        test_rejected_insert_keeps_domain;
+      Alcotest.test_case "INSERT column order lives in the catalog" `Quick
+        test_insert_order_in_catalog;
     ] )

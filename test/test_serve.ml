@@ -238,12 +238,9 @@ let test_middleware_epoch () =
   check "DML bumps the epoch" true (e2 > e1);
   ignore (M.query m "SELECT x FROM ee");
   check_int "queries leave the epoch unchanged" e2 (M.epoch m);
-  M.set_optimize m true;
-  check "settings changes bump the epoch" true (M.epoch m > e2);
-  let e3 = M.epoch m in
   let schema = Schema.make [ Schema.attr "x" Value.TInt ] in
   Database.add_table (M.database m) "direct" (Table.of_array schema [||]);
-  check "direct database mutation bumps the epoch" true (M.epoch m > e3)
+  check "direct database mutation bumps the epoch" true (M.epoch m > e2)
 
 (* ---- admission control ---- *)
 

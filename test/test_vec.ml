@@ -13,7 +13,7 @@ module Agg = Tkr_relation.Agg
 module Table = Tkr_engine.Table
 module Database = Tkr_engine.Database
 module Exec = Tkr_engine.Exec
-module Batch = Tkr_vec.Batch
+module Batch = Tkr_engine.Batch
 module Veval = Tkr_vec.Veval
 module Vexec = Tkr_vec.Vexec
 module M = Tkr_middleware.Middleware
@@ -59,46 +59,46 @@ let mixed_rows =
 
 let test_roundtrip () =
   let tbl = Table.of_array mixed_schema mixed_rows in
-  check "of_table/to_table roundtrips every value (incl. NULLs, NaN)" true
-    (byte_identical tbl (Batch.to_table (Batch.of_table tbl)));
+  check "columnar/of_batch roundtrips every value (incl. NULLs, NaN)" true
+    (byte_identical tbl (Table.of_batch (Table.columnar tbl)));
   (* a column that mixes types falls back to Boxed and still roundtrips *)
   let s = Schema.make [ Schema.attr "v" Value.TInt ] in
   let rows = [| Tuple.make [ Value.Int 1 ]; Tuple.make [ Value.Str "oops" ] |] in
   let tbl = Table.of_array s rows in
   check "type-mismatched column roundtrips via the boxed fallback" true
-    (byte_identical tbl (Batch.to_table (Batch.of_table tbl)));
-  (* the columnar image is memoized on the table value *)
+    (byte_identical tbl (Table.of_batch (Table.columnar tbl)));
+  (* the columnar image is kept on the table value *)
   let tbl = Table.of_array mixed_schema mixed_rows in
-  check "of_table memoizes on the table" true
-    (Batch.of_table tbl == Batch.of_table tbl)
+  check "columnar is built once per table value" true
+    (Table.columnar tbl == Table.columnar tbl)
 
 let test_selection_edges () =
   let tbl = Table.of_array mixed_schema mixed_rows in
-  let b = Batch.of_table tbl in
+  let b = Table.columnar tbl in
   let empty = Batch.with_sel b [||] in
   check "empty selection has length 0" true (Batch.length empty = 0);
   check "empty selection renders an empty table" true
-    (Table.cardinality (Batch.to_table empty) = 0);
+    (Table.cardinality (Table.of_batch empty) = 0);
   let full = Batch.with_sel b [| 0; 1; 2 |] in
   check "full selection reproduces the table" true
-    (byte_identical tbl (Batch.to_table full));
+    (byte_identical tbl (Table.of_batch full));
   let single = Batch.with_sel b [| 1 |] in
   check "single-row selection picks that physical row" true
-    (Tuple.equal (Table.rows (Batch.to_table single)).(0) mixed_rows.(1));
+    (Tuple.equal (Table.rows (Table.of_batch single)).(0) mixed_rows.(1));
   let reordered = Batch.with_sel b [| 2; 0 |] in
   check "selection order is logical order" true
-    (let rows = Table.rows (Batch.to_table reordered) in
+    (let rows = Table.rows (Table.of_batch reordered) in
      Tuple.equal rows.(0) mixed_rows.(2) && Tuple.equal rows.(1) mixed_rows.(0));
   check "compact preserves the logical rows" true
     (byte_identical
-       (Batch.to_table reordered)
-       (Batch.to_table (Batch.compact reordered)))
+       (Table.of_batch reordered)
+       (Table.of_batch (Batch.compact reordered)))
 
 let test_empty_batch () =
   let tbl = Table.of_array mixed_schema [||] in
-  let b = Batch.of_table tbl in
+  let b = Table.columnar tbl in
   check "empty table gives a zero-length batch" true (Batch.length b = 0);
-  check "empty batch roundtrips" true (byte_identical tbl (Batch.to_table b));
+  check "empty batch roundtrips" true (byte_identical tbl (Table.of_batch b));
   check "filter over an empty batch selects nothing" true
     (Veval.filter b (Expr.Cmp (Expr.Eq, Expr.Col 0, Expr.Const (Value.Int 1)))
     = [||])
@@ -328,14 +328,7 @@ let test_middleware_engines () =
     (fun sql ->
       check (Printf.sprintf "middleware row = vec: %s" sql) true
         (byte_identical (M.query mrow sql) (M.query mvec sql)))
-    e2e_queries;
-  (* switching the engine on a live middleware affects later statements *)
-  M.set_engine mrow M.Vec;
-  check "set_engine switches the live middleware" true
-    (M.engine mrow = M.Vec
-    && byte_identical
-         (M.query mrow (List.hd e2e_queries))
-         (M.query mvec (List.hd e2e_queries)))
+    e2e_queries
 
 (* ---- the shipped default at benchmark scale ---- *)
 
