@@ -29,3 +29,6 @@ run run -f no-such-file.sql
 
 echo "# usage error -> 124"
 run run
+
+echo "# a script's output precedes its error line; NULL period -> 4"
+run run -e "CREATE TABLE t (x int, b int, e int) PERIOD (b, e); INSERT INTO t VALUES (1, NULL, 3);"

@@ -474,8 +474,7 @@ let check_index () =
 
 (* The shipped vec engine never loses to the row oracle on the ten
    employee queries at the benchmark's scale (1000 employees). *)
-let check_vec () =
-  let db = W.generate { (W.scaled 1000) with W.tmax = 4000 } in
+let check_vec db =
   let mv = M.create ~db () and mr = M.create ~engine:M.Row ~db () in
   List.iter
     (fun (name, sql) ->
@@ -483,11 +482,36 @@ let check_vec () =
         ~slow:("row", runner mr sql))
     Q.employee
 
+(* Join order from statistics: agg-join's largest join stays within 2x
+   of its final join at the benchmark's scale.  Joining the per-department
+   maxima on dept_no alone first would build ~50x the final join.  Row
+   counts come from an executed trace, so the verdict is deterministic. *)
+let check_optimizer db =
+  let m = M.create ~db () in
+  let obs = Tkr_obs.Trace.create () in
+  ignore (M.run_prepared ~obs m (M.prepare m (Q.lookup "agg-join" Q.employee)));
+  let rows = ref [] in
+  List.iter
+    (Tkr_obs.Trace.iter (fun sp ->
+         match Tkr_obs.Trace.(name sp, find_attr sp "rows_out") with
+         | "join", Some (Tkr_obs.Trace.Int n) -> rows := n :: !rows
+         | _ -> ()))
+    (Tkr_obs.Trace.roots obs);
+  (* pre-order: the final join comes first *)
+  match List.rev !rows with
+  | final :: _ as all ->
+      let largest = List.fold_left max 0 all in
+      verdict (largest <= 2 * final)
+        "optimizer/agg-join: largest join %d rows <= 2x final join %d rows" largest final
+  | [] -> verdict false "optimizer/agg-join: no join executed"
+
 let check () =
   check_fig5 ();
   check_table3 ();
   check_index ();
-  check_vec ();
+  let db = W.generate { (W.scaled 1000) with W.tmax = 4000 } in
+  check_vec db;
+  check_optimizer db;
   if !failures > 0 then (
     printf "%d check(s) failed\n" !failures;
     exit 1)

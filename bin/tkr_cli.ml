@@ -59,6 +59,8 @@ let code_of_wire_error : Wire.error_code -> int = function
    4 runtime, 5 I/O / transport). *)
 let guarded f =
   let fail code msg =
+    (* a script's output so far precedes its error, in statement order *)
+    flush stdout;
     Printf.eprintf "tkr: %s\n%!" msg;
     code
   in

@@ -5,12 +5,27 @@
 
 open Tkr_relation
 
+type column_stats = {
+  count : int;
+  distinct : int;
+  nulls : int;
+  min : Value.t option;
+  max : Value.t option;
+}
+
+type stats = {
+  columns : column_stats option Atomic.t array;
+  mean_period : float option option Atomic.t;
+}
+(* per-entry slots inside the statistics slot, each filled on first use *)
+
 type t = {
   schema : Schema.t;
   rows : Tuple.t array;
   columnar : Batch.t option Atomic.t;
   index : Tkr_idx.Interval.t option option Atomic.t;
-      (* the two derived images, filled on first use.  A table value is
+  stats : stats option Atomic.t;
+      (* the three derived images, filled on first use.  A table value is
          immutable (DML installs a successor), so a filled slot never goes
          stale.  Racing readers may both derive an image; both compute the
          same one and the last write wins. *)
@@ -25,6 +40,7 @@ let of_array schema rows : t =
     rows;
     columnar = Atomic.make None;
     index = Atomic.make None;
+    stats = Atomic.make None;
     indexed_before = false;
   }
 
@@ -71,6 +87,77 @@ let index (t : t) : Tkr_idx.Interval.t option =
       Atomic.set t.index (Some idx);
       Tkr_idx.Stats.record_build ~rebuild:t.indexed_before;
       idx
+
+(* ---- statistics ---- *)
+
+let stats_slot (t : t) : stats =
+  match Atomic.get t.stats with
+  | Some s -> s
+  | None ->
+      let s =
+        {
+          columns = Array.init (Schema.arity t.schema) (fun _ -> Atomic.make None);
+          mean_period = Atomic.make None;
+        }
+      in
+      Atomic.set t.stats (Some s);
+      s
+
+let has_stats (t : t) = Option.is_some (Atomic.get t.stats)
+
+(* one pass over the column's non-NULL values, sorted *)
+let describe (c : Batch.col) (n : int) : column_stats =
+  let vals = ref [] and nulls = ref 0 in
+  for i = n - 1 downto 0 do
+    if Batch.is_null_at c i then incr nulls else vals := Batch.value c i :: !vals
+  done;
+  let a = Array.of_list !vals in
+  Array.sort Value.compare a;
+  let k = Array.length a in
+  let distinct = ref (min k 1) in
+  for i = 1 to k - 1 do
+    if Value.compare a.(i - 1) a.(i) <> 0 then incr distinct
+  done;
+  {
+    count = n;
+    distinct = !distinct;
+    nulls = !nulls;
+    min = (if k = 0 then None else Some a.(0));
+    max = (if k = 0 then None else Some a.(k - 1));
+  }
+
+let column_stats (t : t) (i : int) : column_stats =
+  let slot = (stats_slot t).columns.(i) in
+  match Atomic.get slot with
+  | Some c -> c
+  | None ->
+      let b = columnar t in
+      let c = describe b.Batch.cols.(i) b.Batch.nrows in
+      Atomic.set slot (Some c);
+      c
+
+(* like the index, the mean period length reads the trailing two columns
+   and exists only when both are null-free int columns *)
+let mean_period (t : t) : float option =
+  let slot = (stats_slot t).mean_period in
+  match Atomic.get slot with
+  | Some m -> m
+  | None ->
+      let cols = (columnar t).Batch.cols in
+      let k = Array.length cols in
+      let m =
+        if k < 2 then None
+        else
+          match (cols.(k - 2), cols.(k - 1)) with
+          | { data = Ints b; nulls = None }, { data = Ints e; nulls = None }
+            when Array.length b > 0 ->
+              let sum = ref 0 in
+              Array.iteri (fun i bi -> sum := !sum + (e.(i) - bi)) b;
+              Some (float_of_int !sum /. float_of_int (Array.length b))
+          | _ -> None
+      in
+      Atomic.set slot (Some m);
+      m
 
 (** Multiset view as an N-relation (tuple -> multiplicity). *)
 let to_nrel (t : t) : Tkr_semiring.Nat.t Krel.t =

@@ -5,11 +5,12 @@
 open Tkr_relation
 
 type t
-(** An immutable table value.  It owns its two derived images, the
-    columnar image ({!columnar}) and the interval index ({!index}): each
-    is built on first use and kept for the value's lifetime.  A mutation
-    never changes a value; the database installs a successor
-    ({!with_rows}) whose images start empty. *)
+(** An immutable table value.  It owns its three derived images, the
+    columnar image ({!columnar}), the interval index ({!index}) and the
+    statistics ({!column_stats}, {!mean_period}): each is built on first
+    use and kept for the value's lifetime.  A mutation never changes a
+    value; the database installs a successor ({!with_rows}) whose images
+    start empty. *)
 
 val make : Schema.t -> Tuple.t list -> t
 val of_array : Schema.t -> Tuple.t array -> t
@@ -52,6 +53,33 @@ val index : t -> Tkr_idx.Interval.t option
     build is counted in {!Tkr_idx.Stats}.  [None] (also kept) unless both
     columns are null-free [int] columns.  Callers check that the table is
     a period table ({!Idx_cache.get}). *)
+
+(** {2 Statistics}
+
+    The optimizer's inputs, derived from the columnar image.  The
+    statistics slot is made on the first request; within it each
+    column's entry, and the mean period length, is computed on its own
+    first request. *)
+
+type column_stats = {
+  count : int;  (** rows *)
+  distinct : int;  (** distinct non-NULL values *)
+  nulls : int;  (** NULL values *)
+  min : Value.t option;  (** smallest non-NULL value ([Value.compare]) *)
+  max : Value.t option;  (** largest non-NULL value *)
+}
+
+val column_stats : t -> int -> column_stats
+(** The statistics of column [i]. *)
+
+val mean_period : t -> float option
+(** The mean of [Aend - Abegin] over the rows, read from the trailing two
+    columns as {!index} reads them: [None] unless both are null-free
+    [int] columns and the table has rows.  Callers check that the table
+    is a period table. *)
+
+val has_stats : t -> bool
+(** Whether this value's statistics slot has been made. *)
 
 val pp : Format.formatter -> t -> unit
 (** Sorted, for deterministic test failure output. *)

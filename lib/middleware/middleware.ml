@@ -246,6 +246,10 @@ type prepared = {
       (** base tables the final plan reads, sorted and deduplicated —
           with {!Tkr_engine.Database.version} these form the dependency
           set of a snapshot-aware result cache entry *)
+  joins : (string * float) list;
+      (** the optimizer's estimate of every join of the plan, in
+          pre-order; computed only for [EXPLAIN], since estimating may
+          read table statistics *)
 }
 
 let make_exec m plan : Trace.t -> Database.t -> Table.t =
@@ -358,7 +362,8 @@ let timeslice m t (q : Algebra.t) : Algebra.t =
   in
   go q
 
-let prepare_statement_unlocked m (stmt : Ast.statement) : prepared =
+let prepare_statement_unlocked ?(explain = false) m (stmt : Ast.statement) :
+    prepared =
   match stmt with
   | Ast.Query { q; order_by; limit; origin } -> (
       let stats = fresh_stats () in
@@ -397,6 +402,7 @@ let prepare_statement_unlocked m (stmt : Ast.statement) : prepared =
               ~is_period
               ~lookup:(Database.schema_of m.db) plan;
           tables = List.sort_uniq String.compare (collect_rels [] plan);
+          joins = [];
         }
       in
       (* the plain-query back end, shared by plain SQL and AS OF
@@ -453,6 +459,17 @@ let prepare_statement_unlocked m (stmt : Ast.statement) : prepared =
             Check.logical ~lookup:data_lookup analyzed.algebra
             @ Lint.plan Lint.middleware analyzed.algebra
           in
+          (* the estimates know what REWR will make of a SEQ VT plan;
+             an AS OF timeslice is a plain query *)
+          let mode : Tkr_engine.Optimizer.mode =
+            match as_of with
+            | Some _ -> Plain
+            | None -> Snapshot { domain = tmax - tmin }
+          in
+          let opt_stats =
+            { Tkr_engine.Optimizer.card = (fun n -> Table.cardinality (Database.find m.db n)) }
+          in
+          let table = Database.find m.db in
           let logical =
             phase (fun ns -> stats.optimize_ns <- ns) @@ fun () ->
             let logical = Simplify.simplify analyzed.algebra in
@@ -461,14 +478,14 @@ let prepare_statement_unlocked m (stmt : Ast.statement) : prepared =
                 if m.prune then Some (Absint.prune (Absint.env data_lookup))
                 else None
               in
-              Tkr_engine.Optimizer.optimize ?prune:prune_hook
-                ~stats:
-                  {
-                    card =
-                      (fun n -> Tkr_engine.Table.cardinality (Database.find m.db n));
-                  }
-                ~lookup logical
+              Tkr_engine.Optimizer.optimize ?prune:prune_hook ~table ~mode
+                ~stats:opt_stats ~lookup logical
             else logical
+          in
+          let joins =
+            if explain then
+              Tkr_engine.Optimizer.join_estimates ~table ~mode ~lookup opt_stats logical
+            else []
           in
           (* check: the optimizer's semantics-preservation claim as a
              machine-checked postcondition *)
@@ -496,8 +513,11 @@ let prepare_statement_unlocked m (stmt : Ast.statement) : prepared =
                 ~out_schema:analyzed.schema
                 (Algebra.ConstRel (analyzed.schema, []))
           | Some t ->
-              plain ~prior ~snapshot:true ~out_schema:analyzed.schema
-                (Simplify.simplify (timeslice m t logical))
+              let p =
+                plain ~prior ~snapshot:true ~out_schema:analyzed.schema
+                  (Simplify.simplify (timeslice m t logical))
+              in
+              { p with joins }
           | None ->
               let plan =
                 phase (fun ns -> stats.rewrite_ns <- ns) @@ fun () ->
@@ -519,16 +539,19 @@ let prepare_statement_unlocked m (stmt : Ast.statement) : prepared =
                     Check.physical ~absint:env ~lookup:enc_lookup plan )
               in
               let plan = if m.prune then Absint.prune env plan else plan in
-              finish ~env ~snapshot:true
-                ~out_schema:
-                  (Schema.make
-                     (Schema.attrs analyzed.schema
-                     @ [
-                         Schema.attr vt_begin Value.TInt;
-                         Schema.attr vt_end Value.TInt;
-                       ]))
-                ~diags:(List.sort_uniq compare (prior @ diags_physical))
-                plan)
+              let p =
+                finish ~env ~snapshot:true
+                  ~out_schema:
+                    (Schema.make
+                       (Schema.attrs analyzed.schema
+                       @ [
+                           Schema.attr vt_begin Value.TInt;
+                           Schema.attr vt_end Value.TInt;
+                         ]))
+                  ~diags:(List.sort_uniq compare (prior @ diags_physical))
+                  plan
+              in
+              { p with joins })
       | `Plain inner ->
           let analyzed =
             phase (fun ns -> stats.analyze_ns <- ns) @@ fun () ->
@@ -538,16 +561,18 @@ let prepare_statement_unlocked m (stmt : Ast.statement) : prepared =
             analyzed.algebra)
   | _ -> err "TKR021" "not a query"
 
-let prepare_statement m stmt =
-  read_locked m (fun () -> prepare_statement_unlocked m stmt)
+let prepare_statement ?explain m stmt =
+  read_locked m (fun () -> prepare_statement_unlocked ?explain m stmt)
 
-let prepare m (sql : string) : prepared =
+let prepare_sql ?explain m (sql : string) : prepared =
   let ns, stmt = Clock.elapsed (fun () -> Parser.statement sql) in
-  let p = prepare_statement m stmt in
+  let p = prepare_statement ?explain m stmt in
   p.stats.parse_ns <- ns;
   locked m.lock (fun () ->
       m.totals.parse_ns <- Int64.add m.totals.parse_ns ns);
   p
+
+let prepare m sql = prepare_sql m sql
 
 (** Analyze the snapshot query inside a [SEQ VT (...)] statement and return
     its logical algebra and data schema — the input shared by the rewriter
@@ -614,6 +639,32 @@ let const_value (e : Ast.expr) : Value.t =
   | Ast.Neg (Ast.Fnum f) -> Value.Float (-.f)
   | _ -> err "TKR023" "INSERT values must be literals"
 
+(* The stored rows of an INSERT, validated before anything is written:
+   each row has the table's arity and literal values, and a period
+   table's begin and end values are non-NULL integers. *)
+let insert_tuples m ins_name (rows : Ast.expr list list) : Tuple.t list =
+  let schema = Database.schema_of m.db ins_name in
+  let arity = Schema.arity schema in
+  let is_period = Database.is_period m.db ins_name in
+  List.map
+    (fun row ->
+      if List.length row <> arity then
+        err "TKR022" "INSERT arity mismatch for %s" ins_name;
+      let t =
+        Database.stored_row m.db ins_name
+          (Array.of_list (List.map const_value row))
+      in
+      (if is_period then
+         for c = arity - 2 to arity - 1 do
+           match Tuple.get t c with
+           | Value.Int _ -> ()
+           | v ->
+               err "TKR026" "INSERT into %s: period column %s must be a non-NULL integer, got %s"
+                 ins_name (Schema.name schema c) (Value.to_string v)
+         done);
+      t)
+    rows
+
 (* ---- EXPLAIN rendering ---- *)
 
 (** The final (optimized, rewritten) plan of a prepared query as text. *)
@@ -631,6 +682,14 @@ let render_plan (p : prepared) : string =
       (String.concat " "
          (List.map (fun (n, v) -> n ^ "=" ^ v) p.access))
   end;
+  (match p.joins with
+  | [] -> ()
+  | joins ->
+      Buffer.add_string buf "\njoins (pre-order, estimated rows):";
+      List.iter
+        (fun (label, rows) ->
+          Buffer.add_string buf (Printf.sprintf "\n  %s  est_rows=%.0f" label rows))
+        joins);
   Buffer.add_string buf "\nanalysis:";
   String.split_on_char '\n' p.analysis
   |> List.iter (fun line ->
@@ -645,6 +704,19 @@ let render_plan (p : prepared) : string =
 let render_analyze m (p : prepared) (obs : Trace.t) (result : Table.t) : string =
   let buf = Buffer.create 512 in
   Buffer.add_string buf (render_plan p);
+  (* each executed join beside its estimate; the executed plan's joins
+     are the optimized plan's, in the same pre-order, unless rewriting or
+     pruning changed their number *)
+  (let spans = ref [] in
+   List.iter
+     (Trace.iter (fun sp -> if Trace.name sp = "join" then spans := sp :: !spans))
+     (Trace.roots obs);
+   if List.length p.joins = List.length !spans then
+     List.iter2
+       (fun sp (_, rows) ->
+         Trace.set_before sp ~before:"rows_out" "est_rows"
+           (Trace.Int (int_of_float (Float.round rows))))
+       (List.rev !spans) p.joins);
   Buffer.add_string buf "\nexecution:\n";
   List.iter
     (fun root ->
@@ -701,9 +773,14 @@ let rec check_statement m (stmt : Ast.statement) : Diagnostic.t list =
       | exception Error d -> stamp_pos origin [ d ]
       | exception Analyzer.Error d -> stamp_pos origin [ d ])
   | Ast.Explain { target; _ } | Ast.Check { target } -> check_statement m target
-  | Ast.Create_table _ | Ast.Insert _ | Ast.Drop_table _ | Ast.Update _
-  | Ast.Delete _ ->
-      []
+  | Ast.Insert { ins_name; rows } -> (
+      (* the checks INSERT runs before writing; a missing table is left
+         to execution *)
+      match read_locked m (fun () -> insert_tuples m ins_name rows) with
+      | _ -> []
+      | exception Error d -> [ d ]
+      | exception Schema.Unknown _ -> [])
+  | Ast.Create_table _ | Ast.Drop_table _ | Ast.Update _ | Ast.Delete _ -> []
 
 (** Lint one statement's logical plan under an explicit capability
     profile: what would that evaluation style get wrong on this query
@@ -748,7 +825,7 @@ let rec execute_query_statement m (stmt : Ast.statement) : result =
   | Ast.Explain { analyze; target } -> (
       match target with
       | Ast.Query _ ->
-          let p = prepare_statement m target in
+          let p = prepare_statement ~explain:true m target in
           if not analyze then Done (render_plan p)
           else
             let obs = Trace.create ~gc:true () in
@@ -831,17 +908,7 @@ let execute_update_statement m (stmt : Ast.statement) : result =
             empty;
           Done (Printf.sprintf "created period table %s" tbl_name))
   | Ast.Insert { ins_name; rows } ->
-      let arity = Schema.arity (Database.schema_of m.db ins_name) in
-      let tuples =
-        List.map
-          (fun row ->
-            if List.length row <> arity then
-              err "TKR022" "INSERT arity mismatch for %s" ins_name;
-            Database.stored_row m.db ins_name
-              (Array.of_list (List.map const_value row)))
-          rows
-      in
-      Database.append_rows m.db ins_name tuples;
+      Database.append_rows m.db ins_name (insert_tuples m ins_name rows);
       Done (Printf.sprintf "inserted %d rows into %s" (List.length rows) ins_name)
   | Ast.Drop_table name ->
       Database.remove_table m.db name;
@@ -940,12 +1007,12 @@ let query m (sql : string) : Table.t =
   | Done _ -> err "TKR021" "expected a query, got a DDL/DML statement"
 
 (** EXPLAIN: the final (optimized, rewritten) plan of a query as text. *)
-let explain m (sql : string) : string = render_plan (prepare m sql)
+let explain m (sql : string) : string = render_plan (prepare_sql ~explain:true m sql)
 
 (** EXPLAIN ANALYZE as a function: prepare, execute under a fresh trace
     collector, render the annotated operator tree plus phase timings. *)
 let explain_analyze m (sql : string) : string =
-  let p = prepare m sql in
+  let p = prepare_sql ~explain:true m sql in
   let obs = Trace.create ~gc:true () in
   let result = run_prepared ~obs m p in
   render_analyze m p obs result

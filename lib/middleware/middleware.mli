@@ -150,6 +150,12 @@ type prepared = {
       (** base tables the final plan reads, sorted and deduplicated —
           with {!Tkr_engine.Database.version} these form the dependency
           set of a snapshot-aware result cache entry *)
+  joins : (string * float) list;
+      (** the optimizer's estimate of every join of a [SEQ VT] plan, in
+          pre-order: the joined inputs' short names and the estimated
+          rows, shown by [EXPLAIN].  Empty unless the statement was
+          prepared for [EXPLAIN], since estimating may read table
+          statistics ({!Tkr_engine.Table.column_stats}) *)
 }
 (** A parsed, analyzed, statically checked and (for [SEQ VT] queries
     other than [AS OF]) rewritten statement, ready for repeated

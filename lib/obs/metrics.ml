@@ -30,6 +30,8 @@ type histogram = {
   buckets : int array;  (** [Array.length bounds + 1] slots; last = overflow *)
   mutable observations : int;
   mutable sum : int;
+  mutable lo : int;  (** smallest observation; meaningless while empty *)
+  mutable hi : int;  (** largest observation *)
 }
 
 type metric =
@@ -100,6 +102,8 @@ let histogram ?(bounds = default_bounds) t name : histogram =
             buckets = Array.make (Array.length bounds + 1) 0;
             observations = 0;
             sum = 0;
+            lo = 0;
+            hi = 0;
           })
   with
   | Histogram h -> h
@@ -144,6 +148,8 @@ let observe (h : histogram) v =
   let rec slot i = if i >= n || v <= h.bounds.(i) then i else slot (i + 1) in
   let i = slot 0 in
   h.buckets.(i) <- h.buckets.(i) + 1;
+  if h.observations = 0 || v < h.lo then h.lo <- v;
+  if h.observations = 0 || v > h.hi then h.hi <- v;
   h.observations <- h.observations + 1;
   h.sum <- h.sum + v
 
@@ -157,11 +163,6 @@ let histogram_buckets (h : histogram) =
 
 let histogram_bounds (h : histogram) = Array.copy h.bounds
 
-(** The [q]-quantile (q in [0,1]) estimated from the bucket counts by
-    linear interpolation inside the covering bucket, the standard
-    Prometheus [histogram_quantile] estimator.  The overflow bucket has
-    no upper bound, so ranks landing there report the largest finite
-    bound; an empty histogram reports 0. *)
 (* zero one histogram in place, keeping its bounds: ring-buffer consumers
    (the serve ledger) recycle per-slot histograms when a slot is
    reassigned to a new owner *)
@@ -169,32 +170,32 @@ let histogram_reset (h : histogram) =
   locked h.h_lock @@ fun () ->
   Array.fill h.buckets 0 (Array.length h.buckets) 0;
   h.observations <- 0;
-  h.sum <- 0
+  h.sum <- 0;
+  h.lo <- 0;
+  h.hi <- 0
 
 let histogram_quantile (h : histogram) (q : float) : int =
-  let observations, buckets =
-    locked h.h_lock (fun () -> (h.observations, Array.copy h.buckets))
+  let observations, buckets, lo, hi =
+    locked h.h_lock (fun () -> (h.observations, Array.copy h.buckets, h.lo, h.hi))
   in
+  let nb = Array.length h.bounds in
   if observations = 0 then 0
   else begin
     let q = Float.max 0. (Float.min 1. q) in
     let rank = q *. float_of_int observations in
-    let nb = Array.length h.bounds in
     let rec go i cumulative =
-      if i > nb then h.bounds.(nb - 1)
+      if i >= nb then hi (* overflow bucket: its upper bound is the largest observation *)
       else
         let cumulative' = cumulative +. float_of_int buckets.(i) in
         if cumulative' >= rank && buckets.(i) > 0 then
-          if i >= nb then (* overflow bucket: no upper bound to interpolate to *)
-            h.bounds.(nb - 1)
-          else
-            let lo = if i = 0 then 0. else float_of_int h.bounds.(i - 1) in
-            let hi = float_of_int h.bounds.(i) in
-            let inside = (rank -. cumulative) /. float_of_int buckets.(i) in
-            int_of_float (lo +. ((hi -. lo) *. inside))
+          let b0 = if i = 0 then 0. else float_of_int h.bounds.(i - 1) in
+          let b1 = float_of_int h.bounds.(i) in
+          let inside = (rank -. cumulative) /. float_of_int buckets.(i) in
+          int_of_float (b0 +. ((b1 -. b0) *. inside))
         else go (i + 1) cumulative'
     in
-    if nb = 0 then 0 else go 0 0.
+    (* no quantile lies outside the observed range *)
+    max lo (min hi (go 0 0.))
   end
 
 let reset t =
@@ -212,7 +213,9 @@ let reset t =
           locked h.h_lock @@ fun () ->
           Array.fill h.buckets 0 (Array.length h.buckets) 0;
           h.observations <- 0;
-          h.sum <- 0)
+          h.sum <- 0;
+          h.lo <- 0;
+          h.hi <- 0)
     t.order
 
 (* ---- export ---- *)

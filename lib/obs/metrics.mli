@@ -61,8 +61,10 @@ val histogram_reset : histogram -> unit
 val histogram_quantile : histogram -> float -> int
 (** The [q]-quantile (q in [0,1]) estimated by linear interpolation
     inside the covering bucket (the Prometheus [histogram_quantile]
-    estimator).  Ranks in the overflow bucket report the largest finite
-    bound; an empty histogram reports 0. *)
+    estimator), clamped to the observed minimum and maximum, so a single
+    observation reads exactly at every [q].  Ranks in the overflow
+    bucket report the largest observation; an empty histogram reports
+    0. *)
 
 val reset : t -> unit
 (** Zero every instrument, keeping registrations. *)

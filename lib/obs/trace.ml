@@ -103,6 +103,17 @@ let set_float sp key f = set sp key (Float f)
 let set_str sp key s = set sp key (Str s)
 let set_bool sp key b = set sp key (Bool b)
 
+(* insertion order is [List.rev sp_attrs]: the new attribute goes right
+   after [before] in the reversed list *)
+let set_before (sp : span) ~before key v =
+  let rec go = function
+    | [] -> None
+    | ((k, _) as a) :: rest when k = before -> Some (a :: (key, v) :: rest)
+    | a :: rest -> Option.map (fun r -> a :: r) (go rest)
+  in
+  sp.sp_attrs <-
+    (match go sp.sp_attrs with Some l -> l | None -> (key, v) :: sp.sp_attrs)
+
 (* ---- span accessors ---- *)
 
 let name sp = sp.sp_name

@@ -50,6 +50,12 @@ val set_float : span option -> string -> float -> unit
 val set_str : span option -> string -> string -> unit
 val set_bool : span option -> string -> bool -> unit
 
+val set_before : span -> before:string -> string -> value -> unit
+(** [set_before sp ~before key v] adds the attribute [key] to a finished
+    span, listed just before its attribute [before] (last when [sp] has
+    none): annotations computed after execution sit beside the counter
+    they explain. *)
+
 val name : span -> string
 val elapsed_ns : span -> int64
 val children : span -> span list

@@ -112,6 +112,7 @@ let golden : (string * (unit -> D.t list)) list =
     ("TKR023", exec_err "INSERT INTO works VALUES (name, 'y', 1, 2)");
     ("TKR024", exec_err "CREATE TABLE t2 (a text, b text, e int) PERIOD (b, e)");
     ("TKR025", exec_err "UPDATE plain FOR PORTION OF vt FROM 1 TO 2 SET x = 1");
+    ("TKR026", chk "INSERT INTO works VALUES ('x', 'y', NULL, 2)");
     ("TKR101", chk "SELECT name + 1 AS z FROM works");
     ("TKR102", chk "SELECT name FROM works WHERE name > 1");
     ("TKR103", chk "SELECT name FROM works WHERE b + 1");

@@ -183,11 +183,33 @@ let test_rejected_insert_keeps_domain () =
      ignore
        (M.execute m
           "INSERT INTO works VALUES ('Zoe', 'SP', -5, 50), ('Max', 'SP', NULL, 3)")
-   with Invalid_argument _ -> ());
+   with M.Error _ -> ());
   let tmin, tmax = Tkr_engine.Database.time_bounds (M.database m) in
   Alcotest.(check (pair int int)) "bounds" (0, 24) (tmin, tmax);
   Alcotest.(check int) "rows" 4
     (Table.cardinality (Tkr_engine.Database.find (M.database m) "works"))
+
+(* a NULL period value is a TKR026 diagnostic naming the column, from
+   INSERT and from CHECK alike, and nothing is written *)
+let test_null_period_insert () =
+  let m = M.create () in
+  ignore (M.execute m "CREATE TABLE t (x int, b int, e int) PERIOD (b, e)");
+  let sql = "INSERT INTO t VALUES (1, NULL, 3)" in
+  let d =
+    match M.execute m sql with
+    | _ -> Alcotest.fail "expected a diagnostic"
+    | exception M.Error d -> d
+  in
+  let module D = Tkr_check.Diagnostic in
+  Alcotest.(check string) "code" "TKR026" d.D.code;
+  Alcotest.(check string) "names the column"
+    "error[TKR026]: INSERT into t: period column b must be a non-NULL \
+     integer, got NULL"
+    (D.to_string d);
+  Alcotest.(check (list string)) "CHECK flags it" [ D.to_string d ]
+    (List.map D.to_string (M.check m sql));
+  Alcotest.(check int) "nothing written" 0
+    (Table.cardinality (Tkr_engine.Database.find (M.database m) "t"))
 
 let test_drop_table () =
   let m = fresh () in
@@ -246,4 +268,6 @@ let suite =
         test_rejected_insert_keeps_domain;
       Alcotest.test_case "INSERT column order lives in the catalog" `Quick
         test_insert_order_in_catalog;
+      Alcotest.test_case "NULL period INSERT is a diagnostic" `Quick
+        test_null_period_insert;
     ] )

@@ -59,16 +59,17 @@ let test_quantile_edges () =
   let h = Metrics.histogram ~bounds:[| 8 |] r "one_bucket" in
   Alcotest.(check int) "empty histogram" 0 (Metrics.histogram_quantile h 0.5);
   Metrics.observe h 3;
-  (* the single observation sits in (0,8]; rank q interpolates inside *)
-  Alcotest.(check int) "single obs p50" 4 (Metrics.histogram_quantile h 0.5);
-  Alcotest.(check int) "single obs p100" 8 (Metrics.histogram_quantile h 1.0);
+  (* a single observation reads exactly: interpolation inside (0,8] is
+     clamped to the observed range *)
+  Alcotest.(check int) "single obs p50" 3 (Metrics.histogram_quantile h 0.5);
+  Alcotest.(check int) "single obs p100" 3 (Metrics.histogram_quantile h 1.0);
   (* out-of-range q clamps rather than faulting *)
-  Alcotest.(check int) "q below 0 clamps" 0 (Metrics.histogram_quantile h (-1.));
-  Alcotest.(check int) "q above 1 clamps" 8 (Metrics.histogram_quantile h 2.);
-  (* only the overflow bucket populated: report the largest finite bound *)
+  Alcotest.(check int) "q below 0 clamps" 3 (Metrics.histogram_quantile h (-1.));
+  Alcotest.(check int) "q above 1 clamps" 3 (Metrics.histogram_quantile h 2.);
+  (* only the overflow bucket populated: report the largest observation *)
   let ho = Metrics.histogram ~bounds:[| 8 |] r "overflow_only" in
   Metrics.observe ho 99;
-  Alcotest.(check int) "overflow clamps" 8 (Metrics.histogram_quantile ho 0.5)
+  Alcotest.(check int) "overflow clamps" 99 (Metrics.histogram_quantile ho 0.5)
 
 let test_spans () =
   let obs = Trace.create ~clock:Clock.frozen () in

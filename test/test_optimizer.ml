@@ -76,7 +76,9 @@ let prop_preserves_semantics =
        (fun q ->
          let d = db () in
          let plain = Exec.eval d q in
-         let optimized = Exec.eval d (O.optimize ~stats ~lookup q) in
+         let optimized =
+           Exec.eval d (O.optimize ~table:(Database.find d) ~stats ~lookup q)
+         in
          (* the optimizer restores column order, so plain bag equality *)
          Table.equal_bag plain
            (Table.of_array (Table.schema plain) (Table.rows optimized))))
@@ -106,12 +108,169 @@ let test_single_table_untouched () =
   Alcotest.(check bool) "no structural change" true (q = optimized)
 
 let test_estimate_monotone () =
-  let e q = O.estimate stats q in
-  Alcotest.(check bool) "selection shrinks" true
-    (e (Algebra.Select (Expr.Cmp (Expr.Eq, Expr.Col 0, Expr.Const (Value.Int 1)), Algebra.Rel "big"))
-    < e (Algebra.Rel "big"));
+  let d = db () in
+  let e q = O.estimate ~table:(Database.find d) ~lookup stats q in
+  let eq c v = Expr.Cmp (Expr.Eq, Expr.Col c, Expr.Const v) in
+  (* big's key column holds 7 distinct values *)
+  Alcotest.(check (float 1e-9)) "equality keeps 1/ndv" (60. /. 7.)
+    (e (Algebra.Select (eq 0 (Value.Int 1), Algebra.Rel "big")));
+  Alcotest.(check bool) "a conjunct shrinks further" true
+    (e
+       (Algebra.Select
+          (Expr.And (eq 0 (Value.Int 1), eq 1 (Value.Str "x")), Algebra.Rel "big"))
+    < e (Algebra.Select (eq 0 (Value.Int 1), Algebra.Rel "big")));
   Alcotest.(check bool) "union grows" true
-    (e (Algebra.Union (Algebra.Rel "big", Algebra.Rel "mid")) > e (Algebra.Rel "big"))
+    (e (Algebra.Union (Algebra.Rel "big", Algebra.Rel "mid")) > e (Algebra.Rel "big"));
+  (* without column statistics a comparison with a constant keeps every row *)
+  Alcotest.(check (float 1e-9)) "no statistics, no selectivity" 60.
+    (O.estimate ~lookup stats (Algebra.Select (eq 0 (Value.Int 1), Algebra.Rel "big")))
+
+(* an equi-join has |L|·|R| / max(ndv) rows: big and mid both hold 7
+   distinct keys *)
+let test_ndv_join () =
+  let d = db () in
+  let e q = O.estimate ~table:(Database.find d) ~lookup stats q in
+  let key = Expr.Cmp (Expr.Eq, Expr.Col 0, Expr.Col 2) in
+  Alcotest.(check (float 1e-9)) "big ⋈ mid" (60. *. 20. /. 7.)
+    (e (Algebra.Join (key, Algebra.Rel "big", Algebra.Rel "mid")));
+  (* the true size of this join *)
+  Alcotest.(check int) "actual" 172
+    (Table.cardinality
+       (Exec.eval d (Algebra.Join (key, Algebra.Rel "big", Algebra.Rel "mid"))));
+  Alcotest.(check (float 1e-9)) "cross product" (60. *. 20.)
+    (e (Algebra.Join (Expr.Const (Value.Bool true), Algebra.Rel "big", Algebra.Rel "mid")))
+
+(* a grouped aggregation has one row per group in a plain (or AS OF)
+   plan; in a SEQ VT plan REWR splits it at the group's endpoints, so it
+   keeps its input's size *)
+let test_agg_bounds () =
+  let d = db () in
+  let agg =
+    Algebra.Agg
+      ( [ Algebra.proj (Expr.Col 0) "a" ],
+        [ { Algebra.func = Tkr_relation.Agg.Count_star; agg_name = "n" } ],
+        Algebra.Rel "big" )
+  in
+  let e mode = O.estimate ~table:(Database.find d) ~mode ~lookup stats agg in
+  Alcotest.(check (float 1e-9)) "plain: ndv of the group" 7. (e O.Plain);
+  Alcotest.(check (float 1e-9)) "snapshot: the input's size" 60.
+    (e (O.Snapshot { domain = 100 }))
+
+(* greedy ranking scores the join a candidate would make, not the
+   candidate's own size: from [seed] the 30-row [wide] joins on a key
+   (4·30/30 = 4 rows) where the 10-row [flat] joins on a constant column
+   (4·10/4 = 10 rows) *)
+let test_ranks_by_join_size () =
+  let one n = Schema.make [ Schema.attr n Value.TInt ] in
+  let ints n f = Table.make (one "k") (List.init n (fun i -> Tuple.make [ Value.Int (f i) ])) in
+  let d = Database.create () in
+  Database.add_table d "seed" (ints 4 Fun.id);
+  Database.add_table d "flat" (ints 10 (fun _ -> 0));
+  Database.add_table d "wide" (ints 30 Fun.id);
+  let lookup _ = one "k" in
+  let stats = { O.card = (fun n -> Table.cardinality (Database.find d n)) } in
+  let q =
+    Algebra.Join
+      ( Expr.Cmp (Expr.Eq, Expr.Col 0, Expr.Col 2),
+        Algebra.Join
+          (Expr.Cmp (Expr.Eq, Expr.Col 0, Expr.Col 1), Algebra.Rel "seed", Algebra.Rel "flat"),
+        Algebra.Rel "wide" )
+  in
+  let rec order = function
+    | Algebra.Join (_, l, r) -> order l @ order r
+    | Algebra.Select (_, q) | Algebra.Project (_, q) -> order q
+    | Algebra.Rel n -> [ n ]
+    | _ -> []
+  in
+  Alcotest.(check (list string)) "join order" [ "seed"; "wide"; "flat" ]
+    (order (O.optimize ~table:(Database.find d) ~stats ~lookup q));
+  Alcotest.(check bool) "same rows" true
+    (Table.equal_bag (Exec.eval d q)
+       (Exec.eval d (O.optimize ~table:(Database.find d) ~stats ~lookup q)))
+
+(* two-way joins and single-table queries read no statistics: every
+   read shape of a DML-heavy session re-prepares after each write, and
+   a statistics slot would be rebuilt on each new table value *)
+let test_no_stats_two_way () =
+  let d = W.generate { (W.scaled 40) with tmax = 800 } in
+  let m = M.create ~db:d () in
+  let built () =
+    List.filter (fun n -> Table.has_stats (Database.find d n)) (Database.names d)
+  in
+  List.iter
+    (fun sql ->
+      ignore (M.query m sql);
+      Alcotest.(check (list string)) sql [] (built ()))
+    [
+      "SEQ VT AS OF 300 (SELECT d.dept_no, s.emp_no, s.salary FROM dept_emp d, \
+       salaries s WHERE d.emp_no = s.emp_no)";
+      "SEQ VT AS OF 300 (SELECT m.dept_no FROM dept_manager m, salaries s \
+       WHERE m.emp_no = s.emp_no AND s.salary > 70000)";
+      "SEQ VT (SELECT t.title, avg(s.salary) AS pay FROM salaries s, titles t \
+       WHERE s.emp_no = t.emp_no GROUP BY t.title)";
+      "SEQ VT AS OF 300 (SELECT title, count(*) AS n FROM titles GROUP BY title)";
+      Q.lookup "join-3" Q.employee;
+      Q.lookup "agg-1" Q.employee;
+    ];
+  (* a four-way join ranks its candidates, so it does read them *)
+  ignore (M.query m (Q.lookup "agg-join" Q.employee));
+  Alcotest.(check bool) "agg-join reads statistics" true (built () <> [])
+
+(* EXPLAIN lists each join with its estimate; under ANALYZE every
+   executed join line carries it just before its actual rows_out *)
+let test_explain_estimates () =
+  let d = W.generate { (W.scaled 40) with tmax = 800 } in
+  let m = M.create ~db:d () in
+  let sql = Q.lookup "join-4" Q.employee in
+  (* the position of [sub] in [l], or -1 *)
+  let index_of sub l =
+    let n = String.length l and k = String.length sub in
+    let rec go i = if i + k > n then -1 else if String.sub l i k = sub then i else go (i + 1) in
+    go 0
+  in
+  let lines text = List.map String.trim (String.split_on_char '\n' text) in
+  let rec listed = function
+    | "joins (pre-order, estimated rows):" :: top :: next :: _ -> [ top; next ]
+    | _ :: rest -> listed rest
+    | [] -> []
+  in
+  (match listed (lines (M.explain m sql)) with
+  | [ top; next ] ->
+      Alcotest.(check int) "the top join names all three tables" 0
+        (index_of "(dept_manager ⋈ employees) ⋈ salaries  est_rows=" top);
+      Alcotest.(check int) "then its left input" 0
+        (index_of "dept_manager ⋈ employees  est_rows=" next)
+  | _ -> Alcotest.fail "no join list");
+  let joins = List.filter (fun l -> index_of "join " l = 0) (lines (M.explain_analyze m sql)) in
+  Alcotest.(check int) "two executed joins" 2 (List.length joins);
+  List.iter
+    (fun l ->
+      let e = index_of "  est_rows=" l and r = index_of "  rows_out=" l in
+      if not (e >= 0 && r > e) then Alcotest.failf "est_rows not beside rows_out: %s" l)
+    joins
+
+(* agg-join at the benchmark's scale: the largest intermediate stays
+   within 2x of the final join.  Joining the per-department maxima on
+   dept_no alone first would build ~50x.  Row counts come from an
+   executed trace and are deterministic. *)
+let test_agg_join_intermediates () =
+  let d = W.generate { (W.scaled 1000) with tmax = 4000 } in
+  let m = M.create ~db:d () in
+  let obs = Tkr_obs.Trace.create () in
+  ignore (M.run_prepared ~obs m (M.prepare m (Q.lookup "agg-join" Q.employee)));
+  let rows = ref [] in
+  List.iter
+    (Tkr_obs.Trace.iter (fun sp ->
+         match Tkr_obs.Trace.(name sp, find_attr sp "rows_out") with
+         | "join", Some (Tkr_obs.Trace.Int n) -> rows := n :: !rows
+         | _ -> ()))
+    (Tkr_obs.Trace.roots obs);
+  match List.rev !rows with
+  | [] -> Alcotest.fail "no join executed"
+  | final :: _ as all ->
+      let largest = List.fold_left max 0 all in
+      if largest > 2 * final then
+        Alcotest.failf "largest join %d rows > 2x final join %d rows" largest final
 
 (* full pipeline: workload queries give identical results with and
    without the optimizer (the unoptimized side on the row oracle) *)
@@ -132,5 +291,12 @@ let suite =
       Alcotest.test_case "reorders smallest first" `Quick test_reorders_small_first;
       Alcotest.test_case "single table untouched" `Quick test_single_table_untouched;
       Alcotest.test_case "estimates are monotone" `Quick test_estimate_monotone;
+      Alcotest.test_case "ndv join estimate" `Quick test_ndv_join;
+      Alcotest.test_case "snapshot vs plain aggregation bound" `Quick test_agg_bounds;
+      Alcotest.test_case "ranks by join size" `Quick test_ranks_by_join_size;
+      Alcotest.test_case "two-way joins read no statistics" `Quick test_no_stats_two_way;
+      Alcotest.test_case "EXPLAIN shows join estimates" `Quick test_explain_estimates;
+      Alcotest.test_case "agg-join intermediates stay small" `Slow
+        test_agg_join_intermediates;
       Alcotest.test_case "workload equivalence on/off" `Slow test_workload_equivalence;
     ] )

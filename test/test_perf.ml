@@ -156,20 +156,22 @@ let test_histogram_quantile () =
   let r = Metrics.create () in
   let h = Metrics.histogram ~bounds:[| 10; 100; 1000 |] r "h" in
   Alcotest.(check int) "empty" 0 (Metrics.histogram_quantile h 0.5);
-  (* 100 observations uniform in the (10,100] bucket: the median
-     interpolates to the bucket midpoint *)
+  (* 100 equal observations in the (10,100] bucket: interpolation would
+     place the median at the bucket midpoint, the observed range pins it
+     to the value itself *)
   for _ = 1 to 100 do
     Metrics.observe h 50
   done;
-  Alcotest.(check int) "p50 midpoint" 55 (Metrics.histogram_quantile h 0.5);
-  Alcotest.(check int) "p100 top" 100 (Metrics.histogram_quantile h 1.0);
-  (* overflow ranks report the largest finite bound *)
+  Alcotest.(check int) "p50 midpoint" 50 (Metrics.histogram_quantile h 0.5);
+  Alcotest.(check int) "p100 top" 50 (Metrics.histogram_quantile h 1.0);
+  (* overflow ranks report the largest observation *)
   let r2 = Metrics.create () in
   let h2 = Metrics.histogram ~bounds:[| 10; 100 |] r2 "h2" in
   List.iter (Metrics.observe h2) [ 5; 5000; 6000; 7000 ];
-  Alcotest.(check int) "overflow clamps" 100 (Metrics.histogram_quantile h2 0.9);
-  (* rank 0.4 of the single observation in (0,10] interpolates to 4 *)
-  Alcotest.(check int) "low rank in first bucket" 4
+  Alcotest.(check int) "overflow clamps" 7000 (Metrics.histogram_quantile h2 0.9);
+  (* rank 0.4 of the single observation in (0,10] interpolates to 4,
+     below the smallest observation: it reads 5 *)
+  Alcotest.(check int) "low rank in first bucket" 5
     (Metrics.histogram_quantile h2 0.1)
 
 (* --- env metadata --- *)
