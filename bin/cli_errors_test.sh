@@ -32,3 +32,7 @@ run run
 
 echo "# a script's output precedes its error line; NULL period -> 4"
 run run -e "CREATE TABLE t (x int, b int, e int) PERIOD (b, e); INSERT INTO t VALUES (1, NULL, 3);"
+
+echo "# NULL period from UPDATE -> 4, and lint flags it -> 3"
+run run -e "CREATE TABLE t (x int, b int, e int) PERIOD (b, e); INSERT INTO t VALUES (1, 2, 3); UPDATE t SET b = NULL WHERE x = 1;"
+run lint -e "CREATE TABLE t (x int, b int, e int) PERIOD (b, e); INSERT INTO t VALUES (1, 2, 3); UPDATE t SET b = NULL WHERE x = 1;"

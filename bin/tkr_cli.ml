@@ -35,6 +35,7 @@ module Wire = Tkr_serve.Wire
 module Cache = Tkr_serve.Cache
 module Clock = Tkr_obs.Clock
 module Json = Tkr_obs.Json
+module Jsonl = Tkr_obs.Jsonl
 module Tel = Tkr_tel.Tel
 module Record = Tkr_rec.Record
 module Replay = Tkr_replay.Replay
@@ -597,10 +598,10 @@ let serve data workload host port max_sessions queue_depth cache_mb engine
   let tel, tel_oc =
     match log with
     | None -> (Tel.disabled, None)
-    | Some "stderr" -> (Tel.create ~rate_limit:log_rate (Tel.Chan stderr), None)
+    | Some "stderr" -> (Tel.create ~rate_limit:log_rate (Jsonl.Chan stderr), None)
     | Some path ->
         let oc = open_out path in
-        (Tel.create ~rate_limit:log_rate (Tel.Chan oc), Some oc)
+        (Tel.create ~rate_limit:log_rate (Jsonl.Chan oc), Some oc)
   in
   (* the flight recorder: one JSONL entry per finished request *)
   let recorder, rec_oc =
@@ -613,7 +614,7 @@ let serve data workload host port max_sessions queue_depth cache_mb engine
             ?workload:(workload_name workload)
             ~source:"tkr_cli serve" ()
         in
-        (Record.create ~header (Record.Chan oc), Some oc)
+        (Record.create ~header (Jsonl.Chan oc), Some oc)
   in
   let config =
     { Server.host; port; max_sessions; queue_depth; cache_mb; workers;

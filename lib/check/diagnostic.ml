@@ -141,7 +141,7 @@ let registry : (string * string) list =
     ("TKR023", "INSERT values must be literals");
     ("TKR024", "invalid PERIOD declaration");
     ("TKR025", "invalid FOR PORTION OF");
-    ("TKR026", "INSERT period value must be a non-NULL integer");
+    ("TKR026", "INSERT or UPDATE period value must be a non-NULL integer");
     (* type checking (pass 1) *)
     ("TKR101", "arithmetic on non-numeric operand");
     ("TKR102", "comparison between incompatible types");

@@ -45,20 +45,16 @@ let err ?pos code fmt =
 
 type engine = Row | Vec
 
-(* ---- observability: per-statement phase timings ---- *)
+(* ---- observability: preparation phase timings ---- *)
 
-(** Cumulative phase timings of one prepared statement: the preparation
-    pipeline (parse → analyze → rewrite → optimize) is timed once, the
-    execute phase accumulates over every {!run_prepared}. *)
+(** The preparation phases of one statement (parse → analyze → check →
+    rewrite → optimize), each timed once when it is prepared. *)
 type phase_stats = {
   mutable parse_ns : int64;
   mutable analyze_ns : int64;
   mutable check_ns : int64;  (** static analysis (Tkr_check), all stages *)
   mutable rewrite_ns : int64;
   mutable optimize_ns : int64;
-  mutable runs : int;
-  mutable execute_ns : int64;  (** cumulative over [runs] executions *)
-  mutable last_rows : int;  (** output cardinality of the last run *)
 }
 
 let fresh_stats () =
@@ -68,39 +64,26 @@ let fresh_stats () =
     check_ns = 0L;
     rewrite_ns = 0L;
     optimize_ns = 0L;
-    runs = 0;
-    execute_ns = 0L;
-    last_rows = 0;
   }
 
-let add_stats ~into:(a : phase_stats) (b : phase_stats) =
-  a.parse_ns <- Int64.add a.parse_ns b.parse_ns;
-  a.analyze_ns <- Int64.add a.analyze_ns b.analyze_ns;
-  a.check_ns <- Int64.add a.check_ns b.check_ns;
-  a.rewrite_ns <- Int64.add a.rewrite_ns b.rewrite_ns;
-  a.optimize_ns <- Int64.add a.optimize_ns b.optimize_ns
-
-let pp_phase_stats ppf (s : phase_stats) =
+(* the phase summary of [run --stats] and EXPLAIN ANALYZE *)
+let phase_line (s : phase_stats) ~execute_ns ~runs =
   let ms = Clock.ns_to_ms in
-  Format.fprintf ppf
+  Printf.sprintf
     "parse %.3f ms | analyze %.3f ms | check %.3f ms | rewrite %.3f ms | \
      optimize %.3f ms | execute %.3f ms over %d run%s"
     (ms s.parse_ns) (ms s.analyze_ns) (ms s.check_ns) (ms s.rewrite_ns)
-    (ms s.optimize_ns) (ms s.execute_ns) s.runs
-    (if s.runs = 1 then "" else "s")
+    (ms s.optimize_ns) (ms execute_ns) runs
+    (if runs = 1 then "" else "s")
 
-let phase_stats_json (s : phase_stats) : Json.t =
-  Json.Obj
-    [
-      ("parse_ns", Json.Int (Int64.to_int s.parse_ns));
-      ("analyze_ns", Json.Int (Int64.to_int s.analyze_ns));
-      ("check_ns", Json.Int (Int64.to_int s.check_ns));
-      ("rewrite_ns", Json.Int (Int64.to_int s.rewrite_ns));
-      ("optimize_ns", Json.Int (Int64.to_int s.optimize_ns));
-      ("runs", Json.Int s.runs);
-      ("execute_ns", Json.Int (Int64.to_int s.execute_ns));
-      ("last_rows", Json.Int s.last_rows);
-    ]
+(* the middleware's registry counters of cumulative phase time, in ns *)
+type phase_counters = {
+  c_parse : Metrics.counter;
+  c_analyze : Metrics.counter;
+  c_check : Metrics.counter;
+  c_rewrite : Metrics.counter;
+  c_optimize : Metrics.counter;
+}
 
 type t = {
   db : Database.t;
@@ -120,38 +103,39 @@ type t = {
       (** on the vec engine, answer index-answerable period-table
           selections through the temporal interval index ({!Tkr_idx});
           output is byte-identical to the scan path, on by default *)
-  totals : phase_stats;
-      (** phase timings accumulated over every statement this middleware
-          prepared or ran *)
   metrics : Metrics.t;
-      (** per-middleware registry: execute-latency histogram
-          ([execute_us]), output-cardinality histogram ([rows_out]) and a
-          statement counter, feeding the EXPLAIN ANALYZE quantile line
-          and the OpenMetrics exporter *)
-  lock : Mutex.t;
-      (** guards the cumulative stats ([totals], per-prepared
-          [phase_stats]) against concurrent callers *)
+      (** per-middleware registry, the one owner of the middleware's
+          cumulative numbers: the phase counters below, the
+          execute-latency histogram ([execute_us], whose count is the
+          number of statements run) and the output-cardinality histogram
+          ([rows_out]); they feed [run --stats], the EXPLAIN ANALYZE
+          quantile line and the OpenMetrics exporter *)
+  phases : phase_counters;
+  execute_us : Metrics.histogram;
+  rows_out : Metrics.histogram;
   rw : Rwlock.t;
       (** catalog lock: queries hold the (reentrant) read side, DDL/DML
           the exclusive write side — many queries execute concurrently,
           mutations are serialized against everything *)
-  write_epoch : int Atomic.t;
-      (** bumped by every {!write_locked} section; together with
-          {!Database.generation} it forms {!epoch}, the staleness signal
-          for prepared statements cached outside the middleware *)
   mutable epoch_hook : (int -> unit) option;
       (** observer notified with the new {!epoch} after every completed
           {!write_locked} section — the query server's invalidation
           telemetry *)
 }
 
-let locked mu f =
-  Mutex.lock mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
-
 let create ?(options = Rewriter.optimized) ?(optimize = true)
     ?(prune = true) ?(index = true) ?(engine = Vec)
     ?(strict = false) ?(db = Database.create ()) () =
+  let metrics = Metrics.create () in
+  (* registered in pipeline order, which is the export order *)
+  let ns name = Metrics.counter metrics ("prepare_" ^ name ^ "_ns") in
+  let c_parse = ns "parse" in
+  let c_analyze = ns "analyze" in
+  let c_check = ns "check" in
+  let c_rewrite = ns "rewrite" in
+  let c_optimize = ns "optimize" in
+  let execute_us = Metrics.histogram metrics "execute_us" in
+  let rows_out = Metrics.histogram metrics "rows_out" in
   {
     db;
     options;
@@ -160,34 +144,44 @@ let create ?(options = Rewriter.optimized) ?(optimize = true)
     strict;
     prune;
     index;
-    totals = fresh_stats ();
-    metrics = Metrics.create ();
-    lock = Mutex.create ();
+    metrics;
+    phases = { c_parse; c_analyze; c_check; c_rewrite; c_optimize };
+    execute_us;
+    rows_out;
     rw = Rwlock.create ();
-    write_epoch = Atomic.make 0;
     epoch_hook = None;
   }
 
 let read_locked m f = Rwlock.with_read m.rw f
 
-(* both summands are monotone non-decreasing, so the sum changes whenever
-   either does; reading it under [read_locked] excludes writers, making
+(* every table version bump and every time-bound change moves the
+   generation; reading it under [read_locked] excludes writers, making
    (epoch read, prepare, execute) atomic with respect to mutations *)
-let epoch m = Atomic.get m.write_epoch + Database.generation m.db
+let epoch m = Database.generation m.db
 
 let set_epoch_hook m hook = m.epoch_hook <- hook
 
 let write_locked m f =
   Rwlock.with_write m.rw (fun () ->
-      (* bump first: even if [f] raises mid-mutation, cached plans are
-         (conservatively) treated as stale *)
-      Atomic.incr m.write_epoch;
       let r = f () in
       (match m.epoch_hook with Some h -> h (epoch m) | None -> ());
       r)
 
-let totals m = m.totals
-let totals_report m = locked m.lock (fun () -> Format.asprintf "%a" pp_phase_stats m.totals)
+let totals_report m =
+  let ns c = Int64.of_int (Metrics.value c) in
+  let p = m.phases in
+  phase_line
+    {
+      parse_ns = ns p.c_parse;
+      analyze_ns = ns p.c_analyze;
+      check_ns = ns p.c_check;
+      rewrite_ns = ns p.c_rewrite;
+      optimize_ns = ns p.c_optimize;
+    }
+    ~execute_ns:
+      (Int64.mul 1000L (Int64.of_int (Metrics.histogram_sum m.execute_us)))
+    ~runs:(Metrics.histogram_observations m.execute_us)
+
 let metrics m = m.metrics
 
 let prune m = m.prune
@@ -229,7 +223,7 @@ type prepared = {
   snapshot : bool;
   order_by : (int * bool) list;
   limit : int option;
-  stats : phase_stats;  (** phase timings; execute accumulates per run *)
+  stats : phase_stats;  (** preparation phase timings *)
   diags : Diagnostic.t list;
       (** diagnostics of the static [check] phase (warnings only: a
           statement with errors raises {!Rejected} instead) *)
@@ -259,10 +253,12 @@ let make_exec m plan : Trace.t -> Database.t -> Table.t =
   | Vec -> fun obs db -> Tkr_vec.Vexec.eval ~obs ~use_index db plan
   | Row -> fun obs db -> Exec.eval ~obs db plan
 
-(* time one preparation phase into a [phase_stats] cell *)
-let phase (set : int64 -> unit) (f : unit -> 'a) : 'a =
+(* time one preparation phase into a [phase_stats] cell and the
+   middleware's cumulative counter *)
+let phase (c : Metrics.counter) (set : int64 -> unit) (f : unit -> 'a) : 'a =
   let ns, r = Clock.elapsed f in
   set ns;
+  Metrics.add c (Int64.to_int ns);
   r
 
 let rec collect_rels acc (q : Algebra.t) =
@@ -371,8 +367,11 @@ let prepare_statement_unlocked ?(explain = false) m (stmt : Ast.statement) :
          elapsed time, reject right away on errors (or warnings when
          strict) so later phases never see an invalid plan *)
       let checked (f : unit -> Diagnostic.t list) : Diagnostic.t list =
-        let ns, ds = Clock.elapsed f in
-        stats.check_ns <- Int64.add stats.check_ns ns;
+        let ds =
+          phase m.phases.c_check
+            (fun ns -> stats.check_ns <- Int64.add stats.check_ns ns)
+            f
+        in
         match Check.verdict ~werror:m.strict (stamp_pos origin ds) with
         | Ok ds -> ds
         | Error ds -> raise (Rejected (Diagnostic.sort ds))
@@ -385,7 +384,6 @@ let prepare_statement_unlocked ?(explain = false) m (stmt : Ast.statement) :
       (* the prepared statement over a final plan; [env] seeds the
          analysis rendered by EXPLAIN *)
       let finish ~env ~snapshot ~out_schema ~diags plan =
-        locked m.lock (fun () -> add_stats ~into:m.totals stats);
         {
           plan;
           exec = make_exec m plan;
@@ -433,7 +431,8 @@ let prepare_statement_unlocked ?(explain = false) m (stmt : Ast.statement) :
       match kind with
       | `Snapshot (inner, as_of, set_mode) -> (
           let analyzed =
-            phase (fun ns -> stats.analyze_ns <- ns) @@ fun () ->
+            phase m.phases.c_analyze (fun ns -> stats.analyze_ns <- ns)
+            @@ fun () ->
             let analyzed = Analyzer.analyze_query (snapshot_catalog m) inner in
             let analyzed =
               if set_mode then
@@ -471,7 +470,8 @@ let prepare_statement_unlocked ?(explain = false) m (stmt : Ast.statement) :
           in
           let table = Database.find m.db in
           let logical =
-            phase (fun ns -> stats.optimize_ns <- ns) @@ fun () ->
+            phase m.phases.c_optimize (fun ns -> stats.optimize_ns <- ns)
+            @@ fun () ->
             let logical = Simplify.simplify analyzed.algebra in
             if m.optimize then
               let prune_hook =
@@ -520,7 +520,8 @@ let prepare_statement_unlocked ?(explain = false) m (stmt : Ast.statement) :
               { p with joins }
           | None ->
               let plan =
-                phase (fun ns -> stats.rewrite_ns <- ns) @@ fun () ->
+                phase m.phases.c_rewrite (fun ns -> stats.rewrite_ns <- ns)
+                @@ fun () ->
                 Tkr_engine.Optimizer.merge_selects
                   (Simplify.simplify
                      (Rewriter.rewrite ~options:m.options ~tmin ~tmax ~lookup
@@ -554,7 +555,8 @@ let prepare_statement_unlocked ?(explain = false) m (stmt : Ast.statement) :
               { p with joins })
       | `Plain inner ->
           let analyzed =
-            phase (fun ns -> stats.analyze_ns <- ns) @@ fun () ->
+            phase m.phases.c_analyze (fun ns -> stats.analyze_ns <- ns)
+            @@ fun () ->
             Analyzer.analyze_query (plain_catalog m) inner
           in
           plain ~prior:[] ~snapshot:false ~out_schema:analyzed.schema
@@ -564,12 +566,15 @@ let prepare_statement_unlocked ?(explain = false) m (stmt : Ast.statement) :
 let prepare_statement ?explain m stmt =
   read_locked m (fun () -> prepare_statement_unlocked ?explain m stmt)
 
+let parse m parser (sql : string) =
+  let ns, r = Clock.elapsed (fun () -> parser sql) in
+  Metrics.add m.phases.c_parse (Int64.to_int ns);
+  (ns, r)
+
 let prepare_sql ?explain m (sql : string) : prepared =
-  let ns, stmt = Clock.elapsed (fun () -> Parser.statement sql) in
+  let ns, stmt = parse m Parser.statement sql in
   let p = prepare_statement ?explain m stmt in
   p.stats.parse_ns <- ns;
-  locked m.lock (fun () ->
-      m.totals.parse_ns <- Int64.add m.totals.parse_ns ns);
   p
 
 let prepare m sql = prepare_sql m sql
@@ -588,15 +593,7 @@ let snapshot_algebra m (sql : string) : Algebra.t * Schema.t =
 let run_prepared ?(obs = Trace.disabled) m (p : prepared) : Table.t =
   read_locked m @@ fun () ->
   let ns, result = Clock.elapsed (fun () -> p.exec obs m.db) in
-  locked m.lock (fun () ->
-      p.stats.runs <- p.stats.runs + 1;
-      p.stats.execute_ns <- Int64.add p.stats.execute_ns ns;
-      m.totals.runs <- m.totals.runs + 1;
-      m.totals.execute_ns <- Int64.add m.totals.execute_ns ns);
-  Metrics.incr (Metrics.counter m.metrics "statements_run");
-  Metrics.observe
-    (Metrics.histogram m.metrics "execute_us")
-    (Int64.to_int (Int64.div ns 1000L));
+  Metrics.observe m.execute_us (Int64.to_int (Int64.div ns 1000L));
   let result = Table.of_array p.out_schema (Table.rows result) in
   let rows =
     if p.order_by = [] then Table.rows result
@@ -620,10 +617,7 @@ let run_prepared ?(obs = Trace.disabled) m (p : prepared) : Table.t =
     | Some l when Array.length rows > l -> Array.sub rows 0 l
     | _ -> rows
   in
-  locked m.lock (fun () ->
-      p.stats.last_rows <- Array.length rows;
-      m.totals.last_rows <- Array.length rows);
-  Metrics.observe (Metrics.histogram m.metrics "rows_out") (Array.length rows);
+  Metrics.observe m.rows_out (Array.length rows);
   Table.of_array p.out_schema rows
 
 (* ---- DDL / DML ---- *)
@@ -638,6 +632,18 @@ let const_value (e : Ast.expr) : Value.t =
   | Ast.Neg (Ast.Num i) -> Value.Int (-i)
   | Ast.Neg (Ast.Fnum f) -> Value.Float (-.f)
   | _ -> err "TKR023" "INSERT values must be literals"
+
+(* A stored row of a period table has non-NULL integer begin and end
+   values (its last two columns); [what] names the statement. *)
+let check_period ~what schema (t : Tuple.t) =
+  let n = Schema.arity schema in
+  for c = n - 2 to n - 1 do
+    match Tuple.get t c with
+    | Value.Int _ -> ()
+    | v ->
+        err "TKR026" "%s: period column %s must be a non-NULL integer, got %s"
+          what (Schema.name schema c) (Value.to_string v)
+  done
 
 (* The stored rows of an INSERT, validated before anything is written:
    each row has the table's arity and literal values, and a period
@@ -654,16 +660,94 @@ let insert_tuples m ins_name (rows : Ast.expr list list) : Tuple.t list =
         Database.stored_row m.db ins_name
           (Array.of_list (List.map const_value row))
       in
-      (if is_period then
-         for c = arity - 2 to arity - 1 do
-           match Tuple.get t c with
-           | Value.Int _ -> ()
-           | v ->
-               err "TKR026" "INSERT into %s: period column %s must be a non-NULL integer, got %s"
-                 ins_name (Schema.name schema c) (Value.to_string v)
-         done);
+      if is_period then check_period ~what:("INSERT into " ^ ins_name) schema t;
       t)
     rows
+
+(* The rows of an UPDATE or DELETE over [rows], and how many matched:
+   [change] maps a matching row to its new value ([None]: deleted).
+   Under FOR PORTION OF [a, b) (SQL:2011) a matching row changes only on
+   the overlap of its period (the trailing two columns) with [a, b);
+   the parts before and after keep the old values, and a row whose
+   period misses the portion is neither changed nor counted. *)
+let dml_rows ~matches ~portion ~(change : Tuple.t -> Tuple.t option)
+    (rows : Tuple.t array) : Tuple.t array * int =
+  let count = ref 0 in
+  let with_period r b e =
+    let n = Tuple.arity r in
+    let out = Array.copy (r : Tuple.t :> Value.t array) in
+    out.(n - 2) <- Value.Int b;
+    out.(n - 1) <- Value.Int e;
+    Tuple.of_array out
+  in
+  let out =
+    Array.to_seq rows
+    |> Seq.concat_map (fun row ->
+           if not (matches row) then Seq.return row
+           else
+             match portion with
+             | None ->
+                 incr count;
+                 Option.to_seq (change row)
+             | Some (a, b) ->
+                 let rb, re = Tkr_engine.Ops.period_of_row row in
+                 let ob = max rb a and oe = min re b in
+                 if ob >= oe then Seq.return row
+                 else begin
+                   incr count;
+                   List.to_seq
+                     ((if rb < ob then [ with_period row rb ob ] else [])
+                     @ (match change row with
+                       | Some r -> [ with_period r ob oe ]
+                       | None -> [])
+                     @ if oe < re then [ with_period row oe re ] else [])
+                 end)
+    |> Array.of_seq
+  in
+  (out, !count)
+
+(* The rows of a table after an UPDATE, and how many matched, validated
+   before anything is written: a period table's begin and end values
+   stay non-NULL integers. *)
+let update_rows m upd_name ~portion ~sets ~upd_where : Tuple.t array * int =
+  let schema = Database.schema_of m.db upd_name in
+  let n = Schema.arity schema in
+  let is_period = Database.is_period m.db upd_name in
+  if portion <> None && not is_period then
+    err "TKR025" "FOR PORTION OF requires a period table";
+  let resolve_col c =
+    match Schema.find_opt schema c with
+    | Some i ->
+        if is_period && portion <> None && i >= n - 2 then
+          err "TKR025" "cannot SET the period columns under FOR PORTION OF";
+        i
+    | None -> err "TKR001" "unknown column %s in UPDATE %s" c upd_name
+  in
+  let sets =
+    List.map
+      (fun (c, e) ->
+        ( resolve_col c,
+          Tkr_sql.Analyzer.resolve ~schema ~on_agg:Tkr_sql.Analyzer.no_agg e ))
+      sets
+  in
+  let pred =
+    Option.map
+      (Tkr_sql.Analyzer.resolve ~schema ~on_agg:Tkr_sql.Analyzer.no_agg)
+      upd_where
+  in
+  let matches row =
+    match pred with None -> true | Some p -> Expr.holds row p
+  in
+  let apply_sets row =
+    let out = Array.copy (row : Tuple.t :> Value.t array) in
+    List.iter (fun (i, e) -> out.(i) <- Expr.eval row e) sets;
+    let t = Tuple.of_array out in
+    if is_period then check_period ~what:("UPDATE " ^ upd_name) schema t;
+    t
+  in
+  dml_rows ~matches ~portion
+    ~change:(fun row -> Some (apply_sets row))
+    (Table.rows (Database.find m.db upd_name))
 
 (* ---- EXPLAIN rendering ---- *)
 
@@ -697,11 +781,13 @@ let render_plan (p : prepared) : string =
          Buffer.add_string buf line);
   Buffer.contents buf
 
-(** EXPLAIN ANALYZE output: the plan, the executed trace tree annotated
-    with per-operator counters, timings and (the collector being GC-
-    profiled) allocation deltas, the phase summary, and the middleware's
-    execute-latency quantiles. *)
-let render_analyze m (p : prepared) (obs : Trace.t) (result : Table.t) : string =
+(** EXPLAIN ANALYZE: run [p] under a fresh GC-profiling trace collector
+    and render the plan, the executed trace tree annotated with
+    per-operator counters, timings and allocation deltas, the phase
+    summary, and the middleware's execute-latency quantiles. *)
+let run_analyze m (p : prepared) : string =
+  let obs = Trace.create ~gc:true () in
+  let result = run_prepared ~obs m p in
   let buf = Buffer.create 512 in
   Buffer.add_string buf (render_plan p);
   (* each executed join beside its estimate; the executed plan's joins
@@ -744,8 +830,13 @@ let render_analyze m (p : prepared) (obs : Trace.t) (result : Table.t) : string 
    if minor > 0. || major > 0. then
      Buffer.add_string buf
        (Printf.sprintf "gc: %.0f minor words, %.0f major words\n" minor major));
-  Buffer.add_string buf (Format.asprintf "%a" pp_phase_stats p.stats);
-  (let h = Metrics.histogram m.metrics "execute_us" in
+  (* the execution time of this run is its trace's *)
+  let execute_ns =
+    List.fold_left (fun acc root -> Int64.add acc (Trace.elapsed_ns root)) 0L
+      (Trace.roots obs)
+  in
+  Buffer.add_string buf (phase_line p.stats ~execute_ns ~runs:1);
+  (let h = m.execute_us in
    let n = Metrics.histogram_observations h in
    if n > 0 then
      Buffer.add_string buf
@@ -780,7 +871,16 @@ let rec check_statement m (stmt : Ast.statement) : Diagnostic.t list =
       | _ -> []
       | exception Error d -> [ d ]
       | exception Schema.Unknown _ -> [])
-  | Ast.Create_table _ | Ast.Drop_table _ | Ast.Update _ | Ast.Delete _ -> []
+  | Ast.Update { upd_name; portion; sets; upd_where } -> (
+      (* likewise the checks UPDATE runs before writing, over the rows
+         the table holds now *)
+      match
+        read_locked m (fun () -> update_rows m upd_name ~portion ~sets ~upd_where)
+      with
+      | _ -> []
+      | exception Error d -> [ d ]
+      | exception (Schema.Unknown _ | Analyzer.Error _) -> [])
+  | Ast.Create_table _ | Ast.Drop_table _ | Ast.Delete _ -> []
 
 (** Lint one statement's logical plan under an explicit capability
     profile: what would that evaluation style get wrong on this query
@@ -826,57 +926,11 @@ let rec execute_query_statement m (stmt : Ast.statement) : result =
       match target with
       | Ast.Query _ ->
           let p = prepare_statement ~explain:true m target in
-          if not analyze then Done (render_plan p)
-          else
-            let obs = Trace.create ~gc:true () in
-            let result = run_prepared ~obs m p in
-            Done (render_analyze m p obs result)
+          Done (if analyze then run_analyze m p else render_plan p)
       | Ast.Explain _ ->
           execute_query_statement m target  (* EXPLAIN EXPLAIN ... *)
       | _ -> err "TKR021" "EXPLAIN expects a query")
   | _ -> err "TKR021" "not a query"
-
-(* The rows of an UPDATE or DELETE over [rows], and how many matched:
-   [change] maps a matching row to its new value ([None]: deleted).
-   Under FOR PORTION OF [a, b) (SQL:2011) a matching row changes only on
-   the overlap of its period (the trailing two columns) with [a, b);
-   the parts before and after keep the old values, and a row whose
-   period misses the portion is neither changed nor counted. *)
-let dml_rows ~matches ~portion ~(change : Tuple.t -> Tuple.t option)
-    (rows : Tuple.t array) : Tuple.t array * int =
-  let count = ref 0 in
-  let with_period r b e =
-    let n = Tuple.arity r in
-    let out = Array.copy (r : Tuple.t :> Value.t array) in
-    out.(n - 2) <- Value.Int b;
-    out.(n - 1) <- Value.Int e;
-    Tuple.of_array out
-  in
-  let out =
-    Array.to_seq rows
-    |> Seq.concat_map (fun row ->
-           if not (matches row) then Seq.return row
-           else
-             match portion with
-             | None ->
-                 incr count;
-                 Option.to_seq (change row)
-             | Some (a, b) ->
-                 let rb, re = Tkr_engine.Ops.period_of_row row in
-                 let ob = max rb a and oe = min re b in
-                 if ob >= oe then Seq.return row
-                 else begin
-                   incr count;
-                   List.to_seq
-                     ((if rb < ob then [ with_period row rb ob ] else [])
-                     @ (match change row with
-                       | Some r -> [ with_period r ob oe ]
-                       | None -> [])
-                     @ if oe < re then [ with_period row oe re ] else [])
-                 end)
-    |> Array.of_seq
-  in
-  (out, !count)
 
 (* DDL/DML: the caller holds the exclusive write side of the catalog
    lock — no query executes while the catalog or a table mutates *)
@@ -914,44 +968,7 @@ let execute_update_statement m (stmt : Ast.statement) : result =
       Database.remove_table m.db name;
       Done (Printf.sprintf "dropped table %s" name)
   | Ast.Update { upd_name; portion; sets; upd_where } ->
-      let schema = Database.schema_of m.db upd_name in
-      let n = Schema.arity schema in
-      let is_period = Database.is_period m.db upd_name in
-      if portion <> None && not is_period then
-        err "TKR025" "FOR PORTION OF requires a period table";
-      let resolve_col c =
-        match Schema.find_opt schema c with
-        | Some i ->
-            if is_period && portion <> None && i >= n - 2 then
-              err "TKR025" "cannot SET the period columns under FOR PORTION OF";
-            i
-        | None -> err "TKR001" "unknown column %s in UPDATE %s" c upd_name
-      in
-      let sets =
-        List.map
-          (fun (c, e) ->
-            ( resolve_col c,
-              Tkr_sql.Analyzer.resolve ~schema ~on_agg:Tkr_sql.Analyzer.no_agg e ))
-          sets
-      in
-      let pred =
-        Option.map
-          (Tkr_sql.Analyzer.resolve ~schema ~on_agg:Tkr_sql.Analyzer.no_agg)
-          upd_where
-      in
-      let matches row =
-        match pred with None -> true | Some p -> Expr.holds row p
-      in
-      let apply_sets row =
-        let out = Array.copy (row : Tuple.t :> Value.t array) in
-        List.iter (fun (i, e) -> out.(i) <- Expr.eval row e) sets;
-        Tuple.of_array out
-      in
-      let rows, updated =
-        dml_rows ~matches ~portion
-          ~change:(fun row -> Some (apply_sets row))
-          (Table.rows (Database.find m.db upd_name))
-      in
+      let rows, updated = update_rows m upd_name ~portion ~sets ~upd_where in
       Database.set_rows m.db upd_name rows;
       Done (Printf.sprintf "updated %d rows in %s" updated upd_name)
   | Ast.Delete { del_name; del_portion; del_where } ->
@@ -988,17 +1005,11 @@ let execute_statement m (stmt : Ast.statement) : result =
       write_locked m (fun () -> execute_update_statement m stmt)
 
 let execute m (sql : string) : result =
-  let ns, stmt = Clock.elapsed (fun () -> Parser.statement sql) in
-  locked m.lock (fun () ->
-      m.totals.parse_ns <- Int64.add m.totals.parse_ns ns);
-  execute_statement m stmt
+  execute_statement m (snd (parse m Parser.statement sql))
 
 (** Run a whole ;-separated script, returning the result of each statement. *)
 let execute_script m (sql : string) : result list =
-  let ns, stmts = Clock.elapsed (fun () -> Parser.script sql) in
-  locked m.lock (fun () ->
-      m.totals.parse_ns <- Int64.add m.totals.parse_ns ns);
-  List.map (execute_statement m) stmts
+  List.map (execute_statement m) (snd (parse m Parser.script sql))
 
 (** Convenience: run a query and return its rows. *)
 let query m (sql : string) : Table.t =
@@ -1012,10 +1023,4 @@ let explain m (sql : string) : string = render_plan (prepare_sql ~explain:true m
 (** EXPLAIN ANALYZE as a function: prepare, execute under a fresh trace
     collector, render the annotated operator tree plus phase timings. *)
 let explain_analyze m (sql : string) : string =
-  let p = prepare_sql ~explain:true m sql in
-  let obs = Trace.create ~gc:true () in
-  let result = run_prepared ~obs m p in
-  render_analyze m p obs result
-
-let prepared_stats (p : prepared) = p.stats
-let totals_json m : Json.t = locked m.lock (fun () -> phase_stats_json m.totals)
+  run_analyze m (prepare_sql ~explain:true m sql)

@@ -17,8 +17,8 @@
 
     A middleware is safe for concurrent callers (threads or domains):
     queries prepare and execute under the shared read side of an internal
-    readers-writer lock, DDL/DML take the exclusive write side, cumulative stats are mutex-guarded and the metrics
-    registry is itself thread-safe.  Execution is serial within a
+    readers-writer lock, DDL/DML take the exclusive write side, and the
+    cumulative numbers live in the thread-safe metrics registry.  Execution is serial within a
     statement; statements run concurrently. *)
 
 open Tkr_relation
@@ -87,13 +87,14 @@ val read_locked : t -> (unit -> 'a) -> 'a
 
 val write_locked : t -> (unit -> 'a) -> 'a
 (** Run [f] holding the exclusive write side (no queries in flight).
-    [f] must not call query-side middleware functions.  Every
-    [write_locked] section bumps {!epoch}. *)
+    [f] must not call query-side middleware functions. *)
 
 val epoch : t -> int
-(** Catalog generation: changes whenever a {!write_locked}
-    section ran (DDL, DML) or the underlying
-    {!Tkr_engine.Database.t} was mutated directly.  A {!prepared}
+(** Catalog generation, {!Tkr_engine.Database.generation}: changes with
+    every table version bump and every time-bound change, whether the
+    mutation came through DDL/DML or directly through the
+    {!Tkr_engine.Database.t}; a rejected statement leaves it alone.  A
+    {!prepared}
     statement bakes the catalog state of prepare time (time bounds,
     schema arities, rewrite options), so a plan cached outside the
     middleware is valid only while [epoch] still equals its value at
@@ -106,23 +107,17 @@ val set_epoch_hook : t -> (int -> unit) option -> unit
     still held — keep it cheap and non-reentrant.  [None] removes it.
     The query server installs its epoch-bump telemetry here. *)
 
-(** Cumulative phase timings of one prepared statement (or, for
-    {!totals}, of a whole middleware): the preparation pipeline
-    (parse → analyze → rewrite → optimize) is timed once per statement,
-    [execute_ns] accumulates over every {!run_prepared}. *)
+(** The preparation phases of one statement (parse → analyze → check →
+    rewrite → optimize), each timed once when it is prepared.  The
+    middleware's cumulative totals are registry counters instead (see
+    {!metrics}). *)
 type phase_stats = {
   mutable parse_ns : int64;
   mutable analyze_ns : int64;
   mutable check_ns : int64;  (** static analysis (Tkr_check), all stages *)
   mutable rewrite_ns : int64;
   mutable optimize_ns : int64;
-  mutable runs : int;
-  mutable execute_ns : int64;
-  mutable last_rows : int;
 }
-
-val pp_phase_stats : Format.formatter -> phase_stats -> unit
-val phase_stats_json : phase_stats -> Tkr_obs.Json.t
 
 type prepared = {
   plan : Algebra.t;
@@ -169,19 +164,17 @@ val run_prepared : ?obs:Tkr_obs.Trace.t -> t -> prepared -> Table.t
 (** Execute a prepared statement; [obs] (default {!Tkr_obs.Trace.disabled})
     collects a per-operator trace of the run. *)
 
-val prepared_stats : prepared -> phase_stats
-
-val totals : t -> phase_stats
-(** Phase timings accumulated over every statement this middleware
-    prepared or ran. *)
-
 val totals_report : t -> string
-val totals_json : t -> Tkr_obs.Json.t
+(** One line of phase timings accumulated over every statement this
+    middleware parsed, prepared or ran ([run --stats]), read from
+    {!metrics}. *)
 
 val metrics : t -> Tkr_obs.Metrics.t
-(** The middleware's metrics registry: [statements_run] counter,
-    [execute_us] latency histogram and [rows_out] cardinality histogram,
-    updated by every {!run_prepared}.  Export it with
+(** The middleware's metrics registry: the cumulative preparation-phase
+    counters [prepare_{parse,analyze,check,rewrite,optimize}_ns], the
+    [execute_us] latency histogram (its count is the number of
+    statements run) and the [rows_out] cardinality histogram, the last
+    two updated by every {!run_prepared}.  Export it with
     {!Tkr_obs.Openmetrics.of_metrics}. *)
 
 val snapshot_algebra : t -> string -> Algebra.t * Schema.t

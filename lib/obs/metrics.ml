@@ -1,14 +1,13 @@
-(** A lightweight metrics registry: named counters, monotonic-clock
-    timers and fixed-bucket histograms.
+(** A lightweight metrics registry: named counters, gauges and
+    fixed-bucket histograms.
 
     Metrics are find-or-create by name, so instrumentation sites don't
-    need setup code; reads ([value], [snapshot], [to_json]) are cheap and
-    never disturb the instruments.  A registry is a plain value — the
-    engine, middleware and benchmarks each keep their own, and {!global}
-    is a process-wide default for ad-hoc use.
+    need setup code; reads ([value], [view]) are cheap and never disturb
+    the instruments.  A registry is a plain value — the middleware, the
+    server and the ledger each keep their own or share one.
 
     Every operation is safe under concurrent callers (threads or
-    domains): counters are atomics, timers and histograms take a
+    domains): counters and gauges are atomics, histograms take a
     per-instrument mutex, and find-or-create is serialized on a
     per-registry mutex — the middleware and the query server share
     registries across their worker threads. *)
@@ -16,13 +15,6 @@
 type counter = { count : int Atomic.t }
 
 type gauge = { level : int Atomic.t }
-
-type timer = {
-  clock : Clock.t;
-  tm_lock : Mutex.t;
-  mutable total_ns : int64;
-  mutable samples : int;
-}
 
 type histogram = {
   h_lock : Mutex.t;
@@ -34,14 +26,9 @@ type histogram = {
   mutable hi : int;  (** largest observation *)
 }
 
-type metric =
-  | Counter of counter
-  | Gauge of gauge
-  | Timer of timer
-  | Histogram of histogram
+type metric = Counter of counter | Gauge of gauge | Histogram of histogram
 
 type t = {
-  reg_clock : Clock.t;
   reg_lock : Mutex.t;
   tbl : (string, metric) Hashtbl.t;
   mutable order : string list;  (** registration order, reversed *)
@@ -51,10 +38,7 @@ let locked m f =
   Mutex.lock m;
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
-let create ?(clock = Clock.monotonic) () =
-  { reg_clock = clock; reg_lock = Mutex.create (); tbl = Hashtbl.create 32; order = [] }
-
-let global = create ()
+let create () = { reg_lock = Mutex.create (); tbl = Hashtbl.create 32; order = [] }
 
 let find_or_add t name make =
   locked t.reg_lock @@ fun () ->
@@ -75,20 +59,6 @@ let gauge t name : gauge =
   match find_or_add t name (fun () -> Gauge { level = Atomic.make 0 }) with
   | Gauge g -> g
   | _ -> invalid_arg ("metric " ^ name ^ " is not a gauge")
-
-let timer t name : timer =
-  match
-    find_or_add t name (fun () ->
-        Timer
-          {
-            clock = t.reg_clock;
-            tm_lock = Mutex.create ();
-            total_ns = 0L;
-            samples = 0;
-          })
-  with
-  | Timer tm -> tm
-  | _ -> invalid_arg ("metric " ^ name ^ " is not a timer")
 
 let default_bounds = [| 1; 10; 100; 1_000; 10_000; 100_000; 1_000_000 |]
 
@@ -122,25 +92,6 @@ let set (g : gauge) v = Atomic.set g.level v
 let gauge_add (g : gauge) n = ignore (Atomic.fetch_and_add g.level n)
 
 let gauge_value (g : gauge) = Atomic.get g.level
-
-let record_ns (tm : timer) ns =
-  locked tm.tm_lock @@ fun () ->
-  tm.total_ns <- Int64.add tm.total_ns ns;
-  tm.samples <- tm.samples + 1
-
-let time (tm : timer) (f : unit -> 'a) : 'a =
-  let t0 = tm.clock () in
-  let finish () = record_ns tm (Int64.sub (tm.clock ()) t0) in
-  match f () with
-  | r ->
-      finish ();
-      r
-  | exception e ->
-      finish ();
-      raise e
-
-let timer_total_ns (tm : timer) = locked tm.tm_lock (fun () -> tm.total_ns)
-let timer_samples (tm : timer) = locked tm.tm_lock (fun () -> tm.samples)
 
 let observe (h : histogram) v =
   locked h.h_lock @@ fun () ->
@@ -200,99 +151,22 @@ let histogram_quantile (h : histogram) (q : float) : int =
 
 let reset t =
   locked t.reg_lock @@ fun () ->
-  List.iter
-    (fun name ->
-      match Hashtbl.find t.tbl name with
+  Hashtbl.iter
+    (fun _ -> function
       | Counter c -> Atomic.set c.count 0
       | Gauge g -> Atomic.set g.level 0
-      | Timer tm ->
-          locked tm.tm_lock @@ fun () ->
-          tm.total_ns <- 0L;
-          tm.samples <- 0
-      | Histogram h ->
-          locked h.h_lock @@ fun () ->
-          Array.fill h.buckets 0 (Array.length h.buckets) 0;
-          h.observations <- 0;
-          h.sum <- 0;
-          h.lo <- 0;
-          h.hi <- 0)
-    t.order
+      | Histogram h -> histogram_reset h)
+    t.tbl
 
 (* ---- export ---- *)
 
 let names t = locked t.reg_lock (fun () -> List.rev t.order)
 
-(** A read-only snapshot of one instrument, for exporters that must
-    dispatch on the metric kind without find-or-create side effects. *)
-type view =
-  | V_counter of int
-  | V_gauge of int
-  | V_timer of int64 * int  (** total ns, samples *)
-  | V_histogram of histogram
+type view = V_counter of int | V_gauge of int | V_histogram of histogram
 
 let view t name : view option =
   match locked t.reg_lock (fun () -> Hashtbl.find_opt t.tbl name) with
   | Some (Counter c) -> Some (V_counter (Atomic.get c.count))
   | Some (Gauge g) -> Some (V_gauge (Atomic.get g.level))
-  | Some (Timer tm) ->
-      Some (locked tm.tm_lock (fun () -> V_timer (tm.total_ns, tm.samples)))
   | Some (Histogram h) -> Some (V_histogram h)
   | None -> None
-
-let metric_json = function
-  | Counter c ->
-      Json.Obj
-        [ ("type", Json.Str "counter"); ("value", Json.Int (Atomic.get c.count)) ]
-  | Gauge g ->
-      Json.Obj
-        [ ("type", Json.Str "gauge"); ("value", Json.Int (Atomic.get g.level)) ]
-  | Timer tm ->
-      let total_ns, samples =
-        locked tm.tm_lock (fun () -> (tm.total_ns, tm.samples))
-      in
-      Json.Obj
-        [
-          ("type", Json.Str "timer");
-          ("total_ns", Json.Int (Int64.to_int total_ns));
-          ("samples", Json.Int samples);
-        ]
-  | Histogram h ->
-      let observations, sum, buckets =
-        locked h.h_lock (fun () -> (h.observations, h.sum, Array.copy h.buckets))
-      in
-      Json.Obj
-        [
-          ("type", Json.Str "histogram");
-          ("observations", Json.Int observations);
-          ("sum", Json.Int sum);
-          ("bounds", Json.List (Array.to_list (Array.map (fun b -> Json.Int b) h.bounds)));
-          ("buckets", Json.List (Array.to_list (Array.map (fun c -> Json.Int c) buckets)));
-        ]
-
-let to_json_value t : Json.t =
-  Json.Obj
-    (List.map
-       (fun name ->
-         (name, metric_json (locked t.reg_lock (fun () -> Hashtbl.find t.tbl name))))
-       (names t))
-
-let to_json t : string = Json.to_string (to_json_value t)
-
-let pp ppf t =
-  List.iter
-    (fun name ->
-      match locked t.reg_lock (fun () -> Hashtbl.find t.tbl name) with
-      | Counter c -> Format.fprintf ppf "%-40s %12d@," name (Atomic.get c.count)
-      | Gauge g -> Format.fprintf ppf "%-40s %12d@," name (Atomic.get g.level)
-      | Timer tm ->
-          let total_ns, samples =
-            locked tm.tm_lock (fun () -> (tm.total_ns, tm.samples))
-          in
-          Format.fprintf ppf "%-40s %9.3f ms / %d samples@," name
-            (Clock.ns_to_ms total_ns) samples
-      | Histogram h ->
-          let observations, sum =
-            locked h.h_lock (fun () -> (h.observations, h.sum))
-          in
-          Format.fprintf ppf "%-40s %d obs, sum %d@," name observations sum)
-    (names t)

@@ -1,20 +1,16 @@
-(** A lightweight metrics registry: named counters, gauges,
-    monotonic-clock timers and fixed-bucket histograms, find-or-create by
-    name.
+(** A lightweight metrics registry: named counters, gauges and
+    fixed-bucket histograms, find-or-create by name.
 
-    Thread-safe: counters and gauges are atomics, timers/histograms take
-    a per-instrument mutex and registration is serialized, so one
+    Thread-safe: counters and gauges are atomics, histograms take a
+    per-instrument mutex and registration is serialized, so one
     registry can be shared by concurrent threads or domains. *)
 
 type counter
 type gauge
-type timer
 type histogram
 type t
 
-val create : ?clock:Clock.t -> unit -> t
-val global : t
-(** A process-wide default registry. *)
+val create : unit -> t
 
 val counter : t -> string -> counter
 (** Find-or-create. @raise Invalid_argument on a kind mismatch. *)
@@ -24,7 +20,6 @@ val gauge : t -> string -> gauge
     queue depths, in-flight requests, cache residency — exported without
     the [_total] suffix counters get. *)
 
-val timer : t -> string -> timer
 val histogram : ?bounds:int array -> t -> string -> histogram
 
 val incr : counter -> unit
@@ -36,13 +31,6 @@ val gauge_add : gauge -> int -> unit
 (** [gauge_add g n] moves the level by [n] (negative to decrease). *)
 
 val gauge_value : gauge -> int
-
-val record_ns : timer -> int64 -> unit
-val time : timer -> (unit -> 'a) -> 'a
-(** Time a thunk with the registry's clock (exception-safe). *)
-
-val timer_total_ns : timer -> int64
-val timer_samples : timer -> int
 
 val observe : histogram -> int -> unit
 (** Count [v] into the first bucket whose bound is [>= v] (last bucket is
@@ -77,11 +65,6 @@ val names : t -> string list
 type view =
   | V_counter of int
   | V_gauge of int
-  | V_timer of int64 * int  (** total ns, samples *)
   | V_histogram of histogram
 
 val view : t -> string -> view option
-
-val to_json_value : t -> Json.t
-val to_json : t -> string
-val pp : Format.formatter -> t -> unit

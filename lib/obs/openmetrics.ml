@@ -1,12 +1,10 @@
 (** OpenMetrics / Prometheus text exposition of a {!Metrics} registry.
 
     Counters become [<name>_total] counters, gauges bare [<name>]
-    gauges, timers a pair of [<name>_ns_total] / [<name>_samples_total]
-    counters, histograms the classic cumulative-bucket encoding
-    ([<name>_bucket{le="..."}] up to
-    [le="+Inf"], plus [_sum] and [_count]).  Metric names are sanitized
-    to the OpenMetrics grammar; the document ends with the mandatory
-    [# EOF] marker. *)
+    gauges, histograms the classic cumulative-bucket encoding
+    ([<name>_bucket{le="..."}] up to [le="+Inf"], plus [_sum] and
+    [_count]).  Metric names are sanitized to the OpenMetrics grammar;
+    the document ends with the mandatory [# EOF] marker. *)
 
 (* OpenMetrics names: [a-zA-Z_:][a-zA-Z0-9_:]* — everything else maps
    to '_' (a leading digit gets a '_' prefix) *)
@@ -81,19 +79,17 @@ let gauge ?(help = "") name (rows : ((string * string) list * float) list) :
     rows;
   Buffer.contents buf
 
+(** A counter family of one sample, exported as [<name>_total]. *)
+let counter name (value : int) : string =
+  let name = name ^ "_total" in
+  type_line name "counter" ^ sample name (float_of_int value)
+
 let render_metric buf name (v : Metrics.view) =
   match v with
-  | Metrics.V_counter c ->
-      Buffer.add_string buf (type_line (name ^ "_total") "counter");
-      Buffer.add_string buf (sample (name ^ "_total") (float_of_int c))
+  | Metrics.V_counter c -> Buffer.add_string buf (counter name c)
   | Metrics.V_gauge g ->
       Buffer.add_string buf (type_line name "gauge");
       Buffer.add_string buf (sample name (float_of_int g))
-  | Metrics.V_timer (total_ns, samples) ->
-      Buffer.add_string buf (type_line (name ^ "_ns_total") "counter");
-      Buffer.add_string buf (sample (name ^ "_ns_total") (Int64.to_float total_ns));
-      Buffer.add_string buf (type_line (name ^ "_samples_total") "counter");
-      Buffer.add_string buf (sample (name ^ "_samples_total") (float_of_int samples))
   | Metrics.V_histogram h ->
       let bounds = Metrics.histogram_bounds h in
       let buckets = Metrics.histogram_buckets h in

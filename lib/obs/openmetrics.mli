@@ -1,7 +1,6 @@
 (** OpenMetrics / Prometheus text exposition.
 
-    Counters export as [<name>_total], timers as [<name>_ns_total] /
-    [<name>_samples_total], histograms as cumulative buckets
+    Counters export as [<name>_total], histograms as cumulative buckets
     ([<name>_bucket{le="..."}], [_sum], [_count]).  Names are sanitized
     to the OpenMetrics grammar and every document ends with [# EOF]. *)
 
@@ -16,6 +15,10 @@ val sample : ?labels:(string * string) list -> string -> float -> string
 
 val type_line : string -> string -> string
 (** A [# TYPE name kind] header line. *)
+
+val counter : string -> int -> string
+(** A counter family of one sample, exported as [<name>_total] like a
+    registry counter — for counts owned outside any registry. *)
 
 val gauge :
   ?help:string -> string -> ((string * string) list * float) list -> string

@@ -7,9 +7,8 @@
     monotonic-clock duration and arbitrary key/value attributes (rows
     in/out, join strategy, coalesce segment counts, ...).
 
-    Finished trees are rendered by the pluggable sinks: {!to_text} for the
-    EXPLAIN ANALYZE operator tree and {!to_json_value}/{!to_json} for
-    machine-readable dumps. *)
+    Finished trees are rendered by {!to_text} for the EXPLAIN ANALYZE
+    operator tree and by {!to_json_value} for machine-readable dumps. *)
 
 type value = Int of int | Float of float | Str of string | Bool of bool
 
@@ -99,7 +98,6 @@ let set (sp : span option) key v =
   match sp with None -> () | Some sp -> sp.sp_attrs <- (key, v) :: sp.sp_attrs
 
 let set_int sp key i = set sp key (Int i)
-let set_float sp key f = set sp key (Float f)
 let set_str sp key s = set sp key (Str s)
 let set_bool sp key b = set sp key (Bool b)
 
@@ -126,7 +124,7 @@ let rec iter f sp =
   f sp;
   List.iter (iter f) (children sp)
 
-(* ---- sinks ---- *)
+(* ---- rendering ---- *)
 
 let pp_value ppf = function
   | Int i -> Format.fprintf ppf "%d" i
@@ -168,23 +166,3 @@ let rec to_json_value (sp : span) : Json.t =
       ("attrs", Json.Obj (List.map (fun (k, v) -> (k, value_json v)) (attrs sp)));
       ("children", Json.List (List.map to_json_value (children sp)));
     ]
-
-let to_json (sp : span) : string = Json.to_string (to_json_value sp)
-
-type sink = Noop | Text of out_channel | Json_chan of out_channel | Fn of (span -> unit)
-
-let noop = Noop
-
-let emit (sink : sink) (sp : span) =
-  match sink with
-  | Noop -> ()
-  | Text oc ->
-      output_string oc (to_text sp);
-      flush oc
-  | Json_chan oc ->
-      output_string oc (to_json sp);
-      output_char oc '\n';
-      flush oc
-  | Fn f -> f sp
-
-let emit_all (sink : sink) (t : t) = List.iter (emit sink) (roots t)

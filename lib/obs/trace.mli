@@ -1,4 +1,4 @@
-(** Span-based execution traces with pluggable sinks.
+(** Span-based execution traces.
 
     The {!disabled} collector (the default everywhere) makes {!with_span}
     run its body with no span, no timing and no allocation beyond the
@@ -46,7 +46,6 @@ val set : span option -> string -> value -> unit
 (** No-op on [None], so instrumentation sites need no match. *)
 
 val set_int : span option -> string -> int -> unit
-val set_float : span option -> string -> float -> unit
 val set_str : span option -> string -> string -> unit
 val set_bool : span option -> string -> bool -> unit
 
@@ -70,10 +69,3 @@ val to_text : ?show_time:bool -> span -> string
 (** One operator per line, [key=value] attributes, children indented. *)
 
 val to_json_value : span -> Json.t
-val to_json : span -> string
-
-type sink = Noop | Text of out_channel | Json_chan of out_channel | Fn of (span -> unit)
-
-val noop : sink
-val emit : sink -> span -> unit
-val emit_all : sink -> t -> unit

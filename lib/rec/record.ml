@@ -3,6 +3,7 @@
     argument. *)
 
 module Json = Tkr_obs.Json
+module Jsonl = Tkr_obs.Jsonl
 
 exception Format_error of string
 
@@ -169,44 +170,32 @@ let entry_of_json (j : Json.t) : entry =
 
 (* ---- recorder ---- *)
 
-type sink = Null | Chan of out_channel | Fn of (Json.t -> unit)
-
 type t = {
-  sink : sink;
+  sink : Jsonl.sink;
   lock : Mutex.t;
   mutable live : bool;
   mutable count : int;
 }
 
-let disabled = { sink = Null; lock = Mutex.create (); live = false; count = 0 }
+let disabled =
+  { sink = Jsonl.Null; lock = Mutex.create (); live = false; count = 0 }
 
-let enabled t =
-  t != disabled && t.live && (match t.sink with Null -> false | _ -> true)
+let enabled t = t != disabled && t.live && t.sink != Jsonl.Null
 
 let locked mu f =
   Mutex.lock mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
 
-let emit_line t (j : Json.t) =
-  match t.sink with
-  | Null -> ()
-  | Chan oc ->
-      output_string oc (Json.to_string j);
-      output_char oc '\n';
-      flush oc
-  | Fn f -> f j
-
 let create ?(header = header ()) sink =
-  let t = { sink; lock = Mutex.create (); live = true; count = 0 } in
-  locked t.lock (fun () -> emit_line t (header_to_json header));
-  t
+  Jsonl.write sink (header_to_json header);
+  { sink; lock = Mutex.create (); live = true; count = 0 }
 
 let write t (e : entry) =
   if enabled t then
     locked t.lock @@ fun () ->
     if t.live then begin
       t.count <- t.count + 1;
-      emit_line t (entry_to_json e)
+      Jsonl.write t.sink (entry_to_json e)
     end
 
 let recorded t = locked t.lock (fun () -> t.count)
@@ -216,7 +205,7 @@ let close t =
     locked t.lock @@ fun () ->
     if t.live then begin
       t.live <- false;
-      match t.sink with Chan oc -> flush oc | _ -> ()
+      Jsonl.flush t.sink
     end
 
 (* ---- reading ---- *)

@@ -21,10 +21,10 @@
     server builds it for every finished request, recording on or off,
     and feeds its counters, the {!Ledger} and the event log from it.
 
-    The recorder mirrors [Tkr_tel.Tel]'s sink machinery: {!disabled} is a
-    shared no-op value, {!enabled} is a physical-equality check, and the
-    server guards the response {!digest} on it so recording off costs
-    no MD5. *)
+    The recorder writes to the same {!Tkr_obs.Jsonl} sink as
+    [Tkr_tel.Tel]: {!disabled} is a shared no-op value, {!enabled} is a
+    physical-equality check, and the server guards the response
+    {!digest} on it so recording off costs no MD5. *)
 
 module Json = Tkr_obs.Json
 
@@ -88,18 +88,13 @@ val entry_of_json : Json.t -> entry
 
 (** {2 Recorder} *)
 
-type sink =
-  | Null
-  | Chan of out_channel  (** one flushed JSONL line per record *)
-  | Fn of (Json.t -> unit)  (** tests and embedders *)
-
 type t
 
 val disabled : t
 (** The shared no-op recorder: [enabled disabled = false] and {!write}
     returns immediately. *)
 
-val create : ?header:header -> sink -> t
+val create : ?header:header -> Tkr_obs.Jsonl.sink -> t
 (** Open a recorder and emit the header line.  The caller owns the
     channel (if any) and closes it after {!close}. *)
 

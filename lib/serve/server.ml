@@ -95,9 +95,6 @@ type t = {
   m_busy : Metrics.counter;
   m_deadline : Metrics.counter;
   m_errors : Metrics.counter;
-  m_cache_hits : Metrics.counter;
-  m_cache_misses : Metrics.counter;
-  m_cache_evictions : Metrics.counter;
   m_latency : Metrics.histogram;
   (* live levels; [sync_gauges] refreshes the sampled ones at scrape
      time, [g_inflight] is maintained by the workers *)
@@ -257,10 +254,8 @@ let run_query srv (j : job) record : reply * Record.entry =
     let rows_out = Table.cardinality tbl in
     let payload = Wire.body_to_payload (Wire.Rows tbl) in
     let evicted = Cache.add srv.cache ~rows:rows_out ~key ~deps payload in
-    if evicted > 0 then begin
-      Metrics.add srv.m_cache_evictions evicted;
-      if Tel.enabled tel then Tel.emit tel (Tel.Cache_evict { count = evicted })
-    end;
+    if evicted > 0 && Tel.enabled tel then
+      Tel.emit tel (Tel.Cache_evict { count = evicted });
     record ~disposition ~rows_out (Ok (payload, trace_json obs))
   in
   if not (Cache.enabled srv.cache) then execute_fresh "off"
@@ -293,7 +288,8 @@ let run_statement srv stmt : string * int =
 
 (* Feed one finished request's record to every observer: the serve
    counters and latency histogram, the resource ledger, the flight
-   recorder and the event log. *)
+   recorder and the event log.  Cache traffic is the cache's own count
+   ({!Cache.stats}), read at scrape time. *)
 let observe srv (e : Record.entry) =
   Metrics.incr srv.m_requests;
   Metrics.observe srv.m_latency e.e_total_us;
@@ -301,10 +297,6 @@ let observe srv (e : Record.entry) =
   | "ok" -> ()
   | "DEADLINE_EXCEEDED" -> Metrics.incr srv.m_deadline
   | _ -> Metrics.incr srv.m_errors);
-  (match e.e_disposition with
-  | "hit" -> Metrics.incr srv.m_cache_hits
-  | "miss" -> Metrics.incr srv.m_cache_misses
-  | _ -> ());
   Ledger.observe srv.ledger e;
   Record.write srv.recorder e;
   let tel = srv.tel in
@@ -489,22 +481,25 @@ let build_info_family srv : string =
         1.0 );
     ]
 
-(* telemetry drop accounting, exported even though the event log itself
-   lives outside the metrics registry *)
-let tel_family srv : string list =
+(* counts owned outside the metrics registry, rendered from their owners
+   at scrape time: the result cache's traffic and the event log's drops *)
+let owned_counters srv : string list =
+  let cs = Cache.stats srv.cache in
+  [
+    Openmetrics.counter "serve_cache_hits" cs.Cache.hits;
+    Openmetrics.counter "serve_cache_misses" cs.Cache.misses;
+    Openmetrics.counter "serve_cache_evictions" cs.Cache.evictions;
+  ]
+  @
   if Tel.enabled srv.tel then
-    [
-      Openmetrics.type_line "tkr_tel_events_dropped_total" "counter"
-      ^ Openmetrics.sample "tkr_tel_events_dropped_total"
-          (float_of_int (Tel.dropped srv.tel));
-    ]
+    [ Openmetrics.counter "tkr_tel_events_dropped" (Tel.dropped srv.tel) ]
   else []
 
 let metrics_text srv : string =
   sync_gauges srv;
   Openmetrics.of_metrics
     ~extra:
-      ((build_info_family srv :: tel_family srv)
+      ((build_info_family srv :: owned_counters srv)
       @ Ledger.openmetrics srv.ledger)
     (Middleware.metrics srv.mw)
 
@@ -754,13 +749,11 @@ let start ?(config = default_config) ?(tel = Tel.disabled)
       recorder;
       ledger = Ledger.create ();
       arrive_seq = Atomic.make 0;
-      m_requests = Metrics.counter reg "serve_requests_total";
-      m_busy = Metrics.counter reg "serve_busy_total";
-      m_deadline = Metrics.counter reg "serve_deadline_exceeded_total";
-      m_errors = Metrics.counter reg "serve_errors_total";
-      m_cache_hits = Metrics.counter reg "serve_cache_hits_total";
-      m_cache_misses = Metrics.counter reg "serve_cache_misses_total";
-      m_cache_evictions = Metrics.counter reg "serve_cache_evictions_total";
+      (* counters export with the [_total] suffix added *)
+      m_requests = Metrics.counter reg "serve_requests";
+      m_busy = Metrics.counter reg "serve_busy";
+      m_deadline = Metrics.counter reg "serve_deadline_exceeded";
+      m_errors = Metrics.counter reg "serve_errors";
       m_latency = Metrics.histogram reg "serve_latency_us";
       g_queue = Metrics.gauge reg "serve_queue_depth";
       g_inflight = Metrics.gauge reg "serve_inflight_requests";

@@ -122,9 +122,10 @@ val stats_json : t -> Tkr_obs.Json.t
 val metrics_text : t -> string
 (** The [METRICS] payload: the OpenMetrics exposition of the middleware
     registry with the live gauges freshly sampled, plus the
-    [tkr_build_info] family (git SHA, OCaml version), the
-    [tkr_tel_events_dropped_total] counter (when telemetry is on) and
-    the [tkr_ledger_*] per-fingerprint families. *)
+    [tkr_build_info] family (git SHA, OCaml version), the result cache's
+    own [serve_cache_{hits,misses,evictions}_total] counters
+    ({!Cache.stats}), the [tkr_tel_events_dropped_total] counter (when
+    telemetry is on) and the [tkr_ledger_*] per-fingerprint families. *)
 
 val health_json : t -> Tkr_obs.Json.t
 (** The [HEALTH] payload: [{"status": "ready" | "draining", ...}]. *)

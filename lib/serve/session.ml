@@ -2,10 +2,12 @@ module Middleware = Tkr_middleware.Middleware
 
 type session = {
   sid : int;
-  stmts : (string, int * Middleware.prepared) Hashtbl.t;
-      (* statement text -> (middleware epoch at prepare time, plan);
-         entries from an older epoch are stale — the plan baked catalog
-         state (time bounds, schema arities) that has since changed *)
+  stmts : (string, Middleware.prepared) Hashtbl.t;
+      (* statement text -> plan, every plan prepared at [epoch] *)
+  mutable epoch : int;
+      (* the middleware epoch the table's plans were prepared at; when it
+         moves, every plan baked catalog state (time bounds, schema
+         arities) that has since changed, so the table is emptied *)
   s_lock : Mutex.t;
   mutable counted : bool;  (* still counted in the manager's [live] *)
 }
@@ -31,7 +33,14 @@ let open_session m =
     let sid = m.next_id in
     m.next_id <- sid + 1;
     m.live <- m.live + 1;
-    Some { sid; stmts = Hashtbl.create 16; s_lock = Mutex.create (); counted = true }
+    Some
+      {
+        sid;
+        stmts = Hashtbl.create 16;
+        epoch = -1;
+        s_lock = Mutex.create ();
+        counted = true;
+      }
   end
 
 (* idempotent: connection teardown can race with server drain *)
@@ -45,24 +54,40 @@ let close m s =
 let id s = s.sid
 let active m = locked m.m_lock (fun () -> m.live)
 
+(* a connection sending ever new statement texts (AS OF reads at varying
+   points) must not keep one plan per text for its lifetime: a full
+   table starts over *)
+let max_prepared = 256
+
 let prepared s mw stmt =
   (* fast path under the session lock; prepare outside it so slow
      preparations don't serialize unrelated statements of the session.
      Callers executing the plan run this under Middleware.read_locked, so
      the epoch cannot move between the check and the execution; outside
-     that bracket a concurrent mutation at worst stores an entry that is
-     already stale, which the next lookup re-prepares. *)
+     that bracket a concurrent mutation at worst stores a plan that is
+     already stale, which the next lookup drops. *)
   let ep = Middleware.epoch mw in
-  match locked s.s_lock (fun () -> Hashtbl.find_opt s.stmts stmt) with
-  | Some (e, p) when e = ep -> p
-  | Some _ | None ->
+  let cached =
+    locked s.s_lock @@ fun () ->
+    if s.epoch <> ep then begin
+      Hashtbl.reset s.stmts;
+      s.epoch <- ep
+    end;
+    Hashtbl.find_opt s.stmts stmt
+  in
+  match cached with
+  | Some p -> p
+  | None ->
       let p = Middleware.prepare mw stmt in
       locked s.s_lock (fun () ->
-          match Hashtbl.find_opt s.stmts stmt with
-          | Some (e, winner) when e = ep ->
-              winner (* another thread of this session won *)
-          | _ ->
-              Hashtbl.replace s.stmts stmt (ep, p);
-              p)
+          if s.epoch <> ep then p (* the table moved on meanwhile *)
+          else
+            match Hashtbl.find_opt s.stmts stmt with
+            | Some winner -> winner (* another thread of this session won *)
+            | None ->
+                if Hashtbl.length s.stmts >= max_prepared then
+                  Hashtbl.reset s.stmts;
+                Hashtbl.replace s.stmts stmt p;
+                p)
 
 let prepared_count s = locked s.s_lock (fun () -> Hashtbl.length s.stmts)

@@ -5,9 +5,11 @@
     repetition, so clients replaying a workload skip the parse → analyze
     → rewrite → optimize pipeline after the first round.  Entries are
     validated against {!Middleware.epoch}: a plan bakes catalog state of
-    prepare time (snapshot time bounds, schema arities), so after any
-    DDL/DML the entry is stale and is transparently
-    re-prepared on next use.  The manager enforces the server's
+    prepare time (snapshot time bounds, schema arities), so once the
+    epoch moves (any DDL/DML that changed something) every entry is
+    stale; the table is emptied and statements are transparently
+    re-prepared on next use.  The table holds at most a fixed number of
+    plans and starts over when full.  The manager enforces the server's
     [max_sessions] admission limit.
 
     Both are mutex-guarded and safe for concurrent callers. *)
@@ -33,11 +35,13 @@ val active : manager -> int
 
 val prepared : session -> Middleware.t -> string -> Middleware.prepared
 (** The session's prepared statement for [stmt], preparing (and caching)
-    it on first sight and re-preparing when the cached entry's
-    {!Middleware.epoch} is stale (the catalog changed since).
+    it on first sight and re-preparing once {!Middleware.epoch} has moved
+    (the catalog changed since), which also drops every other stale
+    entry.
     Call under {!Middleware.read_locked} when executing the returned plan,
     so no mutation can intervene between validation and execution.
     Raises whatever {!Middleware.prepare} raises; failures are not
     cached. *)
 
 val prepared_count : session -> int
+(** Plans the session holds now. *)

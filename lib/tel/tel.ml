@@ -1,14 +1,15 @@
 (** Tkr_tel: the live-telemetry event log.
 
-    A {!t} is a JSONL sink for the typed serve-path events below.  Every
-    line carries a wall-clock timestamp ([ts_ms], integer milliseconds
-    since the epoch), a monotonic timestamp ([mono_ns], for ordering and
-    latency arithmetic), a per-sink sequence number, a severity and the
-    event's own fields.  Request events carry the wire-propagated trace id, so a
-    log line, the response envelope and the optional execution trace all
-    correlate on one id.
+    A {!t} writes the typed serve-path events below to a
+    {!Tkr_obs.Jsonl} sink.  Every line carries a wall-clock timestamp
+    ([ts_ms], integer milliseconds since the epoch), a monotonic
+    timestamp ([mono_ns], for ordering and latency arithmetic), a
+    per-log sequence number, a severity and the event's own fields.
+    Request events carry the wire-propagated trace id, so a log line,
+    the response envelope and the optional execution trace all correlate
+    on one id.
 
-    The {!disabled} sink is free: {!enabled} is a physical-equality
+    The {!disabled} log is free: {!enabled} is a physical-equality
     check, and instrumentation sites guard event construction on it, so
     a server without telemetry allocates nothing per request.
 
@@ -17,9 +18,10 @@
     [rate_limited] line when the window rolls over, so the log says that
     it lied rather than silently thinning.  All operations are
     mutex-serialized — the accept loop, reader threads and workers share
-    one sink. *)
+    one log. *)
 
 module Json = Tkr_obs.Json
+module Jsonl = Tkr_obs.Jsonl
 module Clock = Tkr_obs.Clock
 
 type severity = Debug | Info | Warn | Error
@@ -119,13 +121,8 @@ let event_fields : event -> string * (string * Json.t) list = function
           ("disposition", Json.Str disposition);
         ] )
 
-type sink =
-  | Null
-  | Chan of out_channel  (** one flushed line per event *)
-  | Fn of (Json.t -> unit)  (** tests and embedders *)
-
 type t = {
-  mutable sink : sink;  (** flipped to [Null] by {!close} *)
+  mutable sink : Jsonl.sink;  (** flipped to [Null] by {!close} *)
   lock : Mutex.t;
   clock : Clock.t;
   wall : unit -> float;
@@ -142,7 +139,7 @@ let default_rate_limit = 5_000
 
 let disabled : t =
   {
-    sink = Null;
+    sink = Jsonl.Null;
     lock = Mutex.create ();
     clock = Clock.monotonic;
     wall = Unix.gettimeofday;
@@ -171,20 +168,11 @@ let create ?(clock = Clock.monotonic) ?(wall = Unix.gettimeofday)
     seq = 0;
   }
 
-let enabled t = t.sink != Null (* phys: [disabled] is shared and immutable *)
+let enabled t = t.sink != Jsonl.Null (* phys: [disabled] is shared and immutable *)
 
 let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
-let write t (j : Json.t) =
-  match t.sink with
-  | Null -> ()
-  | Chan oc ->
-      output_string oc (Json.to_string j);
-      output_char oc '\n';
-      flush oc
-  | Fn f -> f j
 
 let line t ~mono_ns ~severity ~name fields : Json.t =
   t.seq <- t.seq + 1;
@@ -201,13 +189,13 @@ let emit t (e : event) : unit =
   if enabled t then
     locked t @@ fun () ->
     match t.sink with
-    | Null -> () (* closed between the check and the lock *)
+    | Jsonl.Null -> () (* closed between the check and the lock *)
     | _ ->
         let now = t.clock () in
         (* roll the one-second window; announce what the full one ate *)
         if Int64.sub now t.window_start >= 1_000_000_000L then begin
           if t.window_dropped > 0 then
-            write t
+            Jsonl.write t.sink
               (line t ~mono_ns:now ~severity:Warn ~name:"rate_limited"
                  [ ("dropped", Json.Int t.window_dropped) ]);
           t.window_start <- now;
@@ -222,7 +210,8 @@ let emit t (e : event) : unit =
           t.window_count <- t.window_count + 1;
           t.emitted_total <- t.emitted_total + 1;
           let name, fields = event_fields e in
-          write t (line t ~mono_ns:now ~severity:(severity_of e) ~name fields)
+          Jsonl.write t.sink
+            (line t ~mono_ns:now ~severity:(severity_of e) ~name fields)
         end
 
 let emitted t = locked t (fun () -> t.emitted_total)
@@ -230,7 +219,5 @@ let dropped t = locked t (fun () -> t.dropped_total)
 
 let close t =
   locked t @@ fun () ->
-  (match t.sink with
-  | Chan oc -> ( try flush oc with Sys_error _ -> ())
-  | Null | Fn _ -> ());
-  t.sink <- Null
+  Jsonl.flush t.sink;
+  t.sink <- Jsonl.Null

@@ -9,7 +9,7 @@
     Emission is mutex-serialized and rate-limited per second of the
     monotonic clock; drops are counted and announced by a synthetic
     [rate_limited] line at the next window rollover.  The {!disabled}
-    sink makes every operation a no-op — call sites guard event
+    log makes every operation a no-op — call sites guard event
     construction on {!enabled} so disabled telemetry costs nothing. *)
 
 type severity = Debug | Info | Warn | Error
@@ -53,11 +53,6 @@ type event =
 val severity_of : event -> severity
 (** The severity {!emit} attaches to each event kind. *)
 
-type sink =
-  | Null
-  | Chan of out_channel  (** one flushed JSONL line per event *)
-  | Fn of (Tkr_obs.Json.t -> unit)  (** tests and embedders *)
-
 type t
 
 val disabled : t
@@ -72,7 +67,7 @@ val create :
   ?clock:Tkr_obs.Clock.t ->
   ?wall:(unit -> float) ->
   ?rate_limit:int ->
-  sink ->
+  Tkr_obs.Jsonl.sink ->
   t
 (** [rate_limit] is the events-per-second ceiling (default
     {!default_rate_limit}; [0] = unlimited).  [clock] and [wall] are

@@ -211,6 +211,36 @@ let test_null_period_insert () =
   Alcotest.(check int) "nothing written" 0
     (Table.cardinality (Tkr_engine.Database.find (M.database m) "t"))
 
+(* UPDATE checks the period values it would write like INSERT does:
+   SET b = NULL is TKR026 from UPDATE and from CHECK, and the table keeps
+   its rows *)
+let test_null_period_update () =
+  let m = M.create () in
+  ignore
+    (M.execute_script m
+       "CREATE TABLE t (x int, b int, e int) PERIOD (b, e); INSERT INTO t \
+        VALUES (1, 2, 3)");
+  let sql = "UPDATE t SET b = NULL WHERE x = 1" in
+  let d =
+    match M.execute m sql with
+    | _ -> Alcotest.fail "expected a diagnostic"
+    | exception M.Error d -> d
+  in
+  let module D = Tkr_check.Diagnostic in
+  Alcotest.(check string) "names the column"
+    "error[TKR026]: UPDATE t: period column b must be a non-NULL integer, \
+     got NULL"
+    (D.to_string d);
+  Alcotest.(check (list string)) "CHECK flags it" [ D.to_string d ]
+    (List.map D.to_string (M.check m sql));
+  Alcotest.(check (list string)) "a valid UPDATE checks clean" []
+    (List.map D.to_string (M.check m "UPDATE t SET b = 1 WHERE x = 1"));
+  Alcotest.(check (list (list string))) "nothing written" [ [ "1"; "2"; "3" ] ]
+    (Array.to_list
+       (Array.map
+          (fun r -> List.map Value.to_string (Tuple.to_list r))
+          (Table.rows (Tkr_engine.Database.find (M.database m) "t"))))
+
 let test_drop_table () =
   let m = fresh () in
   ignore (M.execute m "DROP TABLE assign");
@@ -270,4 +300,6 @@ let suite =
         test_insert_order_in_catalog;
       Alcotest.test_case "NULL period INSERT is a diagnostic" `Quick
         test_null_period_insert;
+      Alcotest.test_case "NULL period UPDATE is a diagnostic" `Quick
+        test_null_period_update;
     ] )

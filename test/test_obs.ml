@@ -13,20 +13,15 @@ let contains hay needle =
   let rec go i = i + m <= n && (String.sub hay i m = needle || go (i + 1)) in
   go 0
 
-(* --- (a) counter / timer / histogram / span arithmetic --- *)
+(* --- (a) counter / histogram / span arithmetic --- *)
 
 let test_metrics () =
-  let r = Metrics.create ~clock:Clock.frozen () in
+  let r = Metrics.create () in
   let c = Metrics.counter r "rows" in
   Metrics.incr c;
   Metrics.add c 41;
   Alcotest.(check int) "counter" 42 (Metrics.value c);
   Alcotest.(check int) "find-or-create" 42 Metrics.(value (counter r "rows"));
-  let t = Metrics.timer r "t" in
-  Metrics.record_ns t 5L;
-  Metrics.record_ns t 7L;
-  Alcotest.(check int) "timer samples" 2 (Metrics.timer_samples t);
-  Alcotest.(check int64) "timer total" 12L (Metrics.timer_total_ns t);
   let h = Metrics.histogram ~bounds:[| 10; 100 |] r "h" in
   List.iter (Metrics.observe h) [ 5; 50; 5000 ];
   Alcotest.(check int) "histogram n" 3 (Metrics.histogram_observations h);
@@ -45,11 +40,10 @@ let test_metrics () =
   | _ -> Alcotest.fail "gauge view");
   Metrics.reset r;
   Alcotest.(check int) "reset counter" 0 (Metrics.value c);
-  Alcotest.(check int) "reset timer" 0 (Metrics.timer_samples t);
   Alcotest.(check int) "reset gauge" 0 (Metrics.gauge_value g);
   Alcotest.(check (list string))
     "names survive reset"
-    [ "rows"; "t"; "h"; "depth" ]
+    [ "rows"; "h"; "depth" ]
     (Metrics.names r)
 
 (* quantile estimation at the degenerate ends: nothing observed, a

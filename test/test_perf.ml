@@ -49,17 +49,11 @@ let test_json_roundtrip () =
 let test_openmetrics_golden () =
   let r = Metrics.create () in
   Metrics.add (Metrics.counter r "rows scanned") 42;
-  Metrics.record_ns (Metrics.timer r "exec") 1500L;
-  Metrics.record_ns (Metrics.timer r "exec") 500L;
   let h = Metrics.histogram ~bounds:[| 10; 100 |] r "latency_us" in
   List.iter (Metrics.observe h) [ 5; 50; 5000 ];
   let expected =
     "# TYPE rows_scanned_total counter\n\
      rows_scanned_total 42\n\
-     # TYPE exec_ns_total counter\n\
-     exec_ns_total 2000\n\
-     # TYPE exec_samples_total counter\n\
-     exec_samples_total 2\n\
      # TYPE latency_us histogram\n\
      latency_us_bucket{le=\"10\"} 1\n\
      latency_us_bucket{le=\"100\"} 2\n\

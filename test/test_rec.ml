@@ -18,6 +18,7 @@ module Record = Tkr_rec.Record
 module Ledger = Tkr_rec.Ledger
 module Replay = Tkr_replay.Replay
 module Json = Tkr_obs.Json
+module Jsonl = Tkr_obs.Jsonl
 module W = Tkr_workload.Employees
 module Q = Tkr_workload.Queries
 
@@ -114,7 +115,7 @@ let test_recorder_sink () =
   let r =
     Record.create
       ~header:(Record.header ~workload:"employee" ~source:"unit" ())
-      (Record.Fn (fun j -> lines := j :: !lines))
+      (Jsonl.Fn (fun j -> lines := j :: !lines))
   in
   check "fresh recorder enabled" true (Record.enabled r);
   check "disabled recorder is off" false (Record.enabled Record.disabled);
@@ -139,7 +140,7 @@ let test_read_restores_arrival_order () =
   let path = Filename.temp_file "tkr_rec" ".jsonl" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
   let oc = open_out path in
-  let r = Record.create (Record.Chan oc) in
+  let r = Record.create (Jsonl.Chan oc) in
   (* completion order 2,0,1 — read_file must restore 0,1,2 *)
   List.iter
     (fun s -> Record.write r { sample_entry with Record.e_seq = s })
@@ -299,7 +300,7 @@ let capture_workload ~order path =
   let recorder =
     Record.create
       ~header:(Record.header ~workload:"employee" ~source:"test" ())
-      (Record.Chan oc)
+      (Jsonl.Chan oc)
   in
   Fun.protect ~finally:(fun () -> close_out oc) @@ fun () ->
   (* close the recorder only after [with_rec_server] has run Server.stop:
@@ -411,7 +412,7 @@ let qcheck_shuffled_replay =
 (* ---- scrape surface: LEDGER statement and OpenMetrics families ---- *)
 
 let test_ledger_scrape_and_metrics () =
-  let tel = Tel.create (Tel.Fn ignore) in
+  let tel = Tel.create (Jsonl.Fn ignore) in
   with_rec_server ~tel @@ fun _m srv ->
   Client.with_client ~port:(Server.port srv) @@ fun c ->
   ignore (Client.run_exn c "INSERT INTO kv VALUES (1), (2)");
@@ -534,7 +535,7 @@ let test_replay_skips_rejected_write () =
   let path = Filename.temp_file "tkr_rec_rejected" ".jsonl" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
   let oc = open_out path in
-  let recorder = Record.create (Record.Chan oc) in
+  let recorder = Record.create (Jsonl.Chan oc) in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
       Fun.protect ~finally:(fun () -> Record.close recorder) @@ fun () ->
       with_rec_server ~recorder @@ fun _m srv ->
@@ -564,8 +565,8 @@ let test_observers_agree () =
     Mutex.unlock lock
   in
   let events = ref [] and lines = ref [] in
-  let tel = Tel.create (Tel.Fn (collect events)) in
-  let recorder = Record.create (Record.Fn (collect lines)) in
+  let tel = Tel.create (Jsonl.Fn (collect events)) in
+  let recorder = Record.create (Jsonl.Fn (collect lines)) in
   let stats, ledger_count =
     with_rec_server ~tel ~recorder @@ fun _m srv ->
     (Client.with_client ~port:(Server.port srv) @@ fun c ->

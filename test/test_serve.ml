@@ -14,9 +14,11 @@ module M = Tkr_middleware.Middleware
 module Wire = Tkr_serve.Wire
 module Cache = Tkr_serve.Cache
 module Admission = Tkr_serve.Admission
+module Session = Tkr_serve.Session
 module Server = Tkr_serve.Server
 module Client = Tkr_serve.Client
 module Json = Tkr_obs.Json
+module Jsonl = Tkr_obs.Jsonl
 module Tel = Tkr_tel.Tel
 module W = Tkr_workload.Employees
 module Q = Tkr_workload.Queries
@@ -242,6 +244,52 @@ let test_middleware_epoch () =
   Database.add_table (M.database m) "direct" (Table.of_array schema [||]);
   check "direct database mutation bumps the epoch" true (M.epoch m > e2)
 
+(* a rejected statement writes nothing, so the epoch stays and a
+   session keeps using the plan it prepared before *)
+let test_rejected_insert_keeps_plans () =
+  let m = M.create () in
+  ignore
+    (M.execute_script m
+       "CREATE TABLE rj (x int, b int, e int) PERIOD (b, e); INSERT INTO rj \
+        VALUES (1, 0, 10)");
+  let s = Option.get (Session.open_session (Session.manager ~max_sessions:1)) in
+  let q = "SEQ VT (SELECT x FROM rj)" in
+  let p = Session.prepared s m q in
+  let e = M.epoch m in
+  (match M.execute m "INSERT INTO rj VALUES (2, NULL, 3)" with
+  | _ -> Alcotest.fail "expected TKR026"
+  | exception M.Error _ -> ());
+  check_int "rejected INSERT keeps the epoch" e (M.epoch m);
+  check "session reuses its plan" true (Session.prepared s m q == p);
+  ignore (M.execute m "INSERT INTO rj VALUES (2, 0, 3)");
+  check "an accepted INSERT re-prepares" true (Session.prepared s m q != p)
+
+(* a session's plan table stays small: a write drops every stale plan,
+   and ever new statement texts without writes hit a fixed cap *)
+let test_session_prepared_bounded () =
+  let m = M.create () in
+  ignore
+    (M.execute_script m
+       "CREATE TABLE sb (x int, b int, e int) PERIOD (b, e); INSERT INTO sb \
+        VALUES (1, 0, 1000)");
+  let s = Option.get (Session.open_session (Session.manager ~max_sessions:1)) in
+  let read t =
+    ignore
+      (Session.prepared s m
+         (Printf.sprintf "SEQ VT AS OF %d (SELECT x FROM sb)" t))
+  in
+  for t = 1 to 40 do
+    read t;
+    (* only the reads since the last write are held *)
+    check_int "writes drop stale plans" (((t - 1) mod 4) + 1) (Session.prepared_count s);
+    if t mod 4 = 0 then
+      ignore (M.execute m (Printf.sprintf "INSERT INTO sb VALUES (%d, 0, 1000)" t))
+  done;
+  for t = 1 to 600 do
+    read t
+  done;
+  check "distinct texts stay capped" true (Session.prepared_count s <= 300)
+
 (* ---- admission control ---- *)
 
 let test_admission_busy_and_drain () =
@@ -282,7 +330,10 @@ let test_middleware_domain_hammer () =
   let m = M.create ~db:(W.generate { (W.scaled 40) with W.tmax = 600 }) () in
   (* serial reference results, computed before the hammer *)
   let expected = List.map (fun sql -> M.query m sql) hammer_queries in
-  let runs_before = (M.totals m).M.runs in
+  let executions () =
+    Tkr_obs.Metrics.(histogram_observations (histogram (M.metrics m) "execute_us"))
+  in
+  let runs_before = executions () in
   let per_domain = 5 in
   let mismatches = Atomic.make 0 in
   let work () =
@@ -303,10 +354,11 @@ let test_middleware_domain_hammer () =
   List.iter Domain.join domains;
   check_int "every concurrent result matches the serial reference" 0
     (Atomic.get mismatches);
-  (* totals are mutex-guarded: no lost updates under contention *)
-  check_int "totals.runs counted every execution"
+  (* the registry histogram is lock-guarded: no lost observations under
+     contention *)
+  check_int "execute_us counted every execution"
     (runs_before + (4 * per_domain * List.length hammer_queries))
-    (M.totals m).M.runs
+    (executions ())
 
 let test_middleware_dml_hammer () =
   let m = M.create () in
@@ -641,7 +693,7 @@ let test_e2e_telemetry () =
   let events = ref [] in
   let tel =
     Tel.create
-      (Tel.Fn
+      (Jsonl.Fn
          (fun j ->
            Mutex.lock lock;
            events := j :: !events;
@@ -742,6 +794,45 @@ let test_e2e_no_trace_when_tel_off () =
   check "client id echoes without telemetry" true
     (r2.Wire.rsp_trace_id = Some "want-this")
 
+(* METRICS renders the cache counters from the cache itself: after a
+   miss, a hit and a miss that evicts, each serve_cache_*_total sample
+   equals the STATS cache field *)
+let test_e2e_cache_metrics_match_stats () =
+  with_server ~cache_mb:1 @@ fun m srv ->
+  (* two results of over half a MiB each cannot share a 1 MiB cache *)
+  let schema =
+    Schema.make [ Schema.attr "x" Value.TInt; Schema.attr "y" Value.TInt ]
+  in
+  let row i = Tuple.of_array [| Value.Int i; Value.Int (i * 7) |] in
+  M.write_locked m (fun () ->
+      Database.add_table (M.database m) "big"
+        (Table.of_array schema (Array.init 60_000 row)));
+  Client.with_client ~port:(Server.port srv) @@ fun c ->
+  List.iter
+    (fun q -> ignore (Client.run_exn c q))
+    [ "SELECT x, y FROM big"; "SELECT x, y FROM big"; "SELECT y, x FROM big" ];
+  let stats = Json.of_string (msg_body (Client.run_exn c "STATS")) in
+  let cache = Option.get (Json.member "cache" stats) in
+  let field name =
+    Option.get (Option.bind (Json.member name cache) Json.to_int_opt)
+  in
+  let metrics =
+    String.split_on_char '\n' (msg_body (Client.run_exn c "METRICS"))
+  in
+  List.iter
+    (fun f ->
+      let want = field f in
+      let name = "serve_cache_" ^ f ^ "_total" in
+      check ("# TYPE " ^ name) true
+        (List.mem ("# TYPE " ^ name ^ " counter") metrics);
+      check_str name (Printf.sprintf "%s %d" name want)
+        (List.find (fun l -> String.starts_with ~prefix:(name ^ " ") l) metrics))
+    [ "hits"; "misses"; "evictions" ];
+  check_int "one hit" 1 (field "hits");
+  check "an eviction happened" true (field "evictions" >= 1);
+  check "no doubled suffix" false
+    (List.exists (fun l -> contains l "_total_total") metrics)
+
 (* the latency histogram observes every finished request, errors and
    queued deadlines included, so STATS latency_us.count = requests *)
 let test_e2e_latency_counts_every_request () =
@@ -815,4 +906,10 @@ let suite =
         test_wire_stalled_frame;
       Alcotest.test_case "e2e: latency histogram counts every request" `Quick
         test_e2e_latency_counts_every_request;
+      Alcotest.test_case "middleware: rejected INSERT keeps session plans" `Quick
+        test_rejected_insert_keeps_plans;
+      Alcotest.test_case "session: prepared table stays bounded" `Quick
+        test_session_prepared_bounded;
+      Alcotest.test_case "e2e: METRICS cache counters equal STATS cache" `Quick
+        test_e2e_cache_metrics_match_stats;
     ] )

@@ -4,6 +4,7 @@
    semantics. *)
 
 module Json = Tkr_obs.Json
+module Jsonl = Tkr_obs.Jsonl
 module Tel = Tkr_tel.Tel
 
 let jstr j key =
@@ -25,7 +26,7 @@ let collecting ?rate_limit () =
       ~clock:(fun () -> 0L)
       ~wall:(fun () -> 1234.5)
       ?rate_limit
-      (Tel.Fn (fun j -> lines := j :: !lines))
+      (Jsonl.Fn (fun j -> lines := j :: !lines))
   in
   (t, fun () -> List.rev !lines)
 
@@ -119,7 +120,7 @@ let test_rate_limit () =
       ~clock:(fun () -> !now)
       ~wall:(fun () -> 0.)
       ~rate_limit:2
-      (Tel.Fn (fun j -> lines := j :: !lines))
+      (Jsonl.Fn (fun j -> lines := j :: !lines))
   in
   for i = 1 to 5 do
     Tel.emit t (Tel.Epoch_bump { epoch = i })
