@@ -21,6 +21,7 @@ module Q = Tkr_workload.Queries
 module Table = Tkr_engine.Table
 module Database = Tkr_engine.Database
 module Ops = Tkr_engine.Ops
+module Vexec = Tkr_vec.Vexec
 module Rewriter = Tkr_sqlenc.Rewriter
 module Value = Tkr_relation.Value
 module Tuple = Tkr_relation.Tuple
@@ -217,14 +218,22 @@ let table2 () =
 
 (* ------------------------------------------------------------------ *)
 
+(* multiset coalescing of a period table on the row oracle, and on the
+   shipped vec engine over the table's columnar image *)
+let coalesce_row t = ignore (Ops.coalesce t)
+let coalesce_vec t = ignore (Vexec.coalesce None (Table.columnar t))
+
 let fig5 () =
   printf "=== Figure 5: multiset coalescing, runtime vs input size ===\n\n";
-  printf "%10s %12s %14s\n" "rows" "time (s)" "us per row";
+  printf "%10s %12s %14s %12s %14s\n" "rows" "row time (s)" "row us/row"
+    "vec time (s)" "vec us/row";
   List.iter
     (fun n ->
       let t = W.coalesce_input ~n ~seed:11 ~tmax:4000 in
-      let secs = time_run (fun () -> Ops.coalesce t) in
-      printf "%10d %12.5f %14.3f\n%!" n secs (1e6 *. secs /. float_of_int n))
+      let row = time_run (fun () -> coalesce_row t) in
+      let vec = time_run (fun () -> coalesce_vec t) in
+      let per secs = 1e6 *. secs /. float_of_int n in
+      printf "%10d %12.5f %14.3f %12.5f %14.3f\n%!" n row (per row) vec (per vec))
     [ 1_000; 3_000; 10_000; 30_000; 100_000; 300_000 ]
 
 (* ------------------------------------------------------------------ *)
@@ -382,9 +391,21 @@ let runner m sql =
   let p = M.prepare m sql in
   fun () -> M.run_prepared m p
 
-(* Fig. 5: multiset coalescing is linear.  Least-squares slope of
-   log(time) over log(rows); a quadratic sweep would read 2.0.  Sizes
-   start at 10k rows: smaller inputs fit in cache and read steeper. *)
+(* least-squares slope of log(time) over log(rows) *)
+let loglog_slope pts =
+  let xs = List.map (fun (n, _) -> log (float_of_int n)) pts
+  and ys = List.map (fun (_, t) -> log t) pts in
+  let mean l = List.fold_left ( +. ) 0. l /. float_of_int (List.length l) in
+  let mx = mean xs and my = mean ys in
+  let sxy = List.fold_left2 (fun acc x y -> acc +. ((x -. mx) *. (y -. my))) 0. xs ys
+  and sxx = List.fold_left (fun acc x -> acc +. ((x -. mx) ** 2.)) 0. xs in
+  sxy /. sxx
+
+(* Fig. 5: multiset coalescing is linear.  Log-log slope of time over
+   rows; a quadratic sweep would read 2.0.  Sizes start at 10k rows:
+   smaller inputs fit in cache and read steeper.  The row oracle's slope
+   is asserted; the shipped vec engine's is measured the same way in the
+   same rounds and printed beside it. *)
 let check_fig5 () =
   let bound = 1.3 in
   let inputs =
@@ -392,33 +413,32 @@ let check_fig5 () =
       (fun n -> (n, W.coalesce_input ~n ~seed:11 ~tmax:4000))
       [ 10_000; 30_000; 100_000 ]
   in
-  (* rounds visit every size in turn, so drift over the run (heap growth,
-     a neighbour's load) spreads across all sizes instead of biasing one *)
-  List.iter (fun (_, t) -> ignore (Ops.coalesce t)) inputs;
+  (* rounds visit every size and engine in turn, so drift over the run
+     (heap growth, a neighbour's load) spreads across all of them instead
+     of biasing one *)
+  List.iter (fun (_, t) -> coalesce_row t; coalesce_vec t) inputs;
+  let timed f t =
+    Gc.full_major ();
+    fst (time_once (fun () -> f t))
+  in
   let rounds =
     List.init 5 (fun _ ->
-        List.map
-          (fun (_, t) ->
-            Gc.full_major ();
-            fst (time_once (fun () -> Ops.coalesce t)))
-          inputs)
+        List.map (fun (_, t) -> (timed coalesce_row t, timed coalesce_vec t)) inputs)
   in
-  let pts =
+  let pts pick =
     List.mapi
-      (fun i (n, _) -> (n, median (List.map (fun r -> List.nth r i) rounds)))
+      (fun i (n, _) -> (n, median (List.map (fun r -> pick (List.nth r i)) rounds)))
       inputs
   in
-  let xs = List.map (fun (n, _) -> log (float_of_int n)) pts
-  and ys = List.map (fun (_, t) -> log t) pts in
-  let mean l = List.fold_left ( +. ) 0. l /. float_of_int (List.length l) in
-  let mx = mean xs and my = mean ys in
-  let sxy = List.fold_left2 (fun acc x y -> acc +. ((x -. mx) *. (y -. my))) 0. xs ys
-  and sxx = List.fold_left (fun acc x -> acc +. ((x -. mx) ** 2.)) 0. xs in
-  let slope = sxy /. sxx in
-  verdict (slope <= bound) "fig5: coalesce log-log slope %.2f <= %.1f (%s)"
-    slope bound
-    (String.concat ", "
-       (List.map (fun (n, t) -> Printf.sprintf "%d rows %.2f ms" n (ms t)) pts))
+  let show pts =
+    String.concat ", "
+      (List.map (fun (n, t) -> Printf.sprintf "%d rows %.2f ms" n (ms t)) pts)
+  in
+  let row = pts fst and vec = pts snd in
+  let slope = loglog_slope row in
+  verdict (slope <= bound)
+    "fig5: coalesce log-log slope %.2f <= %.1f (%s); vec %.2f (%s)" slope bound
+    (show row) (loglog_slope vec) (show vec)
 
 (* [fast] must beat [slow] by at least [factor] *)
 let check_wins ~label ~factor ~fast:(fast_name, fast) ~slow:(slow_name, slow) =

@@ -268,7 +268,7 @@ let run data workload engine index no_prune sql file explain stats
         | _ -> assert false
       in
       List.iter
-        (fun stmt ->
+        (fun (parse_ns, stmt) ->
           (* --explain: run queries as EXPLAIN ANALYZE, leave
              DDL/DML alone *)
           let stmt =
@@ -277,8 +277,8 @@ let run data workload engine index no_prune sql file explain stats
                 Ast.Explain { analyze = true; target = stmt }
             | stmt -> stmt
           in
-          print_result ~max_rows (M.execute_statement m stmt))
-        (Tkr_sql.Parser.script script));
+          print_result ~max_rows (M.execute_statement ?parse_ns m stmt))
+        (M.parse_script m script));
   if stats then Printf.printf "stats: %s\n" (M.totals_report m)
 
 let run_cmd =

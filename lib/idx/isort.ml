@@ -1,101 +1,60 @@
 (** Closure-free sorting for unboxed int data.
 
-    [Array.sort Int.compare] pays an indirect call per comparison, which
-    dominates the temporal sweeps' endpoint sorting.  These bottom-up
-    merge sorts compare machine ints inline; [perm]/[perm_prefix] return a
-    {e stable} permutation (ties keep their original order), which is what
-    the sweeps rely on to reproduce the row oracle's first-appearance
-    ordering.  [sort_below] needs no comparisons at all when the values
-    are bounded, as row ids are: it puts index probe candidates back in
-    scan order. *)
+    [Array.sort Int.compare] pays an indirect call per comparison.
+    [sort_below] needs no comparisons at all when the values are bounded:
+    it puts index probe candidates back in scan order and orders the
+    temporal sweeps' packed (group, time) endpoint keys.  [perm] and
+    [perm_prefix] are bottom-up merge sorts that compare machine ints
+    inline and return a {e stable} permutation (ties keep their original
+    order), for the interval index build and for the sweeps' fallback
+    when a packed key would not fit an int. *)
 
-(* merge src[lo,mid) and src[mid,hi) into dst, by value *)
-let merge_vals (src : int array) (dst : int array) lo mid hi =
-  let i = ref lo and j = ref mid and k = ref lo in
-  while !i < mid && !j < hi do
-    if src.(!i) <= src.(!j) then begin
-      dst.(!k) <- src.(!i);
-      incr i
-    end
-    else begin
-      dst.(!k) <- src.(!j);
-      incr j
-    end;
-    incr k
-  done;
-  while !i < mid do
-    dst.(!k) <- src.(!i);
-    incr i;
-    incr k
-  done;
-  while !j < hi do
-    dst.(!k) <- src.(!j);
-    incr j;
-    incr k
-  done
-
-(** In-place ascending sort of [a]. *)
-let sort (a : int array) : unit =
-  let n = Array.length a in
+(** In-place ascending sort of [a]'s first [len] cells (default: all),
+    whose values all lie in [\[0, bound)]: a least-significant-digit
+    radix sort, O(len * digits) with no comparisons — for row ids, where
+    the bound is the table size, and for the temporal sweeps' packed
+    (group, time) endpoint keys.  The key's bits split into as few
+    equal digits as digits of at most 11 bits allow (8 bits below 2048
+    cells, where the count table would cost more than a pass). *)
+let sort_below ?len (a : int array) ~(bound : int) : unit =
+  let n = Option.value len ~default:(Array.length a) in
   if n > 1 then begin
-    let b = Scratch.get n in
-    let src = ref a and dst = ref b in
-    let width = ref 1 in
-    while !width < n do
-      let lo = ref 0 in
-      while !lo < n do
-        let mid = min (!lo + !width) n in
-        let hi = min (!lo + (2 * !width)) n in
-        merge_vals !src !dst !lo mid hi;
-        lo := hi
-      done;
-      let t = !src in
-      src := !dst;
-      dst := t;
-      width := !width * 2
+    let bits = ref 0 in
+    while !bits < Sys.int_size && (bound - 1) lsr !bits > 0 do
+      incr bits
     done;
-    if !src != a then Array.blit !src 0 a 0 n;
-    Scratch.release b
-  end
-
-(** In-place ascending sort of [a], whose values all lie in
-    [\[0, bound)]: a least-significant-digit radix sort over 8-bit
-    digits, O(length * digits) with no comparisons — for row ids, where
-    the bound is the table size. *)
-let sort_below (a : int array) ~(bound : int) : unit =
-  let n = Array.length a in
-  if n > 1 then begin
-    let tmp = Scratch.get n in
-    (* 256 words: a minor-heap block *)
-    let start = Array.make 256 0 in
+    let widest = if n < 2048 then 8 else 11 in
+    let passes = (!bits + widest - 1) / widest in
+    let digit = if passes = 0 then 0 else (!bits + passes - 1) / passes in
+    let nb = 1 lsl digit and m = (1 lsl digit) - 1 in
+    let tmp = Scratch.get n and start = Scratch.get nb in
     let src = ref a and dst = ref tmp in
-    let shift = ref 0 in
-    while (bound - 1) lsr !shift > 0 do
-      let s = !src and d = !dst and sh = !shift in
-      Array.fill start 0 256 0;
+    for p = 0 to passes - 1 do
+      let s = !src and d = !dst and sh = p * digit in
+      Array.fill start 0 nb 0;
       for i = 0 to n - 1 do
-        let b = (s.(i) lsr sh) land 255 in
+        let b = (s.(i) lsr sh) land m in
         start.(b) <- start.(b) + 1
       done;
       (* counts to first output slots; the stable scatter keeps the
          order of the earlier digits *)
       let sum = ref 0 in
-      for b = 0 to 255 do
+      for b = 0 to nb - 1 do
         let c = start.(b) in
         start.(b) <- !sum;
         sum := !sum + c
       done;
       for i = 0 to n - 1 do
-        let b = (s.(i) lsr sh) land 255 in
+        let b = (s.(i) lsr sh) land m in
         d.(start.(b)) <- s.(i);
         start.(b) <- start.(b) + 1
       done;
       src := d;
-      dst := s;
-      shift := sh + 8
+      dst := s
     done;
     if !src != a then Array.blit !src 0 a 0 n;
-    Scratch.release tmp
+    Scratch.release tmp;
+    Scratch.release start
   end
 
 (* merge src[lo,mid) and src[mid,hi) into dst, by keys.(index); [<=]

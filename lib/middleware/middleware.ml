@@ -50,7 +50,9 @@ type engine = Row | Vec
 (** The preparation phases of one statement (parse → analyze → check →
     rewrite → optimize), each timed once when it is prepared. *)
 type phase_stats = {
-  mutable parse_ns : int64;
+  mutable parse_ns : int64 option;
+      (** [None] when the statement was parsed as part of a script, whose
+          parse time is not split per statement *)
   mutable analyze_ns : int64;
   mutable check_ns : int64;  (** static analysis (Tkr_check), all stages *)
   mutable rewrite_ns : int64;
@@ -59,7 +61,7 @@ type phase_stats = {
 
 let fresh_stats () =
   {
-    parse_ns = 0L;
+    parse_ns = None;
     analyze_ns = 0L;
     check_ns = 0L;
     rewrite_ns = 0L;
@@ -70,9 +72,12 @@ let fresh_stats () =
 let phase_line (s : phase_stats) ~execute_ns ~runs =
   let ms = Clock.ns_to_ms in
   Printf.sprintf
-    "parse %.3f ms | analyze %.3f ms | check %.3f ms | rewrite %.3f ms | \
+    "parse %s | analyze %.3f ms | check %.3f ms | rewrite %.3f ms | \
      optimize %.3f ms | execute %.3f ms over %d run%s"
-    (ms s.parse_ns) (ms s.analyze_ns) (ms s.check_ns) (ms s.rewrite_ns)
+    (match s.parse_ns with
+    | Some ns -> Printf.sprintf "%.3f ms" (ms ns)
+    | None -> "(in script)")
+    (ms s.analyze_ns) (ms s.check_ns) (ms s.rewrite_ns)
     (ms s.optimize_ns) (ms execute_ns) runs
     (if runs = 1 then "" else "s")
 
@@ -172,7 +177,7 @@ let totals_report m =
   let p = m.phases in
   phase_line
     {
-      parse_ns = ns p.c_parse;
+      parse_ns = Some (ns p.c_parse);
       analyze_ns = ns p.c_analyze;
       check_ns = ns p.c_check;
       rewrite_ns = ns p.c_rewrite;
@@ -574,7 +579,7 @@ let parse m parser (sql : string) =
 let prepare_sql ?explain m (sql : string) : prepared =
   let ns, stmt = parse m Parser.statement sql in
   let p = prepare_statement ?explain m stmt in
-  p.stats.parse_ns <- ns;
+  p.stats.parse_ns <- Some ns;
   p
 
 let prepare m sql = prepare_sql m sql
@@ -917,7 +922,7 @@ type result = Rows of Table.t | Done of string
 
 (* queries, EXPLAIN and CHECK: the caller holds the read side of the
    catalog lock (prepare/run take their own nested read locks) *)
-let rec execute_query_statement m (stmt : Ast.statement) : result =
+let rec execute_query_statement ?parse_ns m (stmt : Ast.statement) : result =
   match stmt with
   | Ast.Query _ -> Rows (run_prepared m (prepare_statement m stmt))
   | Ast.Check { target } ->
@@ -926,9 +931,10 @@ let rec execute_query_statement m (stmt : Ast.statement) : result =
       match target with
       | Ast.Query _ ->
           let p = prepare_statement ~explain:true m target in
+          p.stats.parse_ns <- parse_ns;
           Done (if analyze then run_analyze m p else render_plan p)
       | Ast.Explain _ ->
-          execute_query_statement m target  (* EXPLAIN EXPLAIN ... *)
+          execute_query_statement ?parse_ns m target  (* EXPLAIN EXPLAIN ... *)
       | _ -> err "TKR021" "EXPLAIN expects a query")
   | _ -> err "TKR021" "not a query"
 
@@ -996,20 +1002,30 @@ let execute_update_statement m (stmt : Ast.statement) : result =
 
 (* take the lock side matching the statement: queries (and EXPLAIN/CHECK)
    share the read side and run concurrently, DDL/DML is exclusive *)
-let execute_statement m (stmt : Ast.statement) : result =
+let execute_statement ?parse_ns m (stmt : Ast.statement) : result =
   match stmt with
   | Ast.Query _ | Ast.Explain _ | Ast.Check _ ->
-      read_locked m (fun () -> execute_query_statement m stmt)
+      read_locked m (fun () -> execute_query_statement ?parse_ns m stmt)
   | Ast.Create_table _ | Ast.Insert _ | Ast.Drop_table _ | Ast.Update _
   | Ast.Delete _ ->
       write_locked m (fun () -> execute_update_statement m stmt)
 
 let execute m (sql : string) : result =
-  execute_statement m (snd (parse m Parser.statement sql))
+  let ns, stmt = parse m Parser.statement sql in
+  execute_statement ~parse_ns:ns m stmt
+
+(** Parse a ;-separated script on the parse counter; a statement carries
+    its own parse time only when it is the whole script. *)
+let parse_script m (sql : string) : (int64 option * Ast.statement) list =
+  match parse m Parser.script sql with
+  | ns, [ stmt ] -> [ (Some ns, stmt) ]
+  | _, stmts -> List.map (fun stmt -> (None, stmt)) stmts
 
 (** Run a whole ;-separated script, returning the result of each statement. *)
 let execute_script m (sql : string) : result list =
-  List.map (execute_statement m) (snd (parse m Parser.script sql))
+  List.map
+    (fun (parse_ns, stmt) -> execute_statement ?parse_ns m stmt)
+    (parse_script m sql)
 
 (** Convenience: run a query and return its rows. *)
 let query m (sql : string) : Table.t =

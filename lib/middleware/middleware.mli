@@ -112,7 +112,9 @@ val set_epoch_hook : t -> (int -> unit) option -> unit
     middleware's cumulative totals are registry counters instead (see
     {!metrics}). *)
 type phase_stats = {
-  mutable parse_ns : int64;
+  mutable parse_ns : int64 option;
+      (** [None] when the statement was parsed as part of a script, whose
+          parse time is not split per statement *)
   mutable analyze_ns : int64;
   mutable check_ns : int64;  (** static analysis (Tkr_check), all stages *)
   mutable rewrite_ns : int64;
@@ -200,8 +202,19 @@ val execute : t -> string -> result
 (** Execute one statement (query, DDL or DML).
     @raise Error on semantic errors. *)
 
-val execute_statement : t -> Tkr_sql.Ast.statement -> result
+val execute_statement :
+  ?parse_ns:int64 -> t -> Tkr_sql.Ast.statement -> result
+(** [parse_ns], the statement's own parse time, is what its EXPLAIN
+    ANALYZE phase line reports (default: parsed as part of a script). *)
+
+val parse_script : t -> string -> (int64 option * Tkr_sql.Ast.statement) list
+(** Parse a ;-separated script, adding its parse time to the
+    [prepare_parse_ns] counter.  Each statement comes with its own parse
+    time when it is the whole script, [None] otherwise.
+    @raise Tkr_sql.Parser.Error or [Tkr_sql.Lexer.Error] on a syntax error. *)
+
 val execute_script : t -> string -> result list
+(** {!parse_script}, then {!execute_statement} on each statement. *)
 
 val query : t -> string -> Table.t
 (** Like {!execute} but requires a query. *)

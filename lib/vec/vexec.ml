@@ -507,42 +507,117 @@ let distinct (b : Batch.t) : Batch.t =
   let sel = Ibuf.take keep in
   Batch.with_sel b sel
 
-(* ---- temporal operators: sweeps over dense endpoint arrays ---- *)
+(* ---- temporal operators: one sort, one sweep ---- *)
 
-(* per-group int buffers, indexed by dense group id *)
-type gbufs = { mutable bufs : Ibuf.t array; mutable n : int }
+(* Every sweep below orders the (group, time) endpoints of its whole
+   batch with one radix sort and then walks each group's slice of the
+   sorted array. *)
 
-let gbufs_create () = { bufs = Array.make 16 (Ibuf.create ~cap:1 ()); n = 0 }
+(* the number of bits that hold every index below [n] *)
+let index_bits n =
+  let b = ref 0 in
+  while 1 lsl !b < n do
+    incr b
+  done;
+  !b
 
-let gbufs_add t =
-  if t.n = Array.length t.bufs then begin
-    let a' = Array.make (2 * t.n) t.bufs.(0) in
-    Array.blit t.bufs 0 a' 0 t.n;
-    t.bufs <- a'
-  end;
-  t.bufs.(t.n) <- Ibuf.create ();
-  t.n <- t.n + 1
+(* [group_order ~get ~ids ~ng ~n gid tm]: items [0 .. n-1], item [i] in
+   group [gid.(i)] (dense, below [ng]) at time [tm.(i)], in group-major
+   order, by time and then by index within a group.  Returns [(off, out)]:
+   group [g]'s items are [out.(off.(g)) .. out.(off.(g+1) - 1)], as item
+   indices with [~ids:true], else as their times.  Both arrays come from
+   [get].
 
-let sort_dedup (a : int array) : int array =
-  Isort.sort a;
-  let n = Array.length a in
-  if n = 0 then a
-  else begin
-    let out = Array.make n a.(0) in
-    let k = ref 1 in
-    for i = 1 to n - 1 do
-      if a.(i) <> a.(i - 1) then begin
-        out.(!k) <- a.(i);
-        incr k
-      end
+   The order is one LSD radix sort ({!Isort.sort_below}) of the packed
+   keys [((gid · span + (t − t_lo)) · 2^b) + i], where [span] covers the
+   times and [b] is 0 without [~ids].  Times are arbitrary ints, so when
+   [ng · span · 2^b] does not fit an int (a huge or overflowing time
+   range) a comparison sort stands in: stable by time, then a stable
+   counting sort by group. *)
+let group_order ~get ~ids ~ng ~n (gid : int array) (tm : int array) :
+    int array * int array =
+  let lo = ref (if n = 0 then 0 else max_int) in
+  let hi = ref (if n = 0 then 0 else min_int) in
+  for i = 0 to n - 1 do
+    let t = tm.(i) in
+    if t < !lo then lo := t;
+    if t > !hi then hi := t
+  done;
+  let lo = !lo and range = !hi - !lo (* negative when it overflows *) in
+  let ib = if ids then index_bits n else 0 in
+  if range >= 0 && range < max_int && ng <= (max_int lsr ib) / (range + 1)
+  then begin
+    let span = range + 1 and mask = (1 lsl ib) - 1 in
+    let out = get (max n 1) in
+    for i = 0 to n - 1 do
+      out.(i) <- (((gid.(i) * span) + (tm.(i) - lo)) lsl ib) lor (i land mask)
     done;
-    Array.sub out 0 !k
+    Isort.sort_below ~len:n out ~bound:((ng * span) lsl ib);
+    (* decode in place: group [g]'s keys lie in [\[g·w, (g+1)·w)] *)
+    let w = span lsl ib in
+    let off = get (ng + 1) in
+    off.(0) <- 0;
+    let g = ref 0 and limit = ref w in
+    for k = 0 to n - 1 do
+      let key = out.(k) in
+      while key >= !limit do
+        incr g;
+        off.(!g) <- k;
+        limit := !limit + w
+      done;
+      out.(k) <-
+        (if ids then key land mask else lo + ((key lsr ib) - (!g * span)))
+    done;
+    for g = !g + 1 to ng do
+      off.(g) <- n
+    done;
+    (off, out)
+  end
+  else begin
+    let ord = Isort.perm_prefix tm n in
+    let off, out =
+      buckets ~get ~ngid:ng ~n
+        ~gid_of:(fun k -> gid.(ord.(k)))
+        ~row_of:(Array.get ord)
+    in
+    if not ids then
+      for k = 0 to n - 1 do
+        out.(k) <- tm.(out.(k))
+      done;
+    (off, out)
   end
 
-(** Multiset coalescing (Section 9): per distinct data prefix, sort the
-    interval endpoints once and sweep, emitting maximal constant-count
+(* the number of items per group id *)
+let group_sizes ~get ~ng ~n (gids : int array) : int array =
+  let size = get (max ng 1) in
+  Array.fill size 0 ng 0;
+  for i = 0 to n - 1 do
+    size.(gids.(i)) <- size.(gids.(i)) + 1
+  done;
+  size
+
+(* Drop repeated times within each group's slice of a {!group_order}
+   result, compacting in place and rewriting [off]. *)
+let dedup_groups ~ng (off : int array) (pts : int array) : unit =
+  let w = ref 0 in
+  for g = 0 to ng - 1 do
+    let first = off.(g) and stop = off.(g + 1) in
+    off.(g) <- !w;
+    for k = first to stop - 1 do
+      if k = first || pts.(k) <> pts.(!w - 1) then begin
+        pts.(!w) <- pts.(k);
+        incr w
+      end
+    done
+  done;
+  off.(ng) <- !w
+
+(** Multiset coalescing (Section 9): per distinct data prefix, sweep the
+    interval endpoints in time order, emitting maximal constant-count
     segments with the count as duplicate rows — same segments, same
-    emission order as [Ops.coalesce]. *)
+    emission order as [Ops.coalesce].  Begins and ends are ordered for
+    the whole batch by two {!group_order}s; the sweep merges each
+    group's two slices. *)
 let coalesce sp (b : Batch.t) : Batch.t =
   let n = Batch.length b in
   let k = Array.length b.Batch.cols in
@@ -551,177 +626,262 @@ let coalesce sp (b : Batch.t) : Batch.t =
   let key = Key.create ~hint:n [| prefix |] in
   Scratch.scoped @@ fun get ->
   let gids = get (max n 1) in
+  let tb = get (max n 1) and te = get (max n 1) in
   for li = 0 to n - 1 do
-    gids.(li) <- Key.intern key ~src:0 ~row:(Batch.phys b li)
+    let pi = Batch.phys b li in
+    gids.(li) <- Key.intern key ~src:0 ~row:pi;
+    tb.(li) <- pb.(pi);
+    te.(li) <- pe.(pi)
   done;
   let ng = Key.count key in
-  (* per-group logical rows via counting sort (stable) *)
-  let offsets, bucket =
-    buckets ~get ~ngid:ng ~n ~gid_of:(Array.get gids) ~row_of:Fun.id
-  in
-  let out_rep = Ibuf.create () and out_b = Ibuf.create () and out_e = Ibuf.create () in
-  let segments = ref 0 in
-  for g = 0 to ng - 1 do
-    let cnt = offsets.(g + 1) - offsets.(g) in
-    let rep = Key.entry_row key g in
-    if cnt = 1 then begin
-      (* a singleton group coalesces to itself (nothing when the period is
-         empty) — most groups in near-distinct data land here *)
-      let pi = Batch.phys b bucket.(offsets.(g)) in
-      if pb.(pi) < pe.(pi) then begin
-        incr segments;
-        Ibuf.push out_rep rep;
-        Ibuf.push out_b pb.(pi);
-        Ibuf.push out_e pe.(pi)
-      end
-    end
-    else begin
-    (* events: +1 at begins, -1 at ends, sorted by time *)
-    let events = Array.make (2 * cnt) (0, 0) in
-    for j = 0 to cnt - 1 do
-      let pi = Batch.phys b bucket.(offsets.(g) + j) in
-      events.(2 * j) <- (pb.(pi), 1);
-      events.(2 * j + 1) <- (pe.(pi), -1)
-    done;
-    Array.sort (fun (t1, _) (t2, _) -> Int.compare t1 t2) events;
-    let len = Array.length events in
-    if len > 0 then begin
-      let seg_start = ref (fst events.(0)) in
-      let count = ref 0 in
-      let i = ref 0 in
-      while !i < len do
-        let t = fst events.(!i) in
-        let delta = ref 0 in
-        while !i < len && fst events.(!i) = t do
-          delta := !delta + snd events.(!i);
-          incr i
-        done;
-        if !delta <> 0 then begin
-          if t > !seg_start && !count > 0 then begin
-            incr segments;
-            for _ = 1 to !count do
-              Ibuf.push out_rep rep;
-              Ibuf.push out_b !seg_start;
-              Ibuf.push out_e t
-            done
-          end;
-          seg_start := t;
-          count := !count + !delta
-        end
-      done
-    end
+  (* a group of one row coalesces to itself (to nothing when its period
+     is empty) without sorting, so only the rows of larger groups enter
+     the sort: near-distinct data is mostly groups of one *)
+  let size = group_sizes ~get ~ng ~n gids in
+  let m = ref 0 in
+  for li = 0 to n - 1 do
+    if size.(gids.(li)) > 1 then begin
+      gids.(!m) <- gids.(li);
+      tb.(!m) <- tb.(li);
+      te.(!m) <- te.(li);
+      incr m
     end
   done;
+  (* a group's begins and its ends have the same count, so one [off]
+     slices both *)
+  let off, bs = group_order ~get ~ids:false ~ng ~n:!m gids tb in
+  let _, es = group_order ~get ~ids:false ~ng ~n:!m gids te in
+  (* Per group, events are +1 at begins and -1 at ends, one time point
+     at a time; a maximal segment closes where the count of open
+     intervals changes and is emitted as [emit row b e count]. *)
+  let sweep emit =
+    for g = 0 to ng - 1 do
+      let row = Key.entry_row key g in
+      if size.(g) = 1 then begin
+        if pb.(row) < pe.(row) then emit row pb.(row) pe.(row) 1
+      end
+      else begin
+        let stop = off.(g + 1) in
+        let i = ref off.(g) and j = ref off.(g) in
+        let seg_start = ref (Int.min bs.(!i) es.(!j)) and count = ref 0 in
+        while !i < stop || !j < stop do
+          let t =
+            if !i = stop then es.(!j)
+            else if !j = stop then bs.(!i)
+            else Int.min bs.(!i) es.(!j)
+          in
+          let delta = ref 0 in
+          while !i < stop && bs.(!i) = t do
+            incr delta;
+            incr i
+          done;
+          while !j < stop && es.(!j) = t do
+            decr delta;
+            incr j
+          done;
+          if !delta <> 0 then begin
+            if t > !seg_start && !count > 0 then emit row !seg_start t !count;
+            seg_start := t;
+            count := !count + !delta
+          end
+        done
+      end
+    done
+  in
+  (* two passes: count the output rows, then write them *)
+  let nout = ref 0 and segments = ref 0 in
+  sweep (fun _ _ _ count ->
+      incr segments;
+      nout := !nout + count);
+  let nout = !nout in
+  let rep = get (max nout 1) in
+  let ob = Array.make nout 0 and oe = Array.make nout 0 in
+  let w = ref 0 in
+  sweep (fun row b e count ->
+      for k = !w to !w + count - 1 do
+        rep.(k) <- row;
+        ob.(k) <- b;
+        oe.(k) <- e
+      done;
+      w := !w + count);
   Key.release key;
   Trace.set_int sp "groups" ng;
   Trace.set_int sp "endpoints" (2 * n);
   Trace.set_int sp "segments" !segments;
-  let rep_arr = Ibuf.take out_rep in
   let cols =
     Array.append
-      (Array.map (fun c -> Batch.gather_col c rep_arr) prefix)
+      (Array.map (fun c -> Batch.gather_col ~len:nout c rep) prefix)
       [|
-        { Batch.data = Batch.Ints (Ibuf.take out_b); nulls = None };
-        { Batch.data = Batch.Ints (Ibuf.take out_e); nulls = None };
+        { Batch.data = Batch.Ints ob; nulls = None };
+        { Batch.data = Batch.Ints oe; nulls = None };
       |]
   in
-  Batch.of_cols (Batch.schema b) (Array.length rep_arr) cols
+  Batch.of_cols (Batch.schema b) nout cols
 
-(* endpoints of [eps] strictly inside (b, e), by binary search *)
-let inner_range (eps : int array) b e =
-  (* first index with eps.(i) > b *)
-  let lo = ref 0 and hi = ref (Array.length eps) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if eps.(mid) <= b then lo := mid + 1 else hi := mid
-  done;
-  let first = !lo in
-  let lo = ref first and hi = ref (Array.length eps) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if eps.(mid) < e then lo := mid + 1 else hi := mid
-  done;
-  (first, !lo)
+(* The endpoint table of N_G(L, R) and of its mirror N_G(R, L): every
+   group's endpoints over L ∪ R, ascending and deduplicated, plus each
+   input row's group id (by logical row).  A group of one row keeps no
+   points: its row is cut nowhere, so its slice may stay empty. *)
+type endpoint_table = {
+  off : int array;  (** group [g]'s points: [pts.(off.(g) .. off.(g+1) - 1)] *)
+  pts : int array;
+  lone_points : int;  (** the distinct endpoints of one-row groups *)
+  lgids : int array;
+  rgids : int array;
+  ng : int;
+}
 
-(** The split operator N_G (Def. 8.3): every left row is cut at the
-    endpoints of all rows (of both inputs) agreeing with it on the group
-    columns.  Fragments come out per left row, forward in time, like
-    [Ops.split]. *)
-let split sp (group_cols : int list) (lb : Batch.t) (rb : Batch.t) : Batch.t =
+let endpoint_table ~get (group_cols : int list) (lb : Batch.t) (rb : Batch.t) :
+    endpoint_table =
   let lpb, lpe = Batch.period_arrays lb in
   let rpb, rpe = Batch.period_arrays rb in
   let lg = Array.of_list (List.map (fun i -> lb.Batch.cols.(i)) group_cols) in
   let rg = Array.of_list (List.map (fun i -> rb.Batch.cols.(i)) group_cols) in
   let nl = Batch.length lb and nr = Batch.length rb in
+  (* a self-split (DISTINCT's N_G(R, R)) adds no endpoints from its
+     right side *)
+  let same = lb == rb in
   let key = Key.create ~hint:(nl + nr) [| lg; rg |] in
-  let eps = gbufs_create () in
-  let seen g =
-    while g >= eps.n do
-      gbufs_add eps
+  let m = 2 * (if same then nl else nl + nr) in
+  let eg = get (max m 1) and et = get (max m 1) in
+  let intern src (b : Batch.t) pb pe n gids base =
+    for li = 0 to n - 1 do
+      let pi = Batch.phys b li in
+      let g = Key.intern key ~src ~row:pi in
+      gids.(li) <- g;
+      eg.(base + (2 * li)) <- g;
+      eg.(base + (2 * li) + 1) <- g;
+      et.(base + (2 * li)) <- pb.(pi);
+      et.(base + (2 * li) + 1) <- pe.(pi)
     done
   in
-  let lgids = Array.make (max nl 1) 0 in
-  for li = 0 to nl - 1 do
-    let pi = Batch.phys lb li in
-    let g = Key.intern key ~src:0 ~row:pi in
-    lgids.(li) <- g;
-    seen g;
-    Ibuf.push eps.bufs.(g) lpb.(pi);
-    Ibuf.push eps.bufs.(g) lpe.(pi)
-  done;
-  for ri = 0 to nr - 1 do
-    let pi = Batch.phys rb ri in
-    let g = Key.intern key ~src:1 ~row:pi in
-    seen g;
-    Ibuf.push eps.bufs.(g) rpb.(pi);
-    Ibuf.push eps.bufs.(g) rpe.(pi)
-  done;
+  let lgids = get (max nl 1) in
+  intern 0 lb lpb lpe nl lgids 0;
+  let rgids =
+    if same then lgids
+    else begin
+      let rgids = get (max nr 1) in
+      intern 1 rb rpb rpe nr rgids (2 * nl);
+      rgids
+    end
+  in
   let ng = Key.count key in
   Key.release key;
-  let sorted = Array.init ng (fun g -> sort_dedup (Ibuf.take eps.bufs.(g))) in
-  let out_rep = Ibuf.create () and out_b = Ibuf.create () and out_e = Ibuf.create () in
-  for li = 0 to nl - 1 do
-    let pi = Batch.phys lb li in
-    let g = lgids.(li) in
-    let b = lpb.(pi) and e = lpe.(pi) in
-    let pts = sorted.(g) in
-    let first, stop = inner_range pts b e in
-    let prev = ref b in
-    for idx = first to stop - 1 do
-      Ibuf.push out_rep pi;
-      Ibuf.push out_b !prev;
-      Ibuf.push out_e pts.(idx);
-      prev := pts.(idx)
-    done;
-    Ibuf.push out_rep pi;
-    Ibuf.push out_b !prev;
-    Ibuf.push out_e e
+  (* items come in (begin, end) pairs, two per row *)
+  let size = group_sizes ~get ~ng ~n:m eg in
+  let k = ref 0 and lone_points = ref 0 in
+  for i = 0 to m - 1 do
+    if size.(eg.(i)) > 2 then begin
+      eg.(!k) <- eg.(i);
+      et.(!k) <- et.(i);
+      incr k
+    end
+    else if i land 1 = 0 then
+      lone_points := !lone_points + if et.(i) = et.(i + 1) then 1 else 2
   done;
-  (match sp with
-  | None -> ()
-  | Some _ ->
-      Trace.set_int sp "endpoint_keys" ng;
-      Trace.set_int sp "endpoints"
-        (Array.fold_left (fun acc a -> acc + Array.length a) 0 sorted);
-      Trace.set_int sp "fragments" (Ibuf.length out_rep));
-  let rep_arr = Ibuf.take out_rep in
-  let k = Array.length lb.Batch.cols in
+  let off, pts = group_order ~get ~ids:false ~ng ~n:!k eg et in
+  dedup_groups ~ng off pts;
+  { off; pts; lone_points = !lone_points; lgids; rgids; ng }
+
+(** Cut every row of [b] (group ids [gids], by logical row) at the points
+    of its group strictly inside its period: the split operator N_G
+    (Def. 8.3) once [t] holds the endpoints of both inputs.  Fragments
+    come out per row, forward in time, like [Ops.split]. *)
+let cut ~get sp (t : endpoint_table) ~(gids : int array) (b : Batch.t) :
+    Batch.t =
+  let pb, pe = Batch.period_arrays b in
+  let n = Batch.length b in
+  (* pass 1: a row's begin is a point of its group, so one binary search
+     finds the first inner point; count the fragments *)
+  let first = get (max n 1) in
+  let total = ref 0 in
+  for li = 0 to n - 1 do
+    let pi = Batch.phys b li in
+    let g = gids.(li) in
+    let bt = pb.(pi) and et = pe.(pi) in
+    let lo = ref t.off.(g) and hi = ref t.off.(g + 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if t.pts.(mid) <= bt then lo := mid + 1 else hi := mid
+    done;
+    first.(li) <- !lo;
+    let stop = t.off.(g + 1) and k = ref !lo in
+    while !k < stop && t.pts.(!k) < et do
+      incr k
+    done;
+    total := !total + (!k - !lo) + 1
+  done;
+  let total = !total in
+  (* pass 2: write the fragments *)
+  let rep = get (max total 1) in
+  let ob = Array.make total 0 and oe = Array.make total 0 in
+  let w = ref 0 in
+  for li = 0 to n - 1 do
+    let pi = Batch.phys b li in
+    let stop = t.off.(gids.(li) + 1) and et = pe.(pi) in
+    let prev = ref pb.(pi) and k = ref first.(li) in
+    while !k < stop && t.pts.(!k) < et do
+      rep.(!w) <- pi;
+      ob.(!w) <- !prev;
+      oe.(!w) <- t.pts.(!k);
+      prev := t.pts.(!k);
+      incr w;
+      incr k
+    done;
+    rep.(!w) <- pi;
+    ob.(!w) <- !prev;
+    oe.(!w) <- et;
+    incr w
+  done;
+  Trace.set_int sp "endpoint_keys" t.ng;
+  Trace.set_int sp "endpoints" (t.off.(t.ng) + t.lone_points);
+  Trace.set_int sp "fragments" total;
+  let k = Array.length b.Batch.cols in
   let cols =
     Array.append
       (Array.map
-         (fun c -> Batch.gather_col c rep_arr)
-         (Array.sub lb.Batch.cols 0 (k - 2)))
+         (fun c -> Batch.gather_col ~len:total c rep)
+         (Array.sub b.Batch.cols 0 (k - 2)))
       [|
-        { Batch.data = Batch.Ints (Ibuf.take out_b); nulls = None };
-        { Batch.data = Batch.Ints (Ibuf.take out_e); nulls = None };
+        { Batch.data = Batch.Ints ob; nulls = None };
+        { Batch.data = Batch.Ints oe; nulls = None };
       |]
   in
-  Batch.of_cols (Batch.schema lb) (Array.length rep_arr) cols
+  Batch.of_cols (Batch.schema b) total cols
+
+(** The split operator N_G (Def. 8.3): every left row is cut at the
+    endpoints of all rows (of both inputs) agreeing with it on the group
+    columns. *)
+let split sp (group_cols : int list) (lb : Batch.t) (rb : Batch.t) : Batch.t =
+  Scratch.scoped @@ fun get ->
+  let t = endpoint_table ~get group_cols lb rb in
+  cut ~get sp t ~gids:t.lgids lb
+
+(* [col] as [Batch.col_of_values ty] would build it: kept when its
+   unboxed data already has type [ty] *)
+let typed_col (ty : Value.ty) (n : int) (c : Batch.col) : Batch.col =
+  match (ty, c.Batch.data) with
+  | Value.TInt, Batch.Ints _ | Value.TFloat, Batch.Floats _ -> c
+  | _ -> Batch.col_of_values ty n (Batch.value c)
+
+(* the first [n] cells of [a], copied only when [a] is longer *)
+let prefix_of (a : 'a array) (n : int) : 'a array =
+  if Array.length a = n then a else Array.sub a 0 n
 
 (** Fused pre-aggregated split+aggregate (Section 9), reproducing
-    [Ops.split_agg]'s deterministic entry order: pre-aggregates are kept
-    in first-appearance order and stable-sorted by begin, so the
-    per-segment combine folds in the same order (bit-identical floats). *)
+    [Ops.split_agg]'s segments and values bit for bit.  Rows are
+    pre-aggregated per (group, b, e) into entries in first-appearance
+    order; one {!group_order} of the entries' begins and ends gives
+    every group's segment endpoints and its entries in begin and in end
+    order.
+
+    When every sum/avg/min/max input is an int column, a sweep enters
+    and leaves the entries in (group, begin) and (group, end) order,
+    adding and subtracting unboxed counters, and writes each segment's
+    values straight into typed output columns.  Otherwise (float sums,
+    whose rounding depends on the order of additions) each segment folds
+    its covering entries in [Ops]'s order: first appearance, stable by
+    begin, the latest activated first. *)
 let split_agg sp ~(group : int list) ~(aggs : Algebra.agg_spec list)
     ~(gap : (int * int) option) (child : Batch.t) : Batch.t =
   let child_schema = Batch.schema child in
@@ -737,18 +897,18 @@ let split_agg sp ~(group : int list) ~(aggs : Algebra.agg_spec list)
       agg_arr
   in
   let key = Key.create ~hint:n [| gcols |] in
+  Scratch.scoped @@ fun get ->
   (* pre-aggregate per (group id, b, e); entries keep first-appearance
-     order globally and per group.  The entry index is open-addressed on
-     the int triple directly — no tuple boxing, no polymorphic hash. *)
+     order.  The entry index is open-addressed on the int triple
+     directly — no tuple boxing, no polymorphic hash. *)
   let pre_cap = ref 16 in
   while !pre_cap < 2 * max n 1 do
     pre_cap := !pre_cap * 2
   done;
-  let pre_slots = Scratch.get !pre_cap (* entry id + 1; 0 = empty *) in
+  let pre_slots = get !pre_cap (* entry id + 1; 0 = empty *) in
   Array.fill pre_slots 0 !pre_cap 0;
   let pre_mask = !pre_cap - 1 in
-  let e_g = Ibuf.create () in
-  let e_b = Ibuf.create () and e_e = Ibuf.create () in
+  let e_g = get (max n 1) and e_b = get (max n 1) and e_e = get (max n 1) in
   let pre_slot g b e =
     let h =
       let h =
@@ -756,62 +916,54 @@ let split_agg sp ~(group : int list) ~(aggs : Algebra.agg_spec list)
       in
       (h lxor (h lsr 31)) land max_int
     in
-    let rec go i =
-      let s = pre_slots.(i) in
-      if s = 0 then i
-      else
-        let id = s - 1 in
-        if Ibuf.get e_g id = g && Ibuf.get e_b id = b && Ibuf.get e_e id = e
-        then i
-        else go ((i + 1) land pre_mask)
-    in
-    go (h land pre_mask)
+    (* linear probing, as a loop: no closure per row *)
+    let i = ref (h land pre_mask) in
+    while
+      let s = pre_slots.(!i) in
+      s <> 0
+      &&
+      let id = s - 1 in
+      not (e_g.(id) = g && e_b.(id) = b && e_e.(id) = e)
+    do
+      i := (!i + 1) land pre_mask
+    done;
+    !i
   in
-  let e_accs = ref (Array.make 16 [||]) in
+  let e_accs = ref [||] in
   let n_entries = ref 0 in
-  let group_entries = gbufs_create () in
-  let group_eps = gbufs_create () in
-  let seen g =
-    while g >= group_entries.n do
-      gbufs_add group_entries;
-      gbufs_add group_eps
-    done
-  in
-  (* unboxed per-(entry, agg) counters when every input is an int column
-     (or [count( * )]'s constant 1): exactly [Agg.step]'s effect on int
-     inputs, deferred into [acc] records once per entry instead of
-     allocating per row *)
-  let fast_in : (int array option * bool array option) array option =
-    let ok =
-      Array.for_all
-        (function
-          | None -> true
-          | Some { Batch.data = Batch.Ints _; _ } -> true
-          | Some _ -> false)
-        inputs
+  (* Unboxed per-(entry, agg) counters, exactly [Agg.step]'s effect, when
+     every sum/avg/min/max input is an int column: a count reads only its
+     input's NULLs ([count( * )] nothing).  Per spec: the int values, and
+     the column to test for NULL.  With counters the sweep enters and
+     leaves entries instead of folding them: int addition is associative
+     and equal ints are indistinguishable, so neither the order of
+     additions nor the fold's tie-breaking can show.  Other inputs (float
+     sums depend on the order of additions) keep [Agg.acc]s and the fold. *)
+  let fast_in : (int array option * Batch.col option) array option =
+    let spec_in (spec : Algebra.agg_spec) = function
+      | None -> Some (None, None)
+      | Some ({ Batch.data = Batch.Ints a; nulls } as c) ->
+          Some (Some a, Option.map (fun _ -> c) nulls)
+      | Some c -> (
+          match spec.Algebra.func with
+          | Agg.Count _ -> Some (None, Some c)
+          | _ -> None)
     in
-    if ok then
-      Some
-        (Array.map
-           (function
-             | None -> (None, None)
-             | Some { Batch.data = Batch.Ints a; Batch.nulls } -> (Some a, nulls)
-             | Some _ -> assert false)
-           inputs)
+    let ins = Array.map2 spec_in agg_arr inputs in
+    if Array.for_all Option.is_some ins then Some (Array.map Option.get ins)
     else None
   in
   (* counters start at zero; sum/min/max are written before they are
      read (at an entry's first non-null input) *)
-  let st_len = if fast_in = None then 1 else max (n * naggs) 1 in
-  let st_rows = Scratch.get st_len and st_nn = Scratch.get st_len in
+  let st_len = max (n * naggs) 1 in
+  let st_rows = get st_len and st_nn = get st_len in
   Array.fill st_rows 0 st_len 0;
   Array.fill st_nn 0 st_len 0;
-  let st_sum = Scratch.get st_len in
-  let st_min = Scratch.get st_len and st_max = Scratch.get st_len in
+  let st_sum = get st_len in
+  let st_min = get st_len and st_max = get st_len in
   for li = 0 to n - 1 do
     let pi = Batch.phys child li in
     let g = Key.intern key ~src:0 ~row:pi in
-    seen g;
     let b = pb.(pi) and e = pe.(pi) in
     let slot = pre_slot g b e in
     let id =
@@ -820,26 +972,31 @@ let split_agg sp ~(group : int list) ~(aggs : Algebra.agg_spec list)
         let id = !n_entries in
         incr n_entries;
         pre_slots.(slot) <- id + 1;
-        Ibuf.push e_g g;
-        Ibuf.push e_b b;
-        Ibuf.push e_e e;
-        if id >= Array.length !e_accs then begin
-          let a' = Array.make (2 * id) [||] in
-          Array.blit !e_accs 0 a' 0 id;
-          e_accs := a'
+        e_g.(id) <- g;
+        e_b.(id) <- b;
+        e_e.(id) <- e;
+        if Option.is_none fast_in then begin
+          if id >= Array.length !e_accs then begin
+            let a' = Array.make (max 16 (2 * id)) [||] in
+            Array.blit !e_accs 0 a' 0 id;
+            e_accs := a'
+          end;
+          !e_accs.(id) <- Array.make naggs Agg.empty
         end;
-        !e_accs.(id) <- Array.make naggs Agg.empty;
-        Ibuf.push group_entries.bufs.(g) id;
         id
       end
     in
-    (match fast_in with
+    match fast_in with
     | Some fi ->
         let base = id * naggs in
         for j = 0 to naggs - 1 do
-          let data, mask = fi.(j) in
+          let data, nullable = fi.(j) in
           st_rows.(base + j) <- st_rows.(base + j) + 1;
-          let isnull = match mask with Some m -> m.(li) | None -> false in
+          let isnull =
+            match nullable with
+            | Some c -> Batch.is_null_at c li
+            | None -> false
+          in
           if not isnull then begin
             let v = match data with Some a -> a.(li) | None -> 1 in
             if st_nn.(base + j) = 0 then begin
@@ -864,242 +1021,264 @@ let split_agg sp ~(group : int list) ~(aggs : Algebra.agg_spec list)
             | Some c -> Batch.value c li
           in
           acc_row.(j) <- Agg.step acc_row.(j) v
-        done);
-    Ibuf.push group_eps.bufs.(g) b;
-    Ibuf.push group_eps.bufs.(g) e
-  done;
-  (match fast_in with
-  | Some _ ->
-      for id = 0 to !n_entries - 1 do
-        let base = id * naggs in
-        let accs = !e_accs.(id) in
-        for j = 0 to naggs - 1 do
-          let nn = st_nn.(base + j) in
-          accs.(j) <-
-            (if nn = 0 then
-               Agg.of_counters ~rows:st_rows.(base + j) ~nonnull:0
-                 ~sum:Value.Null ()
-             else
-               Agg.of_counters ~rows:st_rows.(base + j) ~nonnull:nn
-                 ~sum:(Value.Int st_sum.(base + j))
-                 ~vmin:(Value.Int st_min.(base + j))
-                 ~vmax:(Value.Int st_max.(base + j)) ())
         done
-      done
-  | None -> ());
-  List.iter Scratch.release [ pre_slots; st_rows; st_nn; st_sum; st_min; st_max ];
+  done;
+  let ne = !n_entries in
   (* the empty group must exist (and span the time domain) for
      gap-covering aggregation; with [group = []] it is the one group *)
+  if Option.is_some gap && Key.count key = 0 then
+    ignore (Key.intern key ~src:0 ~row:0);
+  let ng = Key.count key in
+  (* every group's segment endpoints: its entries' periods, plus the
+     domain bounds for the gap-covering group *)
+  let m = (2 * ne) + if Option.is_some gap then 2 else 0 in
+  let eg = get (max m 1) and et = get (max m 1) in
+  for id = 0 to ne - 1 do
+    eg.(2 * id) <- e_g.(id);
+    eg.((2 * id) + 1) <- e_g.(id);
+    et.(2 * id) <- e_b.(id);
+    et.((2 * id) + 1) <- e_e.(id)
+  done;
   (match gap with
   | Some (tmin, tmax) ->
-      if Key.count key = 0 then begin
-        ignore (Key.intern key ~src:0 ~row:0);
-        seen 0
-      end;
-      Ibuf.push group_eps.bufs.(0) tmin;
-      Ibuf.push group_eps.bufs.(0) tmax
+      eg.(2 * ne) <- 0;
+      eg.((2 * ne) + 1) <- 0;
+      et.(2 * ne) <- tmin;
+      et.((2 * ne) + 1) <- tmax
   | None -> ());
-  let ng = Key.count key in
-  (* The per-segment fold over covering entries can become an
-     O(entries log entries) enter/leave sweep when every spec's state is
-     maintainable incrementally with exact results: row/nonnull counts
-     always (exact ints), sums when every pre-aggregate summed to an
-     [Int] (int addition is associative; float addition is
-     order-sensitive and must keep the fold), and min/max when every
-     pre-aggregate's extremum is an [Int] (equal ints are
-     indistinguishable, so the fold's tie-breaking cannot show; mixed
-     Int/Float ties or -0.0 vs 0.0 could). *)
-  let invertible =
-    let ok = ref true in
-    for id = 0 to !n_entries - 1 do
-      let accs = !e_accs.(id) in
-      for j = 0 to naggs - 1 do
-        let exact v =
-          match v with Value.Int _ | Value.Null -> () | _ -> ok := false
-        in
-        match agg_arr.(j).Algebra.func with
-        | Agg.Count_star | Agg.Count _ -> ()
-        | Agg.Sum _ | Agg.Avg _ -> exact (Agg.sum accs.(j))
-        | Agg.Min _ -> exact (Agg.vmin accs.(j))
-        | Agg.Max _ -> exact (Agg.vmax accs.(j))
-      done
-    done;
-    !ok
-  in
-  (* lazy-expiry heaps for the min/max specs: every live entry's extremum
-     is in its spec's heap, so once expired tops are popped the top is the
-     covering minimum (maxima are negated into the same min-heaps) *)
-  let heaps =
-    Array.map
-      (fun (spec : Algebra.agg_spec) ->
-        if invertible then
-          match spec.Algebra.func with
-          | Agg.Min _ | Agg.Max _ -> Some (Iheap.create ())
-          | _ -> None
-        else None)
-      agg_arr
-  in
-  let out_rep = Ibuf.create () and out_b = Ibuf.create () and out_e = Ibuf.create () in
-  let finals_rev : Value.t list ref array = Array.map (fun _ -> ref []) agg_arr in
-  let endpoints = ref 0 in
+  (* One sort orders every endpoint item by (group, time, item), and one
+     pass splits the result three ways: each group's distinct points
+     [pts.(poff.(g) ..)], and its entries ordered by begin and by end,
+     ties in first-appearance order ([by_begin]/[by_end] from the items
+     [2·id] and [2·id + 1], both sliced by [eoff]) *)
+  let ioff, items = group_order ~get ~ids:true ~ng ~n:m eg et in
+  let pts = get (max m 1) and poff = get (ng + 1) and eoff = get (ng + 1) in
+  let by_begin = get (max ne 1) and by_end = get (max ne 1) in
+  let np = ref 0 and nb = ref 0 and nend = ref 0 in
   for g = 0 to ng - 1 do
-    let rep = Key.entry_row key g in
-    let segs = sort_dedup (Ibuf.take group_eps.bufs.(g)) in
-    endpoints := !endpoints + Array.length segs;
-    (* entries of this group in begin order, stable on first appearance *)
-    let ids = Ibuf.take group_entries.bufs.(g) in
-    let nid = Array.length ids in
-    let bs = Array.make (max nid 1) 0 and es = Array.make (max nid 1) 0 in
-    for i = 0 to nid - 1 do
-      bs.(i) <- Ibuf.get e_b ids.(i);
-      es.(i) <- Ibuf.get e_e ids.(i)
-    done;
-    let ord = Isort.perm_prefix bs nid in
-    if invertible then begin
-      (* running counters equal the fold over covering entries: integer
-         adds are associative, so leave-time subtraction is exact.  Live
-         entries (non-empty periods) in begin order, as parallel arrays *)
-      let lb_ = Array.make (max nid 1) 0
-      and le_ = Array.make (max nid 1) 0
-      and lacc = Array.make (max nid 1) [||] in
-      let nlive = ref 0 in
-      Array.iter
-        (fun i ->
-          if es.(i) > bs.(i) then begin
-            lb_.(!nlive) <- bs.(i);
-            le_.(!nlive) <- es.(i);
-            lacc.(!nlive) <- !e_accs.(ids.(i));
-            incr nlive
-          end)
-        ord;
-      let ne = !nlive in
-      let by_end = Isort.perm_prefix le_ ne in
-      Array.iter (function Some h -> Iheap.clear h | None -> ()) heaps;
+    poff.(g) <- !np;
+    eoff.(g) <- !nb;
+    for k = ioff.(g) to ioff.(g + 1) - 1 do
+      let item = items.(k) in
+      let t = et.(item) in
+      if k = ioff.(g) || t <> pts.(!np - 1) then begin
+        pts.(!np) <- t;
+        incr np
+      end;
+      if item < 2 * ne then
+        if item land 1 = 0 then begin
+          by_begin.(!nb) <- item lsr 1;
+          incr nb
+        end
+        else begin
+          by_end.(!nend) <- item lsr 1;
+          incr nend
+        end
+    done
+  done;
+  poff.(ng) <- !np;
+  eoff.(ng) <- !nb;
+  (* at most one output row per segment *)
+  let upper = ref 0 in
+  for g = 0 to ng - 1 do
+    upper := !upper + max 0 (poff.(g + 1) - poff.(g) - 1)
+  done;
+  let upper = !upper in
+  let rep = get (max upper 1) in
+  let ob = Array.make upper 0 and oe = Array.make upper 0 in
+  let nout = ref 0 in
+  let emit g s =
+    let k = !nout in
+    rep.(k) <- Key.entry_row key g;
+    ob.(k) <- pts.(s);
+    oe.(k) <- pts.(s + 1);
+    incr nout;
+    k
+  in
+  let agg_cols =
+    if Option.is_some fast_in then begin
+      (* running state per spec: covering rows, non-null inputs and their
+         sum; min/max in lazy-expiry heaps (maxima as [lnot v], which
+         reverses the order without overflow), popped at each segment *)
       let rows_a = Array.make naggs 0 and nn_a = Array.make naggs 0 in
-      let sum_a = Array.make naggs 0 and nsum_a = Array.make naggs 0 in
-      let apply sign (accs : Agg.acc array) =
+      let sum_a = Array.make naggs 0 in
+      let heaps =
+        Array.map
+          (fun (spec : Algebra.agg_spec) ->
+            match spec.Algebra.func with
+            | Agg.Min _ | Agg.Max _ -> Some (Iheap.create ())
+            | _ -> None)
+          agg_arr
+      in
+      let apply sign id =
+        let base = id * naggs in
         for j = 0 to naggs - 1 do
-          let a = accs.(j) in
-          rows_a.(j) <- rows_a.(j) + (sign * Agg.rows a);
-          nn_a.(j) <- nn_a.(j) + (sign * Agg.nonnull a);
-          match Agg.sum a with
-          | Value.Int s ->
-              sum_a.(j) <- sum_a.(j) + (sign * s);
-              nsum_a.(j) <- nsum_a.(j) + sign
+          rows_a.(j) <- rows_a.(j) + (sign * st_rows.(base + j));
+          let nn = st_nn.(base + j) in
+          if nn > 0 then begin
+            nn_a.(j) <- nn_a.(j) + (sign * nn);
+            sum_a.(j) <- sum_a.(j) + (sign * st_sum.(base + j))
+          end
+        done
+      in
+      let push_extrema id e =
+        let base = id * naggs in
+        for j = 0 to naggs - 1 do
+          match heaps.(j) with
+          | Some h when st_nn.(base + j) > 0 -> (
+              match agg_arr.(j).Algebra.func with
+              | Agg.Min _ -> Iheap.push h st_min.(base + j) e
+              | _ -> Iheap.push h (lnot st_max.(base + j)) e)
           | _ -> ()
         done
       in
-      (* min/max state never leaves a heap early; expiry happens at the
-         segment boundary pops below *)
-      let push_extrema e (accs : Agg.acc array) =
-        for j = 0 to naggs - 1 do
-          match heaps.(j) with
-          | None -> ()
-          | Some h -> (
-              match agg_arr.(j).Algebra.func with
-              | Agg.Min _ -> (
-                  match Agg.vmin accs.(j) with
-                  | Value.Int v -> Iheap.push h v e
-                  | _ -> ())
-              | Agg.Max _ -> (
-                  match Agg.vmax accs.(j) with
-                  | Value.Int v -> Iheap.push h (-v) e
-                  | _ -> ())
-              | _ -> ())
-        done
+      let ints =
+        Array.map
+          (fun (spec : Algebra.agg_spec) ->
+            match spec.Algebra.func with
+            | Agg.Avg _ -> [||]
+            | _ -> Array.make upper 0)
+          agg_arr
       in
-      let enter = ref 0 and leave = ref 0 and n_active = ref 0 in
-      for s = 0 to Array.length segs - 2 do
-        let sb = segs.(s) and se = segs.(s + 1) in
-        while !leave < ne && le_.(by_end.(!leave)) <= sb do
-          apply (-1) lacc.(by_end.(!leave));
-          decr n_active;
-          incr leave
+      let floats =
+        Array.map
+          (fun (spec : Algebra.agg_spec) ->
+            match spec.Algebra.func with
+            | Agg.Avg _ -> Array.make upper 0.
+            | _ -> [||])
+          agg_arr
+      in
+      let nulls = Array.make naggs [||] in
+      let set_null j k =
+        if Array.length nulls.(j) = 0 then nulls.(j) <- Array.make upper false;
+        nulls.(j).(k) <- true
+      in
+      let extremum j k decode =
+        match heaps.(j) with
+        | Some h when Iheap.size h > 0 -> ints.(j).(k) <- decode (Iheap.top h)
+        | _ -> set_null j k
+      in
+      let fill_gaps = Option.is_some gap in
+      for g = 0 to ng - 1 do
+        Array.fill rows_a 0 naggs 0;
+        Array.fill nn_a 0 naggs 0;
+        Array.fill sum_a 0 naggs 0;
+        for j = 0 to naggs - 1 do
+          Option.iter Iheap.clear heaps.(j)
         done;
-        while !enter < ne && lb_.(!enter) <= sb do
-          apply 1 lacc.(!enter);
-          push_extrema le_.(!enter) lacc.(!enter);
-          incr n_active;
-          incr enter
-        done;
-        Array.iter
-          (function
+        (* live entries (non-empty periods) enter at their begin and
+           leave at their end *)
+        let enter = ref eoff.(g) and leave = ref eoff.(g) in
+        let stop = eoff.(g + 1) in
+        let n_active = ref 0 in
+        for s = poff.(g) to poff.(g + 1) - 2 do
+          let sb = pts.(s) in
+          while !leave < stop && e_e.(by_end.(!leave)) <= sb do
+            let id = by_end.(!leave) in
+            if e_b.(id) < e_e.(id) then begin
+              apply (-1) id;
+              decr n_active
+            end;
+            incr leave
+          done;
+          while !enter < stop && e_b.(by_begin.(!enter)) <= sb do
+            let id = by_begin.(!enter) in
+            if e_b.(id) < e_e.(id) then begin
+              apply 1 id;
+              push_extrema id e_e.(id);
+              incr n_active
+            end;
+            incr enter
+          done;
+          for j = 0 to naggs - 1 do
+            match heaps.(j) with
             | Some h ->
                 while Iheap.size h > 0 && Iheap.top_expiry h <= sb do
                   Iheap.pop h
                 done
-            | None -> ())
-          heaps;
-        if !n_active = 0 && gap = None then ()
-        else begin
-          Array.iteri
-            (fun j (spec : Algebra.agg_spec) ->
-              let sum =
-                if nsum_a.(j) = 0 then Value.Null else Value.Int sum_a.(j)
-              in
-              let extremum negate =
-                match heaps.(j) with
-                | Some h when Iheap.size h > 0 ->
-                    Value.Int (if negate then -(Iheap.top h) else Iheap.top h)
-                | _ -> Value.Null
-              in
-              let vmin = extremum false and vmax = extremum true in
-              let acc =
-                Agg.of_counters ~rows:rows_a.(j) ~nonnull:nn_a.(j) ~sum ~vmin
-                  ~vmax ()
-              in
-              finals_rev.(j) := Agg.final spec.func acc :: !(finals_rev.(j)))
-            agg_arr;
-          Ibuf.push out_rep rep;
-          Ibuf.push out_b sb;
-          Ibuf.push out_e se
-        end
-      done
+            | None -> ()
+          done;
+          if !n_active > 0 || fill_gaps then begin
+            let k = emit g s in
+            for j = 0 to naggs - 1 do
+              match agg_arr.(j).Algebra.func with
+              | Agg.Count_star -> ints.(j).(k) <- rows_a.(j)
+              | Agg.Count _ -> ints.(j).(k) <- nn_a.(j)
+              | Agg.Sum _ ->
+                  if nn_a.(j) = 0 then set_null j k
+                  else ints.(j).(k) <- sum_a.(j)
+              | Agg.Avg _ ->
+                  if nn_a.(j) = 0 then set_null j k
+                  else
+                    floats.(j).(k) <-
+                      float_of_int sum_a.(j) /. float_of_int nn_a.(j)
+              | Agg.Min _ -> extremum j k Fun.id
+              | Agg.Max _ -> extremum j k lnot
+            done
+          end
+        done
+      done;
+      let nout = !nout in
+      Array.mapi
+        (fun j (spec : Algebra.agg_spec) ->
+          let data =
+            match spec.Algebra.func with
+            | Agg.Avg _ -> Batch.Floats (prefix_of floats.(j) nout)
+            | _ -> Batch.Ints (prefix_of ints.(j) nout)
+          in
+          let nulls =
+            if Array.length nulls.(j) = 0 then None
+            else Some (prefix_of nulls.(j) nout)
+          in
+          typed_col
+            (Agg.output_ty child_schema spec.func)
+            nout { Batch.data; nulls })
+        agg_arr
     end
     else begin
-      let entries =
-        Array.map (fun i -> (bs.(i), es.(i), !e_accs.(ids.(i)))) ord
-      in
-      let remaining = ref (Array.to_list entries) in
-      let active = ref [] in
-      for s = 0 to Array.length segs - 2 do
-        let sb = segs.(s) and se = segs.(s + 1) in
-        let rec pull () =
-          match !remaining with
-          | (b, e, accs) :: rest when b <= sb ->
-              remaining := rest;
-              if e > sb then active := (e, accs) :: !active;
-              pull ()
-          | _ -> ()
-        in
-        pull ();
-        active := List.filter (fun (e, _) -> e > sb) !active;
-        let covering = List.map snd !active in
-        if covering = [] && gap = None then ()
-        else begin
-          Array.iteri
-            (fun j (spec : Algebra.agg_spec) ->
-              let acc =
-                List.fold_left
-                  (fun acc accs -> Agg.combine acc accs.(j))
-                  Agg.empty covering
-              in
-              finals_rev.(j) := Agg.final spec.func acc :: !(finals_rev.(j)))
-            agg_arr;
-          Ibuf.push out_rep rep;
-          Ibuf.push out_b sb;
-          Ibuf.push out_e se
-        end
-      done
+      (* every entry in (group, begin, first appearance) order; a
+         segment's covering entries fold latest-activated first *)
+      let finals = Array.map (fun _ -> Array.make upper Value.Null) agg_arr in
+      for g = 0 to ng - 1 do
+        let next = ref eoff.(g) and stop = eoff.(g + 1) in
+        let active = ref [] in
+        for s = poff.(g) to poff.(g + 1) - 2 do
+          let sb = pts.(s) in
+          while !next < stop && e_b.(by_begin.(!next)) <= sb do
+            let id = by_begin.(!next) in
+            if e_e.(id) > sb then active := (e_e.(id), !e_accs.(id)) :: !active;
+            incr next
+          done;
+          active := List.filter (fun (e, _) -> e > sb) !active;
+          match (!active, gap) with
+          | [], None -> ()
+          | covering, _ ->
+              let k = emit g s in
+              Array.iteri
+                (fun j (spec : Algebra.agg_spec) ->
+                  finals.(j).(k) <-
+                    Agg.final spec.func
+                      (List.fold_left
+                         (fun acc (_, accs) -> Agg.combine acc accs.(j))
+                         Agg.empty covering))
+                agg_arr
+        done
+      done;
+      Array.mapi
+        (fun j (spec : Algebra.agg_spec) ->
+          Batch.col_of_values
+            (Agg.output_ty child_schema spec.func)
+            !nout (Array.get finals.(j)))
+        agg_arr
     end
-  done;
+  in
   Key.release key;
   (match sp with
   | None -> ()
   | Some _ ->
       Trace.set_int sp "groups" ng;
-      Trace.set_int sp "pre_aggregates" !n_entries;
-      Trace.set_int sp "endpoints" !endpoints);
+      Trace.set_int sp "pre_aggregates" ne;
+      Trace.set_int sp "endpoints" poff.(ng));
   let out_schema =
     let gattrs = List.map (fun i -> Schema.get child_schema i) group in
     let aattrs =
@@ -1112,26 +1291,15 @@ let split_agg sp ~(group : int list) ~(aggs : Algebra.agg_spec list)
       (gattrs @ aattrs
       @ [ Schema.attr "__b" Value.TInt; Schema.attr "__e" Value.TInt ])
   in
-  let rep_arr = Ibuf.take out_rep in
-  let nout = Array.length rep_arr in
-  let finals_cols =
-    Array.mapi
-      (fun j (spec : Algebra.agg_spec) ->
-        let vals = Array.of_list (List.rev !(finals_rev.(j))) in
-        Batch.col_of_values
-          (Agg.output_ty child_schema spec.func)
-          nout
-          (fun i -> vals.(i)))
-      agg_arr
-  in
+  let nout = !nout in
   let cols =
     Array.concat
       [
-        Array.map (fun c -> Batch.gather_col c rep_arr) gcols;
-        finals_cols;
+        Array.map (fun c -> Batch.gather_col ~len:nout c rep) gcols;
+        agg_cols;
         [|
-          { Batch.data = Batch.Ints (Ibuf.take out_b); nulls = None };
-          { Batch.data = Batch.Ints (Ibuf.take out_e); nulls = None };
+          { Batch.data = Batch.Ints (prefix_of ob nout); nulls = None };
+          { Batch.data = Batch.Ints (prefix_of oe nout); nulls = None };
         |];
       ]
   in
@@ -1139,108 +1307,146 @@ let split_agg sp ~(group : int list) ~(aggs : Algebra.agg_spec list)
 
 (* ---- the interpreter loop ---- *)
 
+(* one operator's span, as the row engine opens it: the engine tag
+   first, the output cardinality last *)
+let op_span ctx label (f : Trace.span option -> Batch.t) : Batch.t =
+  Trace.with_span ctx.obs label @@ fun sp ->
+  Trace.set_str sp "engine" "vec";
+  let result = f sp in
+  (match sp with
+  | None -> ()
+  | Some _ -> Trace.set_int sp "rows_out" (Batch.length result));
+  result
+
+(* the mirrored splits of EXCEPT ALL are built from one shared subplan
+   per side; a rebuilt copy compares structurally equal *)
+let same_plan (a : Algebra.t) (b : Algebra.t) = a == b || a = b
+
 (* [need] (default: all) lists the output columns of [q] its consumer
    reads; a join gathers only those.  Project and Agg pass down the
    columns they read, Select adds its predicate's columns to its own
    [need], and every other operator reads all of its input. *)
 let rec eval_batch ?need (ctx : ctx) (q : Algebra.t) : Batch.t =
-  Trace.with_span ctx.obs (Exec.op_label q) @@ fun sp ->
-  Trace.set_str sp "engine" "vec";
-  let result =
-    match q with
-    | Algebra.Rel n ->
-        let b = Table.columnar (Database.find ctx.db n) in
+  op_span ctx (Exec.op_label q) @@ fun sp ->
+  match q with
+  | Algebra.Rel n ->
+      let b = Table.columnar (Database.find ctx.db n) in
+      rows_in sp [ b ];
+      b
+  | ConstRel (schema, tuples) ->
+      let b = Batch.of_rows schema (Array.of_list tuples) in
+      rows_in sp [ b ];
+      b
+  | Select (p, q) -> (
+      let scan () =
+        let need = Option.map (List.append (Expr.cols p)) need in
+        let b = eval_batch ?need ctx q in
         rows_in sp [ b ];
-        b
-    | ConstRel (schema, tuples) ->
-        let b = Batch.of_rows schema (Array.of_list tuples) in
+        select sp p b
+      in
+      match q with
+      | Algebra.Rel n when Database.is_period ctx.db n -> (
+          match
+            if ctx.use_index then index_select ctx.db sp p n else None
+          with
+          | Some res -> res
+          | None ->
+              Trace.set_str sp "access" "scan";
+              scan ())
+      | _ -> scan ())
+  | Project (projs, q) ->
+      let need =
+        List.concat_map (fun (p : Algebra.proj) -> Expr.cols p.expr) projs
+      in
+      let b = eval_batch ~need ctx q in
+      rows_in sp [ b ];
+      project projs b
+  | Join (p, l, r) ->
+      let lb = eval_batch ctx l in
+      let rb = eval_batch ctx r in
+      rows_in sp [ lb; rb ];
+      join ?need sp p lb rb
+  | Union (l, r) ->
+      let lb = eval_batch ctx l in
+      let rb = eval_batch ctx r in
+      rows_in sp [ lb; rb ];
+      union lb rb
+  | Diff (Split (g, l, r), Split (g', r', l'))
+    when g = g' && same_plan l l' && same_plan r r' ->
+      let a, b = mirrored_splits ctx g l r in
+      rows_in sp [ a; b ];
+      except_all a b
+  | Diff (l, r) ->
+      let lb = eval_batch ctx l in
+      let rb = eval_batch ctx r in
+      rows_in sp [ lb; rb ];
+      except_all lb rb
+  | Agg (group, aggs, q) ->
+      let need =
+        List.concat_map (fun (p : Algebra.proj) -> Expr.cols p.expr) group
+        @ List.concat_map
+            (fun (a : Algebra.agg_spec) ->
+              Option.fold ~none:[] ~some:Expr.cols (Agg.input_expr a.func))
+            aggs
+      in
+      let b = eval_batch ~need ctx q in
+      rows_in sp [ b ];
+      aggregate group aggs b
+  | Distinct q ->
+      let b = eval_batch ctx q in
+      rows_in sp [ b ];
+      distinct b
+  | Coalesce q ->
+      let b = eval_batch ctx q in
+      rows_in sp [ b ];
+      coalesce sp b
+  | Split (g, l, r) ->
+      (* avoid evaluating a shared subquery twice *)
+      if l == r then begin
+        let b = eval_batch ctx l in
         rows_in sp [ b ];
-        b
-    | Select (p, q) -> (
-        let scan () =
-          let need = Option.map (List.append (Expr.cols p)) need in
-          let b = eval_batch ?need ctx q in
-          rows_in sp [ b ];
-          select sp p b
-        in
-        match q with
-        | Algebra.Rel n when Database.is_period ctx.db n -> (
-            match
-              if ctx.use_index then index_select ctx.db sp p n else None
-            with
-            | Some res -> res
-            | None ->
-                Trace.set_str sp "access" "scan";
-                scan ())
-        | _ -> scan ())
-    | Project (projs, q) ->
-        let need =
-          List.concat_map (fun (p : Algebra.proj) -> Expr.cols p.expr) projs
-        in
-        let b = eval_batch ~need ctx q in
-        rows_in sp [ b ];
-        project projs b
-    | Join (p, l, r) ->
+        split sp g b b
+      end
+      else begin
         let lb = eval_batch ctx l in
         let rb = eval_batch ctx r in
         rows_in sp [ lb; rb ];
-        join ?need sp p lb rb
-    | Union (l, r) ->
-        let lb = eval_batch ctx l in
-        let rb = eval_batch ctx r in
-        rows_in sp [ lb; rb ];
-        union lb rb
-    | Diff (l, r) ->
-        let lb = eval_batch ctx l in
-        let rb = eval_batch ctx r in
-        rows_in sp [ lb; rb ];
-        except_all lb rb
-    | Agg (group, aggs, q) ->
-        let need =
-          List.concat_map (fun (p : Algebra.proj) -> Expr.cols p.expr) group
-          @ List.concat_map
-              (fun (a : Algebra.agg_spec) ->
-                Option.fold ~none:[] ~some:Expr.cols (Agg.input_expr a.func))
-              aggs
-        in
-        let b = eval_batch ~need ctx q in
-        rows_in sp [ b ];
-        aggregate group aggs b
-    | Distinct q ->
-        let b = eval_batch ctx q in
-        rows_in sp [ b ];
-        distinct b
-    | Coalesce q ->
-        let b = eval_batch ctx q in
-        rows_in sp [ b ];
-        coalesce sp b
-    | Split (g, l, r) ->
-        (* avoid evaluating a shared subquery twice *)
-        if l == r then begin
-          let b = eval_batch ctx l in
-          rows_in sp [ b ];
-          split sp g b b
-        end
-        else begin
-          let lb = eval_batch ctx l in
-          let rb = eval_batch ctx r in
-          rows_in sp [ lb; rb ];
-          split sp g lb rb
-        end
-    | Split_agg sa ->
-        let b = eval_batch ctx sa.sa_child in
-        rows_in sp [ b ];
-        if sa.sa_gap <> None && sa.sa_group <> [] then
-          (* the rewriter sets a gap only without GROUP BY; Plan_check
-             rejects the converse (TKR207) *)
-          invalid_arg "vec: grouped split_agg with a gap"
-        else
-          split_agg sp ~group:sa.sa_group ~aggs:sa.sa_aggs ~gap:sa.sa_gap b
+        split sp g lb rb
+      end
+  | Split_agg sa ->
+      let b = eval_batch ctx sa.sa_child in
+      rows_in sp [ b ];
+      if sa.sa_gap <> None && sa.sa_group <> [] then
+        (* the rewriter sets a gap only without GROUP BY; Plan_check
+           rejects the converse (TKR207) *)
+        invalid_arg "vec: grouped split_agg with a gap"
+      else
+        split_agg sp ~group:sa.sa_group ~aggs:sa.sa_aggs ~gap:sa.sa_gap b
+
+(* REWR's EXCEPT ALL, [Diff (N_G(L, R), N_G(R, L))]: L and R are
+   evaluated once, under the first split's span, and both splits cut
+   against one endpoint table over L ∪ R; the second split's span says
+   so with [shared_endpoints]. *)
+and mirrored_splits ctx g l r : Batch.t * Batch.t =
+  Scratch.scoped @@ fun get ->
+  let shared = ref None in
+  let a =
+    op_span ctx "split" @@ fun sp ->
+    let lb = eval_batch ctx l in
+    let rb = eval_batch ctx r in
+    rows_in sp [ lb; rb ];
+    let t = endpoint_table ~get g lb rb in
+    shared := Some (t, lb, rb);
+    cut ~get sp t ~gids:t.lgids lb
   in
-  (match sp with
-  | None -> ()
-  | Some _ -> Trace.set_int sp "rows_out" (Batch.length result));
-  result
+  let t, lb, rb = Option.get !shared in
+  let b =
+    op_span ctx "split" @@ fun sp ->
+    rows_in sp [ rb; lb ];
+    Trace.set_bool sp "shared_endpoints" true;
+    cut ~get sp t ~gids:t.rgids rb
+  in
+  (a, b)
 
 (** Evaluate a plan on the vectorized engine.  [use_index] (default off)
     answers index-answerable period-table selections through the temporal

@@ -69,18 +69,22 @@ let test_interval_probe () =
     (Interval.stab empty 0);
   check_int "empty index size" 0 (Interval.size empty)
 
-(* the probe's scan-order sort: row ids below the table size, over one
-   to three 8-bit digits *)
+(* the probe's scan-order sort (row ids below the table size) and the
+   sweeps' packed endpoint keys: one to eight 8-bit digits, the last
+   bounded by max_int, sorting a prefix of the array *)
 let prop_sort_below =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:200 ~name:"radix sort_below = List.sort"
-       QCheck.(pair (int_range 1 3) (list (int_range 0 max_int)))
-       (fun (digits, xs) ->
-         let bound = 1 lsl (8 * digits) in
+       QCheck.(triple (int_range 1 8) (int_range 0 3) (list (int_range 0 max_int)))
+       (fun (digits, tail, xs) ->
+         let bound = if digits = 8 then max_int else 1 lsl (8 * digits) in
          let a = Array.of_list (List.map (fun x -> x mod bound) xs) in
          let expected = List.sort Int.compare (Array.to_list a) in
-         Tkr_idx.Isort.sort_below a ~bound;
-         Array.to_list a = expected))
+         let n = Array.length a in
+         let padded = Array.append a (Array.make tail (-1)) in
+         Tkr_idx.Isort.sort_below ~len:n padded ~bound;
+         Array.to_list (Array.sub padded 0 n) = expected
+         && Array.for_all (( = ) (-1)) (Array.sub padded n tail)))
 
 let prop_probe_vs_brute =
   QCheck_alcotest.to_alcotest
