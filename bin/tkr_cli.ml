@@ -277,7 +277,7 @@ let run data workload engine index no_prune sql file explain stats
                 Ast.Explain { analyze = true; target = stmt }
             | stmt -> stmt
           in
-          print_result ~max_rows (M.execute_statement ?parse_ns m stmt))
+          print_result ~max_rows (M.execute_statement ~parse_ns m stmt))
         (M.parse_script m script));
   if stats then Printf.printf "stats: %s\n" (M.totals_report m)
 
@@ -409,7 +409,7 @@ let lint_script m profile name text : (string * Diagnostic.t list) list =
           (match stmt with
           | Ast.Create_table _ | Ast.Insert _ | Ast.Drop_table _ | Ast.Update _
           | Ast.Delete _ -> (
-              try ignore (M.execute_statement m stmt) with _ -> ())
+              try ignore (M.execute_statement ~parse_ns:None m stmt) with _ -> ())
           | _ -> ());
           (nm, diags))
         stmts

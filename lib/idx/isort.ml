@@ -11,50 +11,44 @@
 
 (** In-place ascending sort of [a]'s first [len] cells (default: all),
     whose values all lie in [\[0, bound)]: a least-significant-digit
-    radix sort, O(len * digits) with no comparisons — for row ids, where
-    the bound is the table size, and for the temporal sweeps' packed
-    (group, time) endpoint keys.  The key's bits split into as few
-    equal digits as digits of at most 11 bits allow (8 bits below 2048
-    cells, where the count table would cost more than a pass). *)
+    radix sort over 8-bit digits, O(len * digits) with no comparisons —
+    for row ids, where the bound is the table size, and for the temporal
+    sweeps' packed (group, time) endpoint keys. *)
 let sort_below ?len (a : int array) ~(bound : int) : unit =
   let n = Option.value len ~default:(Array.length a) in
   if n > 1 then begin
-    let bits = ref 0 in
-    while !bits < Sys.int_size && (bound - 1) lsr !bits > 0 do
-      incr bits
-    done;
-    let widest = if n < 2048 then 8 else 11 in
-    let passes = (!bits + widest - 1) / widest in
-    let digit = if passes = 0 then 0 else (!bits + passes - 1) / passes in
-    let nb = 1 lsl digit and m = (1 lsl digit) - 1 in
-    let tmp = Scratch.get n and start = Scratch.get nb in
+    let tmp = Scratch.get n in
+    (* 256 words: a minor-heap block *)
+    let start = Array.make 256 0 in
     let src = ref a and dst = ref tmp in
-    for p = 0 to passes - 1 do
-      let s = !src and d = !dst and sh = p * digit in
-      Array.fill start 0 nb 0;
+    let shift = ref 0 in
+    (* a shift by the word size or more is undefined: stop there *)
+    while !shift < Sys.int_size && (bound - 1) lsr !shift > 0 do
+      let s = !src and d = !dst and sh = !shift in
+      Array.fill start 0 256 0;
       for i = 0 to n - 1 do
-        let b = (s.(i) lsr sh) land m in
+        let b = (s.(i) lsr sh) land 255 in
         start.(b) <- start.(b) + 1
       done;
       (* counts to first output slots; the stable scatter keeps the
          order of the earlier digits *)
       let sum = ref 0 in
-      for b = 0 to nb - 1 do
+      for b = 0 to 255 do
         let c = start.(b) in
         start.(b) <- !sum;
         sum := !sum + c
       done;
       for i = 0 to n - 1 do
-        let b = (s.(i) lsr sh) land m in
+        let b = (s.(i) lsr sh) land 255 in
         d.(start.(b)) <- s.(i);
         start.(b) <- start.(b) + 1
       done;
       src := d;
-      dst := s
+      dst := s;
+      shift := sh + 8
     done;
     if !src != a then Array.blit !src 0 a 0 n;
-    Scratch.release tmp;
-    Scratch.release start
+    Scratch.release tmp
   end
 
 (* merge src[lo,mid) and src[mid,hi) into dst, by keys.(index); [<=]

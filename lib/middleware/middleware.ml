@@ -922,7 +922,7 @@ type result = Rows of Table.t | Done of string
 
 (* queries, EXPLAIN and CHECK: the caller holds the read side of the
    catalog lock (prepare/run take their own nested read locks) *)
-let rec execute_query_statement ?parse_ns m (stmt : Ast.statement) : result =
+let rec execute_query_statement ~parse_ns m (stmt : Ast.statement) : result =
   match stmt with
   | Ast.Query _ -> Rows (run_prepared m (prepare_statement m stmt))
   | Ast.Check { target } ->
@@ -934,7 +934,7 @@ let rec execute_query_statement ?parse_ns m (stmt : Ast.statement) : result =
           p.stats.parse_ns <- parse_ns;
           Done (if analyze then run_analyze m p else render_plan p)
       | Ast.Explain _ ->
-          execute_query_statement ?parse_ns m target  (* EXPLAIN EXPLAIN ... *)
+          execute_query_statement ~parse_ns m target  (* EXPLAIN EXPLAIN ... *)
       | _ -> err "TKR021" "EXPLAIN expects a query")
   | _ -> err "TKR021" "not a query"
 
@@ -1002,17 +1002,19 @@ let execute_update_statement m (stmt : Ast.statement) : result =
 
 (* take the lock side matching the statement: queries (and EXPLAIN/CHECK)
    share the read side and run concurrently, DDL/DML is exclusive *)
-let execute_statement ?parse_ns m (stmt : Ast.statement) : result =
+let execute_statement ~parse_ns m (stmt : Ast.statement) : result =
   match stmt with
   | Ast.Query _ | Ast.Explain _ | Ast.Check _ ->
-      read_locked m (fun () -> execute_query_statement ?parse_ns m stmt)
+      read_locked m (fun () -> execute_query_statement ~parse_ns m stmt)
   | Ast.Create_table _ | Ast.Insert _ | Ast.Drop_table _ | Ast.Update _
   | Ast.Delete _ ->
       write_locked m (fun () -> execute_update_statement m stmt)
 
+let parse_statement m (sql : string) = parse m Parser.statement sql
+
 let execute m (sql : string) : result =
-  let ns, stmt = parse m Parser.statement sql in
-  execute_statement ~parse_ns:ns m stmt
+  let ns, stmt = parse_statement m sql in
+  execute_statement ~parse_ns:(Some ns) m stmt
 
 (** Parse a ;-separated script on the parse counter; a statement carries
     its own parse time only when it is the whole script. *)
@@ -1024,7 +1026,7 @@ let parse_script m (sql : string) : (int64 option * Ast.statement) list =
 (** Run a whole ;-separated script, returning the result of each statement. *)
 let execute_script m (sql : string) : result list =
   List.map
-    (fun (parse_ns, stmt) -> execute_statement ?parse_ns m stmt)
+    (fun (parse_ns, stmt) -> execute_statement ~parse_ns m stmt)
     (parse_script m sql)
 
 (** Convenience: run a query and return its rows. *)

@@ -202,10 +202,16 @@ val execute : t -> string -> result
 (** Execute one statement (query, DDL or DML).
     @raise Error on semantic errors. *)
 
+val parse_statement : t -> string -> int64 * Tkr_sql.Ast.statement
+(** Parse one statement, adding its parse time (returned, in ns) to the
+    [prepare_parse_ns] counter.
+    @raise Tkr_sql.Parser.Error or [Tkr_sql.Lexer.Error] on a syntax error. *)
+
 val execute_statement :
-  ?parse_ns:int64 -> t -> Tkr_sql.Ast.statement -> result
-(** [parse_ns], the statement's own parse time, is what its EXPLAIN
-    ANALYZE phase line reports (default: parsed as part of a script). *)
+  parse_ns:int64 option -> t -> Tkr_sql.Ast.statement -> result
+(** [parse_ns] is the statement's own parse time, which its EXPLAIN
+    ANALYZE phase line reports; [None] when the statement was parsed as
+    part of a script, whose parse time is not split per statement. *)
 
 val parse_script : t -> string -> (int64 option * Tkr_sql.Ast.statement) list
 (** Parse a ;-separated script, adding its parse time to the

@@ -280,8 +280,8 @@ let run_query srv (j : job) record : reply * Record.entry =
 
 (* DDL/DML and the meta statements (EXPLAIN, CHECK) bypass the cache;
    execute_statement takes the right middleware lock side itself *)
-let run_statement srv stmt : string * int =
-  match Middleware.execute_statement srv.mw stmt with
+let run_statement srv ~parse_ns stmt : string * int =
+  match Middleware.execute_statement ~parse_ns:(Some parse_ns) srv.mw stmt with
   | Middleware.Rows tbl ->
       (Wire.body_to_payload (Wire.Rows tbl), Table.cardinality tbl)
   | Middleware.Done msg -> (Wire.body_to_payload (Wire.Message msg), 0)
@@ -409,10 +409,10 @@ let run_one srv (job : job) =
         (* plain queries go through the session's prepared table and the
            cache; EXPLAIN/CHECK/DDL/DML take the execute_statement path *)
         try
-          match Tkr_sql.Parser.statement req.Wire.stmt with
-          | Ast.Query _ -> run_query srv job record
-          | stmt ->
-              let payload, rows_out = run_statement srv stmt in
+          match Middleware.parse_statement srv.mw req.Wire.stmt with
+          | _, Ast.Query _ -> run_query srv job record
+          | parse_ns, stmt ->
+              let payload, rows_out = run_statement srv ~parse_ns stmt in
               unplanned ~disposition:"bypass" ~rows_out (Ok (payload, None))
         with
         | Tkr_sql.Parser.Error d | Tkr_sql.Lexer.Error d ->

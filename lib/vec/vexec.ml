@@ -587,15 +587,6 @@ let group_order ~get ~ids ~ng ~n (gid : int array) (tm : int array) :
     (off, out)
   end
 
-(* the number of items per group id *)
-let group_sizes ~get ~ng ~n (gids : int array) : int array =
-  let size = get (max ng 1) in
-  Array.fill size 0 ng 0;
-  for i = 0 to n - 1 do
-    size.(gids.(i)) <- size.(gids.(i)) + 1
-  done;
-  size
-
 (* Drop repeated times within each group's slice of a {!group_order}
    result, compacting in place and rewriting [off]. *)
 let dedup_groups ~ng (off : int array) (pts : int array) : unit =
@@ -636,8 +627,12 @@ let coalesce sp (b : Batch.t) : Batch.t =
   let ng = Key.count key in
   (* a group of one row coalesces to itself (to nothing when its period
      is empty) without sorting, so only the rows of larger groups enter
-     the sort: near-distinct data is mostly groups of one *)
-  let size = group_sizes ~get ~ng ~n gids in
+     the sort *)
+  let size = get (max ng 1) in
+  Array.fill size 0 ng 0;
+  for li = 0 to n - 1 do
+    size.(gids.(li)) <- size.(gids.(li)) + 1
+  done;
   let m = ref 0 in
   for li = 0 to n - 1 do
     if size.(gids.(li)) > 1 then begin
@@ -720,12 +715,10 @@ let coalesce sp (b : Batch.t) : Batch.t =
 
 (* The endpoint table of N_G(L, R) and of its mirror N_G(R, L): every
    group's endpoints over L ∪ R, ascending and deduplicated, plus each
-   input row's group id (by logical row).  A group of one row keeps no
-   points: its row is cut nowhere, so its slice may stay empty. *)
+   input row's group id (by logical row). *)
 type endpoint_table = {
   off : int array;  (** group [g]'s points: [pts.(off.(g) .. off.(g+1) - 1)] *)
   pts : int array;
-  lone_points : int;  (** the distinct endpoints of one-row groups *)
   lgids : int array;
   rgids : int array;
   ng : int;
@@ -767,21 +760,9 @@ let endpoint_table ~get (group_cols : int list) (lb : Batch.t) (rb : Batch.t) :
   in
   let ng = Key.count key in
   Key.release key;
-  (* items come in (begin, end) pairs, two per row *)
-  let size = group_sizes ~get ~ng ~n:m eg in
-  let k = ref 0 and lone_points = ref 0 in
-  for i = 0 to m - 1 do
-    if size.(eg.(i)) > 2 then begin
-      eg.(!k) <- eg.(i);
-      et.(!k) <- et.(i);
-      incr k
-    end
-    else if i land 1 = 0 then
-      lone_points := !lone_points + if et.(i) = et.(i + 1) then 1 else 2
-  done;
-  let off, pts = group_order ~get ~ids:false ~ng ~n:!k eg et in
+  let off, pts = group_order ~get ~ids:false ~ng ~n:m eg et in
   dedup_groups ~ng off pts;
-  { off; pts; lone_points = !lone_points; lgids; rgids; ng }
+  { off; pts; lgids; rgids; ng }
 
 (** Cut every row of [b] (group ids [gids], by logical row) at the points
     of its group strictly inside its period: the split operator N_G
@@ -834,7 +815,7 @@ let cut ~get sp (t : endpoint_table) ~(gids : int array) (b : Batch.t) :
     incr w
   done;
   Trace.set_int sp "endpoint_keys" t.ng;
-  Trace.set_int sp "endpoints" (t.off.(t.ng) + t.lone_points);
+  Trace.set_int sp "endpoints" t.off.(t.ng);
   Trace.set_int sp "fragments" total;
   let k = Array.length b.Batch.cols in
   let cols =

@@ -626,6 +626,37 @@ let test_e2e_pipelined_ordering () =
   | Ok _ -> Alcotest.fail "expected rows"
   | Error e -> Alcotest.fail ("pipelined SELECT failed: " ^ e.Wire.message)
 
+(* A statement sent over the wire is parsed on its own, on the
+   middleware's parse counter: its EXPLAIN ANALYZE phase line reports
+   that parse's time, not a script's. *)
+let test_e2e_explain_parse_phase () =
+  with_server @@ fun m srv ->
+  let parsed () =
+    Tkr_obs.Metrics.value
+      (Tkr_obs.Metrics.counter (M.metrics m) "prepare_parse_ns")
+  in
+  let before = parsed () in
+  Client.with_client ~port:(Server.port srv) @@ fun c ->
+  let text =
+    render_rsp
+      (Client.run_exn c
+         "EXPLAIN ANALYZE (SEQ VT (SELECT count(*) AS cnt FROM salaries))")
+  in
+  let phase =
+    List.find_opt
+      (fun l -> String.starts_with ~prefix:"parse " l)
+      (String.split_on_char '\n' text)
+  in
+  match phase with
+  | None -> Alcotest.fail ("no phase line in:\n" ^ text)
+  | Some line ->
+      let ms =
+        Scanf.sscanf_opt line "parse %f ms |" Fun.id
+      in
+      check ("parse phase is timed: " ^ line) true
+        (match ms with Some ms -> ms > 0. | None -> false);
+      check "the wire parse is on the parse counter" true (parsed () > before)
+
 let test_e2e_error_codes () =
   with_server @@ fun _m srv ->
   Client.with_client ~port:(Server.port srv) @@ fun c ->
@@ -912,4 +943,6 @@ let suite =
         test_session_prepared_bounded;
       Alcotest.test_case "e2e: METRICS cache counters equal STATS cache" `Quick
         test_e2e_cache_metrics_match_stats;
+      Alcotest.test_case "e2e: EXPLAIN ANALYZE times the wire parse" `Quick
+        test_e2e_explain_parse_phase;
     ] )
