@@ -36,3 +36,7 @@ run run -e "CREATE TABLE t (x int, b int, e int) PERIOD (b, e); INSERT INTO t VA
 echo "# NULL period from UPDATE -> 4, and lint flags it -> 3"
 run run -e "CREATE TABLE t (x int, b int, e int) PERIOD (b, e); INSERT INTO t VALUES (1, 2, 3); UPDATE t SET b = NULL WHERE x = 1;"
 run lint -e "CREATE TABLE t (x int, b int, e int) PERIOD (b, e); INSERT INTO t VALUES (1, 2, 3); UPDATE t SET b = NULL WHERE x = 1;"
+
+echo "# integer literal past max_int -> lex error 2, under run and lint"
+run run -e "CREATE TABLE t (x int); SELECT 99999999999999999999 AS x FROM t"
+run lint -e "CREATE TABLE t (x int); SELECT 99999999999999999999 AS x FROM t"

@@ -3,7 +3,11 @@
 
    Usage: experiments [fig1|table1|table2|fig5|table3emp|table3tpc|ablation|
                        tourism|all]
+          experiments wire
           experiments --check
+
+   [wire] is not a paper figure: it times the serve wire codec on one
+   1,000-row, 5-column result frame.
 
    [--check] turns the paper's performance claims into same-process
    assertions (see [check] below) and exits 1 if any fails.
@@ -25,6 +29,8 @@ module Vexec = Tkr_vec.Vexec
 module Rewriter = Tkr_sqlenc.Rewriter
 module Value = Tkr_relation.Value
 module Tuple = Tkr_relation.Tuple
+module Schema = Tkr_relation.Schema
+module Wire = Tkr_serve.Wire
 
 let printf = Printf.printf
 
@@ -525,6 +531,55 @@ let check_optimizer db =
         "optimizer/agg-join: largest join %d rows <= 2x final join %d rows" largest final
   | [] -> verdict false "optimizer/agg-join: no join executed"
 
+(* ------------------------------------------------------------------ *)
+
+(* The serve codec on a 1,000-row, 5-column result (ints, text, a float
+   column with NULLs): ms per decode of the whole ok frame and per
+   render of its payload, median of 9 batches of 200. *)
+let wire () =
+  let schema =
+    Schema.make
+      [
+        Schema.attr "id" Value.TInt;
+        Schema.attr "name" Value.TStr;
+        Schema.attr "salary" Value.TInt;
+        Schema.attr "vt_begin" Value.TInt;
+        Schema.attr "avg" Value.TFloat;
+      ]
+  in
+  let t =
+    Table.of_array schema
+      (Array.init 1000 (fun i ->
+           Tuple.of_array
+             [|
+               Value.Int i;
+               Value.Str (Printf.sprintf "employee-%04d" i);
+               Value.Int (40_000 + (i * 37 mod 20_000));
+               Value.Int (i * 3);
+               (if i mod 10 = 0 then Value.Null
+                else Value.Float (float_of_int i /. 7.));
+             |]))
+  in
+  let payload = Wire.body_to_payload (Wire.Rows t) in
+  let frame = Wire.ok_frame ~id:1 ~cached:false ~elapsed_us:0 payload in
+  let per_op f =
+    Gc.full_major ();
+    median
+      (List.init 9 (fun _ ->
+           fst
+             (time_once (fun () ->
+                  for _ = 1 to 200 do
+                    ignore (Sys.opaque_identity (f ()))
+                  done))
+           /. 200.))
+  in
+  let decode = per_op (fun () -> Wire.response_of_string frame) in
+  let encode = per_op (fun () -> Wire.body_to_payload (Wire.Rows t)) in
+  printf "wire: 1000 rows x 5 columns, frame %d bytes\n" (String.length frame);
+  printf "  decode %.3f ms (%.1f ns/byte)   encode %.3f ms\n" (ms decode)
+    (decode *. 1e9 /. float_of_int (String.length frame))
+    (ms encode)
+
 let check () =
   check_fig5 ();
   check_table3 ();
@@ -549,6 +604,7 @@ let () =
         | "table3tpc" -> table3tpc ()
         | "ablation" -> ablation ()
         | "tourism" -> tourism ()
+        | "wire" -> wire ()
         | other -> failwith ("unknown experiment " ^ other)
       in
       match args with

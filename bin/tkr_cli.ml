@@ -477,10 +477,19 @@ let lint_run data workload sql files profile werror json_out =
                  print_endline (Diagnostic.report_to_text ds)))
              reports);
         let bad = List.length (List.filter failed reports) in
+        (* a statement that does not lex or parse is a parse error (2),
+           as under [run]; anything else that fails is a lint failure *)
+        let unparsed (_, ds) =
+          List.exists
+            (fun (d : Diagnostic.t) ->
+              d.severity = Diagnostic.Error
+              && (d.code = "TKR004" || d.code = "TKR005"))
+            ds
+        in
         if bad > 0 then
           raise
             (Fail
-               ( 3,
+               ( (if List.exists unparsed reports then 2 else 3),
                  Printf.sprintf "lint: %d of %d statements failed" bad
                    (List.length reports) ))
 

@@ -90,33 +90,32 @@ let connect ~host ~port : Unix.file_descr =
       (try Unix.close fd with Unix.Unix_error _ -> ());
       raise (Wire.Protocol_error "no greeting")
 
-(* digest of one response frame, computed the way capture did: the raw
-   result payload bytes of an ok frame (exact, no reparse), or the
-   code/message of an error frame *)
-let digest_of_frame (frame : string) : (string * bool) option =
-  let j = Json.of_string frame in
-  match Option.bind (Json.member "status" j) Json.to_string_opt with
-  | Some "ok" -> (
-      match Wire.ok_frame_payload frame with
-      | Some payload ->
-          let cached =
-            match Json.member "cached" j with
-            | Some (Json.Bool b) -> b
-            | _ -> false
-          in
-          Some (Record.digest payload, cached)
-      | None -> None)
-  | Some "error" ->
-      let code =
-        Option.value ~default:""
-          (Option.bind (Json.member "code" j) Json.to_string_opt)
-      in
-      let message =
-        Option.value ~default:""
-          (Option.bind (Json.member "message" j) Json.to_string_opt)
-      in
-      Some (Record.digest_error ~code ~message, false)
-  | _ -> None
+(* id and digest of one response frame, from one pass over its
+   envelope.  The digest is computed the way capture did: the raw result
+   payload bytes of an ok frame (exact, no reparse), or the code/message
+   of an error frame.  The payload is scanned, not built. *)
+let digest_of_frame (frame : string) : int option * (string * bool) option =
+  let module Scan = Json.Scan in
+  let c = Scan.cursor frame in
+  let id = ref None and status = ref "" and cached = ref false
+  and code = ref "" and message = ref "" in
+  Scan.fields c (function
+    | "id" -> id := Some (Scan.int c)
+    | "status" -> status := Scan.string c
+    | "cached" -> cached := Scan.bool c
+    | "code" -> code := Scan.string c
+    | "message" -> message := Scan.string c
+    | _ -> Scan.skip c);
+  Scan.finish c;
+  ( !id,
+    match !status with
+    | "ok" ->
+        Option.map
+          (fun payload -> (Record.digest payload, !cached))
+          (Wire.ok_frame_payload frame)
+    | "error" ->
+        Some (Record.digest_error ~code:!code ~message:!message, false)
+    | _ -> None )
 
 let run ?(paced = false) ?(host = "127.0.0.1") ~port
     (entries : Record.entry list) : outcome =
@@ -272,10 +271,10 @@ let run ?(paced = false) ?(host = "127.0.0.1") ~port
       if continue then
         match Wire.read_frame sc.sc_fd with
         | Some frame ->
-            (match Json.member "id" (Json.of_string frame) with
-            | Some (Json.Int gi) when gi >= 0 && gi < n ->
+            (match digest_of_frame frame with
+            | Some gi, digest when gi >= 0 && gi < n ->
                 recv_ns.(gi) <- Clock.now_ns ();
-                got.(gi) <- digest_of_frame frame;
+                got.(gi) <- digest;
                 locked t_lock (fun () -> account sc gi)
             | _ -> ()
             | exception Json.Parse_error _ -> ());

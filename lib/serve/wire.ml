@@ -89,67 +89,116 @@ let ty_of_string = function
   | s -> raise (Protocol_error ("unknown column type " ^ s))
 
 (* floats as [%h] hex literals: exact bit-level round-trip, so rendering
-   client-side reproduces the server's bytes *)
-let value_to_json : Value.t -> Json.t = function
-  | Value.Null -> Json.Null
-  | Value.Bool b -> Json.Bool b
-  | Value.Int i -> Json.Int i
-  | Value.Str s -> Json.Str s
-  | Value.Float f -> Json.Obj [ ("f", Json.Str (Printf.sprintf "%h" f)) ]
+   client-side reproduces the server's bytes.  This is the primitive
+   [Printf.sprintf "%h"] calls, minus the format interpretation. *)
+external hexstring_of_float : float -> int -> char -> string
+  = "caml_hexstring_of_float"
 
-let value_of_json : Json.t -> Value.t = function
-  | Json.Null -> Value.Null
-  | Json.Bool b -> Value.Bool b
-  | Json.Int i -> Value.Int i
-  | Json.Str s -> Value.Str s
-  | Json.Obj [ ("f", Json.Str h) ] -> (
-      match float_of_string_opt h with
-      | Some f -> Value.Float f
-      | None -> raise (Protocol_error ("bad float literal " ^ h)))
-  | Json.Float f -> Value.Float f  (* lenient: hand-written clients *)
+let add_value buf : Value.t -> unit = function
+  | Value.Null -> Buffer.add_string buf "null"
+  | Value.Bool b -> Buffer.add_string buf (if b then "true" else "false")
+  | Value.Int i -> Json.add_int buf i
+  | Value.Str s -> Json.add_string buf s
+  | Value.Float f ->
+      Buffer.add_string buf {|{"f":"|};
+      Buffer.add_string buf (hexstring_of_float f (-6) '-');
+      Buffer.add_string buf {|"}|}
+
+(* {"kind":"rows","schema":[["name","ty"],...],"rows":[[v,...],...]} *)
+let add_table buf (t : Table.t) =
+  Buffer.add_string buf {|{"kind":"rows","schema":[|};
+  List.iteri
+    (fun i (a : Schema.attr) ->
+      if i > 0 then Buffer.add_char buf ',';
+      Buffer.add_char buf '[';
+      Json.add_string buf a.name;
+      Buffer.add_char buf ',';
+      Json.add_string buf (ty_to_string a.ty);
+      Buffer.add_char buf ']')
+    (Schema.attrs (Table.schema t));
+  Buffer.add_string buf {|],"rows":[|};
+  Array.iteri
+    (fun i (row : Tuple.t) ->
+      if i > 0 then Buffer.add_char buf ',';
+      Buffer.add_char buf '[';
+      for k = 0 to Array.length row - 1 do
+        if k > 0 then Buffer.add_char buf ',';
+        add_value buf row.(k)
+      done;
+      Buffer.add_char buf ']')
+    (Table.rows t);
+  Buffer.add_string buf "]}"
+
+module Scan = Json.Scan
+
+(* {"f":"<%h>"} *)
+let float_of_hex c =
+  Scan.expect c '{';
+  if Scan.string c <> "f" then raise (Protocol_error "bad value");
+  Scan.expect c ':';
+  let h = Scan.string c in
+  Scan.expect c '}';
+  match float_of_string_opt h with
+  | Some f -> Value.Float f
+  | None -> raise (Protocol_error ("bad float literal " ^ h))
+
+let int_value i = Value.Int i
+let float_value f = Value.Float f  (* lenient: hand-written clients *)
+
+let scan_value c : Value.t =
+  match Scan.peek c with
+  | 'n' -> Scan.null c; Value.Null
+  | 't' | 'f' -> Value.Bool (Scan.bool c)
+  | '"' -> Value.Str (Scan.string c)
+  | '{' -> float_of_hex c
+  | '-' | '0' .. '9' -> Scan.number c ~int:int_value ~float:float_value
   | _ -> raise (Protocol_error "bad value")
 
-let table_to_json (t : Table.t) : Json.t =
-  Json.Obj
-    [
-      ("kind", Json.Str "rows");
-      ( "schema",
-        Json.List
-          (List.map
-             (fun (a : Schema.attr) ->
-               Json.List [ Json.Str a.name; Json.Str (ty_to_string a.ty) ])
-             (Schema.attrs (Table.schema t))) );
-      ( "rows",
-        Json.List
-          (Array.to_list
-             (Array.map
-                (fun row ->
-                  Json.List
-                    (List.map value_to_json
-                       (Array.to_list (row : Tuple.t :> Value.t array))))
-                (Table.rows t))) );
-    ]
+let scan_schema c : Schema.t =
+  let attrs = ref [] in
+  Scan.elements c (fun () ->
+      Scan.expect c '[';
+      let name = Scan.string c in
+      Scan.expect c ',';
+      let ty = ty_of_string (Scan.string c) in
+      Scan.expect c ']';
+      attrs := Schema.attr name ty :: !attrs);
+  Schema.make (List.rev !attrs)
 
-let table_of_json (j : Json.t) : Table.t =
-  let attr = function
-    | Json.List [ Json.Str name; Json.Str ty ] ->
-        Schema.attr name (ty_of_string ty)
-    | _ -> raise (Protocol_error "bad schema attribute")
-  in
-  let schema =
-    match Json.member "schema" j with
-    | Some (Json.List attrs) -> Schema.make (List.map attr attrs)
-    | _ -> raise (Protocol_error "missing schema")
-  in
-  let row = function
-    | Json.List vs ->
-        Tuple.of_array (Array.of_list (List.map value_of_json vs))
-    | _ -> raise (Protocol_error "bad row")
-  in
-  match Json.member "rows" j with
-  | Some (Json.List rows) ->
-      Table.of_array schema (Array.of_list (List.map row rows))
-  | _ -> raise (Protocol_error "missing rows")
+(* rows straight into tuples: each row's values gather in one reused
+   scratch array and leave it as one exact-size copy.  Rows collect in
+   a list and fill one array at the end: a large array lives in the
+   major heap, so growing one by doubling would copy every row pointer
+   into it several times, each copy a remembered-set entry. *)
+let scan_rows c : Tuple.t array =
+  let rows = ref [] and n = ref 0 in
+  let cells = ref (Array.make 16 Value.Null) in
+  Scan.expect c '[';
+  if not (Scan.eat c ']') then begin
+    let more_rows = ref true in
+    while !more_rows do
+      Scan.expect c '[';
+      let k = ref 0 in
+      if not (Scan.eat c ']') then begin
+        let more = ref true in
+        while !more do
+          if !k = Array.length !cells then
+            cells := Array.append !cells (Array.make !k Value.Null);
+          !cells.(!k) <- scan_value c;
+          incr k;
+          more := Scan.sep c ']'
+        done
+      end;
+      rows := Tuple.of_array (Array.sub !cells 0 !k) :: !rows;
+      incr n;
+      more_rows := Scan.sep c ']'
+    done
+  end;
+  (* [[||]] is a static atom: [Array.make] with a young initial value
+     would force a minor collection first *)
+  let out = Array.make !n [||] in
+  List.iteri (fun i row -> out.(!n - 1 - i) <- row) !rows;
+  out
 
 (* ---- requests ---- *)
 
@@ -248,18 +297,32 @@ type response = {
     result cache stores, so cached responses are byte-identical. *)
 let body_to_payload (b : body) : string =
   match b with
-  | Rows t -> Json.to_string (table_to_json t)
+  | Rows t ->
+      let buf = Buffer.create (64 + (32 * Table.cardinality t)) in
+      add_table buf t;
+      Buffer.contents buf
   | Message s ->
-      Json.to_string
-        (Json.Obj [ ("kind", Json.Str "done"); ("message", Json.Str s) ])
+      let buf = Buffer.create (String.length s + 32) in
+      Buffer.add_string buf {|{"kind":"done","message":|};
+      Json.add_string buf s;
+      Buffer.add_char buf '}';
+      Buffer.contents buf
 
-let body_of_payload (payload : Json.t) : body =
-  match Option.bind (Json.member "kind" payload) Json.to_string_opt with
-  | Some "rows" -> Rows (table_of_json payload)
-  | Some "done" -> (
-      match Option.bind (Json.member "message" payload) Json.to_string_opt with
-      | Some m -> Message m
-      | None -> raise (Protocol_error "done without message"))
+let scan_body c : body =
+  let kind = ref "" and schema = ref None and rows = ref None
+  and message = ref None in
+  Scan.fields c (function
+    | "kind" -> kind := Scan.string c
+    | "schema" -> schema := Some (scan_schema c)
+    | "rows" -> rows := Some (scan_rows c)
+    | "message" -> message := Some (Scan.string c)
+    | _ -> Scan.skip c);
+  match (!kind, !schema, !rows, !message) with
+  | "rows", Some schema, Some rows, _ -> Rows (Table.of_array schema rows)
+  | "rows", None, _, _ -> raise (Protocol_error "missing schema")
+  | "rows", _, None, _ -> raise (Protocol_error "missing rows")
+  | "done", _, _, Some m -> Message m
+  | "done", _, _, None -> raise (Protocol_error "done without message")
   | _ -> raise (Protocol_error "bad payload kind")
 
 (* the payload travels pre-rendered (possibly straight from the cache):
@@ -275,12 +338,12 @@ let ok_frame ~id ~cached ~elapsed_us ?trace ?trace_id (payload : string) :
   (match trace_id with
   | Some tid ->
       Buffer.add_string buf {|,"trace_id":|};
-      Buffer.add_string buf (Json.to_string (Json.Str tid))
+      Json.add_string buf tid
   | None -> ());
   (match trace with
   | Some t ->
       Buffer.add_string buf {|,"trace":|};
-      Buffer.add_string buf (Json.to_string t)
+      Json.write buf t
   | None -> ());
   Buffer.add_string buf {|,"result":|};
   Buffer.add_string buf payload;
@@ -296,10 +359,15 @@ let ok_frame_payload (frame : string) : string option =
   let marker = {|,"result":|} in
   let mlen = String.length marker in
   let flen = String.length frame in
+  let at i =
+    let k = ref 0 in
+    while !k < mlen && String.unsafe_get frame (i + !k) = String.unsafe_get marker !k do
+      incr k
+    done;
+    !k = mlen
+  in
   let rec find i =
-    if i + mlen > flen then None
-    else if String.sub frame i mlen = marker then Some (i + mlen)
-    else find (i + 1)
+    if i + mlen > flen then None else if at i then Some (i + mlen) else find (i + 1)
   in
   match find 0 with
   | Some start when flen > start && frame.[flen - 1] = '}' ->
@@ -319,46 +387,53 @@ let error_frame ~id ?trace_id (e : error) : string =
          | Some tid -> [ ("trace_id", Json.Str tid) ]
          | None -> []))
 
+(* one pass over the envelope; the "result" payload decodes straight
+   into a table, without a tree in between *)
 let response_of_string (s : string) : response =
-  let j = Json.of_string s in
-  let rsp_id =
-    Option.value ~default:0 (Option.bind (Json.member "id" j) Json.to_int_opt)
-  in
-  match Option.bind (Json.member "status" j) Json.to_string_opt with
-  | Some "ok" ->
-      let payload =
-        match Json.member "result" j with
-        | Some p -> p
+  let c = Scan.cursor s in
+  let id = ref 0 and status = ref "" and cached = ref false
+  and elapsed_us = ref 0 and body = ref None and trace = ref None
+  and trace_id = ref None and code = ref None and message = ref "" in
+  Scan.fields c (function
+    | "id" -> id := Scan.int c
+    | "status" -> status := Scan.string c
+    | "cached" -> cached := Scan.bool c
+    | "elapsed_us" -> elapsed_us := Scan.int c
+    | "result" -> body := Some (scan_body c)
+    | "trace" -> trace := Some (Scan.value c)
+    | "trace_id" -> trace_id := Some (Scan.string c)
+    | "code" -> code := Some (Scan.string c)
+    | "message" -> message := Scan.string c
+    | _ -> Scan.skip c);
+  Scan.finish c;
+  match !status with
+  | "ok" ->
+      let body =
+        match !body with
+        | Some b -> b
         | None -> raise (Protocol_error "ok response without result")
       in
       {
-        rsp_id;
-        cached =
-          (match Json.member "cached" j with Some (Json.Bool b) -> b | _ -> false);
-        elapsed_us =
-          Option.value ~default:0
-            (Option.bind (Json.member "elapsed_us" j) Json.to_int_opt);
-        body = Ok (body_of_payload payload);
-        rsp_trace = Json.member "trace" j;
-        rsp_trace_id = Option.bind (Json.member "trace_id" j) Json.to_string_opt;
+        rsp_id = !id;
+        cached = !cached;
+        elapsed_us = !elapsed_us;
+        body = Ok body;
+        rsp_trace = !trace;
+        rsp_trace_id = !trace_id;
       }
-  | Some "error" ->
+  | "error" ->
       let code =
-        match Option.bind (Json.member "code" j) Json.to_string_opt with
+        match !code with
         | Some c -> error_code_of_string c
         | None -> raise (Protocol_error "error response without code")
       in
-      let message =
-        Option.value ~default:""
-          (Option.bind (Json.member "message" j) Json.to_string_opt)
-      in
       {
-        rsp_id;
+        rsp_id = !id;
         cached = false;
         elapsed_us = 0;
-        body = Error { code; message };
+        body = Error { code; message = !message };
         rsp_trace = None;
-        rsp_trace_id = Option.bind (Json.member "trace_id" j) Json.to_string_opt;
+        rsp_trace_id = !trace_id;
       }
   | _ -> raise (Protocol_error "response without status")
 

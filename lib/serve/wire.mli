@@ -11,7 +11,6 @@
     the same bytes as rendering it in the server process, which is what
     lets the result cache replay stored payloads verbatim. *)
 
-open Tkr_relation
 module Json = Tkr_obs.Json
 module Table = Tkr_engine.Table
 
@@ -28,13 +27,6 @@ val write_frame : Unix.file_descr -> string -> unit
 val read_frame : Unix.file_descr -> string option
 (** [None] on a clean peer close before the first header byte.
     @raise Protocol_error on truncated or oversized frames. *)
-
-(* ---- values and tables ---- *)
-
-val value_to_json : Value.t -> Json.t
-val value_of_json : Json.t -> Value.t
-val table_to_json : Table.t -> Json.t
-val table_of_json : Json.t -> Table.t
 
 (* ---- requests ---- *)
 
@@ -93,9 +85,11 @@ type response = {
 
 val body_to_payload : body -> string
 (** The result payload as JSON text — the exact string the result cache
-    stores, so cached responses are byte-identical to fresh ones. *)
-
-val body_of_payload : Json.t -> body
+    stores, so cached responses are byte-identical to fresh ones.  Rows
+    render straight into one buffer:
+    [{"kind":"rows","schema":[["name","ty"],...],"rows":[[v,...],...]}]
+    with [null], [true]/[false], decimal ints, strings and floats as
+    [{"f":"<%h>"}]; a message is [{"kind":"done","message":"..."}]. *)
 
 val ok_frame :
   id:int ->
@@ -117,7 +111,12 @@ val ok_frame_payload : string -> string option
     the frame is not an ok envelope. *)
 
 val error_frame : id:int -> ?trace_id:string -> error -> string
+
 val response_of_string : string -> response
+(** Decode a response frame in one pass: an ok frame's payload goes
+    straight into a [Table.t] (schema and tuples), with no JSON tree in
+    between.
+    @raise Protocol_error or [Json.Parse_error] on a malformed frame. *)
 
 (* ---- greeting ---- *)
 

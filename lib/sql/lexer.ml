@@ -122,7 +122,13 @@ let tokenize_pos (s : string) : (token * pos) list =
             let j' = num (j + 1) in
             let f = float_of_string (String.sub s i (j' - i)) in
             emit j' (FLOAT f))
-          else emit j (INT (int_of_string (String.sub s i (j - i))))
+          else (
+            let digits = String.sub s i (j - i) in
+            match int_of_string_opt digits with
+            | Some v -> emit j (INT v)
+            | None ->
+                lex_error i "integer literal %s is out of range (at most %d)"
+                  digits max_int)
       | c when is_ident_start c ->
           let rec ident j = if j < n && is_ident_char s.[j] then ident (j + 1) else j in
           let j = ident i in

@@ -44,6 +44,61 @@ let test_json_roundtrip () =
   Alcotest.(check bool) "truncated fails" true (fails "{\"a\":");
   Alcotest.(check bool) "garbage tail fails" true (fails "1 x")
 
+(* \u escapes take exactly four hex digits; a surrogate pair is one
+   4-byte UTF-8 sequence and a lone surrogate is an error *)
+let test_json_unicode_escapes () =
+  let str s = Json.of_string ("\"" ^ s ^ "\"") in
+  let decodes s expected =
+    Alcotest.(check string) s expected
+      (match str s with Json.Str v -> v | _ -> Alcotest.fail "not a string")
+  in
+  let rejects s =
+    match str s with
+    | exception Json.Parse_error _ -> ()
+    | _ -> Alcotest.failf "%s: expected a parse error" s
+  in
+  decodes {|\u0041|} "A";
+  decodes {|\u00e9|} "\xc3\xa9";
+  decodes {|\u20AC|} "\xe2\x82\xac";
+  decodes {|\u0000|} "\000";
+  decodes {|\ud83d\ude00|} "\xf0\x9f\x98\x80";
+  decodes {|\uD834\uDD1E|} "\xf0\x9d\x84\x9e";
+  decodes {|a\u0022b\/c|} "a\"b/c";
+  rejects {|\u00_4|};
+  rejects {|\u+041|};
+  rejects {|\u12G4|};
+  rejects {|\u12|};
+  rejects {|\ud83d|};
+  rejects {|\ud83dx|};
+  rejects {|\ud83d\u0041|};
+  rejects {|\ud83d\ud83d|};
+  rejects {|\ude00|};
+  rejects {|\ude00\ud83d|};
+  rejects {|\x41|}
+
+(* integers are exact at both ends of the int range and become floats
+   only past it; the number grammar is JSON's *)
+let test_json_numbers () =
+  let is v s = Alcotest.(check bool) s true (Json.of_string s = v) in
+  is (Json.Int max_int) (string_of_int max_int);
+  is (Json.Int min_int) (string_of_int min_int);
+  is (Json.Int 0) "-0";
+  is (Json.Float 4611686018427387904.) "4611686018427387904";
+  is (Json.Float (-4611686018427387905.)) "-4611686018427387905";
+  is (Json.Float 1e300) "1e300";
+  is (Json.Float (-2.5e-3)) "-2.5E-3";
+  is (Json.List [ Json.Int 1; Json.Float 0.5 ]) "[1,0.5]";
+  List.iter
+    (fun s ->
+      match Json.of_string s with
+      | exception Json.Parse_error _ -> ()
+      | _ -> Alcotest.failf "%s: expected a parse error" s)
+    [ "-"; "1."; ".5"; "1e"; "1e+"; "--1"; "1-2"; "0x10"; "1_000"; "+1" ];
+  (* nesting is bounded: a deep document is a parse error, not a crash *)
+  match Json.of_string (String.make 100_000 '[') with
+  | exception Json.Parse_error _ -> ()
+  | _ -> Alcotest.fail "expected a parse error"
+
 (* --- OpenMetrics golden --- *)
 
 let test_openmetrics_golden () =
@@ -198,4 +253,8 @@ let suite =
       Alcotest.test_case "gc counters monotone" `Quick test_gc_monotone;
       Alcotest.test_case "histogram quantiles" `Quick test_histogram_quantile;
       Alcotest.test_case "env metadata" `Quick test_env;
+      Alcotest.test_case "json unicode escapes: strict, surrogate pairs" `Quick
+        test_json_unicode_escapes;
+      Alcotest.test_case "json numbers: exact int range" `Quick
+        test_json_numbers;
     ] )

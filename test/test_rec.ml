@@ -660,6 +660,37 @@ let test_observers_agree () =
     ];
   check_int "one bypass" 1 (count (disp "bypass"))
 
+(* A recording captured by a server from before the wire codec became
+   one scanner (fixtures/flight-employee.jsonl: the employee workload in
+   two passes, AS OF reads with float and UTF-8 results, a write with a
+   read after it, a parse and a runtime error, and a write rejected in
+   the queue).  It must replay byte-identically on today's server, with
+   the cache on and off.  The catalog is [tkr_cli serve --workload
+   employee]'s: 150 employees, tmax 2000. *)
+let test_fixture_replays_byte_identically () =
+  let h, entries = Record.read_file "fixtures/flight-employee.jsonl" in
+  check "fixture names its workload" true (h.Record.h_workload = Some "employee");
+  List.iter
+    (fun cache_mb ->
+      let m = M.create ~db:(W.generate { (W.scaled 150) with W.tmax = 2000 }) () in
+      let srv =
+        Server.start
+          ~config:{ Server.default_config with port = 0; cache_mb; max_sessions = 32 }
+          m
+      in
+      let o =
+        Fun.protect ~finally:(fun () -> Server.stop srv) @@ fun () ->
+        Replay.run ~port:(Server.port srv) entries
+      in
+      let label = Printf.sprintf "cache %d MB: " cache_mb in
+      check_int (label ^ "nothing failed") 0 o.Replay.failed;
+      check_int (label ^ "the queue-rejected write is skipped") 1 o.Replay.skipped;
+      check_int (label ^ "every compared response matched")
+        o.Replay.compared o.Replay.matched;
+      check (label ^ "identical") true (Replay.identical o);
+      if cache_mb > 0 then check (label ^ "the second pass hit the cache") true (o.Replay.cached > 0))
+    [ 16; 0 ]
+
 let suite =
   ( "rec",
     [
@@ -683,4 +714,6 @@ let suite =
         test_replay_skips_rejected_write;
       Alcotest.test_case "e2e: recorder, event log, ledger and STATS agree"
         `Quick test_observers_agree;
+      Alcotest.test_case "e2e: committed older recording replays byte-identically"
+        `Quick test_fixture_replays_byte_identically;
     ] )

@@ -51,18 +51,374 @@ let sample_table () =
         |];
     |]
 
+(* The tree renderer the direct encoder replaced, kept as the oracle
+   for byte identity: each value and the table become a [Json.t], which
+   the old escaper and writer render. *)
+module Oracle = struct
+  let escape buf s =
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s
+
+  let rec write buf = function
+    | Json.Null -> Buffer.add_string buf "null"
+    | Json.Bool b -> Buffer.add_string buf (if b then "true" else "false")
+    | Json.Int i -> Buffer.add_string buf (string_of_int i)
+    | Json.Float f ->
+        if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.6g" f)
+        else Buffer.add_string buf "null"
+    | Json.Str s ->
+        Buffer.add_char buf '"';
+        escape buf s;
+        Buffer.add_char buf '"'
+    | Json.List items ->
+        Buffer.add_char buf '[';
+        List.iteri
+          (fun i item ->
+            if i > 0 then Buffer.add_char buf ',';
+            write buf item)
+          items;
+        Buffer.add_char buf ']'
+    | Json.Obj fields ->
+        Buffer.add_char buf '{';
+        List.iteri
+          (fun i (k, v) ->
+            if i > 0 then Buffer.add_char buf ',';
+            Buffer.add_char buf '"';
+            escape buf k;
+            Buffer.add_string buf "\":";
+            write buf v)
+          fields;
+        Buffer.add_char buf '}'
+
+  let value_to_json : Value.t -> Json.t = function
+    | Value.Null -> Json.Null
+    | Value.Bool b -> Json.Bool b
+    | Value.Int i -> Json.Int i
+    | Value.Str s -> Json.Str s
+    | Value.Float f -> Json.Obj [ ("f", Json.Str (Printf.sprintf "%h" f)) ]
+
+  let ty = function
+    | Value.TBool -> "bool"
+    | Value.TInt -> "int"
+    | Value.TFloat -> "float"
+    | Value.TStr -> "text"
+
+  let payload (t : Table.t) : string =
+    let j =
+      Json.Obj
+        [
+          ("kind", Json.Str "rows");
+          ( "schema",
+            Json.List
+              (List.map
+                 (fun (a : Schema.attr) ->
+                   Json.List [ Json.Str a.name; Json.Str (ty a.ty) ])
+                 (Schema.attrs (Table.schema t))) );
+          ( "rows",
+            Json.List
+              (Array.to_list
+                 (Array.map
+                    (fun row ->
+                      Json.List (List.map value_to_json (Array.to_list row)))
+                    (Table.rows t))) );
+        ]
+    in
+    let buf = Buffer.create 256 in
+    write buf j;
+    Buffer.contents buf
+end
+
+(* floats compare by bits (so -0.0 is not 0.0); NaN payloads are not
+   carried by [%h], so any NaN equals any NaN *)
+let value_identical (a : Value.t) (b : Value.t) =
+  match (a, b) with
+  | Value.Float x, Value.Float y ->
+      (Float.is_nan x && Float.is_nan y)
+      || Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> Value.equal a b
+
+let tables_identical (a : Table.t) (b : Table.t) =
+  Table.schema a = Table.schema b
+  && Array.length (Table.rows a) = Array.length (Table.rows b)
+  && Array.for_all2
+       (fun (r : Tuple.t) (r' : Tuple.t) ->
+         Array.length r = Array.length r' && Array.for_all2 value_identical r r')
+       (Table.rows a) (Table.rows b)
+
+let rows_of_frame frame =
+  match (Wire.response_of_string frame).Wire.body with
+  | Ok (Wire.Rows t) -> t
+  | _ -> Alcotest.fail "expected rows"
+
 let test_wire_table_roundtrip () =
   let t = sample_table () in
-  let j = Wire.table_to_json t in
-  let t' = Wire.table_of_json (Json.of_string (Json.to_string j)) in
+  let payload = Wire.body_to_payload (Wire.Rows t) in
+  check_str "payload is the tree rendering" (Oracle.payload t) payload;
+  let t' = rows_of_frame (Wire.ok_frame ~id:1 ~cached:false ~elapsed_us:0 payload) in
   check "schema survives" true (Table.schema t' = Table.schema t);
   check "rows survive exactly (incl. floats and nulls)" true
-    (Array.for_all2 Tuple.equal (Table.rows t) (Table.rows t'));
+    (tables_identical t t');
   (* the payload is the cache's stored unit: serializing again must give
      the same bytes, or cached responses would not be byte-identical *)
-  check_str "payload bytes are stable"
-    (Wire.body_to_payload (Wire.Rows t))
+  check_str "payload bytes are stable" payload
     (Wire.body_to_payload (Wire.Rows t'))
+
+(* one fixed table over every value kind and its bytes as the tree
+   codec rendered them: byte identity pinned apart from the oracle *)
+let golden_table () =
+  Table.of_array
+    (Schema.make
+       [
+         Schema.attr "b" Value.TBool;
+         Schema.attr "n" Value.TInt;
+         Schema.attr "x" Value.TFloat;
+         Schema.attr "s \"q\"" Value.TStr;
+       ])
+    [|
+      Tuple.of_array
+        [| Value.Bool true; Value.Int max_int; Value.Float 0.1; Value.Str "a\"b\\c/d" |];
+      Tuple.of_array
+        [|
+          Value.Bool false; Value.Int min_int; Value.Float (-0.);
+          Value.Str "t\tn\nr\rz\000\031\127";
+        |];
+      Tuple.of_array [| Value.Null; Value.Int 0; Value.Float Float.nan; Value.Null |];
+      Tuple.of_array
+        [| Value.Null; Value.Int (-7); Value.Float Float.neg_infinity; Value.Str "" |];
+      Tuple.of_array
+        [|
+          Value.Bool true; Value.Null; Value.Float 4.9e-324;
+          Value.Str "\xc3\xa9\xf0\x9d\x84\x9e";
+        |];
+    |]
+
+let golden_payload =
+  "{\"kind\":\"rows\",\"schema\":[[\"b\",\"bool\"],[\"n\",\"int\"],\
+   [\"x\",\"float\"],[\"s \\\"q\\\"\",\"text\"]],\"rows\":[\
+   [true,4611686018427387903,{\"f\":\"0x1.999999999999ap-4\"},\"a\\\"b\\\\c/d\"],\
+   [false,-4611686018427387904,{\"f\":\"-0x0p+0\"},\
+   \"t\\tn\\nr\\rz\\u0000\\u001f\127\"],\
+   [null,0,{\"f\":\"nan\"},null],\
+   [null,-7,{\"f\":\"-infinity\"},\"\"],\
+   [true,null,{\"f\":\"0x0.0000000000001p-1022\"},\"\195\169\240\157\132\158\"]]}"
+
+let test_wire_golden () =
+  let t = golden_table () in
+  check_str "rows payload" golden_payload (Wire.body_to_payload (Wire.Rows t));
+  check_str "ok frame"
+    ("{\"id\":3,\"status\":\"ok\",\"cached\":false,\"elapsed_us\":41,\
+      \"trace_id\":\"t-\\\"1\\\"\",\"result\":" ^ golden_payload ^ "}")
+    (Wire.ok_frame ~id:3 ~cached:false ~elapsed_us:41 ~trace_id:"t-\"1\""
+       golden_payload);
+  check_str "message payload"
+    "{\"kind\":\"done\",\"message\":\"created table \\\"t\\\"\\n\"}"
+    (Wire.body_to_payload (Wire.Message "created table \"t\"\n"));
+  check "golden decodes to its table" true
+    (tables_identical t
+       (rows_of_frame (Wire.ok_frame ~id:3 ~cached:false ~elapsed_us:41 golden_payload)))
+
+(* ---- codec properties over random tables ---- *)
+
+let gen_float =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, float);
+        ( 2,
+          oneofl
+            [
+              Float.nan; Float.infinity; Float.neg_infinity; -0.; 0.; 4.9e-324;
+              2.2250738585072009e-308; Float.min_float; Float.max_float;
+              Float.epsilon; 0.1; -1e-310;
+            ] );
+      ])
+
+let gen_int =
+  QCheck.Gen.(
+    frequency
+      [ (3, int); (2, oneofl [ min_int; max_int; min_int + 1; max_int - 1; 0; -1 ]) ])
+
+let gen_text =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, string_size ~gen:char (int_range 0 12));
+        ( 2,
+          map (String.concat "")
+            (list_size (int_range 0 6)
+               (oneofl
+                  [
+                    "\""; "\\"; "\n"; "\t"; "\000"; "\031"; "\127"; "/"; "a";
+                    "\xc3\xa9"; "\xe2\x82\xac"; "\xf0\x9f\x98\x80"; "\\u0041";
+                  ])) );
+      ])
+
+let gen_cell ty =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return Value.Null);
+        ( 5,
+          match ty with
+          | Value.TBool -> map (fun b -> Value.Bool b) bool
+          | Value.TInt -> map (fun i -> Value.Int i) gen_int
+          | Value.TFloat -> map (fun f -> Value.Float f) gen_float
+          | Value.TStr -> map (fun s -> Value.Str s) gen_text );
+      ])
+
+(* zero rows, narrow and wide rows, every value kind and NULLs *)
+let gen_table ~max_width ~max_rows =
+  QCheck.Gen.(
+    let* width =
+      frequency [ (4, int_range 1 (min 6 max_width)); (1, int_range 1 max_width) ]
+    in
+    let* tys =
+      list_repeat width (oneofl [ Value.TBool; Value.TInt; Value.TFloat; Value.TStr ])
+    in
+    let* names = list_repeat width gen_text in
+    let* nrows = frequency [ (1, return 0); (4, int_range 1 max_rows) ] in
+    let+ rows = list_repeat nrows (flatten_l (List.map gen_cell tys)) in
+    Table.of_array
+      (Schema.make
+         (List.mapi (fun i (n, ty) -> Schema.attr (string_of_int i ^ n) ty)
+            (List.combine names tys)))
+      (Array.of_list (List.map (fun r -> Tuple.of_array (Array.of_list r)) rows)))
+
+let arb_table ~max_width ~max_rows =
+  QCheck.make
+    ~print:(fun t -> Wire.body_to_payload (Wire.Rows t))
+    (gen_table ~max_width ~max_rows)
+
+let sample_trace =
+  Json.Obj
+    [
+      ("name", Json.Str "query \"q\"");
+      ("ms", Json.Float 0.25);
+      ("children", Json.List [ Json.Obj [ ("rows", Json.Int 7) ] ]);
+    ]
+
+let prop_payload_is_tree_rendering =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"wire: direct render = tree rendering"
+       (arb_table ~max_width:40 ~max_rows:30)
+       (fun t -> Wire.body_to_payload (Wire.Rows t) = Oracle.payload t))
+
+let prop_frames_decode_rows =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300
+       ~name:"wire: ok frames decode to equal rows, traced or not"
+       (arb_table ~max_width:40 ~max_rows:30)
+       (fun t ->
+         let payload = Wire.body_to_payload (Wire.Rows t) in
+         List.for_all
+           (fun (trace, trace_id) ->
+             let frame =
+               Wire.ok_frame ~id:9 ~cached:true ~elapsed_us:5 ?trace ?trace_id
+                 payload
+             in
+             let rsp = Wire.response_of_string frame in
+             rsp.Wire.rsp_id = 9 && rsp.Wire.cached && rsp.Wire.elapsed_us = 5
+             && rsp.Wire.rsp_trace = trace
+             && rsp.Wire.rsp_trace_id = trace_id
+             && Wire.ok_frame_payload frame = Some payload
+             &&
+             match rsp.Wire.body with
+             | Ok (Wire.Rows t') -> tables_identical t t'
+             | _ -> false)
+           [
+             (None, None);
+             (None, Some "t7-\"x\"");
+             (Some sample_trace, None);
+             (Some sample_trace, Some "t7-3");
+           ]))
+
+(* every truncation and single-byte change of a valid frame decodes or
+   is a typed decode error, never any other exception *)
+let decodes_or_typed_error frame =
+  match Wire.response_of_string frame with
+  | _ -> true
+  | exception (Wire.Protocol_error _ | Json.Parse_error _) -> true
+
+let prop_frame_mutations =
+  let gen =
+    QCheck.Gen.(
+      pair (gen_table ~max_width:5 ~max_rows:5)
+        (list_size (int_range 20 60) (pair nat char)))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:60
+       ~name:"wire: truncated or mutated frames fail typed"
+       (QCheck.make gen)
+       (fun (t, edits) ->
+         let frame =
+           Wire.ok_frame ~id:4 ~cached:false ~elapsed_us:1 ~trace:sample_trace
+             ~trace_id:"t4-1"
+             (Wire.body_to_payload (Wire.Rows t))
+         in
+         let n = String.length frame in
+         let truncations_ok =
+           List.for_all
+             (fun k -> decodes_or_typed_error (String.sub frame 0 k))
+             (List.init n Fun.id)
+         in
+         truncations_ok
+         && List.for_all
+              (fun (at, c) ->
+                let b = Bytes.of_string frame in
+                Bytes.set b (at mod n) c;
+                decodes_or_typed_error (Bytes.to_string b))
+              edits))
+
+(* a 1,000-row, 5-column ok frame decodes in a bounded number of
+   minor-heap words: 1.25x the 30,876 measured once rows decoded
+   straight into tuples (the tree decoder took 299,439).  Allocation
+   counts repeat exactly from run to run, so the bound is deterministic. *)
+let wide_frame () =
+  let schema =
+    Schema.make
+      [
+        Schema.attr "id" Value.TInt;
+        Schema.attr "name" Value.TStr;
+        Schema.attr "salary" Value.TInt;
+        Schema.attr "vt_begin" Value.TInt;
+        Schema.attr "avg" Value.TFloat;
+      ]
+  in
+  let rows =
+    Array.init 1000 (fun i ->
+        Tuple.of_array
+          [|
+            Value.Int i;
+            Value.Str (Printf.sprintf "employee-%04d" i);
+            Value.Int (40_000 + (i * 37 mod 20_000));
+            Value.Int (i * 3);
+            (if i mod 10 = 0 then Value.Null
+             else Value.Float (float_of_int i /. 7.));
+          |])
+  in
+  Wire.ok_frame ~id:1 ~cached:false ~elapsed_us:0
+    (Wire.body_to_payload (Wire.Rows (Table.of_array schema rows)))
+
+let test_wire_decode_alloc_guard () =
+  let frame = wide_frame () in
+  ignore (Wire.response_of_string frame);
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Wire.response_of_string frame));
+  let words = Gc.minor_words () -. w0 in
+  let bound = 1.25 *. 30_876. in
+  if words > bound then
+    Alcotest.failf "decoding a 1,000-row frame allocated %.0f minor words (bound %.0f)"
+      words bound
 
 let test_wire_frames () =
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -666,6 +1022,13 @@ let test_e2e_error_codes () =
   (match (Client.run c "SELECT x FROM missing").Wire.body with
   | Error { Wire.code = Wire.Runtime_error; _ } -> ()
   | _ -> Alcotest.fail "expected RUNTIME_ERROR");
+  (* an integer literal past max_int is a lex diagnostic, not a raw
+     [Failure] carried as a runtime error *)
+  (match (Client.run c "SELECT 99999999999999999999 AS x FROM missing").Wire.body with
+  | Error { Wire.code = Wire.Parse_error; message } ->
+      check ("lex diagnostic: " ^ message) true
+        (String.starts_with ~prefix:"error[TKR005] at 1:8: integer literal" message)
+  | _ -> Alcotest.fail "expected PARSE_ERROR for an out-of-range literal");
   (* deadline 0: always already expired when a worker picks it up *)
   match (Client.run ~deadline_ms:0 c "SELECT x FROM missing").Wire.body with
   | Error { Wire.code = Wire.Deadline_exceeded; _ } -> ()
@@ -945,4 +1308,10 @@ let suite =
         test_e2e_cache_metrics_match_stats;
       Alcotest.test_case "e2e: EXPLAIN ANALYZE times the wire parse" `Quick
         test_e2e_explain_parse_phase;
+      Alcotest.test_case "wire: golden bytes" `Quick test_wire_golden;
+      prop_payload_is_tree_rendering;
+      prop_frames_decode_rows;
+      prop_frame_mutations;
+      Alcotest.test_case "wire: 1,000-row decode, minor-heap words" `Quick
+        test_wire_decode_alloc_guard;
     ] )
