@@ -40,3 +40,10 @@ run lint -e "CREATE TABLE t (x int, b int, e int) PERIOD (b, e); INSERT INTO t V
 echo "# integer literal past max_int -> lex error 2, under run and lint"
 run run -e "CREATE TABLE t (x int); SELECT 99999999999999999999 AS x FROM t"
 run lint -e "CREATE TABLE t (x int); SELECT 99999999999999999999 AS x FROM t"
+
+echo "# a statement that does not lex fails alone: the others are checked -> 2"
+run lint -e "CREATE TABLE t (x int); SELECT x FROM t; SELECT 'oops"
+
+echo "# DELETE checks under lint match run -> 4 and 3"
+run run -e "CREATE TABLE p (x int); DELETE FROM p FOR PORTION OF vt FROM 1 TO 5 WHERE x = 1;"
+run lint -e "CREATE TABLE p (x int); DELETE FROM p FOR PORTION OF vt FROM 1 TO 5 WHERE x = 1; DELETE FROM p WHERE nosuch = 1;"

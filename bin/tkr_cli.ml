@@ -384,35 +384,95 @@ let explain_cmd =
 
 (* --- lint --- *)
 
-(* Statically analyze a script: report the check-phase diagnostics of
-   every statement without running any query.  DDL/DML statements are
-   executed so that later statements in the script resolve against the
-   tables they create. *)
-let lint_script m profile name text : (string * Diagnostic.t list) list =
-  match Tkr_sql.Parser.script text with
-  | exception (Tkr_sql.Parser.Error d | Tkr_sql.Lexer.Error d) -> [ (name, [ d ]) ]
-  | stmts ->
-      let many = List.length stmts > 1 in
-      List.mapi
-        (fun i stmt ->
-          let nm = if many then Printf.sprintf "%s:%d" name (i + 1) else name in
-          let diags = M.check_statement m stmt in
-          let diags =
-            (* under a non-default profile, add what that evaluation
-               style would get wrong on this plan (the paper's Table 1) *)
-            if profile.Lint.prof_name = Lint.middleware.Lint.prof_name then diags
-            else
-              match M.lint_statement m profile stmt with
-              | extra -> Diagnostic.sort (diags @ extra)
-              | exception _ -> diags
+(* Split a script into statements, each with the offset of its first
+   character: [connect] sends one statement per request, [lint] checks
+   one at a time.  Quote- and comment-aware, as the lexer is: a ';' or
+   quote inside an SQL string or a [--] comment does not split, and a
+   piece holding only comments is no statement. *)
+let split_statements text : (int * string) list =
+  let n = String.length text in
+  let out = ref [] in
+  (* [first]: the piece's first non-blank character, -1 while none;
+     [code]: the piece holds something besides blanks and comments *)
+  let rec go i first code in_str =
+    let first' = if first < 0 then i else first in
+    if i >= n then flush first n code
+    else
+      match text.[i] with
+      | '\'' -> go (i + 1) first' true (not in_str)
+      | _ when in_str -> go (i + 1) first code true
+      | ';' ->
+          flush first i code;
+          go (i + 1) (-1) false false
+      | '-' when i + 1 < n && text.[i + 1] = '-' ->
+          let eol =
+            match String.index_from_opt text i '\n' with Some j -> j | None -> n
           in
-          (match stmt with
-          | Ast.Create_table _ | Ast.Insert _ | Ast.Drop_table _ | Ast.Update _
-          | Ast.Delete _ -> (
-              try ignore (M.execute_statement ~parse_ns:None m stmt) with _ -> ())
-          | _ -> ());
-          (nm, diags))
-        stmts
+          go eol first' code false
+      | ' ' | '\t' | '\n' | '\r' | '\012' -> go (i + 1) first code false
+      | _ -> go (i + 1) first' true false
+  and flush first stop code =
+    if code then
+      out := (first, String.trim (String.sub text first (stop - first))) :: !out
+  in
+  go 0 (-1) false false;
+  List.rev !out
+
+(* the script position of [off], as the lexer counts: 1-based line and
+   column *)
+let script_pos text off : Diagnostic.pos =
+  let line = ref 1 and bol = ref 0 in
+  for i = 0 to off - 1 do
+    if text.[i] = '\n' then (incr line; bol := i + 1)
+  done;
+  { Diagnostic.line = !line; col = off - !bol + 1 }
+
+(* Statically analyze a script statement by statement: report the
+   check-phase diagnostics of every statement without running any
+   query.  A statement that does not lex or parse fails alone, and the
+   others are still checked.  DDL/DML statements are executed so that
+   later statements in the script resolve against the tables they
+   create. *)
+let lint_script m profile name text : (string * Diagnostic.t list) list =
+  let stmts = split_statements text in
+  let many = List.length stmts > 1 in
+  List.mapi
+    (fun i (off, sql) ->
+      let nm = if many then Printf.sprintf "%s:%d" name (i + 1) else name in
+      let diags =
+        match Tkr_sql.Parser.statement sql with
+        | exception (Tkr_sql.Parser.Error d | Tkr_sql.Lexer.Error d) -> [ d ]
+        | stmt ->
+            let diags = M.check_statement m stmt in
+            let diags =
+              (* under a non-default profile, add what that evaluation
+                 style would get wrong on this plan (the paper's Table 1) *)
+              if profile.Lint.prof_name = Lint.middleware.Lint.prof_name then
+                diags
+              else
+                match M.lint_statement m profile stmt with
+                | extra -> Diagnostic.sort (diags @ extra)
+                | exception _ -> diags
+            in
+            (match stmt with
+            | Ast.Create_table _ | Ast.Insert _ | Ast.Drop_table _
+            | Ast.Update _ | Ast.Delete _ -> (
+                try ignore (M.execute_statement ~parse_ns:None m stmt)
+                with _ -> ())
+            | _ -> ());
+            diags
+      in
+      (* the statement's positions, moved to the script's *)
+      let start = script_pos text off in
+      let in_script (p : Diagnostic.pos) =
+        if p.line = 1 then { start with col = start.col + p.col - 1 }
+        else { p with line = start.line + p.line - 1 }
+      in
+      ( nm,
+        List.map
+          (fun (d : Diagnostic.t) -> { d with pos = Option.map in_script d.pos })
+          diags ))
+    stmts
 
 let lint_run data workload sql files profile werror json_out =
   match Lint.of_name profile with
@@ -642,8 +702,6 @@ let serve data workload host port max_sessions queue_depth cache_mb engine
   let on_signal _ = Atomic.set stop_requested true in
   Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
   Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ -> ());
   while not (Atomic.get stop_requested) do
     Thread.delay 0.1
   done;
@@ -703,8 +761,8 @@ let serve_cmd =
       value & opt int 128
       & info [ "queue-depth" ] ~docv:"N"
           ~doc:
-            "admission queue high-water mark; requests past it get \
-             SERVER_BUSY instead of queueing unboundedly")
+            "sessions that may wait for an execution slot; a request \
+             past them gets SERVER_BUSY instead of waiting unboundedly")
   in
   let cache_mb =
     Arg.(
@@ -718,8 +776,7 @@ let serve_cmd =
     Arg.(
       value & opt int 8
       & info [ "workers" ] ~docv:"N"
-          ~doc:"worker threads draining the admission queue (request \
-                concurrency)")
+          ~doc:"execution slots: at most $(docv) requests execute at once")
   in
   let metrics_out =
     Arg.(
@@ -833,8 +890,7 @@ let replay_pass ~data ~workload ~cache_mb ~paced path =
   Fun.protect ~finally:(fun () -> Server.stop srv) @@ fun () ->
   Replay.run ~paced ~port:(Server.port srv) entries
 
-let replay data workload cache_mb paced fast show path =
-  if paced && fast then usage "--paced excludes --as-fast-as-possible";
+let replay data workload cache_mb paced show path =
   let o = replay_pass ~data ~workload ~cache_mb ~paced path in
   Printf.printf
     "replayed %d request(s) over %d session(s) in %.1f ms (%s)\n" o.Replay.total
@@ -904,12 +960,6 @@ let replay_cmd =
              request's recorded offset) instead of replaying as fast as \
              admission allows")
   in
-  let fast =
-    Arg.(
-      value & flag
-      & info [ "as-fast-as-possible" ]
-          ~doc:"replay at full speed (the default; excludes --paced)")
-  in
   let show =
     Arg.(
       value & opt int 5
@@ -924,34 +974,11 @@ let replay_cmd =
           send order preserved — and byte-diff every response digest \
           against the recording; exits non-zero on any divergence")
     Term.(
-      const (fun a b c d e f g -> guarded (fun () -> replay a b c d e f g))
-      $ replay_data_arg $ replay_workload_arg $ replay_cache_mb_arg $ paced $ fast $ show $ replay_path_arg)
+      const (fun a b c d e f -> guarded (fun () -> replay a b c d e f))
+      $ replay_data_arg $ replay_workload_arg $ replay_cache_mb_arg $ paced
+      $ show $ replay_path_arg)
 
 (* --- connect --- *)
-
-(* split a script into statements client-side (the wire protocol carries
-   one statement per request); quote-aware so ';' inside SQL strings
-   survives *)
-let split_statements text =
-  let out = ref [] in
-  let buf = Buffer.create 128 in
-  let in_str = ref false in
-  let flush_stmt () =
-    let s = String.trim (Buffer.contents buf) in
-    Buffer.clear buf;
-    if s <> "" then out := s :: !out
-  in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '\'' ->
-          in_str := not !in_str;
-          Buffer.add_char buf ch
-      | ';' when not !in_str -> flush_stmt ()
-      | ch -> Buffer.add_char buf ch)
-    text;
-  flush_stmt ();
-  List.rev !out
 
 let connect host port sql file workload connections deadline_ms trace max_rows
     =
@@ -978,7 +1005,7 @@ let connect host port sql file workload connections deadline_ms trace max_rows
       in
       Client.with_client ~host ~port @@ fun c ->
       List.iter
-        (fun stmt ->
+        (fun (_, stmt) ->
           print_string (render (Client.run ?deadline_ms ~trace c stmt)))
         (split_statements script)
   | Some w, None, None ->

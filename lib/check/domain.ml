@@ -94,8 +94,4 @@ let col_top = { itv = Itv.top; nonnull = false }
 (** No possible value at all: the refutation certificate. *)
 let col_impossible (c : col) = c.nonnull && Itv.is_bot c.itv
 
-let col_meet a b = { itv = Itv.meet a.itv b.itv; nonnull = a.nonnull || b.nonnull }
 let col_join a b = { itv = Itv.join a.itv b.itv; nonnull = a.nonnull && b.nonnull }
-
-let pp_col ppf c =
-  Format.fprintf ppf "%a%s" Itv.pp c.itv (if c.nonnull then "!" else "")

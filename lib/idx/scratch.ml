@@ -15,7 +15,7 @@
     {!get}: callers initialize what they read.  A released array must
     not be used again by the releaser, and an array that escapes into a
     result must never be released.  The list is shared by every thread
-    (server workers execute concurrently) behind one mutex, and retains
+    (server connections execute concurrently) behind one mutex, and retains
     at most [max_retained_words] words, preferring small arrays when
     full. *)
 

@@ -711,6 +711,16 @@ let dml_rows ~matches ~portion ~(change : Tuple.t -> Tuple.t option)
   in
   (out, !count)
 
+(* the rows of [schema] an UPDATE's or DELETE's WHERE clause selects *)
+let where_matches schema where : Tuple.t -> bool =
+  match Option.map (Analyzer.resolve ~schema ~on_agg:Analyzer.no_agg) where with
+  | None -> fun _ -> true
+  | Some p -> fun row -> Expr.holds row p
+
+let check_portion m name portion =
+  if portion <> None && not (Database.is_period m.db name) then
+    err "TKR025" "FOR PORTION OF requires a period table"
+
 (* The rows of a table after an UPDATE, and how many matched, validated
    before anything is written: a period table's begin and end values
    stay non-NULL integers. *)
@@ -718,8 +728,7 @@ let update_rows m upd_name ~portion ~sets ~upd_where : Tuple.t array * int =
   let schema = Database.schema_of m.db upd_name in
   let n = Schema.arity schema in
   let is_period = Database.is_period m.db upd_name in
-  if portion <> None && not is_period then
-    err "TKR025" "FOR PORTION OF requires a period table";
+  check_portion m upd_name portion;
   let resolve_col c =
     match Schema.find_opt schema c with
     | Some i ->
@@ -735,14 +744,7 @@ let update_rows m upd_name ~portion ~sets ~upd_where : Tuple.t array * int =
           Tkr_sql.Analyzer.resolve ~schema ~on_agg:Tkr_sql.Analyzer.no_agg e ))
       sets
   in
-  let pred =
-    Option.map
-      (Tkr_sql.Analyzer.resolve ~schema ~on_agg:Tkr_sql.Analyzer.no_agg)
-      upd_where
-  in
-  let matches row =
-    match pred with None -> true | Some p -> Expr.holds row p
-  in
+  let matches = where_matches schema upd_where in
   let apply_sets row =
     let out = Array.copy (row : Tuple.t :> Value.t array) in
     List.iter (fun (i, e) -> out.(i) <- Expr.eval row e) sets;
@@ -753,6 +755,15 @@ let update_rows m upd_name ~portion ~sets ~upd_where : Tuple.t array * int =
   dml_rows ~matches ~portion
     ~change:(fun row -> Some (apply_sets row))
     (Table.rows (Database.find m.db upd_name))
+
+(* The rows of a table after a DELETE, and how many matched. *)
+let delete_rows m del_name ~portion ~del_where : Tuple.t array * int =
+  check_portion m del_name portion;
+  dml_rows
+    ~matches:(where_matches (Database.schema_of m.db del_name) del_where)
+    ~portion
+    ~change:(fun _ -> None)
+    (Table.rows (Database.find m.db del_name))
 
 (* ---- EXPLAIN rendering ---- *)
 
@@ -858,9 +869,17 @@ let run_analyze m (p : prepared) : string =
 (* ---- CHECK / lint: run the static analyzer without executing ---- *)
 
 (** The full static analysis of one statement, never raising: front-end
-    and check-phase errors come back as diagnostics.  DDL/DML statements
-    have nothing to check statically. *)
+    and check-phase errors come back as diagnostics.  INSERT, UPDATE and
+    DELETE run the checks they run before writing, over the rows the
+    table holds now; DDL has nothing to check statically. *)
 let rec check_statement m (stmt : Ast.statement) : Diagnostic.t list =
+  (* a missing table is left to execution *)
+  let before_write f =
+    match read_locked m (fun () -> ignore (f ())) with
+    | () -> []
+    | exception (Error d | Analyzer.Error d) -> [ d ]
+    | exception Schema.Unknown _ -> []
+  in
   match stmt with
   | Ast.Query { origin; _ } -> (
       match prepare_statement m stmt with
@@ -869,23 +888,14 @@ let rec check_statement m (stmt : Ast.statement) : Diagnostic.t list =
       | exception Error d -> stamp_pos origin [ d ]
       | exception Analyzer.Error d -> stamp_pos origin [ d ])
   | Ast.Explain { target; _ } | Ast.Check { target } -> check_statement m target
-  | Ast.Insert { ins_name; rows } -> (
-      (* the checks INSERT runs before writing; a missing table is left
-         to execution *)
-      match read_locked m (fun () -> insert_tuples m ins_name rows) with
-      | _ -> []
-      | exception Error d -> [ d ]
-      | exception Schema.Unknown _ -> [])
-  | Ast.Update { upd_name; portion; sets; upd_where } -> (
-      (* likewise the checks UPDATE runs before writing, over the rows
-         the table holds now *)
-      match
-        read_locked m (fun () -> update_rows m upd_name ~portion ~sets ~upd_where)
-      with
-      | _ -> []
-      | exception Error d -> [ d ]
-      | exception (Schema.Unknown _ | Analyzer.Error _) -> [])
-  | Ast.Create_table _ | Ast.Drop_table _ | Ast.Delete _ -> []
+  | Ast.Insert { ins_name; rows } ->
+      before_write (fun () -> insert_tuples m ins_name rows)
+  | Ast.Update { upd_name; portion; sets; upd_where } ->
+      before_write (fun () -> update_rows m upd_name ~portion ~sets ~upd_where)
+  | Ast.Delete { del_name; del_portion; del_where } ->
+      before_write (fun () ->
+          delete_rows m del_name ~portion:del_portion ~del_where)
+  | Ast.Create_table _ | Ast.Drop_table _ -> []
 
 (** Lint one statement's logical plan under an explicit capability
     profile: what would that evaluation style get wrong on this query
@@ -978,22 +988,8 @@ let execute_update_statement m (stmt : Ast.statement) : result =
       Database.set_rows m.db upd_name rows;
       Done (Printf.sprintf "updated %d rows in %s" updated upd_name)
   | Ast.Delete { del_name; del_portion; del_where } ->
-      let schema = Database.schema_of m.db del_name in
-      let is_period = Database.is_period m.db del_name in
-      if del_portion <> None && not is_period then
-        err "TKR025" "FOR PORTION OF requires a period table";
-      let pred =
-        Option.map
-          (Tkr_sql.Analyzer.resolve ~schema ~on_agg:Tkr_sql.Analyzer.no_agg)
-          del_where
-      in
-      let matches row =
-        match pred with None -> true | Some p -> Expr.holds row p
-      in
       let rows, deleted =
-        dml_rows ~matches ~portion:del_portion
-          ~change:(fun _ -> None)
-          (Table.rows (Database.find m.db del_name))
+        delete_rows m del_name ~portion:del_portion ~del_where
       in
       Database.set_rows m.db del_name rows;
       Done (Printf.sprintf "deleted %d rows from %s" deleted del_name)

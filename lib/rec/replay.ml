@@ -36,8 +36,8 @@ let rejected (e : Record.entry) =
   e.Record.e_status = "DEADLINE_EXCEEDED" || e.Record.e_status = "SERVER_BUSY"
 
 let window = 32
-(* max in-flight requests per session, comfortably below the server's
-   default queue_depth so replay itself never triggers SERVER_BUSY *)
+(* max in-flight requests per session: the server runs a connection's
+   requests one at a time, so the rest wait in the socket *)
 
 (* entries that recorded no table-version vector are writes (DDL/DML and
    meta statements bypass the cache and pin no deps) or errors: they act
@@ -68,27 +68,14 @@ let locked mu f =
   Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
 
 let connect ~host ~port : Unix.file_descr =
-  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
-     Unix.setsockopt fd Unix.TCP_NODELAY true
-   with e ->
-     (try Unix.close fd with Unix.Unix_error _ -> ());
-     raise e);
-  match Wire.read_frame fd with
-  | Some frame -> (
-      match Wire.greeting_of_string frame with
-      | Ok _sid -> fd
-      | Error e ->
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          raise
-            (Wire.Protocol_error
-               (Printf.sprintf "replay connection rejected: %s: %s"
-                  (Wire.error_code_to_string e.Wire.code)
-                  e.Wire.message)))
-  | None ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      raise (Wire.Protocol_error "no greeting")
+  match Tkr_serve.Client.dial ~host ~port () with
+  | fd, _sid -> fd
+  | exception Tkr_serve.Client.Server_error e ->
+      raise
+        (Wire.Protocol_error
+           (Printf.sprintf "replay connection rejected: %s: %s"
+              (Wire.error_code_to_string e.Wire.code)
+              e.Wire.message))
 
 (* id and digest of one response frame, from one pass over its
    envelope.  The digest is computed the way capture did: the raw result

@@ -94,10 +94,6 @@ let sum (acc : acc) = acc.sum
 let vmin (acc : acc) = acc.vmin
 let vmax (acc : acc) = acc.vmax
 
-let of_counters ~rows ~nonnull ~(sum : Value.t) ?(vmin = Value.Null)
-    ?(vmax = Value.Null) () : acc =
-  { rows; nonnull; sum; vmin; vmax }
-
 let output_ty (schema : Schema.t) = function
   | Count_star | Count _ -> Value.TInt
   | Avg _ -> Value.TFloat

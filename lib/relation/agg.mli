@@ -48,18 +48,6 @@ val vmin : acc -> Value.t
 val vmax : acc -> Value.t
 (** Running maximum of non-NULL inputs, [Null] when there were none. *)
 
-val of_counters :
-  rows:int ->
-  nonnull:int ->
-  sum:Value.t ->
-  ?vmin:Value.t ->
-  ?vmax:Value.t ->
-  unit ->
-  acc
-(** An accumulator rebuilt from externally maintained state ([vmin]/[vmax]
-    default to NULL).  This is what lets an incremental sweep hand exact
-    per-segment state back to {!final} instead of re-folding {!combine}. *)
-
 val output_ty : Schema.t -> func -> Value.ty
 val default_name : func -> string
 val map_cols : (int -> int) -> func -> func

@@ -1,17 +1,23 @@
-type 'a t = {
+type t = {
+  slots : int;
   depth : int;
-  q : 'a Queue.t;
   lock : Mutex.t;
-  nonempty : Condition.t;
+  freed : Condition.t;  (* signalled when a slot comes back *)
+  idle : Condition.t;  (* broadcast when no slot is held or awaited *)
+  mutable held : int;
+  mutable waiting : int;
   mutable draining : bool;
 }
 
-let create ~depth =
+let create ~slots ~depth =
   {
+    slots = max 1 slots;
     depth = max 1 depth;
-    q = Queue.create ();
     lock = Mutex.create ();
-    nonempty = Condition.create ();
+    freed = Condition.create ();
+    idle = Condition.create ();
+    held = 0;
+    waiting = 0;
     draining = false;
   }
 
@@ -19,28 +25,38 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let submit t job =
+let acquire t =
   locked t @@ fun () ->
   if t.draining then `Draining
-  else if Queue.length t.q >= t.depth then `Busy
+  else if t.held < t.slots then begin
+    t.held <- t.held + 1;
+    `Granted
+  end
+  else if t.waiting >= t.depth then `Busy
   else begin
-    Queue.push job t.q;
-    Condition.signal t.nonempty;
-    `Accepted
+    (* a waiter admitted before a drain still gets its slot *)
+    t.waiting <- t.waiting + 1;
+    while t.held >= t.slots do
+      Condition.wait t.freed t.lock
+    done;
+    t.waiting <- t.waiting - 1;
+    t.held <- t.held + 1;
+    `Granted
   end
 
-let take t =
+let release t =
   locked t @@ fun () ->
-  while Queue.is_empty t.q && not t.draining do
-    Condition.wait t.nonempty t.lock
-  done;
-  (* drain hands out what was already accepted before reporting dry *)
-  Queue.take_opt t.q
+  t.held <- t.held - 1;
+  Condition.signal t.freed;
+  if t.held = 0 && t.waiting = 0 then Condition.broadcast t.idle
 
-let drain t =
+let drain t = locked t (fun () -> t.draining <- true)
+
+let await_idle t =
   locked t @@ fun () ->
-  t.draining <- true;
-  Condition.broadcast t.nonempty
+  while t.held > 0 || t.waiting > 0 do
+    Condition.wait t.idle t.lock
+  done
 
-let draining t = locked t (fun () -> t.draining)
-let length t = locked t (fun () -> Queue.length t.q)
+let held t = locked t (fun () -> t.held)
+let waiting t = locked t (fun () -> t.waiting)

@@ -1,25 +1,34 @@
-(** Admission control: a bounded FIFO work queue with backpressure.
+(** Admission control: a gate of execution slots with backpressure.
 
-    Submissions past the high-water mark are rejected with [`Busy] (the
-    server answers [SERVER_BUSY]) instead of queueing unboundedly.  On
-    {!drain} the queue stops admitting — already-queued work is still
-    handed out, so workers finish what was accepted, and blocked takers
-    wake with [None] once the queue runs dry.  That is the server's
-    graceful-shutdown contract. *)
+    A request executes only while it holds one of the gate's [slots].
+    A caller that finds every slot held waits for one, unless [depth]
+    callers are already waiting: then it is turned away with [`Busy]
+    (the server answers [SERVER_BUSY]) instead of waiting unboundedly.
+    On {!drain} the gate stops admitting new work, while callers already
+    waiting still get their slot; {!await_idle} then blocks until every
+    slot is back.  That is the server's graceful-shutdown contract. *)
 
-type 'a t
+type t
 
-val create : depth:int -> 'a t
-(** [depth] is the high-water mark ([>= 1] enforced). *)
+val create : slots:int -> depth:int -> t
+(** [slots] execution slots, at most [depth] waiting callers ([>= 1]
+    each, enforced). *)
 
-val submit : 'a t -> 'a -> [ `Accepted | `Busy | `Draining ]
+val acquire : t -> [ `Granted | `Busy | `Draining ]
+(** Take a slot, blocking while all are held.  [`Busy] when every slot
+    is held and [depth] callers already wait; [`Draining] once
+    {!drain} has been called.  A [`Granted] caller must {!release}. *)
 
-val take : 'a t -> 'a option
-(** Block until work is available ([Some job]) or the queue is draining
-    and empty ([None], the worker's signal to exit). *)
+val release : t -> unit
 
-val drain : 'a t -> unit
-(** Stop admitting; wake all blocked takers.  Idempotent. *)
+val drain : t -> unit
+(** Stop admitting new work.  Idempotent. *)
 
-val draining : 'a t -> bool
-val length : 'a t -> int
+val await_idle : t -> unit
+(** Block until no slot is held or awaited. *)
+
+val held : t -> int
+(** Slots held now: requests executing. *)
+
+val waiting : t -> int
+(** Callers waiting for a slot. *)

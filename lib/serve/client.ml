@@ -14,25 +14,26 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let connect ?(host = "127.0.0.1") ~port () =
+let dial ?(host = "127.0.0.1") ~port () =
   let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  let fail e =
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    raise e
+  in
   (try
      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
      Unix.setsockopt fd Unix.TCP_NODELAY true
-   with e ->
-     (try Unix.close fd with Unix.Unix_error _ -> ());
-     raise e);
+   with e -> fail e);
   match Wire.read_frame fd with
-  | None ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      raise (Wire.Protocol_error "server closed without a greeting")
+  | None -> fail (Wire.Protocol_error "server closed without a greeting")
   | Some frame -> (
       match Wire.greeting_of_string frame with
-      | Ok sid ->
-          { fd; sid; lock = Mutex.create (); next_id = 1; closed = false }
-      | Error e ->
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          raise (Server_error e))
+      | Ok sid -> (fd, sid)
+      | Error e -> fail (Server_error e))
+
+let connect ?host ~port () =
+  let fd, sid = dial ?host ~port () in
+  { fd; sid; lock = Mutex.create (); next_id = 1; closed = false }
 
 let session_id t = t.sid
 

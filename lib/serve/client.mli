@@ -1,8 +1,8 @@
 (** Synchronous client for the Tkr_serve wire protocol.
 
-    One connection, one request in flight at a time (the server supports
-    pipelining; this client keeps the simple call/response shape the CLI
-    and tests need).  Thread-safe: concurrent callers serialize on an
+    One connection, one request in flight at a time (the server accepts
+    pipelined requests; this client keeps the simple call/response shape
+    the CLI and tests need).  Thread-safe: concurrent callers serialize on an
     internal lock.  For concurrency, open one client per thread. *)
 
 type t
@@ -11,8 +11,14 @@ exception Server_error of Wire.error
 (** Raised by {!run_exn} and {!connect} (for [SESSION_LIMIT]
     rejections). *)
 
+val dial : ?host:string -> port:int -> unit -> Unix.file_descr * int
+(** Dial and read the greeting: the raw socket and its session id, for
+    callers that drive the protocol themselves.
+    @raise Server_error when the server rejects the connection.
+    @raise Unix.Unix_error when the server is unreachable. *)
+
 val connect : ?host:string -> port:int -> unit -> t
-(** Dial, read the greeting.
+(** {!dial}, wrapped in a synchronous client.
     @raise Server_error when the server rejects the connection.
     @raise Unix.Unix_error when the server is unreachable. *)
 

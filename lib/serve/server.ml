@@ -1,7 +1,7 @@
-(** The Tkr_serve TCP query server: accept loop, per-connection reader
-    threads, worker threads draining the admission queue, snapshot-aware
-    result cache, live telemetry.  See the interface for the architecture
-    overview. *)
+(** The Tkr_serve TCP query server: accept loop, one thread per
+    connection running its own requests through the admission gate,
+    snapshot-aware result cache, live telemetry.  See the interface for
+    the architecture overview. *)
 
 module Middleware = Tkr_middleware.Middleware
 module Database = Tkr_engine.Database
@@ -39,16 +39,11 @@ let default_config =
     slow_ms = 500;
   }
 
-(* a connection endpoint: workers and the reader thread both write
-   response frames, serialized on [wlock] *)
-type conn = { fd : Unix.file_descr; wlock : Mutex.t }
-
 type job = {
-  j_conn : conn;
   j_sess : Session.session;
   j_req : Wire.request;
   j_enq_ns : int64;
-  j_seq : int;  (* global arrival order, stamped at admission *)
+  j_seq : int;  (* global arrival order, stamped when the frame is read *)
   j_arrive_ms : int;  (* wall-clock arrival, for the flight recorder *)
   j_trace : string option;
       (* the request's correlation id: the client's trace_id, or a
@@ -61,22 +56,13 @@ type t = {
   mw : Middleware.t;
   cache : Cache.t;
   sessions : Session.manager;
-  queue : job Admission.t;
+  gate : Admission.t;
   listen_fd : Unix.file_descr;
   bound_port : int;
   stop_flag : bool Atomic.t;
-  conns : (int, conn) Hashtbl.t;  (* live connections by session id *)
+  conns : (int, Unix.file_descr) Hashtbl.t;  (* live connections by session id *)
   conns_lock : Mutex.t;
-  (* per-session execution chains: a session id is present iff one of its
-     jobs is executing right now; jobs of that session taken from the
-     admission queue meanwhile are deferred here and run, in FIFO order,
-     by the worker finishing the current one — so a session has at most
-     one request executing at a time and pipelined requests observe
-     program order (an INSERT is visible to the SELECT behind it) *)
-  order : (int, job Queue.t) Hashtbl.t;
-  order_lock : Mutex.t;
   mutable accept_thread : Thread.t option;
-  mutable worker_threads : Thread.t list;
   mutable conn_threads : Thread.t list;
   (* telemetry *)
   tel : Tel.t;
@@ -96,8 +82,7 @@ type t = {
   m_deadline : Metrics.counter;
   m_errors : Metrics.counter;
   m_latency : Metrics.histogram;
-  (* live levels; [sync_gauges] refreshes the sampled ones at scrape
-     time, [g_inflight] is maintained by the workers *)
+  (* live levels, sampled by [sync_gauges] at scrape time *)
   g_queue : Metrics.gauge;
   g_inflight : Metrics.gauge;
   g_sessions : Metrics.gauge;
@@ -129,37 +114,16 @@ let uptime_s srv =
 
 (* ---- replies ---- *)
 
-let send_raw conn frame =
-  (* the peer may be gone; a failed reply must not kill the worker *)
-  try locked conn.wlock (fun () -> Wire.write_frame conn.fd frame)
+let send_raw fd frame =
+  (* the peer may be gone; a failed reply must not kill the thread *)
+  try Wire.write_frame fd frame
   with Unix.Unix_error _ | Wire.Protocol_error _ -> ()
 
-let send_error srv conn ~id ?trace_id code message =
+let send_error srv fd ~id ?trace_id code message =
   Metrics.incr srv.m_errors;
-  send_raw conn (Wire.error_frame ~id ?trace_id { Wire.code; message })
+  send_raw fd (Wire.error_frame ~id ?trace_id { Wire.code; message })
 
 (* ---- query execution ---- *)
-
-(* the cache key: normalized final plan plus the post-plan shape
-   (ordering, limit, snapshot rendering) — everything that determines the
-   result bytes besides the dependency table states *)
-let plan_key (p : Middleware.prepared) =
-  String.concat "\x00"
-    [
-      Algebra.to_string p.Middleware.plan;
-      String.concat ","
-        (List.map
-           (fun (i, asc) -> Printf.sprintf "%d%c" i (if asc then 'a' else 'd'))
-           p.Middleware.order_by);
-      (match p.Middleware.limit with Some n -> string_of_int n | None -> "");
-      (if p.Middleware.snapshot then "s" else "");
-    ]
-
-(* the short digest of a cache key: the identity that the slow-query log
-   and [top] aggregate on — statements normalizing to the same plan
-   share one fingerprint *)
-let fingerprint (key : string) : string =
-  String.sub (Digest.to_hex (Digest.string key)) 0 12
 
 let trace_json obs =
   match Trace.roots obs with
@@ -224,10 +188,10 @@ let record srv (j : job) ~exec_ns ~gc0:(minor0, _, major0) ~fp ~epoch ~deps
 let run_query srv (j : job) record : reply * Record.entry =
   let req = j.j_req in
   Middleware.read_locked srv.mw @@ fun () ->
-  let p = Session.prepared j.j_sess srv.mw req.Wire.stmt in
+  let { Session.prepared = p; key; fp } =
+    Session.prepared j.j_sess srv.mw req.Wire.stmt
+  in
   let db = Middleware.database srv.mw in
-  let key = plan_key p in
-  let fp = fingerprint key in
   let deps =
     List.map (fun tb -> (tb, Database.version db tb)) p.Middleware.tables
   in
@@ -318,62 +282,12 @@ let observe srv (e : Record.entry) =
              disposition = e.e_disposition })
   end
 
-(* ---- per-session ordering ---- *)
+(* ---- execution ---- *)
 
-(* Enqueue [job] preserving per-session FIFO order.  The caller is the
-   session's reader thread, which sees requests in arrival order, and at
-   most one job per session is ever inside the admission queue: when the
-   session already holds a claim (a job executing or queued), the new job
-   is deferred onto the session's chain instead, to be run by the worker
-   finishing the current one.  Two workers can therefore never race on
-   the order of one session's requests.  The chain is bounded by the
-   admission depth, so a pipelining flood gets [`Busy] backpressure like
-   everyone else. *)
-let enqueue srv (job : job) =
-  let sid = Session.id job.j_sess in
-  if Admission.draining srv.queue then `Draining
-  else
-    let claim =
-      locked srv.order_lock @@ fun () ->
-      match Hashtbl.find_opt srv.order sid with
-      | Some pending ->
-          if Queue.length pending >= srv.cfg.queue_depth then `Busy
-          else begin
-            Queue.push job pending;
-            `Deferred
-          end
-      | None ->
-          Hashtbl.replace srv.order sid (Queue.create ());
-          `Claimed
-    in
-    match claim with
-    | (`Busy | `Deferred) as r -> r
-    | `Claimed -> (
-        match Admission.submit srv.queue job with
-        | `Accepted -> `Accepted
-        | (`Busy | `Draining) as r ->
-            (* the job never entered the queue: release the fresh claim
-               (its chain is empty — this reader is the only submitter) *)
-            locked srv.order_lock (fun () -> Hashtbl.remove srv.order sid);
-            r)
-
-(* done with one job of the session: hand back its next deferred job, or
-   release the session's claim when the chain is dry *)
-let session_next srv (job : job) =
-  let sid = Session.id job.j_sess in
-  locked srv.order_lock @@ fun () ->
-  match Hashtbl.find_opt srv.order sid with
-  | Some pending when not (Queue.is_empty pending) -> Some (Queue.pop pending)
-  | _ ->
-      Hashtbl.remove srv.order sid;
-      None
-
-(* ---- worker threads ---- *)
-
-let run_one srv (job : job) =
-  Metrics.gauge_add srv.g_inflight 1;
-  Fun.protect ~finally:(fun () -> Metrics.gauge_add srv.g_inflight (-1))
-  @@ fun () ->
+(* Execute one request: the caller holds an admission slot.  The reply
+   is returned, not written, so the slot is given back before a client
+   that stops reading can block the write. *)
+let execute srv (job : job) : reply * Record.entry =
   let req = job.j_req in
   let exec_ns = Clock.now_ns () in
   (* allocation attribution: words this domain allocates while the job
@@ -393,70 +307,43 @@ let run_one srv (job : job) =
   (* bypass statements and errors pin no plan: their fingerprint is the
      statement's and they depend on no table version *)
   let unplanned ~disposition ~rows_out reply =
-    record ~fp:(fingerprint req.Wire.stmt) ~epoch:(Middleware.epoch srv.mw)
-      ~deps:[] ~rows_in:0 ~disposition ~rows_out reply
+    record ~fp:(Session.fingerprint req.Wire.stmt)
+      ~epoch:(Middleware.epoch srv.mw) ~deps:[] ~rows_in:0 ~disposition
+      ~rows_out reply
   in
   let fail code message =
     unplanned ~disposition:"error" ~rows_out:0 (Error { Wire.code; message })
   in
-  let reply, e =
-    match req.Wire.deadline_ms with
-    | Some budget_ms when us_between job.j_enq_ns exec_ns >= budget_ms * 1000
-      ->
-        fail Wire.Deadline_exceeded
-          (Printf.sprintf "deadline of %d ms exceeded in queue" budget_ms)
-    | _ -> (
-        (* plain queries go through the session's prepared table and the
-           cache; EXPLAIN/CHECK/DDL/DML take the execute_statement path *)
-        try
-          match Middleware.parse_statement srv.mw req.Wire.stmt with
-          | _, Ast.Query _ -> run_query srv job record
-          | parse_ns, stmt ->
-              let payload, rows_out = run_statement srv ~parse_ns stmt in
-              unplanned ~disposition:"bypass" ~rows_out (Ok (payload, None))
-        with
-        | Tkr_sql.Parser.Error d | Tkr_sql.Lexer.Error d ->
-            fail Wire.Parse_error (Diagnostic.to_string d)
-        | Middleware.Rejected diags ->
-            fail Wire.Check_error (Diagnostic.report_to_text diags)
-        | Middleware.Error d | Tkr_sql.Analyzer.Error d ->
-            fail Wire.Runtime_error (Diagnostic.to_string d)
-        | Schema.Unknown name -> fail Wire.Runtime_error ("unknown name " ^ name)
-        | exn -> fail Wire.Runtime_error (Printexc.to_string exn))
-  in
-  let id = req.Wire.id and trace_id = job.j_trace in
-  send_raw job.j_conn
-    (match reply with
-    | Ok (payload, trace) ->
-        Wire.ok_frame ~id ~cached:e.Record.e_cached
-          ~elapsed_us:e.Record.e_total_us ?trace ?trace_id payload
-    | Error err -> Wire.error_frame ~id ?trace_id err);
-  observe srv e
-
-let worker_loop srv () =
-  (* every job handed out by the admission queue carries its session's
-     claim: run it, then drain the jobs deferred behind it in FIFO order *)
-  let rec run_chain job =
-    run_one srv job;
-    match session_next srv job with
-    | Some next -> run_chain next
-    | None -> ()
-  in
-  let rec loop () =
-    match Admission.take srv.queue with
-    | None -> ()  (* drained and dry: exit *)
-    | Some job ->
-        run_chain job;
-        loop ()
-  in
-  loop ()
+  match req.Wire.deadline_ms with
+  | Some budget_ms when us_between job.j_enq_ns exec_ns >= budget_ms * 1000 ->
+      fail Wire.Deadline_exceeded
+        (Printf.sprintf "deadline of %d ms exceeded in queue" budget_ms)
+  | _ -> (
+      (* plain queries go through the session's prepared table and the
+         cache; EXPLAIN/CHECK/DDL/DML take the execute_statement path *)
+      try
+        match Middleware.parse_statement srv.mw req.Wire.stmt with
+        | _, Ast.Query _ -> run_query srv job record
+        | parse_ns, stmt ->
+            let payload, rows_out = run_statement srv ~parse_ns stmt in
+            unplanned ~disposition:"bypass" ~rows_out (Ok (payload, None))
+      with
+      | Tkr_sql.Parser.Error d | Tkr_sql.Lexer.Error d ->
+          fail Wire.Parse_error (Diagnostic.to_string d)
+      | Middleware.Rejected diags ->
+          fail Wire.Check_error (Diagnostic.report_to_text diags)
+      | Middleware.Error d | Tkr_sql.Analyzer.Error d ->
+          fail Wire.Runtime_error (Diagnostic.to_string d)
+      | Schema.Unknown name -> fail Wire.Runtime_error ("unknown name " ^ name)
+      | exn -> fail Wire.Runtime_error (Printexc.to_string exn))
 
 (* ---- scrape surface: STATS / METRICS / HEALTH ---- *)
 
 (* refresh the sampled gauges; called at scrape time so an export always
    shows current levels without the hot path touching every gauge *)
 let sync_gauges srv =
-  Metrics.set srv.g_queue (Admission.length srv.queue);
+  Metrics.set srv.g_queue (Admission.waiting srv.gate);
+  Metrics.set srv.g_inflight (Admission.held srv.gate);
   Metrics.set srv.g_sessions (Session.active srv.sessions);
   let cs = Cache.stats srv.cache in
   Metrics.set srv.g_cache_entries cs.Cache.entries;
@@ -504,14 +391,14 @@ let metrics_text srv : string =
     (Middleware.metrics srv.mw)
 
 let health_json srv : Json.t =
-  let draining = Atomic.get srv.stop_flag || Admission.draining srv.queue in
   Json.Obj
     [
-      ("status", Json.Str (if draining then "draining" else "ready"));
+      ( "status",
+        Json.Str (if Atomic.get srv.stop_flag then "draining" else "ready") );
       ("uptime_s", Json.Int (uptime_s srv));
       ("sessions", Json.Int (Session.active srv.sessions));
-      ("queue_depth", Json.Int (Admission.length srv.queue));
-      ("inflight", Json.Int (Metrics.gauge_value srv.g_inflight));
+      ("queue_depth", Json.Int (Admission.waiting srv.gate));
+      ("inflight", Json.Int (Admission.held srv.gate));
     ]
 
 let stats_json srv : Json.t =
@@ -565,9 +452,10 @@ let stats_json srv : Json.t =
                    ])) );
     ]
 
-(* the scrape commands answer from the reader thread, ahead of admission:
-   they stay responsive under a full queue and HEALTH keeps answering
-   (as "draining") during a drain, when the queue admits nothing *)
+(* the scrape commands answer on the connection's thread without a slot:
+   they stay responsive while every slot is held and HEALTH keeps
+   answering (as "draining") during a drain, when the gate admits
+   nothing *)
 let scrape srv (req : Wire.request) : string option =
   match String.uppercase_ascii (String.trim req.Wire.stmt) with
   | "STATS" -> Some (Json.to_string (stats_json srv))
@@ -578,7 +466,57 @@ let scrape srv (req : Wire.request) : string option =
 
 (* ---- connection threads ---- *)
 
-let conn_loop srv conn sess () =
+(* One request of the connection: take a slot, execute, give the slot
+   back, then write the reply and feed the observers.  The connection's
+   thread reads its next frame only after this returns, so a session's
+   requests execute one at a time in arrival order and replies leave in
+   request order. *)
+let serve srv fd sess (req : Wire.request) =
+  let sid = Session.id sess in
+  let j_trace =
+    match req.Wire.trace_id with
+    | Some _ as tid -> tid
+    | None ->
+        if Tel.enabled srv.tel then
+          Some (Printf.sprintf "t%d-%d" sid (Atomic.fetch_and_add srv.trace_seq 1))
+        else None
+  in
+  let job =
+    { j_sess = sess; j_req = req;
+      j_enq_ns = Clock.now_ns ();
+      j_seq = Atomic.fetch_and_add srv.arrive_seq 1;
+      j_arrive_ms =
+        (if Record.enabled srv.recorder then
+           int_of_float (Unix.gettimeofday () *. 1000.)
+         else 0);
+      j_trace }
+  in
+  let reject reason code message =
+    if Tel.enabled srv.tel then
+      Tel.emit srv.tel (Tel.Admission_reject { session = sid; reason });
+    send_error srv fd ~id:req.Wire.id ?trace_id:req.Wire.trace_id code message
+  in
+  match Admission.acquire srv.gate with
+  | `Granted ->
+      let reply, e =
+        Fun.protect
+          ~finally:(fun () -> Admission.release srv.gate)
+          (fun () -> execute srv job)
+      in
+      let id = req.Wire.id in
+      send_raw fd
+        (match reply with
+        | Ok (payload, trace) ->
+            Wire.ok_frame ~id ~cached:e.Record.e_cached
+              ~elapsed_us:e.Record.e_total_us ?trace ?trace_id:j_trace payload
+        | Error err -> Wire.error_frame ~id ?trace_id:j_trace err);
+      observe srv e
+  | `Busy ->
+      Metrics.incr srv.m_busy;
+      reject "busy" Wire.Server_busy "admission queue full, retry later"
+  | `Draining -> reject "draining" Wire.Server_shutdown "server is draining"
+
+let conn_loop srv fd sess () =
   let sid = Session.id sess in
   let finally () =
     Session.close srv.sessions sess;
@@ -594,64 +532,26 @@ let conn_loop srv conn sess () =
         Hashtbl.remove srv.conns sid;
         srv.conn_threads <-
           List.filter (fun th -> Thread.id th <> self) srv.conn_threads);
-    (try Unix.close conn.fd with Unix.Unix_error _ -> ())
+    (try Unix.close fd with Unix.Unix_error _ -> ())
   in
   Fun.protect ~finally @@ fun () ->
   if Tel.enabled srv.tel then Tel.emit srv.tel (Tel.Conn_open { session = sid });
-  send_raw conn (Wire.greeting_frame ~session_id:sid);
+  send_raw fd (Wire.greeting_frame ~session_id:sid);
   let rec loop () =
-    match Wire.read_frame conn.fd with
+    match Wire.read_frame fd with
     | None -> ()  (* clean close *)
     | Some frame ->
         (match Wire.request_of_json (Json.of_string frame) with
         | req -> (
             match scrape srv req with
             | Some payload ->
-                send_raw conn
+                send_raw fd
                   (Wire.ok_frame ~id:req.Wire.id ~cached:false ~elapsed_us:0
                      ?trace_id:req.Wire.trace_id
                      (Wire.body_to_payload (Wire.Message payload)))
-            | None -> (
-                let j_trace =
-                  match req.Wire.trace_id with
-                  | Some _ as tid -> tid
-                  | None ->
-                      if Tel.enabled srv.tel then
-                        Some
-                          (Printf.sprintf "t%d-%d" sid
-                             (Atomic.fetch_and_add srv.trace_seq 1))
-                      else None
-                in
-                let job =
-                  { j_conn = conn; j_sess = sess; j_req = req;
-                    j_enq_ns = Clock.now_ns ();
-                    j_seq = Atomic.fetch_and_add srv.arrive_seq 1;
-                    j_arrive_ms =
-                      (if Record.enabled srv.recorder then
-                         int_of_float (Unix.gettimeofday () *. 1000.)
-                       else 0);
-                    j_trace }
-                in
-                match enqueue srv job with
-                | `Accepted | `Deferred -> ()
-                | `Busy ->
-                    Metrics.incr srv.m_busy;
-                    if Tel.enabled srv.tel then
-                      Tel.emit srv.tel
-                        (Tel.Admission_reject { session = sid; reason = "busy" });
-                    send_error srv conn ~id:req.Wire.id
-                      ?trace_id:req.Wire.trace_id Wire.Server_busy
-                      "admission queue full, retry later"
-                | `Draining ->
-                    if Tel.enabled srv.tel then
-                      Tel.emit srv.tel
-                        (Tel.Admission_reject
-                           { session = sid; reason = "draining" });
-                    send_error srv conn ~id:req.Wire.id
-                      ?trace_id:req.Wire.trace_id Wire.Server_shutdown
-                      "server is draining"))
+            | None -> serve srv fd sess req)
         | exception (Wire.Protocol_error msg | Json.Parse_error msg) ->
-            send_error srv conn ~id:0 Wire.Protocol_violation msg);
+            send_error srv fd ~id:0 Wire.Protocol_violation msg);
         loop ()
   in
   try loop () with
@@ -672,14 +572,13 @@ let accept_loop srv () =
           | fd, _peer -> (
               (try Unix.setsockopt fd Unix.TCP_NODELAY true
                with Unix.Unix_error _ -> ());
-              let conn = { fd; wlock = Mutex.create () } in
               match Session.open_session srv.sessions with
               | None ->
                   if Tel.enabled srv.tel then
                     Tel.emit srv.tel
                       (Tel.Admission_reject
                          { session = 0; reason = "session_limit" });
-                  send_raw conn
+                  send_raw fd
                     (Wire.error_frame ~id:0
                        {
                          Wire.code = Wire.Session_limit;
@@ -690,9 +589,9 @@ let accept_loop srv () =
                   (try Unix.close fd with Unix.Unix_error _ -> ())
               | Some sess ->
                   locked srv.conns_lock (fun () ->
-                      Hashtbl.replace srv.conns (Session.id sess) conn;
+                      Hashtbl.replace srv.conns (Session.id sess) fd;
                       srv.conn_threads <-
-                        Thread.create (conn_loop srv conn sess) ()
+                        Thread.create (conn_loop srv fd sess) ()
                         :: srv.conn_threads)))
       | _ -> ()
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
@@ -710,6 +609,10 @@ let accept_loop srv () =
 
 let start ?(config = default_config) ?(tel = Tel.disabled)
     ?(recorder = Record.disabled) mw =
+  (* a peer that hangs up before its reply is written must cost a failed
+     write, not the process *)
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+   with Invalid_argument _ -> ());
   let listen_fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
   (try
      Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
@@ -731,16 +634,13 @@ let start ?(config = default_config) ?(tel = Tel.disabled)
       mw;
       cache = Cache.create ~max_bytes:(config.cache_mb * 1024 * 1024);
       sessions = Session.manager ~max_sessions:config.max_sessions;
-      queue = Admission.create ~depth:config.queue_depth;
+      gate = Admission.create ~slots:config.workers ~depth:config.queue_depth;
       listen_fd;
       bound_port;
       stop_flag = Atomic.make false;
       conns = Hashtbl.create 64;
       conns_lock = Mutex.create ();
-      order = Hashtbl.create 64;
-      order_lock = Mutex.create ();
       accept_thread = None;
-      worker_threads = [];
       conn_threads = [];
       tel;
       trace_seq = Atomic.make 1;
@@ -770,8 +670,6 @@ let start ?(config = default_config) ?(tel = Tel.disabled)
   if Tel.enabled tel then
     Middleware.set_epoch_hook mw
       (Some (fun epoch -> Tel.emit tel (Tel.Epoch_bump { epoch })));
-  srv.worker_threads <-
-    List.init (max 1 config.workers) (fun _ -> Thread.create (worker_loop srv) ());
   srv.accept_thread <- Some (Thread.create (accept_loop srv) ());
   srv
 
@@ -781,19 +679,21 @@ let stop ?(reason = "stop") srv =
     (* 1. stop accepting connections *)
     (match srv.accept_thread with Some th -> Thread.join th | None -> ());
     (try Unix.close srv.listen_fd with Unix.Unix_error _ -> ());
-    (* 2. drain: no new requests; workers finish everything accepted *)
-    Admission.drain srv.queue;
-    List.iter Thread.join srv.worker_threads;
-    (* 3. wake blocked readers (EOF) and join connection threads *)
-    let conn_fds =
+    (* 2. drain: no new requests; what holds or awaits a slot finishes *)
+    Admission.drain srv.gate;
+    Admission.await_idle srv.gate;
+    (* 3. wake blocked readers (EOF) and writers (EPIPE), join the
+       connection threads.  A thread deregisters under [conns_lock]
+       before it closes its socket, so every fd shut here is open. *)
+    let threads =
       locked srv.conns_lock (fun () ->
-          Hashtbl.fold (fun _ c acc -> c.fd :: acc) srv.conns [])
+          Hashtbl.iter
+            (fun _ fd ->
+              try Unix.shutdown fd Unix.SHUTDOWN_ALL
+              with Unix.Unix_error _ -> ())
+            srv.conns;
+          srv.conn_threads)
     in
-    List.iter
-      (fun fd ->
-        try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-      conn_fds;
-    let threads = locked srv.conns_lock (fun () -> srv.conn_threads) in
     List.iter Thread.join threads;
     (* the middleware outlives the server: detach the epoch observer so
        later DDL doesn't write into a log the caller may close *)

@@ -1,21 +1,22 @@
 (** The Tkr_serve TCP query server.
 
-    One accept loop, one reader thread per connection, a fixed pool of
-    worker threads draining the {!Admission} queue.  Each connection is a
+    One accept loop and one thread per connection.  Each connection is a
     {!Session} (prepared statements cached per statement text and
     revalidated against {!Tkr_middleware.Middleware.epoch}, so DDL/DML
     transparently re-prepares); queries execute on the shared,
-    thread-safe {!Tkr_middleware.Middleware}.  Each query executes
-    serially; the worker threads provide request concurrency and IO
-    overlap.
+    thread-safe {!Tkr_middleware.Middleware}.
 
-    Requests of one session execute one at a time, in arrival order: at
-    most one job per session enters the admission queue, and requests
-    arriving while it executes are chained behind it (the chain is
-    bounded by [queue_depth]; past that the session gets [SERVER_BUSY]).
-    A client that pipelines [INSERT ...] then [SELECT ...] on one
-    connection therefore observes program order, and responses come back
-    in request order.  Concurrency comes from having many sessions.
+    A connection's thread runs its own requests: it reads a frame, takes
+    one of [workers] execution slots from the {!Admission} gate, executes
+    the request, gives the slot back, and only then writes the reply and
+    feeds the observers.  So a session's requests execute one at a time,
+    in arrival order, and replies leave in request order: a client that
+    pipelines [INSERT ...] then [SELECT ...] on one connection observes
+    program order.  Pipelined frames wait in the socket until the
+    request before them has finished.  Concurrency comes from having
+    many sessions; at most [workers] requests execute at once.  A client
+    that stops reading blocks only its own connection's thread, never a
+    slot.
 
     Query results flow through the snapshot-aware {!Cache}: an entry is
     keyed on the normalized final plan and guarded by the
@@ -23,11 +24,12 @@
     {!Tkr_middleware.Middleware.read_locked} bracket, so a hit replays
     bytes that are provably equal to a fresh evaluation.
 
-    Backpressure and shutdown are typed wire errors: [SERVER_BUSY] past
-    the queue's high-water mark, [DEADLINE_EXCEEDED] for requests still
-    queued past their budget, [SERVER_SHUTDOWN] once draining, and
-    [SESSION_LIMIT] for connections beyond [max_sessions].  {!stop}
-    drains gracefully: accepted requests finish, then threads join.
+    Backpressure and shutdown are typed wire errors: [SERVER_BUSY] when
+    [queue_depth] sessions already wait for a slot, [DEADLINE_EXCEEDED]
+    for requests that waited past their budget (checked when the slot is
+    granted), [SERVER_SHUTDOWN] once draining, and [SESSION_LIMIT] for
+    connections beyond [max_sessions].  {!stop} drains gracefully:
+    requests holding or awaiting a slot finish, then threads join.
 
     {2 Telemetry}
 
@@ -40,9 +42,10 @@
     off and no client trace id, responses are byte-identical to an
     uninstrumented server.
 
-    Four statements are answered by the reader thread itself, ahead of
-    admission (so they stay responsive under a full queue and during a
-    drain): [STATS] (a JSON summary: counters, latency quantiles, cache,
+    Four statements are answered by the connection's thread without a
+    slot (so they stay responsive while every slot is held and during a
+    drain; one sent behind a running request of the same connection is
+    answered after it): [STATS] (a JSON summary: counters, latency quantiles, cache,
     slowest plan fingerprints), [METRICS] (the OpenMetrics exposition of
     the middleware registry — engine and server counters, live gauges,
     build info, [tkr_ledger_*] families, telemetry drop counter),
@@ -77,9 +80,9 @@ type config = {
   host : string;  (** bind address, default ["127.0.0.1"] *)
   port : int;  (** 0 picks an ephemeral port (see {!port}) *)
   max_sessions : int;
-  queue_depth : int;  (** admission high-water mark *)
+  queue_depth : int;  (** at most this many sessions wait for a slot *)
   cache_mb : int;  (** result-cache byte budget; 0 disables the cache *)
-  workers : int;  (** worker threads draining the admission queue *)
+  workers : int;  (** at most this many requests execute at once *)
   slow_ms : int;
       (** slow-query threshold: requests whose total latency reaches this
           emit a [slow_query] event (fingerprint, phase split, cache
@@ -94,7 +97,9 @@ type t
 
 val start :
   ?config:config -> ?tel:Tel.t -> ?recorder:Record.t -> Middleware.t -> t
-(** Bind, listen and spawn the accept loop and workers.  [tel] (default
+(** Bind, listen and spawn the accept loop.  SIGPIPE is ignored from here
+    on, process-wide, so a peer that hangs up before its reply is written
+    costs a failed write, not the process.  [tel] (default
     {!Tkr_tel.Tel.disabled}) receives the event log; [recorder] (default
     {!Tkr_rec.Record.disabled}) receives flight-recording entries.  The
     caller owns both and closes them after {!stop}.
@@ -131,8 +136,11 @@ val health_json : t -> Tkr_obs.Json.t
 (** The [HEALTH] payload: [{"status": "ready" | "draining", ...}]. *)
 
 val stop : ?reason:string -> t -> unit
-(** Graceful drain: stop accepting connections and requests, let workers
-    finish every accepted request, wake and join all threads.  [reason]
+(** Graceful drain: stop accepting connections and requests, wait until
+    no request holds or awaits a slot, then shut every connection's
+    socket (waking threads blocked on a read or on a write to a client
+    that stopped reading) and join all threads.  A reply still being
+    written at that moment may be cut short.  [reason]
     (default ["stop"]) tags the drain event in the log — the CLI passes
     ["sigterm"].  Idempotent and safe to call from a signal-triggered
     context. *)

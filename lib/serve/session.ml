@@ -1,15 +1,16 @@
 module Middleware = Tkr_middleware.Middleware
+open Tkr_relation
+
+type plan = { prepared : Middleware.prepared; key : string; fp : string }
 
 type session = {
   sid : int;
-  stmts : (string, Middleware.prepared) Hashtbl.t;
+  stmts : (string, plan) Hashtbl.t;
       (* statement text -> plan, every plan prepared at [epoch] *)
   mutable epoch : int;
       (* the middleware epoch the table's plans were prepared at; when it
          moves, every plan baked catalog state (time bounds, schema
          arities) that has since changed, so the table is emptied *)
-  s_lock : Mutex.t;
-  mutable counted : bool;  (* still counted in the manager's [live] *)
 }
 
 type manager = {
@@ -33,26 +34,31 @@ let open_session m =
     let sid = m.next_id in
     m.next_id <- sid + 1;
     m.live <- m.live + 1;
-    Some
-      {
-        sid;
-        stmts = Hashtbl.create 16;
-        epoch = -1;
-        s_lock = Mutex.create ();
-        counted = true;
-      }
+    Some { sid; stmts = Hashtbl.create 16; epoch = -1 }
   end
 
-(* idempotent: connection teardown can race with server drain *)
-let close m s =
-  locked m.m_lock @@ fun () ->
-  if s.counted then begin
-    s.counted <- false;
-    m.live <- m.live - 1
-  end
+let close m (_ : session) = locked m.m_lock (fun () -> m.live <- m.live - 1)
 
 let id s = s.sid
 let active m = locked m.m_lock (fun () -> m.live)
+
+(* the cache key: normalized final plan plus the post-plan shape
+   (ordering, limit, snapshot rendering) — everything that determines the
+   result bytes besides the dependency table states *)
+let plan_key (p : Middleware.prepared) =
+  String.concat "\x00"
+    [
+      Algebra.to_string p.Middleware.plan;
+      String.concat ","
+        (List.map
+           (fun (i, asc) -> Printf.sprintf "%d%c" i (if asc then 'a' else 'd'))
+           p.Middleware.order_by);
+      (match p.Middleware.limit with Some n -> string_of_int n | None -> "");
+      (if p.Middleware.snapshot then "s" else "");
+    ]
+
+let fingerprint (text : string) : string =
+  String.sub (Digest.to_hex (Digest.string text)) 0 12
 
 (* a connection sending ever new statement texts (AS OF reads at varying
    points) must not keep one plan per text for its lifetime: a full
@@ -60,34 +66,19 @@ let active m = locked m.m_lock (fun () -> m.live)
 let max_prepared = 256
 
 let prepared s mw stmt =
-  (* fast path under the session lock; prepare outside it so slow
-     preparations don't serialize unrelated statements of the session.
-     Callers executing the plan run this under Middleware.read_locked, so
-     the epoch cannot move between the check and the execution; outside
-     that bracket a concurrent mutation at worst stores a plan that is
-     already stale, which the next lookup drops. *)
   let ep = Middleware.epoch mw in
-  let cached =
-    locked s.s_lock @@ fun () ->
-    if s.epoch <> ep then begin
-      Hashtbl.reset s.stmts;
-      s.epoch <- ep
-    end;
-    Hashtbl.find_opt s.stmts stmt
-  in
-  match cached with
+  if s.epoch <> ep then begin
+    Hashtbl.reset s.stmts;
+    s.epoch <- ep
+  end;
+  match Hashtbl.find_opt s.stmts stmt with
   | Some p -> p
   | None ->
-      let p = Middleware.prepare mw stmt in
-      locked s.s_lock (fun () ->
-          if s.epoch <> ep then p (* the table moved on meanwhile *)
-          else
-            match Hashtbl.find_opt s.stmts stmt with
-            | Some winner -> winner (* another thread of this session won *)
-            | None ->
-                if Hashtbl.length s.stmts >= max_prepared then
-                  Hashtbl.reset s.stmts;
-                Hashtbl.replace s.stmts stmt p;
-                p)
+      let prepared = Middleware.prepare mw stmt in
+      let key = plan_key prepared in
+      let p = { prepared; key; fp = fingerprint key } in
+      if Hashtbl.length s.stmts >= max_prepared then Hashtbl.reset s.stmts;
+      Hashtbl.replace s.stmts stmt p;
+      p
 
-let prepared_count s = locked s.s_lock (fun () -> Hashtbl.length s.stmts)
+let prepared_count s = Hashtbl.length s.stmts

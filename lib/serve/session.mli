@@ -3,7 +3,9 @@
     A session holds the connection's prepared-statement table: statements
     are prepared once per (session, statement text) and re-executed on
     repetition, so clients replaying a workload skip the parse → analyze
-    → rewrite → optimize pipeline after the first round.  Entries are
+    → rewrite → optimize pipeline after the first round.  Each entry
+    also carries the plan's result-cache key and fingerprint, computed
+    once when the plan is prepared.  Entries are
     validated against {!Middleware.epoch}: a plan bakes catalog state of
     prepare time (snapshot time bounds, schema arities), so once the
     epoch moves (any DDL/DML that changed something) every entry is
@@ -12,9 +14,21 @@
     plans and starts over when full.  The manager enforces the server's
     [max_sessions] admission limit.
 
-    Both are mutex-guarded and safe for concurrent callers. *)
+    The manager is mutex-guarded and safe for concurrent callers.  A
+    session belongs to its connection's thread, the only one that
+    touches its table. *)
 
 module Middleware = Tkr_middleware.Middleware
+
+type plan = {
+  prepared : Middleware.prepared;
+  key : string;
+      (** the result-cache key: the normalized final plan plus the
+          post-plan shape (ordering, limit, snapshot rendering) *)
+  fp : string;
+      (** the key's short digest: the identity the slow-query log, the
+          ledger and [top] aggregate on *)
+}
 
 type session
 
@@ -26,15 +40,19 @@ val open_session : manager -> session option
 (** [None] when the manager is at [max_sessions]. *)
 
 val close : manager -> session -> unit
-(** Idempotent. *)
+(** Call once, when the session's connection ends. *)
 
 val id : session -> int
 (** Unique for the manager's lifetime, starting at 1. *)
 
 val active : manager -> int
 
-val prepared : session -> Middleware.t -> string -> Middleware.prepared
-(** The session's prepared statement for [stmt], preparing (and caching)
+val fingerprint : string -> string
+(** The 12-hex-digit MD5 prefix of a text; statements normalizing to the
+    same plan share one plan fingerprint. *)
+
+val prepared : session -> Middleware.t -> string -> plan
+(** The session's plan for [stmt], preparing (and caching)
     it on first sight and re-preparing once {!Middleware.epoch} has moved
     (the catalog changed since), which also drops every other stale
     entry.

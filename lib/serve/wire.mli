@@ -3,8 +3,9 @@
     Frame format: a 4-byte big-endian payload length followed by that
     many bytes of JSON (frames above {!max_frame} are protocol errors).
     A connection opens with a server {e greeting} (or a rejection), then
-    carries independent request/response pairs correlated by [id] —
-    responses may arrive out of order when a client pipelines.
+    carries request/response pairs correlated by [id].  A client may
+    pipeline; the server answers a connection's requests one at a time,
+    in request order.
 
     Floats are encoded as OCaml [%h] hexadecimal literals, so every value
     round-trips bit-exactly: rendering a wire table client-side produces
@@ -34,8 +35,8 @@ type request = {
   id : int;
   stmt : string;
   deadline_ms : int option;
-      (** time budget from receipt; requests still queued past it are
-          cancelled with [Deadline_exceeded] *)
+      (** time budget from receipt; a request granted its execution slot
+          past it is cancelled with [Deadline_exceeded] *)
   trace : bool;  (** attach the Tkr_obs execution trace to the response *)
   trace_id : string option;
       (** client-supplied correlation id, echoed on the response and

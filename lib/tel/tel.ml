@@ -17,7 +17,7 @@
     clock); dropped events are counted and announced by one synthetic
     [rate_limited] line when the window rolls over, so the log says that
     it lied rather than silently thinning.  All operations are
-    mutex-serialized — the accept loop, reader threads and workers share
+    mutex-serialized — the accept loop and the connection threads share
     one log. *)
 
 module Json = Tkr_obs.Json

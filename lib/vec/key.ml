@@ -151,7 +151,6 @@ let release t =
   t.e_hash <- [||]
 
 let count t = t.count
-let entry_src t e = t.e_src.(e)
 let entry_row t e = t.e_row.(e)
 
 (* slot index holding an equal entry, or the insertion slot (empty). *)

@@ -241,6 +241,32 @@ let test_null_period_update () =
           (fun r -> List.map Value.to_string (Tuple.to_list r))
           (Table.rows (Tkr_engine.Database.find (M.database m) "t"))))
 
+(* CHECK of a DELETE runs the checks DELETE runs before writing: FOR
+   PORTION OF on a plain table is TKR025 and an unknown WHERE column is
+   TKR001, from DELETE and from CHECK alike *)
+let test_delete_checks () =
+  let m = M.create () in
+  ignore (M.execute_script m "CREATE TABLE p (x int); INSERT INTO p VALUES (1)");
+  let module D = Tkr_check.Diagnostic in
+  List.iter
+    (fun (sql, code) ->
+      let d =
+        match M.execute m sql with
+        | _ -> Alcotest.fail ("expected a diagnostic from " ^ sql)
+        | exception (M.Error d | Tkr_sql.Analyzer.Error d) -> d
+      in
+      Alcotest.(check string) ("code of " ^ sql) code d.D.code;
+      Alcotest.(check (list string)) ("CHECK flags " ^ sql) [ D.to_string d ]
+        (List.map D.to_string (M.check m sql)))
+    [
+      ("DELETE FROM p FOR PORTION OF vt FROM 1 TO 5 WHERE x = 1", "TKR025");
+      ("DELETE FROM p WHERE nosuch = 1", "TKR001");
+    ];
+  Alcotest.(check (list string)) "a valid DELETE checks clean" []
+    (List.map D.to_string (M.check m "DELETE FROM p WHERE x = 1"));
+  Alcotest.(check int) "CHECK deletes nothing" 1
+    (Table.cardinality (Tkr_engine.Database.find (M.database m) "p"))
+
 let test_drop_table () =
   let m = fresh () in
   ignore (M.execute m "DROP TABLE assign");
@@ -302,4 +328,6 @@ let suite =
         test_null_period_insert;
       Alcotest.test_case "NULL period UPDATE is a diagnostic" `Quick
         test_null_period_update;
+      Alcotest.test_case "DELETE checks are diagnostics under CHECK" `Quick
+        test_delete_checks;
     ] )

@@ -304,9 +304,10 @@ let capture_workload ~order path =
   in
   Fun.protect ~finally:(fun () -> close_out oc) @@ fun () ->
   (* close the recorder only after [with_rec_server] has run Server.stop:
-     entries are written by the workers after the response is sent, so
-     the last ones land during the stop drain (production does the same
-     — tkr_cli closes the recorder after the server has stopped) *)
+     entries are written by the connection threads after the response
+     is sent, so the last ones land during the stop drain (production
+     does the same — tkr_cli closes the recorder after the server has
+     stopped) *)
   Fun.protect ~finally:(fun () -> Record.close recorder) @@ fun () ->
   with_rec_server ~recorder @@ fun _m srv ->
   let port = Server.port srv in
@@ -419,10 +420,10 @@ let test_ledger_scrape_and_metrics () =
   let q = "SELECT x FROM kv" in
   ignore (Client.run_exn c q);
   ignore (Client.run_exn c q);
-  (* LEDGER is answered inline by the connection reader, but observe
-     runs in the worker's finish after the response is sent — fence with
-     one more worker-path statement: per-session FIFO runs it after the
-     second SELECT's finish, so its response means both observes landed.
+  (* LEDGER is answered by the connection's thread, and observe runs
+     after the response is sent — fence with one more executed
+     statement: per-session FIFO runs it after the second SELECT's
+     finish, so its response means both observes landed.
      Fence twice with the same text — the second run fences the first
      fence's own observe, and being the same fingerprint it cannot move
      the tracked-plan count between the scrape and the accessor check *)
@@ -580,7 +581,8 @@ let test_observers_agree () =
      match (Client.run ~deadline_ms:0 c q).Wire.body with
      | Error { Wire.code = Wire.Deadline_exceeded; _ } -> ()
      | _ -> Alcotest.fail "expected DEADLINE_EXCEEDED");
-    (* the drain joins the workers: every observer has seen every request *)
+    (* the drain joins the connection threads: every observer has seen
+       every request *)
     Server.stop srv;
     ( Server.stats_json srv,
       List.fold_left

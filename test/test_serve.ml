@@ -648,34 +648,66 @@ let test_session_prepared_bounded () =
 
 (* ---- admission control ---- *)
 
-let test_admission_busy_and_drain () =
-  let q = Admission.create ~depth:2 in
-  check "accept 1" true (Admission.submit q 1 = `Accepted);
-  check "accept 2" true (Admission.submit q 2 = `Accepted);
-  check "high-water rejects" true (Admission.submit q 3 = `Busy);
-  check "take 1" true (Admission.take q = Some 1);
-  check "freed capacity accepts" true (Admission.submit q 4 = `Accepted);
-  Admission.drain q;
-  check "draining rejects new work" true (Admission.submit q 5 = `Draining);
-  (* accepted work is still handed out after drain *)
-  check "drain hands out queued work" true (Admission.take q = Some 2);
-  check "drain hands out queued work" true (Admission.take q = Some 4);
-  check "dry after drain is None" true (Admission.take q = None)
-
-let test_admission_drain_wakes_takers () =
-  let q = Admission.create ~depth:4 in
-  let got = Atomic.make `Waiting in
-  let th =
-    Thread.create
-      (fun () ->
-        Atomic.set got
-          (match Admission.take q with Some _ -> `Job | None -> `Drained))
-      ()
+(* poll [cond] every 10 ms for up to [secs] seconds *)
+let eventually ?(secs = 5.) cond =
+  let deadline = Unix.gettimeofday () +. secs in
+  let rec go () =
+    cond () || (Unix.gettimeofday () < deadline && (Thread.delay 0.01; go ()))
   in
-  Thread.delay 0.05;
-  Admission.drain q;
+  go ()
+
+(* run [f] on its own thread: [Some v] when it returns within [secs] *)
+let within ~secs f =
+  let result = Atomic.make None in
+  ignore (Thread.create (fun () -> Atomic.set result (Some (f ()))) ());
+  if eventually ~secs (fun () -> Atomic.get result <> None) then
+    Atomic.get result
+  else None
+
+let test_admission_busy_and_drain () =
+  let g = Admission.create ~slots:1 ~depth:1 in
+  check "a free slot is granted" true (Admission.acquire g = `Granted);
+  Admission.release g;
+  check "a freed slot admits" true (Admission.acquire g = `Granted);
+  (* one caller waits for the held slot: the high-water mark *)
+  let second = Atomic.make None in
+  let th =
+    Thread.create (fun () -> Atomic.set second (Some (Admission.acquire g))) ()
+  in
+  check "the caller waits" true (eventually (fun () -> Admission.waiting g = 1));
+  check "high-water rejects" true (Admission.acquire g = `Busy);
+  Admission.release g;
   Thread.join th;
-  check "blocked taker wakes with None" true (Atomic.get got = `Drained)
+  check "the waiter got the slot" true (Atomic.get second = Some `Granted);
+  Admission.drain g;
+  check "draining rejects new work" true (Admission.acquire g = `Draining);
+  Admission.release g;
+  check_int "no slot held" 0 (Admission.held g)
+
+(* work that already holds or awaits a slot when the drain starts runs
+   to completion, and [await_idle] returns only after it *)
+let test_admission_drain_lets_waiting_work_finish () =
+  let g = Admission.create ~slots:1 ~depth:4 in
+  check "slot taken" true (Admission.acquire g = `Granted);
+  let waited = Atomic.make None in
+  let th =
+    Thread.create (fun () -> Atomic.set waited (Some (Admission.acquire g))) ()
+  in
+  check "the caller waits" true (eventually (fun () -> Admission.waiting g = 1));
+  Admission.drain g;
+  let idle = Atomic.make false in
+  let idler =
+    Thread.create (fun () -> Admission.await_idle g; Atomic.set idle true) ()
+  in
+  Admission.release g;
+  Thread.join th;
+  check "the waiting caller still gets its slot" true
+    (Atomic.get waited = Some `Granted);
+  Thread.delay 0.05;
+  check "not idle while the slot is held" false (Atomic.get idle);
+  Admission.release g;
+  Thread.join idler;
+  check "idle once every slot is back" true (Atomic.get idle)
 
 (* ---- middleware hammered from four domains ---- *)
 
@@ -940,7 +972,7 @@ let test_e2e_session_reprepare () =
 
 (* Pipelined requests on one connection: the server must execute them in
    arrival order (an INSERT is visible to the SELECT behind it) and reply
-   in request order, even with a pool of workers *)
+   in request order, with several execution slots *)
 let test_e2e_pipelined_ordering () =
   with_server @@ fun _m srv ->
   let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -1029,7 +1061,7 @@ let test_e2e_error_codes () =
       check ("lex diagnostic: " ^ message) true
         (String.starts_with ~prefix:"error[TKR005] at 1:8: integer literal" message)
   | _ -> Alcotest.fail "expected PARSE_ERROR for an out-of-range literal");
-  (* deadline 0: always already expired when a worker picks it up *)
+  (* deadline 0: always already expired when the slot is granted *)
   match (Client.run ~deadline_ms:0 c "SELECT x FROM missing").Wire.body with
   | Error { Wire.code = Wire.Deadline_exceeded; _ } -> ()
   | _ -> Alcotest.fail "expected DEADLINE_EXCEEDED"
@@ -1239,7 +1271,8 @@ let test_e2e_latency_counts_every_request () =
    match (Client.run ~deadline_ms:0 c "SELECT x FROM lat").Wire.body with
    | Error { Wire.code = Wire.Deadline_exceeded; _ } -> ()
    | _ -> Alcotest.fail "expected DEADLINE_EXCEEDED");
-  (* the drain joins the workers: every request has been observed *)
+  (* the drain joins the connection threads: every request has been
+     observed *)
   Server.stop srv;
   let stats = Server.stats_json srv in
   let int j key =
@@ -1251,6 +1284,86 @@ let test_e2e_latency_counts_every_request () =
   match Json.member "latency_us" stats with
   | Some lat -> check_int "latency_us.count = requests" 3 (int lat "count")
   | None -> Alcotest.fail "stats missing latency_us"
+
+(* ---- a connection's thread is the only one its traffic can stall ---- *)
+
+let big_rows = 60_000
+
+(* a server over [big], 60,000 two-int rows: one [SELECT x, y FROM big]
+   reply is about a megabyte, so a few fill the loopback socket
+   buffers *)
+let with_big_server ~workers f =
+  let m = M.create () in
+  let schema =
+    Schema.make [ Schema.attr "x" Value.TInt; Schema.attr "y" Value.TInt ]
+  in
+  let row i = Tuple.of_array [| Value.Int i; Value.Int (i * 7) |] in
+  M.write_locked m (fun () ->
+      Database.add_table (M.database m) "big"
+        (Table.of_array schema (Array.init big_rows row)));
+  let srv =
+    Server.start
+      ~config:{ Server.default_config with port = 0; workers; cache_mb = 0 }
+      m
+  in
+  Fun.protect ~finally:(fun () -> Server.stop srv) (fun () -> f srv)
+
+(* a raw connection past its greeting, for clients that misbehave *)
+let dial port =
+  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string "127.0.0.1", port));
+  (match Wire.read_frame fd with
+  | Some _ -> ()
+  | None -> Alcotest.fail "no greeting");
+  fd
+
+let send_request fd id stmt =
+  Wire.write_frame fd
+    (Json.to_string (Wire.request_to_json (Wire.request ~id stmt)))
+
+let cardinality (rsp : Wire.response) =
+  match rsp.Wire.body with
+  | Ok (Wire.Rows t) -> Table.cardinality t
+  | _ -> Alcotest.fail "expected rows"
+
+(* With one execution slot, a session that pipelines requests whose
+   replies exceed the socket buffers and never reads blocks only its own
+   connection's thread: another session's query still completes, and
+   stop returns. *)
+let test_e2e_stalled_reader_holds_no_slot () =
+  with_big_server ~workers:1 @@ fun srv ->
+  let port = Server.port srv in
+  let fd = dial port in
+  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  for id = 1 to 24 do
+    send_request fd id "SELECT x, y FROM big"
+  done;
+  (* let the replies back up into the socket buffers *)
+  Thread.delay 0.5;
+  let other =
+    within ~secs:5. (fun () ->
+        Client.with_client ~port (fun c ->
+            cardinality (Client.run_exn c "SELECT x FROM big WHERE x = 7")))
+  in
+  check "a second session's query completes within 5 s" true (other = Some 1);
+  check "stop returns" true (within ~secs:10. (fun () -> Server.stop srv) <> None)
+
+(* a client that hangs up before its large replies are written costs
+   the server failed writes, not the process: it serves the next client *)
+let test_e2e_hangup_before_reply () =
+  with_big_server ~workers:1 @@ fun srv ->
+  let port = Server.port srv in
+  for _ = 1 to 3 do
+    let fd = dial port in
+    for id = 1 to 4 do
+      send_request fd id "SELECT x, y FROM big"
+    done;
+    Unix.close fd
+  done;
+  Client.with_client ~port @@ fun c ->
+  check_int "the next client is served" big_rows
+    (cardinality (Client.run_exn c "SELECT x, y FROM big"))
 
 let suite =
   ( "serve",
@@ -1270,8 +1383,8 @@ let suite =
         test_middleware_epoch;
       Alcotest.test_case "admission: busy and drain" `Quick
         test_admission_busy_and_drain;
-      Alcotest.test_case "admission: drain wakes takers" `Quick
-        test_admission_drain_wakes_takers;
+      Alcotest.test_case "admission: drain lets waiting work finish" `Quick
+        test_admission_drain_lets_waiting_work_finish;
       Alcotest.test_case "middleware: 4-domain query hammer" `Quick
         test_middleware_domain_hammer;
       Alcotest.test_case "middleware: mixed DML hammer" `Quick
@@ -1308,6 +1421,10 @@ let suite =
         test_e2e_cache_metrics_match_stats;
       Alcotest.test_case "e2e: EXPLAIN ANALYZE times the wire parse" `Quick
         test_e2e_explain_parse_phase;
+      Alcotest.test_case "e2e: a stalled reader holds no slot" `Quick
+        test_e2e_stalled_reader_holds_no_slot;
+      Alcotest.test_case "e2e: a hang-up before the reply leaves the server up"
+        `Quick test_e2e_hangup_before_reply;
       Alcotest.test_case "wire: golden bytes" `Quick test_wire_golden;
       prop_payload_is_tree_rendering;
       prop_frames_decode_rows;
