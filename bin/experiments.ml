@@ -229,6 +229,73 @@ let table2 () =
 let coalesce_row t = ignore (Ops.coalesce t)
 let coalesce_vec t = ignore (Vexec.coalesce None (Table.columnar t))
 
+(* least-squares slope of log(time) over log(rows) *)
+let loglog_slope pts =
+  let xs = List.map (fun (n, _) -> log (float_of_int n)) pts
+  and ys = List.map (fun (_, t) -> log t) pts in
+  let mean l = List.fold_left ( +. ) 0. l /. float_of_int (List.length l) in
+  let mx = mean xs and my = mean ys in
+  let sxy = List.fold_left2 (fun acc x y -> acc +. ((x -. mx) *. (y -. my))) 0. xs ys
+  and sxx = List.fold_left (fun acc x -> acc +. ((x -. mx) ** 2.)) 0. xs in
+  sxy /. sxx
+
+(* The vec coalesce's phases at the sizes [--check] fits its slope to:
+   ns per row of each phase (median of 7 runs), the phase's own log-log
+   slope, and the radix sort's key bound (groups x time span) with the
+   8-bit digit passes it takes.  A phase whose ns/row climbs with the
+   size is what bends the vec slope. *)
+let fig5_phases () =
+  let phases = [ "intern"; "sort_begins"; "sort_ends"; "sweep"; "gather" ] in
+  let sizes = [ 10_000; 30_000; 100_000 ] in
+  printf "\nvec coalesce phases (ns/row, median of 7):\n";
+  printf "%8s %7s %10s %7s" "rows" "groups" "ng*span" "passes";
+  List.iter (fun p -> printf " %11s" p) phases;
+  printf " %9s\n" "total";
+  let per_size =
+    List.map
+      (fun n ->
+        let b = Table.columnar (W.coalesce_input ~n ~seed:11 ~tmax:4000) in
+        let runs =
+          List.init 8 (fun _ ->
+              Gc.full_major ();
+              let laps = ref [] and t0 = ref (Unix.gettimeofday ()) in
+              let lap name =
+                let t1 = Unix.gettimeofday () in
+                laps := (name, t1 -. !t0) :: !laps;
+                t0 := t1
+              in
+              ignore (Vexec.coalesce ~lap None b);
+              !laps)
+        in
+        (* the first run warms up *)
+        let runs = List.tl runs in
+        let ns p =
+          1e9 *. median (List.map (List.assoc p) runs) /. float_of_int n
+        in
+        let groups = max 1 (n / 4) and span = 4000 in
+        let bound = groups * span in
+        let passes = ref 0 in
+        while (bound - 1) lsr (8 * !passes) > 0 do
+          incr passes
+        done;
+        printf "%8d %7d %10d %7d" n groups bound !passes;
+        let row = List.map (fun p -> (p, ns p)) phases in
+        List.iter (fun (_, v) -> printf " %11.1f" v) row;
+        printf " %9.1f\n%!" (List.fold_left (fun a (_, v) -> a +. v) 0. row);
+        (n, row))
+      sizes
+  in
+  printf "%8s %7s %10s %7s" "slope" "" "" "";
+  List.iter
+    (fun p ->
+      printf " %11.2f"
+        (loglog_slope
+           (List.map
+              (fun (n, row) -> (n, float_of_int n *. List.assoc p row))
+              per_size)))
+    phases;
+  printf "\n%!"
+
 let fig5 () =
   printf "=== Figure 5: multiset coalescing, runtime vs input size ===\n\n";
   printf "%10s %12s %14s %12s %14s\n" "rows" "row time (s)" "row us/row"
@@ -240,7 +307,8 @@ let fig5 () =
       let vec = time_run (fun () -> coalesce_vec t) in
       let per secs = 1e6 *. secs /. float_of_int n in
       printf "%10d %12.5f %14.3f %12.5f %14.3f\n%!" n row (per row) vec (per vec))
-    [ 1_000; 3_000; 10_000; 30_000; 100_000; 300_000 ]
+    [ 1_000; 3_000; 10_000; 30_000; 100_000; 300_000 ];
+  fig5_phases ()
 
 (* ------------------------------------------------------------------ *)
 
@@ -396,16 +464,6 @@ let ms secs = 1e3 *. secs
 let runner m sql =
   let p = M.prepare m sql in
   fun () -> M.run_prepared m p
-
-(* least-squares slope of log(time) over log(rows) *)
-let loglog_slope pts =
-  let xs = List.map (fun (n, _) -> log (float_of_int n)) pts
-  and ys = List.map (fun (_, t) -> log t) pts in
-  let mean l = List.fold_left ( +. ) 0. l /. float_of_int (List.length l) in
-  let mx = mean xs and my = mean ys in
-  let sxy = List.fold_left2 (fun acc x y -> acc +. ((x -. mx) *. (y -. my))) 0. xs ys
-  and sxx = List.fold_left (fun acc x -> acc +. ((x -. mx) ** 2.)) 0. xs in
-  sxy /. sxx
 
 (* Fig. 5: multiset coalescing is linear.  Log-log slope of time over
    rows; a quadratic sweep would read 2.0.  Sizes start at 10k rows:

@@ -133,21 +133,69 @@ let const_col (v : Value.t) (n : int) : col =
 (* ---- gather / compact ---- *)
 
 (* [len] (default: all of [idx]) gathers the rows [idx.(0 .. len-1)],
-   so a scratch buffer longer than its contents can serve as [idx] *)
+   so a scratch buffer longer than its contents can serve as [idx].  One
+   monomorphic loop per element type: ints and bools store without a
+   write barrier, floats stay unboxed, and no closure runs per row.
+   Reads are bounds-checked. *)
+let gather_len ?len (idx : int array) : int =
+  match len with
+  | None -> Array.length idx
+  | Some n ->
+      if n < 0 || n > Array.length idx then invalid_arg "Batch.gather: len";
+      n
+
+let gather_ints (a : int array) (idx : int array) (n : int) : int array =
+  let out = Array.make n 0 in
+  for k = 0 to n - 1 do
+    out.(k) <- a.(idx.(k))
+  done;
+  out
+
+let gather_floats (a : float array) (idx : int array) (n : int) : float array
+    =
+  let out = Array.create_float n in
+  for k = 0 to n - 1 do
+    out.(k) <- a.(idx.(k))
+  done;
+  out
+
+let gather_bools (a : bool array) (idx : int array) (n : int) : bool array =
+  let out = Array.make n false in
+  for k = 0 to n - 1 do
+    out.(k) <- a.(idx.(k))
+  done;
+  out
+
+let gather_strs (a : string array) (idx : int array) (n : int) : string array
+    =
+  let out = Array.make n "" in
+  for k = 0 to n - 1 do
+    out.(k) <- a.(idx.(k))
+  done;
+  out
+
+let gather_boxed (a : Value.t array) (idx : int array) (n : int) :
+    Value.t array =
+  let out = Array.make n Value.Null in
+  for k = 0 to n - 1 do
+    out.(k) <- a.(idx.(k))
+  done;
+  out
+
 let gather_data ?len (d : data) (idx : int array) : data =
-  let n = Option.value len ~default:(Array.length idx) in
+  let n = gather_len ?len idx in
   match d with
-  | Ints a -> Ints (Array.init n (fun k -> a.(idx.(k))))
-  | Floats a -> Floats (Array.init n (fun k -> a.(idx.(k))))
-  | Bools a -> Bools (Array.init n (fun k -> a.(idx.(k))))
-  | Strs a -> Strs (Array.init n (fun k -> a.(idx.(k))))
-  | Boxed a -> Boxed (Array.init n (fun k -> a.(idx.(k))))
+  | Ints a -> Ints (gather_ints a idx n)
+  | Floats a -> Floats (gather_floats a idx n)
+  | Bools a -> Bools (gather_bools a idx n)
+  | Strs a -> Strs (gather_strs a idx n)
+  | Boxed a -> Boxed (gather_boxed a idx n)
 
 let gather_col ?len (c : col) (idx : int array) : col =
-  let n = Option.value len ~default:(Array.length idx) in
+  let n = gather_len ?len idx in
   {
     data = gather_data ~len:n c.data idx;
-    nulls = Option.map (fun m -> Array.init n (fun k -> m.(idx.(k)))) c.nulls;
+    nulls = Option.map (fun m -> gather_bools m idx n) c.nulls;
   }
 
 (** Materialize the selection: same logical rows, dense columns, no

@@ -63,21 +63,28 @@ let hash_row (cols : Batch.col array) (i : int) : int =
 let eq_row (cols1 : Batch.col array) (i1 : int) (cols2 : Batch.col array)
     (i2 : int) : bool =
   let k = Array.length cols1 in
-  let rec go j = j >= k || (eq_cell cols1.(j) i1 cols2.(j) i2 && go (j + 1)) in
-  go 0
+  let j = ref 0 in
+  while !j < k && eq_cell cols1.(!j) i1 cols2.(!j) i2 do
+    incr j
+  done;
+  !j = k
 
 (* All-int fast path.  When every column of every source is an unboxed
    [Ints] array with no validity mask, hashing degenerates to integer
    mixing and equality to [=] on array cells — no polymorphic hash, no
    per-cell NULL checks.  The choice is made once at {!create}; a keyset
    uses one hash function throughout, so cached entry hashes stay
-   consistent. *)
+   consistent.  Every probe below is a plain loop: no local closure and
+   no result tuple, so an all-int intern or lookup allocates nothing. *)
 
 let eq_int_row (c1 : int array array) (i1 : int) (c2 : int array array)
     (i2 : int) : bool =
   let k = Array.length c1 in
-  let rec go j = j >= k || (c1.(j).(i1) = c2.(j).(i2) && go (j + 1)) in
-  go 0
+  let j = ref 0 in
+  while !j < k && c1.(!j).(i1) = c2.(!j).(i2) do
+    incr j
+  done;
+  !j = k
 
 let hash_int_row (cols : int array array) (i : int) : int =
   let h = ref 0x811c9dc5 in
@@ -153,35 +160,34 @@ let release t =
 let count t = t.count
 let entry_row t e = t.e_row.(e)
 
-(* slot index holding an equal entry, or the insertion slot (empty). *)
+(* slot index holding an equal entry, or the insertion slot (empty);
+   linear probing *)
 let find_slot t ~hash ~(cols : Batch.col array) ~(row : int) : int =
-  let rec go i =
-    let s = t.slots.(i) in
-    if s = 0 then i
-    else
-      let e = s - 1 in
-      if
-        t.e_hash.(e) = hash
-        && eq_row t.srcs.(t.e_src.(e)) t.e_row.(e) cols row
-      then i
-      else go ((i + 1) land t.mask)
-  in
-  go (hash land t.mask)
+  let i = ref (hash land t.mask) in
+  while
+    let s = t.slots.(!i) in
+    s <> 0
+    &&
+    let e = s - 1 in
+    not (t.e_hash.(e) = hash && eq_row t.srcs.(t.e_src.(e)) t.e_row.(e) cols row)
+  do
+    i := (!i + 1) land t.mask
+  done;
+  !i
 
 let find_slot_int t (srcs : int array array array) ~hash
     ~(cols : int array array) ~(row : int) : int =
-  let rec go i =
-    let s = t.slots.(i) in
-    if s = 0 then i
-    else
-      let e = s - 1 in
-      if
-        t.e_hash.(e) = hash
-        && eq_int_row srcs.(t.e_src.(e)) t.e_row.(e) cols row
-      then i
-      else go ((i + 1) land t.mask)
-  in
-  go (hash land t.mask)
+  let i = ref (hash land t.mask) in
+  while
+    let s = t.slots.(!i) in
+    s <> 0
+    &&
+    let e = s - 1 in
+    not (t.e_hash.(e) = hash && eq_int_row srcs.(t.e_src.(e)) t.e_row.(e) cols row)
+  do
+    i := (!i + 1) land t.mask
+  done;
+  !i
 
 let grow t =
   let old_slots = t.slots in
@@ -199,36 +205,20 @@ let grow t =
   t.e_row <- regrow t.e_row;
   t.e_hash <- regrow t.e_hash;
   (* reinsert by cached hash; entries keep their ids *)
-  Array.iter
-    (fun s ->
-      if s <> 0 then begin
-        let e = s - 1 in
-        let rec place i =
-          if t.slots.(i) = 0 then t.slots.(i) <- s
-          else place ((i + 1) land t.mask)
-        in
-        place (t.e_hash.(e) land t.mask)
-      end)
-    old_slots;
+  for e = 0 to t.count - 1 do
+    let i = ref (t.e_hash.(e) land t.mask) in
+    while t.slots.(!i) <> 0 do
+      i := (!i + 1) land t.mask
+    done;
+    t.slots.(!i) <- e + 1
+  done;
   Scratch.release old_slots
 
-(** Intern (source, row): the existing group id when an equal row was
-    interned before, otherwise the next fresh id (ids are dense, in
-    first-appearance order). *)
-let intern t ~(src : int) ~(row : int) : int =
-  if (t.count + 1) * 4 > (t.mask + 1) * 3 then grow t;
-  let hash, i =
-    match t.ints with
-    | Some srcs ->
-        let cols = srcs.(src) in
-        let hash = hash_int_row cols row in
-        (hash, find_slot_int t srcs ~hash ~cols ~row)
-    | None ->
-        let cols = t.srcs.(src) in
-        let hash = hash_row cols row in
-        (hash, find_slot t ~hash ~cols ~row)
-  in
-  if t.slots.(i) <> 0 then t.slots.(i) - 1
+(* the entry in slot [i] (found by a probe for [hash]), or a fresh one
+   for (src, row) placed there *)
+let claim t i ~hash ~(src : int) ~(row : int) : int =
+  let s = t.slots.(i) in
+  if s <> 0 then s - 1
   else begin
     let e = t.count in
     t.slots.(i) <- e + 1;
@@ -238,6 +228,21 @@ let intern t ~(src : int) ~(row : int) : int =
     t.count <- e + 1;
     e
   end
+
+(** Intern (source, row): the existing group id when an equal row was
+    interned before, otherwise the next fresh id (ids are dense, in
+    first-appearance order). *)
+let intern t ~(src : int) ~(row : int) : int =
+  if (t.count + 1) * 4 > (t.mask + 1) * 3 then grow t;
+  match t.ints with
+  | Some srcs ->
+      let cols = srcs.(src) in
+      let hash = hash_int_row cols row in
+      claim t (find_slot_int t srcs ~hash ~cols ~row) ~hash ~src ~row
+  | None ->
+      let cols = t.srcs.(src) in
+      let hash = hash_row cols row in
+      claim t (find_slot t ~hash ~cols ~row) ~hash ~src ~row
 
 (** The group id of (source, row), or [-1] when absent. *)
 let lookup t ~(src : int) ~(row : int) : int =
@@ -250,4 +255,4 @@ let lookup t ~(src : int) ~(row : int) : int =
         let cols = t.srcs.(src) in
         find_slot t ~hash:(hash_row cols row) ~cols ~row
   in
-  if t.slots.(i) = 0 then -1 else t.slots.(i) - 1
+  t.slots.(i) - 1

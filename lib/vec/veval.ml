@@ -24,6 +24,16 @@ let cmp_result (op : Expr.cmp) (c : int) : bool =
   | Expr.Gt -> c > 0
   | Expr.Ge -> c >= 0
 
+(* [cmp_result op (Int.compare x y)] without the intermediate *)
+let int_cmp (op : Expr.cmp) (x : int) (y : int) : bool =
+  match op with
+  | Expr.Eq -> x = y
+  | Expr.Ne -> x <> y
+  | Expr.Lt -> x < y
+  | Expr.Le -> x <= y
+  | Expr.Gt -> x > y
+  | Expr.Ge -> x >= y
+
 (* tri-state truth of a cell under SQL logic: 1 TRUE, 0 FALSE, -1 UNKNOWN
    (NULL or non-boolean, which the connectives treat alike) *)
 let truth (c : Batch.col) (i : int) : int =
@@ -48,7 +58,24 @@ let union_masks n (a : bool array option) (b : bool array option) :
   match (a, b) with
   | None, None -> None
   | Some m, None | None, Some m -> Some m
-  | Some x, Some y -> Some (Array.init n (fun i -> x.(i) || y.(i)))
+  | Some x, Some y ->
+      let m = Array.make n false in
+      for i = 0 to n - 1 do
+        m.(i) <- x.(i) || y.(i)
+      done;
+      Some m
+
+(* GREATEST ([greatest]) or LEAST over two int columns, a typed loop;
+   [Expr.eval] picks the left operand on ties, which over ints is plain
+   max/min *)
+let int_extremum n ~greatest (a : int array) (b : int array) : int array =
+  let out = Array.make n 0 in
+  for i = 0 to n - 1 do
+    let x = a.(i) and y = b.(i) in
+    out.(i) <-
+      (if greatest then if x >= y then x else y else if x <= y then x else y)
+  done;
+  out
 
 let rec eval (b : Batch.t) (e : Expr.t) : Batch.col =
   let n = Batch.length b in
@@ -64,12 +91,10 @@ let rec eval (b : Batch.t) (e : Expr.t) : Batch.col =
   | Expr.And (x, y) ->
       (* both sides evaluate, like the row oracle's non-short-circuit AND *)
       let ca = eval b x and cb = eval b y in
-      connective n ca cb (fun ta tb ->
-          if ta = 0 || tb = 0 then 0 else if ta = 1 && tb = 1 then 1 else -1)
+      connective n ~conj:true ca cb
   | Expr.Or (x, y) ->
       let ca = eval b x and cb = eval b y in
-      connective n ca cb (fun ta tb ->
-          if ta = 1 || tb = 1 then 1 else if ta = 0 && tb = 0 then 0 else -1)
+      connective n ~conj:false ca cb
   | Expr.Not x ->
       let c = eval b x in
       let out = Array.make n false and mask = Array.make n false in
@@ -82,27 +107,21 @@ let rec eval (b : Batch.t) (e : Expr.t) : Batch.col =
       { Batch.data = Batch.Bools out; nulls = Some mask }
   | Expr.Is_null x ->
       let c = eval b x in
-      {
-        Batch.data = Batch.Bools (Array.init n (fun i -> Batch.is_null_at c i));
-        nulls = None;
-      }
+      let out = Array.make n false in
+      for i = 0 to n - 1 do
+        out.(i) <- Batch.is_null_at c i
+      done;
+      { Batch.data = Batch.Bools out; nulls = None }
   | Expr.Greatest (x, y) | Expr.Least (x, y) -> (
       (* the temporal join recombines periods with greatest/least over the
          int endpoint columns on every output row, so this pair gets a
-         typed path; [Expr.eval] picks the left operand on ties ([c >= 0]
-         resp. [c <= 0]), which over ints is plain max/min *)
+         typed path *)
       let ca = eval b x and cb = eval b y in
       match (ca.Batch.data, cb.Batch.data) with
       | Batch.Ints a, Batch.Ints c ->
-          let greatest =
-            match e with Expr.Greatest _ -> true | _ -> false
-          in
-          let pick =
-            if greatest then fun i -> if a.(i) >= c.(i) then a.(i) else c.(i)
-            else fun i -> if a.(i) <= c.(i) then a.(i) else c.(i)
-          in
+          let greatest = match e with Expr.Greatest _ -> true | _ -> false in
           {
-            Batch.data = Batch.Ints (Array.init n pick);
+            Batch.data = Batch.Ints (int_extremum n ~greatest a c);
             nulls = union_masks n ca.nulls cb.nulls;
           }
       | _ -> rowwise b e)
@@ -129,11 +148,15 @@ and rowwise (b : Batch.t) (e : Expr.t) : Batch.col =
     nulls = None;
   }
 
-and connective n (ca : Batch.col) (cb : Batch.col) (table : int -> int -> int)
-    : Batch.col =
+(* three-valued AND ([conj]) or OR, cell by cell *)
+and connective n ~conj (ca : Batch.col) (cb : Batch.col) : Batch.col =
   let out = Array.make n false and mask = Array.make n false in
+  (* the dominant truth value: FALSE for AND, TRUE for OR *)
+  let dom = if conj then 0 else 1 in
   for i = 0 to n - 1 do
-    match table (truth ca i) (truth cb i) with
+    let ta = truth ca i and tb = truth cb i in
+    let t = if ta = dom || tb = dom then dom else if ta = tb then ta else -1 in
+    match t with
     | 1 -> out.(i) <- true
     | 0 -> ()
     | _ -> mask.(i) <- true
@@ -143,21 +166,31 @@ and connective n (ca : Batch.col) (cb : Batch.col) (table : int -> int -> int)
 and binop n (op : Expr.binop) (ca : Batch.col) (cb : Batch.col) : Batch.col =
   match (ca.Batch.data, cb.Batch.data) with
   | Batch.Ints a, Batch.Ints b -> (
-      let nulls = union_masks n ca.nulls cb.nulls in
-      let map2 f = Array.init n (fun i -> f a.(i) b.(i)) in
+      (* one typed loop per operator, no closure call per row *)
+      let out = Array.make n 0 in
       match op with
-      | Expr.Add -> { Batch.data = Batch.Ints (map2 ( + )); nulls }
-      | Expr.Sub -> { Batch.data = Batch.Ints (map2 ( - )); nulls }
-      | Expr.Mul -> { Batch.data = Batch.Ints (map2 ( * )); nulls }
+      | Expr.Add | Expr.Sub | Expr.Mul ->
+          (match op with
+          | Expr.Add ->
+              for i = 0 to n - 1 do
+                out.(i) <- a.(i) + b.(i)
+              done
+          | Expr.Sub ->
+              for i = 0 to n - 1 do
+                out.(i) <- a.(i) - b.(i)
+              done
+          | _ ->
+              for i = 0 to n - 1 do
+                out.(i) <- a.(i) * b.(i)
+              done);
+          { Batch.data = Batch.Ints out; nulls = union_masks n ca.nulls cb.nulls }
       | Expr.Div | Expr.Mod ->
           (* division by zero yields NULL, like [Value.div] *)
-          let f = if op = Expr.Div then ( / ) else ( mod ) in
-          let out = Array.make n 0 in
+          let div = op = Expr.Div in
           let mask = Array.make n false in
           for i = 0 to n - 1 do
-            if null_at ca i || null_at cb i then mask.(i) <- true
-            else if b.(i) = 0 then mask.(i) <- true
-            else out.(i) <- f a.(i) b.(i)
+            if null_at ca i || null_at cb i || b.(i) = 0 then mask.(i) <- true
+            else out.(i) <- (if div then a.(i) / b.(i) else a.(i) mod b.(i))
           done;
           { Batch.data = Batch.Ints out; nulls = Some mask })
   | (Batch.Ints _ | Batch.Floats _), (Batch.Ints _ | Batch.Floats _) ->
@@ -214,12 +247,17 @@ and binop n (op : Expr.binop) (ca : Batch.col) (cb : Batch.col) : Batch.col =
 and neg n (c : Batch.col) : Batch.col =
   match c.Batch.data with
   | Batch.Ints a ->
-      { Batch.data = Batch.Ints (Array.init n (fun i -> -a.(i))); nulls = c.nulls }
+      let out = Array.make n 0 in
+      for i = 0 to n - 1 do
+        out.(i) <- -a.(i)
+      done;
+      { Batch.data = Batch.Ints out; nulls = c.nulls }
   | Batch.Floats a ->
-      {
-        Batch.data = Batch.Floats (Array.init n (fun i -> -.a.(i)));
-        nulls = c.nulls;
-      }
+      let out = Array.create_float n in
+      for i = 0 to n - 1 do
+        out.(i) <- -.a.(i)
+      done;
+      { Batch.data = Batch.Floats out; nulls = c.nulls }
   | _ ->
       {
         Batch.data =
@@ -241,7 +279,18 @@ and cmp n (op : Expr.cmp) (ca : Batch.col) (cb : Batch.col) : Batch.col =
     { Batch.data = Batch.Bools out; nulls = (if !masked then Some mask else None) }
   in
   match (ca.Batch.data, cb.Batch.data) with
-  | Batch.Ints a, Batch.Ints b -> typed (fun i -> Int.compare a.(i) b.(i))
+  | Batch.Ints a, Batch.Ints b ->
+      (* the int kernel: a typed loop, no closure per row *)
+      let out = Array.make n false and mask = Array.make n false in
+      let masked = ref false in
+      for i = 0 to n - 1 do
+        if null_at ca i || null_at cb i then begin
+          mask.(i) <- true;
+          masked := true
+        end
+        else out.(i) <- int_cmp op a.(i) b.(i)
+      done;
+      { Batch.data = Batch.Bools out; nulls = (if !masked then Some mask else None) }
   | (Batch.Ints _ | Batch.Floats _), (Batch.Ints _ | Batch.Floats _) ->
       let getf (c : Batch.col) : int -> float =
         match c.Batch.data with
@@ -266,23 +315,13 @@ and cmp n (op : Expr.cmp) (ca : Batch.col) (cb : Batch.col) : Batch.col =
 
 (* A conjunct [Col op Const (Int _)] (either way round) over a null-free
    [Ints] column is two-valued, so it tests the physical rows in place:
-   the column's raw array and the row test, or [None] for any other
-   conjunct. *)
+   the column's raw array, the operator and the constant, or [None] for
+   any other conjunct. *)
 let int_const_test (b : Batch.t) (conj : Expr.t) :
-    (int array * (int -> bool)) option =
+    (int array * Expr.cmp * int) option =
   let test op i k =
     match b.Batch.cols.(i) with
-    | { Batch.data = Batch.Ints a; nulls = None } ->
-        let f : int -> bool =
-          match (op : Expr.cmp) with
-          | Expr.Eq -> fun x -> x = k
-          | Expr.Ne -> fun x -> x <> k
-          | Expr.Lt -> fun x -> x < k
-          | Expr.Le -> fun x -> x <= k
-          | Expr.Gt -> fun x -> x > k
-          | Expr.Ge -> fun x -> x >= k
-        in
-        Some (a, f)
+    | { Batch.data = Batch.Ints a; nulls = None } -> Some (a, op, k)
     | _ -> None
   in
   match conj with
@@ -313,22 +352,23 @@ let filter (b : Batch.t) (pred : Expr.t) : int array =
   let cur = ref (match b.sel with Some s -> Given s | None -> All) in
   List.iter
     (fun conj ->
-      let n, phys =
+      (* survivor [li] is physical row [src.(li)], or [li] itself *)
+      let n, src =
         match !cur with
-        | All -> (b.nrows, Fun.id)
-        | Given s -> (Array.length s, Array.get s)
-        | Owned (buf, n) -> (n, Array.get buf)
+        | All -> (b.nrows, None)
+        | Given s -> (Array.length s, Some s)
+        | Owned (buf, n) -> (n, Some buf)
       in
       if n > 0 then begin
-        (* [phys] reads position [li] before [keep.(k)] is written, and
+        (* [src] is read at position [li] before [keep.(k)] is written, and
            [k <= li], so narrowing an owned buffer in place is safe *)
         let keep = match !cur with Owned (buf, _) -> buf | _ -> Scratch.get n in
         let k = ref 0 in
         (match int_const_test b conj with
-        | Some (a, test) ->
+        | Some (a, op, c) ->
             for li = 0 to n - 1 do
-              let p = phys li in
-              if test a.(p) then begin
+              let p = match src with None -> li | Some s -> s.(li) in
+              if int_cmp op a.(p) c then begin
                 keep.(!k) <- p;
                 incr k
               end
@@ -345,7 +385,7 @@ let filter (b : Batch.t) (pred : Expr.t) : int array =
             let c = eval view conj in
             for li = 0 to n - 1 do
               if truth c li = 1 then begin
-                keep.(!k) <- phys li;
+                keep.(!k) <- (match src with None -> li | Some s -> s.(li));
                 incr k
               end
             done);

@@ -142,101 +142,219 @@ let except_all (a : Batch.t) (b : Batch.t) : Batch.t =
 (* An output column no consumer reads: empty, never indexed. *)
 let placeholder = { Batch.data = Batch.Ints [||]; nulls = None }
 
-(* Filter the candidate pairs [(lp.(k), rp.(k))], [k < npairs], by
-   [residual] and gather the joined output.  Only the columns the
-   residual references are gathered before the filter; the survivors are
-   compacted into [lp]/[rp] in place (the filter's selection is
-   ascending) and the output gather happens on them, for the columns in
-   [need] (default: all) only — the rest are {!placeholder}s. *)
-let pair_result ?need out_schema (lb : Batch.t) (rb : Batch.t)
-    (lp : int array) (rp : int array) (npairs : int)
-    (residual : Expr.t option) : Batch.t * int =
-  let la = Array.length lb.Batch.cols and ra = Array.length rb.Batch.cols in
-  let passed =
-    match residual with
-    | None -> npairs
-    | Some p ->
-        let needed = List.sort_uniq Int.compare (Expr.cols p) in
-        let cols = Array.make (la + ra) placeholder in
-        List.iter
-          (fun j ->
-            cols.(j) <-
-              (if j < la then Batch.gather_col ~len:npairs lb.Batch.cols.(j) lp
-               else Batch.gather_col ~len:npairs rb.Batch.cols.(j - la) rp))
-          needed;
-        let pview = Batch.of_cols out_schema npairs cols in
-        let sel = Veval.filter pview p in
-        Array.iteri
-          (fun k i ->
-            lp.(k) <- lp.(i);
-            rp.(k) <- rp.(i))
-          sel;
-        Array.length sel
-  in
-  let wanted =
-    match need with
-    | None -> Fun.const true
-    | Some js ->
-        let w = Array.make (la + ra) false in
-        List.iter (fun j -> w.(j) <- true) js;
-        Array.get w
-  in
-  let cols =
-    Array.init (la + ra) (fun j ->
-        if not (wanted j) then placeholder
-        else if j < la then Batch.gather_col ~len:passed lb.Batch.cols.(j) lp
-        else Batch.gather_col ~len:passed rb.Batch.cols.(j - la) rp)
-  in
-  (Batch.of_cols out_schema passed cols, passed)
+(* One conjunct [x op y] of a residual over two non-null unboxed int
+   columns, each read at the pair's left ([x_left]) or right physical
+   row. *)
+type fused_cmp = {
+  op : Expr.cmp;
+  x : int array;
+  x_left : bool;
+  y : int array;
+  y_left : bool;
+}
 
-(* Candidate-pair test compiled from a residual whose every conjunct
-   compares two non-null unboxed int columns — the shape the period
-   encoding produces for interval overlap ([b1 < e2 AND b2 < e1]).  Such
-   conjuncts are two-valued, so testing pairs inline during the probe is
-   exactly [Veval.filter] on the materialized candidates, without ever
-   gathering the rejected ones.  [None] for any other residual. *)
+(* The residual compiled to {!fused_cmp}s when every conjunct compares
+   two non-null unboxed int columns — the shape the period encoding
+   produces for interval overlap ([b1 < e2 AND b2 < e1]).  Such
+   conjuncts are two-valued, so testing pairs inline is exactly
+   [Veval.filter] on the materialized candidates, without ever gathering
+   the rejected ones.  [None] for any other residual. *)
 let fused_residual (la : int) (lb : Batch.t) (rb : Batch.t) (p : Expr.t) :
-    (int -> int -> bool) option =
-  let int_col j : (int -> int -> int) option =
-    let side (c : Batch.col) (pick : int -> int -> int) =
-      match (c.Batch.data, c.Batch.nulls) with
-      | Batch.Ints a, None -> Some (fun lp rp -> a.(pick lp rp))
-      | _ -> None
+    fused_cmp array option =
+  let operand j =
+    let c, left =
+      if j < la then (lb.Batch.cols.(j), true) else (rb.Batch.cols.(j - la), false)
     in
-    if j < la then side lb.Batch.cols.(j) (fun lp _ -> lp)
-    else side rb.Batch.cols.(j - la) (fun _ rp -> rp)
+    match (c.Batch.data, c.Batch.nulls) with
+    | Batch.Ints a, None -> Some (a, left)
+    | _ -> None
   in
-  let conj_test = function
+  let conj = function
     | Expr.Cmp (op, Expr.Col x, Expr.Col y) -> (
-        match (int_col x, int_col y) with
-        | Some gx, Some gy ->
-            Some
-              (fun lp rp ->
-                Veval.cmp_result op (Int.compare (gx lp rp) (gy lp rp)))
+        match (operand x, operand y) with
+        | Some (x, x_left), Some (y, y_left) -> Some { op; x; x_left; y; y_left }
         | _ -> None)
     | _ -> None
   in
-  let rec all = function
-    | [] -> Some []
-    | e :: rest -> (
-        match (conj_test e, all rest) with
-        | Some t, Some ts -> Some (t :: ts)
-        | _ -> None)
-  in
-  match all (Expr.conjuncts p) with
-  | Some [ t ] -> Some t
-  | Some ts -> Some (fun lp rp -> List.for_all (fun t -> t lp rp) ts)
-  | None -> None
+  let tests = List.map conj (Expr.conjuncts p) in
+  if List.for_all Option.is_some tests then
+    Some (Array.of_list (List.map Option.get tests))
+  else None
 
-(* Counting sort of [n] rows by dense group id ([gid_of i] in
-   [\[0, ngid)], or negative to leave row [i] out): group [g]'s rows are
-   [bucket.(offsets.(g)) .. bucket.(offsets.(g+1) - 1)], as [row_of i], in
-   input order.  The arrays come from [get]. *)
-let buckets ~get ~ngid ~n ~gid_of ~row_of : int array * int array =
+(* the pair (lp, rp) passes every fused conjunct: one loop, no closure *)
+let fused_pass (tests : fused_cmp array) (lp : int) (rp : int) : bool =
+  let k = Array.length tests in
+  let j = ref 0 in
+  while
+    !j < k
+    &&
+    let t = tests.(!j) in
+    Veval.int_cmp t.op
+      t.x.(if t.x_left then lp else rp)
+      t.y.(if t.y_left then lp else rp)
+  do
+    incr j
+  done;
+  !j = k
+
+(* how a join tests its candidate pairs *)
+type residual_test =
+  | Pass_all  (** no residual *)
+  | Fused of fused_cmp array  (** inline, per candidate *)
+  | Blocked of Expr.t * int list
+      (** [Veval.filter] over blocks of candidates, gathering only the
+          listed columns *)
+
+(* At most this many candidates wait for a [Blocked] residual: a join's
+   working memory is bounded by the block, not by its candidate count.
+   The block starts at the join's size hint and doubles up to this. *)
+let block_pairs = 65_536
+
+(* The candidate pairs of a join, in emission order, and their
+   survivors.  Survivors are recorded only when a consumer reads some
+   output column; otherwise only their count is kept. *)
+type pairs = {
+  out_schema : Schema.t;
+  lb : Batch.t;
+  rb : Batch.t;
+  test : residual_test;
+  mutable bl : int array;  (** the waiting block ([Blocked] only) *)
+  mutable br : int array;
+  mutable nb : int;
+  wanted : bool array;  (** output columns to gather *)
+  record : bool;
+  lout : Ibuf.t;
+  rout : Ibuf.t;
+  mutable candidates : int;
+  mutable passed : int;
+}
+
+(* [cap]: the expected number of survivors; [block]: of candidates *)
+let pairs_create ?need ~cap ~block out_schema (lb : Batch.t) (rb : Batch.t)
+    (residual : Expr.t option) : pairs =
+  let la = Array.length lb.Batch.cols and ra = Array.length rb.Batch.cols in
+  let test =
+    match residual with
+    | None -> Pass_all
+    | Some p -> (
+        match fused_residual la lb rb p with
+        | Some t -> Fused t
+        | None -> Blocked (p, List.sort_uniq Int.compare (Expr.cols p)))
+  in
+  let wanted =
+    match need with
+    | None -> Array.make (la + ra) true
+    | Some js ->
+        let w = Array.make (la + ra) false in
+        List.iter (fun j -> w.(j) <- true) js;
+        w
+  in
+  let record = Array.exists Fun.id wanted in
+  let block () =
+    match test with
+    | Blocked _ -> Scratch.get (max 1 (min block block_pairs))
+    | _ -> [||]
+  in
+  let bl = block () in
+  let br = block () in
+  {
+    out_schema;
+    lb;
+    rb;
+    test;
+    bl;
+    br;
+    nb = 0;
+    wanted;
+    record;
+    lout = Ibuf.create ~cap:(if record then cap else 1) ();
+    rout = Ibuf.create ~cap:(if record then cap else 1) ();
+    candidates = 0;
+    passed = 0;
+  }
+
+let survive (s : pairs) (lp : int) (rp : int) : unit =
+  s.passed <- s.passed + 1;
+  if s.record then begin
+    Ibuf.push s.lout lp;
+    Ibuf.push s.rout rp
+  end
+
+(* test the waiting block: gather the residual's columns for it, filter,
+   and pass the survivors on in order *)
+let flush (s : pairs) : unit =
+  match s.test with
+  | Blocked (p, needed) when s.nb > 0 ->
+      let la = Array.length s.lb.Batch.cols in
+      let cols =
+        Array.make (la + Array.length s.rb.Batch.cols) placeholder
+      in
+      List.iter
+        (fun j ->
+          cols.(j) <-
+            (if j < la then Batch.gather_col ~len:s.nb s.lb.Batch.cols.(j) s.bl
+             else Batch.gather_col ~len:s.nb s.rb.Batch.cols.(j - la) s.br))
+        needed;
+      let sel = Veval.filter (Batch.of_cols s.out_schema s.nb cols) p in
+      for k = 0 to Array.length sel - 1 do
+        survive s s.bl.(sel.(k)) s.br.(sel.(k))
+      done;
+      s.nb <- 0
+  | _ -> ()
+
+(* one candidate pair, by physical rows *)
+let offer (s : pairs) (lp : int) (rp : int) : unit =
+  s.candidates <- s.candidates + 1;
+  match s.test with
+  | Pass_all -> survive s lp rp
+  | Fused t -> if fused_pass t lp rp then survive s lp rp
+  | Blocked _ ->
+      if s.nb = Array.length s.bl then begin
+        let grow a =
+          let a' = Scratch.get (min block_pairs (2 * s.nb)) in
+          Array.blit a 0 a' 0 s.nb;
+          Scratch.release a;
+          a'
+        in
+        s.bl <- grow s.bl;
+        s.br <- grow s.br
+      end;
+      s.bl.(s.nb) <- lp;
+      s.br.(s.nb) <- rp;
+      s.nb <- s.nb + 1;
+      if s.nb >= block_pairs then flush s
+
+(* the joined output: the wanted columns gathered at the survivors, the
+   rest {!placeholder}s *)
+let pairs_finish (s : pairs) : Batch.t =
+  flush s;
+  let la = Array.length s.lb.Batch.cols in
+  let lp = Ibuf.data s.lout and rp = Ibuf.data s.rout and n = s.passed in
+  let cols =
+    Array.mapi
+      (fun j wanted ->
+        if not wanted then placeholder
+        else if j < la then Batch.gather_col ~len:n s.lb.Batch.cols.(j) lp
+        else Batch.gather_col ~len:n s.rb.Batch.cols.(j - la) rp)
+      s.wanted
+  in
+  Ibuf.release s.lout;
+  Ibuf.release s.rout;
+  Scratch.release s.bl;
+  Scratch.release s.br;
+  Batch.of_cols s.out_schema n cols
+
+(* Counting sort of [n] items by dense group id ([gids.(i)] in
+   [\[0, ngid)], or negative to leave item [i] out): group [g]'s items
+   are [bucket.(offsets.(g)) .. bucket.(offsets.(g+1) - 1)], as
+   [rows.(i)] (as [i] itself without [rows]), in input order.  The
+   arrays come from [get]. *)
+let buckets ~get ~ngid ~n (gids : int array) (rows : int array option) :
+    int array * int array =
   let counts = get (max ngid 1) in
   Array.fill counts 0 (max ngid 1) 0;
   for i = 0 to n - 1 do
-    let g = gid_of i in
+    let g = gids.(i) in
     if g >= 0 then counts.(g) <- counts.(g) + 1
   done;
   let offsets = get (ngid + 1) in
@@ -248,9 +366,9 @@ let buckets ~get ~ngid ~n ~gid_of ~row_of : int array * int array =
   let fill = get (max ngid 1) in
   Array.blit offsets 0 fill 0 ngid;
   for i = 0 to n - 1 do
-    let g = gid_of i in
+    let g = gids.(i) in
     if g >= 0 then begin
-      bucket.(fill.(g)) <- row_of i;
+      bucket.(fill.(g)) <- (match rows with Some r -> r.(i) | None -> i);
       fill.(g) <- fill.(g) + 1
     end
   done;
@@ -266,47 +384,32 @@ let hash_join ?need sp keys residual (lb : Batch.t) (rb : Batch.t) : Batch.t =
     Array.of_list (List.map (fun j -> rb.Batch.cols.(j)) rkeys)
   in
   let nr = Batch.length rb and nl = Batch.length lb in
-  let la = Array.length lb.Batch.cols in
-  let fused =
-    match residual with
-    | Some p -> fused_residual la lb rb p
-    | None -> None
-  in
   (* left key columns that provably hold no NULLs need no per-row check *)
   let nullable_lkeys =
     Array.of_list
-      (List.filter
+      (List.filter_map
          (fun i ->
            let c = lb.Batch.cols.(i) in
-           c.Batch.nulls <> None
-           || match c.Batch.data with Batch.Boxed _ -> true | _ -> false)
+           if
+             c.Batch.nulls <> None
+             || match c.Batch.data with Batch.Boxed _ -> true | _ -> false
+           then Some c
+           else None)
          lkeys)
   in
-  let nnullable = Array.length nullable_lkeys in
   let lkey_has_null pi =
-    nnullable > 0
-    &&
-    let rec any j =
-      j < nnullable
-      && (Batch.is_null_at lb.Batch.cols.(nullable_lkeys.(j)) pi
-         || any (j + 1))
-    in
-    any 0
+    let j = ref 0 in
+    while
+      !j < Array.length nullable_lkeys
+      && not (Batch.is_null_at nullable_lkeys.(!j) pi)
+    do
+      incr j
+    done;
+    !j < Array.length nullable_lkeys
   in
-  let lpairs = Ibuf.create ~cap:(max nl 1) () in
-  let rpairs = Ibuf.create ~cap:(max nl 1) () in
-  let candidates = ref 0 in
-  let emit pi rp =
-    incr candidates;
-    match fused with
-    | Some test ->
-        if test pi rp then begin
-          Ibuf.push lpairs pi;
-          Ibuf.push rpairs rp
-        end
-    | None ->
-        Ibuf.push lpairs pi;
-        Ibuf.push rpairs rp
+  let pairs =
+    pairs_create ?need ~cap:(max nl 1) ~block:(max nl nr) out_schema lb rb
+      residual
   in
   (* Build the keyset on the smaller input; either way the pairs come out
      left-major (left order, and right order within a left row), exactly
@@ -333,8 +436,7 @@ let hash_join ?need sp keys residual (lb : Batch.t) (rb : Batch.t) : Batch.t =
       rg.(ri) <- Key.lookup key ~src:1 ~row:(Batch.phys rb ri)
     done;
     let offsets, bucket =
-      buckets ~get ~ngid:(Key.count key) ~n:nr ~gid_of:(Array.get rg)
-        ~row_of:(Batch.phys rb)
+      buckets ~get ~ngid:(Key.count key) ~n:nr rg rb.Batch.sel
     in
     Key.release key;
     for li = 0 to nl - 1 do
@@ -342,7 +444,7 @@ let hash_join ?need sp keys residual (lb : Batch.t) (rb : Batch.t) : Batch.t =
       if g >= 0 then begin
         let pi = Batch.phys lb li in
         for k = offsets.(g) to offsets.(g + 1) - 1 do
-          emit pi bucket.(k)
+          offer pairs pi bucket.(k)
         done
       end
     done
@@ -357,58 +459,42 @@ let hash_join ?need sp keys residual (lb : Batch.t) (rb : Batch.t) : Batch.t =
       rgids.(ri) <- Key.intern key ~src:0 ~row:(Batch.phys rb ri)
     done;
     let ngid = Key.count key in
-    let offsets, bucket =
-      buckets ~get ~ngid ~n:nr ~gid_of:(Array.get rgids) ~row_of:Fun.id
-    in
+    let offsets, bucket = buckets ~get ~ngid ~n:nr rgids rb.Batch.sel in
     for li = 0 to nl - 1 do
       let pi = Batch.phys lb li in
       if not (lkey_has_null pi) then begin
         let g = Key.lookup key ~src:1 ~row:pi in
         if g >= 0 && g < ngid then
           for k = offsets.(g) to offsets.(g + 1) - 1 do
-            emit pi (Batch.phys rb bucket.(k))
+            offer pairs pi bucket.(k)
           done
       end
     done;
     Key.release key
   end;
-  let npairs = Ibuf.length lpairs in
-  let result, passed =
-    pair_result ?need out_schema lb rb (Ibuf.data lpairs) (Ibuf.data rpairs)
-      npairs
-      (if Option.is_none fused then residual else None)
-  in
-  Ibuf.release lpairs;
-  Ibuf.release rpairs;
-  Trace.set_int sp "candidates" !candidates;
+  let result = pairs_finish pairs in
+  Trace.set_int sp "candidates" pairs.candidates;
   Trace.set_bool sp "residual" (residual <> None);
-  Trace.set_int sp "residual_passed"
-    (if Option.is_none fused then passed else npairs);
+  Trace.set_int sp "residual_passed" pairs.passed;
   result
 
-
+(* Every (left, right) pair in left-major order is a candidate; a
+   residual that does not fuse is tested one block of candidates at a
+   time, so memory stays bounded whatever [nl · nr] is. *)
 let nested_loop_join ?need (pred : Expr.t) (lb : Batch.t) (rb : Batch.t) :
     Batch.t =
   let out_schema = Schema.concat (Batch.schema lb) (Batch.schema rb) in
   let nl = Batch.length lb and nr = Batch.length rb in
-  let npairs = nl * nr in
-  let lphys = Scratch.get (max npairs 1) in
-  let rphys = Scratch.get (max npairs 1) in
-  let k = ref 0 in
+  let pairs =
+    pairs_create ?need ~cap:16 ~block:(nl * nr) out_schema lb rb (Some pred)
+  in
   for li = 0 to nl - 1 do
     let pi = Batch.phys lb li in
     for ri = 0 to nr - 1 do
-      lphys.(!k) <- pi;
-      rphys.(!k) <- Batch.phys rb ri;
-      incr k
+      offer pairs pi (Batch.phys rb ri)
     done
   done;
-  let result =
-    fst (pair_result ?need out_schema lb rb lphys rphys npairs (Some pred))
-  in
-  Scratch.release lphys;
-  Scratch.release rphys;
-  result
+  pairs_finish pairs
 
 let join ?need sp pred (lb : Batch.t) (rb : Batch.t) : Batch.t =
   match Expr.equi_keys ~left_arity:(Schema.arity (Batch.schema lb)) pred with
@@ -453,7 +539,8 @@ let aggregate (group : Algebra.proj list) (aggs : Algebra.agg_spec list)
         Option.map (Veval.eval b) (Agg.input_expr spec.func))
       agg_arr
   in
-  let key = Key.create ~hint:n [| gcols |] in
+  (* without GROUP BY there is one group, however many rows *)
+  let key = Key.create ~hint:(if group = [] then 1 else n) [| gcols |] in
   let accs = accs_create () in
   let reps = Ibuf.create () in
   for i = 0 to n - 1 do
@@ -575,11 +662,11 @@ let group_order ~get ~ids ~ng ~n (gid : int array) (tm : int array) :
   end
   else begin
     let ord = Isort.perm_prefix tm n in
-    let off, out =
-      buckets ~get ~ngid:ng ~n
-        ~gid_of:(fun k -> gid.(ord.(k)))
-        ~row_of:(Array.get ord)
-    in
+    let gord = get (max n 1) in
+    for k = 0 to n - 1 do
+      gord.(k) <- gid.(ord.(k))
+    done;
+    let off, out = buckets ~get ~ngid:ng ~n gord (Some ord) in
     if not ids then
       for k = 0 to n - 1 do
         out.(k) <- tm.(out.(k))
@@ -608,8 +695,10 @@ let dedup_groups ~ng (off : int array) (pts : int array) : unit =
     segments with the count as duplicate rows — same segments, same
     emission order as [Ops.coalesce].  Begins and ends are ordered for
     the whole batch by two {!group_order}s; the sweep merges each
-    group's two slices. *)
-let coalesce sp (b : Batch.t) : Batch.t =
+    group's two slices.  [lap] is called with each phase's name as it
+    ends: [intern] (group ids and sizes), [sort_begins], [sort_ends],
+    [sweep] (both passes) and [gather]. *)
+let coalesce ?(lap = ignore) sp (b : Batch.t) : Batch.t =
   let n = Batch.length b in
   let k = Array.length b.Batch.cols in
   let pb, pe = Batch.period_arrays b in
@@ -642,10 +731,13 @@ let coalesce sp (b : Batch.t) : Batch.t =
       incr m
     end
   done;
+  lap "intern";
   (* a group's begins and its ends have the same count, so one [off]
      slices both *)
   let off, bs = group_order ~get ~ids:false ~ng ~n:!m gids tb in
+  lap "sort_begins";
   let _, es = group_order ~get ~ids:false ~ng ~n:!m gids te in
+  lap "sort_ends";
   (* Per group, events are +1 at begins and -1 at ends, one time point
      at a time; a maximal segment closes where the count of open
      intervals changes and is emitted as [emit row b e count]. *)
@@ -699,6 +791,7 @@ let coalesce sp (b : Batch.t) : Batch.t =
         oe.(k) <- e
       done;
       w := !w + count);
+  lap "sweep";
   Key.release key;
   Trace.set_int sp "groups" ng;
   Trace.set_int sp "endpoints" (2 * n);
@@ -711,6 +804,7 @@ let coalesce sp (b : Batch.t) : Batch.t =
         { Batch.data = Batch.Ints oe; nulls = None };
       |]
   in
+  lap "gather";
   Batch.of_cols (Batch.schema b) nout cols
 
 (* The endpoint table of N_G(L, R) and of its mirror N_G(R, L): every

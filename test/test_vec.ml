@@ -72,6 +72,62 @@ let test_roundtrip () =
   check "columnar is built once per table value" true
     (Table.columnar tbl == Table.columnar tbl)
 
+(* [Batch.gather_col] = the [Array.init] reference over every column
+   variant, with and without a validity mask, for the whole index array
+   and for a [~len] prefix of a longer scratch array; a [~len] beyond the
+   index array is rejected *)
+let test_typed_gathers () =
+  let n = 7 in
+  let mask = Some (Array.init n (fun i -> i mod 3 = 1)) in
+  let variants =
+    [
+      ("ints", Batch.Ints (Array.init n (fun i -> (i * 37) - 100)));
+      ("floats", Batch.Floats [| 1.5; -0.0; nan; 0.0; infinity; -2.25; 1e300 |]);
+      ("bools", Batch.Bools (Array.init n (fun i -> i land 1 = 0)));
+      ("strs", Batch.Strs (Array.init n (fun i -> String.make i 'x')));
+      ( "boxed",
+        Batch.Boxed
+          (Array.init n (fun i ->
+               if i mod 2 = 0 then Value.Int i else Value.Str (string_of_int i))) );
+    ]
+  in
+  (* a scratch buffer: 5 live indices (repeats, reversed) then junk *)
+  let idx = [| 6; 0; 3; 3; 1; 99; -4; 12 |] in
+  let reference (c : Batch.col) len =
+    Array.init len (fun k -> Batch.value c idx.(k))
+  in
+  let values (c : Batch.col) len = Array.init len (Batch.value c) in
+  let same a b =
+    Array.length a = Array.length b
+    && Array.for_all2 (fun x y -> Value.compare x y = 0) a b
+  in
+  List.iter
+    (fun (name, data) ->
+      List.iter
+        (fun (mname, nulls) ->
+          let c = { Batch.data; nulls } in
+          let g = Batch.gather_col ~len:5 c idx in
+          let label what = Printf.sprintf "gather_col %s %s: %s" name mname what in
+          check (label "~len prefix = Array.init") true
+            (same (values g 5) (reference c 5));
+          check (label "keeps the variant and the mask") true
+            (Batch.(match (g.data, data) with
+              | Ints _, Ints _ | Floats _, Floats _ | Bools _, Bools _
+              | Strs _, Strs _ | Boxed _, Boxed _ -> true
+              | _ -> false)
+            && Option.is_some g.nulls = Option.is_some nulls);
+          let whole = [| 2; 5; 0 |] in
+          check (label "whole index array") true
+            (same
+               (values (Batch.gather_col c whole) 3)
+               (Array.map (Batch.value c) whole));
+          check (label "~len beyond the index array is rejected") true
+            (match Batch.gather_col ~len:4 c whole with
+            | _ -> false
+            | exception Invalid_argument _ -> true))
+        [ ("no mask", None); ("masked", mask) ])
+    variants
+
 let test_selection_edges () =
   let tbl = Table.of_array mixed_schema mixed_rows in
   let b = Table.columnar tbl in
@@ -92,7 +148,8 @@ let test_selection_edges () =
   check "compact preserves the logical rows" true
     (byte_identical
        (Table.of_batch reordered)
-       (Table.of_batch (Batch.compact reordered)))
+       (Table.of_batch (Batch.compact reordered)));
+  test_typed_gathers ()
 
 let test_empty_batch () =
   let tbl = Table.of_array mixed_schema [||] in
@@ -137,6 +194,93 @@ let test_op_project () =
             ],
             works )))
 
+(* The flat overlap test: a residual of int-column comparisons compiles
+   to [Vexec.fused_cmp]s, and [Vexec.fused_pass] on a pair equals
+   [Veval.filter] on the materialized pair, for all six operators with
+   operands from either input in both positions (and a conjunction of
+   two).  A nullable operand does not compile. *)
+let test_fused_residual () =
+  let ints a = { Batch.data = Batch.Ints a; nulls = None } in
+  let s2 =
+    Schema.make [ Schema.attr "p" Value.TInt; Schema.attr "q" Value.TInt ]
+  in
+  let lb =
+    Batch.of_cols s2 5 [| ints [| 0; 3; 3; 7; -2 |]; ints [| 4; 4; 1; 9; 0 |] |]
+  in
+  let rb = Batch.of_cols s2 4 [| ints [| 3; 8; -2; 4 |]; ints [| 0; 3; 7; 7 |] |] in
+  let out_schema = Schema.concat s2 s2 in
+  (* every (left, right) pair, left-major *)
+  let np = 5 * 4 in
+  let lp = Array.init np (fun k -> k / 4) and rp = Array.init np (fun k -> k mod 4) in
+  let pview =
+    Batch.of_cols out_schema np
+      (Array.append
+         (Array.map (fun c -> Batch.gather_col c lp) lb.Batch.cols)
+         (Array.map (fun c -> Batch.gather_col c rp) rb.Batch.cols))
+  in
+  let agree name p =
+    match Vexec.fused_residual 2 lb rb p with
+    | None -> Alcotest.failf "%s: did not compile" name
+    | Some t ->
+        let flat =
+          List.filter (fun k -> Vexec.fused_pass t lp.(k) rp.(k)) (List.init np Fun.id)
+        in
+        check (name ^ ": flat test = Veval.filter") true
+          (Array.of_list flat = Veval.filter pview p)
+  in
+  let ops =
+    [ ("=", Expr.Eq); ("<>", Expr.Ne); ("<", Expr.Lt); ("<=", Expr.Le);
+      (">", Expr.Gt); (">=", Expr.Ge) ]
+  in
+  (* left columns 0, 1; right columns 2, 3 *)
+  let positions = [ ("l.l", 0, 1); ("l.r", 0, 2); ("r.l", 3, 1); ("r.r", 2, 3) ] in
+  List.iter
+    (fun (oname, op) ->
+      List.iter
+        (fun (pname, x, y) ->
+          agree (Printf.sprintf "%s %s" pname oname) (Expr.Cmp (op, col x, col y)))
+        positions)
+    ops;
+  agree "overlap b1 < e2 AND b2 < e1"
+    (Expr.And (Expr.Cmp (Expr.Lt, col 0, col 3), Expr.Cmp (Expr.Lt, col 2, col 1)));
+  let nullable =
+    { Batch.data = Batch.Ints [| 1; 2; 3; 4 |]; nulls = Some [| false; true; false; false |] }
+  in
+  let rb' = Batch.of_cols s2 4 [| nullable; ints [| 0; 3; 7; 7 |] |] in
+  check "a nullable operand does not fuse" true
+    (Vexec.fused_residual 2 lb rb' (Expr.Cmp (Expr.Lt, col 0, col 2)) = None)
+
+(* A nested loop over more candidates than one residual block holds
+   (300 x 300 > 65,536), with a three-valued residual over NULL-bearing
+   columns that cannot fuse: the blocks reassemble the oracle's rows in
+   the oracle's order *)
+let test_blocked_nested_loop () =
+  let s =
+    Schema.make [ Schema.attr "k" Value.TInt; Schema.attr "v" Value.TInt ]
+  in
+  let rows =
+    List.init 300 (fun i ->
+        Tuple.make
+          [ (if i mod 7 = 0 then Value.Null else Value.Int (i mod 13));
+            (if i mod 11 = 0 then Value.Null else Value.Int ((i * 7) mod 50)) ])
+  in
+  let db = Database.create ~tmin:0 ~tmax:24 () in
+  Database.add_table db "t" (Table.make s rows);
+  let t = Algebra.Rel "t" in
+  check "blocked nested loop, three-valued residual: vec = row" true
+    (differential db
+       (Algebra.Join
+          ( Expr.Or
+              ( Expr.Cmp (Expr.Lt, col 1, col 3),
+                Expr.Cmp (Expr.Eq, col 0, Expr.Const (Value.Int 5)) ),
+            t, t )));
+  check "blocked nested loop, count only: vec = row" true
+    (differential db
+       (Algebra.Agg
+          ( [],
+            [ { Algebra.func = Agg.Count_star; agg_name = "n" } ],
+            Algebra.Join (Expr.Cmp (Expr.Le, col 1, col 3), t, t) )))
+
 let test_op_join () =
   let db = fig1_db () in
   (* equi-join on skill with interval-overlap residual: the hash path *)
@@ -152,7 +296,9 @@ let test_op_join () =
   (* no equi key: the nested-loop path *)
   let lt = Expr.Cmp (Expr.Lt, col 2, Expr.Col 6) in
   check "nested-loop join: vec = row" true
-    (differential db (Algebra.Join (lt, works, assign)))
+    (differential db (Algebra.Join (lt, works, assign)));
+  test_fused_residual ();
+  test_blocked_nested_loop ()
 
 let test_op_union_diff () =
   let db = fig1_db () in
@@ -276,7 +422,25 @@ let test_null_heavy () =
        (Algebra.Distinct (Algebra.Project ([ Algebra.proj (col 0) "k" ], t))));
   check "except all with NULLs (vec = row)" true
     (differential db
-       (Algebra.Diff (t, Algebra.Select (Expr.Is_null (col 0), t))))
+       (Algebra.Diff (t, Algebra.Select (Expr.Is_null (col 0), t))));
+  (* the typed int kernels over NULL masks on one side, both, or none *)
+  let projs =
+    List.mapi
+      (fun i e -> Algebra.proj e (Printf.sprintf "x%d" i))
+      [
+        Expr.Greatest (col 0, col 1); Expr.Least (col 0, col 1);
+        Expr.Greatest (col 2, col 0); Expr.Least (col 1, col 3);
+        Expr.Greatest (col 2, col 3); Expr.Least (col 3, col 2);
+        Expr.Binop (Expr.Add, col 0, col 1); Expr.Binop (Expr.Sub, col 2, col 1);
+        Expr.Binop (Expr.Mul, col 0, col 3); Expr.Binop (Expr.Div, col 3, col 0);
+        Expr.Binop (Expr.Mod, col 3, col 1); Expr.Neg (col 1);
+        Expr.Cmp (Expr.Le, col 0, col 1); Expr.Cmp (Expr.Gt, col 2, col 1);
+        Expr.Cmp (Expr.Ne, col 2, col 3);
+      ]
+  in
+  check "GREATEST/LEAST, int arithmetic and comparisons over NULLs (vec = row)"
+    true
+    (differential db (Algebra.Project (projs, t)))
 
 (* ---- qcheck: random plans are byte-identical, row vs vec ---- *)
 
@@ -580,12 +744,68 @@ let test_alloc_guard () =
     Alcotest.failf "warm agg-1 AS OF 2000 allocated %.0f words directly in \
                     the major heap (bound 10000)" direct
 
-(* The temporal sweeps allocate nothing per group: a warm execution of
-   SEQ VT agg-1 (split_agg) and diff-2 (EXCEPT ALL's mirrored splits)
-   stays within 1.25x of the minor-heap words measured when the sweeps
-   became one sort and one pass (537,471 and 399,516 words; 1,119,582
-   and 1,055,363 before).  Allocation counts repeat exactly from run to
-   run, so the bound is deterministic. *)
+(* An all-int keyset interns and looks up without allocating: the
+   probes are plain loops with no closure and no result tuple (these
+   8,192 calls took 123,072 minor words before). *)
+let test_key_alloc () =
+  let n = 4096 in
+  let c j =
+    {
+      Batch.data = Batch.Ints (Array.init n (fun i -> i * (j + 3) mod 1000));
+      nulls = None;
+    }
+  in
+  let cols = [| c 0; c 1 |] in
+  let key = Tkr_vec.Key.create ~hint:n [| cols; cols |] in
+  let w0 = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    ignore (Tkr_vec.Key.intern key ~src:0 ~row:i)
+  done;
+  for i = 0 to n - 1 do
+    ignore (Tkr_vec.Key.lookup key ~src:1 ~row:i)
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Tkr_vec.Key.release key;
+  (* a few words of slack for the float the counter itself returns *)
+  if words > 16. then
+    Alcotest.failf "%d all-int interns and lookups allocated %.0f minor words"
+      (2 * n) words
+
+(* A nested loop over about 2M candidate pairs that only counts its
+   survivors allocates almost nothing directly in the major heap: the
+   fused residual tests each pair in place, and no pair index is kept
+   when no output column is read (the candidate and gathered arrays took
+   23.7M words before). *)
+let test_nested_loop_alloc () =
+  let s = Schema.make [ Schema.attr "x" Value.TInt ] in
+  let db = Database.create ~tmin:0 ~tmax:24 () in
+  Database.add_table db "t"
+    (Table.make s
+       (List.init 1415 (fun i -> Tuple.make [ Value.Int (i * 7919 mod 1000) ])));
+  let t = Algebra.Rel "t" in
+  let q =
+    Algebra.Agg
+      ( [],
+        [ { Algebra.func = Agg.Count_star; agg_name = "n" } ],
+        Algebra.Join (Expr.Cmp (Expr.Lt, col 0, col 1), t, t) )
+  in
+  ignore (Vexec.eval db q);
+  let _, promoted0, major0 = Gc.counters () in
+  ignore (Vexec.eval db q);
+  let _, promoted1, major1 = Gc.counters () in
+  let direct = major1 -. major0 -. (promoted1 -. promoted0) in
+  if direct > 10_000. then
+    Alcotest.failf "a 2M-pair nested loop allocated %.0f words directly in the \
+                    major heap (bound 10000)" direct
+
+(* The temporal sweeps allocate nothing per group and the join nothing
+   per candidate: a warm execution of SEQ VT agg-1 (split_agg), diff-2
+   (EXCEPT ALL's mirrored splits) and join-1 (hash join with the overlap
+   residual) stays within 1.25x of the minor-heap words measured once
+   gathers, keyset probes and the residual test became closure-free
+   loops (166,041, 143,223 and 166,199 words; 537,471, 399,516 and
+   408,157 before).  Allocation counts repeat exactly from run to run,
+   so the bound is deterministic. *)
 let test_sweep_alloc_guard () =
   let m = M.create ~engine:M.Vec ~db:(Lazy.force bench_db) () in
   List.iter
@@ -600,7 +820,7 @@ let test_sweep_alloc_guard () =
       if words > bound then
         Alcotest.failf "warm SEQ VT %s allocated %.0f minor words (bound %.0f)"
           name words bound)
-    [ ("agg-1", 671_839.); ("diff-2", 499_395.) ]
+    [ ("agg-1", 207_551.); ("diff-2", 179_029.); ("join-1", 207_749.) ]
 
 let suite =
   ( "vectorized engine (Tkr_vec)",
@@ -631,4 +851,8 @@ let suite =
         test_alloc_guard;
       Alcotest.test_case "warm SEQ VT sweeps: minor-heap words" `Quick
         test_sweep_alloc_guard;
+      Alcotest.test_case "keyset: all-int intern/lookup allocate nothing" `Quick
+        test_key_alloc;
+      Alcotest.test_case "nested loop: direct major allocation" `Quick
+        test_nested_loop_alloc;
     ] )
