@@ -38,3 +38,25 @@ DELETE FROM works FOR PORTION OF vt FROM 5 TO 12 WHERE skill = 'SP';
 SEQ VT AS OF 9 (SELECT name, skill FROM works);
 SEQ VT AS OF 4 (SELECT count(*) AS headcount FROM works);
 SELECT name, b, e FROM works WHERE b < 16 AND e > 8;
+
+-- DML installs a successor that derives its columnar image and index
+-- from the value the reads above built: the rows it keeps are renamed
+-- in one pass over the old sweep order, and only the new rows are
+-- sorted in.  An UPDATE over part of a period splits each matching row
+-- into the part before, the changed overlap and the part after
+UPDATE works FOR PORTION OF vt FROM 9 TO 14 SET skill = 'MG' WHERE name = 'Joe';
+SEQ VT AS OF 9 (SELECT name, skill FROM works);
+SEQ VT AS OF 14 (SELECT name, skill FROM works);
+
+-- two writes back to back, read once: the second successor composes
+-- its row map with the first's and derives from the same built images
+INSERT INTO works VALUES ('Kim', 'SP', 6, 19), ('Lou', 'NS', 0, 9);
+DELETE FROM works WHERE name = 'Ann' AND b >= 18;
+SEQ VT AS OF 8 (SELECT name, skill FROM works);
+SEQ VT AS OF 18 (SELECT count(*) AS headcount FROM works);
+
+-- a NULL data value goes to the derived image's validity mask
+INSERT INTO works VALUES ('Max', NULL, 2, 11);
+SEQ VT AS OF 10 (SELECT name, skill FROM works);
+SEQ VT AS OF 10 (SELECT skill, count(*) AS c FROM works GROUP BY skill);
+SELECT name, b, e FROM works WHERE b < 12 AND e > 10;

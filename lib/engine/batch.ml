@@ -16,7 +16,8 @@
     order.  Filters narrow the selection instead of materializing; payload
     columns are only gathered when an operator needs dense data
     ({!compact}) or at the row boundary ({!to_rows}).  A stored table's
-    columnar image is built once per table value ({!Table.columnar}). *)
+    columnar image is made once per table value ({!Table.columnar}):
+    built from the rows, or derived from its predecessor's ({!derive}). *)
 
 open Tkr_relation
 
@@ -224,6 +225,184 @@ let of_rows (schema : Schema.t) (rows : Tuple.t array) : t =
   let cols =
     Array.init (Schema.arity schema) (fun j ->
         col_of_values (Schema.ty schema j) n (fun i -> Tuple.get rows.(i) j))
+  in
+  { schema; nrows = n; cols; sel = None }
+
+(* ---- successor images ---- *)
+
+(* The kept cells of a successor column of [prefix + Array.length src]
+   cells: the cells below [prefix + skip] are [a]'s in place, copied in
+   bulk; cell [prefix + k] is [a.(src.(k))] where [src.(k) >= 0], and
+   fresh cells ([src.(k) < 0]) are left for the caller to fill.  One
+   monomorphic loop per element type, as in the gathers above. *)
+let kept_ints (a : int array) ~prefix ~skip (src : int array) : int array =
+  let n = prefix + Array.length src and m = Array.length a in
+  let out = if n <= m then Array.sub a 0 n else Array.append a (Array.make (n - m) 0) in
+  for k = skip to Array.length src - 1 do
+    let s = src.(k) in
+    if s >= 0 then out.(prefix + k) <- a.(s)
+  done;
+  out
+
+let kept_floats (a : float array) ~prefix ~skip (src : int array) : float array =
+  let n = prefix + Array.length src and m = Array.length a in
+  let out =
+    if n <= m then Array.sub a 0 n else Array.append a (Array.make (n - m) 0.0)
+  in
+  for k = skip to Array.length src - 1 do
+    let s = src.(k) in
+    if s >= 0 then out.(prefix + k) <- a.(s)
+  done;
+  out
+
+let kept_bools (a : bool array) ~prefix ~skip (src : int array) : bool array =
+  let n = prefix + Array.length src and m = Array.length a in
+  let out =
+    if n <= m then Array.sub a 0 n else Array.append a (Array.make (n - m) false)
+  in
+  for k = skip to Array.length src - 1 do
+    let s = src.(k) in
+    if s >= 0 then out.(prefix + k) <- a.(s)
+  done;
+  out
+
+let kept_strs (a : string array) ~prefix ~skip (src : int array) : string array =
+  let n = prefix + Array.length src and m = Array.length a in
+  let out = if n <= m then Array.sub a 0 n else Array.append a (Array.make (n - m) "") in
+  for k = skip to Array.length src - 1 do
+    let s = src.(k) in
+    if s >= 0 then out.(prefix + k) <- a.(s)
+  done;
+  out
+
+(** The fresh rows of a successor's row map (see {!derive}): the rows
+    [prefix + k] with [src.(k) < 0], ascending. *)
+let fresh_rows ~prefix (src : int array) : int array =
+  let k = ref 0 in
+  for j = 0 to Array.length src - 1 do
+    if src.(j) < 0 then incr k
+  done;
+  let f = Array.make !k 0 in
+  k := 0;
+  for j = 0 to Array.length src - 1 do
+    if src.(j) < 0 then begin
+      f.(!k) <- prefix + j;
+      incr k
+    end
+  done;
+  f
+
+(* One successor column: the kept cells of [c], then the fresh rows'
+   values; [None] when [c] is boxed or a fresh value does not fit it. *)
+let derive_col (c : col) ~prefix ~skip ~(src : int array) ~(fresh : int array)
+    (rows : Tuple.t array) (j : int) : col option =
+  let n = prefix + Array.length src in
+  let exception Mismatch in
+  let mask =
+    ref (Option.map (fun m -> kept_bools m ~prefix ~skip src) c.nulls)
+  in
+  (* a fresh cell: [true] when it holds NULL (its data keeps the
+     default, as {!col_of_values} leaves it) *)
+  let fresh_null i =
+    let null = Value.is_null (Tuple.get rows.(i) j) in
+    (match !mask with
+    | Some m -> m.(i) <- null
+    | None ->
+        if null then begin
+          let m = Array.make n false in
+          m.(i) <- true;
+          mask := Some m
+        end);
+    null
+  in
+  try
+    let data =
+      match c.data with
+      | Ints a ->
+          let out = kept_ints a ~prefix ~skip src in
+          Array.iter
+            (fun i ->
+              if fresh_null i then out.(i) <- 0
+              else
+                match Tuple.get rows.(i) j with
+                | Value.Int v -> out.(i) <- v
+                | _ -> raise Mismatch)
+            fresh;
+          Ints out
+      | Floats a ->
+          let out = kept_floats a ~prefix ~skip src in
+          Array.iter
+            (fun i ->
+              if fresh_null i then out.(i) <- 0.0
+              else
+                match Tuple.get rows.(i) j with
+                | Value.Float v -> out.(i) <- v
+                | _ -> raise Mismatch)
+            fresh;
+          Floats out
+      | Bools a ->
+          let out = kept_bools a ~prefix ~skip src in
+          Array.iter
+            (fun i ->
+              if fresh_null i then out.(i) <- false
+              else
+                match Tuple.get rows.(i) j with
+                | Value.Bool v -> out.(i) <- v
+                | _ -> raise Mismatch)
+            fresh;
+          Bools out
+      | Strs a ->
+          let out = kept_strs a ~prefix ~skip src in
+          Array.iter
+            (fun i ->
+              if fresh_null i then out.(i) <- ""
+              else
+                match Tuple.get rows.(i) j with
+                | Value.Str v -> out.(i) <- v
+                | _ -> raise Mismatch)
+            fresh;
+          Strs out
+      | Boxed _ -> raise Mismatch
+    in
+    (* a mask exists iff some row is NULL *)
+    let nulls =
+      match !mask with
+      | Some m when Array.exists Fun.id m -> Some m
+      | _ -> None
+    in
+    Some { data; nulls }
+  with Mismatch -> None
+
+(** [derive base ~prefix ~src rows]: [of_rows (schema base) rows],
+    computed from [base], the dense image of an earlier table value with
+    the same schema.  The rows below [prefix] are [base]'s rows in place;
+    row [prefix + k] of [rows] is [base]'s row [src.(k)] unchanged, or
+    fresh where [src.(k) < 0].  Each column is a typed gather of its base
+    column (a bulk copy over the identity prefix, which every INSERT
+    leaves); only the fresh rows are read from [rows].  A column whose
+    base column is boxed, or that a fresh value does not fit, is built
+    from all of [rows] by {!col_of_values}. *)
+let derive (base : t) ~(prefix : int) ~(src : int array)
+    (rows : Tuple.t array) : t =
+  let n = Array.length rows in
+  (* the entries that continue the identity prefix need no gather *)
+  let skip =
+    let k = ref 0 in
+    while !k < n - prefix && src.(!k) = prefix + !k do
+      incr k
+    done;
+    !k
+  in
+  let fresh = fresh_rows ~prefix src in
+  let schema = base.schema in
+  let cols =
+    Array.mapi
+      (fun j c ->
+        match derive_col c ~prefix ~skip ~src ~fresh rows j with
+        | Some c -> c
+        | None ->
+            col_of_values (Schema.ty schema j) n (fun i -> Tuple.get rows.(i) j))
+      base.cols
   in
   { schema; nrows = n; cols; sel = None }
 

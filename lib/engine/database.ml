@@ -146,15 +146,20 @@ let append_rows db name (rows : Tuple.t list) =
   install db name
     {
       e with
-      table = Table.with_rows e.table (Array.append (Table.rows e.table) rows);
+      table =
+        Table.successor e.table
+          ~rows:(Array.append (Table.rows e.table) rows)
+          ~prefix:(Table.cardinality e.table)
+          ~src:(Array.make (Array.length rows) (-1));
     }
 
 (** Replace a table's rows wholesale (UPDATE/DELETE), keeping its schema
     and period registration; period tables widen the time bounds. *)
-let set_rows db name (rows : Tuple.t array) =
+let set_rows db name ~src (rows : Tuple.t array) =
   let e = find_entry db name in
   if e.is_period then widen_bounds db "Database.set_rows" rows;
-  install db name { e with table = Table.with_rows e.table rows }
+  install db name
+    { e with table = Table.successor e.table ~rows ~prefix:0 ~src }
 
 let remove_table db name =
   bump_version db name;

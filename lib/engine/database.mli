@@ -42,12 +42,17 @@ val stored_row : t -> string -> Value.t array -> Tuple.t
 
 val append_rows : t -> string -> Tuple.t list -> unit
 (** INSERT: rows must follow the stored column order.  Installs the
-    successor of the current table value ({!Table.with_rows}). *)
+    successor of the current table value ({!Table.successor}): the old
+    rows are kept in place and the new rows are fresh, so the next read
+    derives the columnar image and index from the old value's. *)
 
-val set_rows : t -> string -> Tuple.t array -> unit
+val set_rows : t -> string -> src:int array -> Tuple.t array -> unit
 (** Replace all rows (UPDATE/DELETE), keeping schema and registration.
     Installs the successor of the current table value
-    ({!Table.with_rows}). *)
+    ({!Table.successor}); [src.(i)] names the row of the current value
+    that new row [i] copies unchanged, or is negative for a fresh row.
+    @raise Invalid_argument when [src] does not fit (see
+    {!Table.successor}). *)
 
 val remove_table : t -> string -> unit
 val names : t -> string list

@@ -19,6 +19,18 @@ type stats = {
 }
 (* per-entry slots inside the statistics slot, each filled on first use *)
 
+(* The built images of an earlier table value, from which a successor
+   derives its own ({!successor}). *)
+type base = {
+  b_columnar : Batch.t;
+  b_index : Tkr_idx.Interval.t option;  (* [None]: not built, or none *)
+  prefix : int;
+  src : int array;
+      (* the successor's rows below [prefix] are the base's rows in place;
+         row [prefix + k] is base row [src.(k)], unchanged ([-1]: a fresh
+         row) *)
+}
+
 type t = {
   schema : Schema.t;
   rows : Tuple.t array;
@@ -29,8 +41,12 @@ type t = {
          immutable (DML installs a successor), so a filled slot never goes
          stale.  Racing readers may both derive an image; both compute the
          same one and the last write wins. *)
+  base : base option Atomic.t;
+      (* what the first uses of the columnar image and the index derive
+         from; emptied once both are filled, so no value keeps an earlier
+         value's images longer than it needs them *)
   indexed_before : bool;
-      (* some predecessor of this value, reached through {!with_rows},
+      (* some predecessor of this value, reached through {!successor},
          had its index built: building this value's index is a rebuild *)
 }
 
@@ -41,15 +57,55 @@ let of_array schema rows : t =
     columnar = Atomic.make None;
     index = Atomic.make None;
     stats = Atomic.make None;
+    base = Atomic.make None;
     indexed_before = false;
   }
 
 let make schema rows = of_array schema (Array.of_list rows)
 let empty schema = of_array schema [||]
 
-let with_rows (t : t) rows : t =
+let successor (t : t) ~(rows : Tuple.t array) ~(prefix : int)
+    ~(src : int array) : t =
+  let n = Array.length t.rows in
+  (* each old row is kept at most once and in order: [src] increases over
+     its entries [>= 0], which lie in [\[prefix, n)] *)
+  if prefix < 0 || prefix > n || prefix + Array.length src <> Array.length rows
+  then invalid_arg "Table.successor: prefix";
+  let last = ref (prefix - 1) in
+  for k = 0 to Array.length src - 1 do
+    let s = src.(k) in
+    if s >= 0 then begin
+      if s <= !last || s >= n then invalid_arg "Table.successor: src";
+      last := s
+    end
+  done;
+  let base =
+    match (Atomic.get t.columnar, Atomic.get t.base) with
+    | Some c, _ ->
+        Some
+          {
+            b_columnar = c;
+            b_index = Option.join (Atomic.get t.index);
+            prefix;
+            src;
+          }
+    | None, Some b ->
+        (* [t] was never read: skip it, composing the row maps *)
+        let p = Int.min prefix b.prefix in
+        let composed =
+          Array.init
+            (Array.length rows - p)
+            (fun k ->
+              let i = p + k in
+              let r = if i < prefix then i else src.(i - prefix) in
+              if r < b.prefix then r else b.src.(r - b.prefix))
+        in
+        Some { b with prefix = p; src = composed }
+    | None, None -> None
+  in
   {
     (of_array t.schema rows) with
+    base = Atomic.make base;
     indexed_before = t.indexed_before || Option.is_some (Atomic.get t.index);
   }
 
@@ -62,11 +118,41 @@ let columnar (t : t) : Batch.t =
   match Atomic.get t.columnar with
   | Some b -> b
   | None ->
-      let b = Batch.of_rows t.schema t.rows in
+      let base = Atomic.get t.base in
+      let b =
+        match base with
+        | Some { b_columnar; prefix; src; _ } ->
+            Batch.derive b_columnar ~prefix ~src t.rows
+        | None -> Batch.of_rows t.schema t.rows
+      in
       Atomic.set t.columnar (Some b);
+      (* without a base index, the index has nothing to derive from *)
+      (match base with
+      | Some { b_index = None; _ } -> Atomic.set t.base None
+      | _ -> ());
       b
 
 let of_batch (b : Batch.t) : t = of_array (Batch.schema b) (Batch.to_rows b)
+
+(* The index over [b], [e] (this value's period columns) derived from a
+   base index: the inverse of the row map renames the base's kept rows,
+   and the rows it marks fresh are merged in. *)
+let derive_index (bi : Tkr_idx.Interval.t) ~prefix ~(src : int array) b e =
+  let m = Tkr_idx.Interval.size bi in
+  let fresh = Batch.fresh_rows ~prefix src in
+  (* an INSERT keeps every base row in place: no renaming *)
+  if prefix = m then Tkr_idx.Interval.derive bi ~fresh b e
+  else begin
+    let inv = Array.make m (-1) in
+    for r = 0 to prefix - 1 do
+      inv.(r) <- r
+    done;
+    for k = 0 to Array.length src - 1 do
+      let s = src.(k) in
+      if s >= 0 then inv.(s) <- prefix + k
+    done;
+    Tkr_idx.Interval.derive bi ~inv ~fresh b e
+  end
 
 (* the index reads the trailing two columns of the columnar image; it
    exists only when both are null-free int columns *)
@@ -74,6 +160,7 @@ let index (t : t) : Tkr_idx.Interval.t option =
   match Atomic.get t.index with
   | Some idx -> idx
   | None ->
+      let base = Atomic.get t.base in
       let cols = (columnar t).Batch.cols in
       let k = Array.length cols in
       let idx =
@@ -81,10 +168,15 @@ let index (t : t) : Tkr_idx.Interval.t option =
         else
           match (cols.(k - 2), cols.(k - 1)) with
           | { data = Ints b; nulls = None }, { data = Ints e; nulls = None } ->
-              Some (Tkr_idx.Interval.build b e)
+              Some
+                (match base with
+                | Some { b_index = Some bi; prefix; src; _ } ->
+                    derive_index bi ~prefix ~src b e
+                | _ -> Tkr_idx.Interval.build b e)
           | _ -> None
       in
       Atomic.set t.index (Some idx);
+      Atomic.set t.base None;
       Tkr_idx.Stats.record_build ~rebuild:t.indexed_before;
       idx
 

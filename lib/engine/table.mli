@@ -7,10 +7,11 @@ open Tkr_relation
 type t
 (** An immutable table value.  It owns its three derived images, the
     columnar image ({!columnar}), the interval index ({!index}) and the
-    statistics ({!column_stats}, {!mean_period}): each is built on first
+    statistics ({!column_stats}, {!mean_period}): each is made on first
     use and kept for the value's lifetime.  A mutation never changes a
-    value; the database installs a successor ({!with_rows}) whose images
-    start empty. *)
+    value; the database installs a successor ({!successor}) whose
+    columnar image and index are derived from its predecessor's built
+    ones, and whose statistics start empty. *)
 
 val make : Schema.t -> Tuple.t list -> t
 val of_array : Schema.t -> Tuple.t array -> t
@@ -32,25 +33,41 @@ val equal_bag : t -> t -> bool
 val sorted_rows : t -> Tuple.t array
 (** A sorted copy, for deterministic output. *)
 
-val with_rows : t -> Tuple.t array -> t
-(** [with_rows t rows]: the successor of [t] after DML — same schema,
-    the given rows, empty image slots.  Building the successor's index
-    counts as a rebuild ({!Tkr_idx.Stats}) when [t] or any value it
-    succeeded had its index built.  A value made any other way (a fresh
-    CREATE or load, including DROP then CREATE) starts without that
-    history. *)
+val successor : t -> rows:Tuple.t array -> prefix:int -> src:int array -> t
+(** [successor t ~rows ~prefix ~src]: the value of [t]'s table after DML
+    — same schema, the given rows.  The rows below [prefix] are [t]'s
+    rows in place; row [prefix + k] copies row [src.(k)] of [t]
+    unchanged, or is fresh where [src.(k) < 0] (an INSERT passes [t]'s
+    cardinality and one fresh entry per new row).  The successor keeps
+    [t]'s built columnar image and index (never [t] itself) as the base
+    its own are derived from in linear passes; when [t] was never read,
+    it keeps [t]'s base instead, with the row maps composed, so a burst
+    of unread writes derives once.  The base is dropped once the
+    successor's images are filled.  Building the successor's index,
+    derived or not, counts as a rebuild ({!Tkr_idx.Stats}) when [t] or
+    any value it succeeded had its index built.  A value made any other
+    way (a fresh CREATE or load, including DROP then CREATE) starts
+    without a base or that history.
+    @raise Invalid_argument unless [prefix + Array.length src] is the
+    number of rows, [prefix <= cardinality t], and [src] increases over
+    its entries [>= 0], which lie in [\[prefix, cardinality t)]. *)
 
 val columnar : t -> Batch.t
-(** The columnar image, built on first use.  Concurrent first uses may
-    both build it; they build the same image and the last write wins. *)
+(** The columnar image, made on first use: derived from the base when
+    the value has one, else built from the rows; either way equal to
+    [Batch.of_rows (schema t) (rows t)].  Concurrent first uses may both
+    make it; they make the same image and the last write wins. *)
 
 val of_batch : Batch.t -> t
 (** The logical rows of a batch as a fresh table. *)
 
 val index : t -> Tkr_idx.Interval.t option
 (** The interval index over the trailing two columns of the columnar
-    image ([Abegin], [Aend] of a period table), built on first use; each
-    build is counted in {!Tkr_idx.Stats}.  [None] (also kept) unless both
+    image ([Abegin], [Aend] of a period table), made on first use and
+    equal to a fresh {!Tkr_idx.Interval.build}: derived from the base's
+    index when it has one (a reader that finds the base already dropped
+    builds from the image), else built.  Each is counted in
+    {!Tkr_idx.Stats} as a build.  [None] (also kept) unless both
     columns are null-free [int] columns.  Callers check that the table is
     a period table ({!Idx_cache.get}). *)
 

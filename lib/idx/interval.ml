@@ -6,7 +6,7 @@
     "begin within bound" is one binary search giving a prefix [\[0, ub)]
     of the sweep order.  The matching rows of that prefix — those whose
     end also satisfies the probe's lower bound — are reported by
-    descending a max-end segment tree built over [ends_], skipping every
+    descending a max-end segment tree built over the ends, skipping every
     subtree whose maximum end fails the bound: output-sensitive
     O((k + 1) log n) per probe instead of O(n).
 
@@ -18,7 +18,11 @@
 
     Candidates are returned in {e ascending physical row order} — the
     scan emission order — so re-applying the full predicate to the
-    candidates reproduces the scan byte-for-byte. *)
+    candidates reproduces the scan byte-for-byte.
+
+    A table value after DML derives its index from its predecessor's
+    ({!derive}) instead of building it: one walk over the old sweep
+    order, with only the new rows sorted. *)
 
 type bound = {
   v : int;
@@ -29,37 +33,127 @@ type t = {
   rows : int array;
       (* physical row ids in sweep order: sorted by (begin, row id) *)
   begins : int array;  (* begins.(k) = begin of rows.(k); ascending *)
-  ends_ : int array;  (* ends_.(k) = end of rows.(k) *)
   seg : int array;
-      (* max-end segment tree over [ends_]: 1-based heap layout with
-         [leaves] leaves, [seg.(leaves + k)] = [ends_.(k)], padded with
+      (* max-end segment tree: 1-based heap layout with [leaves] leaves,
+         [seg.(leaves + k)] = the end of [rows.(k)], padded with
          [min_int] *)
   leaves : int;  (* power of two >= number of indexed rows *)
 }
 
 let size (t : t) = Array.length t.rows
+let imax (a : int) (b : int) = if a >= b then a else b
+
+(* The indices of [b] in sweep order: stably sorted by [b.(i)], ties in
+   index order.  One radix sort ({!Isort.sort_below}) of the packed keys
+   [((b.(i) - min) · 2^bits(n)) + i]; when the begins span too wide a
+   range for that to fit an int, a stable merge sort stands in. *)
+let sweep_perm (b : int array) : int array =
+  let n = Array.length b in
+  let lo = ref (if n = 0 then 0 else max_int) in
+  let hi = ref (if n = 0 then 0 else min_int) in
+  for i = 0 to n - 1 do
+    let x = b.(i) in
+    if x < !lo then lo := x;
+    if x > !hi then hi := x
+  done;
+  let lo = !lo and range = !hi - !lo (* negative when it overflows *) in
+  let ib = Isort.index_bits n in
+  if range >= 0 && range < max_int lsr ib then begin
+    let keys = Array.make n 0 in
+    for i = 0 to n - 1 do
+      keys.(i) <- ((b.(i) - lo) lsl ib) lor i
+    done;
+    Isort.sort_below keys ~bound:((range + 1) lsl ib);
+    let mask = (1 lsl ib) - 1 in
+    for k = 0 to n - 1 do
+      keys.(k) <- keys.(k) land mask
+    done;
+    keys
+  end
+  else Isort.perm b
+
+(* The index over rows in sweep order whose ends fill the leaves of
+   [seg]: fills the tree's inner nodes. *)
+let of_sweep ~rows ~begins ~seg ~leaves : t =
+  for node = leaves - 1 downto 1 do
+    seg.(node) <- imax seg.(2 * node) seg.((2 * node) + 1)
+  done;
+  { rows; begins; seg; leaves }
 
 (** The index over the periods [\[b.(i), e.(i))] of physical rows [i];
     [b] and [e] have equal length. *)
 let build (b : int array) (e : int array) : t =
-  let m = Array.length b in
-  (* a stable sort by begin: ties stay in physical row order *)
-  let rows = Isort.perm b in
-  let begins = Array.map (fun i -> b.(i)) rows in
-  let ends_ = Array.map (fun i -> e.(i)) rows in
-  let leaves =
-    let l = ref 1 in
-    while !l < m do
-      l := !l * 2
-    done;
-    !l
-  in
-  let seg = Array.make (2 * leaves) min_int in
-  Array.blit ends_ 0 seg leaves m;
-  for node = leaves - 1 downto 1 do
-    seg.(node) <- max seg.(2 * node) seg.((2 * node) + 1)
+  let rows = sweep_perm b in
+  let m = Array.length rows in
+  let leaves = 1 lsl Isort.index_bits m in
+  let begins = Array.make m 0 and seg = Array.make (2 * leaves) min_int in
+  for k = 0 to m - 1 do
+    let i = rows.(k) in
+    begins.(k) <- b.(i);
+    seg.(leaves + k) <- e.(i)
   done;
-  { rows; begins; ends_; seg; leaves }
+  of_sweep ~rows ~begins ~seg ~leaves
+
+(** [derive t ?inv ~fresh b e]: {!build}[ b e], computed from [t], the
+    index of an earlier table value, in linear passes.  Row [r] of that
+    value is row [inv.(r)] now (default: row [r]), with the same period
+    ([-1]: the row is gone); [fresh] lists the other rows, ascending.
+    [inv] must increase over the rows it keeps: then walking [t]'s sweep
+    order and renaming the kept rows keeps (begin, row id) order, and
+    only the fresh rows are sorted before they are merged in.
+    @raise Invalid_argument when the kept and fresh rows do not number
+    [Array.length b] (more of them fail an array bound). *)
+let derive (t : t) ?(inv : int array option) ~(fresh : int array)
+    (b : int array) (e : int array) : t =
+  let n = Array.length b and nf = Array.length fresh in
+  let leaves = 1 lsl Isort.index_bits n in
+  let rows = Array.make n 0 and begins = Array.make n 0 in
+  let seg = Array.make (2 * leaves) min_int in
+  (* the fresh rows in sweep order *)
+  let fb = Array.make nf 0 in
+  for k = 0 to nf - 1 do
+    fb.(k) <- b.(fresh.(k))
+  done;
+  let ford = sweep_perm fb in
+  let fs = Array.make nf 0 in
+  for k = 0 to nf - 1 do
+    fs.(k) <- fresh.(ford.(k))
+  done;
+  let k = ref 0 and f = ref 0 in
+  for j = 0 to size t - 1 do
+    let i = match inv with Some inv -> inv.(t.rows.(j)) | None -> t.rows.(j) in
+    if i >= 0 then begin
+      (* a kept row's period is unchanged: read it in sweep order *)
+      let bi = t.begins.(j) in
+      (* the fresh rows that sort before (bi, i) *)
+      while
+        !f < nf
+        &&
+        let fi = fs.(!f) in
+        b.(fi) < bi || (b.(fi) = bi && fi < i)
+      do
+        let fi = fs.(!f) in
+        rows.(!k) <- fi;
+        begins.(!k) <- b.(fi);
+        seg.(leaves + !k) <- e.(fi);
+        incr k;
+        incr f
+      done;
+      rows.(!k) <- i;
+      begins.(!k) <- bi;
+      seg.(leaves + !k) <- t.seg.(t.leaves + j);
+      incr k
+    end
+  done;
+  for f = !f to nf - 1 do
+    let fi = fs.(f) in
+    rows.(!k) <- fi;
+    begins.(!k) <- b.(fi);
+    seg.(leaves + !k) <- e.(fi);
+    incr k
+  done;
+  if !k <> n then invalid_arg "Interval.derive: too few rows";
+  of_sweep ~rows ~begins ~seg ~leaves
 
 (** Number of elements of the sorted array [a] that are [<= x]. *)
 let upper_bound (a : int array) (x : int) : int =

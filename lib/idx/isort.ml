@@ -3,17 +3,27 @@
     [Array.sort Int.compare] pays an indirect call per comparison.
     [sort_below] needs no comparisons at all when the values are bounded:
     it puts index probe candidates back in scan order and orders the
-    temporal sweeps' packed (group, time) endpoint keys.  [perm] and
-    [perm_prefix] are bottom-up merge sorts that compare machine ints
-    inline and return a {e stable} permutation (ties keep their original
-    order), for the interval index build and for the sweeps' fallback
-    when a packed key would not fit an int. *)
+    interval index's packed (begin, row) keys and the temporal sweeps'
+    packed (group, time) endpoint keys.  [perm] and [perm_prefix] are
+    bottom-up merge sorts that compare machine ints inline and return a
+    {e stable} permutation (ties keep their original order), for the
+    index build's and the sweeps' fallback when a packed key would not
+    fit an int. *)
+
+(** The number of bits that hold every index below [n]: the width of the
+    row-id field in a packed sort key. *)
+let index_bits n =
+  let b = ref 0 in
+  while 1 lsl !b < n do
+    incr b
+  done;
+  !b
 
 (** In-place ascending sort of [a]'s first [len] cells (default: all),
     whose values all lie in [\[0, bound)]: a least-significant-digit
     radix sort over 8-bit digits, O(len * digits) with no comparisons —
-    for row ids, where the bound is the table size, and for the temporal
-    sweeps' packed (group, time) endpoint keys. *)
+    for row ids, where the bound is the table size, and for the index's
+    and the temporal sweeps' packed keys. *)
 let sort_below ?len (a : int array) ~(bound : int) : unit =
   let n = Option.value len ~default:(Array.length a) in
   if n > 1 then begin

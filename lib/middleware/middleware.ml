@@ -669,15 +669,17 @@ let insert_tuples m ins_name (rows : Ast.expr list list) : Tuple.t list =
       t)
     rows
 
-(* The rows of an UPDATE or DELETE over [rows], and how many matched:
-   [change] maps a matching row to its new value ([None]: deleted).
-   Under FOR PORTION OF [a, b) (SQL:2011) a matching row changes only on
-   the overlap of its period (the trailing two columns) with [a, b);
-   the parts before and after keep the old values, and a row whose
-   period misses the portion is neither changed nor counted. *)
+(* The rows of an UPDATE or DELETE over [rows], which old row each new
+   row copies unchanged ([-1]: a changed row or a fragment, fresh), and
+   how many matched: [change] maps a matching row to its new value
+   ([None]: deleted).  Under FOR PORTION OF [a, b) (SQL:2011) a matching
+   row changes only on the overlap of its period (the trailing two
+   columns) with [a, b); the parts before and after keep the old values,
+   and a row whose period misses the portion is neither changed nor
+   counted. *)
 let dml_rows ~matches ~portion ~(change : Tuple.t -> Tuple.t option)
-    (rows : Tuple.t array) : Tuple.t array * int =
-  let count = ref 0 in
+    (rows : Tuple.t array) : Tuple.t array * int array * int =
+  let n = Array.length rows in
   let with_period r b e =
     let n = Tuple.arity r in
     let out = Array.copy (r : Tuple.t :> Value.t array) in
@@ -685,31 +687,56 @@ let dml_rows ~matches ~portion ~(change : Tuple.t -> Tuple.t option)
     out.(n - 1) <- Value.Int e;
     Tuple.of_array out
   in
-  let out =
-    Array.to_seq rows
-    |> Seq.concat_map (fun row ->
-           if not (matches row) then Seq.return row
-           else
-             match portion with
-             | None ->
-                 incr count;
-                 Option.to_seq (change row)
-             | Some (a, b) ->
-                 let rb, re = Tkr_engine.Ops.period_of_row row in
-                 let ob = max rb a and oe = min re b in
-                 if ob >= oe then Seq.return row
-                 else begin
-                   incr count;
-                   List.to_seq
-                     ((if rb < ob then [ with_period row rb ob ] else [])
-                     @ (match change row with
-                       | Some r -> [ with_period r ob oe ]
-                       | None -> [])
-                     @ if oe < re then [ with_period row oe re ] else [])
-                 end)
-    |> Array.of_seq
+  (* one pass over the rows: each changed row, newest first, with the rows
+     that replace it *)
+  let edits = ref [] and count = ref 0 and len = ref n in
+  let edit i frags =
+    incr count;
+    len := !len - 1 + List.length frags;
+    edits := (i, frags) :: !edits
   in
-  (out, !count)
+  for i = 0 to n - 1 do
+    let row = rows.(i) in
+    if matches row then
+      match portion with
+      | None -> edit i (Option.to_list (change row))
+      | Some (a, b) ->
+          let rb, re = Tkr_engine.Ops.period_of_row row in
+          let ob = Int.max rb a and oe = Int.min re b in
+          if ob < oe then begin
+            let after = if oe < re then [ with_period row oe re ] else [] in
+            let mid =
+              match change row with
+              | Some r -> with_period r ob oe :: after
+              | None -> after
+            in
+            edit i (if rb < ob then with_period row rb ob :: mid else mid)
+          end
+  done;
+  (* the unchanged rows in place between the replacements, which are
+     fresh *)
+  let out = if !len = 0 then [||] else Array.make !len rows.(0) in
+  let src = Array.make !len (-1) in
+  let k = ref 0 and next = ref 0 in
+  let keep_upto j =
+    for i = !next to j - 1 do
+      out.(!k) <- rows.(i);
+      src.(!k) <- i;
+      incr k
+    done;
+    next := j + 1
+  in
+  List.iter
+    (fun (i, frags) ->
+      keep_upto i;
+      List.iter
+        (fun r ->
+          out.(!k) <- r;
+          incr k)
+        frags)
+    (List.rev !edits);
+  keep_upto n;
+  (out, src, !count)
 
 (* the rows of [schema] an UPDATE's or DELETE's WHERE clause selects *)
 let where_matches schema where : Tuple.t -> bool =
@@ -724,7 +751,8 @@ let check_portion m name portion =
 (* The rows of a table after an UPDATE, and how many matched, validated
    before anything is written: a period table's begin and end values
    stay non-NULL integers. *)
-let update_rows m upd_name ~portion ~sets ~upd_where : Tuple.t array * int =
+let update_rows m upd_name ~portion ~sets ~upd_where :
+    Tuple.t array * int array * int =
   let schema = Database.schema_of m.db upd_name in
   let n = Schema.arity schema in
   let is_period = Database.is_period m.db upd_name in
@@ -757,7 +785,8 @@ let update_rows m upd_name ~portion ~sets ~upd_where : Tuple.t array * int =
     (Table.rows (Database.find m.db upd_name))
 
 (* The rows of a table after a DELETE, and how many matched. *)
-let delete_rows m del_name ~portion ~del_where : Tuple.t array * int =
+let delete_rows m del_name ~portion ~del_where :
+    Tuple.t array * int array * int =
   check_portion m del_name portion;
   dml_rows
     ~matches:(where_matches (Database.schema_of m.db del_name) del_where)
@@ -984,14 +1013,16 @@ let execute_update_statement m (stmt : Ast.statement) : result =
       Database.remove_table m.db name;
       Done (Printf.sprintf "dropped table %s" name)
   | Ast.Update { upd_name; portion; sets; upd_where } ->
-      let rows, updated = update_rows m upd_name ~portion ~sets ~upd_where in
-      Database.set_rows m.db upd_name rows;
+      let rows, src, updated =
+        update_rows m upd_name ~portion ~sets ~upd_where
+      in
+      Database.set_rows m.db upd_name ~src rows;
       Done (Printf.sprintf "updated %d rows in %s" updated upd_name)
   | Ast.Delete { del_name; del_portion; del_where } ->
-      let rows, deleted =
+      let rows, src, deleted =
         delete_rows m del_name ~portion:del_portion ~del_where
       in
-      Database.set_rows m.db del_name rows;
+      Database.set_rows m.db del_name ~src rows;
       Done (Printf.sprintf "deleted %d rows from %s" deleted del_name)
   | Ast.Query _ | Ast.Explain _ | Ast.Check _ ->
       err "TKR021" "not a DDL/DML statement"

@@ -600,14 +600,6 @@ let distinct (b : Batch.t) : Batch.t =
    batch with one radix sort and then walks each group's slice of the
    sorted array. *)
 
-(* the number of bits that hold every index below [n] *)
-let index_bits n =
-  let b = ref 0 in
-  while 1 lsl !b < n do
-    incr b
-  done;
-  !b
-
 (* [group_order ~get ~ids ~ng ~n gid tm]: items [0 .. n-1], item [i] in
    group [gid.(i)] (dense, below [ng]) at time [tm.(i)], in group-major
    order, by time and then by index within a group.  Returns [(off, out)]:
@@ -631,7 +623,7 @@ let group_order ~get ~ids ~ng ~n (gid : int array) (tm : int array) :
     if t > !hi then hi := t
   done;
   let lo = !lo and range = !hi - !lo (* negative when it overflows *) in
-  let ib = if ids then index_bits n else 0 in
+  let ib = if ids then Isort.index_bits n else 0 in
   if range >= 0 && range < max_int && ng <= (max_int lsr ib) / (range + 1)
   then begin
     let span = range + 1 and mask = (1 lsl ib) - 1 in

@@ -9,6 +9,7 @@ module Tuple = Tkr_relation.Tuple
 module Expr = Tkr_relation.Expr
 module Algebra = Tkr_relation.Algebra
 module Table = Tkr_engine.Table
+module Batch = Tkr_engine.Batch
 module Database = Tkr_engine.Database
 module Exec = Tkr_engine.Exec
 module Idx_cache = Tkr_engine.Idx_cache
@@ -343,6 +344,234 @@ let test_build_accounting () =
       ignore (M.query m q))
     (1, 0)
 
+(* ---- the radix build and derived images ---- *)
+
+(* the build the radix one replaced: a merge-sort sweep order and a tree
+   filled with the polymorphic max *)
+let merge_sort_build (b : int array) (e : int array) : Interval.t =
+  let rows = Tkr_idx.Isort.perm b in
+  let m = Array.length rows in
+  let leaves =
+    let l = ref 1 in
+    while !l < m do
+      l := 2 * !l
+    done;
+    !l
+  in
+  let seg = Array.make (2 * leaves) min_int in
+  Array.iteri (fun k i -> seg.(leaves + k) <- e.(i)) rows;
+  for node = leaves - 1 downto 1 do
+    seg.(node) <- max seg.(2 * node) seg.((2 * node) + 1)
+  done;
+  { Interval.rows; begins = Array.map (fun i -> b.(i)) rows; seg; leaves }
+
+(* begins drawn from a small signed range, all equal, a range past 2^56
+   whose packed keys still fit, and one spanning the whole int range
+   (where only the merge-sort fallback fits) *)
+let prop_build_vs_merge_sort =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:400 ~name:"radix index build = merge-sort build"
+       QCheck.(
+         pair (int_range 0 3)
+           (list_of_size Gen.(0 -- 70) (pair (int_range (-50) 50) int)))
+       (fun (shape, ps) ->
+         let b =
+           Array.of_list
+             (List.map
+                (fun (x, _) ->
+                  match shape with
+                  | 0 -> x
+                  | 1 -> 7
+                  | 2 -> x lsl 50
+                  | _ -> if x < 0 then min_int - x else max_int - x)
+                ps)
+         in
+         let e = Array.of_list (List.map snd ps) in
+         compare (Interval.build b e) (merge_sort_build b e) = 0))
+
+let test_build_edges () =
+  List.iter
+    (fun (what, b, e) ->
+      check what true (compare (Interval.build b e) (merge_sort_build b e) = 0))
+    [
+      ("empty", [||], [||]);
+      ("one row", [| -3 |], [| 4 |]);
+      ("all begins equal", [| 5; 5; 5; 5 |], [| 9; 6; 8; 7 |]);
+      ("negative begins", [| -1; -7; 3; -7 |], [| 0; 1; 9; -2 |]);
+      ("span past 2^56", [| 0; 1 lsl 57; 1 lsl 56 |], [| 1; 2; 3 |]);
+      ("whole int range", [| max_int; min_int; 0; min_int |], [| 1; 2; 3; 4 |]);
+    ]
+
+(* Random write sequences against three middlewares (the default, the
+   row oracle, the index off): after each read the derived images of the
+   default's table equal fresh ones, and the AS OF results agree byte for
+   byte.  Data columns int, text and float take NULLs; [x] is an int
+   column that an occasional string makes boxed. *)
+let gen_script =
+  let open QCheck.Gen in
+  let lit xs = oneof (return "NULL" :: List.map return xs) in
+  let i_val = lit [ "0"; "1"; "2"; "-3" ] and s_val = lit [ "'a'"; "'b'"; "'c'" ] in
+  let f_val = lit [ "0.5"; "1.5"; "-2.0" ] in
+  let x_val = frequency [ (8, lit [ "4"; "5" ]); (1, return "'q'") ] in
+  let row =
+    map
+      (fun ((i, s), (f, x), (b, d)) ->
+        Printf.sprintf "(%s, %s, %s, %s, %d, %d)" i s f x b (b + d))
+      (triple (pair i_val s_val) (pair f_val x_val)
+         (pair (int_range 0 18) (int_range 1 5)))
+  in
+  let portion =
+    opt
+      (map
+         (fun (a, d) -> Printf.sprintf " FOR PORTION OF PERIOD FROM %d TO %d" a (a + d))
+         (pair (int_range 0 20) (int_range 1 8)))
+  in
+  let where =
+    opt
+      (oneof
+         [
+           map (Printf.sprintf " WHERE i = %s") (oneofl [ "0"; "1"; "2" ]);
+           map (Printf.sprintf " WHERE s = %s") (oneofl [ "'a'"; "'b'" ]);
+           map (Printf.sprintf " WHERE b < %d") (int_range 0 20);
+         ])
+  in
+  let opt_s = Option.value ~default:"" in
+  let set =
+    oneof
+      [
+        map (Printf.sprintf "i = %s") i_val;
+        map (Printf.sprintf "s = %s") s_val;
+        map (Printf.sprintf "f = %s") f_val;
+        map (Printf.sprintf "x = %s") x_val;
+      ]
+  in
+  let write =
+    frequency
+      [
+        ( 4,
+          map
+            (fun rs -> "INSERT INTO w VALUES " ^ String.concat ", " rs)
+            (list_size (1 -- 3) row) );
+        ( 3,
+          map
+            (fun ((p, s), w) -> Printf.sprintf "UPDATE w%s SET %s%s" (opt_s p) s (opt_s w))
+            (pair (pair portion set) where) );
+        ( 2,
+          map
+            (fun (p, w) -> Printf.sprintf "DELETE FROM w%s%s" (opt_s p) (opt_s w))
+            (pair portion where) );
+        (1, return "DELETE FROM w");
+      ]
+  in
+  let read =
+    map
+      (fun (t, filtered) ->
+        Printf.sprintf "SEQ VT AS OF %d (SELECT i, s, f, x FROM w%s)" t
+          (if filtered then " WHERE s = 'a'" else ""))
+      (pair (int_range 0 23) bool)
+  in
+  map List.concat
+    (list_size (1 -- 8)
+       (map2 (fun ws r -> ws @ [ r ]) (list_size (1 -- 3) write) read))
+
+let prop_derived_images =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:120
+       ~name:"DML sequences: derived images = fresh images, AS OF agrees"
+       (QCheck.make ~print:(String.concat ";\n") gen_script)
+       (fun script ->
+         let mk ?index ?engine () =
+           let m = M.create ?index ?engine () in
+           Database.set_time_bounds (M.database m) ~tmin:0 ~tmax:24;
+           ignore
+             (M.execute m
+                "CREATE TABLE w (i int, s text, f float, x int, b int, e int) \
+                 PERIOD (b, e)");
+           m
+         in
+         let ms = [ mk (); mk ~engine:M.Row (); mk ~index:false () ] in
+         let images_fresh m =
+           let t = Database.find (M.database m) "w" in
+           let fresh = Batch.of_rows (Table.schema t) (Table.rows t) in
+           compare (Table.columnar t) fresh = 0
+           &&
+           match fresh.Batch.cols with
+           | [| _; _; _; _; { data = Ints b; _ }; { data = Ints e; _ } |] ->
+               (not (M.index_enabled m && M.engine m = M.Vec))
+               || compare (Table.index t) (Some (Interval.build b e)) = 0
+           | _ -> false
+         in
+         List.for_all
+           (fun sql ->
+             if String.starts_with ~prefix:"SEQ" sql then
+               match List.map (fun m -> M.query m sql) ms with
+               | [ d; r; i ] ->
+                   byte_identical d r && byte_identical d i
+                   && images_fresh (List.nth ms 0)
+                   && images_fresh (List.nth ms 2)
+               | _ -> false
+             else begin
+               List.iter (fun m -> ignore (M.execute m sql)) ms;
+               true
+             end)
+           script))
+
+(* Live words after [Gc.full_major], beyond [base]. *)
+let live_words () =
+  Gc.full_major ();
+  (Gc.stat ()).Gc.live_words
+
+let period_db n =
+  let db = Database.create ~tmin:0 ~tmax:5000 () in
+  Database.add_period_table db "w"
+    (Table.make w_schema
+       (List.init n (fun i ->
+            Tuple.make
+              [ Value.Str (string_of_int (i mod 97)); Value.Int i; Value.Int (i + 9) ])));
+  db
+
+let insert_one db i =
+  Database.append_rows db "w"
+    [ Tuple.make [ Value.Str "n"; Value.Int i; Value.Int (i + 3) ] ]
+
+(* a burst of unread writes keeps one base, not a chain of values *)
+let test_no_pinned_chain () =
+  let l0 = live_words () in
+  let db = period_db 2_000 in
+  ignore (Idx_cache.get db "w");
+  insert_one db 0;
+  ignore (Idx_cache.get db "w");
+  let one = live_words () - l0 in
+  for i = 1 to 300 do
+    insert_one db i
+  done;
+  let burst = live_words () - l0 in
+  check
+    (Printf.sprintf "300 unread INSERTs: %d live words, one INSERT and a read: %d"
+       burst one)
+    true
+    (burst <= 3 * one);
+  ignore (Sys.opaque_identity db)
+
+(* finalise the current value's columnar image; the table value itself is
+   not kept *)
+let[@inline never] watch_columnar db (flag : bool ref) =
+  Gc.finalise (fun _ -> flag := true) (Table.columnar (Database.find db "w"))
+
+(* the base is dropped once the successor's images are derived *)
+let test_base_dropped () =
+  let db = period_db 500 in
+  ignore (Idx_cache.get db "w");
+  let gone = ref false in
+  watch_columnar db gone;
+  insert_one db 0;
+  Gc.full_major ();
+  check "an unread successor keeps its predecessor's image" false !gone;
+  ignore (Idx_cache.get db "w");
+  Gc.full_major ();
+  check "a read successor drops it" true !gone;
+  check_int "the table stays live" 501 (Table.cardinality (Database.find db "w"))
+
 let suite =
   ( "temporal indexes (Tkr_idx)",
     [
@@ -359,4 +588,11 @@ let suite =
       Alcotest.test_case "index build and rebuild accounting" `Quick
         test_build_accounting;
       prop_sort_below;
+      prop_build_vs_merge_sort;
+      Alcotest.test_case "index build edge cases" `Quick test_build_edges;
+      prop_derived_images;
+      Alcotest.test_case "unread writes pin no chain of values" `Quick
+        test_no_pinned_chain;
+      Alcotest.test_case "a read successor drops its base" `Quick
+        test_base_dropped;
     ] )

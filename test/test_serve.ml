@@ -575,7 +575,7 @@ let test_database_versions () =
   check_int "load bumps" 1 (Database.version db "t");
   Database.append_rows db "t" [ row 2 ];
   check_int "insert bumps" 2 (Database.version db "t");
-  Database.set_rows db "t" [| row 9 |];
+  Database.set_rows db "t" ~src:[| -1 |] [| row 9 |];
   check_int "update bumps" 3 (Database.version db "t");
   check_int "case-insensitive" 3 (Database.version db "T");
   Database.remove_table db "t";
