@@ -295,7 +295,7 @@ let fresh_rows ~prefix (src : int array) : int array =
 (* One successor column: the kept cells of [c], then the fresh rows'
    values; [None] when [c] is boxed or a fresh value does not fit it. *)
 let derive_col (c : col) ~prefix ~skip ~(src : int array) ~(fresh : int array)
-    (rows : Tuple.t array) (j : int) : col option =
+    (row : int -> Tuple.t) (j : int) : col option =
   let n = prefix + Array.length src in
   let exception Mismatch in
   let mask =
@@ -304,7 +304,7 @@ let derive_col (c : col) ~prefix ~skip ~(src : int array) ~(fresh : int array)
   (* a fresh cell: [true] when it holds NULL (its data keeps the
      default, as {!col_of_values} leaves it) *)
   let fresh_null i =
-    let null = Value.is_null (Tuple.get rows.(i) j) in
+    let null = Value.is_null (Tuple.get (row i) j) in
     (match !mask with
     | Some m -> m.(i) <- null
     | None ->
@@ -324,7 +324,7 @@ let derive_col (c : col) ~prefix ~skip ~(src : int array) ~(fresh : int array)
             (fun i ->
               if fresh_null i then out.(i) <- 0
               else
-                match Tuple.get rows.(i) j with
+                match Tuple.get (row i) j with
                 | Value.Int v -> out.(i) <- v
                 | _ -> raise Mismatch)
             fresh;
@@ -335,7 +335,7 @@ let derive_col (c : col) ~prefix ~skip ~(src : int array) ~(fresh : int array)
             (fun i ->
               if fresh_null i then out.(i) <- 0.0
               else
-                match Tuple.get rows.(i) j with
+                match Tuple.get (row i) j with
                 | Value.Float v -> out.(i) <- v
                 | _ -> raise Mismatch)
             fresh;
@@ -346,7 +346,7 @@ let derive_col (c : col) ~prefix ~skip ~(src : int array) ~(fresh : int array)
             (fun i ->
               if fresh_null i then out.(i) <- false
               else
-                match Tuple.get rows.(i) j with
+                match Tuple.get (row i) j with
                 | Value.Bool v -> out.(i) <- v
                 | _ -> raise Mismatch)
             fresh;
@@ -357,7 +357,7 @@ let derive_col (c : col) ~prefix ~skip ~(src : int array) ~(fresh : int array)
             (fun i ->
               if fresh_null i then out.(i) <- ""
               else
-                match Tuple.get rows.(i) j with
+                match Tuple.get (row i) j with
                 | Value.Str v -> out.(i) <- v
                 | _ -> raise Mismatch)
             fresh;
@@ -373,22 +373,26 @@ let derive_col (c : col) ~prefix ~skip ~(src : int array) ~(fresh : int array)
     Some { data; nulls }
   with Mismatch -> None
 
-(** [derive base ~prefix ~src rows]: [of_rows (schema base) rows],
-    computed from [base], the dense image of an earlier table value with
-    the same schema.  The rows below [prefix] are [base]'s rows in place;
-    row [prefix + k] of [rows] is [base]'s row [src.(k)] unchanged, or
-    fresh where [src.(k) < 0].  Each column is a typed gather of its base
-    column (a bulk copy over the identity prefix, which every INSERT
-    leaves); only the fresh rows are read from [rows].  A column whose
-    base column is boxed, or that a fresh value does not fit, is built
-    from all of [rows] by {!col_of_values}. *)
+(** [derive base ~prefix ~src row]: [of_rows (schema base) rows] for
+    the [prefix + Array.length src] rows [row 0], [row 1], ..., computed
+    from [base], the dense image of an earlier table value with the same
+    schema.  The rows below [prefix] are [base]'s rows in place; row
+    [prefix + k] is [base]'s row [src.(k)] unchanged, or fresh where
+    [src.(k) < 0].  Each column is a typed gather of its base column (a
+    bulk copy over the identity prefix, which every INSERT leaves); only
+    the fresh rows are read through [row].  A column whose base column is boxed, or that a fresh
+    value does not fit, is built from all the rows by {!col_of_values}.
+    A successor's image passes its predecessor's image and whole row map;
+    an index probe read through a delta passes its candidates' map, so
+    it gathers only them. *)
 let derive (base : t) ~(prefix : int) ~(src : int array)
-    (rows : Tuple.t array) : t =
-  let n = Array.length rows in
+    (row : int -> Tuple.t) : t =
+  let len = Array.length src in
+  let n = prefix + len in
   (* the entries that continue the identity prefix need no gather *)
   let skip =
     let k = ref 0 in
-    while !k < n - prefix && src.(!k) = prefix + !k do
+    while !k < len && src.(!k) = prefix + !k do
       incr k
     done;
     !k
@@ -398,10 +402,10 @@ let derive (base : t) ~(prefix : int) ~(src : int array)
   let cols =
     Array.mapi
       (fun j c ->
-        match derive_col c ~prefix ~skip ~src ~fresh rows j with
+        match derive_col c ~prefix ~skip ~src ~fresh row j with
         | Some c -> c
         | None ->
-            col_of_values (Schema.ty schema j) n (fun i -> Tuple.get rows.(i) j))
+            col_of_values (Schema.ty schema j) n (fun i -> Tuple.get (row i) j))
       base.cols
   in
   { schema; nrows = n; cols; sel = None }

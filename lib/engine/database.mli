@@ -43,8 +43,9 @@ val stored_row : t -> string -> Value.t array -> Tuple.t
 val append_rows : t -> string -> Tuple.t list -> unit
 (** INSERT: rows must follow the stored column order.  Installs the
     successor of the current table value ({!Table.successor}): the old
-    rows are kept in place and the new rows are fresh, so the next read
-    derives the columnar image and index from the old value's. *)
+    rows are kept in place and the new rows are fresh, so the next index
+    read answers from the old value's images plus the new rows, and a
+    full image, when one is needed, is derived from them. *)
 
 val set_rows : t -> string -> src:int array -> Tuple.t array -> unit
 (** Replace all rows (UPDATE/DELETE), keeping schema and registration.

@@ -19,17 +19,107 @@ type stats = {
 }
 (* per-entry slots inside the statistics slot, each filled on first use *)
 
+(* A successor's rows as runs over its base's: run [r] covers rows
+   [\[starts.(r), starts.(r + 1))] (the last run ends at [rows]), which
+   copy the base rows from [from.(r)] on, one for one, or are fresh where
+   [from.(r) < 0].  The base rows a successor keeps keep their order, so
+   the kept runs' [from] ascend.  A write adds a few runs, however many
+   rows it leaves in place. *)
+type rowmap = { starts : int array; from : int array; rows : int }
+
+let run_end (m : rowmap) r =
+  if r + 1 < Array.length m.starts then m.starts.(r + 1) else m.rows
+
+(* the rows of a value over its own images *)
+let identity n =
+  if n = 0 then { starts = [||]; from = [||]; rows = 0 }
+  else { starts = [| 0 |]; from = [| 0 |]; rows = n }
+
+(* [m] followed by a write that keeps the rows below [prefix] in place
+   and makes row [prefix + k] a copy of row [src.(k)] ([-1]: fresh), as
+   {!successor} takes it: O(runs + |src|), rows in place never visited *)
+let compose (m : rowmap) ~prefix ~(src : int array) : rowmap =
+  let ns = Array.length src in
+  Tkr_idx.Scratch.scoped @@ fun get ->
+  let cap = Array.length m.starts + ns + 1 in
+  let st = get cap and fr = get cap in
+  let r = ref 0 in
+  (* row [i] copies base row [f]: a new run unless it continues the last *)
+  let push i f =
+    let p = !r - 1 in
+    if
+      p < 0
+      || (if fr.(p) < 0 then f >= 0 else f <> fr.(p) + (i - st.(p)))
+    then begin
+      st.(!r) <- i;
+      fr.(!r) <- f;
+      incr r
+    end
+  in
+  let q = ref 0 in
+  while !q < Array.length m.starts && m.starts.(!q) < prefix do
+    push m.starts.(!q) m.from.(!q);
+    incr q
+  done;
+  (* the run that holds row [s] of [m]: [s] ascends over kept rows *)
+  let q = ref (Int.max 0 (!q - 1)) in
+  for k = 0 to ns - 1 do
+    let s = src.(k) in
+    if s < 0 then push (prefix + k) (-1)
+    else begin
+      while run_end m !q <= s do
+        incr q
+      done;
+      let f = m.from.(!q) in
+      push (prefix + k) (if f < 0 then -1 else f + (s - m.starts.(!q)))
+    end
+  done;
+  { starts = Array.sub st 0 !r; from = Array.sub fr 0 !r; rows = prefix + ns }
+
+(* The map as {!Batch.derive} and {!Tkr_idx.Interval.derive} read it:
+   the identity prefix, and the base row of each row after it *)
+let to_src (m : rowmap) : int * int array =
+  let prefix =
+    if Array.length m.starts > 0 && m.from.(0) = 0 then run_end m 0 else 0
+  in
+  let src = Array.make (m.rows - prefix) 0 in
+  for r = 0 to Array.length m.starts - 1 do
+    let f = m.from.(r) and s0 = m.starts.(r) in
+    for i = Int.max prefix s0 to run_end m r - 1 do
+      src.(i - prefix) <- (if f < 0 then -1 else f + (i - s0))
+    done
+  done;
+  (prefix, src)
+
 (* The built images of an earlier table value, from which a successor
-   derives its own ({!successor}). *)
+   derives its own ({!successor}) or reads through ({!probe}). *)
 type base = {
   b_columnar : Batch.t;
   b_index : Tkr_idx.Interval.t option;  (* [None]: not built, or none *)
-  prefix : int;
-  src : int array;
-      (* the successor's rows below [prefix] are the base's rows in place;
-         row [prefix + k] is base row [src.(k)], unchanged ([-1]: a fresh
-         row) *)
+  map : rowmap;  (* the successor's rows over the base's *)
+  delta_rows : int;  (* fresh rows plus base rows the successor dropped *)
 }
+
+let base_of (c : Batch.t) b_index (map : rowmap) : base =
+  let fresh = ref 0 in
+  for r = 0 to Array.length map.starts - 1 do
+    if map.from.(r) < 0 then fresh := !fresh + (run_end map r - map.starts.(r))
+  done;
+  let kept = map.rows - !fresh in
+  { b_columnar = c; b_index; map; delta_rows = !fresh + c.Batch.nrows - kept }
+
+(* A successor's delta may reach [1 / fold_divisor] of its base's rows
+   before an index read folds it into full images ({!probe}).  A read
+   through the delta scans the fresh rows and gathers its candidates
+   from the base image; a fold derives the whole columnar image and
+   index.  Read latency over the writes benchmark's sequence, and after
+   single-row INSERTs into a 20k-row table, was flat from 1/8 to 1/128
+   on a 2-vCPU VM (EXPERIMENTS.md, "The fold bound"); 1/16 sits in that
+   range. *)
+let fold_divisor = 16
+
+(* whether index reads may go through [b]'s delta instead of folding *)
+let readable (b : base) = b.delta_rows * fold_divisor <= b.b_columnar.Batch.nrows
 
 type t = {
   schema : Schema.t;
@@ -43,8 +133,10 @@ type t = {
          same one and the last write wins. *)
   base : base option Atomic.t;
       (* what the first uses of the columnar image and the index derive
-         from; emptied once both are filled, so no value keeps an earlier
-         value's images longer than it needs them *)
+         from, and what index probes read through while the delta is
+         small ({!probe}); emptied once the index is filled (or the
+         columnar image, when the base has no index), so no value keeps
+         an earlier value's images longer than it needs them *)
   indexed_before : bool;
       (* some predecessor of this value, reached through {!successor},
          had its index built: building this value's index is a rebuild *)
@@ -79,29 +171,27 @@ let successor (t : t) ~(rows : Tuple.t array) ~(prefix : int)
       last := s
     end
   done;
+  let own c idx = base_of c idx (compose (identity n) ~prefix ~src) in
+  (* [t] was never read, or read only through its delta: skip it,
+     composing the row maps over its base *)
+  let composed (b : base) =
+    base_of b.b_columnar b.b_index (compose b.map ~prefix ~src)
+  in
   let base =
-    match (Atomic.get t.columnar, Atomic.get t.base) with
-    | Some c, _ ->
-        Some
-          {
-            b_columnar = c;
-            b_index = Option.join (Atomic.get t.index);
-            prefix;
-            src;
-          }
-    | None, Some b ->
-        (* [t] was never read: skip it, composing the row maps *)
-        let p = Int.min prefix b.prefix in
-        let composed =
-          Array.init
-            (Array.length rows - p)
-            (fun k ->
-              let i = p + k in
-              let r = if i < prefix then i else src.(i - prefix) in
-              if r < b.prefix then r else b.src.(r - b.prefix))
-        in
-        Some { b with prefix = p; src = composed }
-    | None, None -> None
+    match (Atomic.get t.columnar, Atomic.get t.index, Atomic.get t.base) with
+    | Some c, Some idx, _ -> Some (own c idx)
+    | c, None, Some ({ b_index = Some _; _ } as b) -> (
+        (* an index-bearing base outlives [t]'s own columnar image while
+           the composed delta is small enough to read through; past
+           that, a scanned [t] starts a new base, so scans alone do not
+           pin an old base and derive from it ever longer deltas *)
+        let s = composed b in
+        match c with
+        | Some c when not (readable s) -> Some (own c None)
+        | _ -> Some s)
+    | Some c, _, _ -> Some (own c None)
+    | None, _, Some b -> Some (composed b)
+    | None, _, None -> None
   in
   {
     (of_array t.schema rows) with
@@ -121,8 +211,9 @@ let columnar (t : t) : Batch.t =
       let base = Atomic.get t.base in
       let b =
         match base with
-        | Some { b_columnar; prefix; src; _ } ->
-            Batch.derive b_columnar ~prefix ~src t.rows
+        | Some { b_columnar; map; _ } ->
+            let prefix, src = to_src map in
+            Batch.derive b_columnar ~prefix ~src (Array.get t.rows)
         | None -> Batch.of_rows t.schema t.rows
       in
       Atomic.set t.columnar (Some b);
@@ -170,7 +261,8 @@ let index (t : t) : Tkr_idx.Interval.t option =
           | { data = Ints b; nulls = None }, { data = Ints e; nulls = None } ->
               Some
                 (match base with
-                | Some { b_index = Some bi; prefix; src; _ } ->
+                | Some { b_index = Some bi; map; _ } ->
+                    let prefix, src = to_src map in
                     derive_index bi ~prefix ~src b e
                 | _ -> Tkr_idx.Interval.build b e)
           | _ -> None
@@ -179,6 +271,91 @@ let index (t : t) : Tkr_idx.Interval.t option =
       Atomic.set t.base None;
       Tkr_idx.Stats.record_build ~rebuild:t.indexed_before;
       idx
+
+(* ---- index probes ---- *)
+
+type probe = { view : Batch.t; candidates : int; delta : int option }
+
+(* [probe] over [t]'s delta, or [None] when a fresh row's period is not
+   two ints (then [t] has no index).  The base probe's rows are renamed
+   run by run through the row map, which keeps them ascending and drops
+   the rows [t] no longer has; the fresh rows the bounds admit are
+   merged in; and only the candidates are gathered, from the base image
+   and the fresh tuples, by {!Batch.derive} over a candidate-sized row
+   map.  O(candidates + runs + fresh rows); the candidates are collected
+   in scratch buffers, so only the probe's result, one copy of the
+   candidates' map and the gathered columns are allocated per read. *)
+let probe_delta (t : t) (b : base) (bi : Tkr_idx.Interval.t) ~b_hi ~e_lo :
+    probe option =
+  let bc = Tkr_idx.Interval.probe bi ~b_hi ~e_lo in
+  let nb = Array.length bc and map = b.map in
+  (* at most the base's candidates and the fresh rows, which the delta
+     counts *)
+  let size = Int.min (nb + b.delta_rows) (Array.length t.rows) in
+  let arity = Schema.arity t.schema in
+  Tkr_idx.Scratch.scoped @@ fun get ->
+  (* candidate [c] is row [cand.(c)], base row [csrc.(c)] or fresh *)
+  let cand = get size and csrc = get size in
+  let k = ref 0 and j = ref 0 and scanned = ref 0 and typed = ref true in
+  for r = 0 to Array.length map.starts - 1 do
+    let lo = map.starts.(r) and hi = run_end map r and f = map.from.(r) in
+    if f >= 0 then begin
+      (* the base probe's rows in [f, f + hi - lo), renamed *)
+      while !j < nb && bc.(!j) < f do
+        incr j
+      done;
+      let last = f + (hi - lo) in
+      while !j < nb && bc.(!j) < last do
+        cand.(!k) <- lo + (bc.(!j) - f);
+        csrc.(!k) <- bc.(!j);
+        incr k;
+        incr j
+      done
+    end
+    else
+      for i = lo to hi - 1 do
+        incr scanned;
+        let row = t.rows.(i) in
+        match (Tuple.get row (arity - 2), Tuple.get row (arity - 1)) with
+        | Value.Int rb, Value.Int re ->
+            if Tkr_idx.Interval.admits ~b_hi ~e_lo rb re then begin
+              cand.(!k) <- i;
+              csrc.(!k) <- -1;
+              incr k
+            end
+        | _ -> typed := false
+      done
+  done;
+  if not !typed then None
+  else
+    Some
+      {
+        view =
+          Batch.derive b.b_columnar ~prefix:0 ~src:(Array.sub csrc 0 !k)
+            (fun c -> t.rows.(cand.(c)));
+        candidates = !k;
+        delta = Some !scanned;
+      }
+
+let probe (t : t) ~b_hi ~e_lo : probe option =
+  let materialized () =
+    match index t with
+    | None -> None
+    | Some idx ->
+        let cand = Tkr_idx.Interval.probe idx ~b_hi ~e_lo in
+        Some
+          {
+            view = Batch.with_sel (columnar t) cand;
+            candidates = Array.length cand;
+            delta = None;
+          }
+  in
+  match (Atomic.get t.index, Atomic.get t.base) with
+  | None, Some ({ b_index = Some bi; _ } as b) when readable b -> (
+      match probe_delta t b bi ~b_hi ~e_lo with
+      | Some _ as p -> p
+      | None -> materialized ())
+  | _ -> materialized ()
 
 (* ---- statistics ---- *)
 

@@ -9,9 +9,13 @@ type t
     columnar image ({!columnar}), the interval index ({!index}) and the
     statistics ({!column_stats}, {!mean_period}): each is made on first
     use and kept for the value's lifetime.  A mutation never changes a
-    value; the database installs a successor ({!successor}) whose
-    columnar image and index are derived from its predecessor's built
-    ones, and whose statistics start empty. *)
+    value; the database installs a successor ({!successor}) that keeps
+    its predecessor's built columnar image and index as a base, with a
+    map from its rows to the base's.  Index reads ({!probe}) answer from
+    the base plus that delta until the delta outgrows a fixed fraction
+    of the base; then they fold it, deriving the value's own columnar
+    image and index, which become the next successor's base.
+    Statistics start empty on every value. *)
 
 val make : Schema.t -> Tuple.t list -> t
 val of_array : Schema.t -> Tuple.t array -> t
@@ -39,15 +43,24 @@ val successor : t -> rows:Tuple.t array -> prefix:int -> src:int array -> t
     rows in place; row [prefix + k] copies row [src.(k)] of [t]
     unchanged, or is fresh where [src.(k) < 0] (an INSERT passes [t]'s
     cardinality and one fresh entry per new row).  The successor keeps
-    [t]'s built columnar image and index (never [t] itself) as the base
-    its own are derived from in linear passes; when [t] was never read,
-    it keeps [t]'s base instead, with the row maps composed, so a burst
-    of unread writes derives once.  The base is dropped once the
-    successor's images are filled.  Building the successor's index,
-    derived or not, counts as a rebuild ({!Tkr_idx.Stats}) when [t] or
-    any value it succeeded had its index built.  A value made any other
-    way (a fresh CREATE or load, including DROP then CREATE) starts
-    without a base or that history.
+    [t]'s built columnar image and index (never [t] itself) as its base.
+    When [t] has no index of its own (it was never read, or read only
+    through its delta) but its base has one, the successor keeps that
+    base instead, with the row maps composed, so a run of writes shares
+    one base until a read folds it; but when [t] has its own columnar
+    image (a scan read it) and the composed delta is past the fold
+    bound ({!probe}), that image is the successor's base.  The base
+    lives until the successor's index is filled (or its columnar image,
+    when the base has no index).  The successor holds its map to the
+    base as runs of rows (a write adds a few, however many rows it
+    leaves in place), so writes compose maps and delta reads walk them
+    without an O(n) term; a fold flattens the runs back into this
+    [prefix]/[src] form, the one {!Batch.derive} and
+    {!Tkr_idx.Interval.derive} read.  Building the successor's index, derived or not,
+    counts as a rebuild ({!Tkr_idx.Stats}) when [t] or any value it
+    succeeded had its index built.  A value made any other way (a fresh
+    CREATE or load, including DROP then CREATE) starts without a base
+    or that history.
     @raise Invalid_argument unless [prefix + Array.length src] is the
     number of rows, [prefix <= cardinality t], and [src] increases over
     its entries [>= 0], which lie in [\[prefix, cardinality t)]. *)
@@ -70,6 +83,33 @@ val index : t -> Tkr_idx.Interval.t option
     {!Tkr_idx.Stats} as a build.  [None] (also kept) unless both
     columns are null-free [int] columns.  Callers check that the table is
     a period table ({!Idx_cache.get}). *)
+
+type probe = {
+  view : Batch.t;
+      (** the candidate rows, in ascending row order: a selection over
+          the columnar image, or a dense image of just the candidates *)
+  candidates : int;  (** how many *)
+  delta : int option;
+      (** [Some n]: answered through the delta, scanning [n] fresh rows *)
+}
+
+val fold_divisor : int
+(** The fold bound's denominator: a constant, chosen by measurement
+    (see table.ml). *)
+
+val probe :
+  t -> b_hi:Tkr_idx.Interval.bound -> e_lo:Tkr_idx.Interval.bound -> probe option
+(** The rows an {!index} probe ({!Tkr_idx.Interval.probe}) returns, with
+    their cells.  A value whose own index is not built, and whose base
+    has one, answers from the base without materializing anything while
+    its delta (fresh rows plus dropped base rows) is at most
+    [1 / fold_divisor] of the base's rows: it probes the base index, renames the
+    candidates through the row map, merges in the fresh rows whose
+    periods pass the bounds, and gathers only those rows.  Past that
+    fraction, or without such a base, it probes {!index} over {!columnar},
+    filling both (a fold).  Either way the rows and their order are the
+    same.  [None] when the value has no index.  Callers check that the
+    table is a period table. *)
 
 (** {2 Statistics}
 

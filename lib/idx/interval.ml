@@ -22,7 +22,10 @@
 
     A table value after DML derives its index from its predecessor's
     ({!derive}) instead of building it: one walk over the old sweep
-    order, with only the new rows sorted. *)
+    order, with only the new rows sorted.  While its changes are few, it
+    need not even do that: a probe of the predecessor's index, renamed
+    through the row map, plus the new rows that {!admits} accepts, is
+    its own probe (the engine's [Table.probe]). *)
 
 type bound = {
   v : int;
@@ -210,6 +213,12 @@ let probe (t : t) ~(b_hi : bound) ~(e_lo : bound) : int array =
     Isort.sort_below a ~bound:m;
     a
   end
+
+(** Whether the period [\[b, e)] passes {!probe}'s bounds: the rows a
+    probe reports are exactly the indexed rows this admits. *)
+let admits ~(b_hi : bound) ~(e_lo : bound) (b : int) (e : int) : bool =
+  (if b_hi.incl then b <= b_hi.v else b < b_hi.v)
+  && if e_lo.incl then e >= e_lo.v else e > e_lo.v
 
 (** Rows alive at [t] ([b <= t < e]), ascending by physical row id. *)
 let stab (t : t) (at : int) : int array =

@@ -57,7 +57,13 @@ let sort_below ?len (a : int array) ~(bound : int) : unit =
       dst := s;
       shift := sh + 8
     done;
-    if !src != a then Array.blit !src 0 a 0 n;
+    (* after an odd number of passes the result sits in [tmp]: copy it
+       back with a typed loop ([Array.blit] would write a major-heap
+       [a] through the write barrier, cell by cell) *)
+    if !src != a then
+      for i = 0 to n - 1 do
+        a.(i) <- tmp.(i)
+      done;
     Scratch.release tmp
   end
 

@@ -20,7 +20,6 @@ module Batch = Tkr_engine.Batch
 module Table = Tkr_engine.Table
 module Database = Tkr_engine.Database
 module Exec = Tkr_engine.Exec
-module Idx_cache = Tkr_engine.Idx_cache
 module Trace = Tkr_obs.Trace
 module Isort = Tkr_idx.Isort
 module Scratch = Tkr_idx.Scratch
@@ -48,32 +47,30 @@ let select sp pred (b : Batch.t) : Batch.t =
 
 (* Index-assisted selection over a stored period table: when the
    conjuncts bound the period columns on both sides ({!Tkr_idx.Probe}),
-   probe the interval index for the candidate physical rows, install them
-   as the batch's selection, and let [Veval.filter] re-apply the full
-   predicate over that view.  The probe bounds are necessary conditions
-   and candidates come back in ascending physical order (= the identity
-   selection's order), so the surviving selection vector is exactly the
-   one the full filter would produce.  [None] when the predicate is not
-   index-answerable (the caller scans). *)
+   probe the interval index for the candidate physical rows
+   ({!Table.probe}: over the built images, or through a DML delta over
+   its base's), and let [Veval.filter] re-apply the full predicate over
+   them.  The probe bounds are necessary conditions and candidates come
+   in ascending physical order (= the identity selection's order), so
+   the surviving rows are exactly the ones the full filter would keep,
+   in the same order.  [None] when the predicate is not index-answerable
+   (the caller scans). *)
 let index_select (db : Database.t) sp pred (n : string) : Batch.t option =
   let t = Database.find db n in
   let arity = Schema.arity (Table.schema t) in
   match Tkr_idx.Probe.bounds ~arity pred with
   | None -> None
   | Some { Tkr_idx.Probe.b_hi; e_lo } -> (
-      match Idx_cache.get db n with
+      match Table.probe t ~b_hi ~e_lo with
       | None -> None
-      | Some idx ->
-          let b = Table.columnar t in
-          let cand = Tkr_idx.Interval.probe idx ~b_hi ~e_lo in
-          Tkr_idx.Stats.record_probes ~probes:1
-            ~candidates:(Array.length cand);
-          rows_in sp [ b ];
+      | Some { Table.view; candidates; delta } ->
+          Tkr_idx.Stats.record_probes ~probes:1 ~candidates;
+          Trace.set_int sp "rows_in" (Table.cardinality t);
           Trace.set_str sp "access" "index";
-          Trace.set_int sp "candidates" (Array.length cand);
+          Trace.set_int sp "candidates" candidates;
+          Option.iter (Trace.set_int sp "delta") delta;
           Trace.set_int sp "conjuncts" (List.length (Expr.conjuncts pred));
-          let view = Batch.with_sel b cand in
-          Some (Batch.with_sel b (Veval.filter view pred)))
+          Some (Batch.with_sel view (Veval.filter view pred)))
 
 (* ---- project ---- *)
 

@@ -403,23 +403,45 @@ let test_build_edges () =
     ]
 
 (* Random write sequences against three middlewares (the default, the
-   row oracle, the index off): after each read the derived images of the
-   default's table equal fresh ones, and the AS OF results agree byte for
-   byte.  Data columns int, text and float take NULLs; [x] is an int
-   column that an occasional string makes boxed. *)
+   row oracle, the index off): the AS OF results agree byte for byte, and
+   after the reads marked for it the default's and the index-off
+   middleware's images equal fresh ones.  Data columns int, text and
+   float take NULLs; [x] is an int column that an occasional string makes
+   boxed.  Short scripts check the images after every read.  Long ones
+   start from a bulk load and check them only now and then, so reads run
+   through a growing delta and cross the fold bound; their first read
+   after a one-row INSERT must build no index. *)
+type step =
+  | Write of string
+  | Read of string * bool  (* check the images after it *)
+  | Delta_read of string  (* must build no index *)
+
+let print_steps steps =
+  String.concat ";\n"
+    (List.map
+       (function
+         | Write s -> s
+         | Read (s, c) -> if c then s ^ " -- images" else s
+         | Delta_read s -> s ^ " -- builds nothing")
+       steps)
+
 let gen_script =
   let open QCheck.Gen in
   let lit xs = oneof (return "NULL" :: List.map return xs) in
   let i_val = lit [ "0"; "1"; "2"; "-3" ] and s_val = lit [ "'a'"; "'b'"; "'c'" ] in
   let f_val = lit [ "0.5"; "1.5"; "-2.0" ] in
   let x_val = frequency [ (8, lit [ "4"; "5" ]); (1, return "'q'") ] in
-  let row =
+  let row_with s_val =
     map
       (fun ((i, s), (f, x), (b, d)) ->
         Printf.sprintf "(%s, %s, %s, %s, %d, %d)" i s f x b (b + d))
       (triple (pair i_val s_val) (pair f_val x_val)
          (pair (int_range 0 18) (int_range 1 5)))
   in
+  let row = row_with s_val in
+  (* rows a long script adds after its bulk load: [s] is 'n' or NULL *)
+  let fresh_row = row_with (oneofl [ "'n'"; "'n'"; "NULL" ]) in
+  let insert rows = map (fun rs -> "INSERT INTO w VALUES " ^ String.concat ", " rs) rows in
   let portion =
     opt
       (map
@@ -448,10 +470,7 @@ let gen_script =
   let write =
     frequency
       [
-        ( 4,
-          map
-            (fun rs -> "INSERT INTO w VALUES " ^ String.concat ", " rs)
-            (list_size (1 -- 3) row) );
+        (4, insert (list_size (1 -- 3) row));
         ( 3,
           map
             (fun ((p, s), w) -> Printf.sprintf "UPDATE w%s SET %s%s" (opt_s p) s (opt_s w))
@@ -463,22 +482,79 @@ let gen_script =
         (1, return "DELETE FROM w");
       ]
   in
-  let read =
-    map
-      (fun (t, filtered) ->
-        Printf.sprintf "SEQ VT AS OF %d (SELECT i, s, f, x FROM w%s)" t
-          (if filtered then " WHERE s = 'a'" else ""))
-      (pair (int_range 0 23) bool)
+  (* the long scripts' writes: mostly small, many on the fresh rows *)
+  let small_write =
+    frequency
+      [
+        (6, insert (list_size (return 1) fresh_row));
+        (1, insert (list_size (3 -- 8) fresh_row));
+        ( 2,
+          map
+            (fun ((a, d), s) ->
+              Printf.sprintf
+                "UPDATE w FOR PORTION OF PERIOD FROM %d TO %d SET %s WHERE s = 'n'" a
+                (a + d) s)
+            (pair (pair (int_range 0 20) (int_range 1 8)) set) );
+        ( 1,
+          map
+            (fun (p, i) -> Printf.sprintf "DELETE FROM w%s WHERE i = %s" (opt_s p) i)
+            (pair portion (oneofl [ "0"; "1"; "-3" ])) );
+        ( 1,
+          map
+            (fun p -> Printf.sprintf "DELETE FROM w%s WHERE s = 'n'" (opt_s p))
+            portion );
+        (1, map (fun (s, w) -> Printf.sprintf "UPDATE w SET %s%s" s (opt_s w)) (pair set where));
+        (* rare: the delta drops every base row *)
+        (1, map (fun k -> if k = 0 then "DELETE FROM w" else "DELETE FROM w WHERE i = 2") (int_range 0 4));
+      ]
   in
-  map List.concat
-    (list_size (1 -- 8)
-       (map2 (fun ws r -> ws @ [ r ]) (list_size (1 -- 3) write) read))
+  (* half the reads keep only the rows whose [s] is a literal drawn from
+     [lits]: 'a' in short scripts, whose rows take 'a', 'b', 'c' or NULL;
+     'a' or 'n' in long ones, where 'n' marks the rows written after the
+     bulk load *)
+  let read lits check =
+    map
+      (fun (t, (filtered, lit)) ->
+        Read
+          ( Printf.sprintf "SEQ VT AS OF %d (SELECT i, s, f, x FROM w%s)" t
+              (if filtered then " WHERE s = " ^ lit else ""),
+            check ))
+      (pair (int_range 0 23) (pair bool (oneofl lits)))
+  in
+  let writes g = map (List.map (fun w -> Write w)) g in
+  let long_read = read [ "'a'"; "'n'" ] in
+  let short =
+    map List.concat
+      (list_size (1 -- 8)
+         (map2 (fun ws r -> ws @ [ r ]) (writes (list_size (1 -- 3) write)) (read [ "'a'" ] true)))
+  in
+  let long =
+    map
+      (fun ((load, first), (groups, last)) ->
+        [
+          Write load;
+          Read ("SEQ VT AS OF 9 (SELECT i, s, f, x FROM w)", false);
+          Write first;
+          Delta_read "SEQ VT AS OF 12 (SELECT i, s, f, x FROM w)";
+        ]
+        @ List.concat groups @ [ last ])
+      (pair
+         (pair (insert (list_size (48 -- 96) row)) (insert (list_size (return 1) fresh_row)))
+         (pair
+            (list_size (15 -- 40)
+               (map2
+                  (fun ws r -> ws @ [ r ])
+                  (writes (list_size (1 -- 2) small_write))
+                  (frequency [ (5, long_read false); (1, long_read true) ])))
+            (long_read true)))
+  in
+  frequency [ (2, short); (1, long) ]
 
 let prop_derived_images =
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:120
+    (QCheck.Test.make ~count:160
        ~name:"DML sequences: derived images = fresh images, AS OF agrees"
-       (QCheck.make ~print:(String.concat ";\n") gen_script)
+       (QCheck.make ~print:print_steps gen_script)
        (fun script ->
          let mk ?index ?engine () =
            let m = M.create ?index ?engine () in
@@ -501,20 +577,105 @@ let prop_derived_images =
                || compare (Table.index t) (Some (Interval.build b e)) = 0
            | _ -> false
          in
+         let agree sql =
+           match List.map (fun m -> M.query m sql) ms with
+           | [ d; r; i ] -> byte_identical d r && byte_identical d i
+           | _ -> false
+         in
+         let built () = (Tkr_idx.Stats.snapshot ()).Tkr_idx.Stats.s_built in
          List.for_all
-           (fun sql ->
-             if String.starts_with ~prefix:"SEQ" sql then
-               match List.map (fun m -> M.query m sql) ms with
-               | [ d; r; i ] ->
-                   byte_identical d r && byte_identical d i
-                   && images_fresh (List.nth ms 0)
-                   && images_fresh (List.nth ms 2)
-               | _ -> false
-             else begin
-               List.iter (fun m -> ignore (M.execute m sql)) ms;
-               true
-             end)
+           (function
+             | Write sql ->
+                 List.iter (fun m -> ignore (M.execute m sql)) ms;
+                 true
+             | Read (sql, check) ->
+                 agree sql
+                 && ((not check)
+                    || (images_fresh (List.nth ms 0) && images_fresh (List.nth ms 2)))
+             | Delta_read sql ->
+                 let b0 = built () in
+                 agree sql && built () = b0)
            script))
+
+(* Chains of successors with arbitrary row maps (any prefix, kept rows
+   dropped at random, fresh rows anywhere), read by [Table.probe] with
+   random bounds now and then, and folded now and then: every probe
+   returns the candidates a fresh index over the current rows returns,
+   in order, with their cells, and folded images equal fresh ones. *)
+let prop_successor_chains =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300
+       ~name:"successor chains: Table.probe = a fresh index's probe"
+       QCheck.(pair small_nat int)
+       (fun (steps, seed) ->
+         let st = Random.State.make [| seed |] in
+         let rnd n = Random.State.int st n in
+         let fresh_row () =
+           let b = rnd 20 - 2 in
+           Tuple.make
+             [
+               (if rnd 4 = 0 then Value.Null else Value.Str (string_of_int (rnd 3)));
+               Value.Int b;
+               Value.Int (b + rnd 6);
+             ]
+         in
+         let t = ref (Table.of_array w_schema (Array.init (rnd 60) (fun _ -> fresh_row ()))) in
+         let ok = ref true in
+         for _ = 0 to (steps mod 12) + 4 do
+           match rnd 4 with
+           | 0 | 1 ->
+               let old = Table.rows !t in
+               let n = Array.length old in
+               let prefix = if rnd 3 = 0 then n else rnd (n + 1) in
+               let rows = ref [] and src = ref [] in
+               let add r s =
+                 rows := r :: !rows;
+                 src := s :: !src
+               in
+               for i = prefix to n - 1 do
+                 if rnd 8 = 0 then add (fresh_row ()) (-1);
+                 if rnd 5 > 0 then add old.(i) i
+               done;
+               for _ = 1 to rnd 3 do
+                 add (fresh_row ()) (-1)
+               done;
+               t :=
+                 Table.successor !t
+                   ~rows:(Array.append (Array.sub old 0 prefix) (Array.of_list (List.rev !rows)))
+                   ~prefix
+                   ~src:(Array.of_list (List.rev !src))
+           | 2 ->
+               let b_hi = { Interval.v = rnd 24 - 3; incl = rnd 2 = 0 }
+               and e_lo = { Interval.v = rnd 24 - 3; incl = rnd 2 = 0 } in
+               let rows = Table.rows !t in
+               let fresh = Batch.of_rows w_schema rows in
+               let expect =
+                 match fresh.Batch.cols with
+                 | [| _; { data = Ints b; _ }; { data = Ints e; _ } |] ->
+                     Array.map (fun i -> rows.(i)) (Interval.probe (Interval.build b e) ~b_hi ~e_lo)
+                 | _ -> assert false
+               in
+               (match Table.probe !t ~b_hi ~e_lo with
+               | Some p ->
+                   let got = Batch.to_rows p.Table.view in
+                   if
+                     not
+                       (p.Table.candidates = Array.length expect
+                       && Array.length got = Array.length expect
+                       && Array.for_all2 Tuple.equal got expect)
+                   then ok := false
+               | None -> ok := false)
+           | _ ->
+               let rows = Table.rows !t in
+               let fresh = Batch.of_rows w_schema rows in
+               if compare (Table.columnar !t) fresh <> 0 then ok := false;
+               (match fresh.Batch.cols with
+               | [| _; { data = Ints b; _ }; { data = Ints e; _ } |] ->
+                   if compare (Table.index !t) (Some (Interval.build b e)) <> 0 then
+                     ok := false
+               | _ -> ok := false)
+         done;
+         !ok))
 
 (* Live words after [Gc.full_major], beyond [base]. *)
 let live_words () =
@@ -572,6 +733,105 @@ let test_base_dropped () =
   check "a read successor drops it" true !gone;
   check_int "the table stays live" 501 (Table.cardinality (Database.find db "w"))
 
+(* a table written and then only scanned keeps its indexed base while
+   the delta is within the fold bound, and lets it go past it *)
+let test_scans_release_base () =
+  let db = period_db 160 in
+  ignore (Idx_cache.get db "w");
+  let gone = ref false in
+  watch_columnar db gone;
+  let write_and_scan i =
+    insert_one db i;
+    ignore (Table.columnar (Database.find db "w"))
+  in
+  for i = 1 to 160 / Table.fold_divisor do
+    write_and_scan i
+  done;
+  Gc.full_major ();
+  check "within the bound, the base stays" false !gone;
+  write_and_scan 0;
+  write_and_scan 0;
+  Gc.full_major ();
+  check "past the bound, a scanned value starts a new base" true !gone;
+  check_int "the table kept its writes" 172 (Table.cardinality (Database.find db "w"))
+
+(* an AS OF read over the middleware, index on and off *)
+let as_of_pair db t =
+  let sql = Printf.sprintf "SEQ VT AS OF %d (SELECT name FROM w WHERE name <> '3')" t in
+  (M.query (M.create ~db ()) sql, M.query (M.create ~index:false ~db ()) sql)
+
+(* write/read pairs below the fold bound probe the base index through
+   the delta: no index is built, and the rows equal a scan's *)
+let test_delta_reads_build_nothing () =
+  let db = period_db 2_000 in
+  ignore (Idx_cache.get db "w");
+  let built () = (Tkr_idx.Stats.snapshot ()).Tkr_idx.Stats.s_built in
+  let b0 = built () in
+  let m = M.create ~db () in
+  for k = 1 to 40 do
+    (match k mod 4 with
+    | 0 -> ignore (M.execute m (Printf.sprintf "DELETE FROM w WHERE b = %d" (k * 13)))
+    | 1 ->
+        ignore
+          (M.execute m
+             (Printf.sprintf
+                "UPDATE w FOR PORTION OF PERIOD FROM %d TO %d SET name = 'u' WHERE b = %d"
+                (k * 7) ((k * 7) + 3) (k * 7)))
+    | _ -> insert_one db (k * 11));
+    let idx, scan = as_of_pair db (k * 11 + 1) in
+    check (Printf.sprintf "read %d: index = scan" k) true (byte_identical idx scan)
+  done;
+  check_int "40 write/read pairs build no index" 0 (built () - b0);
+  check_int "the table kept its writes" 2_020 (Table.cardinality (Database.find db "w"))
+
+(* EXPLAIN ANALYZE: an index select that reads through a delta reports
+   the fresh rows it scanned; over built images it prints as before *)
+let test_explain_delta () =
+  let db = period_db 100 in
+  ignore (Idx_cache.get db "w");
+  let m = M.create ~db () in
+  let q = "EXPLAIN ANALYZE (SEQ VT AS OF 50 (SELECT name FROM w))" in
+  let select_line () =
+    let text = match M.execute m q with M.Done t -> t | M.Rows _ -> "" in
+    match
+      List.find_opt (fun l -> contains l "access=index") (String.split_on_char '\n' text)
+    with
+    | Some l -> l
+    | None -> Alcotest.fail "no index select in the trace"
+  in
+  check "built images: no delta attribute" false (contains (select_line ()) "delta=");
+  insert_one db 48;
+  insert_one db 49;
+  let l = select_line () in
+  check ("two INSERTs: " ^ l) true
+    (contains l "rows_in=102  access=index  candidates=11  delta=2  conjuncts=2");
+  ignore (Idx_cache.get db "w");
+  check "folded: no delta attribute" false (contains (select_line ()) "delta=")
+
+(* Major-heap words (promoted or allocated there directly) of a one-row
+   INSERT and an AS OF read on a 20k-row table whose images are built.
+   The INSERT copies the row array: 20,002 words.  The read through the
+   delta gathers its 10 candidates in the minor heap: 0 words, 20,002 in
+   all on the final tree, so the bound is 1.25x of that.  Deriving the
+   whole columnar image and index per read instead reads 186,024 (the
+   design before reads went through the delta). *)
+let test_insert_read_major_words () =
+  let db = period_db 20_000 in
+  ignore (Idx_cache.get db "w");
+  let m = M.create ~db () in
+  let p = M.prepare m "SEQ VT AS OF 4000 (SELECT name FROM w)" in
+  ignore (M.run_prepared m p);
+  let major () =
+    let _, _, w = Gc.counters () in
+    w
+  in
+  let w0 = major () in
+  insert_one db 3_998;
+  let rows = M.run_prepared m p in
+  let words = int_of_float (major () -. w0) in
+  check_int "the read sees the new row" 10 (Table.cardinality rows);
+  check (Printf.sprintf "%d major words <= 25,000" words) true (words <= 25_000)
+
 let suite =
   ( "temporal indexes (Tkr_idx)",
     [
@@ -591,8 +851,17 @@ let suite =
       prop_build_vs_merge_sort;
       Alcotest.test_case "index build edge cases" `Quick test_build_edges;
       prop_derived_images;
+      prop_successor_chains;
       Alcotest.test_case "unread writes pin no chain of values" `Quick
         test_no_pinned_chain;
       Alcotest.test_case "a read successor drops its base" `Quick
         test_base_dropped;
+      Alcotest.test_case "scans past the fold bound release the base" `Quick
+        test_scans_release_base;
+      Alcotest.test_case "reads through a delta build nothing" `Quick
+        test_delta_reads_build_nothing;
+      Alcotest.test_case "EXPLAIN ANALYZE reports delta reads" `Quick
+        test_explain_delta;
+      Alcotest.test_case "one-row INSERT and AS OF read: major words" `Quick
+        test_insert_read_major_words;
     ] )
