@@ -7,6 +7,7 @@
     registration if the caller stores the period elsewhere. *)
 
 open Tkr_relation
+module Names = Map.Make (String)
 
 type entry = {
   table : Table.t;
@@ -17,57 +18,78 @@ type entry = {
           moved the period columns last) *)
 }
 
-type t = {
-  tables : (string, entry) Hashtbl.t;
-  versions : (string, int) Hashtbl.t;
+(* One catalog state.  Never mutated: a write builds the successor value
+   and publishes it, so a reader holding a value sees one state for as
+   long as it holds it. *)
+type value = {
+  tables : entry Names.t;
+  versions : int Names.t;
       (** per-table version counters, monotone over the database's
           lifetime (never reset by DROP, so re-creating a table does not
           resurrect stale cache entries); bumped by every load/update —
           the invalidation signal of the snapshot-aware result cache *)
-  mutable generation : int;
+  generation : int;
       (** whole-catalog mutation counter: bumped with every table version
           and on time-bound changes — a plan prepared at generation [g] is
-          guaranteed valid while the generation stays [g] (schemas, table
-          set and [tmin]/[tmax] are all unchanged) *)
-  mutable tmin : int;
-  mutable tmax : int;
+          valid for every value of generation [g] (schemas, table set and
+          [tmin]/[tmax] are all unchanged) *)
+  tmin : int;
+  tmax : int;
 }
 
+(* a handle's writes: the live handle takes the writer mutex for each,
+   one inside {!serialized} holds it, a pinned one may not write *)
+type access = Shared of Mutex.t | Held | Pinned
+type t = { cell : value Atomic.t; access : access }
+
 let create ?(tmin = 0) ?(tmax = 1) () =
+  let v = { tables = Names.empty; versions = Names.empty; generation = 0; tmin; tmax } in
+  { cell = Atomic.make v; access = Shared (Mutex.create ()) }
+
+let key = String.lowercase_ascii
+
+let pin db =
+  match db.access with
+  | Pinned -> db
+  | Shared _ | Held -> { cell = Atomic.make (Atomic.get db.cell); access = Pinned }
+
+let serialized db f =
+  match db.access with
+  | Shared mu -> Mutex.protect mu (fun () -> f { db with access = Held })
+  | Held -> f db
+  | Pinned -> invalid_arg "Database: write through a pinned snapshot"
+
+(* publish [f]'s successor of the current value; a raise publishes nothing *)
+let write db f = serialized db (fun db -> Atomic.set db.cell (f (Atomic.get db.cell)))
+
+let version_in v name =
+  Option.value ~default:0 (Names.find_opt (key name) v.versions)
+
+let version db name = version_in (Atomic.get db.cell) name
+let generation db = (Atomic.get db.cell).generation
+
+let time_bounds db =
+  let v = Atomic.get db.cell in
+  (v.tmin, v.tmax)
+
+let set_time_bounds db ~tmin ~tmax =
+  write db (fun v -> { v with generation = v.generation + 1; tmin; tmax })
+
+(* [v] with [name]'s version and the generation bumped and [name] bound
+   to [entry], or unbound *)
+let install v name (entry : entry option) =
+  let k = key name in
   {
-    tables = Hashtbl.create 16;
-    versions = Hashtbl.create 16;
-    generation = 0;
-    tmin;
-    tmax;
+    v with
+    tables = Names.update k (fun _ -> entry) v.tables;
+    versions = Names.add k (version_in v k + 1) v.versions;
+    generation = v.generation + 1;
   }
 
-let version db name =
-  Option.value ~default:0
-    (Hashtbl.find_opt db.versions (String.lowercase_ascii name))
-
-let generation db = db.generation
-
-let bump_version db name =
-  let key = String.lowercase_ascii name in
-  db.generation <- db.generation + 1;
-  Hashtbl.replace db.versions key (version db key + 1)
-
-let time_bounds db = (db.tmin, db.tmax)
-let set_time_bounds db ~tmin ~tmax =
-  db.generation <- db.generation + 1;
-  db.tmin <- tmin;
-  db.tmax <- tmax
-
-let install db name entry =
-  bump_version db name;
-  Hashtbl.replace db.tables (String.lowercase_ascii name) entry
-
-(* widen [tmin, tmax) to cover the periods (trailing two columns) of
-   [rows]; [fn] names the caller in the error.  All or nothing: a
-   rejected row leaves the bounds as they were. *)
-let widen_bounds db fn (rows : Tuple.t array) =
-  let lo = ref db.tmin and hi = ref db.tmax in
+(* [v] with [tmin, tmax) widened to cover the periods (trailing two
+   columns) of [rows]; [fn] names the caller in the error *)
+let widen_bounds v fn (rows : Tuple.t array) =
+  let lo = ref v.tmin and hi = ref v.tmax in
   Array.iter
     (fun row ->
       let n = Tuple.arity row in
@@ -77,17 +99,12 @@ let widen_bounds db fn (rows : Tuple.t array) =
           if e > !hi then hi := e
       | _ -> invalid_arg (fn ^ ": non-integer period"))
     rows;
-  db.tmin <- !lo;
-  db.tmax <- !hi
+  { v with tmin = !lo; tmax = !hi }
 
 (** Register a plain (non-temporal) table. *)
 let add_table db name table =
-  install db name
-    {
-      table;
-      is_period = false;
-      order = Array.init (Schema.arity (Table.schema table)) Fun.id;
-    }
+  let order = Array.init (Schema.arity (Table.schema table)) Fun.id in
+  write db (fun v -> install v name (Some { table; is_period = false; order }))
 
 (** Register a period table.  [begin_col]/[end_col] give the current
     positions of the period attributes; the stored table moves them to the
@@ -109,18 +126,19 @@ let add_period_table db name ?begin_col ?end_col table =
         (Schema.project schema order)
         (Array.map (Tuple.project order) (Table.rows table))
   in
-  widen_bounds db "Database.add_period_table" (Table.rows reordered);
-  install db name
-    { table = reordered; is_period = true; order = Array.of_list order }
+  let entry = { table = reordered; is_period = true; order = Array.of_list order } in
+  write db @@ fun v ->
+  install (widen_bounds v "Database.add_period_table" (Table.rows reordered)) name (Some entry)
 
-let find_entry db name =
-  match Hashtbl.find_opt db.tables (String.lowercase_ascii name) with
+let entry_in v name =
+  match Names.find_opt (key name) v.tables with
   | Some e -> e
   | None -> raise (Schema.Unknown name)
 
+let find_entry db name = entry_in (Atomic.get db.cell) name
 let find db name = (find_entry db name).table
 let is_period db name = (find_entry db name).is_period
-let mem db name = Hashtbl.mem db.tables (String.lowercase_ascii name)
+let mem db name = Names.mem (key name) (Atomic.get db.cell).tables
 let schema_of db name = Table.schema (find db name)
 
 (** Schema without the trailing period columns (what a snapshot query over
@@ -137,33 +155,30 @@ let stored_row db name (values : Value.t array) : Tuple.t =
   let e = find_entry db name in
   Tuple.of_array (Array.map (fun i -> values.(i)) e.order)
 
+(* [v] with [name]'s table replaced by its successor ({!Table.successor})
+   and, for a period table, the bounds widened to cover [over] *)
+let succeed v fn name ~over ~rows ~prefix ~src =
+  let e = entry_in v name in
+  let v = if e.is_period then widen_bounds v fn over else v in
+  install v name (Some { e with table = Table.successor e.table ~rows ~prefix ~src })
+
 (** Append rows to an existing table (INSERT).  Period tables get their
     time bounds widened; rows must already follow the stored column order. *)
 let append_rows db name (rows : Tuple.t list) =
-  let e = find_entry db name in
-  let rows = Array.of_list rows in
-  if e.is_period then widen_bounds db "Database.append_rows" rows;
-  install db name
-    {
-      e with
-      table =
-        Table.successor e.table
-          ~rows:(Array.append (Table.rows e.table) rows)
-          ~prefix:(Table.cardinality e.table)
-          ~src:(Array.make (Array.length rows) (-1));
-    }
+  let fresh = Array.of_list rows in
+  write db @@ fun v ->
+  let old = (entry_in v name).table in
+  succeed v "Database.append_rows" name ~over:fresh
+    ~rows:(Array.append (Table.rows old) fresh)
+    ~prefix:(Table.cardinality old)
+    ~src:(Array.make (Array.length fresh) (-1))
 
 (** Replace a table's rows wholesale (UPDATE/DELETE), keeping its schema
     and period registration; period tables widen the time bounds. *)
 let set_rows db name ~src (rows : Tuple.t array) =
-  let e = find_entry db name in
-  if e.is_period then widen_bounds db "Database.set_rows" rows;
-  install db name
-    { e with table = Table.successor e.table ~rows ~prefix:0 ~src }
+  write db @@ fun v ->
+  succeed v "Database.set_rows" name ~over:rows ~rows ~prefix:0 ~src
 
-let remove_table db name =
-  bump_version db name;
-  Hashtbl.remove db.tables (String.lowercase_ascii name)
+let remove_table db name = write db (fun v -> install v name None)
 
-let names db =
-  Hashtbl.fold (fun n _ acc -> n :: acc) db.tables [] |> List.sort String.compare
+let names db = List.map fst (Names.bindings (Atomic.get db.cell).tables)

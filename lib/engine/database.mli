@@ -2,13 +2,37 @@
     tables whose trailing two (integer) columns are the period attributes
     [Abegin]/[Aend].  The catalog also tracks the time domain bounds
     [\[tmin, tmax)] used by the rewriter for whole-domain constructions
-    (gap rows, constants). *)
+    (gap rows, constants).
+
+    A {!t} is a handle on an immutable catalog value.  Reads see the
+    handle's current value; a write builds the successor value and
+    publishes it with one atomic store, so it is all or nothing: a write
+    that raises leaves the catalog as it was.  Writers serialize on one
+    mutex per catalog and never wait for readers.  A reader that needs
+    one state across several reads takes a {!pin}. *)
 
 open Tkr_relation
 
 type t
 
 val create : ?tmin:int -> ?tmax:int -> unit -> t
+(** A live handle on an empty catalog. *)
+
+val pin : t -> t
+(** A read-only handle on the value current now: later writes through
+    other handles do not reach it, and a write through it raises
+    [Invalid_argument] and changes nothing.  Pinning a pinned handle
+    returns it.  A pinned handle holds its tables alive; drop it when
+    the statement that took it is done. *)
+
+val serialized : t -> (t -> 'a) -> 'a
+(** [serialized db f] runs [f w] holding [db]'s writer mutex, so no
+    other write runs between the reads and the writes [f] makes through
+    [w] (a read-modify-write, such as an UPDATE, never loses a
+    concurrent write).  Each write through [w] publishes at once.  [w]
+    must not escape [f]; nested [serialized] calls on [w] just run.
+    @raise Invalid_argument on a pinned handle. *)
+
 val time_bounds : t -> int * int
 val set_time_bounds : t -> tmin:int -> tmax:int -> unit
 
@@ -45,7 +69,9 @@ val append_rows : t -> string -> Tuple.t list -> unit
     successor of the current table value ({!Table.successor}): the old
     rows are kept in place and the new rows are fresh, so the next index
     read answers from the old value's images plus the new rows, and a
-    full image, when one is needed, is derived from them. *)
+    full image, when one is needed, is derived from them.
+    @raise Invalid_argument when a row of a period table has a
+    non-integer period. *)
 
 val set_rows : t -> string -> src:int array -> Tuple.t array -> unit
 (** Replace all rows (UPDATE/DELETE), keeping schema and registration.
@@ -71,4 +97,4 @@ val generation : t -> int
     and by {!set_time_bounds}.  Monotone; while it is unchanged the table
     set, all schemas and the time bounds are unchanged, so plans prepared
     against this catalog state are still valid — the staleness signal for
-    prepared-statement caches. *)
+    prepared-statement caches.  A write that raises moves nothing. *)

@@ -177,8 +177,17 @@ let successor (t : t) ~(rows : Tuple.t array) ~(prefix : int)
   let composed (b : base) =
     base_of b.b_columnar b.b_index (compose b.map ~prefix ~src)
   in
+  (* A read of an older catalog value may fill [t]'s images, and drop
+     its base, while this runs.  Each slot is read once; every value a
+     slot ever holds is a correct image of [t], and a dropped base never
+     comes back, so any mix of the three reads gives a correct base, at
+     worst one that reuses less.  The base is read before the images: a
+     fill between the reads then leaves the base or the images to reuse,
+     never neither. *)
+  let b = Atomic.get t.base in
+  let idx = Atomic.get t.index in
   let base =
-    match (Atomic.get t.columnar, Atomic.get t.index, Atomic.get t.base) with
+    match (Atomic.get t.columnar, idx, b) with
     | Some c, Some idx, _ -> Some (own c idx)
     | c, None, Some ({ b_index = Some _; _ } as b) -> (
         (* an index-bearing base outlives [t]'s own columnar image while
@@ -196,7 +205,7 @@ let successor (t : t) ~(rows : Tuple.t array) ~(prefix : int)
   {
     (of_array t.schema rows) with
     base = Atomic.make base;
-    indexed_before = t.indexed_before || Option.is_some (Atomic.get t.index);
+    indexed_before = t.indexed_before || Option.is_some idx;
   }
 
 let schema t = t.schema

@@ -30,7 +30,6 @@ module Diagnostic = Tkr_check.Diagnostic
 module Check = Tkr_check.Check
 module Lint = Tkr_check.Lint
 module Absint = Tkr_check.Absint
-module Rwlock = Tkr_par.Rwlock
 
 exception Error of Diagnostic.t
 
@@ -118,14 +117,10 @@ type t = {
   phases : phase_counters;
   execute_us : Metrics.histogram;
   rows_out : Metrics.histogram;
-  rw : Rwlock.t;
-      (** catalog lock: queries hold the (reentrant) read side, DDL/DML
-          the exclusive write side — many queries execute concurrently,
-          mutations are serialized against everything *)
   mutable epoch_hook : (int -> unit) option;
-      (** observer notified with the new {!epoch} after every completed
-          {!write_locked} section — the query server's invalidation
-          telemetry *)
+      (** observer notified with the new {!epoch} after every DDL/DML
+          statement, while the statement still holds the writer mutex —
+          the query server's invalidation telemetry *)
 }
 
 let create ?(options = Rewriter.optimized) ?(optimize = true)
@@ -153,24 +148,21 @@ let create ?(options = Rewriter.optimized) ?(optimize = true)
     phases = { c_parse; c_analyze; c_check; c_rewrite; c_optimize };
     execute_us;
     rows_out;
-    rw = Rwlock.create ();
     epoch_hook = None;
   }
 
-let read_locked m f = Rwlock.with_read m.rw f
+(* the middleware over the catalog value current now: whatever a
+   statement prepares, executes and reports through it sees that one
+   value *)
+let pin m =
+  let db = Database.pin m.db in
+  if db == m.db then m else { m with db }
 
 (* every table version bump and every time-bound change moves the
-   generation; reading it under [read_locked] excludes writers, making
-   (epoch read, prepare, execute) atomic with respect to mutations *)
+   generation; on a pinned middleware it names the pinned value *)
 let epoch m = Database.generation m.db
 
 let set_epoch_hook m hook = m.epoch_hook <- hook
-
-let write_locked m f =
-  Rwlock.with_write m.rw (fun () ->
-      let r = f () in
-      (match m.epoch_hook with Some h -> h (epoch m) | None -> ());
-      r)
 
 let totals_report m =
   let ns c = Int64.of_int (Metrics.value c) in
@@ -363,8 +355,8 @@ let timeslice m t (q : Algebra.t) : Algebra.t =
   in
   go q
 
-let prepare_statement_unlocked ?(explain = false) m (stmt : Ast.statement) :
-    prepared =
+let prepare_statement ?(explain = false) m (stmt : Ast.statement) : prepared =
+  let m = pin m in
   match stmt with
   | Ast.Query { q; order_by; limit; origin } -> (
       let stats = fresh_stats () in
@@ -568,9 +560,6 @@ let prepare_statement_unlocked ?(explain = false) m (stmt : Ast.statement) :
             analyzed.algebra)
   | _ -> err "TKR021" "not a query"
 
-let prepare_statement ?explain m stmt =
-  read_locked m (fun () -> prepare_statement_unlocked ?explain m stmt)
-
 let parse m parser (sql : string) =
   let ns, r = Clock.elapsed (fun () -> parser sql) in
   Metrics.add m.phases.c_parse (Int64.to_int ns);
@@ -590,14 +579,12 @@ let prepare m sql = prepare_sql m sql
 let snapshot_algebra m (sql : string) : Algebra.t * Schema.t =
   match Parser.statement sql with
   | Ast.Query { q = Ast.Seq_vt inner; _ } ->
-      read_locked m @@ fun () ->
-      let a = Analyzer.analyze_query (snapshot_catalog m) inner in
+      let a = Analyzer.analyze_query (snapshot_catalog (pin m)) inner in
       (a.algebra, a.schema)
   | _ -> err "TKR021" "expected a SEQ VT query"
 
 let run_prepared ?(obs = Trace.disabled) m (p : prepared) : Table.t =
-  read_locked m @@ fun () ->
-  let ns, result = Clock.elapsed (fun () -> p.exec obs m.db) in
+  let ns, result = Clock.elapsed (fun () -> p.exec obs (Database.pin m.db)) in
   Metrics.observe m.execute_us (Int64.to_int (Int64.div ns 1000L));
   let result = Table.of_array p.out_schema (Table.rows result) in
   let rows =
@@ -653,16 +640,16 @@ let check_period ~what schema (t : Tuple.t) =
 (* The stored rows of an INSERT, validated before anything is written:
    each row has the table's arity and literal values, and a period
    table's begin and end values are non-NULL integers. *)
-let insert_tuples m ins_name (rows : Ast.expr list list) : Tuple.t list =
-  let schema = Database.schema_of m.db ins_name in
+let insert_tuples db ins_name (rows : Ast.expr list list) : Tuple.t list =
+  let schema = Database.schema_of db ins_name in
   let arity = Schema.arity schema in
-  let is_period = Database.is_period m.db ins_name in
+  let is_period = Database.is_period db ins_name in
   List.map
     (fun row ->
       if List.length row <> arity then
         err "TKR022" "INSERT arity mismatch for %s" ins_name;
       let t =
-        Database.stored_row m.db ins_name
+        Database.stored_row db ins_name
           (Array.of_list (List.map const_value row))
       in
       if is_period then check_period ~what:("INSERT into " ^ ins_name) schema t;
@@ -744,19 +731,19 @@ let where_matches schema where : Tuple.t -> bool =
   | None -> fun _ -> true
   | Some p -> fun row -> Expr.holds row p
 
-let check_portion m name portion =
-  if portion <> None && not (Database.is_period m.db name) then
+let check_portion db name portion =
+  if portion <> None && not (Database.is_period db name) then
     err "TKR025" "FOR PORTION OF requires a period table"
 
 (* The rows of a table after an UPDATE, and how many matched, validated
    before anything is written: a period table's begin and end values
    stay non-NULL integers. *)
-let update_rows m upd_name ~portion ~sets ~upd_where :
+let update_rows db upd_name ~portion ~sets ~upd_where :
     Tuple.t array * int array * int =
-  let schema = Database.schema_of m.db upd_name in
+  let schema = Database.schema_of db upd_name in
   let n = Schema.arity schema in
-  let is_period = Database.is_period m.db upd_name in
-  check_portion m upd_name portion;
+  let is_period = Database.is_period db upd_name in
+  check_portion db upd_name portion;
   let resolve_col c =
     match Schema.find_opt schema c with
     | Some i ->
@@ -782,17 +769,17 @@ let update_rows m upd_name ~portion ~sets ~upd_where :
   in
   dml_rows ~matches ~portion
     ~change:(fun row -> Some (apply_sets row))
-    (Table.rows (Database.find m.db upd_name))
+    (Table.rows (Database.find db upd_name))
 
 (* The rows of a table after a DELETE, and how many matched. *)
-let delete_rows m del_name ~portion ~del_where :
+let delete_rows db del_name ~portion ~del_where :
     Tuple.t array * int array * int =
-  check_portion m del_name portion;
+  check_portion db del_name portion;
   dml_rows
-    ~matches:(where_matches (Database.schema_of m.db del_name) del_where)
+    ~matches:(where_matches (Database.schema_of db del_name) del_where)
     ~portion
     ~change:(fun _ -> None)
-    (Table.rows (Database.find m.db del_name))
+    (Table.rows (Database.find db del_name))
 
 (* ---- EXPLAIN rendering ---- *)
 
@@ -902,9 +889,10 @@ let run_analyze m (p : prepared) : string =
     DELETE run the checks they run before writing, over the rows the
     table holds now; DDL has nothing to check statically. *)
 let rec check_statement m (stmt : Ast.statement) : Diagnostic.t list =
+  let m = pin m in
   (* a missing table is left to execution *)
   let before_write f =
-    match read_locked m (fun () -> ignore (f ())) with
+    match ignore (f ()) with
     | () -> []
     | exception (Error d | Analyzer.Error d) -> [ d ]
     | exception Schema.Unknown _ -> []
@@ -918,12 +906,12 @@ let rec check_statement m (stmt : Ast.statement) : Diagnostic.t list =
       | exception Analyzer.Error d -> stamp_pos origin [ d ])
   | Ast.Explain { target; _ } | Ast.Check { target } -> check_statement m target
   | Ast.Insert { ins_name; rows } ->
-      before_write (fun () -> insert_tuples m ins_name rows)
+      before_write (fun () -> insert_tuples m.db ins_name rows)
   | Ast.Update { upd_name; portion; sets; upd_where } ->
-      before_write (fun () -> update_rows m upd_name ~portion ~sets ~upd_where)
+      before_write (fun () -> update_rows m.db upd_name ~portion ~sets ~upd_where)
   | Ast.Delete { del_name; del_portion; del_where } ->
       before_write (fun () ->
-          delete_rows m del_name ~portion:del_portion ~del_where)
+          delete_rows m.db del_name ~portion:del_portion ~del_where)
   | Ast.Create_table _ | Ast.Drop_table _ -> []
 
 (** Lint one statement's logical plan under an explicit capability
@@ -934,7 +922,7 @@ let rec lint_statement m (profile : Lint.profile) (stmt : Ast.statement) :
   match stmt with
   | Ast.Query { q; _ } ->
       let algebra =
-        read_locked m @@ fun () ->
+        let m = pin m in
         match q with
         | Ast.Seq_vt inner | Ast.Seq_vt_as_of (_, inner) ->
             (Analyzer.analyze_query (snapshot_catalog m) inner).algebra
@@ -959,8 +947,8 @@ let check m (sql : string) : Diagnostic.t list =
 
 type result = Rows of Table.t | Done of string
 
-(* queries, EXPLAIN and CHECK: the caller holds the read side of the
-   catalog lock (prepare/run take their own nested read locks) *)
+(* queries, EXPLAIN and CHECK, on a pinned middleware: prepare and run
+   see the same catalog value *)
 let rec execute_query_statement ~parse_ns m (stmt : Ast.statement) : result =
   match stmt with
   | Ast.Query _ -> Rows (run_prepared m (prepare_statement m stmt))
@@ -977,9 +965,10 @@ let rec execute_query_statement ~parse_ns m (stmt : Ast.statement) : result =
       | _ -> err "TKR021" "EXPLAIN expects a query")
   | _ -> err "TKR021" "not a query"
 
-(* DDL/DML: the caller holds the exclusive write side of the catalog
-   lock — no query executes while the catalog or a table mutates *)
-let execute_update_statement m (stmt : Ast.statement) : result =
+(* DDL/DML through [db], a handle holding the catalog's writer mutex:
+   a statement's reads and its one write see no other write between
+   them *)
+let execute_update_statement db (stmt : Ast.statement) : result =
   match stmt with
   | Ast.Create_table { tbl_name; cols; period } -> (
       let schema =
@@ -988,7 +977,7 @@ let execute_update_statement m (stmt : Ast.statement) : result =
       let empty = Table.empty schema in
       match period with
       | None ->
-          Database.add_table m.db tbl_name empty;
+          Database.add_table db tbl_name empty;
           Done (Printf.sprintf "created table %s" tbl_name)
       | Some (b, e) ->
           let find c =
@@ -1003,39 +992,45 @@ let execute_update_statement m (stmt : Ast.statement) : result =
               | _, Value.TInt -> ()
               | n, _ -> err "TKR024" "period column %s must have type int" n)
             [ bi; ei ];
-          Database.add_period_table m.db tbl_name ~begin_col:bi ~end_col:ei
+          Database.add_period_table db tbl_name ~begin_col:bi ~end_col:ei
             empty;
           Done (Printf.sprintf "created period table %s" tbl_name))
   | Ast.Insert { ins_name; rows } ->
-      Database.append_rows m.db ins_name (insert_tuples m ins_name rows);
+      Database.append_rows db ins_name (insert_tuples db ins_name rows);
       Done (Printf.sprintf "inserted %d rows into %s" (List.length rows) ins_name)
   | Ast.Drop_table name ->
-      Database.remove_table m.db name;
+      Database.remove_table db name;
       Done (Printf.sprintf "dropped table %s" name)
   | Ast.Update { upd_name; portion; sets; upd_where } ->
       let rows, src, updated =
-        update_rows m upd_name ~portion ~sets ~upd_where
+        update_rows db upd_name ~portion ~sets ~upd_where
       in
-      Database.set_rows m.db upd_name ~src rows;
+      Database.set_rows db upd_name ~src rows;
       Done (Printf.sprintf "updated %d rows in %s" updated upd_name)
   | Ast.Delete { del_name; del_portion; del_where } ->
       let rows, src, deleted =
-        delete_rows m del_name ~portion:del_portion ~del_where
+        delete_rows db del_name ~portion:del_portion ~del_where
       in
-      Database.set_rows m.db del_name ~src rows;
+      Database.set_rows db del_name ~src rows;
       Done (Printf.sprintf "deleted %d rows from %s" deleted del_name)
   | Ast.Query _ | Ast.Explain _ | Ast.Check _ ->
       err "TKR021" "not a DDL/DML statement"
 
-(* take the lock side matching the statement: queries (and EXPLAIN/CHECK)
-   share the read side and run concurrently, DDL/DML is exclusive *)
+(* a query (or EXPLAIN/CHECK) runs on one pinned catalog value and never
+   waits; DDL/DML serializes on the writer mutex, publishes its
+   successor value and tells the epoch hook before letting go *)
 let execute_statement ~parse_ns m (stmt : Ast.statement) : result =
   match stmt with
   | Ast.Query _ | Ast.Explain _ | Ast.Check _ ->
-      read_locked m (fun () -> execute_query_statement ~parse_ns m stmt)
+      execute_query_statement ~parse_ns (pin m) stmt
   | Ast.Create_table _ | Ast.Insert _ | Ast.Drop_table _ | Ast.Update _
   | Ast.Delete _ ->
-      write_locked m (fun () -> execute_update_statement m stmt)
+      Database.serialized m.db @@ fun db ->
+      let r = execute_update_statement db stmt in
+      (match m.epoch_hook with
+      | Some h -> h (Database.generation db)
+      | None -> ());
+      r
 
 let parse_statement m (sql : string) = parse m Parser.statement sql
 
@@ -1068,4 +1063,5 @@ let explain m (sql : string) : string = render_plan (prepare_sql ~explain:true m
 (** EXPLAIN ANALYZE as a function: prepare, execute under a fresh trace
     collector, render the annotated operator tree plus phase timings. *)
 let explain_analyze m (sql : string) : string =
+  let m = pin m in
   run_analyze m (prepare_sql ~explain:true m sql)

@@ -15,11 +15,19 @@
     - DDL/DML: [CREATE TABLE ... PERIOD (b, e)], [INSERT], [DROP TABLE],
       [UPDATE]/[DELETE] including SQL:2011 [FOR PORTION OF].
 
-    A middleware is safe for concurrent callers (threads or domains):
-    queries prepare and execute under the shared read side of an internal
-    readers-writer lock, DDL/DML take the exclusive write side, and the
-    cumulative numbers live in the thread-safe metrics registry.  Execution is serial within a
-    statement; statements run concurrently. *)
+    A middleware is safe for concurrent callers (threads or domains).
+    Its {!Tkr_engine.Database.t} is a handle on an immutable catalog
+    value.  Each query-side entry point ({!prepare}, {!run_prepared},
+    {!snapshot_algebra}, {!check}, {!lint_statement}, and the query,
+    EXPLAIN and CHECK statements of {!execute}) pins the current value
+    once and works against it alone, so it never waits for a write and
+    never sees one half done.  DDL/DML statements serialize on the
+    catalog's writer mutex: each reads what it needs, builds the
+    successor value and publishes it, and never waits for a reader.  A
+    statement sees the last write published before it pinned.  The
+    cumulative numbers live in the thread-safe metrics registry.
+    Execution is serial within a statement; statements run
+    concurrently. *)
 
 open Tkr_relation
 module Table = Tkr_engine.Table
@@ -68,6 +76,9 @@ val create :
     the same database. *)
 
 val database : t -> Database.t
+(** The middleware's catalog handle: live on a middleware from
+    {!create}, pinned on one from {!pin}. *)
+
 val prune : t -> bool
 val index_enabled : t -> bool
 val engine : t -> engine
@@ -78,16 +89,16 @@ val parallelism : t -> int
 (** Always 1: every statement executes serially.  Kept only because the
     perfbench report records it as its [jobs] field. *)
 
-val read_locked : t -> (unit -> 'a) -> 'a
-(** Run [f] holding the shared read side of the middleware's catalog
-    lock: no DDL/DML executes inside [f], so table versions read there
-    are consistent with query results computed there.  Reentrant — [f]
-    may call any query-side middleware function.  The query server wraps
-    (version read, execute, cache fill) in this bracket. *)
-
-val write_locked : t -> (unit -> 'a) -> 'a
-(** Run [f] holding the exclusive write side (no queries in flight).
-    [f] must not call query-side middleware functions. *)
+val pin : t -> t
+(** The same middleware over the catalog value current now
+    ({!Tkr_engine.Database.pin}): everything done through it — prepare,
+    execute, {!epoch}, versions read through {!database} — sees that one
+    value.  The query server pins once per request, so the table
+    versions it reads are those its result was computed from.  A DDL/DML
+    statement through a pinned middleware raises [Invalid_argument] and
+    changes nothing.  Pinning a pinned middleware returns it.  Do not
+    keep a pinned middleware past its statement: it holds that value's
+    tables alive. *)
 
 val epoch : t -> int
 (** Catalog generation, {!Tkr_engine.Database.generation}: changes with
@@ -97,15 +108,18 @@ val epoch : t -> int
     {!prepared}
     statement bakes the catalog state of prepare time (time bounds,
     schema arities, rewrite options), so a plan cached outside the
-    middleware is valid only while [epoch] still equals its value at
-    prepare time; compare under {!read_locked} to exclude concurrent
-    mutations.  Monotone non-decreasing. *)
+    middleware is valid only for catalog values whose [epoch] equals
+    its value at prepare time: read it on the {!pin}ned middleware the
+    plan will execute on.  Monotone non-decreasing on a live
+    middleware; fixed on a pinned one. *)
 
 val set_epoch_hook : t -> (int -> unit) option -> unit
-(** Observer notified with the new {!epoch} after every completed
-    {!write_locked} section (DDL, DML), while the write lock is
-    still held — keep it cheap and non-reentrant.  [None] removes it.
-    The query server installs its epoch-bump telemetry here. *)
+(** Observer notified with the new {!epoch} after every DDL/DML
+    statement that succeeds, once its successor value is published and
+    while it still holds the catalog's writer mutex, so the hook sees
+    epochs in order — keep it cheap, and do not write to the catalog
+    from it.  [None] removes it.  The query server installs its
+    epoch-bump telemetry here. *)
 
 (** The preparation phases of one statement (parse → analyze → check →
     rewrite → optimize), each timed once when it is prepared.  The

@@ -181,17 +181,18 @@ let record srv (j : job) ~exec_ns ~gc0:(minor0, _, major0) ~fp ~epoch ~deps
       e_digest;
     } )
 
-(* Run one plain query with the cache.  The read_locked bracket makes
-   (version read, execute, cache fill) atomic with respect to DDL/DML —
-   versions observed here are the versions the result was computed
-   from, and the ones [record] pins. *)
+(* Run one plain query with the cache.  The request pins one catalog
+   value and prepares, reads versions, executes and fills the cache
+   against it, so the versions observed here are the versions the result
+   was computed from, and the ones [record] keeps.  A write meanwhile
+   publishes a new value without waiting. *)
 let run_query srv (j : job) record : reply * Record.entry =
   let req = j.j_req in
-  Middleware.read_locked srv.mw @@ fun () ->
+  let mw = Middleware.pin srv.mw in
   let { Session.prepared = p; key; fp } =
-    Session.prepared j.j_sess srv.mw req.Wire.stmt
+    Session.prepared j.j_sess mw req.Wire.stmt
   in
-  let db = Middleware.database srv.mw in
+  let db = Middleware.database mw in
   let deps =
     List.map (fun tb -> (tb, Database.version db tb)) p.Middleware.tables
   in
@@ -200,7 +201,7 @@ let run_query srv (j : job) record : reply * Record.entry =
       (fun acc tb -> acc + Table.cardinality (Database.find db tb))
       0 p.Middleware.tables
   in
-  let record = record ~fp ~epoch:(Middleware.epoch srv.mw) ~deps ~rows_in in
+  let record = record ~fp ~epoch:(Middleware.epoch mw) ~deps ~rows_in in
   let tel = srv.tel in
   let execute_fresh disposition =
     let obs = if req.Wire.trace then Trace.create () else Trace.disabled in
@@ -212,8 +213,8 @@ let run_query srv (j : job) record : reply * Record.entry =
       | Some tid when req.Wire.trace ->
           Trace.with_span obs "request" (fun sp ->
               Trace.set_str sp "trace_id" tid;
-              Middleware.run_prepared ~obs srv.mw p)
-      | _ -> Middleware.run_prepared ~obs srv.mw p
+              Middleware.run_prepared ~obs mw p)
+      | _ -> Middleware.run_prepared ~obs mw p
     in
     let rows_out = Table.cardinality tbl in
     let payload = Wire.body_to_payload (Wire.Rows tbl) in
@@ -243,7 +244,8 @@ let run_query srv (j : job) record : reply * Record.entry =
         execute_fresh "miss"
 
 (* DDL/DML and the meta statements (EXPLAIN, CHECK) bypass the cache;
-   execute_statement takes the right middleware lock side itself *)
+   execute_statement pins a query's catalog value, or serializes a
+   write, itself *)
 let run_statement srv ~parse_ns stmt : string * int =
   match Middleware.execute_statement ~parse_ns:(Some parse_ns) srv.mw stmt with
   | Middleware.Rows tbl ->

@@ -20,9 +20,11 @@
 
     Query results flow through the snapshot-aware {!Cache}: an entry is
     keyed on the normalized final plan and guarded by the
-    [(table, version)] pairs it reads, all observed under one
-    {!Tkr_middleware.Middleware.read_locked} bracket, so a hit replays
-    bytes that are provably equal to a fresh evaluation.
+    [(table, version)] pairs it reads, all observed on the one catalog
+    value the request pinned ({!Tkr_middleware.Middleware.pin}), so a
+    hit replays bytes that are provably equal to a fresh evaluation.  A
+    DDL/DML request never waits for a running query: it publishes a new
+    catalog value, which later requests see.
 
     Backpressure and shutdown are typed wire errors: [SERVER_BUSY] when
     [queue_depth] sessions already wait for a slot, [DEADLINE_EXCEEDED]

@@ -56,8 +56,9 @@ val prepared : session -> Middleware.t -> string -> plan
     it on first sight and re-preparing once {!Middleware.epoch} has moved
     (the catalog changed since), which also drops every other stale
     entry.
-    Call under {!Middleware.read_locked} when executing the returned plan,
-    so no mutation can intervene between validation and execution.
+    Pass a {!Middleware.pin}ned middleware and execute the returned plan
+    on that same one, so validation and execution see one catalog
+    value.
     Raises whatever {!Middleware.prepare} raises; failures are not
     cached. *)
 

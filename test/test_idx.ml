@@ -601,7 +601,10 @@ let prop_derived_images =
    dropped at random, fresh rows anywhere), read by [Table.probe] with
    random bounds now and then, and folded now and then: every probe
    returns the candidates a fresh index over the current rows returns,
-   in order, with their cells, and folded images equal fresh ones. *)
+   in order, with their cells, and folded images equal fresh ones.  Half
+   the successors are built while another domain folds their
+   predecessor, as a read of an older catalog value may while a write
+   publishes the next: both values must still read right. *)
 let prop_successor_chains =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:300
@@ -619,13 +622,47 @@ let prop_successor_chains =
                Value.Int (b + rnd 6);
              ]
          in
+         (* the columnar image and index a fresh build gives *)
+         let fresh_images tbl =
+           let fresh = Batch.of_rows w_schema (Table.rows tbl) in
+           match fresh.Batch.cols with
+           | [| _; { data = Ints b; _ }; { data = Ints e; _ } |] ->
+               (fresh, Interval.build b e)
+           | _ -> assert false
+         in
+         let probe_agrees tbl =
+           let b_hi = { Interval.v = rnd 24 - 3; incl = rnd 2 = 0 }
+           and e_lo = { Interval.v = rnd 24 - 3; incl = rnd 2 = 0 } in
+           let rows = Table.rows tbl in
+           let expect =
+             Array.map (fun i -> rows.(i))
+               (Interval.probe (snd (fresh_images tbl)) ~b_hi ~e_lo)
+           in
+           match Table.probe tbl ~b_hi ~e_lo with
+           | Some p ->
+               let got = Batch.to_rows p.Table.view in
+               p.Table.candidates = Array.length expect
+               && Array.length got = Array.length expect
+               && Array.for_all2 Tuple.equal got expect
+           | None -> false
+         in
+         let folded_agrees tbl =
+           let fresh, idx = fresh_images tbl in
+           compare (Table.columnar tbl) fresh = 0
+           && compare (Table.index tbl) (Some idx) = 0
+         in
          let t = ref (Table.of_array w_schema (Array.init (rnd 60) (fun _ -> fresh_row ()))) in
          let ok = ref true in
          for _ = 0 to (steps mod 12) + 4 do
            match rnd 4 with
            | 0 | 1 ->
-               let old = Table.rows !t in
-               let n = Array.length old in
+               let old = !t in
+               let reader =
+                 if rnd 2 = 0 then Some (Domain.spawn (fun () -> ignore (Table.index old)))
+                 else None
+               in
+               let old_rows = Table.rows old in
+               let n = Array.length old_rows in
                let prefix = if rnd 3 = 0 then n else rnd (n + 1) in
                let rows = ref [] and src = ref [] in
                let add r s =
@@ -634,46 +671,23 @@ let prop_successor_chains =
                in
                for i = prefix to n - 1 do
                  if rnd 8 = 0 then add (fresh_row ()) (-1);
-                 if rnd 5 > 0 then add old.(i) i
+                 if rnd 5 > 0 then add old_rows.(i) i
                done;
                for _ = 1 to rnd 3 do
                  add (fresh_row ()) (-1)
                done;
                t :=
-                 Table.successor !t
-                   ~rows:(Array.append (Array.sub old 0 prefix) (Array.of_list (List.rev !rows)))
+                 Table.successor old
+                   ~rows:(Array.append (Array.sub old_rows 0 prefix) (Array.of_list (List.rev !rows)))
                    ~prefix
-                   ~src:(Array.of_list (List.rev !src))
-           | 2 ->
-               let b_hi = { Interval.v = rnd 24 - 3; incl = rnd 2 = 0 }
-               and e_lo = { Interval.v = rnd 24 - 3; incl = rnd 2 = 0 } in
-               let rows = Table.rows !t in
-               let fresh = Batch.of_rows w_schema rows in
-               let expect =
-                 match fresh.Batch.cols with
-                 | [| _; { data = Ints b; _ }; { data = Ints e; _ } |] ->
-                     Array.map (fun i -> rows.(i)) (Interval.probe (Interval.build b e) ~b_hi ~e_lo)
-                 | _ -> assert false
-               in
-               (match Table.probe !t ~b_hi ~e_lo with
-               | Some p ->
-                   let got = Batch.to_rows p.Table.view in
-                   if
-                     not
-                       (p.Table.candidates = Array.length expect
-                       && Array.length got = Array.length expect
-                       && Array.for_all2 Tuple.equal got expect)
-                   then ok := false
-               | None -> ok := false)
-           | _ ->
-               let rows = Table.rows !t in
-               let fresh = Batch.of_rows w_schema rows in
-               if compare (Table.columnar !t) fresh <> 0 then ok := false;
-               (match fresh.Batch.cols with
-               | [| _; { data = Ints b; _ }; { data = Ints e; _ } |] ->
-                   if compare (Table.index !t) (Some (Interval.build b e)) <> 0 then
-                     ok := false
-               | _ -> ok := false)
+                   ~src:(Array.of_list (List.rev !src));
+               Option.iter
+                 (fun d ->
+                   Domain.join d;
+                   if not (folded_agrees old && probe_agrees !t) then ok := false)
+                 reader
+           | 2 -> if not (probe_agrees !t) then ok := false
+           | _ -> if not (folded_agrees !t) then ok := false
          done;
          !ok))
 

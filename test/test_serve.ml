@@ -1230,9 +1230,8 @@ let test_e2e_cache_metrics_match_stats () =
     Schema.make [ Schema.attr "x" Value.TInt; Schema.attr "y" Value.TInt ]
   in
   let row i = Tuple.of_array [| Value.Int i; Value.Int (i * 7) |] in
-  M.write_locked m (fun () ->
-      Database.add_table (M.database m) "big"
-        (Table.of_array schema (Array.init 60_000 row)));
+  Database.add_table (M.database m) "big"
+    (Table.of_array schema (Array.init 60_000 row));
   Client.with_client ~port:(Server.port srv) @@ fun c ->
   List.iter
     (fun q -> ignore (Client.run_exn c q))
@@ -1298,9 +1297,8 @@ let with_big_server ~workers f =
     Schema.make [ Schema.attr "x" Value.TInt; Schema.attr "y" Value.TInt ]
   in
   let row i = Tuple.of_array [| Value.Int i; Value.Int (i * 7) |] in
-  M.write_locked m (fun () ->
-      Database.add_table (M.database m) "big"
-        (Table.of_array schema (Array.init big_rows row)));
+  Database.add_table (M.database m) "big"
+    (Table.of_array schema (Array.init big_rows row));
   let srv =
     Server.start
       ~config:{ Server.default_config with port = 0; workers; cache_mb = 0 }
