@@ -988,7 +988,10 @@ let connect host port sql file workload connections deadline_ms trace max_rows
     | _ -> ());
     match rsp.Wire.body with
     | Ok (Wire.Rows t) -> Table.to_text ~max_rows t
-    | Ok (Wire.Message msg) -> msg ^ "\n"
+    | Ok (Wire.Message msg) ->
+        (* a message ends in one newline, whether or not it brought its
+           own (METRICS does) *)
+        if String.ends_with ~suffix:"\n" msg then msg else msg ^ "\n"
     | Error e -> raise (Client.Server_error e)
   in
   match (workload, sql, file) with

@@ -282,7 +282,8 @@ type out = {
   fact : fact;
   pruned : Algebra.t;
   diags : Diagnostic.t list;  (** bottom-up, children first *)
-  lines : (int * string) list;  (** depth-tagged render of the original *)
+  lines : (int * string) list;
+      (** depth-tagged render of the original, built only for {!render} *)
 }
 
 (* degenerate encoding: every surviving row would need Abegin >= Aend *)
@@ -318,7 +319,7 @@ let rename_like (want : Schema.t option) (have : Schema.t option)
 
 (* finish one node: apply the provably-empty collapse, emit its render
    line above its children's *)
-let node (q : Algebra.t) (fact : fact) (pruned : Algebra.t)
+let node ~render (q : Algebra.t) (fact : fact) (pruned : Algebra.t)
     (diags : Diagnostic.t list) (kids_lines : (int * string) list) : out =
   let pruned =
     if fact.empty then
@@ -333,18 +334,20 @@ let node (q : Algebra.t) (fact : fact) (pruned : Algebra.t)
     pruned;
     diags;
     lines =
-      (0, label q ^ annot fact)
-      :: List.map (fun (d, s) -> (d + 1, s)) kids_lines;
+      (if render then
+         (0, label q ^ annot fact)
+         :: List.map (fun (d, s) -> (d + 1, s)) kids_lines
+       else []);
   }
 
-let rec go (env : env) (q : Algebra.t) : out =
+let rec go ~render (env : env) (q : Algebra.t) : out =
   let sch = Typecheck.schema_of ~lookup:env.lookup q in
   match q with
   | Algebra.Rel name ->
       let cols =
         match sch with Some s -> seed_rel env name s | None -> [||]
       in
-      node q
+      node ~render q
         { schema = sch; empty = false; cols; dup_free = false;
           coalesced = false; period = env.is_period name }
         q [] []
@@ -352,12 +355,12 @@ let rec go (env : env) (q : Algebra.t) : out =
       let dup_free =
         List.length (List.sort_uniq Tuple.compare ts) = List.length ts
       in
-      node q
+      node ~render q
         { schema = Some s; empty = ts = []; cols = seed_const s ts; dup_free;
           coalesced = ts = []; period = false }
         q [] []
   | Select (p, q0) ->
-      let c = go env q0 in
+      let c = go ~render env q0 in
       let f0 = c.fact in
       let r = refine f0.cols p in
       let data_only =
@@ -400,9 +403,9 @@ let rec go (env : env) (q : Algebra.t) : out =
             ]
           else []
       in
-      node q fact (Algebra.Select (p, c.pruned)) (c.diags @ own) c.lines
+      node ~render q fact (Algebra.Select (p, c.pruned)) (c.diags @ own) c.lines
   | Project (ps, q0) ->
-      let c = go env q0 in
+      let c = go ~render env q0 in
       let f0 = c.fact in
       let cols =
         Array.of_list
@@ -437,13 +440,13 @@ let rec go (env : env) (q : Algebra.t) : out =
             | _ -> false)
         | None -> false
       in
-      node q
+      node ~render q
         { schema = sch; empty = f0.empty; cols; dup_free = covers_child;
           coalesced = false; period }
         (Algebra.Project (ps, c.pruned))
         c.diags c.lines
   | Join (p, l, r) ->
-      let lo = go env l and ro = go env r in
+      let lo = go ~render env l and ro = go ~render env r in
       let fl = lo.fact and fr = ro.fact in
       let cols0 =
         match (fl.schema, fr.schema) with
@@ -465,7 +468,7 @@ let rec go (env : env) (q : Algebra.t) : out =
           ]
         else []
       in
-      node q
+      node ~render q
         { schema = sch; empty = sides_empty || rf.unsat; cols = rf.rcols;
           dup_free = fl.dup_free && fr.dup_free; coalesced = false;
           period = fr.period }
@@ -473,7 +476,7 @@ let rec go (env : env) (q : Algebra.t) : out =
         (lo.diags @ ro.diags @ own)
         (lo.lines @ ro.lines)
   | Union (l, r) ->
-      let lo = go env l and ro = go env r in
+      let lo = go ~render env l and ro = go ~render env r in
       let fl = lo.fact and fr = ro.fact in
       let fact =
         if fl.empty then { fr with schema = sch }
@@ -497,21 +500,21 @@ let rec go (env : env) (q : Algebra.t) : out =
         else if fr.empty && not fl.empty then lo.pruned
         else Algebra.Union (lo.pruned, ro.pruned)
       in
-      node q fact pruned (lo.diags @ ro.diags) (lo.lines @ ro.lines)
+      node ~render q fact pruned (lo.diags @ ro.diags) (lo.lines @ ro.lines)
   | Diff (l, r) ->
-      let lo = go env l and ro = go env r in
+      let lo = go ~render env l and ro = go ~render env r in
       let fl = lo.fact and fr = ro.fact in
       let pruned =
         if fr.empty then lo.pruned
         else Algebra.Diff (lo.pruned, ro.pruned)
       in
-      node q
+      node ~render q
         { schema = sch; empty = fl.empty; cols = fl.cols;
           dup_free = fl.dup_free; coalesced = fl.coalesced && fr.empty;
           period = fl.period }
         pruned (lo.diags @ ro.diags) (lo.lines @ ro.lines)
   | Agg (group, aggs, q0) ->
-      let c = go env q0 in
+      let c = go ~render env q0 in
       let f0 = c.fact in
       let gcols =
         List.map (fun (p : Algebra.proj) -> expr_fact f0.cols p.expr) group
@@ -521,7 +524,7 @@ let rec go (env : env) (q : Algebra.t) : out =
           (fun (a : Algebra.agg_spec) -> agg_fact f0.cols a.func)
           aggs
       in
-      node q
+      node ~render q
         { schema = sch;
           (* aggregation without GROUP BY yields one row even on empty
              input, so emptiness only propagates through grouped forms *)
@@ -531,7 +534,7 @@ let rec go (env : env) (q : Algebra.t) : out =
         (Algebra.Agg (group, aggs, c.pruned))
         c.diags c.lines
   | Distinct q0 ->
-      let c = go env q0 in
+      let c = go ~render env q0 in
       let f0 = c.fact in
       let own =
         if f0.dup_free && not f0.empty then
@@ -543,14 +546,14 @@ let rec go (env : env) (q : Algebra.t) : out =
           ]
         else []
       in
-      if f0.dup_free then node q f0 c.pruned (c.diags @ own) c.lines
+      if f0.dup_free then node ~render q f0 c.pruned (c.diags @ own) c.lines
       else
-        node q
+        node ~render q
           { f0 with schema = sch; dup_free = true; coalesced = false }
           (Algebra.Distinct c.pruned)
           (c.diags @ own) c.lines
   | Coalesce q0 ->
-      let c = go env q0 in
+      let c = go ~render env q0 in
       let f0 = c.fact in
       let own =
         if f0.coalesced && not f0.empty then
@@ -562,16 +565,16 @@ let rec go (env : env) (q : Algebra.t) : out =
           ]
         else []
       in
-      if f0.coalesced then node q f0 c.pruned (c.diags @ own) c.lines
+      if f0.coalesced then node ~render q f0 c.pruned (c.diags @ own) c.lines
       else
-        node q
+        node ~render q
           { schema = sch; empty = f0.empty; cols = f0.cols; dup_free = false;
             coalesced = true; period = true }
           (Algebra.Coalesce c.pruned)
           (c.diags @ own) c.lines
   | Split (g, l, r) ->
-      let lo = go env l in
-      let ro = if r == l then lo else go env r in
+      let lo = go ~render env l in
+      let ro = if r == l then lo else go ~render env r in
       let fl = lo.fact in
       let cols =
         (* fragments stay within the original interval, so both endpoint
@@ -596,14 +599,14 @@ let rec go (env : env) (q : Algebra.t) : out =
           Algebra.Split (g, l', l')
         else Algebra.Split (g, lo.pruned, ro.pruned)
       in
-      node q
+      node ~render q
         { schema = sch; empty = fl.empty; cols; dup_free = false;
           coalesced = false; period = fl.period }
         pruned
         (if r == l then lo.diags else lo.diags @ ro.diags)
         (lo.lines @ ro.lines)
   | Split_agg sa ->
-      let c = go env sa.sa_child in
+      let c = go ~render env sa.sa_child in
       let f0 = c.fact in
       let window =
         let base =
@@ -632,7 +635,7 @@ let rec go (env : env) (q : Algebra.t) : out =
           sa.sa_aggs
       in
       let pcol = { Domain.itv = window; nonnull = true } in
-      node q
+      node ~render q
         { schema = sch;
           (* a gap-covering split-aggregate emits rows over the whole
              domain even on empty input *)
@@ -645,7 +648,7 @@ let rec go (env : env) (q : Algebra.t) : out =
 (* ---- public API ---- *)
 
 let analyze (env : env) (q : Algebra.t) : fact * Diagnostic.t list =
-  let o = go env q in
+  let o = go ~render:false env q in
   let ds =
     if o.fact.empty then
       o.diags
@@ -662,9 +665,9 @@ let analyze (env : env) (q : Algebra.t) : fact * Diagnostic.t list =
 let diagnose (env : env) (q : Algebra.t) : Diagnostic.t list =
   snd (analyze env q)
 
-let prune (env : env) (q : Algebra.t) : Algebra.t = (go env q).pruned
+let prune (env : env) (q : Algebra.t) : Algebra.t = (go ~render:false env q).pruned
 
 let render (env : env) (q : Algebra.t) : string =
-  let o = go env q in
+  let o = go ~render:true env q in
   String.concat "\n"
     (List.map (fun (d, s) -> String.make (2 * d) ' ' ^ s) o.lines)

@@ -31,8 +31,12 @@ type value = {
   generation : int;
       (** whole-catalog mutation counter: bumped with every table version
           and on time-bound changes — a plan prepared at generation [g] is
-          valid for every value of generation [g] (schemas, table set and
-          [tmin]/[tmax] are all unchanged) *)
+          valid for every value of generation [g] (rows, schemas, table
+          set and [tmin]/[tmax] are all unchanged) *)
+  schema_epoch : int;
+      (** bumped by DDL and by every change of [tmin]/[tmax], not by DML
+          that stays inside them: while it holds, the table set, schemas
+          and bounds are unchanged and only rows differ *)
   tmin : int;
   tmax : int;
 }
@@ -43,7 +47,16 @@ type access = Shared of Mutex.t | Held | Pinned
 type t = { cell : value Atomic.t; access : access }
 
 let create ?(tmin = 0) ?(tmax = 1) () =
-  let v = { tables = Names.empty; versions = Names.empty; generation = 0; tmin; tmax } in
+  let v =
+    {
+      tables = Names.empty;
+      versions = Names.empty;
+      generation = 0;
+      schema_epoch = 0;
+      tmin;
+      tmax;
+    }
+  in
   { cell = Atomic.make v; access = Shared (Mutex.create ()) }
 
 let key = String.lowercase_ascii
@@ -67,23 +80,32 @@ let version_in v name =
 
 let version db name = version_in (Atomic.get db.cell) name
 let generation db = (Atomic.get db.cell).generation
+let schema_epoch db = (Atomic.get db.cell).schema_epoch
 
 let time_bounds db =
   let v = Atomic.get db.cell in
   (v.tmin, v.tmax)
 
 let set_time_bounds db ~tmin ~tmax =
-  write db (fun v -> { v with generation = v.generation + 1; tmin; tmax })
+  write db (fun v ->
+      {
+        v with
+        generation = v.generation + 1;
+        schema_epoch = v.schema_epoch + 1;
+        tmin;
+        tmax;
+      })
 
 (* [v] with [name]'s version and the generation bumped and [name] bound
-   to [entry], or unbound *)
-let install v name (entry : entry option) =
+   to [entry], or unbound; [ddl] moves the schema epoch too *)
+let install ~ddl v name (entry : entry option) =
   let k = key name in
   {
     v with
     tables = Names.update k (fun _ -> entry) v.tables;
     versions = Names.add k (version_in v k + 1) v.versions;
     generation = v.generation + 1;
+    schema_epoch = (if ddl then v.schema_epoch + 1 else v.schema_epoch);
   }
 
 (* [v] with [tmin, tmax) widened to cover the periods (trailing two
@@ -99,12 +121,14 @@ let widen_bounds v fn (rows : Tuple.t array) =
           if e > !hi then hi := e
       | _ -> invalid_arg (fn ^ ": non-integer period"))
     rows;
-  { v with tmin = !lo; tmax = !hi }
+  if !lo = v.tmin && !hi = v.tmax then v
+  else { v with tmin = !lo; tmax = !hi; schema_epoch = v.schema_epoch + 1 }
 
 (** Register a plain (non-temporal) table. *)
 let add_table db name table =
   let order = Array.init (Schema.arity (Table.schema table)) Fun.id in
-  write db (fun v -> install v name (Some { table; is_period = false; order }))
+  write db (fun v ->
+      install ~ddl:true v name (Some { table; is_period = false; order }))
 
 (** Register a period table.  [begin_col]/[end_col] give the current
     positions of the period attributes; the stored table moves them to the
@@ -128,7 +152,9 @@ let add_period_table db name ?begin_col ?end_col table =
   in
   let entry = { table = reordered; is_period = true; order = Array.of_list order } in
   write db @@ fun v ->
-  install (widen_bounds v "Database.add_period_table" (Table.rows reordered)) name (Some entry)
+  install ~ddl:true
+    (widen_bounds v "Database.add_period_table" (Table.rows reordered))
+    name (Some entry)
 
 let entry_in v name =
   match Names.find_opt (key name) v.tables with
@@ -160,7 +186,8 @@ let stored_row db name (values : Value.t array) : Tuple.t =
 let succeed v fn name ~over ~rows ~prefix ~src =
   let e = entry_in v name in
   let v = if e.is_period then widen_bounds v fn over else v in
-  install v name (Some { e with table = Table.successor e.table ~rows ~prefix ~src })
+  install ~ddl:false v name
+    (Some { e with table = Table.successor e.table ~rows ~prefix ~src })
 
 (** Append rows to an existing table (INSERT).  Period tables get their
     time bounds widened; rows must already follow the stored column order. *)
@@ -179,6 +206,6 @@ let set_rows db name ~src (rows : Tuple.t array) =
   write db @@ fun v ->
   succeed v "Database.set_rows" name ~over:rows ~rows ~prefix:0 ~src
 
-let remove_table db name = write db (fun v -> install v name None)
+let remove_table db name = write db (fun v -> install ~ddl:true v name None)
 
 let names db = List.map fst (Names.bindings (Atomic.get db.cell).tables)

@@ -94,7 +94,19 @@ val version : t -> string -> int
 
 val generation : t -> int
 (** Whole-catalog mutation counter: bumped alongside every table version
-    and by {!set_time_bounds}.  Monotone; while it is unchanged the table
-    set, all schemas and the time bounds are unchanged, so plans prepared
-    against this catalog state are still valid — the staleness signal for
-    prepared-statement caches.  A write that raises moves nothing. *)
+    and by {!set_time_bounds}.  Monotone; while it is unchanged the
+    catalog value is the same in every respect (rows, table set,
+    schemas, time bounds), so a plan prepared against it is still the
+    plan a fresh prepare would make — the optimizer reads row counts
+    and column statistics too.  A write that raises moves nothing. *)
+
+val schema_epoch : t -> int
+(** The schema-and-time-bounds epoch: bumped by every DDL
+    ({!add_table}, {!add_period_table}, {!remove_table}), by
+    {!set_time_bounds}, and by an {!append_rows} or {!set_rows} that
+    widens the time bounds; DML inside the bounds leaves it alone.
+    Monotone; while it is unchanged the table set, all schemas and the
+    time bounds are unchanged, so a statement's analysis and everything
+    computed from its optimized plan stay valid — only the optimizer,
+    which reads rows, must run again.  The validity key of the query
+    server's plan shapes. *)

@@ -355,210 +355,322 @@ let timeslice m t (q : Algebra.t) : Algebra.t =
   in
   go q
 
-let prepare_statement ?(explain = false) m (stmt : Ast.statement) : prepared =
+(* ---- preparation: shape, optimize, bind ----
+
+   A query is prepared in three stages, each a function of the previous
+   one's result and of the pinned catalog value:
+   - [shape]: analysis and the analyzed-plan checks, which read schemas
+     only and leave a top-level AS OF point open;
+   - [optimize]: the join-order optimizer, which reads row counts and
+     column statistics, and the check of its plan;
+   - [bind]: everything after, for one AS OF point: rewrite or timeslice,
+     the final plan's checks and pruning, which read schemas, the time
+     bounds and the point.
+   [prepare] is their composition.  While {!Database.schema_epoch} holds,
+   a shape stays valid, and a bind of an optimized plan equal to an
+   earlier one equals the earlier bind at the same point: the query
+   server's sessions reuse both. *)
+
+type shape_kind =
+  | Snapshot_shape of { analyzed : Analyzer.analyzed; as_of : bool }
+      (** a [SEQ VT] query (set mode already applied), its AS OF point
+          open when [as_of] *)
+  | Plain_shape of Analyzer.analyzed
+
+type shape = {
+  sh_epoch : int;  (** the {!Database.schema_epoch} it was analyzed at *)
+  sh_kind : shape_kind;
+  sh_order_by : Ast.order_item list;
+  sh_limit : int option;
+  sh_origin : Ast.pos option;
+  sh_diags : Diagnostic.t list;  (** the analyzed plan's check warnings *)
+  sh_stats : phase_stats;
+}
+
+type optimized = {
+  o_shape : shape;
+  o_logical : Algebra.t;  (** the optimized logical plan *)
+  o_diags : Diagnostic.t list;  (** every warning up to this stage *)
+  o_stats : phase_stats;
+  mutable o_gen : int;
+      (** the latest {!Database.generation} whose rows optimize to
+          [o_logical] *)
+}
+
+let copy_stats (s : phase_stats) = { s with analyze_ns = s.analyze_ns }
+
+(* one stage of the obs-timed static [check] phase: accumulate elapsed
+   time, reject right away on errors (or warnings when strict) so later
+   phases never see an invalid plan *)
+let checked m stats origin (f : unit -> Diagnostic.t list) : Diagnostic.t list =
+  let ds =
+    phase m.phases.c_check
+      (fun ns -> stats.check_ns <- Int64.add stats.check_ns ns)
+      f
+  in
+  match Check.verdict ~werror:m.strict (stamp_pos origin ds) with
+  | Ok ds -> ds
+  | Error ds -> raise (Rejected (Diagnostic.sort ds))
+
+let data_lookup m n =
+  if Database.mem m.db n then Some (Database.data_schema_of m.db n) else None
+
+(* the estimates know what REWR will make of a SEQ VT plan; an AS OF
+   timeslice is a plain query *)
+let optimizer_mode m ~as_of : Tkr_engine.Optimizer.mode =
+  if as_of then Plain
+  else
+    let tmin, tmax = Database.time_bounds m.db in
+    Snapshot { domain = tmax - tmin }
+
+let opt_stats m =
+  { Tkr_engine.Optimizer.card = (fun n -> Table.cardinality (Database.find m.db n)) }
+
+let shape m (stmt : Ast.statement) : shape =
   let m = pin m in
   match stmt with
-  | Ast.Query { q; order_by; limit; origin } -> (
+  | Ast.Query { q; order_by; limit; origin; _ } ->
       let stats = fresh_stats () in
-      (* one stage of the obs-timed static [check] phase: accumulate
-         elapsed time, reject right away on errors (or warnings when
-         strict) so later phases never see an invalid plan *)
-      let checked (f : unit -> Diagnostic.t list) : Diagnostic.t list =
-        let ds =
-          phase m.phases.c_check
-            (fun ns -> stats.check_ns <- Int64.add stats.check_ns ns)
-            f
-        in
-        match Check.verdict ~werror:m.strict (stamp_pos origin ds) with
-        | Ok ds -> ds
-        | Error ds -> raise (Rejected (Diagnostic.sort ds))
+      let analyze f =
+        phase m.phases.c_analyze (fun ns -> stats.analyze_ns <- ns) f
       in
-      let is_period n = Database.is_period m.db n in
-      let tmin, tmax = Database.time_bounds m.db in
-      let enc_lookup n =
-        if Database.mem m.db n then Some (Database.schema_of m.db n) else None
-      in
-      (* the prepared statement over a final plan; [env] seeds the
-         analysis rendered by EXPLAIN *)
-      let finish ~env ~snapshot ~out_schema ~diags plan =
-        {
-          plan;
-          exec = make_exec m plan;
-          out_schema;
-          snapshot;
-          order_by = List.map (Analyzer.resolve_order out_schema) order_by;
-          limit;
-          stats;
-          diags;
-          analysis = Absint.render env plan;
-          access =
-            Tkr_engine.Optimizer.access
-              ~use_index:(m.index && m.engine = Vec)
-              ~is_period
-              ~lookup:(Database.schema_of m.db) plan;
-          tables = List.sort_uniq String.compare (collect_rels [] plan);
-          joins = [];
-        }
-      in
-      (* the plain-query back end, shared by plain SQL and AS OF
-         timeslices: the plan reads the stored tables with their period
-         columns exposed, so the abstract interpreter seeds those from
-         the stored time bounds *)
-      let plain ~prior ~snapshot ~out_schema algebra =
-        let env = Absint.env ~is_period ~time_bounds:(tmin, tmax) enc_lookup in
-        let diags =
-          drop_dup4 ~prior
-            ( checked @@ fun () ->
-              Check.logical ~absint:env ~lookup:enc_lookup algebra )
-        in
-        let plan = if m.prune then Absint.prune env algebra else algebra in
-        (* fuse selection stacks into single conjunctions — the shape the
-           index probe recognizer works on.  Unconditional: the plan
-           never depends on the index flag. *)
-        finish ~env ~snapshot ~out_schema ~diags:(prior @ diags)
-          (Tkr_engine.Optimizer.merge_selects plan)
-      in
-      let kind =
-        match q with
-        | Ast.Seq_vt inner -> `Snapshot (inner, None, false)
-        | Ast.Seq_vt_as_of (t, inner) -> `Snapshot (inner, Some t, false)
-        | Ast.Seq_vt_set inner -> `Snapshot (inner, None, true)
-        | q -> `Plain q
-      in
-      match kind with
-      | `Snapshot (inner, as_of, set_mode) -> (
+      let snapshot inner ~as_of ~set_mode =
+        let analyzed =
+          analyze @@ fun () ->
+          let analyzed = Analyzer.analyze_query (snapshot_catalog m) inner in
           let analyzed =
-            phase m.phases.c_analyze (fun ns -> stats.analyze_ns <- ns)
-            @@ fun () ->
-            let analyzed = Analyzer.analyze_query (snapshot_catalog m) inner in
-            let analyzed =
-              if set_mode then
-                { analyzed with algebra = setify analyzed.algebra }
-              else analyzed
-            in
-            (* every base relation must be a period table *)
-            List.iter
-              (fun n ->
-                if not (is_period n) then
-                  err "TKR020" "table %s inside SEQ VT is not a period table" n)
-              (collect_rels [] analyzed.algebra);
-            analyzed
+            if set_mode then { analyzed with algebra = setify analyzed.algebra }
+            else analyzed
           in
-          let lookup n = Database.data_schema_of m.db n in
-          let data_lookup n =
-            if Database.mem m.db n then Some (Database.data_schema_of m.db n)
+          (* every base relation must be a period table *)
+          List.iter
+            (fun n ->
+              if not (Database.is_period m.db n) then
+                err "TKR020" "table %s inside SEQ VT is not a period table" n)
+            (collect_rels [] analyzed.algebra);
+          analyzed
+        in
+        (* check: types + logical invariants on the analyzed plan *)
+        let diags =
+          checked m stats origin @@ fun () ->
+          Check.logical ~lookup:(data_lookup m) analyzed.algebra
+          @ Lint.plan Lint.middleware analyzed.algebra
+        in
+        (Snapshot_shape { analyzed; as_of }, diags)
+      in
+      let sh_kind, sh_diags =
+        match q with
+        | Ast.Seq_vt inner -> snapshot inner ~as_of:false ~set_mode:false
+        | Ast.Seq_vt_as_of (_, inner) ->
+            snapshot inner ~as_of:true ~set_mode:false
+        | Ast.Seq_vt_set inner -> snapshot inner ~as_of:false ~set_mode:true
+        | q ->
+            ( Plain_shape
+                (analyze (fun () -> Analyzer.analyze_query (plain_catalog m) q)),
+              [] )
+      in
+      {
+        sh_epoch = Database.schema_epoch m.db;
+        sh_kind;
+        sh_order_by = order_by;
+        sh_limit = limit;
+        sh_origin = origin;
+        sh_diags;
+        sh_stats = stats;
+      }
+  | _ -> err "TKR021" "not a query"
+
+let shape_valid m sh = sh.sh_epoch = Database.schema_epoch m.db
+
+let optimize ?prev m (sh : shape) : optimized =
+  let m = pin m in
+  let gen = Database.generation m.db in
+  let prev = match prev with Some o when o.o_shape == sh -> prev | _ -> None in
+  match (prev, sh.sh_kind) with
+  | Some o, _ when o.o_gen = gen -> o
+  | Some o, Plain_shape _ ->
+      (* plain SQL is not reordered *)
+      o.o_gen <- gen;
+      o
+  | None, Plain_shape a ->
+      {
+        o_shape = sh;
+        o_logical = a.algebra;
+        o_diags = sh.sh_diags;
+        o_stats = copy_stats sh.sh_stats;
+        o_gen = gen;
+      }
+  | _, Snapshot_shape { analyzed; as_of } -> (
+      let stats = copy_stats sh.sh_stats in
+      let lookup n = Database.data_schema_of m.db n in
+      let logical =
+        phase m.phases.c_optimize (fun ns -> stats.optimize_ns <- ns)
+        @@ fun () ->
+        let logical = Simplify.simplify analyzed.algebra in
+        if m.optimize then
+          let prune_hook =
+            if m.prune then Some (Absint.prune (Absint.env (data_lookup m)))
             else None
           in
-          (* check: types + logical invariants on the analyzed plan *)
-          let diags_analyzed =
-            checked @@ fun () ->
-            Check.logical ~lookup:data_lookup analyzed.algebra
-            @ Lint.plan Lint.middleware analyzed.algebra
-          in
-          (* the estimates know what REWR will make of a SEQ VT plan;
-             an AS OF timeslice is a plain query *)
-          let mode : Tkr_engine.Optimizer.mode =
-            match as_of with
-            | Some _ -> Plain
-            | None -> Snapshot { domain = tmax - tmin }
-          in
-          let opt_stats =
-            { Tkr_engine.Optimizer.card = (fun n -> Table.cardinality (Database.find m.db n)) }
-          in
-          let table = Database.find m.db in
-          let logical =
-            phase m.phases.c_optimize (fun ns -> stats.optimize_ns <- ns)
-            @@ fun () ->
-            let logical = Simplify.simplify analyzed.algebra in
-            if m.optimize then
-              let prune_hook =
-                if m.prune then Some (Absint.prune (Absint.env data_lookup))
-                else None
-              in
-              Tkr_engine.Optimizer.optimize ?prune:prune_hook ~table ~mode
-                ~stats:opt_stats ~lookup logical
-            else logical
-          in
-          let joins =
-            if explain then
-              Tkr_engine.Optimizer.join_estimates ~table ~mode ~lookup opt_stats logical
-            else []
-          in
+          Tkr_engine.Optimizer.optimize ?prune:prune_hook
+            ~table:(Database.find m.db) ~mode:(optimizer_mode m ~as_of)
+            ~stats:(opt_stats m) ~lookup logical
+        else logical
+      in
+      match prev with
+      | Some o when o.o_logical = logical ->
+          o.o_gen <- gen;
+          o
+      | _ ->
           (* check: the optimizer's semantics-preservation claim as a
              machine-checked postcondition *)
-          let diags_optimized =
-            drop_dup4 ~prior:diags_analyzed
-              (checked @@ fun () -> Check.logical ~lookup:data_lookup logical)
+          let diags =
+            drop_dup4 ~prior:sh.sh_diags
+              ( checked m stats sh.sh_origin @@ fun () ->
+                Check.logical ~lookup:(data_lookup m) logical )
           in
-          let prior = diags_analyzed @ diags_optimized in
-          match as_of with
-          | Some t when t < tmin || t >= tmax ->
-              (* the bounds are widened to cover every stored period, so
-                 no row is alive at [t]: the snapshot is empty, even for
-                 an ungrouped aggregate (whose plain evaluation over the
-                 empty slices would return one row) *)
-              let diags =
-                checked @@ fun () ->
-                [
-                  Diagnostic.warning "TKR408"
-                    "AS OF %d lies outside the stored time bounds [%d, %d): \
-                     the timeslice is provably empty"
-                    t tmin tmax;
-                ]
-              in
-              plain ~prior:(prior @ diags) ~snapshot:true
-                ~out_schema:analyzed.schema
-                (Algebra.ConstRel (analyzed.schema, []))
-          | Some t ->
-              let p =
-                plain ~prior ~snapshot:true ~out_schema:analyzed.schema
-                  (Simplify.simplify (timeslice m t logical))
-              in
-              { p with joins }
-          | None ->
-              let plan =
-                phase m.phases.c_rewrite (fun ns -> stats.rewrite_ns <- ns)
-                @@ fun () ->
-                Tkr_engine.Optimizer.merge_selects
-                  (Simplify.simplify
-                     (Rewriter.rewrite ~options:m.options ~tmin ~tmax ~lookup
-                        logical))
-              in
-              (* check: period-encoding invariants on the rewritten plan,
-                 with the abstract interpreter seeded from the period
-                 catalog and the database time bounds *)
-              let env =
-                Absint.env ~temporal:true ~is_period ~time_bounds:(tmin, tmax)
-                  enc_lookup
-              in
-              let diags_physical =
-                drop_dup4 ~prior
-                  ( checked @@ fun () ->
-                    Check.physical ~absint:env ~lookup:enc_lookup plan )
-              in
-              let plan = if m.prune then Absint.prune env plan else plan in
-              let p =
-                finish ~env ~snapshot:true
-                  ~out_schema:
-                    (Schema.make
-                       (Schema.attrs analyzed.schema
-                       @ [
-                           Schema.attr vt_begin Value.TInt;
-                           Schema.attr vt_end Value.TInt;
-                         ]))
-                  ~diags:(List.sort_uniq compare (prior @ diags_physical))
-                  plan
-              in
-              { p with joins })
-      | `Plain inner ->
-          let analyzed =
-            phase m.phases.c_analyze (fun ns -> stats.analyze_ns <- ns)
+          {
+            o_shape = sh;
+            o_logical = logical;
+            o_diags = sh.sh_diags @ diags;
+            o_stats = stats;
+            o_gen = gen;
+          })
+
+let bind ?(explain = false) m (o : optimized) (at : int option) : prepared =
+  let m = pin m in
+  let sh = o.o_shape in
+  let stats = copy_stats o.o_stats in
+  let checked = checked m stats sh.sh_origin in
+  let is_period n = Database.is_period m.db n in
+  let tmin, tmax = Database.time_bounds m.db in
+  let enc_lookup n =
+    if Database.mem m.db n then Some (Database.schema_of m.db n) else None
+  in
+  (* the prepared statement over a final plan; [env] seeds the analysis
+     rendered by EXPLAIN, which alone reads it and the access paths *)
+  let finish ~env ~snapshot ~out_schema ~diags plan =
+    {
+      plan;
+      exec = make_exec m plan;
+      out_schema;
+      snapshot;
+      order_by = List.map (Analyzer.resolve_order out_schema) sh.sh_order_by;
+      limit = sh.sh_limit;
+      stats;
+      diags;
+      analysis = (if explain then Absint.render env plan else "");
+      access =
+        (if explain then
+           Tkr_engine.Optimizer.access
+             ~use_index:(m.index && m.engine = Vec)
+             ~is_period ~lookup:(Database.schema_of m.db) plan
+         else []);
+      tables = List.sort_uniq String.compare (collect_rels [] plan);
+      joins = [];
+    }
+  in
+  (* the plain-query back end, shared by plain SQL and AS OF timeslices:
+     the plan reads the stored tables with their period columns exposed,
+     so the abstract interpreter seeds those from the stored time
+     bounds *)
+  let plain ~prior ~snapshot ~out_schema algebra =
+    let env = Absint.env ~is_period ~time_bounds:(tmin, tmax) enc_lookup in
+    let diags =
+      drop_dup4 ~prior
+        (checked @@ fun () -> Check.logical ~absint:env ~lookup:enc_lookup algebra)
+    in
+    let plan = if m.prune then Absint.prune env algebra else algebra in
+    (* fuse selection stacks into single conjunctions — the shape the
+       index probe recognizer works on.  Unconditional: the plan never
+       depends on the index flag. *)
+    finish ~env ~snapshot ~out_schema ~diags:(prior @ diags)
+      (Tkr_engine.Optimizer.merge_selects plan)
+  in
+  match sh.sh_kind with
+  | Plain_shape a ->
+      if at <> None then invalid_arg "Middleware.bind: a point for a plain query";
+      plain ~prior:[] ~snapshot:false ~out_schema:a.schema a.algebra
+  | Snapshot_shape { analyzed; as_of } -> (
+      let logical = o.o_logical in
+      let lookup n = Database.data_schema_of m.db n in
+      let joins () =
+        if explain then
+          Tkr_engine.Optimizer.join_estimates ~table:(Database.find m.db)
+            ~mode:(optimizer_mode m ~as_of) ~lookup (opt_stats m) logical
+        else []
+      in
+      let prior = o.o_diags in
+      match (as_of, at) with
+      | true, Some t when t < tmin || t >= tmax ->
+          (* the bounds are widened to cover every stored period, so no
+             row is alive at [t]: the snapshot is empty, even for an
+             ungrouped aggregate (whose plain evaluation over the empty
+             slices would return one row) *)
+          let diags =
+            checked @@ fun () ->
+            [
+              Diagnostic.warning "TKR408"
+                "AS OF %d lies outside the stored time bounds [%d, %d): the \
+                 timeslice is provably empty"
+                t tmin tmax;
+            ]
+          in
+          plain ~prior:(prior @ diags) ~snapshot:true ~out_schema:analyzed.schema
+            (Algebra.ConstRel (analyzed.schema, []))
+      | true, Some t ->
+          let joins = joins () in
+          let p =
+            plain ~prior ~snapshot:true ~out_schema:analyzed.schema
+              (Simplify.simplify (timeslice m t logical))
+          in
+          { p with joins }
+      | false, None ->
+          let joins = joins () in
+          let plan =
+            phase m.phases.c_rewrite (fun ns -> stats.rewrite_ns <- ns)
             @@ fun () ->
-            Analyzer.analyze_query (plain_catalog m) inner
+            Tkr_engine.Optimizer.merge_selects
+              (Simplify.simplify
+                 (Rewriter.rewrite ~options:m.options ~tmin ~tmax ~lookup logical))
           in
-          plain ~prior:[] ~snapshot:false ~out_schema:analyzed.schema
-            analyzed.algebra)
-  | _ -> err "TKR021" "not a query"
+          (* check: period-encoding invariants on the rewritten plan, with
+             the abstract interpreter seeded from the period catalog and
+             the database time bounds *)
+          let env =
+            Absint.env ~temporal:true ~is_period ~time_bounds:(tmin, tmax)
+              enc_lookup
+          in
+          let diags_physical =
+            drop_dup4 ~prior
+              (checked @@ fun () -> Check.physical ~absint:env ~lookup:enc_lookup plan)
+          in
+          let plan = if m.prune then Absint.prune env plan else plan in
+          let p =
+            finish ~env ~snapshot:true
+              ~out_schema:
+                (Schema.make
+                   (Schema.attrs analyzed.schema
+                   @ [
+                       Schema.attr vt_begin Value.TInt;
+                       Schema.attr vt_end Value.TInt;
+                     ]))
+              ~diags:(List.sort_uniq compare (prior @ diags_physical))
+              plan
+          in
+          { p with joins }
+      | true, None | false, Some _ ->
+          invalid_arg "Middleware.bind: the point does not fit the shape")
+
+(* the top-level AS OF point of a query statement *)
+let point (stmt : Ast.statement) =
+  match stmt with
+  | Ast.Query { q = Ast.Seq_vt_as_of (t, _); _ } -> Some t
+  | _ -> None
+
+let prepare_statement ?explain m (stmt : Ast.statement) : prepared =
+  let m = pin m in
+  bind ?explain m (optimize m (shape m stmt)) (point stmt)
 
 let parse m parser (sql : string) =
   let ns, r = Clock.elapsed (fun () -> parser sql) in

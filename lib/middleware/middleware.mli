@@ -107,11 +107,13 @@ val epoch : t -> int
     {!Tkr_engine.Database.t}; a rejected statement leaves it alone.  A
     {!prepared}
     statement bakes the catalog state of prepare time (time bounds,
-    schema arities, rewrite options), so a plan cached outside the
-    middleware is valid only for catalog values whose [epoch] equals
-    its value at prepare time: read it on the {!pin}ned middleware the
-    plan will execute on.  Monotone non-decreasing on a live
-    middleware; fixed on a pinned one. *)
+    schema arities, rewrite options, and the row counts its join order
+    was chosen from), so a plan cached outside the middleware is the
+    plan a fresh prepare would make for catalog values whose [epoch]
+    equals its value at prepare time; across in-bounds DML, statement
+    shapes (below) say which work still stands.  Read it on the
+    {!pin}ned middleware the plan will execute on.  Monotone
+    non-decreasing on a live middleware; fixed on a pinned one. *)
 
 val set_epoch_hook : t -> (int -> unit) option -> unit
 (** Observer notified with the new {!epoch} after every DDL/DML
@@ -151,12 +153,13 @@ type prepared = {
   analysis : string;
       (** {!Tkr_check.Absint} rendering of the final plan with the
           inferred per-operator facts (time windows, emptiness,
-          duplicate-freeness), shown by [EXPLAIN] *)
+          duplicate-freeness), shown by [EXPLAIN]; empty unless the
+          statement was prepared for [EXPLAIN] *)
   access : (string * string) list;
       (** the planner's access-path decision per stored period table read
           through a selection — [(table, "index" | "scan")] in plan order,
           shown by [EXPLAIN]; "index" only on the vec engine with indexes
-          on *)
+          on.  Empty unless the statement was prepared for [EXPLAIN] *)
   tables : string list;
       (** base tables the final plan reads, sorted and deduplicated —
           with {!Tkr_engine.Database.version} these form the dependency
@@ -175,6 +178,53 @@ type prepared = {
 val prepare : t -> string -> prepared
 (** @raise Rejected when the static check phase reports errors (or
     warnings under [strict]). *)
+
+(** {2 Statement shapes}
+
+    {!prepare} runs three stages, each on the pinned catalog value:
+    {!shape} (analysis and the analyzed plan's checks, which read
+    schemas only), {!optimize} (the join-order optimizer, which reads
+    row counts and column statistics, and its plan's check) and {!bind}
+    (rewrite or timeslice at the AS OF point, and the final plan's
+    checks and pruning, which read schemas and time bounds).  A shape
+    leaves the statement's top-level AS OF point open, so one shape
+    serves every point.  A shape stays valid across DML inside the time
+    bounds ({!shape_valid}), and a bind from an unchanged optimized plan
+    (see [prev] of {!optimize}) at a point gives what it gave there
+    before. *)
+
+type shape
+type optimized
+
+val shape : t -> Tkr_sql.Ast.statement -> shape
+(** Analyze and check a query statement.
+    @raise Rejected, Error or [Tkr_sql.Analyzer.Error] as {!prepare}. *)
+
+val shape_valid : t -> shape -> bool
+(** Whether [t]'s catalog has the {!Tkr_engine.Database.schema_epoch}
+    the shape was analyzed at: no DDL and no change of the time bounds
+    since, only DML inside them. *)
+
+val optimize : ?prev:optimized -> t -> shape -> optimized
+(** Run the optimizer over a shape valid at [t] ({!shape_valid}).  With
+    [prev], an earlier result for the same shape, [prev] itself comes
+    back when [t]'s rows optimize to the same plan — at once when they
+    are the rows [prev] last saw ({!epoch}), unchecked when its plan is
+    structurally equal — so everything {!bind} makes from it stands.
+    @raise Rejected when its plan fails the check. *)
+
+val point : Tkr_sql.Ast.statement -> int option
+(** The point of a query statement's top-level [AS OF], the one its
+    shape leaves open. *)
+
+val bind : ?explain:bool -> t -> optimized -> int option -> prepared
+(** The prepared statement at an AS OF point ([None] for a statement
+    without one), on a [t] the shape is valid at ({!shape_valid});
+    [explain] also computes what only EXPLAIN renders.  For a
+    statement [s] with point [p],
+    [bind t (optimize t (shape t s)) p] is [prepare] of [s].
+    @raise Rejected when the final plan fails the check.
+    @raise Invalid_argument when the point does not fit the shape. *)
 
 val run_prepared : ?obs:Tkr_obs.Trace.t -> t -> prepared -> Table.t
 (** Execute a prepared statement; [obs] (default {!Tkr_obs.Trace.disabled})

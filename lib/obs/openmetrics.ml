@@ -79,10 +79,18 @@ let gauge ?(help = "") name (rows : ((string * string) list * float) list) :
     rows;
   Buffer.contents buf
 
-(** A counter family of one sample, exported as [<name>_total]. *)
-let counter name (value : int) : string =
+(** A counter family of one sample per (labels, value) row, exported as
+    [<name>_total]. *)
+let counters name (rows : ((string * string) list * int) list) : string =
   let name = name ^ "_total" in
-  type_line name "counter" ^ sample name (float_of_int value)
+  String.concat ""
+    (type_line name "counter"
+    :: List.map
+         (fun (labels, v) -> sample ~labels name (float_of_int v))
+         rows)
+
+(** A counter family of one sample, exported as [<name>_total]. *)
+let counter name (value : int) : string = counters name [ ([], value) ]
 
 let render_metric buf name (v : Metrics.view) =
   match v with

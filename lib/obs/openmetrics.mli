@@ -20,6 +20,10 @@ val counter : string -> int -> string
 (** A counter family of one sample, exported as [<name>_total] like a
     registry counter — for counts owned outside any registry. *)
 
+val counters : string -> ((string * string) list * int) list -> string
+(** A counter family of one sample per (labels, value) row, exported as
+    [<name>_total] — a labelled {!counter}. *)
+
 val gauge :
   ?help:string -> string -> ((string * string) list * float) list -> string
 (** A gauge family, one sample per (labels, value) row. *)

@@ -186,11 +186,11 @@ let record srv (j : job) ~exec_ns ~gc0:(minor0, _, major0) ~fp ~epoch ~deps
    against it, so the versions observed here are the versions the result
    was computed from, and the ones [record] keeps.  A write meanwhile
    publishes a new value without waiting. *)
-let run_query srv (j : job) record : reply * Record.entry =
+let run_query srv (j : job) stmt record : reply * Record.entry =
   let req = j.j_req in
   let mw = Middleware.pin srv.mw in
   let { Session.prepared = p; key; fp } =
-    Session.prepared j.j_sess mw req.Wire.stmt
+    Session.prepared j.j_sess mw req.Wire.stmt stmt
   in
   let db = Middleware.database mw in
   let deps =
@@ -325,7 +325,7 @@ let execute srv (job : job) : reply * Record.entry =
          cache; EXPLAIN/CHECK/DDL/DML take the execute_statement path *)
       try
         match Middleware.parse_statement srv.mw req.Wire.stmt with
-        | _, Ast.Query _ -> run_query srv job record
+        | _, (Ast.Query _ as stmt) -> run_query srv job stmt record
         | parse_ns, stmt ->
             let payload, rows_out = run_statement srv ~parse_ns stmt in
             unplanned ~disposition:"bypass" ~rows_out (Ok (payload, None))
@@ -371,13 +371,18 @@ let build_info_family srv : string =
     ]
 
 (* counts owned outside the metrics registry, rendered from their owners
-   at scrape time: the result cache's traffic and the event log's drops *)
+   at scrape time: the result cache's traffic, the sessions' plan
+   outcomes and the event log's drops *)
 let owned_counters srv : string list =
   let cs = Cache.stats srv.cache in
   [
     Openmetrics.counter "serve_cache_hits" cs.Cache.hits;
     Openmetrics.counter "serve_cache_misses" cs.Cache.misses;
     Openmetrics.counter "serve_cache_evictions" cs.Cache.evictions;
+    Openmetrics.counters "serve_plans"
+      (List.map
+         (fun (outcome, n) -> ([ ("outcome", outcome) ], n))
+         (Session.outcomes srv.sessions));
   ]
   @
   if Tel.enabled srv.tel then
@@ -435,6 +440,11 @@ let stats_json srv : Json.t =
               Json.Int (Metrics.gauge_value srv.g_idx_candidates) );
           ] );
       ("cache", Cache.stats_json srv.cache);
+      ( "plans",
+        Json.Obj
+          (List.map
+             (fun (outcome, n) -> (outcome, Json.Int n))
+             (Session.outcomes srv.sessions)) );
       ( "slowest",
         (* derived from the resource ledger, worst single execution
            first; same shape as the pre-ledger slow-query table *)

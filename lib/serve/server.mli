@@ -1,10 +1,11 @@
 (** The Tkr_serve TCP query server.
 
     One accept loop and one thread per connection.  Each connection is a
-    {!Session} (prepared statements cached per statement text and
-    revalidated against {!Tkr_middleware.Middleware.epoch}, so DDL/DML
-    transparently re-prepares); queries execute on the shared,
-    thread-safe {!Tkr_middleware.Middleware}.
+    {!Session}: each request is parsed once, and a query's plan comes
+    from its statement shape (texts that differ only in the AS OF point
+    share one), analyzed once per schema epoch and bound per point, so
+    in-bounds DML costs a re-optimization and DDL a re-prepare.  Queries
+    execute on the shared, thread-safe {!Tkr_middleware.Middleware}.
 
     A connection's thread runs its own requests: it reads a frame, takes
     one of [workers] execution slots from the {!Admission} gate, executes
@@ -48,7 +49,7 @@
     slot (so they stay responsive while every slot is held and during a
     drain; one sent behind a running request of the same connection is
     answered after it): [STATS] (a JSON summary: counters, latency quantiles, cache,
-    slowest plan fingerprints), [METRICS] (the OpenMetrics exposition of
+    session plan outcomes, slowest plan fingerprints), [METRICS] (the OpenMetrics exposition of
     the middleware registry — engine and server counters, live gauges,
     build info, [tkr_ledger_*] families, telemetry drop counter),
     [HEALTH] ([ready]/[draining]) and [LEDGER] (the per-plan-fingerprint
@@ -123,15 +124,17 @@ val ledger : t -> Ledger.t
 val stats_json : t -> Tkr_obs.Json.t
 (** The [STATS] payload: uptime, request/error counters, live gauges,
     latency quantiles (p50/p95/p99 of [serve_latency_us], which observes
-    every finished request, errors included), cache stats
-    and the top slow-query fingerprints. *)
+    every finished request, errors included), cache stats, the
+    sessions' plan outcomes ([plans]: [prepare]/[bind]/[hit], see
+    {!Session.outcomes}) and the top slow-query fingerprints. *)
 
 val metrics_text : t -> string
 (** The [METRICS] payload: the OpenMetrics exposition of the middleware
     registry with the live gauges freshly sampled, plus the
     [tkr_build_info] family (git SHA, OCaml version), the result cache's
     own [serve_cache_{hits,misses,evictions}_total] counters
-    ({!Cache.stats}), the [tkr_tel_events_dropped_total] counter (when
+    ({!Cache.stats}), the sessions' [serve_plans_total{outcome=...}]
+    counters, the [tkr_tel_events_dropped_total] counter (when
     telemetry is on) and the [tkr_ledger_*] per-fingerprint families. *)
 
 val health_json : t -> Tkr_obs.Json.t

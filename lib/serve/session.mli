@@ -1,22 +1,28 @@
 (** Per-connection sessions and the session manager.
 
-    A session holds the connection's prepared-statement table: statements
-    are prepared once per (session, statement text) and re-executed on
-    repetition, so clients replaying a workload skip the parse → analyze
-    → rewrite → optimize pipeline after the first round.  Each entry
-    also carries the plan's result-cache key and fingerprint, computed
-    once when the plan is prepared.  Entries are
-    validated against {!Middleware.epoch}: a plan bakes catalog state of
-    prepare time (snapshot time bounds, schema arities), so once the
-    epoch moves (any DDL/DML that changed something) every entry is
-    stale; the table is emptied and statements are transparently
-    re-prepared on next use.  The table holds at most a fixed number of
-    plans and starts over when full.  The manager enforces the server's
-    [max_sessions] admission limit.
+    A session holds the connection's plans, grouped by statement shape:
+    texts that differ only in the literal of a top-level [AS OF] point
+    share one shape (any other text is a shape of its own).  A shape is
+    analyzed and checked once ({!Middleware.shape}); each point it is
+    read at is bound to a plan of its own ({!Middleware.bind}), which
+    later requests at that point reuse.  Each plan also carries its
+    result-cache key and fingerprint, computed once when it is bound.
+
+    Validity follows the catalog value a request pins:
+    - after DDL or any change of the time bounds, the shape is analyzed
+      again ({!Middleware.shape_valid});
+    - after DML inside the time bounds ({!Middleware.epoch} moved), the
+      optimizer runs again on the new rows, and the shape's plans stand
+      when its plan is unchanged, or are bound afresh when not.
+    Either way a plan is the one {!Middleware.prepare} would make at
+    the pinned value.  A session holds at most {!max_plans} plans and
+    drops the one used longest ago to make room.  The manager enforces
+    the server's [max_sessions] admission limit and counts every plan
+    outcome of its sessions.
 
     The manager is mutex-guarded and safe for concurrent callers.  A
     session belongs to its connection's thread, the only one that
-    touches its table. *)
+    touches its plans. *)
 
 module Middleware = Tkr_middleware.Middleware
 
@@ -51,11 +57,13 @@ val fingerprint : string -> string
 (** The 12-hex-digit MD5 prefix of a text; statements normalizing to the
     same plan share one plan fingerprint. *)
 
-val prepared : session -> Middleware.t -> string -> plan
-(** The session's plan for [stmt], preparing (and caching)
-    it on first sight and re-preparing once {!Middleware.epoch} has moved
-    (the catalog changed since), which also drops every other stale
-    entry.
+val max_plans : int
+(** The most plans a session holds: 256. *)
+
+val prepared : session -> Middleware.t -> string -> Tkr_sql.Ast.statement -> plan
+(** [prepared s t text stmt] is the session's plan for the query
+    statement [stmt] parsed from [text]: reused, bound from its known
+    shape, or prepared from scratch (see above); nothing is parsed.
     Pass a {!Middleware.pin}ned middleware and execute the returned plan
     on that same one, so validation and execution see one catalog
     value.
@@ -64,3 +72,8 @@ val prepared : session -> Middleware.t -> string -> plan
 
 val prepared_count : session -> int
 (** Plans the session holds now. *)
+
+val outcomes : manager -> (string * int) list
+(** How {!prepared} answered, over every session of the manager:
+    [("prepare", n)] analyzed a shape from scratch, [("bind", n)] bound a
+    known shape, [("hit", n)] reused a plan. *)

@@ -80,6 +80,10 @@ type statement =
       limit : int option;
       origin : pos option;
           (** source position of the statement, for plan-level diagnostics *)
+      as_of_span : (int * int) option;
+          (** when [q] is a [Seq_vt_as_of], the byte offsets [\[start,
+              stop)] of its point's literal (sign included) in the parsed
+              text: texts that differ only there share one plan shape *)
     }
   | Create_table of {
       tbl_name : string;

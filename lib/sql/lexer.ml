@@ -41,7 +41,13 @@ let keywords =
     "delete"; "for"; "portion"; "of"; "to";
   ]
 
-let is_keyword s = List.mem s keywords
+(* every identifier is classified, so the test is one hash probe *)
+let keyword_set =
+  let h = Hashtbl.create 128 in
+  List.iter (fun k -> Hashtbl.replace h k ()) keywords;
+  h
+
+let is_keyword s = Hashtbl.mem keyword_set s
 
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')

@@ -30,7 +30,15 @@ type pos = Tkr_check.Diagnostic.pos = { line : int; col : int }
 exception Error of Tkr_check.Diagnostic.t
 (** Lexical errors, as [TKR005] diagnostics with a source position. *)
 
+val keywords : string list
+(** The reserved words, lower-case.  A few of them ([count], [sum],
+    [avg], [min], [max], [vt], [period]) are still accepted as names
+    where the grammar allows it. *)
+
 val is_keyword : string -> bool
+(** Membership in {!keywords}, in constant time. *)
+
+val is_digit : char -> bool
 
 val tokenize_pos : string -> (token * pos) list
 (** Tokenize, attaching each token's 1-based [line:col] position.

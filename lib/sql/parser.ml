@@ -5,7 +5,13 @@ open Ast
 exception Error of Tkr_check.Diagnostic.t
 (** Syntax errors, as [TKR004] diagnostics with a source position. *)
 
-type state = { mutable toks : (Lexer.token * pos) list }
+type state = {
+  mutable toks : (Lexer.token * pos) list;
+  src : string;
+  mutable point : (int * int) option;
+      (* the byte span of the current statement's first AS OF point,
+         sign included *)
+}
 
 let peek st = match st.toks with [] -> Lexer.EOF | (t, _) :: _ -> t
 
@@ -15,6 +21,13 @@ let peek2 st =
 (* Position of the next token (the last seen position at end of input). *)
 let cur_pos st =
   match st.toks with [] -> { line = 1; col = 1 } | (_, p) :: _ -> p
+
+(* the byte offset of a position in [src] *)
+let offset src (p : pos) =
+  let rec line_start i l =
+    if l = 1 then i else line_start (String.index_from src i '\n' + 1) (l - 1)
+  in
+  line_start 0 p.line + p.col - 1
 
 let advance st = match st.toks with [] -> () | _ :: rest -> st.toks <- rest
 
@@ -239,15 +252,27 @@ and parse_query_primary st =
         if kw st "as" then (
           advance st;
           expect_kw st "of";
+          let first = offset st.src (cur_pos st) in
+          let literal () =
+            if st.point = None then begin
+              let rec stop i =
+                if i < String.length st.src && Lexer.is_digit st.src.[i] then
+                  stop (i + 1)
+                else i
+              in
+              st.point <- Some (first, stop (offset st.src (cur_pos st)))
+            end;
+            advance st
+          in
           match peek st with
           | Lexer.INT t ->
-              advance st;
+              literal ();
               Some t
           | Lexer.MINUS -> (
               advance st;
               match peek st with
               | Lexer.INT t ->
-                  advance st;
+                  literal ();
                   Some (-t)
               | _ -> fail st "AS OF expects an integer time point")
           | _ -> fail st "AS OF expects an integer time point")
@@ -509,7 +534,9 @@ let rec parse_statement st =
       Delete { del_name; del_portion; del_where }
   | _ ->
       let origin = Some (cur_pos st) in
+      st.point <- None;
       let q = parse_query st in
+      let as_of_span = match q with Seq_vt_as_of _ -> st.point | _ -> None in
       let order_by =
         if kw st "order" then (
           advance st;
@@ -539,11 +566,13 @@ let rec parse_statement st =
           | _ -> fail st "LIMIT expects an integer"
         else None
       in
-      Query { q; order_by; limit; origin }
+      Query { q; order_by; limit; origin; as_of_span }
 
 (** Parse a single statement (a trailing semicolon is allowed). *)
+let start sql = { toks = Lexer.tokenize_pos sql; src = sql; point = None }
+
 let statement (sql : string) : statement =
-  let st = { toks = Lexer.tokenize_pos sql } in
+  let st = start sql in
   let s = parse_statement st in
   ignore (if peek st = Lexer.SEMI then (advance st; true) else false);
   if peek st <> Lexer.EOF then fail st "trailing input after statement";
@@ -551,7 +580,7 @@ let statement (sql : string) : statement =
 
 (** Parse a ;-separated script. *)
 let script (sql : string) : statement list =
-  let st = { toks = Lexer.tokenize_pos sql } in
+  let st = start sql in
   let rec go acc =
     if peek st = Lexer.EOF then List.rev acc
     else

@@ -155,7 +155,7 @@ let[@inline never] watch_table db name (flag : bool ref) =
 (* read through a session's plan table, as the query server does *)
 let[@inline never] session_read s m sql =
   let pm = M.pin m in
-  let p = Session.prepared s pm sql in
+  let p = Session.prepared s pm sql (Tkr_sql.Parser.statement sql) in
   Table.cardinality (M.run_prepared pm p.Session.prepared)
 
 let[@inline never] pinned_read m flag =

@@ -232,7 +232,9 @@ let span_access obs =
    access path for every period-table selection) the whole line must
    equal the span sequence; on row no read may claim the index. *)
 let check_access_agrees m sql =
-  let p = M.prepare m sql in
+  (* the access paths are computed for EXPLAIN only *)
+  let stmt = Tkr_sql.Parser.statement sql in
+  let p = M.bind ~explain:true m (M.optimize m (M.shape m stmt)) (M.point stmt) in
   let obs = Trace.create () in
   ignore (M.run_prepared ~obs m p);
   let decided = List.map snd p.M.access and ran = span_access obs in

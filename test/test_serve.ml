@@ -600,51 +600,212 @@ let test_middleware_epoch () =
   Database.add_table (M.database m) "direct" (Table.of_array schema [||]);
   check "direct database mutation bumps the epoch" true (M.epoch m > e2)
 
+(* a session's plan for [sql], parsed here as the server parses it *)
+let session_plan s m sql = Session.prepared s m sql (Tkr_sql.Parser.statement sql)
+
+let one_session () =
+  let mgr = Session.manager ~max_sessions:1 in
+  (mgr, Option.get (Session.open_session mgr))
+
+let outcome mgr name = List.assoc name (Session.outcomes mgr)
+
 (* a rejected statement writes nothing, so the epoch stays and a
-   session keeps using the plan it prepared before *)
+   session keeps using the plan it prepared before; an accepted INSERT
+   inside the time bounds keeps it too (the optimizer's plan is
+   unchanged), one that widens them makes a new one *)
 let test_rejected_insert_keeps_plans () =
   let m = M.create () in
   ignore
     (M.execute_script m
        "CREATE TABLE rj (x int, b int, e int) PERIOD (b, e); INSERT INTO rj \
         VALUES (1, 0, 10)");
-  let s = Option.get (Session.open_session (Session.manager ~max_sessions:1)) in
+  let _, s = one_session () in
   let q = "SEQ VT (SELECT x FROM rj)" in
-  let p = Session.prepared s m q in
+  let p = session_plan s m q in
   let e = M.epoch m in
   (match M.execute m "INSERT INTO rj VALUES (2, NULL, 3)" with
   | _ -> Alcotest.fail "expected TKR026"
   | exception M.Error _ -> ());
   check_int "rejected INSERT keeps the epoch" e (M.epoch m);
-  check "session reuses its plan" true (Session.prepared s m q == p);
+  check "session reuses its plan" true (session_plan s m q == p);
   ignore (M.execute m "INSERT INTO rj VALUES (2, 0, 3)");
-  check "an accepted INSERT re-prepares" true (Session.prepared s m q != p)
+  check "an INSERT inside the bounds keeps the plan" true (session_plan s m q == p);
+  ignore (M.execute m "INSERT INTO rj VALUES (3, 0, 30)");
+  check "an INSERT widening the bounds re-prepares" true (session_plan s m q != p)
 
-(* a session's plan table stays small: a write drops every stale plan,
-   and ever new statement texts without writes hit a fixed cap *)
+(* one shape serves every point: a prepare, then binds; an in-bounds
+   write keeps its plans; bound widening and DDL prepare it afresh *)
+let test_session_shape_outcomes () =
+  let m = M.create () in
+  ignore
+    (M.execute_script m
+       "CREATE TABLE so (x int, b int, e int) PERIOD (b, e); INSERT INTO so \
+        VALUES (1, 0, 100), (2, 50, 80)");
+  let mgr, s = one_session () in
+  let read t = session_plan s m (Printf.sprintf "SEQ VT AS OF %d (SELECT x FROM so)" t) in
+  let outcomes () = List.map snd (Session.outcomes mgr) in
+  let p7 = read 7 in
+  List.iter (fun t -> ignore (read t)) [ 60; 99; 0; 100; -1 ];
+  Alcotest.(check (list int)) "one prepare, five binds" [ 1; 5; 0 ] (outcomes ());
+  check "a known point is a hit" true (read 7 == p7);
+  ignore (M.execute m "INSERT INTO so VALUES (3, 10, 20)");
+  check "an in-bounds INSERT keeps the plan" true (read 7 == p7);
+  ignore (read 15);
+  ignore (M.execute m "UPDATE so FOR PORTION OF PERIOD FROM 5 TO 9 SET x = 4 WHERE x = 1");
+  ignore (M.execute m "DELETE FROM so FOR PORTION OF PERIOD FROM 90 TO 95 WHERE x = 1");
+  ignore (read 16);
+  Alcotest.(check (list int)) "in-bounds DML: binds and hits only" [ 1; 7; 2 ]
+    (outcomes ());
+  check_int "every point holds its plan" 8 (Session.prepared_count s);
+  ignore (M.execute m "INSERT INTO so VALUES (4, 10, 200)");
+  check "bound widening re-prepares" true (read 7 != p7);
+  check_int "prepares after bound widening" 2 (outcome mgr "prepare");
+  check_int "the stale shape's plans are gone" 1 (Session.prepared_count s);
+  ignore (M.execute m "CREATE TABLE other (y int)");
+  ignore (read 7);
+  check_int "prepares after DDL" 3 (outcome mgr "prepare");
+  (* a statement without a point is a shape of its own *)
+  ignore (session_plan s m "SEQ VT (SELECT x FROM so)");
+  ignore (session_plan s m "SELECT x FROM so");
+  check_int "each unpointed text prepares once" 5 (outcome mgr "prepare")
+
+(* a session holds at most [Session.max_plans] plans however many points
+   it reads, and drops the one used longest ago *)
 let test_session_prepared_bounded () =
   let m = M.create () in
   ignore
     (M.execute_script m
        "CREATE TABLE sb (x int, b int, e int) PERIOD (b, e); INSERT INTO sb \
         VALUES (1, 0, 1000)");
-  let s = Option.get (Session.open_session (Session.manager ~max_sessions:1)) in
+  let mgr, s = one_session () in
   let read t =
-    ignore
-      (Session.prepared s m
-         (Printf.sprintf "SEQ VT AS OF %d (SELECT x FROM sb)" t))
+    session_plan s m (Printf.sprintf "SEQ VT AS OF %d (SELECT x FROM sb)" t)
   in
-  for t = 1 to 40 do
-    read t;
-    (* only the reads since the last write are held *)
-    check_int "writes drop stale plans" (((t - 1) mod 4) + 1) (Session.prepared_count s);
-    if t mod 4 = 0 then
+  let hot = read 0 in
+  for t = 1 to 600 do
+    ignore (read t);
+    check "a hot point stays" true (read 0 == hot);
+    check "the session stays capped" true (Session.prepared_count s <= Session.max_plans);
+    if t mod 100 = 0 then
       ignore (M.execute m (Printf.sprintf "INSERT INTO sb VALUES (%d, 0, 1000)" t))
   done;
-  for t = 1 to 600 do
-    read t
+  check_int "full, at the cap" Session.max_plans (Session.prepared_count s);
+  check_int "one shape, prepared once" 1 (outcome mgr "prepare");
+  (* points of other shapes make room the same way *)
+  for t = 1 to 300 do
+    ignore (session_plan s m (Printf.sprintf "SEQ VT AS OF %d (SELECT x AS y FROM sb)" t))
   done;
-  check "distinct texts stay capped" true (Session.prepared_count s <= 300)
+  check_int "still at the cap" Session.max_plans (Session.prepared_count s)
+
+(* ---- shapes: a bound plan is the plan prepare makes ---- *)
+
+(* the AS OF reads of the benchmark's serve and writes workloads *)
+let bench_read_shapes =
+  [
+    "SELECT d.dept_no, s.emp_no, s.salary FROM dept_emp d, salaries s WHERE \
+     d.emp_no = s.emp_no";
+    "SELECT d.dept_no, avg(s.salary) AS avg_salary FROM dept_emp d, salaries \
+     s WHERE d.emp_no = s.emp_no GROUP BY d.dept_no";
+    "SELECT m.dept_no FROM dept_manager m, salaries s WHERE m.emp_no = \
+     s.emp_no AND s.salary > 70000";
+    "SELECT emp_no FROM employees EXCEPT ALL SELECT emp_no FROM dept_manager";
+    "SELECT title, count(*) AS n FROM titles GROUP BY title";
+    "SELECT d.dept_no, count(*) AS n FROM titles t, dept_emp d WHERE t.emp_no \
+     = d.emp_no GROUP BY d.dept_no";
+    "SELECT t.title, avg(s.salary) AS pay FROM salaries s, titles t WHERE \
+     s.emp_no = t.emp_no GROUP BY t.title";
+  ]
+
+(* the inner query of an employee workload text [SEQ VT (q)] *)
+let inner_of sql =
+  let pre = "SEQ VT (" in
+  let n = String.length pre in
+  check "an employee query is SEQ VT (...)" true (String.sub sql 0 n = pre);
+  String.sub sql n (String.length sql - n - 1)
+
+let as_of_inners () =
+  List.map (fun (_, sql) -> inner_of sql) Q.employee @ bench_read_shapes
+
+(* Reads through one session at the points around the current time
+   bounds and every point read before, with writes in between that keep
+   the bounds, widen them and change the schema: every plan the session returns must be the plan a
+   fresh prepare makes at the same pinned value — the same final plan,
+   output schema, tables, cache key and fingerprint, and the same
+   result bytes. *)
+let check_binds_match_prepare label (m : M.t) =
+  let mgr, s = one_session () in
+  let inners = as_of_inners () in
+  let step = ref 0 and seen = ref [] in
+  let reads () =
+    incr step;
+    let tmin, tmax = Database.time_bounds (M.database m) in
+    (* this value's edge points, and every point read before *)
+    seen :=
+      List.sort_uniq compare
+        ([ tmin - 1; tmin; tmin + ((tmax - tmin) * (1 + !step) / 9); tmax - 1; tmax ]
+        @ !seen);
+    let points = !seen in
+    let texts =
+      List.concat_map
+        (fun inner ->
+          List.map (fun t -> Printf.sprintf "SEQ VT AS OF %d (%s)" t inner) points)
+        inners
+      @ [
+          Q.lookup "join-1" Q.employee;
+          Q.lookup "agg-2" Q.employee;
+          "SELECT count(*) AS n FROM titles";
+        ]
+    in
+    List.iter
+      (fun sql ->
+        let pm = M.pin m in
+        let what = Printf.sprintf "%s, step %d: %s" label !step sql in
+        let got = session_plan s pm sql in
+        let fresh = M.prepare pm sql in
+        let _, s' = one_session () in
+        let want = session_plan s' pm sql in
+        let bytes p = Wire.body_to_payload (Wire.Rows (M.run_prepared pm p)) in
+        let g = got.Session.prepared in
+        check ("plan: " ^ what) true (g.M.plan = fresh.M.plan);
+        check ("out_schema: " ^ what) true (g.M.out_schema = fresh.M.out_schema);
+        Alcotest.(check (list string)) ("tables: " ^ what) fresh.M.tables g.M.tables;
+        check_str ("cache key: " ^ what) want.Session.key got.Session.key;
+        check_str ("fingerprint: " ^ what) want.Session.fp got.Session.fp;
+        check_str ("result bytes: " ^ what) (bytes fresh) (bytes g))
+      texts
+  in
+  let write sql = ignore (M.execute m sql) in
+  reads ();
+  write "INSERT INTO salaries VALUES (3, 61000, 100, 140)";
+  reads ();
+  write "UPDATE salaries FOR PORTION OF PERIOD FROM 50 TO 90 SET salary = salary + 7 WHERE emp_no = 5";
+  write "DELETE FROM titles FOR PORTION OF PERIOD FROM 20 TO 60 WHERE emp_no = 2";
+  reads ();
+  (* rows only, but enough to turn join orders around *)
+  let probe () =
+    let inner = inner_of (Q.lookup "join-1" Q.employee) in
+    (M.prepare m (Printf.sprintf "SEQ VT AS OF 100 (%s)" inner)).M.plan
+  in
+  let before = probe () in
+  write "DELETE FROM salaries WHERE emp_no > 3";
+  check (label ^ ": the DELETE turned a join order around") true (probe () <> before);
+  reads ();
+  let _, tmax = Database.time_bounds (M.database m) in
+  write (Printf.sprintf "INSERT INTO titles VALUES (4, 'Staff', 10, %d)" (tmax + 50));
+  reads ();
+  write "CREATE TABLE extra_t (x int)";
+  reads ();
+  write "DROP TABLE extra_t";
+  reads ();
+  check (label ^ ": shapes were bound, not just prepared") true
+    (outcome mgr "bind" > outcome mgr "prepare")
+
+let test_session_binds_match_prepare () =
+  let db () = W.generate { (W.scaled 20) with W.tmax = 300 } in
+  check_binds_match_prepare "vec" (M.create ~db:(db ()) ());
+  check_binds_match_prepare "row" (M.create ~engine:M.Row ~db:(db ()) ());
+  check_binds_match_prepare "index and prune off"
+    (M.create ~index:false ~prune:false ~db:(db ()) ())
 
 (* ---- admission control ---- *)
 
@@ -1258,6 +1419,38 @@ let test_e2e_cache_metrics_match_stats () =
   check "no doubled suffix" false
     (List.exists (fun l -> contains l "_total_total") metrics)
 
+(* the sessions' plan outcomes in STATS and METRICS: one shape read at
+   two points, an in-bounds INSERT, then a third point and the first
+   again *)
+let test_e2e_plan_outcomes () =
+  with_server @@ fun _m srv ->
+  Client.with_client ~port:(Server.port srv) @@ fun c ->
+  List.iter
+    (fun q -> ignore (Client.run_exn c q))
+    [
+      "CREATE TABLE po (x int, b int, e int) PERIOD (b, e)";
+      "INSERT INTO po VALUES (1, 0, 100)";
+      "SEQ VT AS OF 10 (SELECT x FROM po)";
+      "SEQ VT AS OF 20 (SELECT x FROM po)";
+      "INSERT INTO po VALUES (2, 5, 50)";
+      "SEQ VT AS OF 30 (SELECT x FROM po)";
+      "SEQ VT AS OF 10 (SELECT x FROM po)";
+    ];
+  let stats = Json.of_string (msg_body (Client.run_exn c "STATS")) in
+  let plans = Option.get (Json.member "plans" stats) in
+  let field name = Option.get (Option.bind (Json.member name plans) Json.to_int_opt) in
+  let metrics =
+    String.split_on_char '\n' (msg_body (Client.run_exn c "METRICS"))
+  in
+  check "# TYPE serve_plans_total" true
+    (List.mem "# TYPE serve_plans_total counter" metrics);
+  List.iter
+    (fun (outcome, want) ->
+      check_int ("STATS plans." ^ outcome) want (field outcome);
+      let sample = Printf.sprintf "serve_plans_total{outcome=\"%s\"} %d" outcome want in
+      check ("METRICS " ^ sample) true (List.mem sample metrics))
+    [ ("prepare", 1); ("bind", 2); ("hit", 1) ]
+
 (* the latency histogram observes every finished request, errors and
    queued deadlines included, so STATS latency_us.count = requests *)
 let test_e2e_latency_counts_every_request () =
@@ -1415,8 +1608,14 @@ let suite =
         test_rejected_insert_keeps_plans;
       Alcotest.test_case "session: prepared table stays bounded" `Quick
         test_session_prepared_bounded;
+      Alcotest.test_case "session: one shape, many points, in-bounds writes"
+        `Quick test_session_shape_outcomes;
+      Alcotest.test_case "session: bound plans = fresh prepares, both engines"
+        `Quick test_session_binds_match_prepare;
       Alcotest.test_case "e2e: METRICS cache counters equal STATS cache" `Quick
         test_e2e_cache_metrics_match_stats;
+      Alcotest.test_case "e2e: plan outcomes in STATS and METRICS" `Quick
+        test_e2e_plan_outcomes;
       Alcotest.test_case "e2e: EXPLAIN ANALYZE times the wire parse" `Quick
         test_e2e_explain_parse_phase;
       Alcotest.test_case "e2e: a stalled reader holds no slot" `Quick

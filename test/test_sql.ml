@@ -109,6 +109,77 @@ let test_parse_errors () =
   expect_fail "SELECT a FROM t extra garbage";
   expect_fail "SEQ (SELECT a FROM t)"
 
+(* every reserved word stays reserved as a name, in either case; the
+   few non-reserved ones stay accepted where they were *)
+let non_reserved = [ "count"; "sum"; "avg"; "min"; "max"; "vt"; "period" ]
+
+let name_contexts =
+  [
+    Printf.sprintf "SELECT a FROM %s";
+    Printf.sprintf "SELECT a FROM t %s";
+    Printf.sprintf "SELECT t.%s FROM t";
+    Printf.sprintf "SELECT a AS %s FROM t";
+    Printf.sprintf "CREATE TABLE %s (a int)";
+    Printf.sprintf "CREATE TABLE t (%s int)";
+    Printf.sprintf "INSERT INTO %s VALUES (1)";
+    Printf.sprintf "UPDATE t SET %s = 1";
+  ]
+
+let parses s = match P.statement s with _ -> true | exception P.Error _ -> false
+
+let test_keywords_reserved () =
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) ("is_keyword " ^ k) true (L.is_keyword k);
+      let reserved = not (List.mem k non_reserved) in
+      List.iter
+        (fun ctx ->
+          List.iter
+            (fun w ->
+              let s = ctx w in
+              (* a table alias takes no non-reserved word either *)
+              let want = (not reserved) && ctx "x" <> "SELECT a FROM t x" in
+              Alcotest.(check bool) s want (parses s))
+            [ k; String.uppercase_ascii k ])
+        name_contexts)
+    L.keywords;
+  List.iter
+    (fun w -> Alcotest.(check bool) ("not a keyword: " ^ w) false (L.is_keyword w))
+    [ "a"; "t"; "salary"; "vt_begin"; "selects"; "" ]
+
+let test_non_reserved_words () =
+  (* a bare alias takes an aggregate name, not vt or period *)
+  List.iter
+    (fun k ->
+      let s = Printf.sprintf "SELECT a %s FROM t" k in
+      Alcotest.(check bool) s (List.mem k [ "count"; "sum"; "avg"; "min"; "max" ]) (parses s))
+    non_reserved;
+  (match parse_q "SELECT count(*) AS count, max(a) max FROM period" with
+  | A.Select_q { items = [ A.Item { item_alias = Some "count"; _ }; A.Item { item_alias = Some "max"; _ } ]; from = [ (A.Table { name = "period"; _ }, None) ]; _ } -> ()
+  | _ -> Alcotest.fail "aggregate names as aliases, period as a table");
+  Alcotest.(check bool) "vt as a column" true
+    (parses "SEQ VT (SELECT w.vt FROM vt w WHERE w.vt > 1)")
+
+(* the byte span of a top-level AS OF point's literal *)
+let test_as_of_point_span () =
+  let span s =
+    match P.statement s with A.Query { as_of_span; _ } -> as_of_span | _ -> None
+  in
+  let lit s = Option.map (fun (a, b) -> String.sub s a (b - a)) (span s) in
+  Alcotest.(check (option string)) "literal" (Some "42")
+    (lit "SEQ VT AS OF 42 (SELECT a FROM t)");
+  Alcotest.(check (option string)) "sign included" (Some "- 7")
+    (lit "seq vt as of - 7 (SELECT a FROM t) ORDER BY a");
+  Alcotest.(check (option string)) "after a comment and a newline" (Some "0042")
+    (lit "-- 13 AS OF 9\n (SEQ VT\n  AS OF 0042 (SELECT a FROM t))");
+  Alcotest.(check (option (pair int int))) "no AS OF" None
+    (span "SEQ VT (SELECT a FROM t)");
+  Alcotest.(check (option (pair int int))) "not top level" None
+    (span "SEQ VT AS OF 1 (SELECT a FROM t) UNION SEQ VT AS OF 2 (SELECT a FROM t)");
+  (match P.script "SELECT a FROM t; SEQ VT AS OF 5 (SELECT a FROM t)" with
+  | [ A.Query { as_of_span = None; _ }; A.Query { as_of_span = Some (30, 31); _ } ] -> ()
+  | _ -> Alcotest.fail "script offsets count from the script's start")
+
 (* --- analyzer --- *)
 
 let catalog : An.catalog =
@@ -200,6 +271,10 @@ let suite =
       Alcotest.test_case "parse DDL" `Quick test_parse_ddl;
       Alcotest.test_case "parse script" `Quick test_parse_script;
       Alcotest.test_case "parse errors" `Quick test_parse_errors;
+      Alcotest.test_case "keywords stay reserved names" `Quick test_keywords_reserved;
+      Alcotest.test_case "non-reserved words stay accepted" `Quick
+        test_non_reserved_words;
+      Alcotest.test_case "AS OF point span" `Quick test_as_of_point_span;
       Alcotest.test_case "analyze names" `Quick test_analyze_names;
       Alcotest.test_case "analyze name errors" `Quick test_analyze_ambiguous;
       Alcotest.test_case "analyze join planning" `Quick test_analyze_join_planning;
