@@ -15,9 +15,11 @@ INSERT INTO works VALUES
 -- is a stab probe into the endpoint-sorted index
 SEQ VT AS OF 9 (SELECT name, skill FROM works);
 
--- a user filter applies to the stabbed rows; the probe re-applies the
--- full timeslice predicate to its candidates, so the result matches the
--- scan byte for byte
+-- a user filter applies to the stabbed rows: the probe's bounds no
+-- longer decide the predicate alone, so it re-applies the full
+-- predicate to its candidates, and the result matches the scan byte
+-- for byte.  A bare timeslice is decided by the bounds exactly and is
+-- not re-applied
 SEQ VT AS OF 9 (SELECT name FROM works WHERE skill = 'SP');
 
 -- timeslice cardinality: a plain count(*) over the stabbed rows
@@ -60,3 +62,78 @@ INSERT INTO works VALUES ('Max', NULL, 2, 11);
 SEQ VT AS OF 10 (SELECT name, skill FROM works);
 SEQ VT AS OF 10 (SELECT skill, count(*) AS c FROM works GROUP BY skill);
 SELECT name, b, e FROM works WHERE b < 12 AND e > 10;
+
+-- 160 rows, so that the writes below stay within the delta an index
+-- read goes through (a sixteenth of the rows) and every read after
+-- them answers from the built images plus the delta: the probe gathers
+-- only the columns its consumer reads.  amount and rate are NULL-heavy,
+-- and the lab department's amounts are all NULL
+CREATE TABLE pay (name text, dept text, amount int, rate float, b int, e int) PERIOD (b, e);
+INSERT INTO pay VALUES
+  ('p0', 'eng', NULL, -0.0, 0, 1), ('p1', 'ops', -13, NULL, 7, 19), ('p2', 'hr', 24, 3.5, 14, 37), ('p3', 'lab', NULL, 6.75, 21, 30),
+  ('p4', 'eng', 98, -2.5, 28, 48), ('p5', 'ops', NULL, NULL, 35, 41), ('p6', 'hr', -28, 4.0, 2, 19), ('p7', 'lab', NULL, 7.25, 9, 12),
+  ('p8', 'eng', 46, -2.0, 16, 30), ('p9', 'ops', 83, NULL, 23, 48), ('p10', 'hr', NULL, 4.5, 30, 41), ('p11', 'lab', NULL, 7.75, 37, 59),
+  ('p12', 'eng', -6, -1.5, 4, 12), ('p13', 'ops', 31, NULL, 11, 30), ('p14', 'hr', 68, 5.0, 18, 23), ('p15', 'lab', NULL, 8.25, 25, 41),
+  ('p16', 'eng', 142, -1.0, 32, 34), ('p17', 'ops', -21, NULL, 39, 52), ('p18', 'hr', 16, 5.5, 6, 30), ('p19', 'lab', NULL, 8.75, 13, 23),
+  ('p20', 'eng', NULL, -0.5, 20, 41), ('p21', 'ops', 127, NULL, 27, 34), ('p22', 'hr', -36, 6.0, 34, 52), ('p23', 'lab', NULL, -0.0, 1, 5),
+  ('p24', 'eng', 38, 0.0, 8, 23), ('p25', 'ops', NULL, NULL, 15, 16), ('p26', 'hr', 112, 6.5, 22, 34), ('p27', 'lab', NULL, -2.75, 29, 52),
+  ('p28', 'eng', -14, 0.5, 36, 45), ('p29', 'ops', 23, NULL, 3, 23), ('p30', 'hr', NULL, 7.0, 10, 16), ('p31', 'lab', NULL, -2.25, 17, 34),
+  ('p32', 'eng', 134, 1.0, 24, 27), ('p33', 'ops', -29, NULL, 31, 45), ('p34', 'hr', 8, 7.5, 38, 63), ('p35', 'lab', NULL, -1.75, 5, 16),
+  ('p36', 'eng', 82, 1.5, 12, 34), ('p37', 'ops', 119, NULL, 19, 27), ('p38', 'hr', -44, 8.0, 26, 45), ('p39', 'lab', NULL, -1.25, 33, 38),
+  ('p40', 'eng', NULL, 2.0, 0, 16), ('p41', 'ops', 67, NULL, 7, 9), ('p42', 'hr', 104, 8.5, 14, 27), ('p43', 'lab', NULL, -0.75, 21, 45),
+  ('p44', 'eng', -22, 2.5, 28, 38), ('p45', 'ops', NULL, NULL, 35, 56), ('p46', 'hr', 52, -0.0, 2, 9), ('p47', 'lab', NULL, -0.25, 9, 27),
+  ('p48', 'eng', 126, 3.0, 16, 20), ('p49', 'ops', -37, NULL, 23, 38), ('p50', 'hr', NULL, -3.0, 30, 31), ('p51', 'lab', NULL, 0.25, 37, 49),
+  ('p52', 'eng', 74, 3.5, 4, 27), ('p53', 'ops', 111, NULL, 11, 20), ('p54', 'hr', 148, -2.5, 18, 38), ('p55', 'lab', NULL, 0.75, 25, 31),
+  ('p56', 'eng', 22, 4.0, 32, 49), ('p57', 'ops', 59, NULL, 39, 42), ('p58', 'hr', 96, 0.0, 6, 20), ('p59', 'lab', NULL, 1.25, 13, 38),
+  ('p60', 'eng', NULL, 4.5, 20, 31), ('p61', 'ops', 7, NULL, 27, 49), ('p62', 'hr', 44, -1.5, 34, 42), ('p63', 'lab', NULL, 1.75, 1, 20),
+  ('p64', 'eng', 118, 5.0, 8, 13), ('p65', 'ops', NULL, NULL, 15, 31), ('p66', 'hr', -8, -1.0, 22, 24), ('p67', 'lab', NULL, 2.25, 29, 42),
+  ('p68', 'eng', 66, 5.5, 36, 60), ('p69', 'ops', 103, NULL, 3, 13), ('p70', 'hr', NULL, -0.5, 10, 31), ('p71', 'lab', NULL, 2.75, 17, 24),
+  ('p72', 'eng', 14, 6.0, 24, 42), ('p73', 'ops', 51, NULL, 31, 35), ('p74', 'hr', 88, 0.0, 38, 53), ('p75', 'lab', NULL, 3.25, 5, 6),
+  ('p76', 'eng', -38, 6.5, 12, 24), ('p77', 'ops', -1, NULL, 19, 42), ('p78', 'hr', 36, 0.5, 26, 35), ('p79', 'lab', NULL, 3.75, 33, 53),
+  ('p80', 'eng', NULL, 7.0, 0, 6), ('p81', 'ops', 147, NULL, 7, 24), ('p82', 'hr', -16, 1.0, 14, 17), ('p83', 'lab', NULL, 4.25, 21, 35),
+  ('p84', 'eng', 58, 7.5, 28, 53), ('p85', 'ops', NULL, NULL, 35, 46), ('p86', 'hr', 132, 1.5, 2, 24), ('p87', 'lab', NULL, 0.0, 9, 17),
+  ('p88', 'eng', 6, 8.0, 16, 35), ('p89', 'ops', 43, NULL, 23, 28), ('p90', 'hr', NULL, 2.0, 30, 46), ('p91', 'lab', NULL, 5.25, 37, 39),
+  ('p92', 'eng', -46, -0.0, 4, 17), ('p93', 'ops', -9, NULL, 11, 35), ('p94', 'hr', 28, 2.5, 18, 28), ('p95', 'lab', NULL, 5.75, 25, 46),
+  ('p96', 'eng', 102, 9.0, 32, 39), ('p97', 'ops', 139, NULL, 39, 57), ('p98', 'hr', -24, 3.0, 6, 10), ('p99', 'lab', NULL, 6.25, 13, 28),
+  ('p100', 'eng', NULL, -3.0, 20, 21), ('p101', 'ops', 87, NULL, 27, 39), ('p102', 'hr', 124, 3.5, 34, 57), ('p103', 'lab', NULL, 6.75, 1, 10),
+  ('p104', 'eng', -2, -2.5, 8, 28), ('p105', 'ops', NULL, NULL, 15, 21), ('p106', 'hr', 72, 4.0, 22, 39), ('p107', 'lab', NULL, 7.25, 29, 32),
+  ('p108', 'eng', 146, -2.0, 36, 50), ('p109', 'ops', -17, NULL, 3, 28), ('p110', 'hr', NULL, 4.5, 10, 21), ('p111', 'lab', NULL, 7.75, 17, 39),
+  ('p112', 'eng', 94, -1.5, 24, 32), ('p113', 'ops', 131, NULL, 31, 50), ('p114', 'hr', -32, 5.0, 38, 43), ('p115', 'lab', NULL, -0.0, 5, 21),
+  ('p116', 'eng', 42, 0.0, 12, 14), ('p117', 'ops', 79, NULL, 19, 32), ('p118', 'hr', 116, 5.5, 26, 50), ('p119', 'lab', NULL, 8.75, 33, 43),
+  ('p120', 'eng', NULL, -0.5, 0, 21), ('p121', 'ops', 27, NULL, 7, 14), ('p122', 'hr', 64, 6.0, 14, 32), ('p123', 'lab', NULL, 9.25, 21, 25),
+  ('p124', 'eng', 138, 0.0, 28, 43), ('p125', 'ops', NULL, NULL, 35, 36), ('p126', 'hr', 12, 6.5, 2, 14), ('p127', 'lab', NULL, -2.75, 9, 32),
+  ('p128', 'eng', 86, 0.5, 16, 25), ('p129', 'ops', 123, NULL, 23, 43), ('p130', 'hr', NULL, 7.0, 30, 36), ('p131', 'lab', NULL, -2.25, 37, 54),
+  ('p132', 'eng', 34, 1.0, 4, 7), ('p133', 'ops', 71, NULL, 11, 25), ('p134', 'hr', 108, 7.5, 18, 43), ('p135', 'lab', NULL, -1.75, 25, 36),
+  ('p136', 'eng', -18, 1.5, 32, 54), ('p137', 'ops', 19, NULL, 39, 47), ('p138', 'hr', 56, -0.0, 6, 25), ('p139', 'lab', NULL, -1.25, 13, 18),
+  ('p140', 'eng', NULL, 2.0, 20, 36), ('p141', 'ops', -33, NULL, 27, 29), ('p142', 'hr', 4, 8.5, 34, 47), ('p143', 'lab', NULL, -0.75, 1, 25),
+  ('p144', 'eng', 78, 2.5, 8, 18), ('p145', 'ops', NULL, NULL, 15, 36), ('p146', 'hr', -48, 9.0, 22, 29), ('p147', 'lab', NULL, -0.25, 29, 47),
+  ('p148', 'eng', 26, 3.0, 36, 40), ('p149', 'ops', 63, NULL, 3, 18), ('p150', 'hr', NULL, -3.0, 10, 11), ('p151', 'lab', NULL, 0.25, 17, 29),
+  ('p152', 'eng', -26, 3.5, 24, 47), ('p153', 'ops', 11, NULL, 31, 40), ('p154', 'hr', 48, -2.5, 38, 58), ('p155', 'lab', NULL, 0.75, 5, 11),
+  ('p156', 'eng', 122, 4.0, 12, 29), ('p157', 'ops', -41, NULL, 19, 22), ('p158', 'hr', -4, -2.0, 26, 40), ('p159', 'lab', NULL, 1.25, 33, 58);
+
+-- aggregation at a point over int and float columns with NULLs: γ folds
+-- each group's rows in row order into typed per-group slots, with the
+-- row engine's values bit for bit (float sums in the same order of
+-- additions, -0.0 and 0.0 kept as they come)
+SEQ VT AS OF 12 (SELECT dept, count(*) AS n, count(amount) AS na, sum(amount) AS s, avg(amount) AS a, min(amount) AS lo, max(amount) AS hi FROM pay GROUP BY dept);
+SEQ VT AS OF 12 (SELECT dept, count(rate) AS nr, sum(rate) AS s, avg(rate) AS a, min(rate) AS lo, max(rate) AS hi FROM pay GROUP BY dept);
+SEQ VT AS OF 30 (SELECT count(*) AS n, sum(amount) AS s, avg(rate) AS a, min(name) AS first, max(name) AS last FROM pay);
+SEQ VT AS OF 12 (SELECT count(*) AS n, sum(amount) AS s, avg(rate) AS a, min(rate) AS lo FROM pay WHERE amount > 1000);
+SEQ VT AS OF 12 (SELECT dept, count(*) AS n, sum(amount) AS s FROM pay WHERE amount > 1000 GROUP BY dept);
+
+-- GROUP BY a text column after each kind of write, read through the
+-- delta: the probe's bounds decide the timeslice exactly, so only the
+-- grouped and aggregated columns are gathered
+INSERT INTO pay VALUES ('q0', 'ops', 75, 1.25, 10, 20);
+SEQ VT AS OF 12 (SELECT dept, count(*) AS n, sum(amount) AS s, max(rate) AS hi FROM pay GROUP BY dept);
+UPDATE pay FOR PORTION OF vt FROM 11 TO 13 SET dept = 'hr' WHERE name = 'p1';
+SEQ VT AS OF 12 (SELECT dept, count(*) AS n, sum(amount) AS s, max(rate) AS hi FROM pay GROUP BY dept);
+SEQ VT AS OF 13 (SELECT dept, count(*) AS n, avg(amount) AS a FROM pay GROUP BY dept);
+DELETE FROM pay FOR PORTION OF vt FROM 11 TO 13 WHERE name = 'p6';
+SEQ VT AS OF 12 (SELECT dept, count(*) AS n, sum(amount) AS s, min(rate) AS lo FROM pay GROUP BY dept);
+
+-- reads the bounds do not decide: an equality on the begin, and a
+-- conjunct over a data column, are re-applied to the candidates
+SELECT name, b, e FROM pay WHERE b = 14 AND e > 20;
+SEQ VT AS OF 12 (SELECT name, amount FROM pay WHERE amount > 100);
+SELECT dept, count(*) AS n FROM pay WHERE b <= 12 AND e > 12 AND rate < 0.5 GROUP BY dept;

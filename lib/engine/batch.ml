@@ -218,6 +218,14 @@ let with_sel (b : t) (s : int array) : t = { b with sel = Some s }
 let of_cols (schema : Schema.t) (nrows : int) (cols : col array) : t =
   { schema; nrows; cols; sel = None }
 
+(** A column that no consumer reads: empty, never indexed.  An operator
+    told which columns its consumer needs puts it in place of the rest. *)
+let placeholder = { data = Ints [||]; nulls = None }
+
+(** Whether column [j] is in [need] ([None]: every column is). *)
+let needed (need : int list option) (j : int) : bool =
+  match need with None -> true | Some cols -> List.mem j cols
+
 (* ---- row boundary ---- *)
 
 let of_rows (schema : Schema.t) (rows : Tuple.t array) : t =
@@ -230,61 +238,64 @@ let of_rows (schema : Schema.t) (rows : Tuple.t array) : t =
 
 (* ---- successor images ---- *)
 
-(* The kept cells of a successor column of [prefix + Array.length src]
-   cells: the cells below [prefix + skip] are [a]'s in place, copied in
-   bulk; cell [prefix + k] is [a.(src.(k))] where [src.(k) >= 0], and
+(* The kept cells of a successor column of [prefix + len] cells (the
+   map [src] may be a longer buffer): the cells below [prefix + skip]
+   are [a]'s in place, copied in bulk; cell [prefix + k] is
+   [a.(src.(k))] where [src.(k) >= 0], and
    fresh cells ([src.(k) < 0]) are left for the caller to fill.  One
    monomorphic loop per element type, as in the gathers above. *)
-let kept_ints (a : int array) ~prefix ~skip (src : int array) : int array =
-  let n = prefix + Array.length src and m = Array.length a in
+let kept_ints (a : int array) ~prefix ~skip ~len (src : int array) : int array =
+  let n = prefix + len and m = Array.length a in
   let out = if n <= m then Array.sub a 0 n else Array.append a (Array.make (n - m) 0) in
-  for k = skip to Array.length src - 1 do
+  for k = skip to len - 1 do
     let s = src.(k) in
     if s >= 0 then out.(prefix + k) <- a.(s)
   done;
   out
 
-let kept_floats (a : float array) ~prefix ~skip (src : int array) : float array =
-  let n = prefix + Array.length src and m = Array.length a in
+let kept_floats (a : float array) ~prefix ~skip ~len (src : int array) : float array =
+  let n = prefix + len and m = Array.length a in
   let out =
     if n <= m then Array.sub a 0 n else Array.append a (Array.make (n - m) 0.0)
   in
-  for k = skip to Array.length src - 1 do
+  for k = skip to len - 1 do
     let s = src.(k) in
     if s >= 0 then out.(prefix + k) <- a.(s)
   done;
   out
 
-let kept_bools (a : bool array) ~prefix ~skip (src : int array) : bool array =
-  let n = prefix + Array.length src and m = Array.length a in
+let kept_bools (a : bool array) ~prefix ~skip ~len (src : int array) : bool array =
+  let n = prefix + len and m = Array.length a in
   let out =
     if n <= m then Array.sub a 0 n else Array.append a (Array.make (n - m) false)
   in
-  for k = skip to Array.length src - 1 do
+  for k = skip to len - 1 do
     let s = src.(k) in
     if s >= 0 then out.(prefix + k) <- a.(s)
   done;
   out
 
-let kept_strs (a : string array) ~prefix ~skip (src : int array) : string array =
-  let n = prefix + Array.length src and m = Array.length a in
+let kept_strs (a : string array) ~prefix ~skip ~len (src : int array) : string array =
+  let n = prefix + len and m = Array.length a in
   let out = if n <= m then Array.sub a 0 n else Array.append a (Array.make (n - m) "") in
-  for k = skip to Array.length src - 1 do
+  for k = skip to len - 1 do
     let s = src.(k) in
     if s >= 0 then out.(prefix + k) <- a.(s)
   done;
   out
 
 (** The fresh rows of a successor's row map (see {!derive}): the rows
-    [prefix + k] with [src.(k) < 0], ascending. *)
-let fresh_rows ~prefix (src : int array) : int array =
+    [prefix + k] with [src.(k) < 0], ascending, over the first [len]
+    entries of [src] (default: all). *)
+let fresh_rows ?len ~prefix (src : int array) : int array =
+  let len = Option.value len ~default:(Array.length src) in
   let k = ref 0 in
-  for j = 0 to Array.length src - 1 do
+  for j = 0 to len - 1 do
     if src.(j) < 0 then incr k
   done;
   let f = Array.make !k 0 in
   k := 0;
-  for j = 0 to Array.length src - 1 do
+  for j = 0 to len - 1 do
     if src.(j) < 0 then begin
       f.(!k) <- prefix + j;
       incr k
@@ -294,12 +305,12 @@ let fresh_rows ~prefix (src : int array) : int array =
 
 (* One successor column: the kept cells of [c], then the fresh rows'
    values; [None] when [c] is boxed or a fresh value does not fit it. *)
-let derive_col (c : col) ~prefix ~skip ~(src : int array) ~(fresh : int array)
-    (row : int -> Tuple.t) (j : int) : col option =
-  let n = prefix + Array.length src in
+let derive_col (c : col) ~prefix ~skip ~len ~(src : int array)
+    ~(fresh : int array) (row : int -> Tuple.t) (j : int) : col option =
+  let n = prefix + len in
   let exception Mismatch in
   let mask =
-    ref (Option.map (fun m -> kept_bools m ~prefix ~skip src) c.nulls)
+    ref (Option.map (fun m -> kept_bools m ~prefix ~skip ~len src) c.nulls)
   in
   (* a fresh cell: [true] when it holds NULL (its data keeps the
      default, as {!col_of_values} leaves it) *)
@@ -319,7 +330,7 @@ let derive_col (c : col) ~prefix ~skip ~(src : int array) ~(fresh : int array)
     let data =
       match c.data with
       | Ints a ->
-          let out = kept_ints a ~prefix ~skip src in
+          let out = kept_ints a ~prefix ~skip ~len src in
           Array.iter
             (fun i ->
               if fresh_null i then out.(i) <- 0
@@ -330,7 +341,7 @@ let derive_col (c : col) ~prefix ~skip ~(src : int array) ~(fresh : int array)
             fresh;
           Ints out
       | Floats a ->
-          let out = kept_floats a ~prefix ~skip src in
+          let out = kept_floats a ~prefix ~skip ~len src in
           Array.iter
             (fun i ->
               if fresh_null i then out.(i) <- 0.0
@@ -341,7 +352,7 @@ let derive_col (c : col) ~prefix ~skip ~(src : int array) ~(fresh : int array)
             fresh;
           Floats out
       | Bools a ->
-          let out = kept_bools a ~prefix ~skip src in
+          let out = kept_bools a ~prefix ~skip ~len src in
           Array.iter
             (fun i ->
               if fresh_null i then out.(i) <- false
@@ -352,7 +363,7 @@ let derive_col (c : col) ~prefix ~skip ~(src : int array) ~(fresh : int array)
             fresh;
           Bools out
       | Strs a ->
-          let out = kept_strs a ~prefix ~skip src in
+          let out = kept_strs a ~prefix ~skip ~len src in
           Array.iter
             (fun i ->
               if fresh_null i then out.(i) <- ""
@@ -384,10 +395,13 @@ let derive_col (c : col) ~prefix ~skip ~(src : int array) ~(fresh : int array)
     value does not fit, is built from all the rows by {!col_of_values}.
     A successor's image passes its predecessor's image and whole row map;
     an index probe read through a delta passes its candidates' map, so
-    it gathers only them. *)
-let derive (base : t) ~(prefix : int) ~(src : int array)
+    it gathers only them, and its consumer's [need] (default: every
+    column), so it gathers only those columns: the others are
+    {!placeholder}s.  [len] (default: all of [src]) reads the map from
+    the first [len] cells of a longer buffer. *)
+let derive ?need ?len (base : t) ~(prefix : int) ~(src : int array)
     (row : int -> Tuple.t) : t =
-  let len = Array.length src in
+  let len = Option.value len ~default:(Array.length src) in
   let n = prefix + len in
   (* the entries that continue the identity prefix need no gather *)
   let skip =
@@ -397,15 +411,17 @@ let derive (base : t) ~(prefix : int) ~(src : int array)
     done;
     !k
   in
-  let fresh = fresh_rows ~prefix src in
+  let fresh = fresh_rows ~len ~prefix src in
   let schema = base.schema in
   let cols =
     Array.mapi
       (fun j c ->
-        match derive_col c ~prefix ~skip ~src ~fresh row j with
-        | Some c -> c
-        | None ->
-            col_of_values (Schema.ty schema j) n (fun i -> Tuple.get (row i) j))
+        if not (needed need j) then placeholder
+        else
+          match derive_col c ~prefix ~skip ~len ~src ~fresh row j with
+          | Some c -> c
+          | None ->
+              col_of_values (Schema.ty schema j) n (fun i -> Tuple.get (row i) j))
       base.cols
   in
   { schema; nrows = n; cols; sel = None }

@@ -291,13 +291,13 @@ type probe = { view : Batch.t; candidates : int; delta : int option }
    the rows [t] no longer has; the fresh rows the bounds admit are
    merged in; and only the candidates are gathered, from the base image
    and the fresh tuples, by {!Batch.derive} over a candidate-sized row
-   map.  O(candidates + runs + fresh rows); the candidates are collected
-   in scratch buffers, so only the probe's result, one copy of the
-   candidates' map and the gathered columns are allocated per read. *)
-let probe_delta (t : t) (b : base) (bi : Tkr_idx.Interval.t) ~b_hi ~e_lo :
-    probe option =
-  let bc = Tkr_idx.Interval.probe bi ~b_hi ~e_lo in
-  let nb = Array.length bc and map = b.map in
+   map, only the [need]ed columns.  O(candidates + runs + fresh rows);
+   the base probe and the candidates are collected in scratch buffers, so
+   only the gathered columns are allocated per read. *)
+let probe_delta ?need (t : t) (b : base) (bi : Tkr_idx.Interval.t) ~b_hi
+    ~e_lo : probe option =
+  let bc, nb = Tkr_idx.Interval.probe_scratch bi ~b_hi ~e_lo in
+  let map = b.map in
   (* at most the base's candidates and the fresh rows, which the delta
      counts *)
   let size = Int.min (nb + b.delta_rows) (Array.length t.rows) in
@@ -335,18 +335,19 @@ let probe_delta (t : t) (b : base) (bi : Tkr_idx.Interval.t) ~b_hi ~e_lo :
         | _ -> typed := false
       done
   done;
+  Tkr_idx.Scratch.release bc;
   if not !typed then None
   else
     Some
       {
         view =
-          Batch.derive b.b_columnar ~prefix:0 ~src:(Array.sub csrc 0 !k)
+          Batch.derive ?need ~len:!k b.b_columnar ~prefix:0 ~src:csrc
             (fun c -> t.rows.(cand.(c)));
         candidates = !k;
         delta = Some !scanned;
       }
 
-let probe (t : t) ~b_hi ~e_lo : probe option =
+let probe ?need (t : t) ~b_hi ~e_lo : probe option =
   let materialized () =
     match index t with
     | None -> None
@@ -361,7 +362,7 @@ let probe (t : t) ~b_hi ~e_lo : probe option =
   in
   match (Atomic.get t.index, Atomic.get t.base) with
   | None, Some ({ b_index = Some bi; _ } as b) when readable b -> (
-      match probe_delta t b bi ~b_hi ~e_lo with
+      match probe_delta ?need t b bi ~b_hi ~e_lo with
       | Some _ as p -> p
       | None -> materialized ())
   | _ -> materialized ()

@@ -98,14 +98,20 @@ val fold_divisor : int
     (see table.ml). *)
 
 val probe :
-  t -> b_hi:Tkr_idx.Interval.bound -> e_lo:Tkr_idx.Interval.bound -> probe option
+  ?need:int list ->
+  t ->
+  b_hi:Tkr_idx.Interval.bound ->
+  e_lo:Tkr_idx.Interval.bound ->
+  probe option
 (** The rows an {!index} probe ({!Tkr_idx.Interval.probe}) returns, with
     their cells.  A value whose own index is not built, and whose base
     has one, answers from the base without materializing anything while
     its delta (fresh rows plus dropped base rows) is at most
     [1 / fold_divisor] of the base's rows: it probes the base index, renames the
     candidates through the row map, merges in the fresh rows whose
-    periods pass the bounds, and gathers only those rows.  Past that
+    periods pass the bounds, and gathers only those rows, and of them
+    only the columns in [need] (default: all); the others are
+    {!Batch.placeholder}s, which the caller must not read.  Past that
     fraction, or without such a base, it probes {!index} over {!columnar},
     filling both (a fold).  Either way the rows and their order are the
     same.  [None] when the value has no index.  Callers check that the

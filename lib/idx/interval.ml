@@ -176,9 +176,10 @@ let lower_bound (a : int array) (x : int) : int =
   done;
   !lo
 
-(** Candidate rows with begin within [b_hi] (from above) and end within
-    [e_lo] (from below), ascending by physical row id. *)
-let probe (t : t) ~(b_hi : bound) ~(e_lo : bound) : int array =
+(** [probe_scratch t ~b_hi ~e_lo]: {!probe}'s candidates as the first
+    [k] cells of a {!Scratch} buffer, [(buffer, k)]; the caller releases
+    the buffer ({!Scratch.release}) once it has read them. *)
+let probe_scratch (t : t) ~(b_hi : bound) ~(e_lo : bound) : int array * int =
   let m = Array.length t.rows in
   (* prefix of the sweep order whose begins satisfy the upper bound *)
   let ub =
@@ -189,15 +190,16 @@ let probe (t : t) ~(b_hi : bound) ~(e_lo : bound) : int array =
      nothing (there is no end beyond max_int) *)
   let empty = (not e_lo.incl) && e_lo.v = max_int in
   let min_end = if e_lo.incl then e_lo.v else e_lo.v + 1 in
-  if ub = 0 || m = 0 || empty then [||]
+  if ub = 0 || m = 0 || empty then ([||], 0)
   else begin
-    let out = ref [] and k = ref 0 in
+    (* at most the [ub] rows of the prefix qualify *)
+    let out = Scratch.get ub and k = ref 0 in
     (* descend left-to-right, skipping subtrees that are entirely past
        [ub] or whose max end is below the bound *)
     let rec report node lo hi =
       if lo < ub && t.seg.(node) >= min_end then
         if hi - lo = 1 then begin
-          out := t.rows.(lo) :: !out;
+          out.(!k) <- t.rows.(lo);
           incr k
         end
         else begin
@@ -207,12 +209,18 @@ let probe (t : t) ~(b_hi : bound) ~(e_lo : bound) : int array =
         end
     in
     report 1 0 t.leaves;
-    let a = Array.make !k 0 in
-    List.iteri (fun i r -> a.(!k - 1 - i) <- r) !out;
     (* sweep order is by begin, not by row id: restore scan order *)
-    Isort.sort_below a ~bound:m;
-    a
+    Isort.sort_below ~len:!k out ~bound:m;
+    (out, !k)
   end
+
+(** Candidate rows with begin within [b_hi] (from above) and end within
+    [e_lo] (from below), ascending by physical row id. *)
+let probe (t : t) ~(b_hi : bound) ~(e_lo : bound) : int array =
+  let buf, k = probe_scratch t ~b_hi ~e_lo in
+  let a = Array.sub buf 0 k in
+  Scratch.release buf;
+  a
 
 (** Whether the period [\[b, e)] passes {!probe}'s bounds: the rows a
     probe reports are exactly the indexed rows this admits. *)

@@ -49,19 +49,25 @@ let select sp pred (b : Batch.t) : Batch.t =
    conjuncts bound the period columns on both sides ({!Tkr_idx.Probe}),
    probe the interval index for the candidate physical rows
    ({!Table.probe}: over the built images, or through a DML delta over
-   its base's), and let [Veval.filter] re-apply the full predicate over
-   them.  The probe bounds are necessary conditions and candidates come
-   in ascending physical order (= the identity selection's order), so
+   its base's).  The candidates come in ascending physical order (= the
+   identity selection's order).  When the bounds are exact (every
+   conjunct is a bound, as in an [AS OF] timeslice), the candidates are
+   the answer, and the probe gathers only the columns the consumer
+   [need]s; otherwise the bounds are necessary conditions and
+   [Veval.filter] re-applies the full predicate over the candidates, so
    the surviving rows are exactly the ones the full filter would keep,
    in the same order.  [None] when the predicate is not index-answerable
    (the caller scans). *)
-let index_select (db : Database.t) sp pred (n : string) : Batch.t option =
+let index_select ?need (db : Database.t) sp pred (n : string) : Batch.t option =
   let t = Database.find db n in
   let arity = Schema.arity (Table.schema t) in
   match Tkr_idx.Probe.bounds ~arity pred with
   | None -> None
-  | Some { Tkr_idx.Probe.b_hi; e_lo } -> (
-      match Table.probe t ~b_hi ~e_lo with
+  | Some { Tkr_idx.Probe.b_hi; e_lo; exact } -> (
+      let need =
+        if exact then need else Option.map (List.append (Expr.cols pred)) need
+      in
+      match Table.probe ?need t ~b_hi ~e_lo with
       | None -> None
       | Some { Table.view; candidates; delta } ->
           Tkr_idx.Stats.record_probes ~probes:1 ~candidates;
@@ -70,11 +76,29 @@ let index_select (db : Database.t) sp pred (n : string) : Batch.t option =
           Trace.set_int sp "candidates" candidates;
           Option.iter (Trace.set_int sp "delta") delta;
           Trace.set_int sp "conjuncts" (List.length (Expr.conjuncts pred));
-          Some (Batch.with_sel view (Veval.filter view pred)))
+          Some
+            (if exact then view
+             else Batch.with_sel view (Veval.filter view pred)))
 
 (* ---- project ---- *)
 
-let project (projs : Algebra.proj list) (b : Batch.t) : Batch.t =
+(* A projection [project] evaluates: one its consumer [need]s, or one
+   that computes, whose errors must show as the row engine's do.  Every
+   other one is a plain column reference nobody reads. *)
+let evaluated need j (p : Algebra.proj) =
+  Batch.needed need j || match p.expr with Expr.Col _ -> false | _ -> true
+
+(* the input columns [project ?need projs] reads *)
+let project_need need (projs : Algebra.proj list) : int list =
+  List.concat
+    (List.mapi
+       (fun j (p : Algebra.proj) ->
+         if evaluated need j p then Expr.cols p.expr else [])
+       projs)
+
+(* [need] (default: all) lists the output columns the consumer reads;
+   the input holds at least {!project_need}'s columns *)
+let project ?need (projs : Algebra.proj list) (b : Batch.t) : Batch.t =
   let schema = Batch.schema b in
   let out_schema =
     Schema.make
@@ -96,7 +120,11 @@ let project (projs : Algebra.proj list) (b : Batch.t) : Batch.t =
   else
     let cols =
       Array.of_list
-        (List.map (fun (p : Algebra.proj) -> Veval.eval b p.expr) projs)
+        (List.mapi
+           (fun j (p : Algebra.proj) ->
+             if evaluated need j p then Veval.eval b p.expr
+             else Batch.placeholder)
+           projs)
     in
     Batch.of_cols out_schema (Batch.length b) cols
 
@@ -135,9 +163,6 @@ let except_all (a : Batch.t) (b : Batch.t) : Batch.t =
   Batch.with_sel a sel
 
 (* ---- join ---- *)
-
-(* An output column no consumer reads: empty, never indexed. *)
-let placeholder = { Batch.data = Batch.Ints [||]; nulls = None }
 
 (* One conjunct [x op y] of a residual over two non-null unboxed int
    columns, each read at the pair's left ([x_left]) or right physical
@@ -284,7 +309,7 @@ let flush (s : pairs) : unit =
   | Blocked (p, needed) when s.nb > 0 ->
       let la = Array.length s.lb.Batch.cols in
       let cols =
-        Array.make (la + Array.length s.rb.Batch.cols) placeholder
+        Array.make (la + Array.length s.rb.Batch.cols) Batch.placeholder
       in
       List.iter
         (fun j ->
@@ -322,7 +347,7 @@ let offer (s : pairs) (lp : int) (rp : int) : unit =
       if s.nb >= block_pairs then flush s
 
 (* the joined output: the wanted columns gathered at the survivors, the
-   rest {!placeholder}s *)
+   rest {!Batch.placeholder}s *)
 let pairs_finish (s : pairs) : Batch.t =
   flush s;
   let la = Array.length s.lb.Batch.cols in
@@ -330,7 +355,7 @@ let pairs_finish (s : pairs) : Batch.t =
   let cols =
     Array.mapi
       (fun j wanted ->
-        if not wanted then placeholder
+        if not wanted then Batch.placeholder
         else if j < la then Batch.gather_col ~len:n s.lb.Batch.cols.(j) lp
         else Batch.gather_col ~len:n s.rb.Batch.cols.(j - la) rp)
       s.wanted
@@ -506,20 +531,9 @@ let join ?need sp pred (lb : Batch.t) (rb : Batch.t) : Batch.t =
 
 (* ---- aggregate / distinct ---- *)
 
-(* dynamic array of per-group accumulator rows *)
-type accs = { mutable arr : Agg.acc array array; mutable groups : int }
-
-let accs_create () = { arr = Array.make 16 [||]; groups = 0 }
-
-let accs_add t naggs =
-  if t.groups = Array.length t.arr then begin
-    let a' = Array.make (2 * t.groups) [||] in
-    Array.blit t.arr 0 a' 0 t.groups;
-    t.arr <- a'
-  end;
-  t.arr.(t.groups) <- Array.make naggs Agg.empty;
-  t.groups <- t.groups + 1
-
+(* Groups in first-appearance order, each folding its rows in row order
+   into {!Gacc} slots, as [Exec.aggregate] folds [Agg.acc]s.  The keyset
+   and the slots start small and grow with the groups. *)
 let aggregate (group : Algebra.proj list) (aggs : Algebra.agg_spec list)
     (b : Batch.t) : Batch.t =
   let child_schema = Batch.schema b in
@@ -529,53 +543,39 @@ let aggregate (group : Algebra.proj list) (aggs : Algebra.agg_spec list)
     Array.of_list (List.map (fun (p : Algebra.proj) -> Veval.eval b p.expr) group)
   in
   let agg_arr = Array.of_list aggs in
-  let naggs = Array.length agg_arr in
   let inputs =
     Array.map
       (fun (spec : Algebra.agg_spec) ->
         Option.map (Veval.eval b) (Agg.input_expr spec.func))
       agg_arr
   in
-  (* without GROUP BY there is one group, however many rows *)
-  let key = Key.create ~hint:(if group = [] then 1 else n) [| gcols |] in
-  let accs = accs_create () in
+  let key = Key.create [| gcols |] in
+  let accs = Gacc.create ~cap:8 agg_arr inputs in
   let reps = Ibuf.create () in
   for i = 0 to n - 1 do
     (* [gcols] are dense: logical index = physical index *)
     let g = Key.intern key ~src:0 ~row:i in
-    if g = accs.groups then begin
-      accs_add accs naggs;
+    if g = Gacc.groups accs then begin
+      Gacc.add_group accs;
       Ibuf.push reps i
     end;
-    let acc_row = accs.arr.(g) in
-    for j = 0 to naggs - 1 do
-      let v =
-        match inputs.(j) with
-        | None -> Value.Int 1
-        | Some c -> Batch.value c i
-      in
-      acc_row.(j) <- Agg.step acc_row.(j) v
-    done
+    Gacc.step accs g i
   done;
+  Key.release key;
   (* aggregation over no rows without GROUP BY: one all-empty group *)
-  if group = [] && accs.groups = 0 then begin
-    ignore (Key.intern key ~src:0 ~row:0);
-    accs_add accs naggs;
+  if group = [] && Gacc.groups accs = 0 then begin
+    Gacc.add_group accs;
     Ibuf.push reps 0
   end;
-  Key.release key;
-  let ng = accs.groups in
+  let ng = Gacc.groups accs in
+  let o = Gacc.out accs ng in
+  for g = 0 to ng - 1 do
+    Gacc.emit accs g o g
+  done;
+  let agg_cols = Gacc.cols accs o ~schema:child_schema ng in
+  Gacc.release accs;
   let rep_arr = Ibuf.take reps in
   let key_cols = Array.map (fun c -> Batch.gather_col c rep_arr) gcols in
-  let agg_cols =
-    Array.mapi
-      (fun j (spec : Algebra.agg_spec) ->
-        Batch.col_of_values
-          (Agg.output_ty child_schema spec.func)
-          ng
-          (fun g -> Agg.final spec.func accs.arr.(g).(j)))
-      agg_arr
-  in
   Batch.of_cols out_schema ng (Array.append key_cols agg_cols)
 
 let distinct (b : Batch.t) : Batch.t =
@@ -921,17 +921,6 @@ let split sp (group_cols : int list) (lb : Batch.t) (rb : Batch.t) : Batch.t =
   let t = endpoint_table ~get group_cols lb rb in
   cut ~get sp t ~gids:t.lgids lb
 
-(* [col] as [Batch.col_of_values ty] would build it: kept when its
-   unboxed data already has type [ty] *)
-let typed_col (ty : Value.ty) (n : int) (c : Batch.col) : Batch.col =
-  match (ty, c.Batch.data) with
-  | Value.TInt, Batch.Ints _ | Value.TFloat, Batch.Floats _ -> c
-  | _ -> Batch.col_of_values ty n (Batch.value c)
-
-(* the first [n] cells of [a], copied only when [a] is longer *)
-let prefix_of (a : 'a array) (n : int) : 'a array =
-  if Array.length a = n then a else Array.sub a 0 n
-
 (** Fused pre-aggregated split+aggregate (Section 9), reproducing
     [Ops.split_agg]'s segments and values bit for bit.  Rows are
     pre-aggregated per (group, b, e) into entries in first-appearance
@@ -939,10 +928,11 @@ let prefix_of (a : 'a array) (n : int) : 'a array =
     every group's segment endpoints and its entries in begin and in end
     order.
 
-    When every sum/avg/min/max input is an int column, a sweep enters
-    and leaves the entries in (group, begin) and (group, end) order,
-    adding and subtracting unboxed counters, and writes each segment's
-    values straight into typed output columns.  Otherwise (float sums,
+    The entries' states are {!Gacc} groups.  When every sum/avg/min/max
+    input is an int column, a sweep enters and leaves the entries in
+    (group, begin) and (group, end) order, adding and subtracting their
+    typed counters, and writes each segment's values straight into typed
+    output columns.  Otherwise (float sums,
     whose rounding depends on the order of additions) each segment folds
     its covering entries in [Ops]'s order: first appearance, stable by
     begin, the latest activated first. *)
@@ -993,38 +983,15 @@ let split_agg sp ~(group : int list) ~(aggs : Algebra.agg_spec list)
     done;
     !i
   in
-  let e_accs = ref [||] in
   let n_entries = ref 0 in
-  (* Unboxed per-(entry, agg) counters, exactly [Agg.step]'s effect, when
-     every sum/avg/min/max input is an int column: a count reads only its
-     input's NULLs ([count( * )] nothing).  Per spec: the int values, and
-     the column to test for NULL.  With counters the sweep enters and
-     leaves entries instead of folding them: int addition is associative
-     and equal ints are indistinguishable, so neither the order of
-     additions nor the fold's tie-breaking can show.  Other inputs (float
-     sums depend on the order of additions) keep [Agg.acc]s and the fold. *)
-  let fast_in : (int array option * Batch.col option) array option =
-    let spec_in (spec : Algebra.agg_spec) = function
-      | None -> Some (None, None)
-      | Some ({ Batch.data = Batch.Ints a; nulls } as c) ->
-          Some (Some a, Option.map (fun _ -> c) nulls)
-      | Some c -> (
-          match spec.Algebra.func with
-          | Agg.Count _ -> Some (None, Some c)
-          | _ -> None)
-    in
-    let ins = Array.map2 spec_in agg_arr inputs in
-    if Array.for_all Option.is_some ins then Some (Array.map Option.get ins)
-    else None
-  in
-  (* counters start at zero; sum/min/max are written before they are
-     read (at an entry's first non-null input) *)
-  let st_len = max (n * naggs) 1 in
-  let st_rows = get st_len and st_nn = get st_len in
-  Array.fill st_rows 0 st_len 0;
-  Array.fill st_nn 0 st_len 0;
-  let st_sum = get st_len in
-  let st_min = get st_len and st_max = get st_len in
+  (* the entries' states, one {!Gacc} group per entry: typed counters,
+     exactly [Agg.step]'s effect, when every sum/avg/min/max input is an
+     int column; with counters the sweep enters and leaves entries
+     instead of folding them: int addition is associative and equal ints
+     are indistinguishable, so neither the order of additions nor the
+     fold's tie-breaking can show.  Other inputs (float sums depend on
+     the order of additions) keep [Agg.acc]s and the fold. *)
+  let pre = Gacc.create ~sweep:true ~cap:n agg_arr inputs in
   for li = 0 to n - 1 do
     let pi = Batch.phys child li in
     let g = Key.intern key ~src:0 ~row:pi in
@@ -1039,53 +1006,11 @@ let split_agg sp ~(group : int list) ~(aggs : Algebra.agg_spec list)
         e_g.(id) <- g;
         e_b.(id) <- b;
         e_e.(id) <- e;
-        if Option.is_none fast_in then begin
-          if id >= Array.length !e_accs then begin
-            let a' = Array.make (max 16 (2 * id)) [||] in
-            Array.blit !e_accs 0 a' 0 id;
-            e_accs := a'
-          end;
-          !e_accs.(id) <- Array.make naggs Agg.empty
-        end;
+        Gacc.add_group pre;
         id
       end
     in
-    match fast_in with
-    | Some fi ->
-        let base = id * naggs in
-        for j = 0 to naggs - 1 do
-          let data, nullable = fi.(j) in
-          st_rows.(base + j) <- st_rows.(base + j) + 1;
-          let isnull =
-            match nullable with
-            | Some c -> Batch.is_null_at c li
-            | None -> false
-          in
-          if not isnull then begin
-            let v = match data with Some a -> a.(li) | None -> 1 in
-            if st_nn.(base + j) = 0 then begin
-              st_sum.(base + j) <- v;
-              st_min.(base + j) <- v;
-              st_max.(base + j) <- v
-            end
-            else begin
-              st_sum.(base + j) <- st_sum.(base + j) + v;
-              if v < st_min.(base + j) then st_min.(base + j) <- v;
-              if v > st_max.(base + j) then st_max.(base + j) <- v
-            end;
-            st_nn.(base + j) <- st_nn.(base + j) + 1
-          end
-        done
-    | None ->
-        let acc_row = !e_accs.(id) in
-        for j = 0 to naggs - 1 do
-          let v =
-            match inputs.(j) with
-            | None -> Value.Int 1
-            | Some c -> Batch.value c li
-          in
-          acc_row.(j) <- Agg.step acc_row.(j) v
-        done
+    Gacc.step pre id li
   done;
   let ne = !n_entries in
   (* the empty group must exist (and span the time domain) for
@@ -1159,183 +1084,113 @@ let split_agg sp ~(group : int list) ~(aggs : Algebra.agg_spec list)
     incr nout;
     k
   in
-  let agg_cols =
-    if Option.is_some fast_in then begin
-      (* running state per spec: covering rows, non-null inputs and their
-         sum; min/max in lazy-expiry heaps (maxima as [lnot v], which
-         reverses the order without overflow), popped at each segment *)
-      let rows_a = Array.make naggs 0 and nn_a = Array.make naggs 0 in
-      let sum_a = Array.make naggs 0 in
-      let heaps =
-        Array.map
-          (fun (spec : Algebra.agg_spec) ->
-            match spec.Algebra.func with
-            | Agg.Min _ | Agg.Max _ -> Some (Iheap.create ())
-            | _ -> None)
-          agg_arr
-      in
-      let apply sign id =
-        let base = id * naggs in
-        for j = 0 to naggs - 1 do
-          rows_a.(j) <- rows_a.(j) + (sign * st_rows.(base + j));
-          let nn = st_nn.(base + j) in
-          if nn > 0 then begin
-            nn_a.(j) <- nn_a.(j) + (sign * nn);
-            sum_a.(j) <- sum_a.(j) + (sign * st_sum.(base + j))
-          end
-        done
-      in
-      let push_extrema id e =
-        let base = id * naggs in
+  let o = Gacc.out pre upper in
+  if Gacc.typed pre then begin
+    (* running state per spec in [run]'s one group: covering rows,
+       non-null inputs and their sum; min/max in lazy-expiry heaps
+       (maxima as [lnot v], which reverses the order without overflow),
+       popped at each segment *)
+    let run = Gacc.create ~sweep:true ~cap:1 agg_arr inputs in
+    Gacc.add_group run;
+    let heaps =
+      Array.map
+        (fun (spec : Algebra.agg_spec) ->
+          match spec.Algebra.func with
+          | Agg.Min _ | Agg.Max _ -> Some (Iheap.create ())
+          | _ -> None)
+        agg_arr
+    in
+    let push_extrema id e =
+      for j = 0 to naggs - 1 do
+        match heaps.(j) with
+        | Some h when Gacc.count pre id j > 0 -> (
+            let v = Gacc.get_int pre id j in
+            match agg_arr.(j).Algebra.func with
+            | Agg.Min _ -> Iheap.push h v e
+            | _ -> Iheap.push h (lnot v) e)
+        | _ -> ()
+      done
+    in
+    let fill_gaps = Option.is_some gap in
+    for g = 0 to ng - 1 do
+      Gacc.reset run;
+      for j = 0 to naggs - 1 do
+        Option.iter Iheap.clear heaps.(j)
+      done;
+      (* live entries (non-empty periods) enter at their begin and
+         leave at their end *)
+      let enter = ref eoff.(g) and leave = ref eoff.(g) in
+      let stop = eoff.(g + 1) in
+      let n_active = ref 0 in
+      for s = poff.(g) to poff.(g + 1) - 2 do
+        let sb = pts.(s) in
+        while !leave < stop && e_e.(by_end.(!leave)) <= sb do
+          let id = by_end.(!leave) in
+          if e_b.(id) < e_e.(id) then begin
+            Gacc.shift ~sign:(-1) pre id run;
+            decr n_active
+          end;
+          incr leave
+        done;
+        while !enter < stop && e_b.(by_begin.(!enter)) <= sb do
+          let id = by_begin.(!enter) in
+          if e_b.(id) < e_e.(id) then begin
+            Gacc.shift ~sign:1 pre id run;
+            push_extrema id e_e.(id);
+            incr n_active
+          end;
+          incr enter
+        done;
+        (* a heap holds a live entry exactly when its spec counts a
+           non-null input: its top is then the running extremum *)
         for j = 0 to naggs - 1 do
           match heaps.(j) with
-          | Some h when st_nn.(base + j) > 0 -> (
-              match agg_arr.(j).Algebra.func with
-              | Agg.Min _ -> Iheap.push h st_min.(base + j) e
-              | _ -> Iheap.push h (lnot st_max.(base + j)) e)
-          | _ -> ()
-        done
-      in
-      let ints =
-        Array.map
-          (fun (spec : Algebra.agg_spec) ->
-            match spec.Algebra.func with
-            | Agg.Avg _ -> [||]
-            | _ -> Array.make upper 0)
-          agg_arr
-      in
-      let floats =
-        Array.map
-          (fun (spec : Algebra.agg_spec) ->
-            match spec.Algebra.func with
-            | Agg.Avg _ -> Array.make upper 0.
-            | _ -> [||])
-          agg_arr
-      in
-      let nulls = Array.make naggs [||] in
-      let set_null j k =
-        if Array.length nulls.(j) = 0 then nulls.(j) <- Array.make upper false;
-        nulls.(j).(k) <- true
-      in
-      let extremum j k decode =
-        match heaps.(j) with
-        | Some h when Iheap.size h > 0 -> ints.(j).(k) <- decode (Iheap.top h)
-        | _ -> set_null j k
-      in
-      let fill_gaps = Option.is_some gap in
-      for g = 0 to ng - 1 do
-        Array.fill rows_a 0 naggs 0;
-        Array.fill nn_a 0 naggs 0;
-        Array.fill sum_a 0 naggs 0;
-        for j = 0 to naggs - 1 do
-          Option.iter Iheap.clear heaps.(j)
+          | Some h ->
+              while Iheap.size h > 0 && Iheap.top_expiry h <= sb do
+                Iheap.pop h
+              done;
+              if Iheap.size h > 0 then
+                Gacc.set_int run 0 j
+                  (match agg_arr.(j).Algebra.func with
+                  | Agg.Min _ -> Iheap.top h
+                  | _ -> lnot (Iheap.top h))
+          | None -> ()
         done;
-        (* live entries (non-empty periods) enter at their begin and
-           leave at their end *)
-        let enter = ref eoff.(g) and leave = ref eoff.(g) in
-        let stop = eoff.(g + 1) in
-        let n_active = ref 0 in
-        for s = poff.(g) to poff.(g + 1) - 2 do
-          let sb = pts.(s) in
-          while !leave < stop && e_e.(by_end.(!leave)) <= sb do
-            let id = by_end.(!leave) in
-            if e_b.(id) < e_e.(id) then begin
-              apply (-1) id;
-              decr n_active
-            end;
-            incr leave
-          done;
-          while !enter < stop && e_b.(by_begin.(!enter)) <= sb do
-            let id = by_begin.(!enter) in
-            if e_b.(id) < e_e.(id) then begin
-              apply 1 id;
-              push_extrema id e_e.(id);
-              incr n_active
-            end;
-            incr enter
-          done;
-          for j = 0 to naggs - 1 do
-            match heaps.(j) with
-            | Some h ->
-                while Iheap.size h > 0 && Iheap.top_expiry h <= sb do
-                  Iheap.pop h
-                done
-            | None -> ()
-          done;
-          if !n_active > 0 || fill_gaps then begin
+        if !n_active > 0 || fill_gaps then Gacc.emit run 0 o (emit g s)
+      done
+    done;
+    Gacc.release run
+  end
+  else
+    (* every entry in (group, begin, first appearance) order; a
+       segment's covering entries fold latest-activated first *)
+    for g = 0 to ng - 1 do
+      let next = ref eoff.(g) and stop = eoff.(g + 1) in
+      let active = ref [] in
+      for s = poff.(g) to poff.(g + 1) - 2 do
+        let sb = pts.(s) in
+        while !next < stop && e_b.(by_begin.(!next)) <= sb do
+          let id = by_begin.(!next) in
+          if e_e.(id) > sb then active := (e_e.(id), id) :: !active;
+          incr next
+        done;
+        active := List.filter (fun (e, _) -> e > sb) !active;
+        match (!active, gap) with
+        | [], None -> ()
+        | covering, _ ->
             let k = emit g s in
-            for j = 0 to naggs - 1 do
-              match agg_arr.(j).Algebra.func with
-              | Agg.Count_star -> ints.(j).(k) <- rows_a.(j)
-              | Agg.Count _ -> ints.(j).(k) <- nn_a.(j)
-              | Agg.Sum _ ->
-                  if nn_a.(j) = 0 then set_null j k
-                  else ints.(j).(k) <- sum_a.(j)
-              | Agg.Avg _ ->
-                  if nn_a.(j) = 0 then set_null j k
-                  else
-                    floats.(j).(k) <-
-                      float_of_int sum_a.(j) /. float_of_int nn_a.(j)
-              | Agg.Min _ -> extremum j k Fun.id
-              | Agg.Max _ -> extremum j k lnot
-            done
-          end
-        done
-      done;
-      let nout = !nout in
-      Array.mapi
-        (fun j (spec : Algebra.agg_spec) ->
-          let data =
-            match spec.Algebra.func with
-            | Agg.Avg _ -> Batch.Floats (prefix_of floats.(j) nout)
-            | _ -> Batch.Ints (prefix_of ints.(j) nout)
-          in
-          let nulls =
-            if Array.length nulls.(j) = 0 then None
-            else Some (prefix_of nulls.(j) nout)
-          in
-          typed_col
-            (Agg.output_ty child_schema spec.func)
-            nout { Batch.data; nulls })
-        agg_arr
-    end
-    else begin
-      (* every entry in (group, begin, first appearance) order; a
-         segment's covering entries fold latest-activated first *)
-      let finals = Array.map (fun _ -> Array.make upper Value.Null) agg_arr in
-      for g = 0 to ng - 1 do
-        let next = ref eoff.(g) and stop = eoff.(g + 1) in
-        let active = ref [] in
-        for s = poff.(g) to poff.(g + 1) - 2 do
-          let sb = pts.(s) in
-          while !next < stop && e_b.(by_begin.(!next)) <= sb do
-            let id = by_begin.(!next) in
-            if e_e.(id) > sb then active := (e_e.(id), !e_accs.(id)) :: !active;
-            incr next
-          done;
-          active := List.filter (fun (e, _) -> e > sb) !active;
-          match (!active, gap) with
-          | [], None -> ()
-          | covering, _ ->
-              let k = emit g s in
-              Array.iteri
-                (fun j (spec : Algebra.agg_spec) ->
-                  finals.(j).(k) <-
-                    Agg.final spec.func
-                      (List.fold_left
-                         (fun acc (_, accs) -> Agg.combine acc accs.(j))
-                         Agg.empty covering))
-                agg_arr
-        done
-      done;
-      Array.mapi
-        (fun j (spec : Algebra.agg_spec) ->
-          Batch.col_of_values
-            (Agg.output_ty child_schema spec.func)
-            !nout (Array.get finals.(j)))
-        agg_arr
-    end
-  in
+            Array.iteri
+              (fun j (spec : Algebra.agg_spec) ->
+                Gacc.set_value o j k
+                  (Agg.final spec.func
+                     (List.fold_left
+                        (fun acc (_, id) -> Agg.combine acc (Gacc.acc pre id j))
+                        Agg.empty covering)))
+              agg_arr
+      done
+    done;
+  let agg_cols = Gacc.cols pre o ~schema:child_schema !nout in
+  Gacc.release pre;
   Key.release key;
   (match sp with
   | None -> ()
@@ -1362,8 +1217,8 @@ let split_agg sp ~(group : int list) ~(aggs : Algebra.agg_spec list)
         Array.map (fun c -> Batch.gather_col ~len:nout c rep) gcols;
         agg_cols;
         [|
-          { Batch.data = Batch.Ints (prefix_of ob nout); nulls = None };
-          { Batch.data = Batch.Ints (prefix_of oe nout); nulls = None };
+          { Batch.data = Batch.Ints (Gacc.prefix_of ob nout); nulls = None };
+          { Batch.data = Batch.Ints (Gacc.prefix_of oe nout); nulls = None };
         |];
       ]
   in
@@ -1387,9 +1242,11 @@ let op_span ctx label (f : Trace.span option -> Batch.t) : Batch.t =
 let same_plan (a : Algebra.t) (b : Algebra.t) = a == b || a = b
 
 (* [need] (default: all) lists the output columns of [q] its consumer
-   reads; a join gathers only those.  Project and Agg pass down the
-   columns they read, Select adds its predicate's columns to its own
-   [need], and every other operator reads all of its input. *)
+   reads; a join and an index read through a DML delta gather only
+   those.  Project and Agg pass down the columns they read (a Project
+   skips the plain column references its consumer does not read), Select
+   adds its predicate's columns to its own [need] unless an exact index
+   probe answers it, and every other operator reads all of its input. *)
 let rec eval_batch ?need (ctx : ctx) (q : Algebra.t) : Batch.t =
   op_span ctx (Exec.op_label q) @@ fun sp ->
   match q with
@@ -1411,7 +1268,7 @@ let rec eval_batch ?need (ctx : ctx) (q : Algebra.t) : Batch.t =
       match q with
       | Algebra.Rel n when Database.is_period ctx.db n -> (
           match
-            if ctx.use_index then index_select ctx.db sp p n else None
+            if ctx.use_index then index_select ?need ctx.db sp p n else None
           with
           | Some res -> res
           | None ->
@@ -1419,12 +1276,9 @@ let rec eval_batch ?need (ctx : ctx) (q : Algebra.t) : Batch.t =
               scan ())
       | _ -> scan ())
   | Project (projs, q) ->
-      let need =
-        List.concat_map (fun (p : Algebra.proj) -> Expr.cols p.expr) projs
-      in
-      let b = eval_batch ~need ctx q in
+      let b = eval_batch ~need:(project_need need projs) ctx q in
       rows_in sp [ b ];
-      project projs b
+      project ?need projs b
   | Join (p, l, r) ->
       let lb = eval_batch ctx l in
       let rb = eval_batch ctx r in

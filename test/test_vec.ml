@@ -192,7 +192,28 @@ let test_op_project () =
                 (Expr.Binop (Expr.Sub, col 3, col 2))
                 "len";
             ],
-            works )))
+            works )));
+  (* a consumer that reads no projected column: the plain references
+     are not gathered, a computing projection still runs, and its
+     error shows in both engines *)
+  let counted projs =
+    Algebra.Agg
+      ( [],
+        [ { Algebra.func = Agg.Count_star; agg_name = "n" } ],
+        Algebra.Project (projs, works) )
+  in
+  check "count over dropped column references: vec = row" true
+    (differential db
+       (counted [ Algebra.proj (col 0) "name"; Algebra.proj (col 1) "skill" ]));
+  let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  let bad =
+    counted
+      [ Algebra.proj (col 0) "name";
+        Algebra.proj (Expr.Binop (Expr.Add, col 1, Expr.Const (Value.Int 1))) "oops" ]
+  in
+  check "an unread computing projection fails in the row engine" true
+    (raises (fun () -> Exec.eval db bad));
+  check "... and in the vec engine" true (raises (fun () -> Vexec.eval db bad))
 
 (* The flat overlap test: a residual of int-column comparisons compiles
    to [Vexec.fused_cmp]s, and [Vexec.fused_pass] on a pair equals
@@ -331,6 +352,108 @@ let test_op_agg_distinct () =
   check "distinct: vec = row" true
     (differential db
        (Algebra.Distinct (Algebra.Project ([ Algebra.proj (col 1) "skill" ], works))))
+
+(* byte-identity down to the bits of every float cell: [Tuple.equal]
+   ties [-0.0] with [0.0] and NaN with NaN *)
+let bit_identical a b =
+  byte_identical a b
+  && Array.for_all2
+       (fun x y ->
+         List.for_all2
+           (fun u v ->
+             match (u, v) with
+             | Value.Float f, Value.Float g ->
+                 Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float g)
+             | u, v -> Value.compare u v = 0)
+           (Tuple.to_list x) (Tuple.to_list y))
+       (Table.rows a) (Table.rows b)
+
+(* Plain γ's typed slots and boxed fallback against the row oracle:
+   NULL-heavy int and float columns, all-NULL groups, NaN and -0.0, an
+   int SUM that wraps, text MIN/MAX and a mixed (boxed) column, over
+   rows, over no rows, with and without GROUP BY. *)
+let test_agg_edges () =
+  let s =
+    Schema.make
+      [
+        Schema.attr "g" Value.TStr;
+        Schema.attr "i" Value.TInt;
+        Schema.attr "f" Value.TFloat;
+        Schema.attr "t" Value.TStr;
+        Schema.attr "m" Value.TInt;
+      ]
+  in
+  let row g i f t m = Tuple.make [ Value.Str g; i; f; t; m ] in
+  let i x = Value.Int x and f x = Value.Float x and t x = Value.Str x in
+  let null = Value.Null in
+  let rows =
+    [
+      row "a" (i 3) (f 1.5) (t "pear") (i 1);
+      row "nulls" null null null null;
+      row "a" null (f (-0.0)) null (f 2.5);
+      row "wrap" (i max_int) (f 0.1) (t "b") (i 7);
+      row "a" (i (-7)) null (t "apple") null;
+      row "nan" (i 1) (f Float.nan) (t "") (f Float.nan);
+      row "wrap" (i 2) (f 0.2) (t "a") (f 7.0);
+      row "nulls" null null null null;
+      row "nan" (i 1) (f (-1.0)) (t "z") (i 0);
+      row "zero" (i 0) (f (-0.0)) (t "z") (i 0);
+      row "zero" (i 0) (f 0.0) (t "z") (f (-0.0));
+      row "nan" null (f Float.nan) null null;
+      row "wrap" (i max_int) (f 0.3) null (i 1);
+      row "negzero" null (f (-0.0)) null null;
+    ]
+  in
+  let db = Database.create ~tmin:0 ~tmax:24 () in
+  Database.add_table db "r" (Table.make s rows);
+  Database.add_table db "empty" (Table.make s []);
+  check "the mixed column is boxed" true
+    (match (Table.columnar (Database.find db "r")).Batch.cols.(4).Batch.data with
+    | Batch.Boxed _ -> true
+    | _ -> false);
+  let agg func agg_name = { Algebra.func; agg_name } in
+  let over c =
+    [
+      agg (Agg.Count (col c)) "n"; agg (Agg.Sum (col c)) "s";
+      agg (Agg.Avg (col c)) "a"; agg (Agg.Min (col c)) "lo";
+      agg (Agg.Max (col c)) "hi";
+    ]
+  in
+  let aggs =
+    (agg Agg.Count_star "rows" :: over 1) @ over 2
+    @ [ agg (Agg.Count (col 3)) "tn"; agg (Agg.Min (col 3)) "tlo"; agg (Agg.Max (col 3)) "thi" ]
+    @ over 4
+  in
+  List.iter
+    (fun (name, group, aggs) ->
+      List.iter
+        (fun tbl ->
+          let q = Algebra.Agg (group, aggs, Algebra.Rel tbl) in
+          let row = Exec.eval db q and vec = Vexec.eval db q in
+          if not (bit_identical row vec) then
+            Alcotest.failf "%s over %s: vec differs from the row oracle:@.%s@.vs@.%s"
+              name tbl (Table.to_text row) (Table.to_text vec))
+        [ "r"; "empty" ])
+    [
+      ("grouped", [ Algebra.proj (col 0) "g" ], aggs);
+      ("global", [], aggs);
+      (* each spec alone: a typed spec next to no boxed one *)
+      ("global sum(i)", [], [ agg (Agg.Sum (col 1)) "s" ]);
+      ("grouped min(f)", [ Algebra.proj (col 0) "g" ], [ agg (Agg.Min (col 2)) "lo" ]);
+      ("grouped max(f)", [ Algebra.proj (col 0) "g" ], [ agg (Agg.Max (col 2)) "hi" ]);
+      ("grouped avg(m)", [ Algebra.proj (col 0) "g" ], [ agg (Agg.Avg (col 4)) "a" ]);
+      ("group only", [ Algebra.proj (col 0) "g" ], []);
+    ];
+  (* the wrapping sum *)
+  let q =
+    Algebra.Agg
+      ( [ Algebra.proj (col 0) "g" ],
+        [ agg (Agg.Sum (col 1)) "s" ],
+        Algebra.Select (Expr.Cmp (Expr.Eq, col 0, str_const "wrap"), Algebra.Rel "r") )
+  in
+  check "int SUM wraps like the row oracle" true
+    (Table.rows (Vexec.eval db q)
+    = [| Tuple.make [ Value.Str "wrap"; Value.Int (max_int + 2 + max_int) ] |])
 
 let test_op_temporal () =
   let db = fig1_db () in
@@ -601,6 +724,20 @@ let sweep_plans gap =
       sa [ 1 ] [ agg (Agg.Min (col 0)) "m"; agg (Agg.Max (col 0)) "x" ] t );
     ("split_agg gap", sa ~gap [] (int_aggs @ float_aggs) t);
     ("split_agg gap count(f)", sa ~gap [] [ agg (Agg.Count (col 2)) "fn" ] t);
+    (* plain γ folds each group's rows in row order: typed int and float
+       slots, and the boxed fallback over a mixed key column *)
+    ("aggregate int", Algebra.Agg ([ Algebra.proj (col 0) "k" ], int_aggs, t));
+    ("aggregate float", Algebra.Agg ([ Algebra.proj (col 0) "k" ], float_aggs, t));
+    ("aggregate (no group)", Algebra.Agg ([], int_aggs @ float_aggs, t));
+    ( "aggregate key column",
+      Algebra.Agg
+        ( [ Algebra.proj (col 1) "v" ],
+          [
+            agg (Agg.Min (col 0)) "m"; agg (Agg.Max (col 0)) "x";
+            agg (Agg.Sum (col 0)) "s"; agg (Agg.Avg (col 0)) "a";
+            agg (Agg.Count (col 0)) "c";
+          ],
+          t ) );
     ("mirrored splits", Algebra.Diff (split [ 0 ] t u, split [ 0 ] u t));
     ("mirrored splits (one table)", Algebra.Diff (split [ 0 ] t t, split [ 0 ] t t));
     (* equal but separately built sides share too *)
@@ -838,6 +975,8 @@ let suite =
         test_op_union_diff;
       Alcotest.test_case "operator: aggregate / distinct" `Quick
         test_op_agg_distinct;
+      Alcotest.test_case "operator: aggregate edge cases (typed, boxed)" `Quick
+        test_agg_edges;
       Alcotest.test_case "operator: coalesce / split / split_agg" `Quick
         test_op_temporal;
       Alcotest.test_case "NULL-heavy inputs" `Quick test_null_heavy;
