@@ -32,8 +32,8 @@ SEQ VT AS OF 9 (SELECT skill, count(*) AS c FROM works GROUP BY skill);
 -- point of [8, 16) — begin bounded above, end bounded below
 SELECT name, b, e FROM works WHERE b < 16 AND e > 8;
 
--- DML installs a new value of works; the next read builds its index
--- afresh, and the stabs over the changed rows still match the scan
+-- DML installs a new value of works; the stabs over the changed rows
+-- still match the scan
 INSERT INTO works VALUES ('Eve', 'NS', 1, 23);
 SEQ VT AS OF 9 (SELECT name, skill FROM works);
 DELETE FROM works FOR PORTION OF vt FROM 5 TO 12 WHERE skill = 'SP';
@@ -41,33 +41,30 @@ SEQ VT AS OF 9 (SELECT name, skill FROM works);
 SEQ VT AS OF 4 (SELECT count(*) AS headcount FROM works);
 SELECT name, b, e FROM works WHERE b < 16 AND e > 8;
 
--- DML installs a successor that derives its columnar image and index
--- from the value the reads above built: the rows it keeps are renamed
--- in one pass over the old sweep order, and only the new rows are
--- sorted in.  An UPDATE over part of a period splits each matching row
--- into the part before, the changed overlap and the part after
+-- An UPDATE over part of a period splits each matching row into the
+-- part before, the changed overlap and the part after; they replace it
+-- at the end of the table's rows
 UPDATE works FOR PORTION OF vt FROM 9 TO 14 SET skill = 'MG' WHERE name = 'Joe';
 SEQ VT AS OF 9 (SELECT name, skill FROM works);
 SEQ VT AS OF 14 (SELECT name, skill FROM works);
 
--- two writes back to back, read once: the second successor composes
--- its row map with the first's and derives from the same built images
+-- two writes back to back, read once
 INSERT INTO works VALUES ('Kim', 'SP', 6, 19), ('Lou', 'NS', 0, 9);
 DELETE FROM works WHERE name = 'Ann' AND b >= 18;
 SEQ VT AS OF 8 (SELECT name, skill FROM works);
 SEQ VT AS OF 18 (SELECT count(*) AS headcount FROM works);
 
--- a NULL data value goes to the derived image's validity mask
+-- a NULL data value goes to the columnar image's validity mask
 INSERT INTO works VALUES ('Max', NULL, 2, 11);
 SEQ VT AS OF 10 (SELECT name, skill FROM works);
 SEQ VT AS OF 10 (SELECT skill, count(*) AS c FROM works GROUP BY skill);
 SELECT name, b, e FROM works WHERE b < 12 AND e > 10;
 
--- 160 rows, so that the writes below stay within the delta an index
--- read goes through (a sixteenth of the rows) and every read after
--- them answers from the built images plus the delta: the probe gathers
--- only the columns its consumer reads.  amount and rate are NULL-heavy,
--- and the lab department's amounts are all NULL
+-- 160 rows, so that the writes below leave it an indexed segment and
+-- every read after them probes its index and scans the tail of new
+-- rows: the probe gathers only the columns its consumer reads.  amount
+-- and rate are NULL-heavy, and the lab department's amounts are all
+-- NULL
 CREATE TABLE pay (name text, dept text, amount int, rate float, b int, e int) PERIOD (b, e);
 INSERT INTO pay VALUES
   ('p0', 'eng', NULL, -0.0, 0, 1), ('p1', 'ops', -13, NULL, 7, 19), ('p2', 'hr', 24, 3.5, 14, 37), ('p3', 'lab', NULL, 6.75, 21, 30),
@@ -121,9 +118,9 @@ SEQ VT AS OF 30 (SELECT count(*) AS n, sum(amount) AS s, avg(rate) AS a, min(nam
 SEQ VT AS OF 12 (SELECT count(*) AS n, sum(amount) AS s, avg(rate) AS a, min(rate) AS lo FROM pay WHERE amount > 1000);
 SEQ VT AS OF 12 (SELECT dept, count(*) AS n, sum(amount) AS s FROM pay WHERE amount > 1000 GROUP BY dept);
 
--- GROUP BY a text column after each kind of write, read through the
--- delta: the probe's bounds decide the timeslice exactly, so only the
--- grouped and aggregated columns are gathered
+-- GROUP BY a text column after each kind of write, read over two
+-- segments: the probe's bounds decide the timeslice exactly, so only
+-- the grouped and aggregated columns are gathered
 INSERT INTO pay VALUES ('q0', 'ops', 75, 1.25, 10, 20);
 SEQ VT AS OF 12 (SELECT dept, count(*) AS n, sum(amount) AS s, max(rate) AS hi FROM pay GROUP BY dept);
 UPDATE pay FOR PORTION OF vt FROM 11 TO 13 SET dept = 'hr' WHERE name = 'p1';
@@ -137,3 +134,112 @@ SEQ VT AS OF 12 (SELECT dept, count(*) AS n, sum(amount) AS s, min(rate) AS lo F
 SELECT name, b, e FROM pay WHERE b = 14 AND e > 20;
 SEQ VT AS OF 12 (SELECT name, amount FROM pay WHERE amount > 100);
 SELECT dept, count(*) AS n FROM pay WHERE b <= 12 AND e > 12 AND rate < 0.5 GROUP BY dept;
+
+-- Segments.  A table value is a list of segments, each with its own
+-- index, and a deletion bitmap per segment: INSERT appends a segment,
+-- DELETE sets bits, UPDATE sets bits and appends the replacement rows
+-- last.  Trailing segments merge while the one before the last has
+-- fewer than 64 rows or at most twice the last's, and an index read
+-- probes every segment's index but scans a last segment below 64 rows.
+-- 96 rows: one segment, indexed by the first read
+CREATE TABLE shift (name text, crew text, hours int, b int, e int) PERIOD (b, e);
+INSERT INTO shift VALUES
+  ('s0', 'red', NULL, 0, 1), ('s1', 'blue', 7, 13, 19), ('s2', 'green', 3, 26, 37), ('s3', 'gold', 10, 39, 55),
+  ('s4', 'red', 6, 2, 3), ('s5', 'blue', 2, 15, 21), ('s6', 'green', 9, 28, 39), ('s7', 'gold', 5, 41, 57),
+  ('s8', 'red', 1, 4, 5), ('s9', 'blue', NULL, 17, 23), ('s10', 'green', 4, 30, 41), ('s11', 'gold', 0, 43, 59),
+  ('s12', 'red', 7, 6, 7), ('s13', 'blue', 3, 19, 25), ('s14', 'green', 10, 32, 43), ('s15', 'gold', 6, 45, 61),
+  ('s16', 'red', 2, 8, 9), ('s17', 'blue', 9, 21, 27), ('s18', 'green', NULL, 34, 45), ('s19', 'gold', 1, 47, 63),
+  ('s20', 'red', 8, 10, 11), ('s21', 'blue', 4, 23, 29), ('s22', 'green', 0, 36, 47), ('s23', 'gold', 7, 49, 65),
+  ('s24', 'red', 3, 12, 13), ('s25', 'blue', 10, 25, 31), ('s26', 'green', 6, 38, 49), ('s27', 'gold', NULL, 1, 17),
+  ('s28', 'red', 9, 14, 15), ('s29', 'blue', 5, 27, 33), ('s30', 'green', 1, 40, 51), ('s31', 'gold', 8, 3, 19),
+  ('s32', 'red', 4, 16, 17), ('s33', 'blue', 0, 29, 35), ('s34', 'green', 7, 42, 53), ('s35', 'gold', 3, 5, 21),
+  ('s36', 'red', NULL, 18, 19), ('s37', 'blue', 6, 31, 37), ('s38', 'green', 2, 44, 55), ('s39', 'gold', 9, 7, 23),
+  ('s40', 'red', 5, 20, 21), ('s41', 'blue', 1, 33, 39), ('s42', 'green', 8, 46, 57), ('s43', 'gold', 4, 9, 25),
+  ('s44', 'red', 0, 22, 23), ('s45', 'blue', NULL, 35, 41), ('s46', 'green', 3, 48, 59), ('s47', 'gold', 10, 11, 27),
+  ('s48', 'red', 6, 24, 25), ('s49', 'blue', 2, 37, 43), ('s50', 'green', 9, 0, 11), ('s51', 'gold', 5, 13, 29),
+  ('s52', 'red', 1, 26, 27), ('s53', 'blue', 8, 39, 45), ('s54', 'green', NULL, 2, 13), ('s55', 'gold', 0, 15, 31),
+  ('s56', 'red', 7, 28, 29), ('s57', 'blue', 3, 41, 47), ('s58', 'green', 10, 4, 15), ('s59', 'gold', 6, 17, 33),
+  ('s60', 'red', 2, 30, 31), ('s61', 'blue', 9, 43, 49), ('s62', 'green', 5, 6, 17), ('s63', 'gold', NULL, 19, 35),
+  ('s64', 'red', 8, 32, 33), ('s65', 'blue', 4, 45, 51), ('s66', 'green', 0, 8, 19), ('s67', 'gold', 7, 21, 37),
+  ('s68', 'red', 3, 34, 35), ('s69', 'blue', 10, 47, 53), ('s70', 'green', 6, 10, 21), ('s71', 'gold', 2, 23, 39),
+  ('s72', 'red', NULL, 36, 37), ('s73', 'blue', 5, 49, 55), ('s74', 'green', 1, 12, 23), ('s75', 'gold', 8, 25, 41),
+  ('s76', 'red', 4, 38, 39), ('s77', 'blue', 0, 1, 7), ('s78', 'green', 7, 14, 25), ('s79', 'gold', 3, 27, 43),
+  ('s80', 'red', 10, 40, 41), ('s81', 'blue', NULL, 3, 9), ('s82', 'green', 2, 16, 27), ('s83', 'gold', 9, 29, 45),
+  ('s84', 'red', 5, 42, 43), ('s85', 'blue', 1, 5, 11), ('s86', 'green', 8, 18, 29), ('s87', 'gold', 4, 31, 47),
+  ('s88', 'red', 0, 44, 45), ('s89', 'blue', 7, 7, 13), ('s90', 'green', NULL, 20, 31), ('s91', 'gold', 10, 33, 49),
+  ('s92', 'red', 6, 46, 47), ('s93', 'blue', 2, 9, 15), ('s94', 'green', 9, 22, 33), ('s95', 'gold', 5, 35, 51);
+SEQ VT AS OF 20 (SELECT crew, count(*) AS n, count(hours) AS nh, sum(hours) AS h, min(name) AS first FROM shift GROUP BY crew);
+SEQ VT AS OF 27 (SELECT name, hours FROM shift WHERE hours > 4);
+SELECT name, b, e FROM shift WHERE b < 23 AND e > 20;
+
+-- deleted rows in the indexed segment are skipped by its probes
+DELETE FROM shift WHERE hours > 8;
+SEQ VT AS OF 20 (SELECT crew, count(*) AS n, count(hours) AS nh, sum(hours) AS h, min(name) AS first FROM shift GROUP BY crew);
+SEQ VT AS OF 27 (SELECT name, hours FROM shift WHERE hours > 4);
+SELECT name, b, e FROM shift WHERE b < 23 AND e > 20;
+
+-- a tail of three one-row segments merged into one, scanned
+INSERT INTO shift VALUES ('t0', 'red', 3, 18, 25);
+INSERT INTO shift VALUES ('t1', 'gold', NULL, 19, 40);
+INSERT INTO shift VALUES ('t2', 'blue', 5, 2, 21);
+SEQ VT AS OF 20 (SELECT crew, count(*) AS n, count(hours) AS nh, sum(hours) AS h, min(name) AS first FROM shift GROUP BY crew);
+SEQ VT AS OF 27 (SELECT name, hours FROM shift WHERE hours > 4);
+SELECT name, b, e FROM shift WHERE b < 23 AND e > 20;
+
+-- 50 rows: the tail merges into the first segment (fewer than 64
+-- rows before it), which then merges into the first (96 <= 2 x 53),
+-- dropping the deleted rows
+INSERT INTO shift VALUES
+  ('s96', 'red', 1, 48, 49), ('s97', 'blue', 8, 11, 17), ('s98', 'green', 4, 24, 35), ('s99', 'gold', NULL, 37, 53),
+  ('s100', 'red', 7, 0, 1), ('s101', 'blue', 3, 13, 19), ('s102', 'green', 10, 26, 37), ('s103', 'gold', 6, 39, 55),
+  ('s104', 'red', 2, 2, 3), ('s105', 'blue', 9, 15, 21), ('s106', 'green', 5, 28, 39), ('s107', 'gold', 1, 41, 57),
+  ('s108', 'red', NULL, 4, 5), ('s109', 'blue', 4, 17, 23), ('s110', 'green', 0, 30, 41), ('s111', 'gold', 7, 43, 59),
+  ('s112', 'red', 3, 6, 7), ('s113', 'blue', 10, 19, 25), ('s114', 'green', 6, 32, 43), ('s115', 'gold', 2, 45, 61),
+  ('s116', 'red', 9, 8, 9), ('s117', 'blue', NULL, 21, 27), ('s118', 'green', 1, 34, 45), ('s119', 'gold', 8, 47, 63),
+  ('s120', 'red', 4, 10, 11), ('s121', 'blue', 0, 23, 29), ('s122', 'green', 7, 36, 47), ('s123', 'gold', 3, 49, 65),
+  ('s124', 'red', 10, 12, 13), ('s125', 'blue', 6, 25, 31), ('s126', 'green', NULL, 38, 49), ('s127', 'gold', 9, 1, 17),
+  ('s128', 'red', 5, 14, 15), ('s129', 'blue', 1, 27, 33), ('s130', 'green', 8, 40, 51), ('s131', 'gold', 4, 3, 19),
+  ('s132', 'red', 0, 16, 17), ('s133', 'blue', 7, 29, 35), ('s134', 'green', 3, 42, 53), ('s135', 'gold', NULL, 5, 21),
+  ('s136', 'red', 6, 18, 19), ('s137', 'blue', 2, 31, 37), ('s138', 'green', 9, 44, 55), ('s139', 'gold', 5, 7, 23),
+  ('s140', 'red', 1, 20, 21), ('s141', 'blue', 8, 33, 39), ('s142', 'green', 4, 46, 57), ('s143', 'gold', 0, 9, 25),
+  ('s144', 'red', NULL, 22, 23), ('s145', 'blue', 3, 35, 41);
+SEQ VT AS OF 21 (SELECT crew, count(*) AS n, count(hours) AS nh, sum(hours) AS h, min(name) AS first FROM shift GROUP BY crew);
+SEQ VT AS OF 28 (SELECT name, hours FROM shift WHERE hours > 4);
+SELECT name, b, e FROM shift WHERE b < 24 AND e > 21;
+
+-- deletions in the merged segment, once indexed, then 65 rows: a
+-- second indexed segment (more than twice 65 rows before it), a
+-- one-row tail, and an UPDATE whose replacement rows come last
+DELETE FROM shift WHERE crew = 'green' AND b < 30;
+SEQ VT AS OF 22 (SELECT crew, count(*) AS n, count(hours) AS nh, sum(hours) AS h, min(name) AS first FROM shift GROUP BY crew);
+SEQ VT AS OF 29 (SELECT name, hours FROM shift WHERE hours > 4);
+SELECT name, b, e FROM shift WHERE b < 25 AND e > 22;
+INSERT INTO shift VALUES
+  ('s146', 'green', 10, 48, 59), ('s147', 'gold', 6, 11, 27), ('s148', 'red', 2, 24, 25), ('s149', 'blue', 9, 37, 43),
+  ('s150', 'green', 5, 0, 11), ('s151', 'gold', 1, 13, 29), ('s152', 'red', 8, 26, 27), ('s153', 'blue', NULL, 39, 45),
+  ('s154', 'green', 0, 2, 13), ('s155', 'gold', 7, 15, 31), ('s156', 'red', 3, 28, 29), ('s157', 'blue', 10, 41, 47),
+  ('s158', 'green', 6, 4, 15), ('s159', 'gold', 2, 17, 33), ('s160', 'red', 9, 30, 31), ('s161', 'blue', 5, 43, 49),
+  ('s162', 'green', NULL, 6, 17), ('s163', 'gold', 8, 19, 35), ('s164', 'red', 4, 32, 33), ('s165', 'blue', 0, 45, 51),
+  ('s166', 'green', 7, 8, 19), ('s167', 'gold', 3, 21, 37), ('s168', 'red', 10, 34, 35), ('s169', 'blue', 6, 47, 53),
+  ('s170', 'green', 2, 10, 21), ('s171', 'gold', NULL, 23, 39), ('s172', 'red', 5, 36, 37), ('s173', 'blue', 1, 49, 55),
+  ('s174', 'green', 8, 12, 23), ('s175', 'gold', 4, 25, 41), ('s176', 'red', 0, 38, 39), ('s177', 'blue', 7, 1, 7),
+  ('s178', 'green', 3, 14, 25), ('s179', 'gold', 10, 27, 43), ('s180', 'red', NULL, 40, 41), ('s181', 'blue', 2, 3, 9),
+  ('s182', 'green', 9, 16, 27), ('s183', 'gold', 5, 29, 45), ('s184', 'red', 1, 42, 43), ('s185', 'blue', 8, 5, 11),
+  ('s186', 'green', 4, 18, 29), ('s187', 'gold', 0, 31, 47), ('s188', 'red', 7, 44, 45), ('s189', 'blue', NULL, 7, 13),
+  ('s190', 'green', 10, 20, 31), ('s191', 'gold', 6, 33, 49), ('s192', 'red', 2, 46, 47), ('s193', 'blue', 9, 9, 15),
+  ('s194', 'green', 5, 22, 33), ('s195', 'gold', 1, 35, 51), ('s196', 'red', 8, 48, 49), ('s197', 'blue', 4, 11, 17),
+  ('s198', 'green', NULL, 24, 35), ('s199', 'gold', 7, 37, 53), ('s200', 'red', 3, 0, 1), ('s201', 'blue', 10, 13, 19),
+  ('s202', 'green', 6, 26, 37), ('s203', 'gold', 2, 39, 55), ('s204', 'red', 9, 2, 3), ('s205', 'blue', 5, 15, 21),
+  ('s206', 'green', 1, 28, 39), ('s207', 'gold', NULL, 41, 57), ('s208', 'red', 4, 4, 5), ('s209', 'blue', 0, 17, 23),
+  ('s210', 'green', 7, 30, 41);
+INSERT INTO shift VALUES ('t3', 'green', 8, 20, 33);
+SEQ VT AS OF 23 (SELECT crew, count(*) AS n, count(hours) AS nh, sum(hours) AS h, min(name) AS first FROM shift GROUP BY crew);
+SEQ VT AS OF 30 (SELECT name, hours FROM shift WHERE hours > 4);
+SELECT name, b, e FROM shift WHERE b < 26 AND e > 23;
+UPDATE shift FOR PORTION OF vt FROM 21 TO 26 SET hours = 1 WHERE crew = 'red';
+DELETE FROM shift FOR PORTION OF vt FROM 24 TO 28 WHERE crew = 'blue' AND hours < 4;
+SEQ VT AS OF 24 (SELECT crew, count(*) AS n, count(hours) AS nh, sum(hours) AS h, min(name) AS first FROM shift GROUP BY crew);
+SEQ VT AS OF 31 (SELECT name, hours FROM shift WHERE hours > 4);
+SELECT name, b, e FROM shift WHERE b < 27 AND e > 24;
+SEQ VT AS OF 25 (SELECT name, crew, hours FROM shift WHERE name < 's2');
+SEQ VT AS OF 27 (SELECT count(*) AS n FROM shift);

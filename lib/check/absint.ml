@@ -647,25 +647,31 @@ let rec go ~render (env : env) (q : Algebra.t) : out =
 
 (* ---- public API ---- *)
 
+(* the root fact and the diagnostics of one walk: TKR402 is appended
+   when the whole plan is provably empty *)
+let diagnostics (o : out) : Diagnostic.t list =
+  if o.fact.empty then
+    o.diags
+    @ [
+        Diagnostic.warning "TKR402"
+          ~hint:"a contradictory predicate or empty operand makes the \
+                 whole plan empty"
+          "query provably returns no rows";
+      ]
+  else o.diags
+
 let analyze (env : env) (q : Algebra.t) : fact * Diagnostic.t list =
   let o = go ~render:false env q in
-  let ds =
-    if o.fact.empty then
-      o.diags
-      @ [
-          Diagnostic.warning "TKR402"
-            ~hint:"a contradictory predicate or empty operand makes the \
-                   whole plan empty"
-            "query provably returns no rows";
-        ]
-    else o.diags
-  in
-  (o.fact, ds)
+  (o.fact, diagnostics o)
 
 let diagnose (env : env) (q : Algebra.t) : Diagnostic.t list =
   snd (analyze env q)
 
 let prune (env : env) (q : Algebra.t) : Algebra.t = (go ~render:false env q).pruned
+
+let check (env : env) (q : Algebra.t) : Diagnostic.t list * Algebra.t =
+  let o = go ~render:false env q in
+  (diagnostics o, o.pruned)
 
 let render (env : env) (q : Algebra.t) : string =
   let o = go ~render:true env q in

@@ -59,6 +59,9 @@ val prune : env -> Algebra.t -> Algebra.t
     provably-idempotent [Distinct]/[Coalesce] are dropped, one-sided
     unions and differences shed their empty operand. *)
 
+val check : env -> Algebra.t -> Diagnostic.t list * Algebra.t
+(** [({!diagnose} env q, {!prune} env q)], from one walk. *)
+
 val render : env -> Algebra.t -> string
 (** Indented per-operator rendering of the plan with the inferred facts
     ([time=[lo,hi)] windows, [empty], [dup-free], [coalesced]) for

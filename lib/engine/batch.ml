@@ -16,8 +16,8 @@
     order.  Filters narrow the selection instead of materializing; payload
     columns are only gathered when an operator needs dense data
     ({!compact}) or at the row boundary ({!to_rows}).  A stored table's
-    columnar image is made once per table value ({!Table.columnar}):
-    built from the rows, or derived from its predecessor's ({!derive}). *)
+    columnar image is made once per segment, and once per table value
+    ({!Table.columnar}), from the rows. *)
 
 open Tkr_relation
 
@@ -135,9 +135,10 @@ let const_col (v : Value.t) (n : int) : col =
 
 (* [len] (default: all of [idx]) gathers the rows [idx.(0 .. len-1)],
    so a scratch buffer longer than its contents can serve as [idx].  One
-   monomorphic loop per element type: ints and bools store without a
-   write barrier, floats stay unboxed, and no closure runs per row.
-   Reads are bounds-checked. *)
+   monomorphic loop per element type, each writing the rows [idx.(0 ..
+   n-1)] of [a] to [out.(off ..)]: ints and bools store without a write
+   barrier, floats stay unboxed, and no closure runs per row.  Reads are
+   bounds-checked. *)
 let gather_len ?len (idx : int array) : int =
   match len with
   | None -> Array.length idx
@@ -145,59 +146,71 @@ let gather_len ?len (idx : int array) : int =
       if n < 0 || n > Array.length idx then invalid_arg "Batch.gather: len";
       n
 
-let gather_ints (a : int array) (idx : int array) (n : int) : int array =
-  let out = Array.make n 0 in
+let gather_ints (a : int array) (idx : int array) n (out : int array) off =
   for k = 0 to n - 1 do
-    out.(k) <- a.(idx.(k))
-  done;
-  out
+    out.(off + k) <- a.(idx.(k))
+  done
 
-let gather_floats (a : float array) (idx : int array) (n : int) : float array
-    =
-  let out = Array.create_float n in
+let gather_floats (a : float array) (idx : int array) n (out : float array) off =
   for k = 0 to n - 1 do
-    out.(k) <- a.(idx.(k))
-  done;
-  out
+    out.(off + k) <- a.(idx.(k))
+  done
 
-let gather_bools (a : bool array) (idx : int array) (n : int) : bool array =
-  let out = Array.make n false in
+let gather_bools (a : bool array) (idx : int array) n (out : bool array) off =
   for k = 0 to n - 1 do
-    out.(k) <- a.(idx.(k))
-  done;
-  out
+    out.(off + k) <- a.(idx.(k))
+  done
 
-let gather_strs (a : string array) (idx : int array) (n : int) : string array
-    =
-  let out = Array.make n "" in
+let gather_strs (a : string array) (idx : int array) n (out : string array) off =
   for k = 0 to n - 1 do
-    out.(k) <- a.(idx.(k))
-  done;
-  out
+    out.(off + k) <- a.(idx.(k))
+  done
 
-let gather_boxed (a : Value.t array) (idx : int array) (n : int) :
-    Value.t array =
-  let out = Array.make n Value.Null in
+let gather_boxed (a : Value.t array) (idx : int array) n (out : Value.t array) off =
   for k = 0 to n - 1 do
-    out.(k) <- a.(idx.(k))
-  done;
-  out
+    out.(off + k) <- a.(idx.(k))
+  done
 
-let gather_data ?len (d : data) (idx : int array) : data =
-  let n = gather_len ?len idx in
-  match d with
-  | Ints a -> Ints (gather_ints a idx n)
-  | Floats a -> Floats (gather_floats a idx n)
-  | Bools a -> Bools (gather_bools a idx n)
-  | Strs a -> Strs (gather_strs a idx n)
-  | Boxed a -> Boxed (gather_boxed a idx n)
+(* The data of an [n]-row column made from the columns [cs]: of the
+   element type they all store, boxed when any is boxed or they differ.
+   The one rule for combining columns ({!gather_parts}, {!append}). *)
+let blank_data (cs : col array) (n : int) : data =
+  let all p = Array.for_all (fun (c : col) -> p c.data) cs in
+  if all (function Ints _ -> true | _ -> false) then Ints (Array.make n 0)
+  else if all (function Floats _ -> true | _ -> false) then Floats (Array.create_float n)
+  else if all (function Bools _ -> true | _ -> false) then Bools (Array.make n false)
+  else if all (function Strs _ -> true | _ -> false) then Strs (Array.make n "")
+  else Boxed (Array.make n Value.Null)
+
+(* the rows [idx.(0 .. n-1)] of [c] into [out] (made by {!blank_data})
+   from row [off]; into boxed data, an unboxed column's cells go boxed,
+   NULLs as [Value.Null] *)
+let gather_into (c : col) (idx : int array) n (out : data) off =
+  match (c.data, out) with
+  | Ints a, Ints o -> gather_ints a idx n o off
+  | Floats a, Floats o -> gather_floats a idx n o off
+  | Bools a, Bools o -> gather_bools a idx n o off
+  | Strs a, Strs o -> gather_strs a idx n o off
+  | Boxed a, Boxed o -> gather_boxed a idx n o off
+  | _, Boxed o ->
+      for k = 0 to n - 1 do
+        o.(off + k) <- value c idx.(k)
+      done
+  | _ -> invalid_arg "Batch.gather_into"
 
 let gather_col ?len (c : col) (idx : int array) : col =
   let n = gather_len ?len idx in
-  {
-    data = gather_data ~len:n c.data idx;
-    nulls = Option.map (fun m -> gather_bools m idx n) c.nulls;
-  }
+  let data = blank_data [| c |] n in
+  gather_into c idx n data 0;
+  let nulls =
+    Option.map
+      (fun m ->
+        let out = Array.make n false in
+        gather_bools m idx n out 0;
+        out)
+      c.nulls
+  in
+  { data; nulls }
 
 (** Materialize the selection: same logical rows, dense columns, no
     selection vector. *)
@@ -236,193 +249,40 @@ let of_rows (schema : Schema.t) (rows : Tuple.t array) : t =
   in
   { schema; nrows = n; cols; sel = None }
 
-(* ---- successor images ---- *)
+(* ---- gathers across batches ---- *)
 
-(* The kept cells of a successor column of [prefix + len] cells (the
-   map [src] may be a longer buffer): the cells below [prefix + skip]
-   are [a]'s in place, copied in bulk; cell [prefix + k] is
-   [a.(src.(k))] where [src.(k) >= 0], and
-   fresh cells ([src.(k) < 0]) are left for the caller to fill.  One
-   monomorphic loop per element type, as in the gathers above. *)
-let kept_ints (a : int array) ~prefix ~skip ~len (src : int array) : int array =
-  let n = prefix + len and m = Array.length a in
-  let out = if n <= m then Array.sub a 0 n else Array.append a (Array.make (n - m) 0) in
-  for k = skip to len - 1 do
-    let s = src.(k) in
-    if s >= 0 then out.(prefix + k) <- a.(s)
-  done;
-  out
-
-let kept_floats (a : float array) ~prefix ~skip ~len (src : int array) : float array =
-  let n = prefix + len and m = Array.length a in
-  let out =
-    if n <= m then Array.sub a 0 n else Array.append a (Array.make (n - m) 0.0)
-  in
-  for k = skip to len - 1 do
-    let s = src.(k) in
-    if s >= 0 then out.(prefix + k) <- a.(s)
-  done;
-  out
-
-let kept_bools (a : bool array) ~prefix ~skip ~len (src : int array) : bool array =
-  let n = prefix + len and m = Array.length a in
-  let out =
-    if n <= m then Array.sub a 0 n else Array.append a (Array.make (n - m) false)
-  in
-  for k = skip to len - 1 do
-    let s = src.(k) in
-    if s >= 0 then out.(prefix + k) <- a.(s)
-  done;
-  out
-
-let kept_strs (a : string array) ~prefix ~skip ~len (src : int array) : string array =
-  let n = prefix + len and m = Array.length a in
-  let out = if n <= m then Array.sub a 0 n else Array.append a (Array.make (n - m) "") in
-  for k = skip to len - 1 do
-    let s = src.(k) in
-    if s >= 0 then out.(prefix + k) <- a.(s)
-  done;
-  out
-
-(** The fresh rows of a successor's row map (see {!derive}): the rows
-    [prefix + k] with [src.(k) < 0], ascending, over the first [len]
-    entries of [src] (default: all). *)
-let fresh_rows ?len ~prefix (src : int array) : int array =
-  let len = Option.value len ~default:(Array.length src) in
-  let k = ref 0 in
-  for j = 0 to len - 1 do
-    if src.(j) < 0 then incr k
-  done;
-  let f = Array.make !k 0 in
-  k := 0;
-  for j = 0 to len - 1 do
-    if src.(j) < 0 then begin
-      f.(!k) <- prefix + j;
-      incr k
+(** [gather_parts ?need schema parts]: one dense batch of, for each
+    [(b, idx, k)] of [parts] in turn, the physical rows [idx.(0 .. k-1)]
+    of [b], with only the columns in [need] (default: all); the others
+    are {!placeholder}s.  A column is stored as {!blank_data} makes it
+    from the parts' columns, with a validity mask when any part has one.
+    So [idx] may be a longer buffer. *)
+let gather_parts ?need (schema : Schema.t) (parts : (t * int array * int) array) : t =
+  let n = Array.fold_left (fun acc (_, _, k) -> acc + k) 0 parts in
+  let col j =
+    let cs = Array.map (fun ((b : t), _, _) -> b.cols.(j)) parts in
+    if Array.length parts = 0 then col_of_values (Schema.ty schema j) 0 (fun _ -> Value.Null)
+    else begin
+      let data = blank_data cs n in
+      let nulls =
+        if Array.for_all (fun (c : col) -> c.nulls = None) cs then None
+        else Some (Array.make n false)
+      in
+      ignore
+        (Array.fold_left
+           (fun off ((b : t), idx, k) ->
+             let c = b.cols.(j) in
+             gather_into c idx k data off;
+             (match (c.nulls, nulls) with
+             | Some m, Some out -> gather_bools m idx k out off
+             | _ -> ());
+             off + k)
+           0 parts);
+      { data; nulls }
     end
-  done;
-  f
-
-(* One successor column: the kept cells of [c], then the fresh rows'
-   values; [None] when [c] is boxed or a fresh value does not fit it. *)
-let derive_col (c : col) ~prefix ~skip ~len ~(src : int array)
-    ~(fresh : int array) (row : int -> Tuple.t) (j : int) : col option =
-  let n = prefix + len in
-  let exception Mismatch in
-  let mask =
-    ref (Option.map (fun m -> kept_bools m ~prefix ~skip ~len src) c.nulls)
   in
-  (* a fresh cell: [true] when it holds NULL (its data keeps the
-     default, as {!col_of_values} leaves it) *)
-  let fresh_null i =
-    let null = Value.is_null (Tuple.get (row i) j) in
-    (match !mask with
-    | Some m -> m.(i) <- null
-    | None ->
-        if null then begin
-          let m = Array.make n false in
-          m.(i) <- true;
-          mask := Some m
-        end);
-    null
-  in
-  try
-    let data =
-      match c.data with
-      | Ints a ->
-          let out = kept_ints a ~prefix ~skip ~len src in
-          Array.iter
-            (fun i ->
-              if fresh_null i then out.(i) <- 0
-              else
-                match Tuple.get (row i) j with
-                | Value.Int v -> out.(i) <- v
-                | _ -> raise Mismatch)
-            fresh;
-          Ints out
-      | Floats a ->
-          let out = kept_floats a ~prefix ~skip ~len src in
-          Array.iter
-            (fun i ->
-              if fresh_null i then out.(i) <- 0.0
-              else
-                match Tuple.get (row i) j with
-                | Value.Float v -> out.(i) <- v
-                | _ -> raise Mismatch)
-            fresh;
-          Floats out
-      | Bools a ->
-          let out = kept_bools a ~prefix ~skip ~len src in
-          Array.iter
-            (fun i ->
-              if fresh_null i then out.(i) <- false
-              else
-                match Tuple.get (row i) j with
-                | Value.Bool v -> out.(i) <- v
-                | _ -> raise Mismatch)
-            fresh;
-          Bools out
-      | Strs a ->
-          let out = kept_strs a ~prefix ~skip ~len src in
-          Array.iter
-            (fun i ->
-              if fresh_null i then out.(i) <- ""
-              else
-                match Tuple.get (row i) j with
-                | Value.Str v -> out.(i) <- v
-                | _ -> raise Mismatch)
-            fresh;
-          Strs out
-      | Boxed _ -> raise Mismatch
-    in
-    (* a mask exists iff some row is NULL *)
-    let nulls =
-      match !mask with
-      | Some m when Array.exists Fun.id m -> Some m
-      | _ -> None
-    in
-    Some { data; nulls }
-  with Mismatch -> None
-
-(** [derive base ~prefix ~src row]: [of_rows (schema base) rows] for
-    the [prefix + Array.length src] rows [row 0], [row 1], ..., computed
-    from [base], the dense image of an earlier table value with the same
-    schema.  The rows below [prefix] are [base]'s rows in place; row
-    [prefix + k] is [base]'s row [src.(k)] unchanged, or fresh where
-    [src.(k) < 0].  Each column is a typed gather of its base column (a
-    bulk copy over the identity prefix, which every INSERT leaves); only
-    the fresh rows are read through [row].  A column whose base column is boxed, or that a fresh
-    value does not fit, is built from all the rows by {!col_of_values}.
-    A successor's image passes its predecessor's image and whole row map;
-    an index probe read through a delta passes its candidates' map, so
-    it gathers only them, and its consumer's [need] (default: every
-    column), so it gathers only those columns: the others are
-    {!placeholder}s.  [len] (default: all of [src]) reads the map from
-    the first [len] cells of a longer buffer. *)
-let derive ?need ?len (base : t) ~(prefix : int) ~(src : int array)
-    (row : int -> Tuple.t) : t =
-  let len = Option.value len ~default:(Array.length src) in
-  let n = prefix + len in
-  (* the entries that continue the identity prefix need no gather *)
-  let skip =
-    let k = ref 0 in
-    while !k < len && src.(!k) = prefix + !k do
-      incr k
-    done;
-    !k
-  in
-  let fresh = fresh_rows ~len ~prefix src in
-  let schema = base.schema in
   let cols =
-    Array.mapi
-      (fun j c ->
-        if not (needed need j) then placeholder
-        else
-          match derive_col c ~prefix ~skip ~len ~src ~fresh row j with
-          | Some c -> c
-          | None ->
-              col_of_values (Schema.ty schema j) n (fun i -> Tuple.get (row i) j))
-      base.cols
+    Array.init (Schema.arity schema) (fun j -> if needed need j then col j else placeholder)
   in
   { schema; nrows = n; cols; sel = None }
 
@@ -433,45 +293,11 @@ let to_rows (b : t) : Tuple.t array =
       let i = phys b li in
       Tuple.of_array (Array.init k (fun j -> value b.cols.(j) i)))
 
-(** Append two dense batches (compacting as needed); the schemas must be
-    union-compatible, the left schema names the result. *)
+(** The logical rows of [a], then those of [b], dense; the schemas must
+    be union-compatible, the left schema names the result. *)
 let append (a : t) (b : t) : t =
-  let a = compact a and b = compact b in
-  let n = a.nrows + b.nrows in
-  let boxed_concat ca cb =
-    let get c k = value c k in
-    Boxed
-      (Array.init n (fun i ->
-           if i < a.nrows then get ca i else get cb (i - a.nrows)))
-  in
-  let concat_data ca cb =
-    match (ca.data, cb.data) with
-    | Ints x, Ints y -> Ints (Array.append x y)
-    | Floats x, Floats y -> Floats (Array.append x y)
-    | Bools x, Bools y -> Bools (Array.append x y)
-    | Strs x, Strs y -> Strs (Array.append x y)
-    | Boxed x, Boxed y -> Boxed (Array.append x y)
-    | _ -> boxed_concat ca cb
-  in
-  let concat_nulls ca cb =
-    match (ca.nulls, cb.nulls) with
-    | None, None -> None
-    | ma, mb ->
-        let get m k = match m with Some m -> m.(k) | None -> false in
-        Some
-          (Array.init n (fun i ->
-               if i < a.nrows then get ma i else get mb (i - a.nrows)))
-  in
-  let cols =
-    Array.init (Array.length a.cols) (fun j ->
-        let ca = a.cols.(j) and cb = b.cols.(j) in
-        match (ca.data, cb.data) with
-        | Boxed _, _ | _, Boxed _ ->
-            (* boxed side swallows the other; validity lives in the values *)
-            { data = boxed_concat ca cb; nulls = None }
-        | _ -> { data = concat_data ca cb; nulls = concat_nulls ca cb })
-  in
-  { schema = a.schema; nrows = n; cols; sel = None }
+  let part (x : t) = (x, Array.init (length x) (phys x), length x) in
+  gather_parts a.schema [| part a; part b |]
 
 (** The (b, e) period columns of a batch under the trailing-period
     encoding, as dense int arrays indexed by {e physical} row.

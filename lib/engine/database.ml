@@ -181,30 +181,23 @@ let stored_row db name (values : Value.t array) : Tuple.t =
   let e = find_entry db name in
   Tuple.of_array (Array.map (fun i -> values.(i)) e.order)
 
-(* [v] with [name]'s table replaced by its successor ({!Table.successor})
-   and, for a period table, the bounds widened to cover [over] *)
-let succeed v fn name ~over ~rows ~prefix ~src =
+(* [v] with [name]'s table replaced by its successor ({!Table.write})
+   and, for a period table, the bounds widened to cover the new rows *)
+let succeed v fn name ~deleted (added : Tuple.t array) =
   let e = entry_in v name in
-  let v = if e.is_period then widen_bounds v fn over else v in
-  install ~ddl:false v name
-    (Some { e with table = Table.successor e.table ~rows ~prefix ~src })
+  let v = if e.is_period then widen_bounds v fn added else v in
+  install ~ddl:false v name (Some { e with table = Table.write e.table ~deleted ~added })
 
 (** Append rows to an existing table (INSERT).  Period tables get their
     time bounds widened; rows must already follow the stored column order. *)
 let append_rows db name (rows : Tuple.t list) =
-  let fresh = Array.of_list rows in
-  write db @@ fun v ->
-  let old = (entry_in v name).table in
-  succeed v "Database.append_rows" name ~over:fresh
-    ~rows:(Array.append (Table.rows old) fresh)
-    ~prefix:(Table.cardinality old)
-    ~src:(Array.make (Array.length fresh) (-1))
+  let added = Array.of_list rows in
+  write db (fun v -> succeed v "Database.append_rows" name ~deleted:[||] added)
 
-(** Replace a table's rows wholesale (UPDATE/DELETE), keeping its schema
-    and period registration; period tables widen the time bounds. *)
-let set_rows db name ~src (rows : Tuple.t array) =
-  write db @@ fun v ->
-  succeed v "Database.set_rows" name ~over:rows ~rows ~prefix:0 ~src
+(** Delete rows by position and append others (UPDATE/DELETE), keeping
+    the table's schema and period registration. *)
+let replace_rows db name ~deleted (added : Tuple.t array) =
+  write db (fun v -> succeed v "Database.replace_rows" name ~deleted added)
 
 let remove_table db name = write db (fun v -> install ~ddl:true v name None)
 

@@ -66,27 +66,27 @@ val stored_row : t -> string -> Value.t array -> Tuple.t
 
 val append_rows : t -> string -> Tuple.t list -> unit
 (** INSERT: rows must follow the stored column order.  Installs the
-    successor of the current table value ({!Table.successor}): the old
-    rows are kept in place and the new rows are fresh, so the next index
-    read answers from the old value's images plus the new rows, and a
-    full image, when one is needed, is derived from them.
+    current table value's successor ({!Table.write}), which keeps every
+    old row in place and appends the new ones as a segment.
     @raise Invalid_argument when a row of a period table has a
     non-integer period. *)
 
-val set_rows : t -> string -> src:int array -> Tuple.t array -> unit
-(** Replace all rows (UPDATE/DELETE), keeping schema and registration.
-    Installs the successor of the current table value
-    ({!Table.successor}); [src.(i)] names the row of the current value
-    that new row [i] copies unchanged, or is negative for a fresh row.
-    @raise Invalid_argument when [src] does not fit (see
-    {!Table.successor}). *)
+val replace_rows : t -> string -> deleted:int array -> Tuple.t array -> unit
+(** [replace_rows db name ~deleted rows] (UPDATE/DELETE): the rows at
+    the positions [deleted] of the current value ({!Table.rows} order,
+    ascending) are deleted and [rows] appended, keeping the table's
+    schema and registration ({!Table.write}); a period table's bounds
+    widen over [rows] only.
+    @raise Invalid_argument when [deleted] does not fit (see
+    {!Table.write}) or a row of a period table has a non-integer
+    period. *)
 
 val remove_table : t -> string -> unit
 val names : t -> string list
 
 val version : t -> string -> int
 (** Per-table version counter: 0 for names never loaded, bumped by every
-    {!add_table}, {!add_period_table}, {!append_rows}, {!set_rows} and
+    {!add_table}, {!add_period_table}, {!append_rows}, {!replace_rows} and
     {!remove_table}.  Monotone over the database's lifetime (DROP bumps
     but never resets), so a (name, version) pair identifies one immutable
     table state — the invalidation key of the snapshot-aware result
@@ -103,7 +103,7 @@ val generation : t -> int
 val schema_epoch : t -> int
 (** The schema-and-time-bounds epoch: bumped by every DDL
     ({!add_table}, {!add_period_table}, {!remove_table}), by
-    {!set_time_bounds}, and by an {!append_rows} or {!set_rows} that
+    {!set_time_bounds}, and by an {!append_rows} or {!replace_rows} that
     widens the time bounds; DML inside the bounds leaves it alone.
     Monotone; while it is unchanged the table set, all schemas and the
     time bounds are unchanged, so a statement's analysis and everything

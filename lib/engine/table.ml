@@ -19,353 +19,329 @@ type stats = {
 }
 (* per-entry slots inside the statistics slot, each filled on first use *)
 
-(* A successor's rows as runs over its base's: run [r] covers rows
-   [\[starts.(r), starts.(r + 1))] (the last run ends at [rows]), which
-   copy the base rows from [from.(r)] on, one for one, or are fresh where
-   [from.(r) < 0].  The base rows a successor keeps keep their order, so
-   the kept runs' [from] ascend.  A write adds a few runs, however many
-   rows it leaves in place. *)
-type rowmap = { starts : int array; from : int array; rows : int }
-
-let run_end (m : rowmap) r =
-  if r + 1 < Array.length m.starts then m.starts.(r + 1) else m.rows
-
-(* the rows of a value over its own images *)
-let identity n =
-  if n = 0 then { starts = [||]; from = [||]; rows = 0 }
-  else { starts = [| 0 |]; from = [| 0 |]; rows = n }
-
-(* [m] followed by a write that keeps the rows below [prefix] in place
-   and makes row [prefix + k] a copy of row [src.(k)] ([-1]: fresh), as
-   {!successor} takes it: O(runs + |src|), rows in place never visited *)
-let compose (m : rowmap) ~prefix ~(src : int array) : rowmap =
-  let ns = Array.length src in
-  Tkr_idx.Scratch.scoped @@ fun get ->
-  let cap = Array.length m.starts + ns + 1 in
-  let st = get cap and fr = get cap in
-  let r = ref 0 in
-  (* row [i] copies base row [f]: a new run unless it continues the last *)
-  let push i f =
-    let p = !r - 1 in
-    if
-      p < 0
-      || (if fr.(p) < 0 then f >= 0 else f <> fr.(p) + (i - st.(p)))
-    then begin
-      st.(!r) <- i;
-      fr.(!r) <- f;
-      incr r
-    end
-  in
-  let q = ref 0 in
-  while !q < Array.length m.starts && m.starts.(!q) < prefix do
-    push m.starts.(!q) m.from.(!q);
-    incr q
-  done;
-  (* the run that holds row [s] of [m]: [s] ascends over kept rows *)
-  let q = ref (Int.max 0 (!q - 1)) in
-  for k = 0 to ns - 1 do
-    let s = src.(k) in
-    if s < 0 then push (prefix + k) (-1)
-    else begin
-      while run_end m !q <= s do
-        incr q
-      done;
-      let f = m.from.(!q) in
-      push (prefix + k) (if f < 0 then -1 else f + (s - m.starts.(!q)))
-    end
-  done;
-  { starts = Array.sub st 0 !r; from = Array.sub fr 0 !r; rows = prefix + ns }
-
-(* The map as {!Batch.derive} and {!Tkr_idx.Interval.derive} read it:
-   the identity prefix, and the base row of each row after it *)
-let to_src (m : rowmap) : int * int array =
-  let prefix =
-    if Array.length m.starts > 0 && m.from.(0) = 0 then run_end m 0 else 0
-  in
-  let src = Array.make (m.rows - prefix) 0 in
-  for r = 0 to Array.length m.starts - 1 do
-    let f = m.from.(r) and s0 = m.starts.(r) in
-    for i = Int.max prefix s0 to run_end m r - 1 do
-      src.(i - prefix) <- (if f < 0 then -1 else f + (i - s0))
-    done
-  done;
-  (prefix, src)
-
-(* The built images of an earlier table value, from which a successor
-   derives its own ({!successor}) or reads through ({!probe}). *)
-type base = {
-  b_columnar : Batch.t;
-  b_index : Tkr_idx.Interval.t option;  (* [None]: not built, or none *)
-  map : rowmap;  (* the successor's rows over the base's *)
-  delta_rows : int;  (* fresh rows plus base rows the successor dropped *)
-}
-
-let base_of (c : Batch.t) b_index (map : rowmap) : base =
-  let fresh = ref 0 in
-  for r = 0 to Array.length map.starts - 1 do
-    if map.from.(r) < 0 then fresh := !fresh + (run_end map r - map.starts.(r))
-  done;
-  let kept = map.rows - !fresh in
-  { b_columnar = c; b_index; map; delta_rows = !fresh + c.Batch.nrows - kept }
-
-(* A successor's delta may reach [1 / fold_divisor] of its base's rows
-   before an index read folds it into full images ({!probe}).  A read
-   through the delta scans the fresh rows and gathers its candidates
-   from the base image; a fold derives the whole columnar image and
-   index.  Read latency over the writes benchmark's sequence, and after
-   single-row INSERTs into a 20k-row table, was flat from 1/8 to 1/128
-   on a 2-vCPU VM (EXPERIMENTS.md, "The fold bound"); 1/16 sits in that
-   range. *)
-let fold_divisor = 16
-
-(* whether index reads may go through [b]'s delta instead of folding *)
-let readable (b : base) = b.delta_rows * fold_divisor <= b.b_columnar.Batch.nrows
-
-type t = {
-  schema : Schema.t;
+(* A segment: rows that never change, and the columnar image and
+   interval index made from them on first use.  Catalog values share
+   segments; a value hides the rows it deleted with a bitmap of its
+   own. *)
+type seg = {
   rows : Tuple.t array;
   columnar : Batch.t option Atomic.t;
   index : Tkr_idx.Interval.t option option Atomic.t;
-  stats : stats option Atomic.t;
-      (* the three derived images, filled on first use.  A table value is
-         immutable (DML installs a successor), so a filled slot never goes
-         stale.  Racing readers may both derive an image; both compute the
-         same one and the last write wins. *)
-  base : base option Atomic.t;
-      (* what the first uses of the columnar image and the index derive
-         from, and what index probes read through while the delta is
-         small ({!probe}); emptied once the index is filled (or the
-         columnar image, when the base has no index), so no value keeps
-         an earlier value's images longer than it needs them *)
-  indexed_before : bool;
-      (* some predecessor of this value, reached through {!successor},
-         had its index built: building this value's index is a rebuild *)
 }
 
-let of_array schema rows : t =
+let seg rows = { rows; columnar = Atomic.make None; index = Atomic.make None }
+
+(* [slot]'s value, made by [f] on first use.  Slots only ever fill: of
+   racing first uses, every one returns the value the first to publish
+   stored. *)
+let fill slot f =
+  match Atomic.get slot with
+  | Some v -> v
+  | None ->
+      let v = f () in
+      if Atomic.compare_and_set slot None (Some v) then v
+      else Option.get (Atomic.get slot)
+
+let seg_columnar schema (s : seg) =
+  fill s.columnar (fun () -> Batch.of_rows schema s.rows)
+
+(* the trailing two columns of an image, when both are null-free int
+   columns: the period an index reads *)
+let period_cols (b : Batch.t) =
+  let k = Array.length b.cols in
+  if k < 2 then None
+  else
+    match (b.cols.(k - 2), b.cols.(k - 1)) with
+    | { data = Ints b; nulls = None }, { data = Ints e; nulls = None } -> Some (b, e)
+    | _ -> None
+
+let seg_index ~rebuild schema (s : seg) =
+  fill s.index (fun () ->
+      let idx =
+        Option.map
+          (fun (b, e) -> Tkr_idx.Interval.build b e)
+          (period_cols (seg_columnar schema s))
+      in
+      Tkr_idx.Stats.record_build ~rebuild;
+      idx)
+
+(* Deletion bitmaps: bit [i] set when row [i] of the segment is
+   deleted; the empty bitmap deletes nothing. *)
+let no_deletions = Bytes.empty
+
+let is_dead (d : Bytes.t) i =
+  Bytes.length d > 0 && Char.code (Bytes.get d (i lsr 3)) land (1 lsl (i land 7)) <> 0
+
+let kill (d : Bytes.t) i =
+  let c = Char.code (Bytes.get d (i lsr 3)) in
+  Bytes.set d (i lsr 3) (Char.chr (c lor (1 lsl (i land 7))))
+
+(* Trailing segments merge on each append while the one before the last
+   is below [tail_rows] rows or at most [merge_ratio] times the last,
+   except that a first segment below [tail_rows] rows keeps a last one
+   of at most [1 / tail_divisor] its size.  So every segment but the
+   last holds at least [tail_rows] rows and more than [merge_ratio]
+   times the next, or the value is a small first segment and a tail of
+   at most three rows: a value of [n] rows has at most
+   [max 2 (log_merge_ratio (n / tail_rows) + 2)] segments, and a row is
+   copied O(log n) times, amortized.  Index reads scan a last segment
+   below [tail_rows] rows and probe the others' indexes, so a table of
+   16 to 63 rows reads its first few one-row INSERTs through the index
+   it has, as a larger one does, while a smaller table, whose index
+   costs next to nothing to build, stays one segment.  Measured on the
+   writes benchmark and on one-row INSERTs at 10k and 100k rows
+   (EXPERIMENTS.md, "Segment sizes"). *)
+let merge_ratio = 2
+let tail_rows = 64
+let tail_divisor = 16
+
+(* a segment as one value holds it *)
+type part = {
+  seg : seg;
+  dead : Bytes.t;  (* the deletion bitmap *)
+  live : int;  (* rows not deleted *)
+}
+
+type t = {
+  schema : Schema.t;
+  parts : part array;
+  cardinality : int;
+  whole : seg option Atomic.t;
+      (* every live row in row order as one segment, made on first use
+         (a value of one segment without deletions starts with it): the
+         rows, columnar image and index of the whole value, which its
+         successors do not share *)
+  stats : stats option Atomic.t;
+  indexed_before : bool;
+      (* this value, through {!write}, succeeds one that had an index:
+         building an index for it is a rebuild *)
+}
+
+let of_parts schema ~indexed_before parts =
+  let whole =
+    match parts with
+    | [| { seg; dead; _ } |] when Bytes.length dead = 0 -> Some seg
+    | _ -> None
+  in
   {
     schema;
-    rows;
-    columnar = Atomic.make None;
-    index = Atomic.make None;
+    parts;
+    cardinality = Array.fold_left (fun n p -> n + p.live) 0 parts;
+    whole = Atomic.make whole;
     stats = Atomic.make None;
-    base = Atomic.make None;
-    indexed_before = false;
+    indexed_before;
   }
+
+let of_array schema rows : t =
+  of_parts schema ~indexed_before:false
+    [| { seg = seg rows; dead = no_deletions; live = Array.length rows } |]
 
 let make schema rows = of_array schema (Array.of_list rows)
 let empty schema = of_array schema [||]
-
-let successor (t : t) ~(rows : Tuple.t array) ~(prefix : int)
-    ~(src : int array) : t =
-  let n = Array.length t.rows in
-  (* each old row is kept at most once and in order: [src] increases over
-     its entries [>= 0], which lie in [\[prefix, n)] *)
-  if prefix < 0 || prefix > n || prefix + Array.length src <> Array.length rows
-  then invalid_arg "Table.successor: prefix";
-  let last = ref (prefix - 1) in
-  for k = 0 to Array.length src - 1 do
-    let s = src.(k) in
-    if s >= 0 then begin
-      if s <= !last || s >= n then invalid_arg "Table.successor: src";
-      last := s
-    end
-  done;
-  let own c idx = base_of c idx (compose (identity n) ~prefix ~src) in
-  (* [t] was never read, or read only through its delta: skip it,
-     composing the row maps over its base *)
-  let composed (b : base) =
-    base_of b.b_columnar b.b_index (compose b.map ~prefix ~src)
-  in
-  (* A read of an older catalog value may fill [t]'s images, and drop
-     its base, while this runs.  Each slot is read once; every value a
-     slot ever holds is a correct image of [t], and a dropped base never
-     comes back, so any mix of the three reads gives a correct base, at
-     worst one that reuses less.  The base is read before the images: a
-     fill between the reads then leaves the base or the images to reuse,
-     never neither. *)
-  let b = Atomic.get t.base in
-  let idx = Atomic.get t.index in
-  let base =
-    match (Atomic.get t.columnar, idx, b) with
-    | Some c, Some idx, _ -> Some (own c idx)
-    | c, None, Some ({ b_index = Some _; _ } as b) -> (
-        (* an index-bearing base outlives [t]'s own columnar image while
-           the composed delta is small enough to read through; past
-           that, a scanned [t] starts a new base, so scans alone do not
-           pin an old base and derive from it ever longer deltas *)
-        let s = composed b in
-        match c with
-        | Some c when not (readable s) -> Some (own c None)
-        | _ -> Some s)
-    | Some c, _, _ -> Some (own c None)
-    | None, _, Some b -> Some (composed b)
-    | None, _, None -> None
-  in
-  {
-    (of_array t.schema rows) with
-    base = Atomic.make base;
-    indexed_before = t.indexed_before || Option.is_some idx;
-  }
-
 let schema t = t.schema
-let rows t = t.rows
-let cardinality t = Array.length t.rows
-let to_list t = Array.to_list t.rows
+let cardinality t = t.cardinality
 
-let columnar (t : t) : Batch.t =
-  match Atomic.get t.columnar with
-  | Some b -> b
-  | None ->
-      let base = Atomic.get t.base in
-      let b =
-        match base with
-        | Some { b_columnar; map; _ } ->
-            let prefix, src = to_src map in
-            Batch.derive b_columnar ~prefix ~src (Array.get t.rows)
-        | None -> Batch.of_rows t.schema t.rows
-      in
-      Atomic.set t.columnar (Some b);
-      (* without a base index, the index has nothing to derive from *)
-      (match base with
-      | Some { b_index = None; _ } -> Atomic.set t.base None
-      | _ -> ());
-      b
+(* [f i row] for each live row, [i] its position in row order *)
+let iteri f (t : t) =
+  let i = ref 0 in
+  Array.iter
+    (fun p ->
+      Array.iteri
+        (fun j row ->
+          if not (is_dead p.dead j) then begin
+            f !i row;
+            incr i
+          end)
+        p.seg.rows)
+    t.parts
 
+let layout (t : t) = Array.map (fun p -> (Array.length p.seg.rows, p.live)) t.parts
+
+let whole (t : t) =
+  fill t.whole (fun () ->
+      if t.cardinality = 0 then seg [||]
+      else begin
+        let out = Array.make t.cardinality (Tuple.make []) in
+        iteri (fun i row -> out.(i) <- row) t;
+        seg out
+      end)
+
+let rows t = (whole t).rows
+let to_list t = Array.to_list (rows t)
+let columnar (t : t) : Batch.t = seg_columnar t.schema (whole t)
+let index (t : t) = seg_index ~rebuild:t.indexed_before t.schema (whole t)
 let of_batch (b : Batch.t) : t = of_array (Batch.schema b) (Batch.to_rows b)
 
-(* The index over [b], [e] (this value's period columns) derived from a
-   base index: the inverse of the row map renames the base's kept rows,
-   and the rows it marks fresh are merged in. *)
-let derive_index (bi : Tkr_idx.Interval.t) ~prefix ~(src : int array) b e =
-  let m = Tkr_idx.Interval.size bi in
-  let fresh = Batch.fresh_rows ~prefix src in
-  (* an INSERT keeps every base row in place: no renaming *)
-  if prefix = m then Tkr_idx.Interval.derive bi ~fresh b e
+(* the live rows of a part *)
+let live_rows p =
+  if Bytes.length p.dead = 0 then p.seg.rows
   else begin
-    let inv = Array.make m (-1) in
-    for r = 0 to prefix - 1 do
-      inv.(r) <- r
-    done;
-    for k = 0 to Array.length src - 1 do
-      let s = src.(k) in
-      if s >= 0 then inv.(s) <- prefix + k
-    done;
-    Tkr_idx.Interval.derive bi ~inv ~fresh b e
+    let out = Array.make p.live (Tuple.make []) and k = ref 0 in
+    Array.iteri
+      (fun j row ->
+        if not (is_dead p.dead j) then begin
+          out.(!k) <- row;
+          incr k
+        end)
+      p.seg.rows;
+    out
   end
 
-(* the index reads the trailing two columns of the columnar image; it
-   exists only when both are null-free int columns *)
-let index (t : t) : Tkr_idx.Interval.t option =
-  match Atomic.get t.index with
-  | Some idx -> idx
-  | None ->
-      let base = Atomic.get t.base in
-      let cols = (columnar t).Batch.cols in
-      let k = Array.length cols in
-      let idx =
-        if k < 2 then None
-        else
-          match (cols.(k - 2), cols.(k - 1)) with
-          | { data = Ints b; nulls = None }, { data = Ints e; nulls = None } ->
-              Some
-                (match base with
-                | Some { b_index = Some bi; map; _ } ->
-                    let prefix, src = to_src map in
-                    derive_index bi ~prefix ~src b e
-                | _ -> Tkr_idx.Interval.build b e)
-          | _ -> None
-      in
-      Atomic.set t.index (Some idx);
-      Atomic.set t.base None;
-      Tkr_idx.Stats.record_build ~rebuild:t.indexed_before;
-      idx
+let size p = Array.length p.seg.rows
+
+(* parts, last first, with the last two merged by the rule above until
+   it no longer applies *)
+let rec settle = function
+  | l :: p :: older
+    when size p <= merge_ratio * size l
+         || (size p < tail_rows && (older <> [] || size p < tail_divisor * size l)) ->
+      let rows = Array.append (live_rows p) (live_rows l) in
+      settle ({ seg = seg rows; dead = no_deletions; live = p.live + l.live } :: older)
+  | stack -> stack
+
+let write (t : t) ~(deleted : int array) ~(added : Tuple.t array) : t =
+  let nd = Array.length deleted in
+  Array.iteri
+    (fun k i ->
+      if i < 0 || i >= t.cardinality || (k > 0 && i <= deleted.(k - 1)) then
+        invalid_arg "Table.write: deleted")
+    deleted;
+  (* the deleted rows, part by part: [first] is the position of the
+     part's first live row; [j] walks its rows, [pos] is row [j]'s
+     position when it is live *)
+  let k = ref 0 and first = ref 0 in
+  let parts =
+    Array.map
+      (fun p ->
+        let stop = !first + p.live in
+        let p =
+          if !k >= nd || deleted.(!k) >= stop then p
+          else begin
+            let d =
+              if Bytes.length p.dead = 0 then Bytes.make ((size p + 7) / 8) '\000'
+              else Bytes.copy p.dead
+            in
+            let j = ref 0 and pos = ref !first and k0 = !k in
+            while !k < nd && deleted.(!k) < stop do
+              while is_dead p.dead !j || !pos < deleted.(!k) do
+                if not (is_dead p.dead !j) then incr pos;
+                incr j
+              done;
+              kill d !j;
+              incr k
+            done;
+            { p with dead = d; live = p.live - (!k - k0) }
+          end
+        in
+        first := stop;
+        p)
+      t.parts
+  in
+  (* parts with no live row go; the added rows come last *)
+  let stack =
+    Array.fold_left (fun acc p -> if p.live > 0 then p :: acc else acc) [] parts
+  in
+  let stack =
+    if Array.length added = 0 then stack
+    else settle ({ seg = seg added; dead = no_deletions; live = Array.length added } :: stack)
+  in
+  let indexed (sg : seg) = Option.is_some (Atomic.get sg.index) in
+  of_parts t.schema
+    ~indexed_before:
+      (t.indexed_before
+      || Array.exists (fun p -> indexed p.seg) t.parts
+      || match Atomic.get t.whole with Some w -> indexed w | None -> false)
+    (Array.of_list (List.rev stack))
 
 (* ---- index probes ---- *)
 
-type probe = { view : Batch.t; candidates : int; delta : int option }
+type probe = { view : Batch.t; candidates : int; segments : int; scanned : int }
 
-(* [probe] over [t]'s delta, or [None] when a fresh row's period is not
-   two ints (then [t] has no index).  The base probe's rows are renamed
-   run by run through the row map, which keeps them ascending and drops
-   the rows [t] no longer has; the fresh rows the bounds admit are
-   merged in; and only the candidates are gathered, from the base image
-   and the fresh tuples, by {!Batch.derive} over a candidate-sized row
-   map, only the [need]ed columns.  O(candidates + runs + fresh rows);
-   the base probe and the candidates are collected in scratch buffers, so
-   only the gathered columns are allocated per read. *)
-let probe_delta ?need (t : t) (b : base) (bi : Tkr_idx.Interval.t) ~b_hi
-    ~e_lo : probe option =
-  let bc, nb = Tkr_idx.Interval.probe_scratch bi ~b_hi ~e_lo in
-  let map = b.map in
-  (* at most the base's candidates and the fresh rows, which the delta
-     counts *)
-  let size = Int.min (nb + b.delta_rows) (Array.length t.rows) in
-  let arity = Schema.arity t.schema in
-  Tkr_idx.Scratch.scoped @@ fun get ->
-  (* candidate [c] is row [cand.(c)], base row [csrc.(c)] or fresh *)
-  let cand = get size and csrc = get size in
-  let k = ref 0 and j = ref 0 and scanned = ref 0 and typed = ref true in
-  for r = 0 to Array.length map.starts - 1 do
-    let lo = map.starts.(r) and hi = run_end map r and f = map.from.(r) in
-    if f >= 0 then begin
-      (* the base probe's rows in [f, f + hi - lo), renamed *)
-      while !j < nb && bc.(!j) < f do
-        incr j
+(* Each segment in turn: an index probe, or a scan of the unindexed
+   tail through {!Tkr_idx.Interval.admits}, each into a scratch buffer
+   from which the deleted rows are then dropped.  The candidates of one
+   segment select its image; those of several are gathered in row
+   order, only the [need]ed columns. *)
+let probe_parts ?need (t : t) parts ~b_hi ~e_lo : probe option =
+  let ns = Array.length parts in
+  let images = Array.map (fun p -> seg_columnar t.schema p.seg) parts in
+  let found = Array.make ns ([||], 0) in
+  let typed = ref true and scanned = ref 0 in
+  Array.iteri
+    (fun s p ->
+      let buf, m =
+        if not !typed then ([||], 0)
+        else if s > 0 && s = ns - 1 && size p < tail_rows then (
+          match period_cols images.(s) with
+          | None ->
+              typed := false;
+              ([||], 0)
+          | Some (b, e) ->
+              let buf = Tkr_idx.Scratch.get (Array.length b) and m = ref 0 in
+              scanned := Array.length b;
+              for i = 0 to Array.length b - 1 do
+                if Tkr_idx.Interval.admits ~b_hi ~e_lo b.(i) e.(i) then begin
+                  buf.(!m) <- i;
+                  incr m
+                end
+              done;
+              (buf, !m))
+        else
+          match seg_index ~rebuild:t.indexed_before t.schema p.seg with
+          | None ->
+              typed := false;
+              ([||], 0)
+          | Some idx -> Tkr_idx.Interval.probe_scratch idx ~b_hi ~e_lo
+      in
+      let k = ref 0 in
+      for c = 0 to m - 1 do
+        if not (is_dead p.dead buf.(c)) then begin
+          buf.(!k) <- buf.(c);
+          incr k
+        end
       done;
-      let last = f + (hi - lo) in
-      while !j < nb && bc.(!j) < last do
-        cand.(!k) <- lo + (bc.(!j) - f);
-        csrc.(!k) <- bc.(!j);
-        incr k;
-        incr j
-      done
-    end
-    else
-      for i = lo to hi - 1 do
-        incr scanned;
-        let row = t.rows.(i) in
-        match (Tuple.get row (arity - 2), Tuple.get row (arity - 1)) with
-        | Value.Int rb, Value.Int re ->
-            if Tkr_idx.Interval.admits ~b_hi ~e_lo rb re then begin
-              cand.(!k) <- i;
-              csrc.(!k) <- -1;
-              incr k
-            end
-        | _ -> typed := false
-      done
-  done;
-  Tkr_idx.Scratch.release bc;
-  if not !typed then None
-  else
-    Some
-      {
-        view =
-          Batch.derive ?need ~len:!k b.b_columnar ~prefix:0 ~src:csrc
-            (fun c -> t.rows.(cand.(c)));
-        candidates = !k;
-        delta = Some !scanned;
-      }
+      found.(s) <- (buf, !k))
+    parts;
+  let release () = Array.iter (fun (buf, _) -> Tkr_idx.Scratch.release buf) found in
+  if not !typed then begin
+    release ();
+    None
+  end
+  else begin
+    (* how many parts hold candidates, and the last that does *)
+    let n = ref 0 and holding = ref 0 and last = ref 0 in
+    Array.iteri
+      (fun s (_, m) ->
+        n := !n + m;
+        if m > 0 then begin
+          incr holding;
+          last := s
+        end)
+      found;
+    let view =
+      if !holding <= 1 && ns > 0 then
+        let buf, m = found.(!last) in
+        Batch.with_sel images.(!last) (Array.sub buf 0 m)
+      else
+        Batch.gather_parts ?need t.schema
+          (Array.mapi (fun s (buf, m) -> (images.(s), buf, m)) found)
+    in
+    release ();
+    Some { view; candidates = !n; segments = ns; scanned = !scanned }
+  end
 
+(* a value whose whole index is built, or that is one segment without
+   deletions, probes the whole value as one part *)
 let probe ?need (t : t) ~b_hi ~e_lo : probe option =
-  let materialized () =
-    match index t with
-    | None -> None
-    | Some idx ->
-        let cand = Tkr_idx.Interval.probe idx ~b_hi ~e_lo in
-        Some
-          {
-            view = Batch.with_sel (columnar t) cand;
-            candidates = Array.length cand;
-            delta = None;
-          }
+  let parts =
+    match Atomic.get t.whole with
+    | Some w
+      when Option.is_some (Atomic.get w.index)
+           || match t.parts with [| p |] -> w == p.seg | _ -> false ->
+        [| { seg = w; dead = no_deletions; live = t.cardinality } |]
+    | _ -> t.parts
   in
-  match (Atomic.get t.index, Atomic.get t.base) with
-  | None, Some ({ b_index = Some bi; _ } as b) when readable b -> (
-      match probe_delta ?need t b bi ~b_hi ~e_lo with
-      | Some _ as p -> p
-      | None -> materialized ())
-  | _ -> materialized ()
+  probe_parts ?need t parts ~b_hi ~e_lo
 
 (* ---- statistics ---- *)
 
@@ -441,7 +417,7 @@ let mean_period (t : t) : float option =
 (** Multiset view as an N-relation (tuple -> multiplicity). *)
 let to_nrel (t : t) : Tkr_semiring.Nat.t Krel.t =
   let module NR = Krel.Make (Tkr_semiring.Nat) in
-  Array.fold_left (fun acc row -> NR.add acc row 1) (NR.empty t.schema) t.rows
+  Array.fold_left (fun acc row -> NR.add acc row 1) (NR.empty t.schema) (rows t)
 
 (** Expand an N-relation into physical rows (duplicate per multiplicity). *)
 let of_nrel (r : Tkr_semiring.Nat.t Krel.t) : t =
@@ -464,7 +440,7 @@ let equal_bag (a : t) (b : t) =
 
 (** Rows in canonical order, for deterministic output. *)
 let sorted_rows (t : t) =
-  let r = Array.copy t.rows in
+  let r = Array.copy (rows t) in
   Array.sort Tuple.compare r;
   r
 
@@ -479,7 +455,7 @@ let pp ppf (t : t) =
 let to_text ?(max_rows = 50) (t : t) =
   let buf = Buffer.create 256 in
   let headers = Schema.names t.schema in
-  let rows = Array.to_list t.rows in
+  let rows = to_list t in
   let shown = List.filteri (fun i _ -> i < max_rows) rows in
   let cells = List.map (fun r -> List.map Value.to_string (Tuple.to_list r)) shown in
   let widths =

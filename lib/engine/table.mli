@@ -5,17 +5,18 @@
 open Tkr_relation
 
 type t
-(** An immutable table value.  It owns its three derived images, the
-    columnar image ({!columnar}), the interval index ({!index}) and the
-    statistics ({!column_stats}, {!mean_period}): each is made on first
-    use and kept for the value's lifetime.  A mutation never changes a
-    value; the database installs a successor ({!successor}) that keeps
-    its predecessor's built columnar image and index as a base, with a
-    map from its rows to the base's.  Index reads ({!probe}) answer from
-    the base plus that delta until the delta outgrows a fixed fraction
-    of the base; then they fold it, deriving the value's own columnar
-    image and index, which become the next successor's base.
-    Statistics start empty on every value. *)
+(** An immutable table value: an ordered array of segments, which hold
+    rows that never change and are shared between values, and one
+    deletion bitmap per segment.  Its rows, in row order, are the
+    segments' rows that are not deleted, segment by segment.  A write
+    ({!write}) makes a successor: it sets the deleted rows' bits and
+    appends the new rows as a segment, merging trailing segments by a
+    rule on their sizes ({!merge_ratio}, {!tail_rows}), so INSERT and
+    DELETE keep every other row in place and an UPDATE's new rows come
+    last.  Each segment makes its own columnar image and interval index
+    on first use.  The whole-value views ({!rows}, {!columnar},
+    {!index}, the statistics) are made on first use too, at most once
+    per value, and are not shared with successors. *)
 
 val make : Schema.t -> Tuple.t list -> t
 val of_array : Schema.t -> Tuple.t array -> t
@@ -37,65 +38,59 @@ val equal_bag : t -> t -> bool
 val sorted_rows : t -> Tuple.t array
 (** A sorted copy, for deterministic output. *)
 
-val successor : t -> rows:Tuple.t array -> prefix:int -> src:int array -> t
-(** [successor t ~rows ~prefix ~src]: the value of [t]'s table after DML
-    — same schema, the given rows.  The rows below [prefix] are [t]'s
-    rows in place; row [prefix + k] copies row [src.(k)] of [t]
-    unchanged, or is fresh where [src.(k) < 0] (an INSERT passes [t]'s
-    cardinality and one fresh entry per new row).  The successor keeps
-    [t]'s built columnar image and index (never [t] itself) as its base.
-    When [t] has no index of its own (it was never read, or read only
-    through its delta) but its base has one, the successor keeps that
-    base instead, with the row maps composed, so a run of writes shares
-    one base until a read folds it; but when [t] has its own columnar
-    image (a scan read it) and the composed delta is past the fold
-    bound ({!probe}), that image is the successor's base.  The base
-    lives until the successor's index is filled (or its columnar image,
-    when the base has no index).  The successor holds its map to the
-    base as runs of rows (a write adds a few, however many rows it
-    leaves in place), so writes compose maps and delta reads walk them
-    without an O(n) term; a fold flattens the runs back into this
-    [prefix]/[src] form, the one {!Batch.derive} and
-    {!Tkr_idx.Interval.derive} read.  Building the successor's index, derived or not,
+val write : t -> deleted:int array -> added:Tuple.t array -> t
+(** [write t ~deleted ~added]: the value of [t]'s table after DML —
+    same schema; the rows of [t] at the positions [deleted] (in
+    {!rows} order, ascending) are gone, the others keep their order,
+    and [added] follows them.  Shares [t]'s segments, and copies only
+    the deletion bitmaps of segments that lose rows and the trailing
+    segments that merge.  Building an index for the successor
     counts as a rebuild ({!Tkr_idx.Stats}) when [t] or any value it
-    succeeded had its index built.  A value made any other way (a fresh
-    CREATE or load, including DROP then CREATE) starts without a base
-    or that history.
-    @raise Invalid_argument unless [prefix + Array.length src] is the
-    number of rows, [prefix <= cardinality t], and [src] increases over
-    its entries [>= 0], which lie in [\[prefix, cardinality t)]. *)
+    succeeded had an index built.
+    @raise Invalid_argument unless [deleted] ascends strictly within
+    [\[0, cardinality t)]. *)
+
+val iteri : (int -> Tuple.t -> unit) -> t -> unit
+(** [iteri f t] calls [f i row] for each row in row order, [i] its
+    position, without making {!rows}. *)
+
+val merge_ratio : int
+val tail_rows : int
+val tail_divisor : int
+(** The merge rule's constants (see table.ml).  On each append, trailing
+    segments merge while the one before the last has fewer than
+    [tail_rows] rows or at most [merge_ratio] times the last's, except
+    that a first segment below [tail_rows] rows keeps a last one of at
+    most [1 / tail_divisor] its size; so a value of [n] rows (deleted
+    ones included) has at most
+    [max 2 (log_merge_ratio (n / tail_rows) + 2)] segments. *)
+
+val layout : t -> (int * int) array
+(** Each segment's rows and rows not deleted, in order. *)
 
 val columnar : t -> Batch.t
-(** The columnar image, made on first use: derived from the base when
-    the value has one, else built from the rows; either way equal to
-    [Batch.of_rows (schema t) (rows t)].  Concurrent first uses may both
-    make it; they make the same image and the last write wins. *)
+(** The columnar image of {!rows}, made on first use and equal to
+    [Batch.of_rows (schema t) (rows t)]. *)
 
 val of_batch : Batch.t -> t
 (** The logical rows of a batch as a fresh table. *)
 
 val index : t -> Tkr_idx.Interval.t option
-(** The interval index over the trailing two columns of the columnar
-    image ([Abegin], [Aend] of a period table), made on first use and
-    equal to a fresh {!Tkr_idx.Interval.build}: derived from the base's
-    index when it has one (a reader that finds the base already dropped
-    builds from the image), else built.  Each is counted in
-    {!Tkr_idx.Stats} as a build.  [None] (also kept) unless both
-    columns are null-free [int] columns.  Callers check that the table is
-    a period table ({!Idx_cache.get}). *)
+(** The interval index over the trailing two columns of {!columnar}
+    ([Abegin], [Aend] of a period table), made on first use by
+    {!Tkr_idx.Interval.build} and counted in {!Tkr_idx.Stats} as a
+    build.  [None] (also kept) unless both columns are null-free [int]
+    columns.  Callers check that the table is a period table
+    ({!Idx_cache.get}). *)
 
 type probe = {
   view : Batch.t;
-      (** the candidate rows, in ascending row order: a selection over
-          the columnar image, or a dense image of just the candidates *)
+      (** the candidate rows, in row order: a selection over one image,
+          or a dense image of just the candidates *)
   candidates : int;  (** how many *)
-  delta : int option;
-      (** [Some n]: answered through the delta, scanning [n] fresh rows *)
+  segments : int;  (** segments read: 1 over a whole index *)
+  scanned : int;  (** rows of an unindexed tail scanned *)
 }
-
-val fold_divisor : int
-(** The fold bound's denominator: a constant, chosen by measurement
-    (see table.ml). *)
 
 val probe :
   ?need:int list ->
@@ -103,19 +98,17 @@ val probe :
   b_hi:Tkr_idx.Interval.bound ->
   e_lo:Tkr_idx.Interval.bound ->
   probe option
-(** The rows an {!index} probe ({!Tkr_idx.Interval.probe}) returns, with
-    their cells.  A value whose own index is not built, and whose base
-    has one, answers from the base without materializing anything while
-    its delta (fresh rows plus dropped base rows) is at most
-    [1 / fold_divisor] of the base's rows: it probes the base index, renames the
-    candidates through the row map, merges in the fresh rows whose
-    periods pass the bounds, and gathers only those rows, and of them
+(** The rows an {!index} probe ({!Tkr_idx.Interval.probe}) returns, in
+    the same order, with their cells.  A value whose whole index is
+    built, or that is one segment without deletions, probes that one
+    index.  Any other probes each segment's index (made on first use),
+    except that a last segment below {!tail_rows} rows is scanned with
+    {!Tkr_idx.Interval.admits}; deleted rows are skipped.  Candidates of
+    one segment select its image; candidates of several are gathered,
     only the columns in [need] (default: all); the others are
-    {!Batch.placeholder}s, which the caller must not read.  Past that
-    fraction, or without such a base, it probes {!index} over {!columnar},
-    filling both (a fold).  Either way the rows and their order are the
-    same.  [None] when the value has no index.  Callers check that the
-    table is a period table. *)
+    {!Batch.placeholder}s, which the caller must not read.  [None] when
+    the value has no index.  Callers check that the table is a period
+    table. *)
 
 (** {2 Statistics}
 

@@ -20,12 +20,9 @@
     scan emission order — so re-applying the full predicate to the
     candidates reproduces the scan byte-for-byte.
 
-    A table value after DML derives its index from its predecessor's
-    ({!derive}) instead of building it: one walk over the old sweep
-    order, with only the new rows sorted.  While its changes are few, it
-    need not even do that: a probe of the predecessor's index, renamed
-    through the row map, plus the new rows that {!admits} accepts, is
-    its own probe (the engine's [Table.probe]). *)
+    A table value keeps one index per segment of its rows; a probe of
+    the value probes each and scans a small unindexed tail with
+    {!admits} (the engine's [Table.probe]). *)
 
 type bound = {
   v : int;
@@ -75,14 +72,6 @@ let sweep_perm (b : int array) : int array =
   end
   else Isort.perm b
 
-(* The index over rows in sweep order whose ends fill the leaves of
-   [seg]: fills the tree's inner nodes. *)
-let of_sweep ~rows ~begins ~seg ~leaves : t =
-  for node = leaves - 1 downto 1 do
-    seg.(node) <- imax seg.(2 * node) seg.((2 * node) + 1)
-  done;
-  { rows; begins; seg; leaves }
-
 (** The index over the periods [\[b.(i), e.(i))] of physical rows [i];
     [b] and [e] have equal length. *)
 let build (b : int array) (e : int array) : t =
@@ -95,68 +84,10 @@ let build (b : int array) (e : int array) : t =
     begins.(k) <- b.(i);
     seg.(leaves + k) <- e.(i)
   done;
-  of_sweep ~rows ~begins ~seg ~leaves
-
-(** [derive t ?inv ~fresh b e]: {!build}[ b e], computed from [t], the
-    index of an earlier table value, in linear passes.  Row [r] of that
-    value is row [inv.(r)] now (default: row [r]), with the same period
-    ([-1]: the row is gone); [fresh] lists the other rows, ascending.
-    [inv] must increase over the rows it keeps: then walking [t]'s sweep
-    order and renaming the kept rows keeps (begin, row id) order, and
-    only the fresh rows are sorted before they are merged in.
-    @raise Invalid_argument when the kept and fresh rows do not number
-    [Array.length b] (more of them fail an array bound). *)
-let derive (t : t) ?(inv : int array option) ~(fresh : int array)
-    (b : int array) (e : int array) : t =
-  let n = Array.length b and nf = Array.length fresh in
-  let leaves = 1 lsl Isort.index_bits n in
-  let rows = Array.make n 0 and begins = Array.make n 0 in
-  let seg = Array.make (2 * leaves) min_int in
-  (* the fresh rows in sweep order *)
-  let fb = Array.make nf 0 in
-  for k = 0 to nf - 1 do
-    fb.(k) <- b.(fresh.(k))
+  for node = leaves - 1 downto 1 do
+    seg.(node) <- imax seg.(2 * node) seg.((2 * node) + 1)
   done;
-  let ford = sweep_perm fb in
-  let fs = Array.make nf 0 in
-  for k = 0 to nf - 1 do
-    fs.(k) <- fresh.(ford.(k))
-  done;
-  let k = ref 0 and f = ref 0 in
-  for j = 0 to size t - 1 do
-    let i = match inv with Some inv -> inv.(t.rows.(j)) | None -> t.rows.(j) in
-    if i >= 0 then begin
-      (* a kept row's period is unchanged: read it in sweep order *)
-      let bi = t.begins.(j) in
-      (* the fresh rows that sort before (bi, i) *)
-      while
-        !f < nf
-        &&
-        let fi = fs.(!f) in
-        b.(fi) < bi || (b.(fi) = bi && fi < i)
-      do
-        let fi = fs.(!f) in
-        rows.(!k) <- fi;
-        begins.(!k) <- b.(fi);
-        seg.(leaves + !k) <- e.(fi);
-        incr k;
-        incr f
-      done;
-      rows.(!k) <- i;
-      begins.(!k) <- bi;
-      seg.(leaves + !k) <- t.seg.(t.leaves + j);
-      incr k
-    end
-  done;
-  for f = !f to nf - 1 do
-    let fi = fs.(f) in
-    rows.(!k) <- fi;
-    begins.(!k) <- b.(fi);
-    seg.(leaves + !k) <- e.(fi);
-    incr k
-  done;
-  if !k <> n then invalid_arg "Interval.derive: too few rows";
-  of_sweep ~rows ~begins ~seg ~leaves
+  { rows; begins; seg; leaves }
 
 (** Number of elements of the sorted array [a] that are [<= x]. *)
 let upper_bound (a : int array) (x : int) : int =

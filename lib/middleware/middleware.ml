@@ -402,14 +402,15 @@ let copy_stats (s : phase_stats) = { s with analyze_ns = s.analyze_ns }
 (* one stage of the obs-timed static [check] phase: accumulate elapsed
    time, reject right away on errors (or warnings when strict) so later
    phases never see an invalid plan *)
-let checked m stats origin (f : unit -> Diagnostic.t list) : Diagnostic.t list =
-  let ds =
+let checked m stats origin (f : unit -> Diagnostic.t list * 'a) :
+    Diagnostic.t list * 'a =
+  let ds, x =
     phase m.phases.c_check
       (fun ns -> stats.check_ns <- Int64.add stats.check_ns ns)
       f
   in
   match Check.verdict ~werror:m.strict (stamp_pos origin ds) with
-  | Ok ds -> ds
+  | Ok ds -> (ds, x)
   | Error ds -> raise (Rejected (Diagnostic.sort ds))
 
 let data_lookup m n =
@@ -451,10 +452,10 @@ let shape m (stmt : Ast.statement) : shape =
           analyzed
         in
         (* check: types + logical invariants on the analyzed plan *)
-        let diags =
+        let diags, _ =
           checked m stats origin @@ fun () ->
-          Check.logical ~lookup:(data_lookup m) analyzed.algebra
-          @ Lint.plan Lint.middleware analyzed.algebra
+          let ds, _ = Check.logical ~lookup:(data_lookup m) analyzed.algebra in
+          (ds @ Lint.plan Lint.middleware analyzed.algebra, ())
         in
         (Snapshot_shape { analyzed; as_of }, diags)
       in
@@ -526,8 +527,9 @@ let optimize ?prev m (sh : shape) : optimized =
              machine-checked postcondition *)
           let diags =
             drop_dup4 ~prior:sh.sh_diags
-              ( checked m stats sh.sh_origin @@ fun () ->
-                Check.logical ~lookup:(data_lookup m) logical )
+              (fst
+                 ( checked m stats sh.sh_origin @@ fun () ->
+                   Check.logical ~lookup:(data_lookup m) logical ))
           in
           {
             o_shape = sh;
@@ -541,7 +543,7 @@ let bind ?(explain = false) m (o : optimized) (at : int option) : prepared =
   let m = pin m in
   let sh = o.o_shape in
   let stats = copy_stats o.o_stats in
-  let checked = checked m stats sh.sh_origin in
+  let checked f = checked m stats sh.sh_origin f in
   let is_period n = Database.is_period m.db n in
   let tmin, tmax = Database.time_bounds m.db in
   let enc_lookup n =
@@ -576,11 +578,11 @@ let bind ?(explain = false) m (o : optimized) (at : int option) : prepared =
      bounds *)
   let plain ~prior ~snapshot ~out_schema algebra =
     let env = Absint.env ~is_period ~time_bounds:(tmin, tmax) enc_lookup in
-    let diags =
-      drop_dup4 ~prior
-        (checked @@ fun () -> Check.logical ~absint:env ~lookup:enc_lookup algebra)
+    let diags, pruned =
+      checked @@ fun () -> Check.logical ~absint:env ~lookup:enc_lookup algebra
     in
-    let plan = if m.prune then Absint.prune env algebra else algebra in
+    let diags = drop_dup4 ~prior diags in
+    let plan = if m.prune then pruned else algebra in
     (* fuse selection stacks into single conjunctions — the shape the
        index probe recognizer works on.  Unconditional: the plan never
        depends on the index flag. *)
@@ -607,14 +609,15 @@ let bind ?(explain = false) m (o : optimized) (at : int option) : prepared =
              row is alive at [t]: the snapshot is empty, even for an
              ungrouped aggregate (whose plain evaluation over the empty
              slices would return one row) *)
-          let diags =
+          let diags, () =
             checked @@ fun () ->
-            [
-              Diagnostic.warning "TKR408"
-                "AS OF %d lies outside the stored time bounds [%d, %d): the \
-                 timeslice is provably empty"
-                t tmin tmax;
-            ]
+            ( [
+                Diagnostic.warning "TKR408"
+                  "AS OF %d lies outside the stored time bounds [%d, %d): the \
+                   timeslice is provably empty"
+                  t tmin tmax;
+              ],
+              () )
           in
           plain ~prior:(prior @ diags) ~snapshot:true ~out_schema:analyzed.schema
             (Algebra.ConstRel (analyzed.schema, []))
@@ -641,11 +644,11 @@ let bind ?(explain = false) m (o : optimized) (at : int option) : prepared =
             Absint.env ~temporal:true ~is_period ~time_bounds:(tmin, tmax)
               enc_lookup
           in
-          let diags_physical =
-            drop_dup4 ~prior
-              (checked @@ fun () -> Check.physical ~absint:env ~lookup:enc_lookup plan)
+          let diags_physical, pruned =
+            checked @@ fun () -> Check.physical ~absint:env ~lookup:enc_lookup plan
           in
-          let plan = if m.prune then Absint.prune env plan else plan in
+          let diags_physical = drop_dup4 ~prior diags_physical in
+          let plan = if m.prune then pruned else plan in
           let p =
             finish ~env ~snapshot:true
               ~out_schema:
@@ -768,17 +771,16 @@ let insert_tuples db ins_name (rows : Ast.expr list list) : Tuple.t list =
       t)
     rows
 
-(* The rows of an UPDATE or DELETE over [rows], which old row each new
-   row copies unchanged ([-1]: a changed row or a fragment, fresh), and
-   how many matched: [change] maps a matching row to its new value
+(* What an UPDATE or DELETE over [t] writes: the positions of the rows
+   it replaces, ascending, the rows that replace them, in that order,
+   and how many matched.  [change] maps a matching row to its new value
    ([None]: deleted).  Under FOR PORTION OF [a, b) (SQL:2011) a matching
    row changes only on the overlap of its period (the trailing two
    columns) with [a, b); the parts before and after keep the old values,
    and a row whose period misses the portion is neither changed nor
    counted. *)
 let dml_rows ~matches ~portion ~(change : Tuple.t -> Tuple.t option)
-    (rows : Tuple.t array) : Tuple.t array * int array * int =
-  let n = Array.length rows in
+    (t : Table.t) : int array * Tuple.t array * int =
   let with_period r b e =
     let n = Tuple.arity r in
     let out = Array.copy (r : Tuple.t :> Value.t array) in
@@ -786,56 +788,31 @@ let dml_rows ~matches ~portion ~(change : Tuple.t -> Tuple.t option)
     out.(n - 1) <- Value.Int e;
     Tuple.of_array out
   in
-  (* one pass over the rows: each changed row, newest first, with the rows
-     that replace it *)
-  let edits = ref [] and count = ref 0 and len = ref n in
+  let deleted = ref [] and added = ref [] and count = ref 0 in
   let edit i frags =
     incr count;
-    len := !len - 1 + List.length frags;
-    edits := (i, frags) :: !edits
+    deleted := i :: !deleted;
+    added := List.rev_append frags !added
   in
-  for i = 0 to n - 1 do
-    let row = rows.(i) in
-    if matches row then
-      match portion with
-      | None -> edit i (Option.to_list (change row))
-      | Some (a, b) ->
-          let rb, re = Tkr_engine.Ops.period_of_row row in
-          let ob = Int.max rb a and oe = Int.min re b in
-          if ob < oe then begin
-            let after = if oe < re then [ with_period row oe re ] else [] in
-            let mid =
-              match change row with
-              | Some r -> with_period r ob oe :: after
-              | None -> after
-            in
-            edit i (if rb < ob then with_period row rb ob :: mid else mid)
-          end
-  done;
-  (* the unchanged rows in place between the replacements, which are
-     fresh *)
-  let out = if !len = 0 then [||] else Array.make !len rows.(0) in
-  let src = Array.make !len (-1) in
-  let k = ref 0 and next = ref 0 in
-  let keep_upto j =
-    for i = !next to j - 1 do
-      out.(!k) <- rows.(i);
-      src.(!k) <- i;
-      incr k
-    done;
-    next := j + 1
-  in
-  List.iter
-    (fun (i, frags) ->
-      keep_upto i;
-      List.iter
-        (fun r ->
-          out.(!k) <- r;
-          incr k)
-        frags)
-    (List.rev !edits);
-  keep_upto n;
-  (out, src, !count)
+  Table.iteri
+    (fun i row ->
+      if matches row then
+        match portion with
+        | None -> edit i (Option.to_list (change row))
+        | Some (a, b) ->
+            let rb, re = Tkr_engine.Ops.period_of_row row in
+            let ob = Int.max rb a and oe = Int.min re b in
+            if ob < oe then begin
+              let after = if oe < re then [ with_period row oe re ] else [] in
+              let mid =
+                match change row with
+                | Some r -> with_period r ob oe :: after
+                | None -> after
+              in
+              edit i (if rb < ob then with_period row rb ob :: mid else mid)
+            end)
+    t;
+  (Array.of_list (List.rev !deleted), Array.of_list (List.rev !added), !count)
 
 (* the rows of [schema] an UPDATE's or DELETE's WHERE clause selects *)
 let where_matches schema where : Tuple.t -> bool =
@@ -847,11 +824,11 @@ let check_portion db name portion =
   if portion <> None && not (Database.is_period db name) then
     err "TKR025" "FOR PORTION OF requires a period table"
 
-(* The rows of a table after an UPDATE, and how many matched, validated
-   before anything is written: a period table's begin and end values
-   stay non-NULL integers. *)
+(* What an UPDATE writes ({!dml_rows}), validated before anything is
+   written: a period table's begin and end values stay non-NULL
+   integers. *)
 let update_rows db upd_name ~portion ~sets ~upd_where :
-    Tuple.t array * int array * int =
+    int array * Tuple.t array * int =
   let schema = Database.schema_of db upd_name in
   let n = Schema.arity schema in
   let is_period = Database.is_period db upd_name in
@@ -881,17 +858,17 @@ let update_rows db upd_name ~portion ~sets ~upd_where :
   in
   dml_rows ~matches ~portion
     ~change:(fun row -> Some (apply_sets row))
-    (Table.rows (Database.find db upd_name))
+    (Database.find db upd_name)
 
-(* The rows of a table after a DELETE, and how many matched. *)
+(* What a DELETE writes ({!dml_rows}). *)
 let delete_rows db del_name ~portion ~del_where :
-    Tuple.t array * int array * int =
+    int array * Tuple.t array * int =
   check_portion db del_name portion;
   dml_rows
     ~matches:(where_matches (Database.schema_of db del_name) del_where)
     ~portion
     ~change:(fun _ -> None)
-    (Table.rows (Database.find db del_name))
+    (Database.find db del_name)
 
 (* ---- EXPLAIN rendering ---- *)
 
@@ -1114,16 +1091,16 @@ let execute_update_statement db (stmt : Ast.statement) : result =
       Database.remove_table db name;
       Done (Printf.sprintf "dropped table %s" name)
   | Ast.Update { upd_name; portion; sets; upd_where } ->
-      let rows, src, updated =
+      let deleted, rows, updated =
         update_rows db upd_name ~portion ~sets ~upd_where
       in
-      Database.set_rows db upd_name ~src rows;
+      Database.replace_rows db upd_name ~deleted rows;
       Done (Printf.sprintf "updated %d rows in %s" updated upd_name)
   | Ast.Delete { del_name; del_portion; del_where } ->
-      let rows, src, deleted =
+      let gone, rows, deleted =
         delete_rows db del_name ~portion:del_portion ~del_where
       in
-      Database.set_rows db del_name ~src rows;
+      Database.replace_rows db del_name ~deleted:gone rows;
       Done (Printf.sprintf "deleted %d rows from %s" deleted del_name)
   | Ast.Query _ | Ast.Explain _ | Ast.Check _ ->
       err "TKR021" "not a DDL/DML statement"

@@ -48,8 +48,8 @@ let select sp pred (b : Batch.t) : Batch.t =
 (* Index-assisted selection over a stored period table: when the
    conjuncts bound the period columns on both sides ({!Tkr_idx.Probe}),
    probe the interval index for the candidate physical rows
-   ({!Table.probe}: over the built images, or through a DML delta over
-   its base's).  The candidates come in ascending physical order (= the
+   ({!Table.probe}: one index over the whole value, or each segment's,
+   with an unindexed tail scanned).  The candidates come in ascending physical order (= the
    identity selection's order).  When the bounds are exact (every
    conjunct is a bound, as in an [AS OF] timeslice), the candidates are
    the answer, and the probe gathers only the columns the consumer
@@ -69,12 +69,15 @@ let index_select ?need (db : Database.t) sp pred (n : string) : Batch.t option =
       in
       match Table.probe ?need t ~b_hi ~e_lo with
       | None -> None
-      | Some { Table.view; candidates; delta } ->
+      | Some { Table.view; candidates; segments; scanned } ->
           Tkr_idx.Stats.record_probes ~probes:1 ~candidates;
           Trace.set_int sp "rows_in" (Table.cardinality t);
           Trace.set_str sp "access" "index";
           Trace.set_int sp "candidates" candidates;
-          Option.iter (Trace.set_int sp "delta") delta;
+          if segments > 1 then begin
+            Trace.set_int sp "segments" segments;
+            Trace.set_int sp "scanned" scanned
+          end;
           Trace.set_int sp "conjuncts" (List.length (Expr.conjuncts pred));
           Some
             (if exact then view

@@ -36,16 +36,24 @@ let unchanged what db name (g, bounds, v, table) =
   check_int (what ^ ": version") v (Database.version db name);
   check (what ^ ": table value") true (Database.find db name == table)
 
-(* an UPDATE whose row map does not fit raises after computing bounds
-   that would widen the catalog: nothing of it may land *)
-let test_rejected_set_rows () =
+(* an UPDATE whose deleted positions do not fit raises after computing
+   bounds that would widen the catalog: nothing of it may land *)
+let test_rejected_replace_rows () =
   let db = Database.create ~tmin:0 ~tmax:10 () in
-  Database.add_period_table db "p" (Table.make p_schema [ p_row "a" 1 5 ]);
+  Database.add_period_table db "p" (Table.make p_schema [ p_row "a" 1 5; p_row "c" 2 6 ]);
   let before = state db "p" in
-  (match Database.set_rows db "p" ~src:[| 7 |] [| p_row "b" (-100) 500 |] with
-  | () -> Alcotest.fail "expected Invalid_argument"
-  | exception Invalid_argument _ -> ());
-  unchanged "bad src" db "p" before;
+  List.iter
+    (fun (what, deleted) ->
+      (match Database.replace_rows db "p" ~deleted [| p_row "b" (-100) 500 |] with
+      | () -> Alcotest.fail ("expected Invalid_argument: " ^ what)
+      | exception Invalid_argument _ -> ());
+      unchanged what db "p" before)
+    [
+      ("past the rows", [| 7 |]);
+      ("negative", [| -1 |]);
+      ("repeated", [| 0; 0 |]);
+      ("descending", [| 1; 0 |]);
+    ];
   check "bounds as loaded" true (Database.time_bounds db = (0, 10))
 
 let test_rejected_append_rows () =
@@ -344,8 +352,8 @@ let test_concurrent_differential () =
 let suite =
   ( "snapshot catalog (Database)",
     [
-      Alcotest.test_case "a rejected set_rows leaves the catalog untouched" `Quick
-        test_rejected_set_rows;
+      Alcotest.test_case "a rejected replace_rows leaves the catalog untouched" `Quick
+        test_rejected_replace_rows;
       Alcotest.test_case "a rejected append_rows leaves the catalog untouched"
         `Quick test_rejected_append_rows;
       Alcotest.test_case "a pinned handle reads one value and cannot write" `Quick

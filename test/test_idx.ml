@@ -482,12 +482,17 @@ let test_build_edges () =
 (* Random write sequences against three middlewares (the default, the
    row oracle, the index off): the AS OF results agree byte for byte, and
    after the reads marked for it the default's and the index-off
-   middleware's images equal fresh ones.  Data columns int, text and
-   float take NULLs; [x] is an int column that an occasional string makes
-   boxed.  Short scripts check the images after every read.  Long ones
-   start from a bulk load and check them only now and then, so reads run
-   through a growing delta and cross the fold bound; their first read
-   after a one-row INSERT must build no index. *)
+   middleware's images equal fresh ones.  After every write each
+   middleware's rows equal a flat-array model of the documented order
+   (rows kept in place, an UPDATE's or DELETE's new rows last, in the
+   order of the rows they replace), every segment's live rows sum to the
+   cardinality, and the segments are within the merge rule's bound.
+   Data columns int, text and float take NULLs; [x] is an int column
+   that an occasional string makes boxed.  Short scripts check the
+   images after every read.  Long ones start from a bulk load of 48 to
+   96 rows, below and above {!Table.tail_rows}, and check them only now
+   and then, so reads run over a growing tail of segments; their first
+   read after a one-row INSERT must build no index. *)
 type step =
   | Write of string
   | Read of string * bool  (* check the images after it *)
@@ -581,7 +586,7 @@ let gen_script =
             (fun p -> Printf.sprintf "DELETE FROM w%s WHERE s = 'n'" (opt_s p))
             portion );
         (1, map (fun (s, w) -> Printf.sprintf "UPDATE w SET %s%s" s (opt_s w)) (pair set where));
-        (* rare: the delta drops every base row *)
+        (* rare: every row of the bulk load goes *)
         (1, map (fun k -> if k = 0 then "DELETE FROM w" else "DELETE FROM w WHERE i = 2") (int_range 0 4));
       ]
   in
@@ -616,7 +621,9 @@ let gen_script =
         ]
         @ List.concat groups @ [ last ])
       (pair
-         (pair (insert (list_size (48 -- 96) row)) (insert (list_size (return 1) fresh_row)))
+         (pair
+            (insert (list_size (48 -- 96) row))
+            (insert (list_size (return 1) fresh_row)))
          (pair
             (list_size (15 -- 40)
                (map2
@@ -626,6 +633,89 @@ let gen_script =
             (long_read true)))
   in
   frequency [ (2, short); (1, long) ]
+
+(* The rows after the write [sql], by the documented order: the kept
+   rows in place, then the rows that replace each matching row, in the
+   order of those rows.  WHERE, SET and literals are evaluated as the
+   analyzer resolves them; the fragments of FOR PORTION OF are the
+   model's own. *)
+let model_write schema (rows : Tuple.t array) sql : Tuple.t array =
+  let module Ast = Tkr_sql.Ast in
+  let resolve e = Tkr_sql.Analyzer.resolve ~schema ~on_agg:Tkr_sql.Analyzer.no_agg e in
+  let holds = function
+    | None -> fun _ -> true
+    | Some w ->
+        let p = resolve w in
+        fun r -> Expr.holds r p
+  in
+  let n = Schema.arity schema in
+  let with_period r b e =
+    let a = Array.init n (Tuple.get r) in
+    a.(n - 2) <- Value.Int b;
+    a.(n - 1) <- Value.Int e;
+    Tuple.of_array a
+  in
+  let period r =
+    match (Tuple.get r (n - 2), Tuple.get r (n - 1)) with
+    | Value.Int b, Value.Int e -> (b, e)
+    | _ -> assert false
+  in
+  let rewrite matches portion change =
+    let kept = ref [] and added = ref [] in
+    Array.iter
+      (fun r ->
+        let replaced =
+          if not (matches r) then None
+          else
+            match portion with
+            | None -> Some (Option.to_list (change r))
+            | Some (a, b) ->
+                let rb, re = period r in
+                let ob = max rb a and oe = min re b in
+                if ob >= oe then None
+                else
+                  Some
+                    ((if rb < ob then [ with_period r rb ob ] else [])
+                    @ (match change r with Some c -> [ with_period c ob oe ] | None -> [])
+                    @ if oe < re then [ with_period r oe re ] else [])
+        in
+        match replaced with
+        | None -> kept := r :: !kept
+        | Some rs -> added := List.rev_append rs !added)
+      rows;
+    Array.of_list (List.rev_append !kept (List.rev !added))
+  in
+  match Tkr_sql.Parser.statement sql with
+  | Ast.Insert { rows = fresh; _ } ->
+      let lit e = Expr.eval (Tuple.make []) (resolve e) in
+      Array.append rows
+        (Array.of_list (List.map (fun r -> Tuple.of_array (Array.of_list (List.map lit r))) fresh))
+  | Ast.Update { portion; sets; upd_where; _ } ->
+      let sets = List.map (fun (c, e) -> (Schema.find schema c, resolve e)) sets in
+      rewrite (holds upd_where) portion (fun r ->
+          let a = Array.init n (Tuple.get r) in
+          List.iter (fun (i, e) -> a.(i) <- Expr.eval r e) sets;
+          Some (Tuple.of_array a))
+  | Ast.Delete { del_portion; del_where; _ } ->
+      rewrite (holds del_where) del_portion (fun _ -> None)
+  | _ -> rows
+
+(* the segment invariants: live rows sum to the cardinality, and the
+   segments are within the merge rule's bound, or are a first segment
+   below {!Table.tail_rows} rows and a tail of at most
+   [1 / Table.tail_divisor] its size *)
+let segments_ok (t : Table.t) =
+  let l = Table.layout t in
+  let k = Array.length l in
+  let rows = Array.fold_left (fun acc (r, _) -> acc + r) 0 l in
+  let rec pow b e = if e = 0 then 1 else b * pow b (e - 1) in
+  let small_first () =
+    k = 2
+    && fst l.(0) < Table.tail_rows
+    && Table.tail_divisor * fst l.(1) <= fst l.(0)
+  in
+  Array.fold_left (fun acc (_, live) -> acc + live) 0 l = Table.cardinality t
+  && (k <= 1 || small_first () || pow Table.merge_ratio (k - 2) * Table.tail_rows <= rows)
 
 let prop_derived_images =
   QCheck_alcotest.to_alcotest
@@ -643,8 +733,10 @@ let prop_derived_images =
            m
          in
          let ms = [ mk (); mk ~engine:M.Row (); mk ~index:false () ] in
+         let table m = Database.find (M.database m) "w" in
+         let model = ref [||] in
          let images_fresh m =
-           let t = Database.find (M.database m) "w" in
+           let t = table m in
            let fresh = Batch.of_rows (Table.schema t) (Table.rows t) in
            compare (Table.columnar t) fresh = 0
            &&
@@ -663,8 +755,16 @@ let prop_derived_images =
          List.for_all
            (function
              | Write sql ->
-                 List.iter (fun m -> ignore (M.execute m sql)) ms;
-                 true
+                 model := model_write (Table.schema (table (List.hd ms))) !model sql;
+                 List.for_all
+                   (fun m ->
+                     ignore (M.execute m sql);
+                     let t = table m in
+                     let rows = Table.rows t in
+                     segments_ok t
+                     && Array.length rows = Array.length !model
+                     && Array.for_all2 Tuple.equal rows !model)
+                   ms
              | Read (sql, check) ->
                  agree sql
                  && ((not check)
@@ -674,13 +774,15 @@ let prop_derived_images =
                  agree sql && built () = b0)
            script))
 
-(* Chains of successors with arbitrary row maps (any prefix, kept rows
-   dropped at random, fresh rows anywhere), read by [Table.probe] with
-   random bounds now and then, and folded now and then: every probe
-   returns the candidates a fresh index over the current rows returns,
-   in order, with their cells, and folded images equal fresh ones.  Half
-   the successors are built while another domain folds their
-   predecessor, as a read of an older catalog value may while a write
+(* Chains of writes ({!Table.write}) with random deletions and
+   appends, from a few rows to a hundred at a time, so segments merge
+   and indexed segments lose rows, read by [Table.probe] with random
+   bounds now and then, and given a whole-value index now and then:
+   the rows follow the documented order, every probe returns the
+   candidates a fresh index over the current rows returns, in order,
+   with their cells, and whole images equal fresh ones.  Half the
+   writes run while another domain builds their predecessor's whole
+   index, as a read of an older catalog value may while a write
    publishes the next: both values must still read right. *)
 let prop_successor_chains =
   QCheck_alcotest.to_alcotest
@@ -723,12 +825,12 @@ let prop_successor_chains =
                && Array.for_all2 Tuple.equal got expect
            | None -> false
          in
-         let folded_agrees tbl =
+         let whole_agrees tbl =
            let fresh, idx = fresh_images tbl in
            compare (Table.columnar tbl) fresh = 0
            && compare (Table.index tbl) (Some idx) = 0
          in
-         let t = ref (Table.of_array w_schema (Array.init (rnd 60) (fun _ -> fresh_row ()))) in
+         let t = ref (Table.of_array w_schema (Array.init (rnd 300) (fun _ -> fresh_row ()))) in
          let ok = ref true in
          for _ = 0 to (steps mod 12) + 4 do
            match rnd 4 with
@@ -740,31 +842,33 @@ let prop_successor_chains =
                in
                let old_rows = Table.rows old in
                let n = Array.length old_rows in
-               let prefix = if rnd 3 = 0 then n else rnd (n + 1) in
-               let rows = ref [] and src = ref [] in
-               let add r s =
-                 rows := r :: !rows;
-                 src := s :: !src
+               let p = rnd 4 in
+               let deleted =
+                 List.filter (fun _ -> p > 0 && rnd (4 * p) = 0) (List.init n Fun.id)
                in
-               for i = prefix to n - 1 do
-                 if rnd 8 = 0 then add (fresh_row ()) (-1);
-                 if rnd 5 > 0 then add old_rows.(i) i
-               done;
-               for _ = 1 to rnd 3 do
-                 add (fresh_row ()) (-1)
-               done;
-               t :=
-                 Table.successor old
-                   ~rows:(Array.append (Array.sub old_rows 0 prefix) (Array.of_list (List.rev !rows)))
-                   ~prefix
-                   ~src:(Array.of_list (List.rev !src));
+               let added =
+                 Array.init
+                   (if rnd 4 = 0 then 40 + rnd 60 else rnd 4)
+                   (fun _ -> fresh_row ())
+               in
+               t := Table.write old ~deleted:(Array.of_list deleted) ~added;
+               let model =
+                 Array.append
+                   (Array.of_list
+                      (List.filteri (fun i _ -> not (List.mem i deleted)) (Array.to_list old_rows)))
+                   added
+               in
+               let rows = Table.rows !t in
+               if not (segments_ok !t && Array.length rows = Array.length model
+                       && Array.for_all2 Tuple.equal rows model)
+               then ok := false;
                Option.iter
                  (fun d ->
                    Domain.join d;
-                   if not (folded_agrees old && probe_agrees !t) then ok := false)
+                   if not (whole_agrees old && probe_agrees !t) then ok := false)
                  reader
            | 2 -> if not (probe_agrees !t) then ok := false
-           | _ -> if not (folded_agrees !t) then ok := false
+           | _ -> if not (whole_agrees !t) then ok := false
          done;
          !ok))
 
@@ -786,7 +890,7 @@ let insert_one db i =
   Database.append_rows db "w"
     [ Tuple.make [ Value.Str "n"; Value.Int i; Value.Int (i + 3) ] ]
 
-(* a burst of unread writes keeps one base, not a chain of values *)
+(* a burst of unread writes keeps its segments, not a chain of values *)
 let test_no_pinned_chain () =
   let l0 = live_words () in
   let db = period_db 2_000 in
@@ -805,51 +909,49 @@ let test_no_pinned_chain () =
     (burst <= 3 * one);
   ignore (Sys.opaque_identity db)
 
-(* finalise the current value's columnar image; the table value itself is
-   not kept *)
+(* finalise the current value's columnar image, which belongs to its
+   one segment; the table value itself is not kept *)
 let[@inline never] watch_columnar db (flag : bool ref) =
   Gc.finalise (fun _ -> flag := true) (Table.columnar (Database.find db "w"))
 
-(* the base is dropped once the successor's images are derived *)
-let test_base_dropped () =
-  let db = period_db 500 in
-  ignore (Idx_cache.get db "w");
-  let gone = ref false in
-  watch_columnar db gone;
-  insert_one db 0;
+(* [write db] with the value before it pinned: the pin keeps the
+   segment the write replaced *)
+let[@inline never] pinned_write db gone write =
+  let pin = Database.pin db in
+  write db;
   Gc.full_major ();
-  check "an unread successor keeps its predecessor's image" false !gone;
-  ignore (Idx_cache.get db "w");
-  Gc.full_major ();
-  check "a read successor drops it" true !gone;
-  check_int "the table stays live" 501 (Table.cardinality (Database.find db "w"))
+  check "a pinned older value keeps the replaced segment" false !gone;
+  check_int "and reads its rows" 100 (Table.cardinality (Database.find pin "w"))
 
-(* a table written and then only scanned keeps its indexed base while
-   the delta is within the fold bound, and lets it go past it *)
-let test_scans_release_base () =
-  let db = period_db 160 in
-  ignore (Idx_cache.get db "w");
-  let gone = ref false in
-  watch_columnar db gone;
-  let write_and_scan i =
-    insert_one db i;
-    ignore (Table.columnar (Database.find db "w"))
-  in
-  for i = 1 to 160 / Table.fold_divisor do
-    write_and_scan i
-  done;
-  Gc.full_major ();
-  check "within the bound, the base stays" false !gone;
-  write_and_scan 0;
-  write_and_scan 0;
-  Gc.full_major ();
-  check "past the bound, a scanned value starts a new base" true !gone;
-  check_int "the table kept its writes" 172 (Table.cardinality (Database.find db "w"))
+(* A merge (100 rows, then 60: 100 <= 2 x 60) and a compaction (every
+   row deleted) replace the first segment: once no value holds it, it is
+   collected. *)
+let test_replaced_segments_collected () =
+  List.iter
+    (fun (what, write, rows) ->
+      let db = period_db 100 in
+      let gone = ref false in
+      watch_columnar db gone;
+      pinned_write db gone write;
+      Gc.full_major ();
+      check (what ^ ": the replaced segment is collected") true !gone;
+      let t = Database.find db "w" in
+      check_int (what ^ ": rows") rows (Table.cardinality t);
+      check_int (what ^ ": segments") (min rows 1) (Array.length (Table.layout t)))
+    [
+      ( "merge",
+        (fun db ->
+          Database.append_rows db "w"
+            (List.init 60 (fun i -> Tuple.make [ Value.Str "n"; Value.Int i; Value.Int (i + 3) ]))),
+        160 );
+      ("compaction", (fun db -> Database.replace_rows db "w" ~deleted:(Array.init 100 Fun.id) [||]), 0);
+    ]
 
 (* an AS OF read over the middleware, index on and off; with [~count]
    the read is a count over the stab and a data-column filter in one
    selection, whose probe is not exact and whose consumer reads no
-   column: a read through the delta gathers only the filter's column *)
+   column: a read over several segments gathers only the filter's
+   column *)
 let as_of_pair ?(count = false) db t =
   let sql =
     if count then
@@ -859,8 +961,9 @@ let as_of_pair ?(count = false) db t =
   in
   (M.query (M.create ~db ()) sql, M.query (M.create ~index:false ~db ()) sql)
 
-(* write/read pairs below the fold bound probe the base index through
-   the delta: no index is built, and the rows equal a scan's *)
+(* write/read pairs after the index is built probe it and scan the
+   tail of fresh rows, skipping deleted ones: no index is built, and the
+   rows equal a scan's *)
 let test_delta_reads_build_nothing () =
   let db = period_db 2_000 in
   ignore (Idx_cache.get db "w");
@@ -885,8 +988,9 @@ let test_delta_reads_build_nothing () =
   check_int "40 write/read pairs build no index" 0 (built () - b0);
   check_int "the table kept its writes" 2_020 (Table.cardinality (Database.find db "w"))
 
-(* EXPLAIN ANALYZE: an index select that reads through a delta reports
-   the fresh rows it scanned; over built images it prints as before *)
+(* EXPLAIN ANALYZE: an index select over several segments reports how
+   many it read and the tail rows it scanned; over one whole index it
+   prints as before *)
 let test_explain_delta () =
   let db = period_db 100 in
   ignore (Idx_cache.get db "w");
@@ -900,22 +1004,23 @@ let test_explain_delta () =
     | Some l -> l
     | None -> Alcotest.fail "no index select in the trace"
   in
-  check "built images: no delta attribute" false (contains (select_line ()) "delta=");
+  check "one segment: no segments attribute" false (contains (select_line ()) "segments=");
   insert_one db 48;
   insert_one db 49;
   let l = select_line () in
   check ("two INSERTs: " ^ l) true
-    (contains l "rows_in=102  access=index  candidates=11  delta=2  conjuncts=2");
+    (contains l "rows_in=102  access=index  candidates=11  segments=2  scanned=2  conjuncts=2");
   ignore (Idx_cache.get db "w");
-  check "folded: no delta attribute" false (contains (select_line ()) "delta=")
+  check "over the whole index: no segments attribute" false
+    (contains (select_line ()) "segments=")
 
 (* Major-heap words (promoted or allocated there directly) of a one-row
    INSERT and an AS OF read on a 20k-row table whose images are built.
-   The INSERT copies the row array: 20,002 words.  The read through the
-   delta gathers its 10 candidates in the minor heap: 0 words, 20,002 in
-   all on the final tree, so the bound is 1.25x of that.  Deriving the
-   whole columnar image and index per read instead reads 186,024 (the
-   design before reads went through the delta). *)
+   The INSERT appends a one-row segment and the read probes the built
+   index, scans that segment and gathers its 10 candidates, all in the
+   minor heap: 0 words.  Copying the row array on the INSERT cost
+   20,002 words; deriving the whole columnar image and index per read,
+   186,024. *)
 let test_insert_read_major_words () =
   let db = period_db 20_000 in
   ignore (Idx_cache.get db "w");
@@ -931,18 +1036,20 @@ let test_insert_read_major_words () =
   let rows = M.run_prepared m p in
   let words = int_of_float (major () -. w0) in
   check_int "the read sees the new row" 10 (Table.cardinality rows);
-  check (Printf.sprintf "%d major words <= 25,000" words) true (words <= 25_000)
+  check (Printf.sprintf "%d major words <= 2,500" words) true (words <= 2_500)
 
-(* Words of an AS OF [count( * ) ... GROUP BY] a text column read
-   through a DML delta, with 1,001 of 2,001 rows alive at the point and
-   8 groups.  The exact probe gathers only the text column of the
-   candidates (its 1,001 cells are the major-heap words), and γ folds
-   into typed slots in a keyset sized for its groups: 1,003 major and
-   1,352 minor words on the final tree, against 7,013 and 16,236 when
-   the probe gathered every column, the timeslice was re-filtered and γ
-   stepped boxed accumulators over a keyset sized for its rows.
-   Allocation counts repeat exactly from run to run; the bounds are
-   1.25x of the final tree's. *)
+(* Words of an AS OF [count( * ) ... GROUP BY] a text column read over
+   a built index and a one-row tail segment, with 1,001 of 2,001 rows
+   alive at the point and 8 groups.  The exact probe gathers only the
+   text column of the candidates (its 1,001 cells are the major-heap
+   words), and γ folds into typed slots in a keyset sized for its
+   groups: 1,002 major and 1,449 minor words with segments (1,003 and
+   1,352 when reads went through a base and a delta), against 7,013 and
+   16,236 when the probe gathered every column, the timeslice was
+   re-filtered and γ stepped boxed accumulators over a keyset sized for
+   its rows.  Allocation
+   counts repeat exactly from run to run; the bounds are 1.25x of the
+   base-and-delta design's. *)
 let test_delta_group_read_words () =
   let db = Database.create ~tmin:0 ~tmax:5000 () in
   Database.add_period_table db "w"
@@ -987,10 +1094,8 @@ let suite =
       prop_successor_chains;
       Alcotest.test_case "unread writes pin no chain of values" `Quick
         test_no_pinned_chain;
-      Alcotest.test_case "a read successor drops its base" `Quick
-        test_base_dropped;
-      Alcotest.test_case "scans past the fold bound release the base" `Quick
-        test_scans_release_base;
+      Alcotest.test_case "replaced segments are collected unless pinned" `Quick
+        test_replaced_segments_collected;
       Alcotest.test_case "reads through a delta build nothing" `Quick
         test_delta_reads_build_nothing;
       Alcotest.test_case "EXPLAIN ANALYZE reports delta reads" `Quick

@@ -575,7 +575,7 @@ let test_database_versions () =
   check_int "load bumps" 1 (Database.version db "t");
   Database.append_rows db "t" [ row 2 ];
   check_int "insert bumps" 2 (Database.version db "t");
-  Database.set_rows db "t" ~src:[| -1 |] [| row 9 |];
+  Database.replace_rows db "t" ~deleted:[| 0 |] [| row 9 |];
   check_int "update bumps" 3 (Database.version db "t");
   check_int "case-insensitive" 3 (Database.version db "T");
   Database.remove_table db "t";
@@ -732,6 +732,30 @@ let as_of_inners () =
    fresh prepare makes at the same pinned value — the same final plan,
    output schema, tables, cache key and fingerprint, and the same
    result bytes. *)
+(* the fused check ({!Tkr_check.Check.logical},
+   {!Tkr_check.Check.physical}) gives the diagnostics and the
+   pruned plan of the two walks it replaced, over [plan] at [m]'s
+   pinned value, with the environments a bind seeds *)
+let fused_check_agrees (m : M.t) plan =
+  let module Check = Tkr_check.Check in
+  let module Absint = Tkr_check.Absint in
+  let db = M.database m in
+  let lookup n = if Database.mem db n then Some (Database.schema_of db n) else None in
+  let env temporal =
+    Absint.env ~temporal ~is_period:(Database.is_period db)
+      ~time_bounds:(Database.time_bounds db) lookup
+  in
+  let module Typecheck = Tkr_check.Typecheck in
+  let module Plan_check = Tkr_check.Plan_check in
+  let two_walks plan_check env =
+    ( Typecheck.algebra ~lookup plan @ plan_check plan @ Absint.diagnose env plan,
+      Absint.prune env plan )
+  in
+  Check.logical ~absint:(env false) ~lookup plan
+  = two_walks Plan_check.logical (env false)
+  && Check.physical ~absint:(env true) ~lookup plan
+     = two_walks (Plan_check.physical ~lookup) (env true)
+
 let check_binds_match_prepare label (m : M.t) =
   let mgr, s = one_session () in
   let inners = as_of_inners () in
@@ -771,7 +795,8 @@ let check_binds_match_prepare label (m : M.t) =
         Alcotest.(check (list string)) ("tables: " ^ what) fresh.M.tables g.M.tables;
         check_str ("cache key: " ^ what) want.Session.key got.Session.key;
         check_str ("fingerprint: " ^ what) want.Session.fp got.Session.fp;
-        check_str ("result bytes: " ^ what) (bytes fresh) (bytes g))
+        check_str ("result bytes: " ^ what) (bytes fresh) (bytes g);
+        check ("one absint walk: " ^ what) true (fused_check_agrees pm fresh.M.plan))
       texts
   in
   let write sql = ignore (M.execute m sql) in
