@@ -15,9 +15,10 @@
     batch's logical rows are the physical rows [s.(0), s.(1), ...] in that
     order.  Filters narrow the selection instead of materializing; payload
     columns are only gathered when an operator needs dense data
-    ({!compact}) or at the row boundary ({!to_rows}).  A stored table's
-    columnar image is made once per segment, and once per table value
-    ({!Table.columnar}), from the rows. *)
+    ({!compact}) or at the row boundary ({!to_rows}).  A table segment
+    made from rows makes its columnar image on first use; one made from
+    a batch ({!Table.of_batch}) keeps the batch as its image and boxes
+    its rows only when asked. *)
 
 open Tkr_relation
 
@@ -41,17 +42,22 @@ type t = {
 let schema b = b.schema
 let length b = match b.sel with Some s -> Array.length s | None -> b.nrows
 
+let[@inline] phys_in (sel : int array option) li =
+  match sel with Some s -> s.(li) | None -> li
+
 (** Physical index of logical row [i]. *)
-let phys b i = match b.sel with Some s -> s.(i) | None -> i
+let phys b i = phys_in b.sel i
+
+(* whether a validity mask marks row [i] NULL *)
+let[@inline] null_in (nulls : bool array option) i =
+  match nulls with Some m -> m.(i) | None -> false
 
 let is_null_at (c : col) (i : int) : bool =
-  (match c.nulls with Some m -> m.(i) | None -> false)
-  ||
-  match c.data with Boxed a -> Value.is_null a.(i) | _ -> false
+  null_in c.nulls i || match c.data with Boxed a -> Value.is_null a.(i) | _ -> false
 
 (** The value at physical row [i], boxed. *)
 let value (c : col) (i : int) : Value.t =
-  if match c.nulls with Some m -> m.(i) | None -> false then Value.Null
+  if null_in c.nulls i then Value.Null
   else
     match c.data with
     | Ints a -> Value.Int a.(i)
@@ -286,12 +292,81 @@ let gather_parts ?need (schema : Schema.t) (parts : (t * int array * int) array)
   in
   { schema; nrows = n; cols; sel = None }
 
-(** The logical rows, boxed, in logical order. *)
+(** The logical rows, boxed, in logical order: the tuples are made
+    first, then filled one column at a time by a loop of the column's
+    element type. *)
 let to_rows (b : t) : Tuple.t array =
-  let k = Array.length b.cols in
-  Array.init (length b) (fun li ->
-      let i = phys b li in
-      Tuple.of_array (Array.init k (fun j -> value b.cols.(j) i)))
+  let n = length b and k = Array.length b.cols and sel = b.sel in
+  let rows = Array.make n [||] in
+  for li = 0 to n - 1 do
+    rows.(li) <- Array.make k Value.Null
+  done;
+  Array.iteri
+    (fun j (c : col) ->
+      let nulls = c.nulls in
+      match c.data with
+      | Ints a ->
+          for li = 0 to n - 1 do
+            let i = phys_in sel li in
+            if not (null_in nulls i) then rows.(li).(j) <- Value.Int a.(i)
+          done
+      | Floats a ->
+          for li = 0 to n - 1 do
+            let i = phys_in sel li in
+            if not (null_in nulls i) then rows.(li).(j) <- Value.Float a.(i)
+          done
+      | Bools a ->
+          for li = 0 to n - 1 do
+            let i = phys_in sel li in
+            if not (null_in nulls i) then rows.(li).(j) <- Value.Bool a.(i)
+          done
+      | Strs a ->
+          for li = 0 to n - 1 do
+            let i = phys_in sel li in
+            if not (null_in nulls i) then rows.(li).(j) <- Value.Str a.(i)
+          done
+      | Boxed a ->
+          for li = 0 to n - 1 do
+            let i = phys_in sel li in
+            if not (null_in nulls i) then rows.(li).(j) <- a.(i)
+          done)
+    b.cols;
+  rows
+
+(** [Value.compare] of the values at physical rows [i] and [j], read
+    from the column's element type: NULL first. *)
+let compare_at (c : col) i j =
+  let ni = is_null_at c i and nj = is_null_at c j in
+  if ni || nj then Bool.compare nj ni
+  else
+    match c.data with
+    | Ints a -> Int.compare a.(i) a.(j)
+    | Floats a -> Float.compare a.(i) a.(j)
+    | Bools a -> Bool.compare a.(i) a.(j)
+    | Strs a -> String.compare a.(i) a.(j)
+    | Boxed a -> Value.compare a.(i) a.(j)
+
+(** The logical rows' physical indices in the order the row engine's
+    ORDER BY gives their rows: [Array.sort] by each key ([(column,
+    descending)]) under {!Value.compare}, then by the whole row
+    ({!Tuple.compare}).  [Array.sort] makes the same moves on the
+    indices as on the rows, so tied rows come out in the same order. *)
+let sort_order (keys : (int * bool) list) (b : t) : int array =
+  let perm = Array.init (length b) (phys b) in
+  let rec by_keys i j = function
+    | [] -> whole i j 0
+    | (col, desc) :: rest ->
+        let c = compare_at b.cols.(col) i j in
+        let c = if desc then -c else c in
+        if c <> 0 then c else by_keys i j rest
+  and whole i j k =
+    if k = Array.length b.cols then 0
+    else
+      let c = compare_at b.cols.(k) i j in
+      if c <> 0 then c else whole i j (k + 1)
+  in
+  Array.sort (fun i j -> by_keys i j keys) perm;
+  perm
 
 (** The logical rows of [a], then those of [b], dense; the schemas must
     be union-compatible, the left schema names the result. *)

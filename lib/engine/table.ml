@@ -19,17 +19,36 @@ type stats = {
 }
 (* per-entry slots inside the statistics slot, each filled on first use *)
 
-(* A segment: rows that never change, and the columnar image and
-   interval index made from them on first use.  Catalog values share
-   segments; a value hides the rows it deleted with a bitmap of its
-   own. *)
+(* A segment: rows that never change, as boxed rows and as a columnar
+   image, and the interval index made from them on first use.  A
+   segment is made from one of the two forms (INSERT, DML and CSV make
+   rows; an executed query makes a batch) and makes the other on first
+   use, so every slot but [index] starts with at least one of [rows]
+   and [columnar] filled.  Catalog values share segments; a value hides
+   the rows it deleted with a bitmap of its own. *)
 type seg = {
-  rows : Tuple.t array;
+  nrows : int;
+  rows : Tuple.t array option Atomic.t;
   columnar : Batch.t option Atomic.t;
   index : Tkr_idx.Interval.t option option Atomic.t;
 }
 
-let seg rows = { rows; columnar = Atomic.make None; index = Atomic.make None }
+let seg rows =
+  {
+    nrows = Array.length rows;
+    rows = Atomic.make (Some rows);
+    columnar = Atomic.make None;
+    index = Atomic.make None;
+  }
+
+(* [b] has no selection *)
+let seg_of_batch (b : Batch.t) =
+  {
+    nrows = b.nrows;
+    rows = Atomic.make None;
+    columnar = Atomic.make (Some b);
+    index = Atomic.make None;
+  }
 
 (* [slot]'s value, made by [f] on first use.  Slots only ever fill: of
    racing first uses, every one returns the value the first to publish
@@ -42,8 +61,12 @@ let fill slot f =
       if Atomic.compare_and_set slot None (Some v) then v
       else Option.get (Atomic.get slot)
 
+(* a segment without rows has its image *)
+let seg_rows (s : seg) =
+  fill s.rows (fun () -> Batch.to_rows (Option.get (Atomic.get s.columnar)))
+
 let seg_columnar schema (s : seg) =
-  fill s.columnar (fun () -> Batch.of_rows schema s.rows)
+  fill s.columnar (fun () -> Batch.of_rows schema (seg_rows s))
 
 (* the trailing two columns of an image, when both are null-free int
    columns: the period an index reads *)
@@ -152,10 +175,10 @@ let iteri f (t : t) =
             f !i row;
             incr i
           end)
-        p.seg.rows)
+        (seg_rows p.seg))
     t.parts
 
-let layout (t : t) = Array.map (fun p -> (Array.length p.seg.rows, p.live)) t.parts
+let layout (t : t) = Array.map (fun p -> (p.seg.nrows, p.live)) t.parts
 
 let whole (t : t) =
   fill t.whole (fun () ->
@@ -166,15 +189,20 @@ let whole (t : t) =
         seg out
       end)
 
-let rows t = (whole t).rows
+let rows t = seg_rows (whole t)
 let to_list t = Array.to_list (rows t)
 let columnar (t : t) : Batch.t = seg_columnar t.schema (whole t)
 let index (t : t) = seg_index ~rebuild:t.indexed_before t.schema (whole t)
-let of_batch (b : Batch.t) : t = of_array (Batch.schema b) (Batch.to_rows b)
+
+let of_batch (b : Batch.t) : t =
+  let b = Batch.compact b in
+  of_parts b.schema ~indexed_before:false
+    [| { seg = seg_of_batch b; dead = no_deletions; live = b.nrows } |]
 
 (* the live rows of a part *)
 let live_rows p =
-  if Bytes.length p.dead = 0 then p.seg.rows
+  let rows = seg_rows p.seg in
+  if Bytes.length p.dead = 0 then rows
   else begin
     let out = Array.make p.live (Tuple.make []) and k = ref 0 in
     Array.iteri
@@ -183,11 +211,11 @@ let live_rows p =
           out.(!k) <- row;
           incr k
         end)
-      p.seg.rows;
+      rows;
     out
   end
 
-let size p = Array.length p.seg.rows
+let size p = p.seg.nrows
 
 (* parts, last first, with the last two merged by the rule above until
    it no longer applies *)

@@ -13,10 +13,11 @@ type t
     appends the new rows as a segment, merging trailing segments by a
     rule on their sizes ({!merge_ratio}, {!tail_rows}), so INSERT and
     DELETE keep every other row in place and an UPDATE's new rows come
-    last.  Each segment makes its own columnar image and interval index
-    on first use.  The whole-value views ({!rows}, {!columnar},
-    {!index}, the statistics) are made on first use too, at most once
-    per value, and are not shared with successors. *)
+    last.  A segment is made from rows ({!make}, {!of_array}, {!write})
+    or from columns ({!of_batch}), and makes the other form, and its
+    interval index, on first use.  The whole-value views ({!rows},
+    {!columnar}, {!index}, the statistics) are made on first use too, at
+    most once per value, and are not shared with successors. *)
 
 val make : Schema.t -> Tuple.t list -> t
 val of_array : Schema.t -> Tuple.t array -> t
@@ -69,11 +70,20 @@ val layout : t -> (int * int) array
 (** Each segment's rows and rows not deleted, in order. *)
 
 val columnar : t -> Batch.t
-(** The columnar image of {!rows}, made on first use and equal to
-    [Batch.of_rows (schema t) (rows t)]. *)
+(** The columnar image of {!rows}: a batch without a selection whose
+    logical rows equal {!rows}, value by value ([Batch.to_rows
+    (columnar t)] and [rows t] are equal arrays of equal values).  A
+    value made by {!of_batch} returns that batch, compacted; any other
+    makes [Batch.of_rows (schema t) (rows t)] on first use.  The
+    column representations may differ between the two (a column-made
+    value may keep a column boxed that {!Batch.of_rows} would type). *)
 
 val of_batch : Batch.t -> t
-(** The logical rows of a batch as a fresh table. *)
+(** The logical rows of a batch as a table of one segment, with the
+    batch's schema.  The batch ({!Batch.compact}ed if it has a
+    selection) is the segment's columnar image; its rows are boxed on
+    first use ({!rows}, {!iteri}, {!to_text}, ...), and the image is
+    kept after that. *)
 
 val index : t -> Tkr_idx.Interval.t option
 (** The interval index over the trailing two columns of {!columnar}

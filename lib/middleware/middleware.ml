@@ -16,6 +16,7 @@
 
 open Tkr_relation
 module Table = Tkr_engine.Table
+module Batch = Tkr_engine.Batch
 module Database = Tkr_engine.Database
 module Exec = Tkr_engine.Exec
 module Ast = Tkr_sql.Ast
@@ -698,34 +699,26 @@ let snapshot_algebra m (sql : string) : Algebra.t * Schema.t =
       (a.algebra, a.schema)
   | _ -> err "TKR021" "expected a SEQ VT query"
 
+(* The result keeps its columns: the executed value's image, relabeled
+   to the statement's output schema, with ORDER BY as a permutation
+   ({!Batch.sort_order}) and LIMIT as a truncation of its rows.  Rows
+   are boxed only when a caller asks for them. *)
 let run_prepared ?(obs = Trace.disabled) m (p : prepared) : Table.t =
   let ns, result = Clock.elapsed (fun () -> p.exec obs (Database.pin m.db)) in
   Metrics.observe m.execute_us (Int64.to_int (Int64.div ns 1000L));
-  let result = Table.of_array p.out_schema (Table.rows result) in
-  let rows =
-    if p.order_by = [] then Table.rows result
-    else (
-      let r = Array.copy (Table.rows result) in
-      let cmp a b =
-        let rec go = function
-          | [] -> Tuple.compare a b (* deterministic tie-break *)
-          | (col, desc) :: rest ->
-              let c = Value.compare (Tuple.get a col) (Tuple.get b col) in
-              let c = if desc then -c else c in
-              if c <> 0 then c else go rest
-        in
-        go p.order_by
-      in
-      Array.sort cmp r;
-      r)
+  let b = { (Table.columnar result) with Batch.schema = p.out_schema } in
+  let n = Batch.length b in
+  let keep = match p.limit with Some l when l < n -> l | _ -> n in
+  let sel =
+    if p.order_by <> [] then
+      let order = Batch.sort_order p.order_by b in
+      Some (if keep < n then Array.sub order 0 keep else order)
+    else if keep < n then Some (Array.init keep Fun.id)
+    else None
   in
-  let rows =
-    match p.limit with
-    | Some l when Array.length rows > l -> Array.sub rows 0 l
-    | _ -> rows
-  in
-  Metrics.observe m.rows_out (Array.length rows);
-  Table.of_array p.out_schema rows
+  let result = Table.of_batch (Option.fold ~none:b ~some:(Batch.with_sel b) sel) in
+  Metrics.observe m.rows_out (Table.cardinality result);
+  result
 
 (* ---- DDL / DML ---- *)
 

@@ -228,7 +228,10 @@ val bind : ?explain:bool -> t -> optimized -> int option -> prepared
 
 val run_prepared : ?obs:Tkr_obs.Trace.t -> t -> prepared -> Table.t
 (** Execute a prepared statement; [obs] (default {!Tkr_obs.Trace.disabled})
-    collects a per-operator trace of the run. *)
+    collects a per-operator trace of the run.  The result is made from
+    the executed value's columns ({!Table.of_batch}) under the
+    statement's output schema, ORDER BY and LIMIT applied to them; its
+    rows are boxed when a caller first asks for them. *)
 
 val totals_report : t -> string
 (** One line of phase timings accumulated over every statement this

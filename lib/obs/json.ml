@@ -47,24 +47,40 @@ let add_string buf s =
   Buffer.add_substring buf s !run (n - !run);
   Buffer.add_char buf '"'
 
-(* decimal digits, least significant first, into a 20-byte scratch
-   (19 digits and a sign): divisions by the constant 10 only *)
+let min_int_digits = string_of_int min_int
+let e15 = 1_000_000_000_000_000
+
+(* the decimal digits of [v] (below 10^15), at least [width] of them
+   (zero-padded): least significant first into the 4-bit nibbles of one
+   int, then out of it most significant first, two ASCII digits per
+   16-bit store.  Divisions by the constant 10 only. *)
+let add_digits buf v width =
+  let acc = ref 0 and v = ref v and n = ref 0 in
+  while !n < width || !v > 0 do
+    acc := (!acc lsl 4) lor (!v mod 10);
+    v := !v / 10;
+    incr n
+  done;
+  if !n land 1 = 1 then begin
+    Buffer.add_char buf (Char.unsafe_chr (48 + (!acc land 15)));
+    acc := !acc lsr 4
+  end;
+  for _ = 1 to !n / 2 do
+    Buffer.add_uint16_be buf (0x3030 lor ((!acc land 15) lsl 8) lor ((!acc lsr 4) land 15));
+    acc := !acc lsr 8
+  done
+
+(* straight into the buffer: allocates nothing *)
 let add_int buf i =
-  if i = min_int then Buffer.add_string buf (string_of_int i)
+  if i = min_int then Buffer.add_string buf min_int_digits
   else begin
-    let b = Bytes.create 20 in
-    let k = ref 20 and v = ref (abs i) in
-    let more = ref true in
-    while !more do
-      decr k;
-      Bytes.unsafe_set b !k (Char.unsafe_chr (48 + (!v mod 10)));
-      v := !v / 10;
-      more := !v > 0
-    done;
-    if i < 0 then (
-      decr k;
-      Bytes.unsafe_set b !k '-');
-    Buffer.add_subbytes buf b !k (20 - !k)
+    if i < 0 then Buffer.add_char buf '-';
+    let v = abs i in
+    if v < e15 then add_digits buf v 1
+    else begin
+      add_digits buf (v / e15) 1;
+      add_digits buf (v mod e15) 15
+    end
   end
 
 let rec write buf = function
@@ -114,6 +130,8 @@ module Scan = struct
   }
 
   let cursor src = { src; pos = 0; num = 0; exact = false }
+  let position c = c.pos
+  let seek c pos = c.pos <- pos
 
   let fail c fmt =
     Printf.ksprintf

@@ -23,7 +23,7 @@ val add_string : Buffer.t -> string -> unit
     and every other byte raw. *)
 
 val add_int : Buffer.t -> int -> unit
-(** Decimal digits, as [string_of_int] prints them. *)
+(** Decimal digits, as [string_of_int] prints them; allocates nothing. *)
 
 exception Parse_error of string
 
@@ -38,6 +38,12 @@ module Scan : sig
 
   val cursor : string -> cursor
   (** A cursor at the start of the string. *)
+
+  val position : cursor -> int
+  (** The byte offset the next reader starts from. *)
+
+  val seek : cursor -> int -> unit
+  (** Move to a byte offset that {!position} returned. *)
 
   val peek : cursor -> char
   (** The next non-blank byte, not consumed; ['\000'] at end of input. *)

@@ -9,6 +9,7 @@
 open Tkr_relation
 module Json = Tkr_obs.Json
 module Table = Tkr_engine.Table
+module Batch = Tkr_engine.Batch
 
 exception Protocol_error of string
 
@@ -94,17 +95,35 @@ let ty_of_string = function
 external hexstring_of_float : float -> int -> char -> string
   = "caml_hexstring_of_float"
 
+let add_float buf f =
+  Buffer.add_string buf {|{"f":"|};
+  Buffer.add_string buf (hexstring_of_float f (-6) '-');
+  Buffer.add_string buf {|"}|}
+
+let add_bool buf b = Buffer.add_string buf (if b then "true" else "false")
+
 let add_value buf : Value.t -> unit = function
   | Value.Null -> Buffer.add_string buf "null"
-  | Value.Bool b -> Buffer.add_string buf (if b then "true" else "false")
+  | Value.Bool b -> add_bool buf b
   | Value.Int i -> Json.add_int buf i
   | Value.Str s -> Json.add_string buf s
-  | Value.Float f ->
-      Buffer.add_string buf {|{"f":"|};
-      Buffer.add_string buf (hexstring_of_float f (-6) '-');
-      Buffer.add_string buf {|"}|}
+  | Value.Float f -> add_float buf f
 
-(* {"kind":"rows","schema":[["name","ty"],...],"rows":[[v,...],...]} *)
+(* cell [i] of a column, read from its element type: no cell is boxed
+   unless the column is *)
+let add_cell buf (c : Batch.col) i =
+  if match c.nulls with Some m -> m.(i) | None -> false then
+    Buffer.add_string buf "null"
+  else
+    match c.data with
+    | Batch.Ints a -> Json.add_int buf a.(i)
+    | Strs a -> Json.add_string buf a.(i)
+    | Floats a -> add_float buf a.(i)
+    | Bools a -> add_bool buf a.(i)
+    | Boxed a -> add_value buf a.(i)
+
+(* {"kind":"rows","schema":[["name","ty"],...],"rows":[[v,...],...]},
+   the rows read from the table's columnar image *)
 let add_table buf (t : Table.t) =
   Buffer.add_string buf {|{"kind":"rows","schema":[|};
   List.iteri
@@ -117,30 +136,31 @@ let add_table buf (t : Table.t) =
       Buffer.add_char buf ']')
     (Schema.attrs (Table.schema t));
   Buffer.add_string buf {|],"rows":[|};
-  Array.iteri
-    (fun i (row : Tuple.t) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_char buf '[';
-      for k = 0 to Array.length row - 1 do
-        if k > 0 then Buffer.add_char buf ',';
-        add_value buf row.(k)
-      done;
-      Buffer.add_char buf ']')
-    (Table.rows t);
+  let b = Table.columnar t in
+  let cols = b.Batch.cols in
+  for i = 0 to b.Batch.nrows - 1 do
+    if i > 0 then Buffer.add_char buf ',';
+    Buffer.add_char buf '[';
+    for j = 0 to Array.length cols - 1 do
+      if j > 0 then Buffer.add_char buf ',';
+      add_cell buf cols.(j) i
+    done;
+    Buffer.add_char buf ']'
+  done;
   Buffer.add_string buf "]}"
 
 module Scan = Json.Scan
 
 (* {"f":"<%h>"} *)
-let float_of_hex c =
+let hex_float c =
   Scan.expect c '{';
   if Scan.string c <> "f" then raise (Protocol_error "bad value");
   Scan.expect c ':';
   let h = Scan.string c in
   Scan.expect c '}';
-  match float_of_string_opt h with
-  | Some f -> Value.Float f
-  | None -> raise (Protocol_error ("bad float literal " ^ h))
+  match float_of_string h with
+  | f -> f
+  | exception Failure _ -> raise (Protocol_error ("bad float literal " ^ h))
 
 let int_value i = Value.Int i
 let float_value f = Value.Float f  (* lenient: hand-written clients *)
@@ -150,7 +170,7 @@ let scan_value c : Value.t =
   | 'n' -> Scan.null c; Value.Null
   | 't' | 'f' -> Value.Bool (Scan.bool c)
   | '"' -> Value.Str (Scan.string c)
-  | '{' -> float_of_hex c
+  | '{' -> Value.Float (hex_float c)
   | '-' | '0' .. '9' -> Scan.number c ~int:int_value ~float:float_value
   | _ -> raise (Protocol_error "bad value")
 
@@ -165,40 +185,192 @@ let scan_schema c : Schema.t =
       attrs := Schema.attr name ty :: !attrs);
   Schema.make (List.rev !attrs)
 
-(* rows straight into tuples: each row's values gather in one reused
-   scratch array and leave it as one exact-size copy.  Rows collect in
-   a list and fill one array at the end: a large array lives in the
-   major heap, so growing one by doubling would copy every row pointer
-   into it several times, each copy a remembered-set entry. *)
-let scan_rows c : Tuple.t array =
-  let rows = ref [] and n = ref 0 in
-  let cells = ref (Array.make 16 Value.Null) in
+(* A column being decoded.  Its cells go into chunks: the current one
+   doubles from 16 rows up to [chunk_rows], the largest array the minor
+   heap takes, and a full one is set aside for a fresh one.  So a large
+   result makes one array per column in the major heap, the final
+   copy.  The column starts as the element type the schema declares and
+   turns [Boxed], every chunk of it, at the first cell that does not fit
+   that type. *)
+type builder = {
+  mutable data : Batch.data;  (* the current chunk *)
+  mutable nulls : bool array option;  (* its validity mask, once a cell is NULL *)
+  mutable full : Batch.col list;  (* the full chunks, last first *)
+}
+
+let chunk_rows = 256
+
+let capacity : Batch.data -> int = function
+  | Ints a -> Array.length a
+  | Floats a -> Array.length a
+  | Bools a -> Array.length a
+  | Strs a -> Array.length a
+  | Boxed a -> Array.length a
+
+let blank (ty : Value.ty) cap : Batch.data =
+  match ty with
+  | Value.TInt -> Ints (Array.make cap 0)
+  | TFloat -> Floats (Array.create_float cap)
+  | TBool -> Bools (Array.make cap false)
+  | TStr -> Strs (Array.make cap "")
+
+(* empty data of [d]'s element type *)
+let blank_like (d : Batch.data) cap = Batch.blank_data [| { data = d; nulls = None } |] cap
+
+(* [len] cells of [src] from [soff] into [dst] (of the same element
+   type) from [doff] *)
+let blit_data (src : Batch.data) soff (dst : Batch.data) doff len =
+  match (src, dst) with
+  | Ints a, Ints o -> Array.blit a soff o doff len
+  | Floats a, Floats o -> Array.blit a soff o doff len
+  | Bools a, Bools o -> Array.blit a soff o doff len
+  | Strs a, Strs o -> Array.blit a soff o doff len
+  | Boxed a, Boxed o -> Array.blit a soff o doff len
+  | _ -> invalid_arg "Wire.blit_data"
+
+(* the current chunk's first [n] cells in arrays of length [cap] *)
+let resize (b : builder) n cap =
+  let d = blank_like b.data cap in
+  blit_data b.data 0 d 0 n;
+  b.data <- d;
+  b.nulls <-
+    Option.map
+      (fun m ->
+        let out = Array.make cap false in
+        Array.blit m 0 out 0 n;
+        out)
+      b.nulls
+
+let set_null (b : builder) r =
+  match b.data with
+  | Batch.Boxed a -> a.(r) <- Value.Null
+  | data ->
+      let m =
+        match b.nulls with
+        | Some m -> m
+        | None ->
+            let m = Array.make (capacity data) false in
+            b.nulls <- Some m;
+            m
+      in
+      m.(r) <- true
+
+(* the first [n] cells of a chunk, boxed *)
+let boxed (c : Batch.col) n : Batch.col =
+  {
+    data =
+      Boxed (Array.init (capacity c.data) (fun i -> if i < n then Batch.value c i else Value.Null));
+    nulls = None;
+  }
+
+(* cell [r] of the current chunk, [v], which turns the column [Boxed]:
+   the cells before it box as they decoded *)
+let set_boxed (b : builder) r (v : Value.t) =
+  (match b.data with
+  | Batch.Boxed _ -> ()
+  | data ->
+      let c = boxed { data; nulls = b.nulls } r in
+      b.data <- c.data;
+      b.nulls <- None;
+      b.full <- List.map (fun (c : Batch.col) -> boxed c (capacity c.data)) b.full);
+  match b.data with Batch.Boxed a -> a.(r) <- v | _ -> ()
+
+(* the column of [n] rows: the current chunk's first [n] cells, after
+   the full chunks *)
+let finish (b : builder) n : Batch.col =
+  match b.full with
+  | [] ->
+      if n < capacity b.data then resize b n n;
+      { data = b.data; nulls = b.nulls }
+  | full ->
+      let parts =
+        List.rev
+          (({ Batch.data = b.data; nulls = b.nulls }, n)
+          :: List.map (fun (c : Batch.col) -> (c, chunk_rows)) full)
+      in
+      let total = List.fold_left (fun acc (_, k) -> acc + k) 0 parts in
+      let data = blank_like b.data total in
+      let nulls =
+        if List.for_all (fun ((c : Batch.col), _) -> c.nulls = None) parts then None
+        else Some (Array.make total false)
+      in
+      ignore
+        (List.fold_left
+           (fun off ((c : Batch.col), k) ->
+             blit_data c.data 0 data off k;
+             (match (c.nulls, nulls) with
+             | Some m, Some out -> Array.blit m 0 out off k
+             | _ -> ());
+             off + k)
+           0 parts);
+      { data; nulls }
+
+exception Not_int of float
+
+let not_int f = raise (Not_int f)
+
+(* cell [r] of a column's current chunk: a cell of the column's element
+   type is stored unboxed; any other value boxes the column *)
+let scan_cell c (b : builder) r =
+  match (b.data, Scan.peek c) with
+  | _, 'n' ->
+      Scan.null c;
+      set_null b r
+  | Batch.Ints a, ('-' | '0' .. '9') -> (
+      match Scan.number c ~int:Fun.id ~float:not_int with
+      | i -> a.(r) <- i
+      | exception Not_int f -> set_boxed b r (Value.Float f))
+  | Floats a, '{' -> a.(r) <- hex_float c
+  | Bools a, ('t' | 'f') -> a.(r) <- Scan.bool c
+  | Strs a, '"' -> a.(r) <- Scan.string c
+  | Boxed a, _ -> a.(r) <- scan_value c
+  | _ -> (
+      match (scan_value c, b.data) with
+      | Value.Float f, Floats a -> a.(r) <- f
+      | v, _ -> set_boxed b r v)
+
+let ragged () = raise (Protocol_error "row width differs from the schema")
+
+(* rows straight into typed columns of the schema's element types; a row
+   of another width is a protocol error *)
+let scan_columns c (schema : Schema.t) : Batch.t =
+  let k = Schema.arity schema in
+  let cap = ref 16 and m = ref 0 and n = ref 0 in
+  let cols =
+    Array.init k (fun j -> { data = blank (Schema.ty schema j) !cap; nulls = None; full = [] })
+  in
   Scan.expect c '[';
   if not (Scan.eat c ']') then begin
     let more_rows = ref true in
     while !more_rows do
+      if !m = !cap then
+        if !cap < chunk_rows then begin
+          cap := 2 * !cap;
+          Array.iter (fun b -> resize b !m !cap) cols
+        end
+        else begin
+          Array.iter
+            (fun b ->
+              b.full <- { Batch.data = b.data; nulls = b.nulls } :: b.full;
+              b.data <- blank_like b.data chunk_rows;
+              b.nulls <- None)
+            cols;
+          m := 0
+        end;
       Scan.expect c '[';
-      let k = ref 0 in
-      if not (Scan.eat c ']') then begin
-        let more = ref true in
-        while !more do
-          if !k = Array.length !cells then
-            cells := Array.append !cells (Array.make !k Value.Null);
-          !cells.(!k) <- scan_value c;
-          incr k;
-          more := Scan.sep c ']'
-        done
-      end;
-      rows := Tuple.of_array (Array.sub !cells 0 !k) :: !rows;
+      if Scan.eat c ']' then (if k > 0 then ragged ())
+      else if k = 0 then ragged ()
+      else
+        for j = 0 to k - 1 do
+          scan_cell c cols.(j) !m;
+          if Scan.sep c ']' <> (j < k - 1) then ragged ()
+        done;
+      incr m;
       incr n;
       more_rows := Scan.sep c ']'
     done
   end;
-  (* [[||]] is a static atom: [Array.make] with a young initial value
-     would force a minor collection first *)
-  let out = Array.make !n [||] in
-  List.iteri (fun i row -> out.(!n - 1 - i) <- row) !rows;
-  out
+  Batch.of_cols schema !n (Array.map (fun b -> finish b !m) cols)
 
 (* ---- requests ---- *)
 
@@ -308,21 +480,38 @@ let body_to_payload (b : body) : string =
       Buffer.add_char buf '}';
       Buffer.contents buf
 
+(* The rows decode as they come when the schema came before them;
+   otherwise they are skipped, and decoded from where they start once
+   the payload's last schema is known. *)
 let scan_body c : body =
   let kind = ref "" and schema = ref None and rows = ref None
-  and message = ref None in
+  and rows_at = ref (-1) and message = ref None in
   Scan.fields c (function
     | "kind" -> kind := Scan.string c
     | "schema" -> schema := Some (scan_schema c)
-    | "rows" -> rows := Some (scan_rows c)
+    | "rows" -> (
+        rows_at := Scan.position c;
+        match !schema with
+        | Some sch -> rows := Some (sch, scan_columns c sch)
+        | None ->
+            rows := None;
+            Scan.skip c)
     | "message" -> message := Some (Scan.string c)
     | _ -> Scan.skip c);
-  match (!kind, !schema, !rows, !message) with
-  | "rows", Some schema, Some rows, _ -> Rows (Table.of_array schema rows)
-  | "rows", None, _, _ -> raise (Protocol_error "missing schema")
-  | "rows", _, None, _ -> raise (Protocol_error "missing rows")
-  | "done", _, _, Some m -> Message m
-  | "done", _, _, None -> raise (Protocol_error "done without message")
+  match (!kind, !schema, !message) with
+  | "rows", Some schema, _ -> (
+      match !rows with
+      | Some (sch, b) when sch == schema -> Rows (Table.of_batch b)
+      | _ when !rows_at >= 0 ->
+          let end_ = Scan.position c in
+          Scan.seek c !rows_at;
+          let b = scan_columns c schema in
+          Scan.seek c end_;
+          Rows (Table.of_batch b)
+      | _ -> raise (Protocol_error "missing rows"))
+  | "rows", None, _ -> raise (Protocol_error "missing schema")
+  | "done", _, Some m -> Message m
+  | "done", _, None -> raise (Protocol_error "done without message")
   | _ -> raise (Protocol_error "bad payload kind")
 
 (* the payload travels pre-rendered (possibly straight from the cache):
@@ -332,9 +521,12 @@ let scan_body c : body =
 let ok_frame ~id ~cached ~elapsed_us ?trace ?trace_id (payload : string) :
     string =
   let buf = Buffer.create (String.length payload + 96) in
-  Buffer.add_string buf
-    (Printf.sprintf {|{"id":%d,"status":"ok","cached":%b,"elapsed_us":%d|} id
-       cached elapsed_us);
+  Buffer.add_string buf {|{"id":|};
+  Json.add_int buf id;
+  Buffer.add_string buf {|,"status":"ok","cached":|};
+  add_bool buf cached;
+  Buffer.add_string buf {|,"elapsed_us":|};
+  Json.add_int buf elapsed_us;
   (match trace_id with
   | Some tid ->
       Buffer.add_string buf {|,"trace_id":|};

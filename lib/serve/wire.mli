@@ -87,7 +87,8 @@ type response = {
 val body_to_payload : body -> string
 (** The result payload as JSON text — the exact string the result cache
     stores, so cached responses are byte-identical to fresh ones.  Rows
-    render straight into one buffer:
+    render from the table's columnar image ({!Table.columnar}), each cell
+    read from its column's element type, straight into one buffer:
     [{"kind":"rows","schema":[["name","ty"],...],"rows":[[v,...],...]}]
     with [null], [true]/[false], decimal ints, strings and floats as
     [{"f":"<%h>"}]; a message is [{"kind":"done","message":"..."}]. *)
@@ -114,10 +115,15 @@ val ok_frame_payload : string -> string option
 val error_frame : id:int -> ?trace_id:string -> error -> string
 
 val response_of_string : string -> response
-(** Decode a response frame in one pass: an ok frame's payload goes
-    straight into a [Table.t] (schema and tuples), with no JSON tree in
-    between.
-    @raise Protocol_error or [Json.Parse_error] on a malformed frame. *)
+(** Decode a response frame in one pass: an ok frame's rows go straight
+    into typed columns of the element types its schema declares, with
+    no JSON tree and no tuple in between, and become a table made from
+    columns ({!Table.of_batch}), whose rows are boxed when first asked
+    for.  A column holds its cells boxed from the first cell that does
+    not fit its declared type.  The payload's ["rows"] may come before
+    its ["schema"] (then they are decoded once the schema is read).
+    @raise Protocol_error or [Json.Parse_error] on a malformed frame,
+    including a row whose width differs from the schema's. *)
 
 (* ---- greeting ---- *)
 
