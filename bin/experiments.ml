@@ -558,9 +558,10 @@ let check_index () =
 
 (* An AS OF read right after a one-row INSERT costs about what the same
    read costs over one built index.  Each round inserts a row, times the
-   read (the built index probed, the one-row tail scanned), builds the
-   whole value's index outside the clock ([Idx_cache.get]) and times the
-   read again (that index alone), each after a major collection; the
+   read (the built index probed, the one-row tail scanned), compacts
+   the value and builds its index outside the clock ([Idx_cache.get])
+   and times the read again (that index alone), each after a major
+   collection; the
    ratio is of the two medians.  Before reads probed the built index
    plus the fresh rows, deriving the whole images on the first read
    after a write read ~12x and ~21x, since the stab is early and its

@@ -243,3 +243,14 @@ SEQ VT AS OF 31 (SELECT name, hours FROM shift WHERE hours > 4);
 SELECT name, b, e FROM shift WHERE b < 27 AND e > 24;
 SEQ VT AS OF 25 (SELECT name, crew, hours FROM shift WHERE name < 's2');
 SEQ VT AS OF 27 (SELECT count(*) AS n FROM shift);
+
+-- A whole-table read compacts the value: its 188 live rows become one
+-- segment, whose index the next index read builds.  The writes after
+-- it delete rows of that segment and append a second one of 71 rows,
+-- and the reads probe both segments' indexes
+SEQ VT (SELECT crew, count(*) AS n, sum(hours) AS h FROM shift GROUP BY crew);
+DELETE FROM shift WHERE crew = 'gold' AND hours < 3;
+UPDATE shift FOR PORTION OF vt FROM 20 TO 30 SET crew = 'red' WHERE name < 's3';
+SEQ VT AS OF 25 (SELECT crew, count(*) AS n, count(hours) AS nh, sum(hours) AS h, min(name) AS first FROM shift GROUP BY crew);
+SEQ VT AS OF 25 (SELECT name, crew, hours FROM shift WHERE name < 's3');
+SELECT name, b, e FROM shift WHERE b < 28 AND e > 25;

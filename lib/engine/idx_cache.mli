@@ -4,9 +4,10 @@
 
 val get : Database.t -> string -> Tkr_idx.Interval.t option
 (** The index over [name]'s [(Abegin, Aend)] columns, over the whole
-    current table value, building it if the value has none yet.  Index
-    reads ({!Table.probe}) of a value of several segments probe each
-    segment instead; once this index exists they probe it alone.  [None] when [name] is not
-    registered as a period table (or stores malformed endpoints).
+    current table value, which it compacts to one segment first
+    ({!Table.index}), building it if that segment has none yet.  Index
+    reads ({!Table.probe}) of the value then probe this index alone.
+    [None] when [name] is not registered as a period table (or stores
+    malformed endpoints).
     Raises [Schema.Unknown] like {!Database.find} when the table does
     not exist. *)

@@ -20,17 +20,19 @@ type stats = {
 (* per-entry slots inside the statistics slot, each filled on first use *)
 
 (* A segment: rows that never change, as boxed rows and as a columnar
-   image, and the interval index made from them on first use.  A
-   segment is made from one of the two forms (INSERT, DML and CSV make
-   rows; an executed query makes a batch) and makes the other on first
-   use, so every slot but [index] starts with at least one of [rows]
-   and [columnar] filled.  Catalog values share segments; a value hides
-   the rows it deleted with a bitmap of its own. *)
+   image, and the interval index and statistics made from them on first
+   use.  A segment is made from one of the two forms (INSERT, DML and
+   CSV make rows; an executed query makes a batch) and makes the other
+   on first use, so every slot but [index] and [stats] starts with at
+   least one of [rows] and [columnar] filled.  Catalog values share
+   segments; a value hides the rows it deleted with a bitmap of its
+   own. *)
 type seg = {
   nrows : int;
   rows : Tuple.t array option Atomic.t;
   columnar : Batch.t option Atomic.t;
   index : Tkr_idx.Interval.t option option Atomic.t;
+  stats : stats option Atomic.t;
 }
 
 let seg rows =
@@ -39,6 +41,7 @@ let seg rows =
     rows = Atomic.make (Some rows);
     columnar = Atomic.make None;
     index = Atomic.make None;
+    stats = Atomic.make None;
   }
 
 (* [b] has no selection *)
@@ -48,6 +51,7 @@ let seg_of_batch (b : Batch.t) =
     rows = Atomic.make None;
     columnar = Atomic.make (Some b);
     index = Atomic.make None;
+    stats = Atomic.make None;
   }
 
 (* [slot]'s value, made by [f] on first use.  Slots only ever fill: of
@@ -127,32 +131,22 @@ type part = {
 
 type t = {
   schema : Schema.t;
-  parts : part array;
   cardinality : int;
-  whole : seg option Atomic.t;
-      (* every live row in row order as one segment, made on first use
-         (a value of one segment without deletions starts with it): the
-         rows, columnar image and index of the whole value, which its
-         successors do not share *)
-  stats : stats option Atomic.t;
   indexed_before : bool;
       (* this value, through {!write}, succeeds one that had an index:
          building an index for it is a rebuild *)
+  parts : part array Atomic.t;
+      (* replaced at most once, by {!whole}: parts that are several
+         segments, or one with deletions, by one segment of the same
+         live rows in the same order *)
 }
 
 let of_parts schema ~indexed_before parts =
-  let whole =
-    match parts with
-    | [| { seg; dead; _ } |] when Bytes.length dead = 0 -> Some seg
-    | _ -> None
-  in
   {
     schema;
-    parts;
     cardinality = Array.fold_left (fun n p -> n + p.live) 0 parts;
-    whole = Atomic.make whole;
-    stats = Atomic.make None;
     indexed_before;
+    parts = Atomic.make parts;
   }
 
 let of_array schema rows : t =
@@ -176,28 +170,10 @@ let iteri f (t : t) =
             incr i
           end)
         (seg_rows p.seg))
-    t.parts
+    (Atomic.get t.parts)
 
-let layout (t : t) = Array.map (fun p -> (p.seg.nrows, p.live)) t.parts
-
-let whole (t : t) =
-  fill t.whole (fun () ->
-      if t.cardinality = 0 then seg [||]
-      else begin
-        let out = Array.make t.cardinality (Tuple.make []) in
-        iteri (fun i row -> out.(i) <- row) t;
-        seg out
-      end)
-
-let rows t = seg_rows (whole t)
-let to_list t = Array.to_list (rows t)
-let columnar (t : t) : Batch.t = seg_columnar t.schema (whole t)
-let index (t : t) = seg_index ~rebuild:t.indexed_before t.schema (whole t)
-
-let of_batch (b : Batch.t) : t =
-  let b = Batch.compact b in
-  of_parts b.schema ~indexed_before:false
-    [| { seg = seg_of_batch b; dead = no_deletions; live = b.nrows } |]
+let layout (t : t) =
+  Array.map (fun p -> (p.seg.nrows, p.live)) (Atomic.get t.parts)
 
 (* the live rows of a part *)
 let live_rows p =
@@ -214,6 +190,35 @@ let live_rows p =
       rows;
     out
   end
+
+(* the segment of parts that are one segment without deletions *)
+let clean = function
+  | [| { seg; dead; _ } |] when Bytes.length dead = 0 -> Some seg
+  | _ -> None
+
+(* The value as one segment without deletions.  Any other value
+   compacts on first use: its live rows, concatenated, become one
+   segment that replaces its parts by compare-and-set, so racing first
+   uses return one segment and every successor {!write} makes after
+   that shares it. *)
+let rec whole (t : t) =
+  let parts = Atomic.get t.parts in
+  match clean parts with
+  | Some s -> s
+  | None ->
+      let s = seg (Array.concat (Array.to_list (Array.map live_rows parts))) in
+      let one = [| { seg = s; dead = no_deletions; live = t.cardinality } |] in
+      if Atomic.compare_and_set t.parts parts one then s else whole t
+
+let rows t = seg_rows (whole t)
+let to_list t = Array.to_list (rows t)
+let columnar (t : t) : Batch.t = seg_columnar t.schema (whole t)
+let index (t : t) = seg_index ~rebuild:t.indexed_before t.schema (whole t)
+
+let of_batch (b : Batch.t) : t =
+  let b = Batch.compact b in
+  of_parts b.schema ~indexed_before:false
+    [| { seg = seg_of_batch b; dead = no_deletions; live = b.nrows } |]
 
 let size p = p.seg.nrows
 
@@ -238,6 +243,7 @@ let write (t : t) ~(deleted : int array) ~(added : Tuple.t array) : t =
      part's first live row; [j] walks its rows, [pos] is row [j]'s
      position when it is live *)
   let k = ref 0 and first = ref 0 in
+  let old = Atomic.get t.parts in
   let parts =
     Array.map
       (fun p ->
@@ -263,7 +269,7 @@ let write (t : t) ~(deleted : int array) ~(added : Tuple.t array) : t =
         in
         first := stop;
         p)
-      t.parts
+      old
   in
   (* parts with no live row go; the added rows come last *)
   let stack =
@@ -273,12 +279,9 @@ let write (t : t) ~(deleted : int array) ~(added : Tuple.t array) : t =
     if Array.length added = 0 then stack
     else settle ({ seg = seg added; dead = no_deletions; live = Array.length added } :: stack)
   in
-  let indexed (sg : seg) = Option.is_some (Atomic.get sg.index) in
+  let indexed p = Option.is_some (Atomic.get p.seg.index) in
   of_parts t.schema
-    ~indexed_before:
-      (t.indexed_before
-      || Array.exists (fun p -> indexed p.seg) t.parts
-      || match Atomic.get t.whole with Some w -> indexed w | None -> false)
+    ~indexed_before:(t.indexed_before || Array.exists indexed old)
     (Array.of_list (List.rev stack))
 
 (* ---- index probes ---- *)
@@ -290,7 +293,8 @@ type probe = { view : Batch.t; candidates : int; segments : int; scanned : int }
    from which the deleted rows are then dropped.  The candidates of one
    segment select its image; those of several are gathered in row
    order, only the [need]ed columns. *)
-let probe_parts ?need (t : t) parts ~b_hi ~e_lo : probe option =
+let probe ?need (t : t) ~b_hi ~e_lo : probe option =
+  let parts = Atomic.get t.parts in
   let ns = Array.length parts in
   let images = Array.map (fun p -> seg_columnar t.schema p.seg) parts in
   let found = Array.make ns ([||], 0) in
@@ -358,35 +362,19 @@ let probe_parts ?need (t : t) parts ~b_hi ~e_lo : probe option =
     Some { view; candidates = !n; segments = ns; scanned = !scanned }
   end
 
-(* a value whose whole index is built, or that is one segment without
-   deletions, probes the whole value as one part *)
-let probe ?need (t : t) ~b_hi ~e_lo : probe option =
-  let parts =
-    match Atomic.get t.whole with
-    | Some w
-      when Option.is_some (Atomic.get w.index)
-           || match t.parts with [| p |] -> w == p.seg | _ -> false ->
-        [| { seg = w; dead = no_deletions; live = t.cardinality } |]
-    | _ -> t.parts
-  in
-  probe_parts ?need t parts ~b_hi ~e_lo
-
 (* ---- statistics ---- *)
 
-let stats_slot (t : t) : stats =
-  match Atomic.get t.stats with
-  | Some s -> s
-  | None ->
-      let s =
-        {
-          columns = Array.init (Schema.arity t.schema) (fun _ -> Atomic.make None);
-          mean_period = Atomic.make None;
-        }
-      in
-      Atomic.set t.stats (Some s);
-      s
+let seg_stats schema (s : seg) =
+  fill s.stats (fun () ->
+      {
+        columns = Array.init (Schema.arity schema) (fun _ -> Atomic.make None);
+        mean_period = Atomic.make None;
+      })
 
-let has_stats (t : t) = Option.is_some (Atomic.get t.stats)
+let has_stats (t : t) =
+  match clean (Atomic.get t.parts) with
+  | Some s -> Option.is_some (Atomic.get s.stats)
+  | None -> false
 
 (* one pass over the column's non-NULL values, sorted *)
 let describe (c : Batch.col) (n : int) : column_stats =
@@ -410,37 +398,22 @@ let describe (c : Batch.col) (n : int) : column_stats =
   }
 
 let column_stats (t : t) (i : int) : column_stats =
-  let slot = (stats_slot t).columns.(i) in
-  match Atomic.get slot with
-  | Some c -> c
-  | None ->
-      let b = columnar t in
-      let c = describe b.Batch.cols.(i) b.Batch.nrows in
-      Atomic.set slot (Some c);
-      c
+  let s = whole t in
+  fill (seg_stats t.schema s).columns.(i) (fun () ->
+      let b = seg_columnar t.schema s in
+      describe b.Batch.cols.(i) b.Batch.nrows)
 
 (* like the index, the mean period length reads the trailing two columns
    and exists only when both are null-free int columns *)
 let mean_period (t : t) : float option =
-  let slot = (stats_slot t).mean_period in
-  match Atomic.get slot with
-  | Some m -> m
-  | None ->
-      let cols = (columnar t).Batch.cols in
-      let k = Array.length cols in
-      let m =
-        if k < 2 then None
-        else
-          match (cols.(k - 2), cols.(k - 1)) with
-          | { data = Ints b; nulls = None }, { data = Ints e; nulls = None }
-            when Array.length b > 0 ->
-              let sum = ref 0 in
-              Array.iteri (fun i bi -> sum := !sum + (e.(i) - bi)) b;
-              Some (float_of_int !sum /. float_of_int (Array.length b))
-          | _ -> None
-      in
-      Atomic.set slot (Some m);
-      m
+  let s = whole t in
+  fill (seg_stats t.schema s).mean_period (fun () ->
+      match period_cols (seg_columnar t.schema s) with
+      | Some (b, e) when Array.length b > 0 ->
+          let sum = ref 0 in
+          Array.iteri (fun i bi -> sum := !sum + (e.(i) - bi)) b;
+          Some (float_of_int !sum /. float_of_int (Array.length b))
+      | _ -> None)
 
 (** Multiset view as an N-relation (tuple -> multiplicity). *)
 let to_nrel (t : t) : Tkr_semiring.Nat.t Krel.t =

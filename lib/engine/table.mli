@@ -14,10 +14,18 @@ type t
     rule on their sizes ({!merge_ratio}, {!tail_rows}), so INSERT and
     DELETE keep every other row in place and an UPDATE's new rows come
     last.  A segment is made from rows ({!make}, {!of_array}, {!write})
-    or from columns ({!of_batch}), and makes the other form, and its
-    interval index, on first use.  The whole-value views ({!rows},
-    {!columnar}, {!index}, the statistics) are made on first use too, at
-    most once per value, and are not shared with successors. *)
+    or from columns ({!of_batch}), and makes the other form, its
+    interval index and its statistics on first use.
+
+    A value holds nothing beside its segments.  The whole-value reads
+    ({!rows}, {!columnar}, {!index}, the statistics, and so every scan)
+    read a value of one segment without deletions from that segment.
+    Any other value they compact, once: its live rows, in row order,
+    become one new segment that replaces its segments, and the
+    successors {!write} makes from then on share it.  Compacting copies
+    the value's row pointers, in O(n), and costs one index build, also
+    O(n), at the next index read ({!probe}), which the replaced
+    segments' indexes would have answered. *)
 
 val make : Schema.t -> Tuple.t list -> t
 val of_array : Schema.t -> Tuple.t array -> t
@@ -74,9 +82,10 @@ val columnar : t -> Batch.t
     logical rows equal {!rows}, value by value ([Batch.to_rows
     (columnar t)] and [rows t] are equal arrays of equal values).  A
     value made by {!of_batch} returns that batch, compacted; any other
-    makes [Batch.of_rows (schema t) (rows t)] on first use.  The
-    column representations may differ between the two (a column-made
-    value may keep a column boxed that {!Batch.of_rows} would type). *)
+    compacts the value and makes [Batch.of_rows (schema t) (rows t)] on
+    first use.  The column representations may differ between the two
+    (a column-made value may keep a column boxed that {!Batch.of_rows}
+    would type). *)
 
 val of_batch : Batch.t -> t
 (** The logical rows of a batch as a table of one segment, with the
@@ -87,7 +96,8 @@ val of_batch : Batch.t -> t
 
 val index : t -> Tkr_idx.Interval.t option
 (** The interval index over the trailing two columns of {!columnar}
-    ([Abegin], [Aend] of a period table), made on first use by
+    ([Abegin], [Aend] of a period table): the index of the value's one
+    segment, which it compacts to first, made on first use by
     {!Tkr_idx.Interval.build} and counted in {!Tkr_idx.Stats} as a
     build.  [None] (also kept) unless both columns are null-free [int]
     columns.  Callers check that the table is a period table
@@ -98,7 +108,7 @@ type probe = {
       (** the candidate rows, in row order: a selection over one image,
           or a dense image of just the candidates *)
   candidates : int;  (** how many *)
-  segments : int;  (** segments read: 1 over a whole index *)
+  segments : int;  (** segments read: 1 for a value of one segment *)
   scanned : int;  (** rows of an unindexed tail scanned *)
 }
 
@@ -109,23 +119,24 @@ val probe :
   e_lo:Tkr_idx.Interval.bound ->
   probe option
 (** The rows an {!index} probe ({!Tkr_idx.Interval.probe}) returns, in
-    the same order, with their cells.  A value whose whole index is
-    built, or that is one segment without deletions, probes that one
-    index.  Any other probes each segment's index (made on first use),
-    except that a last segment below {!tail_rows} rows is scanned with
-    {!Tkr_idx.Interval.admits}; deleted rows are skipped.  Candidates of
-    one segment select its image; candidates of several are gathered,
-    only the columns in [need] (default: all); the others are
-    {!Batch.placeholder}s, which the caller must not read.  [None] when
-    the value has no index.  Callers check that the table is a period
-    table. *)
+    the same order, with their cells, read from the value's segments as
+    they are, without compacting it: each segment's index is probed
+    (made on first use), except that a last segment below {!tail_rows}
+    rows, after a first, is scanned with {!Tkr_idx.Interval.admits};
+    deleted rows are skipped.  Candidates of one segment select its
+    image; candidates of several are gathered, only the columns in
+    [need] (default: all); the others are {!Batch.placeholder}s, which
+    the caller must not read.  [None] when the value has no index.
+    Callers check that the table is a period table. *)
 
 (** {2 Statistics}
 
-    The optimizer's inputs, derived from the columnar image.  The
-    statistics slot is made on the first request; within it each
-    column's entry, and the mean period length, is computed on its own
-    first request. *)
+    The optimizer's inputs, derived from the columnar image.  They
+    compact the value like the other whole-value reads and belong to its
+    one segment: the segment's statistics slot is made on the first
+    request, and within it each column's entry, and the mean period
+    length, is computed on its own first request.  Racing first requests
+    return the value the first to publish stored. *)
 
 type column_stats = {
   count : int;  (** rows *)
@@ -145,7 +156,8 @@ val mean_period : t -> float option
     is a period table. *)
 
 val has_stats : t -> bool
-(** Whether this value's statistics slot has been made. *)
+(** Whether this value is one segment without deletions whose
+    statistics slot has been made. *)
 
 val pp : Format.formatter -> t -> unit
 (** Sorted, for deterministic test failure output. *)

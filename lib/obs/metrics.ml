@@ -1,5 +1,5 @@
-(** A lightweight metrics registry: named counters, gauges and
-    fixed-bucket histograms.
+(** A lightweight metrics registry: named counters and fixed-bucket
+    histograms.
 
     Metrics are find-or-create by name, so instrumentation sites don't
     need setup code; reads ([value], [view]) are cheap and never disturb
@@ -7,14 +7,12 @@
     server and the ledger each keep their own or share one.
 
     Every operation is safe under concurrent callers (threads or
-    domains): counters and gauges are atomics, histograms take a
-    per-instrument mutex, and find-or-create is serialized on a
-    per-registry mutex — the middleware and the query server share
-    registries across their worker threads. *)
+    domains): counters are atomics, histograms take a per-instrument
+    mutex, and find-or-create is serialized on a per-registry mutex —
+    the middleware and the query server share registries across their
+    worker threads. *)
 
 type counter = { count : int Atomic.t }
-
-type gauge = { level : int Atomic.t }
 
 type histogram = {
   h_lock : Mutex.t;
@@ -26,7 +24,7 @@ type histogram = {
   mutable hi : int;  (** largest observation *)
 }
 
-type metric = Counter of counter | Gauge of gauge | Histogram of histogram
+type metric = Counter of counter | Histogram of histogram
 
 type t = {
   reg_lock : Mutex.t;
@@ -55,11 +53,6 @@ let counter t name : counter =
   | Counter c -> c
   | _ -> invalid_arg ("metric " ^ name ^ " is not a counter")
 
-let gauge t name : gauge =
-  match find_or_add t name (fun () -> Gauge { level = Atomic.make 0 }) with
-  | Gauge g -> g
-  | _ -> invalid_arg ("metric " ^ name ^ " is not a gauge")
-
 let default_bounds = [| 1; 10; 100; 1_000; 10_000; 100_000; 1_000_000 |]
 
 let histogram ?(bounds = default_bounds) t name : histogram =
@@ -86,12 +79,6 @@ let incr (c : counter) = Atomic.incr c.count
 let add (c : counter) n = ignore (Atomic.fetch_and_add c.count n)
 
 let value (c : counter) = Atomic.get c.count
-
-let set (g : gauge) v = Atomic.set g.level v
-
-let gauge_add (g : gauge) n = ignore (Atomic.fetch_and_add g.level n)
-
-let gauge_value (g : gauge) = Atomic.get g.level
 
 let observe (h : histogram) v =
   locked h.h_lock @@ fun () ->
@@ -154,7 +141,6 @@ let reset t =
   Hashtbl.iter
     (fun _ -> function
       | Counter c -> Atomic.set c.count 0
-      | Gauge g -> Atomic.set g.level 0
       | Histogram h -> histogram_reset h)
     t.tbl
 
@@ -162,11 +148,10 @@ let reset t =
 
 let names t = locked t.reg_lock (fun () -> List.rev t.order)
 
-type view = V_counter of int | V_gauge of int | V_histogram of histogram
+type view = V_counter of int | V_histogram of histogram
 
 let view t name : view option =
   match locked t.reg_lock (fun () -> Hashtbl.find_opt t.tbl name) with
   | Some (Counter c) -> Some (V_counter (Atomic.get c.count))
-  | Some (Gauge g) -> Some (V_gauge (Atomic.get g.level))
   | Some (Histogram h) -> Some (V_histogram h)
   | None -> None

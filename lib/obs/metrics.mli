@@ -1,12 +1,11 @@
-(** A lightweight metrics registry: named counters, gauges and
-    fixed-bucket histograms, find-or-create by name.
+(** A lightweight metrics registry: named counters and fixed-bucket
+    histograms, find-or-create by name.
 
-    Thread-safe: counters and gauges are atomics, histograms take a
-    per-instrument mutex and registration is serialized, so one
-    registry can be shared by concurrent threads or domains. *)
+    Thread-safe: counters are atomics, histograms take a per-instrument
+    mutex and registration is serialized, so one registry can be shared
+    by concurrent threads or domains. *)
 
 type counter
-type gauge
 type histogram
 type t
 
@@ -15,22 +14,11 @@ val create : unit -> t
 val counter : t -> string -> counter
 (** Find-or-create. @raise Invalid_argument on a kind mismatch. *)
 
-val gauge : t -> string -> gauge
-(** Find-or-create.  A gauge is a level that can go up and down —
-    queue depths, in-flight requests, cache residency — exported without
-    the [_total] suffix counters get. *)
-
 val histogram : ?bounds:int array -> t -> string -> histogram
 
 val incr : counter -> unit
 val add : counter -> int -> unit
 val value : counter -> int
-
-val set : gauge -> int -> unit
-val gauge_add : gauge -> int -> unit
-(** [gauge_add g n] moves the level by [n] (negative to decrease). *)
-
-val gauge_value : gauge -> int
 
 val observe : histogram -> int -> unit
 (** Count [v] into the first bucket whose bound is [>= v] (last bucket is
@@ -64,7 +52,6 @@ val names : t -> string list
     dispatch on the metric kind without find-or-create side effects. *)
 type view =
   | V_counter of int
-  | V_gauge of int
   | V_histogram of histogram
 
 val view : t -> string -> view option

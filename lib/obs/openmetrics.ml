@@ -1,10 +1,10 @@
 (** OpenMetrics / Prometheus text exposition of a {!Metrics} registry.
 
-    Counters become [<name>_total] counters, gauges bare [<name>]
-    gauges, histograms the classic cumulative-bucket encoding
-    ([<name>_bucket{le="..."}] up to [le="+Inf"], plus [_sum] and
-    [_count]).  Metric names are sanitized to the OpenMetrics grammar;
-    the document ends with the mandatory [# EOF] marker. *)
+    Counters become [<name>_total] counters, histograms the classic
+    cumulative-bucket encoding ([<name>_bucket{le="..."}] up to
+    [le="+Inf"], plus [_sum] and [_count]).  Metric names are sanitized
+    to the OpenMetrics grammar; the document ends with the mandatory
+    [# EOF] marker. *)
 
 (* OpenMetrics names: [a-zA-Z_:][a-zA-Z0-9_:]* — everything else maps
    to '_' (a leading digit gets a '_' prefix) *)
@@ -66,8 +66,8 @@ let sample ?(labels = []) name (value : float) : string =
 let type_line name (ty : string) : string =
   Printf.sprintf "# TYPE %s %s\n" (sanitize name) ty
 
-(** A gauge family with one sample per (labels, value) row — the building
-    block used by the bench exporter. *)
+(** A gauge family with one sample per (labels, value) row: levels owned
+    outside any registry (the server's, the bench exporter's). *)
 let gauge ?(help = "") name (rows : ((string * string) list * float) list) :
     string =
   let buf = Buffer.create 256 in
@@ -95,9 +95,6 @@ let counter name (value : int) : string = counters name [ ([], value) ]
 let render_metric buf name (v : Metrics.view) =
   match v with
   | Metrics.V_counter c -> Buffer.add_string buf (counter name c)
-  | Metrics.V_gauge g ->
-      Buffer.add_string buf (type_line name "gauge");
-      Buffer.add_string buf (sample name (float_of_int g))
   | Metrics.V_histogram h ->
       let bounds = Metrics.histogram_bounds h in
       let buckets = Metrics.histogram_buckets h in

@@ -22,12 +22,10 @@ type span = {
 type state = {
   clock : Clock.t;
   gc : bool;  (** annotate every span with GC/allocation deltas *)
-  mutable stack :
-    (span * int64 * ((float * float * float) * Gc.stat) option) list;
+  mutable stack : (span * int64 * ((float * float) * Gc.stat) option) list;
       (** open spans with start times and (when profiling) start GC
-          stats: word counts from [Gc.counters ()], which is precise
-          between collections where [quick_stat]'s word counts are not,
-          and collection counts from [Gc.quick_stat ()] *)
+          stats: word counts from {!alloc_words} and collection counts
+          from [Gc.quick_stat ()] *)
   mutable finished : span list;  (** finished root spans, reversed *)
 }
 
@@ -46,13 +44,17 @@ let gc_major_words = "gc_major_words"
 let gc_minor_collections = "gc_minor_collections"
 let gc_major_collections = "gc_major_collections"
 
+let alloc_words () =
+  let _, _, major = Gc.counters () in
+  (Gc.minor_words (), major)
+
 let with_span (t : t) (name : string) (f : span option -> 'a) : 'a =
   match t with
   | Disabled -> f None
   | Enabled st ->
       let sp = { sp_name = name; sp_attrs = []; sp_children = []; sp_elapsed_ns = 0L } in
       let gc0 =
-        if st.gc then Some (Gc.counters (), Gc.quick_stat ()) else None
+        if st.gc then Some (alloc_words (), Gc.quick_stat ()) else None
       in
       let t0 = st.clock () in
       st.stack <- (sp, t0, gc0) :: st.stack;
@@ -60,8 +62,8 @@ let with_span (t : t) (name : string) (f : span option -> 'a) : 'a =
         sp.sp_elapsed_ns <- Int64.sub (st.clock ()) t0;
         (match gc0 with
         | None -> ()
-        | Some ((mw0, _, jw0), g0) ->
-            let mw1, _, jw1 = Gc.counters () in
+        | Some ((mw0, jw0), g0) ->
+            let mw1, jw1 = alloc_words () in
             let g1 = Gc.quick_stat () in
             sp.sp_attrs <-
               (gc_major_collections, Int (g1.major_collections - g0.major_collections))

@@ -29,6 +29,12 @@ val gc_minor_collections : string
 val gc_major_collections : string
 (** Attribute names used by [~gc:true] profiling. *)
 
+val alloc_words : unit -> float * float
+(** The words this domain has allocated so far: in the minor heap, read
+    from [Gc.minor_words] ([Gc.counters]' minor count undercounts on
+    OCaml 5.1), and in the major heap, directly or by promotion, read
+    from [Gc.counters].  Span deltas and request records read it. *)
+
 val enabled : t -> bool
 
 val with_span : t -> string -> (span option -> 'a) -> 'a

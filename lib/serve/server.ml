@@ -82,19 +82,6 @@ type t = {
   m_deadline : Metrics.counter;
   m_errors : Metrics.counter;
   m_latency : Metrics.histogram;
-  (* live levels, sampled by [sync_gauges] at scrape time *)
-  g_queue : Metrics.gauge;
-  g_inflight : Metrics.gauge;
-  g_sessions : Metrics.gauge;
-  g_cache_entries : Metrics.gauge;
-  g_cache_bytes : Metrics.gauge;
-  g_uptime : Metrics.gauge;
-  (* temporal interval index activity (Tkr_idx.Stats), sampled at
-     scrape time like the other levels *)
-  g_idx_built : Metrics.gauge;
-  g_idx_rebuilds : Metrics.gauge;
-  g_idx_probes : Metrics.gauge;
-  g_idx_candidates : Metrics.gauge;
 }
 
 let locked mu f =
@@ -140,11 +127,11 @@ let us_between t0 t1 = Int64.to_int (Int64.div (Int64.sub t1 t0) 1000L)
    statement, typed error, queued deadline) stamps it here once the
    reply is ready; the response frame and every observer read from it.
    [exec_ns] and [gc0] mark the job's execution start. *)
-let record srv (j : job) ~exec_ns ~gc0:(minor0, _, major0) ~fp ~epoch ~deps
+let record srv (j : job) ~exec_ns ~gc0:(minor0, major0) ~fp ~epoch ~deps
     ~rows_in ~disposition ~rows_out (reply : reply) : reply * Record.entry =
   let total_us = us_between j.j_enq_ns (Clock.now_ns ()) in
   let queue_us = us_between j.j_enq_ns exec_ns in
-  let minor1, _, major1 = Gc.counters () in
+  let minor1, major1 = Trace.alloc_words () in
   (* digesting the response costs an MD5 over the payload: only when the
      flight recorder will consume it *)
   let digest = Record.enabled srv.recorder in
@@ -294,9 +281,9 @@ let execute srv (job : job) : reply * Record.entry =
   let exec_ns = Clock.now_ns () in
   (* allocation attribution: words this domain allocates while the job
      runs.  Execution is serial, so the job's operators all allocate
-     here.  [Gc.counters] is precise and domain-local; [Gc.quick_stat]'s
-     minor count only advances at minor collections. *)
-  let gc0 = Gc.counters () in
+     here.  The counts are domain-local; [Gc.quick_stat]'s minor count
+     only advances at minor collections. *)
+  let gc0 = Trace.alloc_words () in
   (if Tel.enabled srv.tel then
      match job.j_trace with
      | Some trace_id ->
@@ -341,22 +328,6 @@ let execute srv (job : job) : reply * Record.entry =
 
 (* ---- scrape surface: STATS / METRICS / HEALTH ---- *)
 
-(* refresh the sampled gauges; called at scrape time so an export always
-   shows current levels without the hot path touching every gauge *)
-let sync_gauges srv =
-  Metrics.set srv.g_queue (Admission.waiting srv.gate);
-  Metrics.set srv.g_inflight (Admission.held srv.gate);
-  Metrics.set srv.g_sessions (Session.active srv.sessions);
-  let cs = Cache.stats srv.cache in
-  Metrics.set srv.g_cache_entries cs.Cache.entries;
-  Metrics.set srv.g_cache_bytes cs.Cache.bytes;
-  Metrics.set srv.g_uptime (uptime_s srv);
-  let i = Tkr_idx.Stats.snapshot () in
-  Metrics.set srv.g_idx_built i.Tkr_idx.Stats.s_built;
-  Metrics.set srv.g_idx_rebuilds i.Tkr_idx.Stats.s_rebuilds;
-  Metrics.set srv.g_idx_probes i.Tkr_idx.Stats.s_probes;
-  Metrics.set srv.g_idx_candidates i.Tkr_idx.Stats.s_candidates
-
 let build_info_family srv : string =
   let e = srv.env in
   Openmetrics.gauge ~help:"build and runtime environment" "tkr_build_info"
@@ -389,12 +360,31 @@ let owned_counters srv : string list =
     [ Openmetrics.counter "tkr_tel_events_dropped" (Tel.dropped srv.tel) ]
   else []
 
+(* live levels, read from their owners at scrape time: admission,
+   sessions, the result cache, the clock and the index activity
+   ({!Tkr_idx.Stats}) *)
+let owned_gauges srv : string list =
+  let cs = Cache.stats srv.cache and i = Tkr_idx.Stats.snapshot () in
+  List.map
+    (fun (name, v) -> Openmetrics.gauge name [ ([], float_of_int v) ])
+    [
+      ("serve_queue_depth", Admission.waiting srv.gate);
+      ("serve_inflight_requests", Admission.held srv.gate);
+      ("serve_sessions", Session.active srv.sessions);
+      ("serve_cache_entries", cs.Cache.entries);
+      ("serve_cache_bytes", cs.Cache.bytes);
+      ("uptime_seconds", uptime_s srv);
+      ("tkr_idx_built", i.Tkr_idx.Stats.s_built);
+      ("tkr_idx_rebuilds", i.Tkr_idx.Stats.s_rebuilds);
+      ("tkr_idx_probes", i.Tkr_idx.Stats.s_probes);
+      ("tkr_idx_candidates", i.Tkr_idx.Stats.s_candidates);
+    ]
+
 let metrics_text srv : string =
-  sync_gauges srv;
   Openmetrics.of_metrics
     ~extra:
-      ((build_info_family srv :: owned_counters srv)
-      @ Ledger.openmetrics srv.ledger)
+      ((build_info_family srv :: owned_gauges srv)
+      @ owned_counters srv @ Ledger.openmetrics srv.ledger)
     (Middleware.metrics srv.mw)
 
 let health_json srv : Json.t =
@@ -409,7 +399,7 @@ let health_json srv : Json.t =
     ]
 
 let stats_json srv : Json.t =
-  sync_gauges srv;
+  let i = Tkr_idx.Stats.snapshot () in
   let q p = Metrics.histogram_quantile srv.m_latency p in
   Json.Obj
     [
@@ -418,9 +408,9 @@ let stats_json srv : Json.t =
       ("errors", Json.Int (Metrics.value srv.m_errors));
       ("busy", Json.Int (Metrics.value srv.m_busy));
       ("deadline_exceeded", Json.Int (Metrics.value srv.m_deadline));
-      ("sessions", Json.Int (Metrics.gauge_value srv.g_sessions));
-      ("queue_depth", Json.Int (Metrics.gauge_value srv.g_queue));
-      ("inflight", Json.Int (Metrics.gauge_value srv.g_inflight));
+      ("sessions", Json.Int (Session.active srv.sessions));
+      ("queue_depth", Json.Int (Admission.waiting srv.gate));
+      ("inflight", Json.Int (Admission.held srv.gate));
       ( "latency_us",
         Json.Obj
           [
@@ -433,11 +423,10 @@ let stats_json srv : Json.t =
         Json.Obj
           [
             ("enabled", Json.Bool (Middleware.index_enabled srv.mw));
-            ("built", Json.Int (Metrics.gauge_value srv.g_idx_built));
-            ("rebuilds", Json.Int (Metrics.gauge_value srv.g_idx_rebuilds));
-            ("probes", Json.Int (Metrics.gauge_value srv.g_idx_probes));
-            ( "candidates",
-              Json.Int (Metrics.gauge_value srv.g_idx_candidates) );
+            ("built", Json.Int i.Tkr_idx.Stats.s_built);
+            ("rebuilds", Json.Int i.Tkr_idx.Stats.s_rebuilds);
+            ("probes", Json.Int i.Tkr_idx.Stats.s_probes);
+            ("candidates", Json.Int i.Tkr_idx.Stats.s_candidates);
           ] );
       ("cache", Cache.stats_json srv.cache);
       ( "plans",
@@ -667,16 +656,6 @@ let start ?(config = default_config) ?(tel = Tel.disabled)
       m_deadline = Metrics.counter reg "serve_deadline_exceeded";
       m_errors = Metrics.counter reg "serve_errors";
       m_latency = Metrics.histogram reg "serve_latency_us";
-      g_queue = Metrics.gauge reg "serve_queue_depth";
-      g_inflight = Metrics.gauge reg "serve_inflight_requests";
-      g_sessions = Metrics.gauge reg "serve_sessions";
-      g_cache_entries = Metrics.gauge reg "serve_cache_entries";
-      g_cache_bytes = Metrics.gauge reg "serve_cache_bytes";
-      g_uptime = Metrics.gauge reg "uptime_seconds";
-      g_idx_built = Metrics.gauge reg "tkr_idx_built";
-      g_idx_rebuilds = Metrics.gauge reg "tkr_idx_rebuilds";
-      g_idx_probes = Metrics.gauge reg "tkr_idx_probes";
-      g_idx_candidates = Metrics.gauge reg "tkr_idx_candidates";
     }
   in
   if Tel.enabled tel then

@@ -48,9 +48,9 @@ let select sp pred (b : Batch.t) : Batch.t =
 (* Index-assisted selection over a stored period table: when the
    conjuncts bound the period columns on both sides ({!Tkr_idx.Probe}),
    probe the interval index for the candidate physical rows
-   ({!Table.probe}: one index over the whole value, or each segment's,
-   with an unindexed tail scanned).  The candidates come in ascending physical order (= the
-   identity selection's order).  When the bounds are exact (every
+   ({!Table.probe}: each segment's index, one for a compacted value,
+   with an unindexed tail scanned).  The candidates come in ascending
+   physical order (= the identity selection's order).  When the bounds are exact (every
    conjunct is a bound, as in an [AS OF] timeslice), the candidates are
    the answer, and the probe gathers only the columns the consumer
    [need]s; otherwise the bounds are necessary conditions and

@@ -733,8 +733,19 @@ let prop_derived_images =
            m
          in
          let ms = [ mk (); mk ~engine:M.Row (); mk ~index:false () ] in
+         (* each middleware's twin gets the same writes, and the rows
+            after each write are read there: a scan compacts the value
+            it reads, so the next index read would build an index.  The
+            middleware's own value is read with {!Table.iteri}, which
+            does not compact *)
+         let twins = [ mk (); mk ~engine:M.Row (); mk ~index:false () ] in
          let table m = Database.find (M.database m) "w" in
          let model = ref [||] in
+         let iter_model t =
+           let ok = ref (Table.cardinality t = Array.length !model) in
+           if !ok then Table.iteri (fun i r -> if not (Tuple.equal r !model.(i)) then ok := false) t;
+           !ok
+         in
          let images_fresh m =
            let t = table m in
            let fresh = Batch.of_rows (Table.schema t) (Table.rows t) in
@@ -756,15 +767,17 @@ let prop_derived_images =
            (function
              | Write sql ->
                  model := model_write (Table.schema (table (List.hd ms))) !model sql;
-                 List.for_all
-                   (fun m ->
+                 List.for_all2
+                   (fun m twin ->
                      ignore (M.execute m sql);
-                     let t = table m in
-                     let rows = Table.rows t in
-                     segments_ok t
+                     ignore (M.execute twin sql);
+                     let rows = Table.rows (table twin) in
+                     segments_ok (table m)
+                     && segments_ok (table twin)
+                     && iter_model (table m)
                      && Array.length rows = Array.length !model
                      && Array.for_all2 Tuple.equal rows !model)
-                   ms
+                   ms twins
              | Read (sql, check) ->
                  agree sql
                  && ((not check)
@@ -777,13 +790,15 @@ let prop_derived_images =
 (* Chains of writes ({!Table.write}) with random deletions and
    appends, from a few rows to a hundred at a time, so segments merge
    and indexed segments lose rows, read by [Table.probe] with random
-   bounds now and then, and given a whole-value index now and then:
-   the rows follow the documented order, every probe returns the
-   candidates a fresh index over the current rows returns, in order,
-   with their cells, and whole images equal fresh ones.  Half the
-   writes run while another domain builds their predecessor's whole
-   index, as a read of an older catalog value may while a write
-   publishes the next: both values must still read right. *)
+   bounds now and then, and compacted to one segment and its index now
+   and then: the rows follow the documented order, every probe returns
+   the candidates a fresh index over the current rows returns, in
+   order, with their cells, and whole images equal fresh ones.  Rows
+   are read with {!Table.iteri}, which does not compact.  Half the
+   writes run while another domain compacts their predecessor (a scan,
+   or a scan and an index), as a read of an older catalog value may
+   while a write publishes the next: both values must still read right,
+   and the predecessor is one segment. *)
 let prop_successor_chains =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:300
@@ -801,9 +816,14 @@ let prop_successor_chains =
                Value.Int (b + rnd 6);
              ]
          in
+         let live tbl =
+           let a = Array.make (Table.cardinality tbl) (Tuple.make []) in
+           Table.iteri (fun i r -> a.(i) <- r) tbl;
+           a
+         in
          (* the columnar image and index a fresh build gives *)
          let fresh_images tbl =
-           let fresh = Batch.of_rows w_schema (Table.rows tbl) in
+           let fresh = Batch.of_rows w_schema (live tbl) in
            match fresh.Batch.cols with
            | [| _; { data = Ints b; _ }; { data = Ints e; _ } |] ->
                (fresh, Interval.build b e)
@@ -812,7 +832,7 @@ let prop_successor_chains =
          let probe_agrees tbl =
            let b_hi = { Interval.v = rnd 24 - 3; incl = rnd 2 = 0 }
            and e_lo = { Interval.v = rnd 24 - 3; incl = rnd 2 = 0 } in
-           let rows = Table.rows tbl in
+           let rows = live tbl in
            let expect =
              Array.map (fun i -> rows.(i))
                (Interval.probe (snd (fresh_images tbl)) ~b_hi ~e_lo)
@@ -829,6 +849,7 @@ let prop_successor_chains =
            let fresh, idx = fresh_images tbl in
            compare (Table.columnar tbl) fresh = 0
            && compare (Table.index tbl) (Some idx) = 0
+           && Array.length (Table.layout tbl) = 1
          in
          let t = ref (Table.of_array w_schema (Array.init (rnd 300) (fun _ -> fresh_row ()))) in
          let ok = ref true in
@@ -837,10 +858,12 @@ let prop_successor_chains =
            | 0 | 1 ->
                let old = !t in
                let reader =
-                 if rnd 2 = 0 then Some (Domain.spawn (fun () -> ignore (Table.index old)))
-                 else None
+                 match rnd 4 with
+                 | 0 -> Some (Domain.spawn (fun () -> ignore (Table.index old)))
+                 | 1 -> Some (Domain.spawn (fun () -> ignore (Table.rows old)))
+                 | _ -> None
                in
-               let old_rows = Table.rows old in
+               let old_rows = live old in
                let n = Array.length old_rows in
                let p = rnd 4 in
                let deleted =
@@ -858,7 +881,7 @@ let prop_successor_chains =
                       (List.filteri (fun i _ -> not (List.mem i deleted)) (Array.to_list old_rows)))
                    added
                in
-               let rows = Table.rows !t in
+               let rows = live !t in
                if not (segments_ok !t && Array.length rows = Array.length model
                        && Array.for_all2 Tuple.equal rows model)
                then ok := false;
@@ -947,50 +970,181 @@ let test_replaced_segments_collected () =
       ("compaction", (fun db -> Database.replace_rows db "w" ~deleted:(Array.init 100 Fun.id) [||]), 0);
     ]
 
-(* an AS OF read over the middleware, index on and off; with [~count]
-   the read is a count over the stab and a data-column filter in one
-   selection, whose probe is not exact and whose consumer reads no
-   column: a read over several segments gathers only the filter's
+(* an AS OF read over the middleware, index on over [db] and off over
+   [twin], which holds the same rows: a scan compacts the value it
+   reads, and the next index read over it would build an index.  With
+   [~count] the read is a count over the stab and a data-column filter
+   in one selection, whose probe is not exact and whose consumer reads
+   no column: a read over several segments gathers only the filter's
    column *)
-let as_of_pair ?(count = false) db t =
+let as_of_pair ?(count = false) db twin t =
   let sql =
     if count then
       Printf.sprintf
         "SELECT count(*) AS c FROM w WHERE b <= %d AND e > %d AND name <> '3'" t t
     else Printf.sprintf "SEQ VT AS OF %d (SELECT name FROM w WHERE name <> '3')" t
   in
-  (M.query (M.create ~db ()) sql, M.query (M.create ~index:false ~db ()) sql)
+  (M.query (M.create ~db ()) sql, M.query (M.create ~index:false ~db:twin ()) sql)
 
 (* write/read pairs after the index is built probe it and scan the
    tail of fresh rows, skipping deleted ones: no index is built, and the
    rows equal a scan's *)
 let test_delta_reads_build_nothing () =
-  let db = period_db 2_000 in
+  let db = period_db 2_000 and twin = period_db 2_000 in
   ignore (Idx_cache.get db "w");
   let built () = (Tkr_idx.Stats.snapshot ()).Tkr_idx.Stats.s_built in
   let b0 = built () in
-  let m = M.create ~db () in
+  let ms = [ M.create ~db (); M.create ~db:twin () ] in
   for k = 1 to 40 do
-    (match k mod 4 with
-    | 0 -> ignore (M.execute m (Printf.sprintf "DELETE FROM w WHERE b = %d" (k * 13)))
-    | 1 ->
-        ignore
-          (M.execute m
-             (Printf.sprintf
-                "UPDATE w FOR PORTION OF PERIOD FROM %d TO %d SET name = 'u' WHERE b = %d"
-                (k * 7) ((k * 7) + 3) (k * 7)))
-    | _ -> insert_one db (k * 11));
-    let idx, scan = as_of_pair db (k * 11 + 1) in
+    List.iter
+      (fun m ->
+        match k mod 4 with
+        | 0 -> ignore (M.execute m (Printf.sprintf "DELETE FROM w WHERE b = %d" (k * 13)))
+        | 1 ->
+            ignore
+              (M.execute m
+                 (Printf.sprintf
+                    "UPDATE w FOR PORTION OF PERIOD FROM %d TO %d SET name = 'u' WHERE b = %d"
+                    (k * 7) ((k * 7) + 3) (k * 7)))
+        | _ -> insert_one (M.database m) (k * 11))
+      ms;
+    let idx, scan = as_of_pair db twin (k * 11 + 1) in
     check (Printf.sprintf "read %d: index = scan" k) true (byte_identical idx scan);
-    let idx, scan = as_of_pair ~count:true db (k * 11 + 1) in
+    let idx, scan = as_of_pair ~count:true db twin (k * 11 + 1) in
     check (Printf.sprintf "count %d: index = scan" k) true (byte_identical idx scan)
   done;
   check_int "40 write/read pairs build no index" 0 (built () - b0);
   check_int "the table kept its writes" 2_020 (Table.cardinality (Database.find db "w"))
 
+(* A scan of a value of several segments compacts it to one segment,
+   and the next index read builds that segment's index, once: a rebuild,
+   since the value succeeds an indexed one *)
+let test_scan_compacts () =
+  let db = period_db 2_000 in
+  ignore (Idx_cache.get db "w");
+  insert_one db 7;
+  let t = Database.find db "w" in
+  check_int "an INSERT appends a segment" 2 (Array.length (Table.layout t));
+  let stats () = Tkr_idx.Stats.snapshot () in
+  let s0 = stats () in
+  let m = M.create ~db () in
+  let built () = (stats ()).Tkr_idx.Stats.s_built - s0.Tkr_idx.Stats.s_built in
+  ignore (M.query m "SEQ VT (SELECT count(*) AS n FROM w)");
+  check_int "the scan builds no index" 0 (built ());
+  check_int "and compacts the value" 1 (Array.length (Table.layout t));
+  check "in place" true (t == Database.find db "w");
+  ignore (M.query m "SEQ VT AS OF 100 (SELECT name FROM w)");
+  check_int "the next index read builds one index" 1 (built ());
+  check_int "a rebuild" 1
+    ((stats ()).Tkr_idx.Stats.s_rebuilds - s0.Tkr_idx.Stats.s_rebuilds);
+  ignore (M.query m "SEQ VT AS OF 200 (SELECT name FROM w)");
+  check_int "the read after it builds none" 1 (built ())
+
+let sql_literal = function
+  | Value.Null -> "NULL"
+  | Value.Int i -> string_of_int i
+  | Value.Str s -> "'" ^ String.concat "''" (String.split_on_char '\'' s) ^ "'"
+  | v -> Value.to_string v
+
+(* The employee catalog loaded through [Middleware.execute], [batch]
+   rows per INSERT, with [f name t] called on each table's value after
+   each INSERT; the loading middleware is dropped *)
+let load_employees ?(f = fun _ _ -> ()) ~batch () =
+  let source = Tkr_workload.Employees.(generate (scaled 100)) in
+  let m = M.create () in
+  List.iter
+    (fun name ->
+      let rows = Table.rows (Database.find source name) in
+      ignore
+        (M.execute m
+           (Printf.sprintf "CREATE TABLE %s (%s) PERIOD (vt_b, vt_e)" name
+              (String.concat ", "
+                 (List.map
+                    (fun (a : Schema.attr) ->
+                      a.Schema.name ^ " "
+                      ^ match a.Schema.ty with
+                        | Value.TInt -> "int"
+                        | Value.TStr -> "text"
+                        | Value.TFloat -> "float"
+                        | Value.TBool -> "bool")
+                    (Schema.attrs (Table.schema (Database.find source name)))))));
+      let n = Array.length rows in
+      for b = 0 to ((n + batch - 1) / batch) - 1 do
+        let chunk = Array.sub rows (b * batch) (min batch (n - (b * batch))) in
+        ignore
+          (M.execute m
+             (Printf.sprintf "INSERT INTO %s VALUES %s" name
+                (String.concat ", "
+                   (Array.to_list
+                      (Array.map
+                         (fun r ->
+                           "(" ^ String.concat ", " (List.map sql_literal (Tuple.to_list r)) ^ ")")
+                         chunk)))));
+        f name (Database.find (M.database m) name)
+      done)
+    (List.sort compare (Database.names source));
+  M.database m
+
+let index_all db =
+  List.iter
+    (fun n -> if Database.is_period db n then ignore (Idx_cache.get db n))
+    (Database.names db)
+
+(* the rows of a value of one segment without deletions are that
+   segment's: watch the last such segment of each table *)
+let[@inline never] watch_last_whole (watched : (string, bool ref) Hashtbl.t) name t =
+  if Array.length (Table.layout t) = 1 then begin
+    let gone = ref false in
+    Gc.finalise (fun _ -> gone := true) (Table.rows t);
+    Hashtbl.replace watched name gone
+  end
+
+(* A catalog loaded one row per INSERT, as a client adding rows one at
+   a time does, and then indexed holds each row once: as many live
+   words as the same catalog loaded one INSERT per table, one segment
+   per table, and the segments the compaction replaced are collected.
+   With a copy of the whole rows kept beside the segments it held 8.5%
+   more words (31,585 against 29,119). *)
+let test_row_by_row_catalog () =
+  ignore (Sys.opaque_identity (load_employees ~batch:1_000_000 ()));
+  let l0 = live_words () in
+  let watched = Hashtbl.create 8 in
+  let rows = load_employees ~f:(watch_last_whole watched) ~batch:1 () in
+  let several =
+    List.filter
+      (fun n -> Array.length (Table.layout (Database.find rows n)) > 1)
+      (Database.names rows)
+  in
+  check "some table is several segments" true (several <> []);
+  index_all rows;
+  let by_row = live_words () - l0 in
+  List.iter
+    (fun n ->
+      check (n ^ ": one segment") true (Array.length (Table.layout (Database.find rows n)) = 1))
+    (Database.names rows);
+  List.iter
+    (fun n -> check (n ^ ": the replaced segment is collected") true !(Hashtbl.find watched n))
+    several;
+  let l1 = live_words () in
+  let tables = load_employees ~batch:1_000_000 () in
+  index_all tables;
+  let by_table = live_words () - l1 in
+  check
+    (Printf.sprintf "%d live words loaded by row, %d by table" by_row by_table)
+    true
+    (abs (by_row - by_table) * 100 <= by_table);
+  let m = M.create ~db:rows () in
+  let built () = (Tkr_idx.Stats.snapshot ()).Tkr_idx.Stats.s_built in
+  let b0 = built () in
+  ignore (M.execute m "INSERT INTO titles VALUES (7, 'Staff', 100, 300)");
+  let r = M.query m "SEQ VT AS OF 200 (SELECT emp_no FROM titles WHERE emp_no = 7)" in
+  check "the read sees the new row" true (Table.cardinality r > 0);
+  check_int "a one-row INSERT and a read build no index" 0 (built () - b0);
+  ignore (Sys.opaque_identity (rows, tables))
+
 (* EXPLAIN ANALYZE: an index select over several segments reports how
-   many it read and the tail rows it scanned; over one whole index it
-   prints as before *)
+   many it read and the tail rows it scanned; over the one segment a
+   value compacts to it prints as before *)
 let test_explain_delta () =
   let db = period_db 100 in
   ignore (Idx_cache.get db "w");
@@ -1098,6 +1252,10 @@ let suite =
         test_replaced_segments_collected;
       Alcotest.test_case "reads through a delta build nothing" `Quick
         test_delta_reads_build_nothing;
+      Alcotest.test_case "a scan compacts, the next index read builds once" `Quick
+        test_scan_compacts;
+      Alcotest.test_case "a catalog loaded row by row holds each row once" `Quick
+        test_row_by_row_catalog;
       Alcotest.test_case "EXPLAIN ANALYZE reports delta reads" `Quick
         test_explain_delta;
       Alcotest.test_case "one-row INSERT and AS OF read: major words" `Quick

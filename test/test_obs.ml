@@ -28,23 +28,9 @@ let test_metrics () =
   Alcotest.(check int) "histogram sum" 5055 (Metrics.histogram_sum h);
   Alcotest.(check (array int)) "buckets" [| 1; 1; 1 |]
     (Metrics.histogram_buckets h);
-  let g = Metrics.gauge r "depth" in
-  Metrics.set g 7;
-  Metrics.gauge_add g 5;
-  Metrics.gauge_add g (-2);
-  Alcotest.(check int) "gauge level" 10 (Metrics.gauge_value g);
-  Alcotest.(check int) "gauge find-or-create" 10
-    Metrics.(gauge_value (gauge r "depth"));
-  (match Metrics.view r "depth" with
-  | Some (Metrics.V_gauge 10) -> ()
-  | _ -> Alcotest.fail "gauge view");
   Metrics.reset r;
   Alcotest.(check int) "reset counter" 0 (Metrics.value c);
-  Alcotest.(check int) "reset gauge" 0 (Metrics.gauge_value g);
-  Alcotest.(check (list string))
-    "names survive reset"
-    [ "rows"; "h"; "depth" ]
-    (Metrics.names r)
+  Alcotest.(check (list string)) "names survive reset" [ "rows"; "h" ] (Metrics.names r)
 
 (* quantile estimation at the degenerate ends: nothing observed, a
    single populated bucket, and a boundless histogram *)

@@ -138,14 +138,7 @@ let test_openmetrics_escaping () =
      # HELP g demo\n\
      g{k=\"v\\\"w\"} 1.5\n\
      g 2\n"
-    (Openmetrics.gauge ~help:"demo" "g" [ ([ ("k", "v\"w") ], 1.5); ([], 2.0) ]);
-  (* a registry gauge exposes as a bare gauge sample *)
-  let r = Metrics.create () in
-  Metrics.set (Metrics.gauge r "queue depth") 3;
-  Alcotest.(check string)
-    "registry gauge golden"
-    "# TYPE queue_depth gauge\nqueue_depth 3\n# EOF\n"
-    (Openmetrics.of_metrics r)
+    (Openmetrics.gauge ~help:"demo" "g" [ ([ ("k", "v\"w") ], 1.5); ([], 2.0) ])
 
 (* --- GC profiling across a traced query --- *)
 

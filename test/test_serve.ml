@@ -1530,6 +1530,7 @@ let test_e2e_telemetry () =
        "tkr_build_info";
        "tkr_idx_built";
        "tkr_idx_probes";
+       "# TYPE tkr_idx_candidates gauge\ntkr_idx_candidates ";
        "# EOF\n";
      ];
    let health = Json.of_string (msg_body (Client.run_exn c "health")) in
@@ -1765,6 +1766,50 @@ let test_e2e_hangup_before_reply () =
   check_int "the next client is served" big_rows
     (cardinality (Client.run_exn c "SELECT x, y FROM big"))
 
+(* Minor-heap words, counted where they are allocated: a traced span
+   around 1,000 three-field arrays and a served request whose execution
+   allocates nearly all the words of its round trip each read within
+   1.25x of [Gc.minor_words]' delta around them.  [Gc.counters]' minor
+   count read ~8x low on OCaml 5.1. *)
+let test_minor_words_counted () =
+  let near what a b =
+    check
+      (Printf.sprintf "%s: %.0f words, Gc.minor_words: %.0f" what a b)
+      true
+      (a <= 1.25 *. b && b <= 1.25 *. a)
+  in
+  let obs = Tkr_obs.Trace.create ~gc:true () in
+  let keep = ref [] in
+  let w0 = Gc.minor_words () in
+  Tkr_obs.Trace.with_span obs "alloc" (fun _ ->
+      for i = 1 to 1_000 do
+        keep := [| i; i; i |] :: !keep
+      done);
+  let delta = Gc.minor_words () -. w0 in
+  (match Tkr_obs.Trace.roots obs with
+  | [ sp ] -> (
+      match Tkr_obs.Trace.find_attr sp Tkr_obs.Trace.gc_minor_words with
+      | Some (Tkr_obs.Trace.Float w) -> near "span" w delta
+      | _ -> Alcotest.fail "no gc_minor_words")
+  | _ -> Alcotest.fail "one root span");
+  ignore (Sys.opaque_identity !keep);
+  (* the row engine boxes a tuple per pair the join reads *)
+  let m = M.create ~engine:M.Row ~db:(W.generate { (W.scaled 40) with W.tmax = 600 }) () in
+  let srv = Server.start ~config:{ Server.default_config with port = 0; cache_mb = 0 } m in
+  Fun.protect ~finally:(fun () -> Server.stop srv) @@ fun () ->
+  Client.with_client ~port:(Server.port srv) @@ fun c ->
+  let sql = "SELECT count(*) AS c FROM salaries a, salaries b WHERE a.salary < b.salary" in
+  let w0 = Gc.minor_words () in
+  ignore (Client.run_exn c sql);
+  let delta = Gc.minor_words () -. w0 in
+  match
+    List.find_opt
+      (fun r -> r.Tkr_rec.Ledger.r_stmt = sql)
+      (Tkr_rec.Ledger.rows (Server.ledger srv))
+  with
+  | Some r -> near "request" (float_of_int r.Tkr_rec.Ledger.r_gc_minor_w) delta
+  | None -> Alcotest.fail "no ledger row"
+
 let suite =
   ( "serve",
     [
@@ -1832,6 +1877,8 @@ let suite =
       Alcotest.test_case "e2e: a hang-up before the reply leaves the server up"
         `Quick test_e2e_hangup_before_reply;
       Alcotest.test_case "wire: golden bytes" `Quick test_wire_golden;
+      Alcotest.test_case "minor words: spans and request records" `Quick
+        test_minor_words_counted;
       prop_payload_is_tree_rendering;
       prop_frames_decode_rows;
       prop_frame_mutations;
