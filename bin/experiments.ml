@@ -36,6 +36,20 @@ let printf = Printf.printf
 
 let median xs = List.nth (List.sort compare xs) (List.length xs / 2)
 
+(* the lower quartile, the median and the upper quartile of [xs], by
+   nearest rank *)
+let quartiles xs =
+  let a = Array.of_list (List.sort compare xs) in
+  let n = Array.length a in
+  (a.(n / 4), a.(n / 2), a.(3 * n / 4))
+
+(* a wall-clock reading in ms: its median, then its quartiles, so a
+   reading near a bound shows as noise or as signal *)
+let show_ms ?(digits = 2) secs =
+  let q1, m, q3 = quartiles secs in
+  Printf.sprintf "%.*f ms [%.*f-%.*f]" digits (1e3 *. m) digits (1e3 *. q1) digits
+    (1e3 *. q3)
+
 let time_once f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
@@ -424,7 +438,9 @@ let tourism () =
 
 (* --check: the evaluation's claims as same-process assertions.  Every
    comparison times both sides in this process on this machine, so the
-   verdicts hold on any runner: no committed baseline numbers. *)
+   verdicts hold on any runner: no committed baseline numbers.  A
+   wall-clock reading prints its median, on which the verdict rests, and
+   its quartiles in brackets. *)
 
 let failures = ref 0
 
@@ -432,7 +448,7 @@ let verdict ok fmt =
   if not ok then incr failures;
   printf ("%-4s " ^^ fmt ^^ "\n%!") (if ok then "ok" else "FAIL")
 
-(* Seconds per call of [a] and [b]: medians of 5 samples taken in
+(* Seconds per call of [a] and [b]: 5 samples of each taken in
    alternating order (a b, b a, ...), each sample repeating its call
    until it spans ~2 ms so microsecond queries clear the clock's
    resolution.  The first call of each side warms it up and sizes its
@@ -456,7 +472,7 @@ let paired a b =
     and sample_b () = sb := sample rb b :: !sb in
     if i mod 2 = 1 then (sample_a (); sample_b ()) else (sample_b (); sample_a ())
   done;
-  (median !sa, median !sb)
+  (!sa, !sb)
 
 let ms secs = 1e3 *. secs
 
@@ -489,26 +505,26 @@ let check_fig5 () =
     List.init 5 (fun _ ->
         List.map (fun (_, t) -> (timed coalesce_row t, timed coalesce_vec t)) inputs)
   in
-  let pts pick =
-    List.mapi
-      (fun i (n, _) -> (n, median (List.map (fun r -> pick (List.nth r i)) rounds)))
-      inputs
+  (* per size, the rounds' times *)
+  let samples pick =
+    List.mapi (fun i (n, _) -> (n, List.map (fun r -> pick (List.nth r i)) rounds)) inputs
   in
   let show pts =
     String.concat ", "
-      (List.map (fun (n, t) -> Printf.sprintf "%d rows %.2f ms" n (ms t)) pts)
+      (List.map (fun (n, ts) -> Printf.sprintf "%d rows %s" n (show_ms ts)) pts)
   in
-  let row = pts fst and vec = pts snd in
-  let slope = loglog_slope row in
-  verdict (slope <= bound)
-    "fig5: coalesce log-log slope %.2f <= %.1f (%s); vec %.2f (%s)" slope bound
-    (show row) (loglog_slope vec) (show vec)
+  let slope pts = loglog_slope (List.map (fun (n, ts) -> (n, median ts)) pts) in
+  let row = samples fst and vec = samples snd in
+  verdict (slope row <= bound)
+    "fig5: coalesce log-log slope %.2f <= %.1f (%s); vec %.2f (%s)" (slope row)
+    bound (show row) (slope vec) (show vec)
 
 (* [fast] must beat [slow] by at least [factor] *)
 let check_wins ~label ~factor ~fast:(fast_name, fast) ~slow:(slow_name, slow) =
-  let tf, ts = paired fast slow in
-  verdict (ts >= factor *. tf) "%s: %s %.2f ms vs %s %.2f ms (%.1fx, need >= %.1fx)"
-    label fast_name (ms tf) slow_name (ms ts) (ts /. tf) factor
+  let sf, ss = paired fast slow in
+  let tf = median sf and ts = median ss in
+  verdict (ts >= factor *. tf) "%s: %s %s vs %s %s (%.1fx, need >= %.1fx)" label
+    fast_name (show_ms sf) slow_name (show_ms ss) (ts /. tf) factor
 
 (* Table 3 / Section 9 at the table3emp scale.  The paper reports wins
    of orders of magnitude, so a 2x floor keeps a tie (both sides running
@@ -592,10 +608,11 @@ let check_read_after_insert () =
             fold ();
             (delta, timed ()))
       in
-      let d = median (List.map fst samples) and b = median (List.map snd samples) in
+      let ds = List.map fst samples and bs = List.map snd samples in
+      let d = median ds and b = median bs in
       verdict (d <= bound *. b)
-        "writes/read-after-insert %d rows: %.3f ms after a one-row INSERT vs %.3f ms over built images (%.2fx, need <= %.1fx)"
-        n (ms d) (ms b) (d /. b) bound)
+        "writes/read-after-insert %d rows: %s after a one-row INSERT vs %s over built images (%.2fx, need <= %.1fx)"
+        n (show_ms ~digits:3 ds) (show_ms ~digits:3 bs) (d /. b) bound)
     [ (10_000, 201); (100_000, 61) ]
 
 (* A one-row INSERT through [Middleware.execute] costs the same at 10k
@@ -605,26 +622,26 @@ let check_read_after_insert () =
    alone; copying the row array on every INSERT read ~9.4x. *)
 let check_insert_cost () =
   let bound = 1.5 in
-  let median_insert n =
+  let insert_times n =
     let db = Database.create ~tmin:0 ~tmax:2000 () in
     Database.add_period_table db "history" (W.coalesce_input ~n ~seed:31 ~tmax:2000);
     ignore (Tkr_engine.Idx_cache.get db "history");
     let m = M.create ~db () in
     Gc.full_major ();
-    median
-      (List.init 301 (fun i ->
+    List.init 301 (fun i ->
            let sql =
              Printf.sprintf "INSERT INTO history VALUES (%d, %d, %d)" i (i mod 1900)
                ((i mod 1900) + 50)
            in
            let t0 = Tkr_obs.Clock.now_ns () in
            ignore (Sys.opaque_identity (M.execute m sql));
-           Int64.to_float (Int64.sub (Tkr_obs.Clock.now_ns ()) t0) /. 1e9))
+           Int64.to_float (Int64.sub (Tkr_obs.Clock.now_ns ()) t0) /. 1e9)
   in
-  let small = median_insert 10_000 and large = median_insert 100_000 in
+  let smalls = insert_times 10_000 and larges = insert_times 100_000 in
+  let small = median smalls and large = median larges in
   verdict (large <= bound *. small)
-    "writes/insert-cost: one-row INSERT %.3f ms at 100k rows vs %.3f ms at 10k (%.2fx, need <= %.1fx)"
-    (ms large) (ms small) (large /. small) bound
+    "writes/insert-cost: one-row INSERT %s at 100k rows vs %s at 10k (%.2fx, need <= %.1fx)"
+    (show_ms ~digits:4 larges) (show_ms ~digits:4 smalls) (large /. small) bound
 
 (* The shipped vec engine never loses to the row oracle on the ten
    employee queries at the benchmark's scale (1000 employees). *)

@@ -19,6 +19,17 @@ let push b x =
   b.a.(b.n) <- x;
   b.n <- b.n + 1
 
+(** Push [src.(0 .. n-1)]. *)
+let append b (src : int array) (n : int) =
+  if b.n + n > Array.length b.a then begin
+    let a' = Scratch.get (max 16 (max (b.n + n) (2 * b.n))) in
+    Array.blit b.a 0 a' 0 b.n;
+    Scratch.release b.a;
+    b.a <- a'
+  end;
+  Array.blit src 0 b.a b.n n;
+  b.n <- b.n + n
+
 let length b = b.n
 let get b i = b.a.(i)
 

@@ -32,6 +32,14 @@ type ctx = {
          temporal interval index (byte-identical either way) *)
 }
 
+(* [Batch.phys], here so that per-row loops inline it *)
+let[@inline] phys (sel : int array option) (i : int) : int =
+  match sel with Some s -> s.(i) | None -> i
+
+(* which keyset path ({!Key.direct}) an operator's keys took *)
+let key_path sp key =
+  Trace.set_str sp "keys" (if Key.direct key then "direct" else "hashed")
+
 let rows_in sp batches =
   match sp with
   | None -> ()
@@ -140,22 +148,26 @@ let union (a : Batch.t) (b : Batch.t) : Batch.t =
 
 (* EXCEPT ALL via counting, like the oracle: every right row cancels one
    matching left row; surviving left rows keep their order. *)
-let except_all (a : Batch.t) (b : Batch.t) : Batch.t =
+let except_all sp (a : Batch.t) (b : Batch.t) : Batch.t =
   if not (Schema.union_compatible (Batch.schema a) (Batch.schema b)) then
     invalid_arg "engine: EXCEPT ALL over incompatible schemas";
   let nb = Batch.length b in
-  let key = Key.create ~hint:nb [| b.Batch.cols; a.Batch.cols |] in
+  let key =
+    Key.create ~hint:nb ~sels:[| b.Batch.sel; a.Batch.sel |]
+      [| b.Batch.cols; a.Batch.cols |]
+  in
+  key_path sp key;
   (* group ids are dense and at most [nb] *)
   let counts = Scratch.get (max nb 1) in
   Array.fill counts 0 (max nb 1) 0;
   for ri = 0 to nb - 1 do
-    let g = Key.intern key ~src:0 ~row:(Batch.phys b ri) in
+    let g = Key.intern key ~src:0 ~row:(phys b.Batch.sel ri) in
     counts.(g) <- counts.(g) + 1
   done;
   let na = Batch.length a in
   let keep = Ibuf.create ~cap:na () in
   for li = 0 to na - 1 do
-    let pi = Batch.phys a li in
+    let pi = phys a.Batch.sel li in
     let g = Key.lookup key ~src:1 ~row:pi in
     if g >= 0 && counts.(g) > 0 then counts.(g) <- counts.(g) - 1
     else Ibuf.push keep pi
@@ -206,34 +218,22 @@ let fused_residual (la : int) (lb : Batch.t) (rb : Batch.t) (p : Expr.t) :
     Some (Array.of_list (List.map Option.get tests))
   else None
 
-(* the pair (lp, rp) passes every fused conjunct: one loop, no closure *)
-let fused_pass (tests : fused_cmp array) (lp : int) (rp : int) : bool =
-  let k = Array.length tests in
-  let j = ref 0 in
-  while
-    !j < k
-    &&
-    let t = tests.(!j) in
-    Veval.int_cmp t.op
-      t.x.(if t.x_left then lp else rp)
-      t.y.(if t.y_left then lp else rp)
-  do
-    incr j
-  done;
-  !j = k
-
 (* how a join tests its candidate pairs *)
 type residual_test =
-  | Pass_all  (** no residual *)
-  | Fused of fused_cmp array  (** inline, per candidate *)
+  | Fused of fused_cmp array
+      (** one typed loop per conjunct over a block of candidates (no
+          residual: no conjunct) *)
   | Blocked of Expr.t * int list
       (** [Veval.filter] over blocks of candidates, gathering only the
           listed columns *)
 
-(* At most this many candidates wait for a [Blocked] residual: a join's
-   working memory is bounded by the block, not by its candidate count.
-   The block starts at the join's size hint and doubles up to this. *)
-let block_pairs = 65_536
+(* At most this many candidates wait in a block: a join's working
+   memory is bounded by the block, not by its candidate count.  The block
+   starts at the join's size hint and doubles up to the bound, which is
+   smaller for a fused residual: its test reads the two int arrays at
+   the pairs directly, so a block that stays in cache pays more than a
+   long one saves. *)
+let block_pairs = function Fused _ -> 4_096 | _ -> 65_536
 
 (* The candidate pairs of a join, in emission order, and their
    survivors.  Survivors are recorded only when a consumer reads some
@@ -243,9 +243,10 @@ type pairs = {
   lb : Batch.t;
   rb : Batch.t;
   test : residual_test;
-  mutable bl : int array;  (** the waiting block ([Blocked] only) *)
+  mutable bl : int array;  (** the waiting block *)
   mutable br : int array;
   mutable nb : int;
+  limit : int;  (** the block's bound *)
   wanted : bool array;  (** output columns to gather *)
   record : bool;
   lout : Ibuf.t;
@@ -260,7 +261,7 @@ let pairs_create ?need ~cap ~block out_schema (lb : Batch.t) (rb : Batch.t)
   let la = Array.length lb.Batch.cols and ra = Array.length rb.Batch.cols in
   let test =
     match residual with
-    | None -> Pass_all
+    | None -> Fused [||]
     | Some p -> (
         match fused_residual la lb rb p with
         | Some t -> Fused t
@@ -275,11 +276,8 @@ let pairs_create ?need ~cap ~block out_schema (lb : Batch.t) (rb : Batch.t)
         w
   in
   let record = Array.exists Fun.id wanted in
-  let block () =
-    match test with
-    | Blocked _ -> Scratch.get (max 1 (min block block_pairs))
-    | _ -> [||]
-  in
+  let limit = block_pairs test in
+  let block () = Scratch.get (max 1 (min block limit)) in
   let bl = block () in
   let br = block () in
   {
@@ -290,6 +288,7 @@ let pairs_create ?need ~cap ~block out_schema (lb : Batch.t) (rb : Batch.t)
     bl;
     br;
     nb = 0;
+    limit;
     wanted;
     record;
     lout = Ibuf.create ~cap:(if record then cap else 1) ();
@@ -298,56 +297,132 @@ let pairs_create ?need ~cap ~block out_schema (lb : Batch.t) (rb : Batch.t)
     passed = 0;
   }
 
-let survive (s : pairs) (lp : int) (rp : int) : unit =
-  s.passed <- s.passed + 1;
+(* the waiting block's first [n] pairs survive *)
+let keep (s : pairs) (n : int) : unit =
+  s.passed <- s.passed + n;
   if s.record then begin
-    Ibuf.push s.lout lp;
-    Ibuf.push s.rout rp
+    Ibuf.append s.lout s.bl n;
+    Ibuf.append s.rout s.br n
   end
 
-(* test the waiting block: gather the residual's columns for it, filter,
-   and pass the survivors on in order *)
-let flush (s : pairs) : unit =
-  match s.test with
-  | Blocked (p, needed) when s.nb > 0 ->
-      let la = Array.length s.lb.Batch.cols in
-      let cols =
-        Array.make (la + Array.length s.rb.Batch.cols) Batch.placeholder
-      in
-      List.iter
-        (fun j ->
-          cols.(j) <-
-            (if j < la then Batch.gather_col ~len:s.nb s.lb.Batch.cols.(j) s.bl
-             else Batch.gather_col ~len:s.nb s.rb.Batch.cols.(j - la) s.br))
-        needed;
-      let sel = Veval.filter (Batch.of_cols s.out_schema s.nb cols) p in
-      for k = 0 to Array.length sel - 1 do
-        survive s s.bl.(sel.(k)) s.br.(sel.(k))
-      done;
-      s.nb <- 0
-  | _ -> ()
+(* Keep the pairs [k < n] of [bl]/[br] with [x.(xi.(k)) op y.(yi.(k))],
+   compacting both in place (in order), where [xi]/[yi] are [bl] or [br]
+   as the operands read the left or the right row; the number kept.  One
+   loop per operator ([>] and [>=] as [<] and [<=] with the operands
+   swapped): the comparison is not dispatched per pair. *)
+let filter_pairs (t : fused_cmp) (bl : int array) (br : int array) (n : int) :
+    int =
+  let swap = match t.op with Expr.Gt | Expr.Ge -> true | _ -> false in
+  let x = if swap then t.y else t.x and y = if swap then t.x else t.y in
+  let x_left = if swap then t.y_left else t.x_left
+  and y_left = if swap then t.x_left else t.y_left in
+  let xi = if x_left then bl else br and yi = if y_left then bl else br in
+  let w = ref 0 in
+  (match t.op with
+  | Expr.Lt | Expr.Gt ->
+      for k = 0 to n - 1 do
+        if x.(xi.(k)) < y.(yi.(k)) then begin
+          bl.(!w) <- bl.(k);
+          br.(!w) <- br.(k);
+          incr w
+        end
+      done
+  | Expr.Le | Expr.Ge ->
+      for k = 0 to n - 1 do
+        if x.(xi.(k)) <= y.(yi.(k)) then begin
+          bl.(!w) <- bl.(k);
+          br.(!w) <- br.(k);
+          incr w
+        end
+      done
+  | Expr.Eq ->
+      for k = 0 to n - 1 do
+        if x.(xi.(k)) = y.(yi.(k)) then begin
+          bl.(!w) <- bl.(k);
+          br.(!w) <- br.(k);
+          incr w
+        end
+      done
+  | _ ->
+      for k = 0 to n - 1 do
+        if x.(xi.(k)) <> y.(yi.(k)) then begin
+          bl.(!w) <- bl.(k);
+          br.(!w) <- br.(k);
+          incr w
+        end
+      done);
+  !w
 
-(* one candidate pair, by physical rows *)
-let offer (s : pairs) (lp : int) (rp : int) : unit =
-  s.candidates <- s.candidates + 1;
-  match s.test with
-  | Pass_all -> survive s lp rp
-  | Fused t -> if fused_pass t lp rp then survive s lp rp
-  | Blocked _ ->
-      if s.nb = Array.length s.bl then begin
-        let grow a =
-          let a' = Scratch.get (min block_pairs (2 * s.nb)) in
-          Array.blit a 0 a' 0 s.nb;
-          Scratch.release a;
-          a'
+(** The pairs [k < n] of [bl]/[br] (physical left and right rows) that
+    pass every fused conjunct, compacted in order to the front of both
+    arrays, one conjunct at a time; their number. *)
+let filter_fused (tests : fused_cmp array) (bl : int array) (br : int array)
+    (n : int) : int =
+  let n = ref n in
+  for j = 0 to Array.length tests - 1 do
+    n := filter_pairs tests.(j) bl br !n
+  done;
+  !n
+
+(* test the waiting block and pass its survivors on in order: fused
+   conjuncts one at a time over the block, any other residual by
+   gathering its columns for the block and filtering *)
+let flush (s : pairs) : unit =
+  if s.nb > 0 then begin
+    match s.test with
+    | Fused tests ->
+        keep s (filter_fused tests s.bl s.br s.nb);
+        s.nb <- 0
+    | Blocked (p, needed) ->
+        let la = Array.length s.lb.Batch.cols in
+        let cols =
+          Array.make (la + Array.length s.rb.Batch.cols) Batch.placeholder
         in
-        s.bl <- grow s.bl;
-        s.br <- grow s.br
-      end;
-      s.bl.(s.nb) <- lp;
-      s.br.(s.nb) <- rp;
-      s.nb <- s.nb + 1;
-      if s.nb >= block_pairs then flush s
+        List.iter
+          (fun j ->
+            cols.(j) <-
+              (if j < la then Batch.gather_col ~len:s.nb s.lb.Batch.cols.(j) s.bl
+               else Batch.gather_col ~len:s.nb s.rb.Batch.cols.(j - la) s.br))
+          needed;
+        let sel = Veval.filter (Batch.of_cols s.out_schema s.nb cols) p in
+        (* [sel] ascends, so the survivors compact in place *)
+        for k = 0 to Array.length sel - 1 do
+          s.bl.(k) <- s.bl.(sel.(k));
+          s.br.(k) <- s.br.(sel.(k))
+        done;
+        keep s (Array.length sel);
+        s.nb <- 0
+  end
+
+(* the candidate pairs (lp, rows.(k)) for [k] in [\[first, stop)], by
+   physical rows, appended to the waiting block a run at a time *)
+let offer_run (s : pairs) (lp : int) (rows : int array) (first : int)
+    (stop : int) : unit =
+  s.candidates <- s.candidates + (stop - first);
+  let k = ref first in
+  while !k < stop do
+    if s.nb = Array.length s.bl then begin
+      let grow a =
+        let a' = Scratch.get (min s.limit (2 * s.nb)) in
+        Array.blit a 0 a' 0 s.nb;
+        Scratch.release a;
+        a'
+      in
+      s.bl <- grow s.bl;
+      s.br <- grow s.br
+    end;
+    (* a loop, not [Array.fill]/[Array.blit]: runs are short (a few
+       right rows per key), and each of those is a C call *)
+    let m = min (stop - !k) (Array.length s.bl - s.nb) in
+    let bl = s.bl and br = s.br and nb = s.nb and k0 = !k in
+    for j = 0 to m - 1 do
+      bl.(nb + j) <- lp;
+      br.(nb + j) <- rows.(k0 + j)
+    done;
+    s.nb <- nb + m;
+    k := k0 + m;
+    if s.nb >= s.limit then flush s
+  done
 
 (* the joined output: the wanted columns gathered at the survivors, the
    rest {!Batch.placeholder}s *)
@@ -422,6 +497,7 @@ let hash_join ?need sp keys residual (lb : Batch.t) (rb : Batch.t) : Batch.t =
            else None)
          lkeys)
   in
+  let may_null = Array.length nullable_lkeys > 0 in
   let lkey_has_null pi =
     let j = ref 0 in
     while
@@ -447,18 +523,23 @@ let hash_join ?need sp keys residual (lb : Batch.t) (rb : Batch.t) : Batch.t =
        order) replay for each left row of that gid.  NULL left keys stay
        out of the table: the keyset equates NULL with NULL, but SQL join
        keys never do. *)
-    let key = Key.create ~hint:nl [| lkey_cols; rkey_cols |] in
+    let key =
+      Key.create ~hint:nl ~sels:[| lb.Batch.sel; rb.Batch.sel |]
+        [| lkey_cols; rkey_cols |]
+    in
+    key_path sp key;
     let lgids = get (max nl 1) in
     for li = 0 to nl - 1 do
-      let pi = Batch.phys lb li in
+      let pi = phys lb.Batch.sel li in
       lgids.(li) <-
-        (if lkey_has_null pi then -1 else Key.intern key ~src:0 ~row:pi)
+        (if may_null && lkey_has_null pi then -1
+         else Key.intern key ~src:0 ~row:pi)
     done;
     let rg = get (max nr 1) in
     for ri = 0 to nr - 1 do
       (* a NULL right key can only hash-match a NULL entry, and none were
          interned, so no explicit right-side NULL check is needed *)
-      rg.(ri) <- Key.lookup key ~src:1 ~row:(Batch.phys rb ri)
+      rg.(ri) <- Key.lookup key ~src:1 ~row:(phys rb.Batch.sel ri)
     done;
     let offsets, bucket =
       buckets ~get ~ngid:(Key.count key) ~n:nr rg rb.Batch.sel
@@ -467,10 +548,8 @@ let hash_join ?need sp keys residual (lb : Batch.t) (rb : Batch.t) : Batch.t =
     for li = 0 to nl - 1 do
       let g = lgids.(li) in
       if g >= 0 then begin
-        let pi = Batch.phys lb li in
-        for k = offsets.(g) to offsets.(g + 1) - 1 do
-          offer pairs pi bucket.(k)
-        done
+        let pi = phys lb.Batch.sel li in
+        offer_run pairs pi bucket offsets.(g) offsets.(g + 1)
       end
     done
   end
@@ -478,21 +557,23 @@ let hash_join ?need sp keys residual (lb : Batch.t) (rb : Batch.t) : Batch.t =
     (* Build on the right: bucket every right row per gid, probe in left
        order.  NULL right keys may sit in the table, but a non-NULL left
        probe never equals them. *)
-    let key = Key.create ~hint:nr [| rkey_cols; lkey_cols |] in
+    let key =
+      Key.create ~hint:nr ~sels:[| rb.Batch.sel; lb.Batch.sel |]
+        [| rkey_cols; lkey_cols |]
+    in
+    key_path sp key;
     let rgids = get (max nr 1) in
     for ri = 0 to nr - 1 do
-      rgids.(ri) <- Key.intern key ~src:0 ~row:(Batch.phys rb ri)
+      rgids.(ri) <- Key.intern key ~src:0 ~row:(phys rb.Batch.sel ri)
     done;
     let ngid = Key.count key in
     let offsets, bucket = buckets ~get ~ngid ~n:nr rgids rb.Batch.sel in
     for li = 0 to nl - 1 do
-      let pi = Batch.phys lb li in
-      if not (lkey_has_null pi) then begin
+      let pi = phys lb.Batch.sel li in
+      if not (may_null && lkey_has_null pi) then begin
         let g = Key.lookup key ~src:1 ~row:pi in
         if g >= 0 && g < ngid then
-          for k = offsets.(g) to offsets.(g + 1) - 1 do
-            offer pairs pi bucket.(k)
-          done
+          offer_run pairs pi bucket offsets.(g) offsets.(g + 1)
       end
     done;
     Key.release key
@@ -503,9 +584,9 @@ let hash_join ?need sp keys residual (lb : Batch.t) (rb : Batch.t) : Batch.t =
   Trace.set_int sp "residual_passed" pairs.passed;
   result
 
-(* Every (left, right) pair in left-major order is a candidate; a
-   residual that does not fuse is tested one block of candidates at a
-   time, so memory stays bounded whatever [nl · nr] is. *)
+(* Every (left, right) pair in left-major order is a candidate, and the
+   residual is tested one block of candidates at a time, so memory stays
+   bounded whatever [nl · nr] is. *)
 let nested_loop_join ?need (pred : Expr.t) (lb : Batch.t) (rb : Batch.t) :
     Batch.t =
   let out_schema = Schema.concat (Batch.schema lb) (Batch.schema rb) in
@@ -513,11 +594,19 @@ let nested_loop_join ?need (pred : Expr.t) (lb : Batch.t) (rb : Batch.t) :
   let pairs =
     pairs_create ?need ~cap:16 ~block:(nl * nr) out_schema lb rb (Some pred)
   in
+  Scratch.scoped @@ fun get ->
+  let rows =
+    match rb.Batch.sel with
+    | Some sel -> sel
+    | None ->
+        let rows = get (max nr 1) in
+        for ri = 0 to nr - 1 do
+          rows.(ri) <- ri
+        done;
+        rows
+  in
   for li = 0 to nl - 1 do
-    let pi = Batch.phys lb li in
-    for ri = 0 to nr - 1 do
-      offer pairs pi (Batch.phys rb ri)
-    done
+    offer_run pairs (phys lb.Batch.sel li) rows 0 nr
   done;
   pairs_finish pairs
 
@@ -537,7 +626,7 @@ let join ?need sp pred (lb : Batch.t) (rb : Batch.t) : Batch.t =
 (* Groups in first-appearance order, each folding its rows in row order
    into {!Gacc} slots, as [Exec.aggregate] folds [Agg.acc]s.  The keyset
    and the slots start small and grow with the groups. *)
-let aggregate (group : Algebra.proj list) (aggs : Algebra.agg_spec list)
+let aggregate sp (group : Algebra.proj list) (aggs : Algebra.agg_spec list)
     (b : Batch.t) : Batch.t =
   let child_schema = Batch.schema b in
   let out_schema = Neval.agg_out_schema child_schema group aggs in
@@ -553,6 +642,7 @@ let aggregate (group : Algebra.proj list) (aggs : Algebra.agg_spec list)
       agg_arr
   in
   let key = Key.create [| gcols |] in
+  key_path sp key;
   let accs = Gacc.create ~cap:8 agg_arr inputs in
   let reps = Ibuf.create () in
   for i = 0 to n - 1 do
@@ -581,12 +671,13 @@ let aggregate (group : Algebra.proj list) (aggs : Algebra.agg_spec list)
   let key_cols = Array.map (fun c -> Batch.gather_col c rep_arr) gcols in
   Batch.of_cols out_schema ng (Array.append key_cols agg_cols)
 
-let distinct (b : Batch.t) : Batch.t =
+let distinct sp (b : Batch.t) : Batch.t =
   let n = Batch.length b in
-  let key = Key.create ~hint:n [| b.Batch.cols |] in
+  let key = Key.create ~hint:n ~sels:[| b.Batch.sel |] [| b.Batch.cols |] in
+  key_path sp key;
   let keep = Ibuf.create ~cap:(max n 1) () in
   for li = 0 to n - 1 do
-    let pi = Batch.phys b li in
+    let pi = phys b.Batch.sel li in
     let before = Key.count key in
     if Key.intern key ~src:0 ~row:pi = before then Ibuf.push keep pi
   done;
@@ -695,12 +786,13 @@ let coalesce ?(lap = ignore) sp (b : Batch.t) : Batch.t =
   let k = Array.length b.Batch.cols in
   let pb, pe = Batch.period_arrays b in
   let prefix = Array.sub b.Batch.cols 0 (k - 2) in
-  let key = Key.create ~hint:n [| prefix |] in
+  let key = Key.create ~hint:n ~sels:[| b.Batch.sel |] [| prefix |] in
+  key_path sp key;
   Scratch.scoped @@ fun get ->
   let gids = get (max n 1) in
   let tb = get (max n 1) and te = get (max n 1) in
   for li = 0 to n - 1 do
-    let pi = Batch.phys b li in
+    let pi = phys b.Batch.sel li in
     gids.(li) <- Key.intern key ~src:0 ~row:pi;
     tb.(li) <- pb.(pi);
     te.(li) <- pe.(pi)
@@ -808,6 +900,7 @@ type endpoint_table = {
   lgids : int array;
   rgids : int array;
   ng : int;
+  direct : bool;  (** whether the group keys were addressed directly *)
 }
 
 let endpoint_table ~get (group_cols : int list) (lb : Batch.t) (rb : Batch.t) :
@@ -820,12 +913,16 @@ let endpoint_table ~get (group_cols : int list) (lb : Batch.t) (rb : Batch.t) :
   (* a self-split (DISTINCT's N_G(R, R)) adds no endpoints from its
      right side *)
   let same = lb == rb in
-  let key = Key.create ~hint:(nl + nr) [| lg; rg |] in
+  let key =
+    if same then Key.create ~hint:nl ~sels:[| lb.Batch.sel |] [| lg |]
+    else
+      Key.create ~hint:(nl + nr) ~sels:[| lb.Batch.sel; rb.Batch.sel |] [| lg; rg |]
+  in
   let m = 2 * (if same then nl else nl + nr) in
   let eg = get (max m 1) and et = get (max m 1) in
   let intern src (b : Batch.t) pb pe n gids base =
     for li = 0 to n - 1 do
-      let pi = Batch.phys b li in
+      let pi = phys b.Batch.sel li in
       let g = Key.intern key ~src ~row:pi in
       gids.(li) <- g;
       eg.(base + (2 * li)) <- g;
@@ -844,11 +941,11 @@ let endpoint_table ~get (group_cols : int list) (lb : Batch.t) (rb : Batch.t) :
       rgids
     end
   in
-  let ng = Key.count key in
+  let ng = Key.count key and direct = Key.direct key in
   Key.release key;
   let off, pts = group_order ~get ~ids:false ~ng ~n:m eg et in
   dedup_groups ~ng off pts;
-  { off; pts; lgids; rgids; ng }
+  { off; pts; lgids; rgids; ng; direct }
 
 (** Cut every row of [b] (group ids [gids], by logical row) at the points
     of its group strictly inside its period: the split operator N_G
@@ -863,7 +960,7 @@ let cut ~get sp (t : endpoint_table) ~(gids : int array) (b : Batch.t) :
   let first = get (max n 1) in
   let total = ref 0 in
   for li = 0 to n - 1 do
-    let pi = Batch.phys b li in
+    let pi = phys b.Batch.sel li in
     let g = gids.(li) in
     let bt = pb.(pi) and et = pe.(pi) in
     let lo = ref t.off.(g) and hi = ref t.off.(g + 1) in
@@ -884,7 +981,7 @@ let cut ~get sp (t : endpoint_table) ~(gids : int array) (b : Batch.t) :
   let ob = Array.make total 0 and oe = Array.make total 0 in
   let w = ref 0 in
   for li = 0 to n - 1 do
-    let pi = Batch.phys b li in
+    let pi = phys b.Batch.sel li in
     let stop = t.off.(gids.(li) + 1) and et = pe.(pi) in
     let prev = ref pb.(pi) and k = ref first.(li) in
     while !k < stop && t.pts.(!k) < et do
@@ -900,6 +997,7 @@ let cut ~get sp (t : endpoint_table) ~(gids : int array) (b : Batch.t) :
     oe.(!w) <- et;
     incr w
   done;
+  Trace.set_str sp "keys" (if t.direct then "direct" else "hashed");
   Trace.set_int sp "endpoint_keys" t.ng;
   Trace.set_int sp "endpoints" t.off.(t.ng);
   Trace.set_int sp "fragments" total;
@@ -953,7 +1051,8 @@ let split_agg sp ~(group : int list) ~(aggs : Algebra.agg_spec list)
         Option.map (Veval.eval child) (Agg.input_expr spec.func))
       agg_arr
   in
-  let key = Key.create ~hint:n [| gcols |] in
+  let key = Key.create ~hint:n ~sels:[| child.Batch.sel |] [| gcols |] in
+  key_path sp key;
   Scratch.scoped @@ fun get ->
   (* pre-aggregate per (group id, b, e); entries keep first-appearance
      order.  The entry index is open-addressed on the int triple
@@ -996,7 +1095,7 @@ let split_agg sp ~(group : int list) ~(aggs : Algebra.agg_spec list)
      the order of additions) keep [Agg.acc]s and the fold. *)
   let pre = Gacc.create ~sweep:true ~cap:n agg_arr inputs in
   for li = 0 to n - 1 do
-    let pi = Batch.phys child li in
+    let pi = phys child.Batch.sel li in
     let g = Key.intern key ~src:0 ~row:pi in
     let b = pb.(pi) and e = pe.(pi) in
     let slot = pre_slot g b e in
@@ -1296,12 +1395,12 @@ let rec eval_batch ?need (ctx : ctx) (q : Algebra.t) : Batch.t =
     when g = g' && same_plan l l' && same_plan r r' ->
       let a, b = mirrored_splits ctx g l r in
       rows_in sp [ a; b ];
-      except_all a b
+      except_all sp a b
   | Diff (l, r) ->
       let lb = eval_batch ctx l in
       let rb = eval_batch ctx r in
       rows_in sp [ lb; rb ];
-      except_all lb rb
+      except_all sp lb rb
   | Agg (group, aggs, q) ->
       let need =
         List.concat_map (fun (p : Algebra.proj) -> Expr.cols p.expr) group
@@ -1312,11 +1411,11 @@ let rec eval_batch ?need (ctx : ctx) (q : Algebra.t) : Batch.t =
       in
       let b = eval_batch ~need ctx q in
       rows_in sp [ b ];
-      aggregate group aggs b
+      aggregate sp group aggs b
   | Distinct q ->
       let b = eval_batch ctx q in
       rows_in sp [ b ];
-      distinct b
+      distinct sp b
   | Coalesce q ->
       let b = eval_batch ctx q in
       rows_in sp [ b ];

@@ -216,8 +216,9 @@ let test_op_project () =
   check "... and in the vec engine" true (raises (fun () -> Vexec.eval db bad))
 
 (* The flat overlap test: a residual of int-column comparisons compiles
-   to [Vexec.fused_cmp]s, and [Vexec.fused_pass] on a pair equals
-   [Veval.filter] on the materialized pair, for all six operators with
+   to [Vexec.fused_cmp]s, and [Vexec.filter_fused] on a block of pairs
+   keeps exactly the pairs [Veval.filter] keeps on the materialized
+   pairs, in order, for all six operators with
    operands from either input in both positions (and a conjunction of
    two).  A nullable operand does not compile. *)
 let test_fused_residual () =
@@ -243,11 +244,12 @@ let test_fused_residual () =
     match Vexec.fused_residual 2 lb rb p with
     | None -> Alcotest.failf "%s: did not compile" name
     | Some t ->
-        let flat =
-          List.filter (fun k -> Vexec.fused_pass t lp.(k) rp.(k)) (List.init np Fun.id)
-        in
+        let bl = Array.copy lp and br = Array.copy rp in
+        let kept = Vexec.filter_fused t bl br np in
+        let expected = Veval.filter pview p in
         check (name ^ ": flat test = Veval.filter") true
-          (Array.of_list flat = Veval.filter pview p)
+          (Array.sub bl 0 kept = Array.map (fun k -> lp.(k)) expected
+          && Array.sub br 0 kept = Array.map (fun k -> rp.(k)) expected)
   in
   let ops =
     [ ("=", Expr.Eq); ("<>", Expr.Ne); ("<", Expr.Lt); ("<=", Expr.Le);
@@ -881,32 +883,266 @@ let test_alloc_guard () =
     Alcotest.failf "warm agg-1 AS OF 2000 allocated %.0f words directly in \
                     the major heap (bound 10000)" direct
 
-(* An all-int keyset interns and looks up without allocating: the
-   probes are plain loops with no closure and no result tuple (these
-   8,192 calls took 123,072 minor words before). *)
+(* An all-int keyset interns and looks up without allocating, on both
+   paths: the probes are plain loops with no closure and no result tuple
+   (these 8,192 calls took 123,072 minor words before).  The first
+   keyset's span (64 x 16) is within its rows, so it addresses directly;
+   the others' (1000 x 1000, and one holding [min_int] and [max_int])
+   are far beyond them, so they hash. *)
 let test_key_alloc () =
   let n = 4096 in
-  let c j =
-    {
-      Batch.data = Batch.Ints (Array.init n (fun i -> i * (j + 3) mod 1000));
-      nulls = None;
-    }
+  let col f = { Batch.data = Batch.Ints (Array.init n f); nulls = None } in
+  let probe name ~direct cols =
+    let key = Tkr_vec.Key.create ~hint:n [| cols; cols |] in
+    check (name ^ ": direct addressing") direct (Tkr_vec.Key.direct key);
+    let w0 = Gc.minor_words () in
+    for i = 0 to n - 1 do
+      ignore (Tkr_vec.Key.intern key ~src:0 ~row:i)
+    done;
+    for i = 0 to n - 1 do
+      ignore (Tkr_vec.Key.lookup key ~src:1 ~row:i)
+    done;
+    let words = Gc.minor_words () -. w0 in
+    let distinct = Hashtbl.create n in
+    for i = 0 to n - 1 do
+      Hashtbl.replace distinct
+        (Array.map
+           (fun (c : Batch.col) ->
+             match c.Batch.data with Batch.Ints a -> a.(i) | _ -> assert false)
+           cols)
+        ()
+    done;
+    check (name ^ ": one group per distinct key") true
+      (Tkr_vec.Key.count key = Hashtbl.length distinct);
+    Tkr_vec.Key.release key;
+    (* a few words of slack for the float the counter itself returns *)
+    if words > 16. then
+      Alcotest.failf "%d all-int interns and lookups (%s) allocated %.0f minor words"
+        (2 * n) name words
   in
-  let cols = [| c 0; c 1 |] in
-  let key = Tkr_vec.Key.create ~hint:n [| cols; cols |] in
-  let w0 = Gc.minor_words () in
-  for i = 0 to n - 1 do
-    ignore (Tkr_vec.Key.intern key ~src:0 ~row:i)
-  done;
-  for i = 0 to n - 1 do
-    ignore (Tkr_vec.Key.lookup key ~src:1 ~row:i)
-  done;
-  let words = Gc.minor_words () -. w0 in
-  Tkr_vec.Key.release key;
-  (* a few words of slack for the float the counter itself returns *)
-  if words > 16. then
-    Alcotest.failf "%d all-int interns and lookups allocated %.0f minor words"
-      (2 * n) words
+  probe "direct" ~direct:true
+    [| col (fun i -> (i mod 64) - 40); col (fun i -> i / 64 mod 16) |];
+  probe "hashed, wide" ~direct:false
+    [| col (fun i -> i * 3 mod 1000); col (fun i -> i * 4 mod 1000) |];
+  probe "hashed, extreme" ~direct:false
+    [| col (fun i -> if i mod 2 = 0 then min_int else max_int - (i mod 7)) |]
+
+(* Keyset ids against a reference: rows of two sources interned and
+   looked up in turn must get the ids that grouping the boxed tuples by
+   [Value.compare] gives, in first-appearance order, whichever source is
+   typed ([Batch.col_of_values]) and whichever is its [Boxed] twin.  A
+   source with a selection ([sels]) interns and looks up only the rows it
+   lists.  Returns whether the all-typed keyset addressed its keys
+   directly. *)
+let keyset_agrees ?sels (tys : Value.ty array) (srcs : Value.t array array array)
+    : bool =
+  let module Key = Tkr_vec.Key in
+  let k = Array.length tys in
+  let typed rows =
+    Array.init k (fun j ->
+        Batch.col_of_values tys.(j) (Array.length rows) (fun i -> rows.(i).(j)))
+  in
+  let boxed rows =
+    Array.init k (fun j ->
+        { Batch.data = Batch.Boxed (Array.map (fun r -> r.(j)) rows); nulls = None })
+  in
+  (* the reference: an association list from tuples to ids *)
+  let seen = ref [] in
+  let find t =
+    List.find_map
+      (fun (t', id) ->
+        if Array.for_all2 (fun a b -> Value.compare a b = 0) t t' then Some id
+        else None)
+      !seen
+  in
+  let ref_intern t =
+    match find t with
+    | Some id -> id
+    | None ->
+        let id = List.length !seen in
+        seen := (t, id) :: !seen;
+        id
+  in
+  let ref_lookup t = Option.value (find t) ~default:(-1) in
+  let sels = Option.value sels ~default:(Array.map (fun _ -> None) srcs) in
+  (* intern source 0, look up source 1, intern source 1, look up both *)
+  let script intern lookup =
+    let each src f =
+      match sels.(src) with
+      | Some rows -> List.map (f src) (Array.to_list rows)
+      | None -> List.init (Array.length srcs.(src)) (f src)
+    in
+    List.concat
+      [
+        each 0 intern; each 1 lookup; each 1 intern; each 0 lookup; each 1 lookup;
+      ]
+  in
+  let expected =
+    script
+      (fun src i -> ref_intern srcs.(src).(i))
+      (fun src i -> ref_lookup srcs.(src).(i))
+  in
+  let run reps =
+    let key = Key.create ~hint:4 ~sels (Array.mapi (fun s f -> f srcs.(s)) reps) in
+    let got =
+      script
+        (fun src row -> Key.intern key ~src ~row)
+        (fun src row -> Key.lookup key ~src ~row)
+    in
+    let direct = Key.direct key in
+    let count = Key.count key in
+    Key.release key;
+    if got <> expected || count <> List.length !seen then
+      Alcotest.failf "keyset ids differ from Value.compare grouping (%s)"
+        (String.concat ","
+           (Array.to_list
+              (Array.map (fun f -> if f == typed then "typed" else "boxed") reps)));
+    direct
+  in
+  let direct = run [| typed; typed |] in
+  List.iter
+    (fun reps -> ignore (run reps))
+    [ [| boxed; boxed |]; [| typed; boxed |]; [| boxed; typed |] ];
+  direct
+
+(* a NaN whose bits differ from [nan]'s: every NaN is one key *)
+let odd_nan = Int64.float_of_bits 0x7FF0_0000_0000_0123L
+
+(* key columns: small int ranges (negative ones too), extreme ints,
+   floats with -0.0/0.0 and NaNs of two bit patterns, text, bools and a
+   column mixing [Int 1] and [Float 1.] (stored boxed), each NULL-free
+   or NULL-bearing; each source with or without a selection *)
+let gen_keyset_case =
+  let open QCheck.Gen in
+  let kind =
+    oneof
+      [
+        map2 (fun lo w -> (Value.TInt, map (fun i -> Value.Int (lo + i)) (int_bound w)))
+          (oneofl [ -50; -3; 0 ]) (int_range 0 40);
+        return
+          ( Value.TInt,
+            oneofl [ Value.Int min_int; Value.Int max_int; Value.Int 0; Value.Int (-1) ] );
+        return
+          ( Value.TFloat,
+            oneofl
+              (List.map (fun f -> Value.Float f) [ 0.; -0.; nan; odd_nan; 1.; -2.5; infinity ]) );
+        return (Value.TStr, oneofl [ Value.Str ""; Value.Str "a"; Value.Str "ab" ]);
+        return (Value.TBool, map (fun b -> Value.Bool b) bool);
+        return
+          ( Value.TInt,
+            oneofl [ Value.Int 1; Value.Float 1.; Value.Int 0; Value.Float (-0.) ] );
+      ]
+  in
+  let column = pair kind (oneofl [ 0; 0; 5 ]) in
+  int_range 1 3 >>= fun k ->
+  list_repeat k column >>= fun cols ->
+  let row =
+    flatten_l
+      (List.map
+         (fun ((_, v), nulls) ->
+           if nulls = 0 then v
+           else frequency [ (1, return Value.Null); (nulls, v) ])
+         cols)
+  in
+  let rows = int_range 0 40 >>= fun n -> array_repeat n (map Array.of_list row) in
+  (* no selection, or an ascending subset of the rows *)
+  let sel rows =
+    let n = Array.length rows in
+    oneof
+      [
+        return None;
+        map
+          (fun keep -> Some (Array.of_list (List.filter (fun i -> keep.(i)) (List.init n Fun.id))))
+          (array_repeat n bool);
+      ]
+  in
+  let source = rows >>= fun r -> map (fun s -> (r, s)) (sel r) in
+  map2
+    (fun (a, sa) (b, sb) ->
+      (Array.of_list (List.map (fun ((ty, _), _) -> ty) cols), [| a; b |], [| sa; sb |]))
+    source source
+
+let prop_keyset =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300
+       ~name:"keyset: ids = Value.compare grouping (typed and boxed twins)"
+       (QCheck.make gen_keyset_case)
+       (fun (tys, srcs, sels) ->
+         ignore (keyset_agrees ~sels tys srcs);
+         true))
+
+(* The keyset's edge keys, each with its expected path *)
+let test_keyset_edges () =
+  let ints l = Array.of_list (List.map (fun v -> [| Value.Int v |]) l) in
+  let agrees name ?direct ?sels tys srcs =
+    let d = keyset_agrees ?sels tys srcs in
+    match direct with
+    | Some want ->
+        check (Printf.sprintf "%s: %s" name (if want then "direct" else "hashed")) want d
+    | None -> ()
+  in
+  agrees "-0.0 = 0.0" [| Value.TFloat |]
+    [| [| [| Value.Float 0. |]; [| Value.Float (-0.) |] |]; [| [| Value.Float (-0.) |] |] |];
+  agrees "every NaN is one key" [| Value.TFloat |]
+    [| [| [| Value.Float nan |]; [| Value.Float odd_nan |] |];
+       [| [| Value.Float (-.odd_nan) |] |] |];
+  agrees "Int 1 <> Float 1." [| Value.TInt |]
+    [| [| [| Value.Int 1 |]; [| Value.Float 1. |]; [| Value.Int 1 |] |];
+       [| [| Value.Float 1. |] |] |];
+  agrees "negative ints" ~direct:true [| Value.TInt |]
+    [| ints [ -5; -3; -5; -4 ]; ints [ -4; -6; -3 ] |];
+  agrees "min_int/max_int overflow the span" ~direct:false [| Value.TInt |]
+    [| ints [ min_int; max_int; min_int ]; ints [ max_int; 0 ] |];
+  agrees "a wide key outside the selection" ~direct:true [| Value.TInt |]
+    ~sels:[| Some [| 0; 2; 3 |]; None |]
+    [| ints [ -5; max_int; -3; -5 ]; ints [ -4; -3 ] |];
+  agrees "two columns, wide packed span" ~direct:false
+    [| Value.TInt; Value.TInt |]
+    [| Array.init 8 (fun i -> [| Value.Int i; Value.Int (i * 1000) |]); [||] |];
+  (* [n] rows over both sources: a span of [direct_factor · n] values
+     is direct, one more is hashed *)
+  let n = 12 in
+  let bound = Tkr_vec.Key.direct_factor * n in
+  let spanning top =
+    [| ints (List.init (n - 3) (fun i -> i) @ [ top - 1 ]); ints [ 0; 3 ] |]
+  in
+  agrees "span at the bound" ~direct:true [| Value.TInt |] (spanning bound);
+  agrees "span past the bound" ~direct:false [| Value.TInt |] (spanning (bound + 1))
+
+(* A hash join whose overlap residual fuses tests its candidates a block
+   at a time without allocating per candidate: joining 1,024 rows to
+   themselves (131,072 candidates) allocates no more minor words than
+   joining 512 (32,768 candidates), once both are warm.  Only survivors'
+   counts are kept ([need:[]]); the block and the keyset's arrays come
+   from the scratch pool. *)
+let test_block_residual_alloc () =
+  let schema =
+    Schema.make
+      [ Schema.attr "k" Value.TInt; Schema.attr "b" Value.TInt; Schema.attr "e" Value.TInt ]
+  in
+  let batch n =
+    let ints f = { Batch.data = Batch.Ints (Array.init n f); nulls = None } in
+    Batch.of_cols schema n
+      [| ints (fun i -> i mod 8); ints (fun i -> i mod 97); ints (fun i -> (i mod 97) + (i mod 13)) |]
+  in
+  (* l.k = r.k AND l.b < r.e AND r.b < l.e *)
+  let pred =
+    Expr.And
+      ( Expr.Cmp (Expr.Eq, col 0, col 3),
+        Expr.And (Expr.Cmp (Expr.Lt, col 1, col 5), Expr.Cmp (Expr.Lt, col 4, col 2)) )
+  in
+  let words n =
+    let b = batch n in
+    let join () = ignore (Sys.opaque_identity (Vexec.join ~need:[] None pred b b)) in
+    join ();
+    let w0 = Gc.minor_words () in
+    join ();
+    Gc.minor_words () -. w0
+  in
+  let small = words 512 and large = words 1024 in
+  if large -. small > 64. then
+    Alcotest.failf "131,072 candidates allocated %.0f minor words, 32,768 allocated %.0f"
+      large small
 
 (* A nested loop over about 2M candidate pairs that only counts its
    survivors allocates almost nothing directly in the major heap: the
@@ -994,4 +1230,9 @@ let suite =
         test_key_alloc;
       Alcotest.test_case "nested loop: direct major allocation" `Quick
         test_nested_loop_alloc;
+      Alcotest.test_case "join: block residual allocates nothing per candidate"
+        `Quick test_block_residual_alloc;
+      prop_keyset;
+      Alcotest.test_case "keyset: edge keys and the direct-addressing bound"
+        `Quick test_keyset_edges;
     ] )
