@@ -10,7 +10,8 @@
                                plan invariants and lint for snapshot bugs
      serve                     TCP query server: sessions, admission
                                control, snapshot-aware result cache,
-                               optional flight recording (--record)
+                               optional event log (--log) and flight
+                               recording (--record)
      replay RECORDING          deterministically re-execute a flight
                                recording and byte-diff every response
      connect                   client for a running server
@@ -36,7 +37,6 @@ module Cache = Tkr_serve.Cache
 module Clock = Tkr_obs.Clock
 module Json = Tkr_obs.Json
 module Jsonl = Tkr_obs.Jsonl
-module Tel = Tkr_tel.Tel
 module Record = Tkr_rec.Record
 module Replay = Tkr_replay.Replay
 module Console = Tkr_serve.Console
@@ -660,36 +660,33 @@ let workload_name = function
   | None -> None
 
 let serve data workload host port max_sessions queue_depth cache_mb engine
-    index workers metrics_out log log_rate slow_ms record =
+    index workers metrics_out log record =
   let m = M.create ~engine ~index ~db:(workload_db workload) () in
   (match data with Some dir -> load_dir m dir | None -> ());
-  (* the JSONL event log: a file path, "stderr", or off entirely *)
-  let tel, tel_oc =
-    match log with
-    | None -> (Tel.disabled, None)
-    | Some "stderr" -> (Tel.create ~rate_limit:log_rate (Jsonl.Chan stderr), None)
+  (* the observability stream: a log view (a file path or "stderr") and
+     a recording view, each off unless asked for *)
+  let channels = ref [] in
+  let file = function
+    | None -> Jsonl.Null
     | Some path ->
         let oc = open_out path in
-        (Tel.create ~rate_limit:log_rate (Jsonl.Chan oc), Some oc)
+        channels := oc :: !channels;
+        Jsonl.Chan oc
   in
-  (* the flight recorder: one JSONL entry per finished request *)
-  let recorder, rec_oc =
-    match record with
-    | None -> (Record.disabled, None)
-    | Some path ->
-        let oc = open_out path in
-        let header =
-          Record.header
-            ?workload:(workload_name workload)
-            ~source:"tkr_cli serve" ()
-        in
-        (Record.create ~header (Jsonl.Chan oc), Some oc)
+  let log_sink =
+    match log with Some "stderr" -> Jsonl.Chan stderr | path -> file path
+  in
+  let stream =
+    Record.create ~log:log_sink ~record:(file record)
+      ~header:
+        (Record.header ?workload:(workload_name workload)
+           ~source:"tkr_cli serve" ())
+      ()
   in
   let config =
-    { Server.host; port; max_sessions; queue_depth; cache_mb; workers;
-      slow_ms }
+    { Server.host; port; max_sessions; queue_depth; cache_mb; workers }
   in
-  let srv = Server.start ~config ~tel ~recorder m in
+  let srv = Server.start ~config ~stream m in
   Printf.printf
     "tkr_serve listening on %s:%d (sessions %d, queue %d, cache %d MiB, \
      workers %d%s%s)\n%!"
@@ -707,22 +704,32 @@ let serve data workload host port max_sessions queue_depth cache_mb engine
   done;
   Printf.eprintf "draining...\n%!";
   Server.stop ~reason:"sigterm" srv;
-  Tel.close tel;
-  (match tel_oc with Some oc -> close_out oc | None -> ());
-  (if Record.enabled recorder then
-     Printf.eprintf "recorded %d request(s)\n%!" (Record.recorded recorder));
-  Record.close recorder;
-  (match rec_oc with Some oc -> close_out oc | None -> ());
+  if record <> None then
+    Printf.eprintf "recorded %d request(s)\n%!" (Record.recorded stream);
+  Record.close stream;
+  List.iter close_out_noerr !channels;
   let s = Server.cache_stats srv in
   Printf.eprintf "cache: %d hits, %d misses, %d evictions, %d invalidations\n%!"
     s.Cache.hits s.Cache.misses s.Cache.evictions s.Cache.invalidations;
-  match metrics_out with
+  (match metrics_out with
   | None -> ()
   | Some path ->
       let oc = open_out path in
       output_string oc (Server.metrics_text srv);
       close_out oc;
-      Printf.eprintf "wrote metrics to %s\n%!" path
+      Printf.eprintf "wrote metrics to %s\n%!" path);
+  (* a view that a write error stopped served on without it: the log or
+     recording is incomplete, which is an I/O failure *)
+  match Record.stopped stream with
+  | [] -> ()
+  | stopped ->
+      raise
+        (Fail
+           ( 5,
+             String.concat "; "
+               (List.map
+                  (fun (view, err) -> Printf.sprintf "%s stopped: %s" view err)
+                  stopped) ))
 
 let host_arg =
   Arg.(
@@ -793,29 +800,13 @@ let serve_cmd =
       & opt (some string) None
       & info [ "log" ] ~docv:"PATH|stderr"
           ~doc:
-            "write the structured JSONL event log (connections, requests \
-             with trace ids, cache traffic, invalidations, rejects, epoch \
-             bumps, slow queries) to $(docv); omitting it disables \
-             telemetry entirely")
-  in
-  let log_rate =
-    Arg.(
-      value
-      & opt int Tel.default_rate_limit
-      & info [ "log-rate" ] ~docv:"N"
-          ~doc:
-            "event-log rate limit in events per second (0 = unlimited); \
-             drops are counted in the tkr_tel_events_dropped_total metric \
-             and announced in the log itself")
-  in
-  let slow_ms =
-    Arg.(
-      value & opt int 500
-      & info [ "slow-ms" ] ~docv:"MS"
-          ~doc:
-            "slow-query threshold: requests at or above $(docv) total \
-             latency emit a slow_query event with plan fingerprint, \
-             queue/execute split and cache disposition")
+            "write the JSONL event log to $(docv): one request_finish \
+             line per finished request (the flight-recording entry's \
+             fields, with a trace id), and conn_open, conn_close, \
+             request_start, admission_reject and drain lines; at most \
+             5000 lines per second, drops counted in \
+             tkr_tel_events_dropped_total and announced in the log; \
+             omitting it disables the log and trace-id minting")
   in
   let record =
     Arg.(
@@ -826,7 +817,9 @@ let serve_cmd =
             "flight recorder: append one versioned JSONL entry per \
              finished request (statement, session, arrival order, table \
              versions and epoch, cache disposition, resource usage, \
-             response digest) to $(docv), for [tkr replay]")
+             response digest) to $(docv), for [tkr replay]; never \
+             rate-limited.  A log or recording stopped by a write error \
+             is reported at drain and exits 5")
   in
   Cmd.v
     (Cmd.info "serve"
@@ -836,11 +829,11 @@ let serve_cmd =
           result cache, live telemetry (STATS/METRICS/HEALTH/LEDGER, event \
           log), optional flight recording; SIGTERM/SIGINT drain gracefully")
     Term.(
-      const (fun a b c d e f g h i j k l m n o ->
-          guarded (fun () -> serve a b c d e f g h i j k l m n o))
+      const (fun a b c d e f g h i j k l m ->
+          guarded (fun () -> serve a b c d e f g h i j k l m))
       $ data $ workload $ host_arg $ port_arg $ max_sessions $ queue_depth
       $ cache_mb $ engine_arg $ index_arg $ workers $ metrics_out
-      $ log $ log_rate $ slow_ms $ record)
+      $ log $ record)
 
 (* --- replay --- *)
 

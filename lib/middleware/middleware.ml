@@ -118,10 +118,6 @@ type t = {
   phases : phase_counters;
   execute_us : Metrics.histogram;
   rows_out : Metrics.histogram;
-  mutable epoch_hook : (int -> unit) option;
-      (** observer notified with the new {!epoch} after every DDL/DML
-          statement, while the statement still holds the writer mutex —
-          the query server's invalidation telemetry *)
 }
 
 let create ?(options = Rewriter.optimized) ?(optimize = true)
@@ -149,7 +145,6 @@ let create ?(options = Rewriter.optimized) ?(optimize = true)
     phases = { c_parse; c_analyze; c_check; c_rewrite; c_optimize };
     execute_us;
     rows_out;
-    epoch_hook = None;
   }
 
 (* the middleware over the catalog value current now: whatever a
@@ -162,8 +157,6 @@ let pin m =
 (* every table version bump and every time-bound change moves the
    generation; on a pinned middleware it names the pinned value *)
 let epoch m = Database.generation m.db
-
-let set_epoch_hook m hook = m.epoch_hook <- hook
 
 let totals_report m =
   let ns c = Int64.of_int (Metrics.value c) in
@@ -1099,20 +1092,15 @@ let execute_update_statement db (stmt : Ast.statement) : result =
       err "TKR021" "not a DDL/DML statement"
 
 (* a query (or EXPLAIN/CHECK) runs on one pinned catalog value and never
-   waits; DDL/DML serializes on the writer mutex, publishes its
-   successor value and tells the epoch hook before letting go *)
+   waits; DDL/DML serializes on the writer mutex and publishes its
+   successor value *)
 let execute_statement ~parse_ns m (stmt : Ast.statement) : result =
   match stmt with
   | Ast.Query _ | Ast.Explain _ | Ast.Check _ ->
       execute_query_statement ~parse_ns (pin m) stmt
   | Ast.Create_table _ | Ast.Insert _ | Ast.Drop_table _ | Ast.Update _
   | Ast.Delete _ ->
-      Database.serialized m.db @@ fun db ->
-      let r = execute_update_statement db stmt in
-      (match m.epoch_hook with
-      | Some h -> h (Database.generation db)
-      | None -> ());
-      r
+      Database.serialized m.db @@ fun db -> execute_update_statement db stmt
 
 let parse_statement m (sql : string) = parse m Parser.statement sql
 

@@ -115,14 +115,6 @@ val epoch : t -> int
     {!pin}ned middleware the plan will execute on.  Monotone
     non-decreasing on a live middleware; fixed on a pinned one. *)
 
-val set_epoch_hook : t -> (int -> unit) option -> unit
-(** Observer notified with the new {!epoch} after every DDL/DML
-    statement that succeeds, once its successor value is published and
-    while it still holds the catalog's writer mutex, so the hook sees
-    epochs in order — keep it cheap, and do not write to the catalog
-    from it.  [None] removes it.  The query server installs its
-    epoch-bump telemetry here. *)
-
 (** The preparation phases of one statement (parse → analyze → check →
     rewrite → optimize), each timed once when it is prepared.  The
     middleware's cumulative totals are registry counters instead (see

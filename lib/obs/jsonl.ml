@@ -1,5 +1,5 @@
-(** JSON Lines output: the one sink type behind the telemetry event log
-    ([Tkr_tel]) and the flight recorder ([Tkr_rec]). *)
+(** JSON Lines output: the sink type behind both views of the serve
+    tier's observability stream ([Tkr_rec.Record]). *)
 
 type sink =
   | Null  (** discard everything *)

@@ -2,7 +2,7 @@
 
     A fixed ring of accounting slots, keyed by plan fingerprint (the
     digest of the normalized plan — the same identity the result cache
-    and the slow-query log aggregate on).  Each slot accumulates
+    and the stream's entries carry as [fp]).  Each slot accumulates
     cumulative wall and queue time, GC word deltas, rows returned, cache
     hits/misses and a latency histogram (p50/p95 via
     {!Tkr_obs.Metrics.histogram_quantile}).

@@ -4,6 +4,7 @@
 
 module Json = Tkr_obs.Json
 module Jsonl = Tkr_obs.Jsonl
+module Clock = Tkr_obs.Clock
 
 exception Format_error of string
 
@@ -97,35 +98,37 @@ type entry = {
   e_digest : string;
 }
 
+(* every field but [seq], which the log view writes in its envelope *)
+let entry_fields (e : entry) : (string * Json.t) list =
+  [ ("sid", Json.Int e.e_session); ("req", Json.Int e.e_req_id) ]
+  @ (match e.e_trace_id with
+    | Some tid -> [ ("trace_id", Json.Str tid) ]
+    | None -> [])
+  @ [ ("stmt", Json.Str e.e_stmt) ]
+  @ (match e.e_deadline_ms with
+    | Some ms -> [ ("deadline_ms", Json.Int ms) ]
+    | None -> [])
+  @ [
+      ("arrive_ms", Json.Int e.e_arrive_ms);
+      ("arrive_ns", Json.Int (Int64.to_int e.e_arrive_ns));
+      ("queue_us", Json.Int e.e_queue_us);
+      ("exec_us", Json.Int e.e_exec_us);
+      ("total_us", Json.Int e.e_total_us);
+      ("status", Json.Str e.e_status);
+      ("cached", Json.Bool e.e_cached);
+      ("disp", Json.Str e.e_disposition);
+      ("fp", Json.Str e.e_fp);
+      ("epoch", Json.Int e.e_epoch);
+      ("deps", Json.Obj (List.map (fun (t, v) -> (t, Json.Int v)) e.e_deps));
+      ("rows_in", Json.Int e.e_rows_in);
+      ("rows_out", Json.Int e.e_rows_out);
+      ("gc_minor_w", Json.Int e.e_gc_minor_w);
+      ("gc_major_w", Json.Int e.e_gc_major_w);
+      ("digest", Json.Str e.e_digest);
+    ]
+
 let entry_to_json (e : entry) : Json.t =
-  Json.Obj
-    ([ ("seq", Json.Int e.e_seq); ("sid", Json.Int e.e_session);
-       ("req", Json.Int e.e_req_id) ]
-    @ (match e.e_trace_id with
-      | Some tid -> [ ("trace_id", Json.Str tid) ]
-      | None -> [])
-    @ [ ("stmt", Json.Str e.e_stmt) ]
-    @ (match e.e_deadline_ms with
-      | Some ms -> [ ("deadline_ms", Json.Int ms) ]
-      | None -> [])
-    @ [
-        ("arrive_ms", Json.Int e.e_arrive_ms);
-        ("arrive_ns", Json.Int (Int64.to_int e.e_arrive_ns));
-        ("queue_us", Json.Int e.e_queue_us);
-        ("exec_us", Json.Int e.e_exec_us);
-        ("total_us", Json.Int e.e_total_us);
-        ("status", Json.Str e.e_status);
-        ("cached", Json.Bool e.e_cached);
-        ("disp", Json.Str e.e_disposition);
-        ("fp", Json.Str e.e_fp);
-        ("epoch", Json.Int e.e_epoch);
-        ("deps", Json.Obj (List.map (fun (t, v) -> (t, Json.Int v)) e.e_deps));
-        ("rows_in", Json.Int e.e_rows_in);
-        ("rows_out", Json.Int e.e_rows_out);
-        ("gc_minor_w", Json.Int e.e_gc_minor_w);
-        ("gc_major_w", Json.Int e.e_gc_major_w);
-        ("digest", Json.Str e.e_digest);
-      ])
+  Json.Obj (("seq", Json.Int e.e_seq) :: entry_fields e)
 
 let entry_of_json (j : Json.t) : entry =
   let stmt =
@@ -168,45 +171,175 @@ let entry_of_json (j : Json.t) : entry =
     e_digest = jstr j "digest";
   }
 
-(* ---- recorder ---- *)
+(* ---- the stream ---- *)
 
-type t = {
-  sink : Jsonl.sink;
-  lock : Mutex.t;
-  mutable live : bool;
-  mutable count : int;
+type event =
+  | Conn_open of { sid : int }
+  | Conn_close of { sid : int }
+  | Request_start of {
+      sid : int;
+      req : int;
+      trace_id : string option;
+      stmt : string;
+    }
+  | Admission_reject of { sid : int; reason : string }
+  | Drain of { reason : string }
+
+(* an event's name, severity and own fields *)
+let describe = function
+  | Conn_open { sid } -> ("conn_open", "debug", [ ("sid", Json.Int sid) ])
+  | Conn_close { sid } -> ("conn_close", "debug", [ ("sid", Json.Int sid) ])
+  | Request_start { sid; req; trace_id; stmt } ->
+      ( "request_start",
+        "debug",
+        [ ("sid", Json.Int sid); ("req", Json.Int req) ]
+        @ (match trace_id with
+          | Some tid -> [ ("trace_id", Json.Str tid) ]
+          | None -> [])
+        @ [ ("stmt", Json.Str stmt) ] )
+  | Admission_reject { sid; reason } ->
+      ( "admission_reject",
+        "warn",
+        [ ("sid", Json.Int sid); ("reason", Json.Str reason) ] )
+  | Drain { reason } -> ("drain", "info", [ ("reason", Json.Str reason) ])
+
+(* One JSONL view of the stream.  A view is on while its sink is not
+   [Null]: a write error or {!close} sets it to [Null] for good. *)
+type view = {
+  mutable sink : Jsonl.sink;
+  mutable lines : int;
+  mutable error : string option;  (* the write error that stopped it *)
 }
 
+type t = {
+  lock : Mutex.t;
+  clock : Clock.t;
+  wall : unit -> float;
+  seq : int Atomic.t;  (* the stream's one order: arrivals and events *)
+  log : view;
+  record : view;
+  (* the log view's rate limit: a window per second of [clock] *)
+  mutable window_start : int64;
+  mutable window_count : int;
+  mutable window_dropped : int;
+  mutable dropped : int;
+}
+
+let rate_limit = 5_000
+
+let make ~clock ~wall log record =
+  let view sink = { sink; lines = 0; error = None } in
+  {
+    lock = Mutex.create ();
+    clock;
+    wall;
+    seq = Atomic.make 0;
+    log = view log;
+    record = view record;
+    window_start = clock ();
+    window_count = 0;
+    window_dropped = 0;
+    dropped = 0;
+  }
+
 let disabled =
-  { sink = Jsonl.Null; lock = Mutex.create (); live = false; count = 0 }
+  make ~clock:Clock.frozen ~wall:Unix.gettimeofday Jsonl.Null Jsonl.Null
 
-let enabled t = t != disabled && t.live && t.sink != Jsonl.Null
+let create ?(clock = Clock.monotonic) ?(wall = Unix.gettimeofday)
+    ?(log = Jsonl.Null) ?(record = Jsonl.Null) ?(header = header ()) () =
+  match (log, record) with
+  | Jsonl.Null, Jsonl.Null -> disabled
+  | _ ->
+      Jsonl.write record (header_to_json header);
+      make ~clock ~wall log record
 
-let locked mu f =
-  Mutex.lock mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
+let logging t = t.log.sink != Jsonl.Null
+let recording t = t.record.sink != Jsonl.Null
+let next_seq t = Atomic.fetch_and_add t.seq 1
 
-let create ?(header = header ()) sink =
-  Jsonl.write sink (header_to_json header);
-  { sink; lock = Mutex.create (); live = true; count = 0 }
+let locked t f =
+  Mutex.lock t.lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+
+(* A sink that fails stops its view and keeps the error: nothing a view
+   writes can raise into the server's threads. *)
+let put v line =
+  if v.sink != Jsonl.Null then
+    match Jsonl.write v.sink line with
+    | () -> v.lines <- v.lines + 1
+    | exception exn ->
+        v.sink <- Jsonl.Null;
+        v.error <- Some (Printexc.to_string exn)
+
+(* one log line under the rate limit; a window that rolls over first
+   announces what the full one dropped.  A line without a [seq] (every
+   kind but [request_finish]) takes the stream's next one.  The caller
+   holds the lock. *)
+let log_line t ?seq ~severity ~event fields =
+  let now = t.clock () in
+  let line ~seq ~severity ~event fields =
+    Json.Obj
+      (* integer milliseconds: exact in JSON, unlike a float epoch *)
+      (("ts_ms", Json.Int (int_of_float (t.wall () *. 1000.)))
+      :: ("mono_ns", Json.Int (Int64.to_int now))
+      :: ("seq", Json.Int seq)
+      :: ("severity", Json.Str severity)
+      :: ("event", Json.Str event)
+      :: fields)
+  in
+  if Int64.sub now t.window_start >= 1_000_000_000L then begin
+    if t.window_dropped > 0 then
+      put t.log
+        (line ~seq:(next_seq t) ~severity:"warn" ~event:"rate_limited"
+           [ ("dropped", Json.Int t.window_dropped) ]);
+    t.window_start <- now;
+    t.window_count <- 0;
+    t.window_dropped <- 0
+  end;
+  if t.window_count >= rate_limit then begin
+    t.window_dropped <- t.window_dropped + 1;
+    t.dropped <- t.dropped + 1
+  end
+  else begin
+    t.window_count <- t.window_count + 1;
+    let seq = match seq with Some s -> s | None -> next_seq t in
+    put t.log (line ~seq ~severity ~event fields)
+  end
 
 let write t (e : entry) =
-  if enabled t then
-    locked t.lock @@ fun () ->
-    if t.live then begin
-      t.count <- t.count + 1;
-      Jsonl.write t.sink (entry_to_json e)
-    end
+  if logging t || recording t then
+    locked t @@ fun () ->
+    let fields = entry_fields e in
+    put t.record (Json.Obj (("seq", Json.Int e.e_seq) :: fields));
+    if logging t then
+      log_line t ~seq:e.e_seq
+        ~severity:(if e.e_status = "ok" then "info" else "error")
+        ~event:"request_finish" fields
 
-let recorded t = locked t.lock (fun () -> t.count)
+let emit t ev =
+  if logging t then
+    locked t @@ fun () ->
+    if logging t then
+      let event, severity, fields = describe ev in
+      log_line t ~severity ~event fields
+
+let recorded t = locked t (fun () -> t.record.lines)
+let dropped t = locked t (fun () -> t.dropped)
+
+let stopped t =
+  locked t @@ fun () ->
+  List.filter_map
+    (fun (name, v) -> Option.map (fun err -> (name, err)) v.error)
+    [ ("log", t.log); ("record", t.record) ]
 
 let close t =
   if t != disabled then
-    locked t.lock @@ fun () ->
-    if t.live then begin
-      t.live <- false;
-      Jsonl.flush t.sink
-    end
+    locked t @@ fun () ->
+    List.iter
+      (fun v ->
+        Jsonl.flush v.sink;
+        v.sink <- Jsonl.Null)
+      [ t.log; t.record ]
 
 (* ---- reading ---- *)
 

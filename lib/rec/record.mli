@@ -18,13 +18,9 @@
     cache disposition) feed the resource ledger and offline analysis.
 
     An {!entry} is also the serve tier's one per-request record: the
-    server builds it for every finished request, recording on or off,
-    and feeds its counters, the {!Ledger} and the event log from it.
-
-    The recorder writes to the same {!Tkr_obs.Jsonl} sink as
-    [Tkr_tel.Tel]: {!disabled} is a shared no-op value, {!enabled} is a
-    physical-equality check, and the server guards the response
-    {!digest} on it so recording off costs no MD5. *)
+    server builds it for every finished request, views on or off, and
+    feeds its counters, the {!Ledger} and the stream's two views (below)
+    from it. *)
 
 module Json = Tkr_obs.Json
 
@@ -86,30 +82,102 @@ val entry_to_json : entry -> Json.t
 val entry_of_json : Json.t -> entry
 (** @raise Format_error on a record without [stmt]. *)
 
-(** {2 Recorder} *)
+(** {2 The stream}
+
+    The serve tier's one observability stream: every finished request's
+    {!entry} and five lifecycle {!event}s, written to up to two JSONL
+    views.
+
+    - The {e recording} view ([serve --record]) is the flight
+      recording: the {!header}, then one {!entry_to_json} line per
+      entry.  It is never rate-limited, so a recording is complete.
+    - The {e log} view ([serve --log]) writes one line per entry and
+      per event.  Every line opens with the envelope [ts_ms] (wall-clock
+      integer milliseconds), [mono_ns] (monotonic nanoseconds), [seq],
+      [severity] and [event].  An entry's line is
+      ["event":"request_finish"]: its [seq] is the entry's, and the rest
+      of {!entry_to_json}'s fields follow, so the log and the recording
+      agree field by field.  An event's line carries its own fields
+      below.  The log view writes at most
+      5,000 lines per second of the monotonic clock; a window that
+      dropped lines is announced by one synthetic [rate_limited] line
+      ([dropped]) when the next one opens, and {!dropped} counts them.
+
+    [seq] is the stream's one order: an entry's is stamped at its
+    request's arrival ({!next_seq}), an event's and a [rate_limited]
+    line's when it is written.
+
+    {!disabled} is shared and has both views off: {!logging} and
+    {!recording} are one physical-equality check each, and the server
+    guards all work only a view consumes (trace-id minting, the
+    response {!digest}) on them.  A view whose sink raises stops, and
+    {!stopped} names it with the error: a write error never reaches the
+    server's threads.  All operations are mutex-serialized. *)
+
+(** The lifecycle events: what the log says that no entry does.  [sid]
+    and [req] are the session and request ids, named as in an entry. *)
+type event =
+  | Conn_open of { sid : int }
+  | Conn_close of { sid : int }
+  | Request_start of {
+      sid : int;
+      req : int;
+      trace_id : string option;
+      stmt : string;
+    }
+  | Admission_reject of { sid : int; reason : string }
+      (** [sid] 0 for a connection refused at the session limit *)
+  | Drain of { reason : string }
 
 type t
 
 val disabled : t
-(** The shared no-op recorder: [enabled disabled = false] and {!write}
-    returns immediately. *)
+(** Both views off. *)
 
-val create : ?header:header -> Tkr_obs.Jsonl.sink -> t
-(** Open a recorder and emit the header line.  The caller owns the
-    channel (if any) and closes it after {!close}. *)
+val create :
+  ?clock:Tkr_obs.Clock.t ->
+  ?wall:(unit -> float) ->
+  ?log:Tkr_obs.Jsonl.sink ->
+  ?record:Tkr_obs.Jsonl.sink ->
+  ?header:header ->
+  unit ->
+  t
+(** A stream with a log view on [log] and a recording view on [record]
+    (each off when absent; {!disabled} when both are).  The recording's
+    [header] line is written here.  [clock] and [wall] stamp the log's
+    envelope and drive its rate limit; they are injectable for tests.
+    The caller owns the channels (if any) and closes them after
+    {!close}. *)
 
-val enabled : t -> bool
-(** [false] for {!disabled} and closed recorders.  Guard work that only
-    the recorder consumes (the response {!digest}) on this. *)
+val logging : t -> bool
+(** The log view is on. *)
+
+val recording : t -> bool
+(** The recording view is on. *)
+
+val next_seq : t -> int
+(** The stream's next [seq]: the server stamps each request's arrival
+    with it. *)
 
 val write : t -> entry -> unit
-(** Append one entry; a no-op when not {!enabled}. *)
+(** One finished request, to both views. *)
+
+val emit : t -> event -> unit
+(** One lifecycle event, to the log view. *)
 
 val recorded : t -> int
-(** Entries written so far. *)
+(** Entries the recording view has written. *)
+
+val dropped : t -> int
+(** Log lines the rate limit discarded. *)
+
+val stopped : t -> (string * string) list
+(** The views (["log"], ["record"]) a write error stopped, each with its
+    error. *)
 
 val close : t -> unit
-(** Flush and disable.  Idempotent; does not close the channel. *)
+(** Flush and turn both views off.  Idempotent; does not close the
+    channels. *)
 
 (** {2 Reading} *)
 

@@ -86,8 +86,6 @@ let normalize_deps deps =
 type outcome =
   | Hit of string * int  (* payload, result cardinality *)
   | Miss
-  | Stale of (string * int) list
-      (* the dependencies that moved, at their current versions *)
 
 let lookup (c : t) ~key ~deps : outcome =
   if not (enabled c) then Miss
@@ -106,23 +104,19 @@ let lookup (c : t) ~key ~deps : outcome =
           Hit (n.payload, n.rows))
         else (
           (* a dependency moved on: the entry can never hit again *)
-          let changed =
-            List.filter (fun d -> not (List.mem d n.deps)) now
-          in
           remove c n;
           c.invalidations <- c.invalidations + 1;
           c.misses <- c.misses + 1;
-          Stale changed)
+          Miss)
 
 let find (c : t) ~key ~deps =
   match lookup c ~key ~deps with
   | Hit (p, _) -> Some p
-  | Miss | Stale _ -> None
+  | Miss -> None
 
 let add (c : t) ?(rows = 0) ~key ~deps payload =
   let size = String.length payload in
-  if (not (enabled c)) || size > c.max_bytes then 0
-  else
+  if enabled c && size <= c.max_bytes then
     locked c @@ fun () ->
     (match Hashtbl.find_opt c.tbl key with
     | Some old -> remove c old
@@ -144,14 +138,11 @@ let add (c : t) ?(rows = 0) ~key ~deps payload =
     Hashtbl.replace c.tbl key n;
     push_front c n;
     c.bytes <- c.bytes + size;
-    let evicted = ref 0 in
     while c.bytes > c.max_bytes do
       let lru = c.sent.prev in
       remove c lru;
-      c.evictions <- c.evictions + 1;
-      incr evicted
-    done;
-    !evicted
+      c.evictions <- c.evictions + 1
+    done
 
 let invalidate_table (c : t) name =
   if not (enabled c) then 0

@@ -37,26 +37,23 @@ type outcome =
       (** the stored payload and its result cardinality (as passed to
           {!add} — lets hit paths report rows served without reparsing
           the payload) *)
-  | Miss  (** no entry for the key *)
-  | Stale of (string * int) list
-      (** entry dropped: these dependencies moved (at current versions) *)
+  | Miss  (** no entry for the key, or a stale one *)
 
 val lookup : t -> key:string -> deps:(string * int) list -> outcome
 (** [Hit (payload, rows)] iff an entry for [key] exists and its recorded
     dependency versions equal [deps] (compared order-insensitively).
     A stale entry is removed, counted as an invalidation, and reported
-    with its changed dependencies — the hook for invalidation
-    telemetry. *)
+    as a [Miss]. *)
 
 val find : t -> key:string -> deps:(string * int) list -> string option
 (** [lookup] collapsed to an option (rows dropped). *)
 
 val add :
-  t -> ?rows:int -> key:string -> deps:(string * int) list -> string -> int
+  t -> ?rows:int -> key:string -> deps:(string * int) list -> string -> unit
 (** Insert (or replace) an entry, then evict least-recently-used entries
-    until the byte budget holds; returns how many entries were evicted,
-    so callers can feed a live eviction metric.  A payload alone above
-    the budget is not stored (returns 0, as does a disabled cache). *)
+    until the byte budget holds (counted in {!stats}).  A payload alone
+    above the budget is not stored, nor is anything in a disabled
+    cache. *)
 
 val invalidate_table : t -> string -> int
 (** Drop every entry depending on the table (case-insensitive); returns

@@ -1,7 +1,7 @@
 (** The Tkr_serve TCP query server: accept loop, one thread per
     connection running its own requests through the admission gate,
-    snapshot-aware result cache, live telemetry.  See the interface for
-    the architecture overview. *)
+    snapshot-aware result cache, one observability stream.  See the
+    interface for the architecture overview. *)
 
 module Middleware = Tkr_middleware.Middleware
 module Database = Tkr_engine.Database
@@ -13,7 +13,6 @@ module Clock = Tkr_obs.Clock
 module Json = Tkr_obs.Json
 module Metrics = Tkr_obs.Metrics
 module Openmetrics = Tkr_obs.Openmetrics
-module Tel = Tkr_tel.Tel
 module Record = Tkr_rec.Record
 module Ledger = Tkr_rec.Ledger
 open Tkr_relation
@@ -25,7 +24,6 @@ type config = {
   queue_depth : int;
   cache_mb : int;
   workers : int;
-  slow_ms : int;
 }
 
 let default_config =
@@ -36,19 +34,18 @@ let default_config =
     queue_depth = 128;
     cache_mb = 64;
     workers = 8;
-    slow_ms = 500;
   }
 
 type job = {
   j_sess : Session.session;
   j_req : Wire.request;
   j_enq_ns : int64;
-  j_seq : int;  (* global arrival order, stamped when the frame is read *)
-  j_arrive_ms : int;  (* wall-clock arrival, for the flight recorder *)
+  j_seq : int;  (* the stream's order, stamped when the frame is read *)
+  j_arrive_ms : int;  (* wall-clock arrival, when a stream view is on *)
   j_trace : string option;
       (* the request's correlation id: the client's trace_id, or a
-         server-generated one when telemetry is on (None when off — the
-         response then carries no trace_id field at all) *)
+         server-generated one when the log view is on (None otherwise —
+         the response then carries no trace_id field at all) *)
 }
 
 type t = {
@@ -64,17 +61,14 @@ type t = {
   conns_lock : Mutex.t;
   mutable accept_thread : Thread.t option;
   mutable conn_threads : Thread.t list;
-  (* telemetry *)
-  tel : Tel.t;
+  (* the observability stream (both views off unless [serve --log] or
+     [--record]) and the per-fingerprint resource ledger (always on: it
+     also backs the slow-query view in STATS and [tkr_cli top]) *)
+  stream : Record.t;
+  ledger : Ledger.t;
   trace_seq : int Atomic.t;  (* server-generated trace-id counter *)
   start_ns : int64;
   env : Tkr_perf.Env.t;  (* build info for the METRICS exposition *)
-  (* flight recorder (disabled unless [serve --record]) and the
-     per-fingerprint resource ledger (always on: it also backs the
-     slow-query view in STATS and [tkr_cli top]) *)
-  recorder : Record.t;
-  ledger : Ledger.t;
-  arrive_seq : int Atomic.t;  (* stamps [j_seq] *)
   (* server metrics, registered in the middleware's registry so one
      OpenMetrics export covers engine and server *)
   m_requests : Metrics.counter;
@@ -92,8 +86,6 @@ let port t = t.bound_port
 let config t = t.cfg
 let cache_stats t = Cache.stats t.cache
 let stopping t = Atomic.get t.stop_flag
-let telemetry t = t.tel
-let recorder t = t.recorder
 let ledger t = t.ledger
 
 let uptime_s srv =
@@ -133,8 +125,8 @@ let record srv (j : job) ~exec_ns ~gc0:(minor0, major0) ~fp ~epoch ~deps
   let queue_us = us_between j.j_enq_ns exec_ns in
   let minor1, major1 = Trace.alloc_words () in
   (* digesting the response costs an MD5 over the payload: only when the
-     flight recorder will consume it *)
-  let digest = Record.enabled srv.recorder in
+     recording view will consume it *)
+  let digest = Record.recording srv.stream in
   let status, e_digest =
     match reply with
     | Ok (payload, _) -> ("ok", if digest then Record.digest payload else "")
@@ -189,7 +181,6 @@ let run_query srv (j : job) stmt record : reply * Record.entry =
       0 p.Middleware.tables
   in
   let record = record ~fp ~epoch:(Middleware.epoch mw) ~deps ~rows_in in
-  let tel = srv.tel in
   let execute_fresh disposition =
     let obs = if req.Wire.trace then Trace.create () else Trace.disabled in
     let tbl =
@@ -205,30 +196,15 @@ let run_query srv (j : job) stmt record : reply * Record.entry =
     in
     let rows_out = Table.cardinality tbl in
     let payload = Wire.body_to_payload (Wire.Rows tbl) in
-    let evicted = Cache.add srv.cache ~rows:rows_out ~key ~deps payload in
-    if evicted > 0 && Tel.enabled tel then
-      Tel.emit tel (Tel.Cache_evict { count = evicted });
+    Cache.add srv.cache ~rows:rows_out ~key ~deps payload;
     record ~disposition ~rows_out (Ok (payload, trace_json obs))
   in
   if not (Cache.enabled srv.cache) then execute_fresh "off"
   else
     match Cache.lookup srv.cache ~key ~deps with
     | Cache.Hit (payload, rows) ->
-        if Tel.enabled tel then Tel.emit tel (Tel.Cache_hit { fingerprint = fp });
         record ~disposition:"hit" ~rows_out:rows (Ok (payload, None))
-    | Cache.Miss ->
-        if Tel.enabled tel then
-          Tel.emit tel (Tel.Cache_miss { fingerprint = fp });
-        execute_fresh "miss"
-    | Cache.Stale changed ->
-        if Tel.enabled tel then begin
-          List.iter
-            (fun (table, version) ->
-              Tel.emit tel (Tel.Invalidation { table; version }))
-            changed;
-          Tel.emit tel (Tel.Cache_miss { fingerprint = fp })
-        end;
-        execute_fresh "miss"
+    | Cache.Miss -> execute_fresh "miss"
 
 (* DDL/DML and the meta statements (EXPLAIN, CHECK) bypass the cache;
    execute_statement pins a query's catalog value, or serializes a
@@ -240,9 +216,9 @@ let run_statement srv ~parse_ns stmt : string * int =
   | Middleware.Done msg -> (Wire.body_to_payload (Wire.Message msg), 0)
 
 (* Feed one finished request's record to every observer: the serve
-   counters and latency histogram, the resource ledger, the flight
-   recorder and the event log.  Cache traffic is the cache's own count
-   ({!Cache.stats}), read at scrape time. *)
+   counters and latency histogram, the resource ledger and the stream's
+   views.  Cache traffic is the cache's own count ({!Cache.stats}), read
+   at scrape time. *)
 let observe srv (e : Record.entry) =
   Metrics.incr srv.m_requests;
   Metrics.observe srv.m_latency e.e_total_us;
@@ -251,25 +227,7 @@ let observe srv (e : Record.entry) =
   | "DEADLINE_EXCEEDED" -> Metrics.incr srv.m_deadline
   | _ -> Metrics.incr srv.m_errors);
   Ledger.observe srv.ledger e;
-  Record.write srv.recorder e;
-  let tel = srv.tel in
-  if Tel.enabled tel then begin
-    (match e.e_trace_id with
-    | Some trace_id ->
-        Tel.emit tel
-          (Tel.Request_finish
-             { session = e.e_session; req_id = e.e_req_id; trace_id;
-               status = e.e_status; cached = e.e_cached;
-               elapsed_us = e.e_total_us })
-    | None -> ());
-    if e.e_total_us >= srv.cfg.slow_ms * 1000 then
-      Tel.emit tel
-        (Tel.Slow_query
-           { trace_id = Option.value ~default:"" e.e_trace_id;
-             fingerprint = e.e_fp; stmt = e.e_stmt; queue_us = e.e_queue_us;
-             exec_us = e.e_exec_us; total_us = e.e_total_us;
-             disposition = e.e_disposition })
-  end
+  Record.write srv.stream e
 
 (* ---- execution ---- *)
 
@@ -284,14 +242,11 @@ let execute srv (job : job) : reply * Record.entry =
      here.  The counts are domain-local; [Gc.quick_stat]'s minor count
      only advances at minor collections. *)
   let gc0 = Trace.alloc_words () in
-  (if Tel.enabled srv.tel then
-     match job.j_trace with
-     | Some trace_id ->
-         Tel.emit srv.tel
-           (Tel.Request_start
-              { session = Session.id job.j_sess; req_id = req.Wire.id;
-                trace_id; stmt = req.Wire.stmt })
-     | None -> ());
+  if Record.logging srv.stream then
+    Record.emit srv.stream
+      (Record.Request_start
+         { sid = Session.id job.j_sess; req = req.Wire.id;
+           trace_id = job.j_trace; stmt = req.Wire.stmt });
   let record = record srv job ~exec_ns ~gc0 in
   (* bypass statements and errors pin no plan: their fingerprint is the
      statement's and they depend on no table version *)
@@ -343,7 +298,7 @@ let build_info_family srv : string =
 
 (* counts owned outside the metrics registry, rendered from their owners
    at scrape time: the result cache's traffic, the sessions' plan
-   outcomes and the event log's drops *)
+   outcomes and the log view's drops *)
 let owned_counters srv : string list =
   let cs = Cache.stats srv.cache in
   [
@@ -356,8 +311,8 @@ let owned_counters srv : string list =
          (Session.outcomes srv.sessions));
   ]
   @
-  if Tel.enabled srv.tel then
-    [ Openmetrics.counter "tkr_tel_events_dropped" (Tel.dropped srv.tel) ]
+  if Record.logging srv.stream then
+    [ Openmetrics.counter "tkr_tel_events_dropped" (Record.dropped srv.stream) ]
   else []
 
 (* live levels, read from their owners at scrape time: admission,
@@ -478,23 +433,22 @@ let serve srv fd sess (req : Wire.request) =
     match req.Wire.trace_id with
     | Some _ as tid -> tid
     | None ->
-        if Tel.enabled srv.tel then
+        if Record.logging srv.stream then
           Some (Printf.sprintf "t%d-%d" sid (Atomic.fetch_and_add srv.trace_seq 1))
         else None
   in
   let job =
     { j_sess = sess; j_req = req;
       j_enq_ns = Clock.now_ns ();
-      j_seq = Atomic.fetch_and_add srv.arrive_seq 1;
+      j_seq = Record.next_seq srv.stream;
       j_arrive_ms =
-        (if Record.enabled srv.recorder then
+        (if Record.logging srv.stream || Record.recording srv.stream then
            int_of_float (Unix.gettimeofday () *. 1000.)
          else 0);
       j_trace }
   in
   let reject reason code message =
-    if Tel.enabled srv.tel then
-      Tel.emit srv.tel (Tel.Admission_reject { session = sid; reason });
+    Record.emit srv.stream (Record.Admission_reject { sid; reason });
     send_error srv fd ~id:req.Wire.id ?trace_id:req.Wire.trace_id code message
   in
   match Admission.acquire srv.gate with
@@ -521,8 +475,7 @@ let conn_loop srv fd sess () =
   let sid = Session.id sess in
   let finally () =
     Session.close srv.sessions sess;
-    if Tel.enabled srv.tel then
-      Tel.emit srv.tel (Tel.Conn_close { session = sid });
+    Record.emit srv.stream (Record.Conn_close { sid });
     (* deregister and prune this thread from the server's bookkeeping so
        a long-running server doesn't accumulate a Thread.t per connection
        ever accepted; the accept loop inserts the thread into
@@ -536,7 +489,7 @@ let conn_loop srv fd sess () =
     (try Unix.close fd with Unix.Unix_error _ -> ())
   in
   Fun.protect ~finally @@ fun () ->
-  if Tel.enabled srv.tel then Tel.emit srv.tel (Tel.Conn_open { session = sid });
+  Record.emit srv.stream (Record.Conn_open { sid });
   send_raw fd (Wire.greeting_frame ~session_id:sid);
   let rec loop () =
     match Wire.read_frame fd with
@@ -575,10 +528,9 @@ let accept_loop srv () =
                with Unix.Unix_error _ -> ());
               match Session.open_session srv.sessions with
               | None ->
-                  if Tel.enabled srv.tel then
-                    Tel.emit srv.tel
-                      (Tel.Admission_reject
-                         { session = 0; reason = "session_limit" });
+                  Record.emit srv.stream
+                    (Record.Admission_reject
+                       { sid = 0; reason = "session_limit" });
                   send_raw fd
                     (Wire.error_frame ~id:0
                        {
@@ -608,8 +560,7 @@ let accept_loop srv () =
 
 (* ---- lifecycle ---- *)
 
-let start ?(config = default_config) ?(tel = Tel.disabled)
-    ?(recorder = Record.disabled) mw =
+let start ?(config = default_config) ?(stream = Record.disabled) mw =
   (* a peer that hangs up before its reply is written must cost a failed
      write, not the process *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
@@ -643,13 +594,11 @@ let start ?(config = default_config) ?(tel = Tel.disabled)
       conns_lock = Mutex.create ();
       accept_thread = None;
       conn_threads = [];
-      tel;
+      stream;
+      ledger = Ledger.create ();
       trace_seq = Atomic.make 1;
       start_ns = Clock.now_ns ();
       env = Tkr_perf.Env.capture ();
-      recorder;
-      ledger = Ledger.create ();
-      arrive_seq = Atomic.make 0;
       (* counters export with the [_total] suffix added *)
       m_requests = Metrics.counter reg "serve_requests";
       m_busy = Metrics.counter reg "serve_busy";
@@ -658,15 +607,12 @@ let start ?(config = default_config) ?(tel = Tel.disabled)
       m_latency = Metrics.histogram reg "serve_latency_us";
     }
   in
-  if Tel.enabled tel then
-    Middleware.set_epoch_hook mw
-      (Some (fun epoch -> Tel.emit tel (Tel.Epoch_bump { epoch })));
   srv.accept_thread <- Some (Thread.create (accept_loop srv) ());
   srv
 
 let stop ?(reason = "stop") srv =
   if Atomic.compare_and_set srv.stop_flag false true then begin
-    if Tel.enabled srv.tel then Tel.emit srv.tel (Tel.Drain { reason });
+    Record.emit srv.stream (Record.Drain { reason });
     (* 1. stop accepting connections *)
     (match srv.accept_thread with Some th -> Thread.join th | None -> ());
     (try Unix.close srv.listen_fd with Unix.Unix_error _ -> ());
@@ -685,8 +631,5 @@ let stop ?(reason = "stop") srv =
             srv.conns;
           srv.conn_threads)
     in
-    List.iter Thread.join threads;
-    (* the middleware outlives the server: detach the epoch observer so
-       later DDL doesn't write into a log the caller may close *)
-    if Tel.enabled srv.tel then Middleware.set_epoch_hook srv.mw None
+    List.iter Thread.join threads
   end

@@ -34,16 +34,37 @@
     connections beyond [max_sessions].  {!stop} drains gracefully:
     requests holding or awaiting a slot finish, then threads join.
 
-    {2 Telemetry}
+    {2 Observability}
 
-    A server started with a live {!Tkr_tel.Tel.t} logs typed JSONL
-    events — connection open/close, request start/finish, cache
-    hit/miss/evict, dependency invalidations, admission rejects, epoch
-    bumps, drains, slow queries — each request line stamped with its
-    trace id: the client's [trace_id] if one came on the wire, else a
-    server-generated one, echoed back on the response.  With telemetry
-    off and no client trace id, responses are byte-identical to an
-    uninstrumented server.
+    Every finished request (ok, bypass statement, typed error or queued
+    deadline) is described by one {!Tkr_rec.Record.entry}, built once
+    when its reply is ready.  The response's [elapsed_us], the serve
+    counters and [serve_latency_us], the resource ledger and the
+    server's one {!Tkr_rec.Record.t} stream all read from that one
+    value.  The stream also carries what no entry says: connection
+    open/close, request start, admission rejects and the drain.
+
+    The stream has two views, each off unless asked for.  The log view
+    ([serve --log]) writes every entry as a [request_finish] line and
+    every lifecycle event, rate-limited.  While it is on, a request
+    without a client [trace_id] gets a server-generated one, echoed on
+    the response and on its log lines.  The recording view ([serve
+    --record]) appends each entry as one versioned JSONL line:
+    canonical statement, session, arrival order, the [(table, version)]
+    vector and catalog epoch observed at execution, cache disposition,
+    queue/exec split, GC word deltas, rows in/out, and an MD5 digest of
+    the exact response payload bytes.  The dependency vector is read on
+    the same pinned catalog value the cache uses, so a recording pins
+    exactly the state a deterministic replay must reproduce.  A slow
+    query is an entry whose [total_us] passes a threshold, a cache
+    hit or miss its [disp], an invalidation a changed [deps] on the same
+    [fp], a catalog write its new [epoch].
+
+    With both views off (the default) each request pays one
+    physical-equality check per view, and with no client trace id the
+    responses are byte-identical to an uninstrumented server.  A view
+    whose sink fails stops ({!Tkr_rec.Record.stopped}); the server
+    keeps serving.
 
     Four statements are answered by the connection's thread without a
     slot (so they stay responsive while every slot is held and during a
@@ -51,31 +72,11 @@
     answered after it): [STATS] (a JSON summary: counters, latency quantiles, cache,
     session plan outcomes, slowest plan fingerprints), [METRICS] (the OpenMetrics exposition of
     the middleware registry — engine and server counters, live gauges,
-    build info, [tkr_ledger_*] families, telemetry drop counter),
+    build info, [tkr_ledger_*] families, the log view's drop counter),
     [HEALTH] ([ready]/[draining]) and [LEDGER] (the per-plan-fingerprint
-    resource ledger: see {!Tkr_rec.Ledger.to_json}).
-
-    {2 Flight recording}
-
-    Every finished request (ok, bypass statement, typed error or queued
-    deadline) is described by one {!Tkr_rec.Record.entry}, built once
-    when its reply is ready.  The response's [elapsed_us], the serve
-    counters and [serve_latency_us], the resource ledger, the recorder
-    and the event log's request-finish and slow-query lines all read
-    from that one value.
-
-    A server started with a live {!Tkr_rec.Record.t} appends that entry
-    as one versioned JSONL line — canonical statement,
-    session, arrival order, the [(table, version)] vector and catalog
-    epoch observed at execution, cache disposition, queue/exec split, GC
-    word deltas, rows in/out, and an MD5 digest of the exact response
-    payload bytes.  Because the dependency vector is read under the same
-    lock bracket the cache uses, a recording pins exactly the state a
-    deterministic replay must reproduce.  Recording off (the default) is
-    a physical-equality check per request. *)
+    resource ledger: see {!Tkr_rec.Ledger.to_json}). *)
 
 module Middleware = Tkr_middleware.Middleware
-module Tel = Tkr_tel.Tel
 module Record = Tkr_rec.Record
 module Ledger = Tkr_rec.Ledger
 
@@ -86,26 +87,19 @@ type config = {
   queue_depth : int;  (** at most this many sessions wait for a slot *)
   cache_mb : int;  (** result-cache byte budget; 0 disables the cache *)
   workers : int;  (** at most this many requests execute at once *)
-  slow_ms : int;
-      (** slow-query threshold: requests whose total latency reaches this
-          emit a [slow_query] event (fingerprint, phase split, cache
-          disposition) when telemetry is on *)
 }
 
 val default_config : config
-(** 127.0.0.1:7643, 64 sessions, queue 128, 64 MiB cache, 8 workers,
-    500 ms slow threshold. *)
+(** 127.0.0.1:7643, 64 sessions, queue 128, 64 MiB cache, 8 workers. *)
 
 type t
 
-val start :
-  ?config:config -> ?tel:Tel.t -> ?recorder:Record.t -> Middleware.t -> t
+val start : ?config:config -> ?stream:Record.t -> Middleware.t -> t
 (** Bind, listen and spawn the accept loop.  SIGPIPE is ignored from here
     on, process-wide, so a peer that hangs up before its reply is written
-    costs a failed write, not the process.  [tel] (default
-    {!Tkr_tel.Tel.disabled}) receives the event log; [recorder] (default
-    {!Tkr_rec.Record.disabled}) receives flight-recording entries.  The
-    caller owns both and closes them after {!stop}.
+    costs a failed write, not the process.  [stream] (default
+    {!Tkr_rec.Record.disabled}) receives every entry and lifecycle
+    event; the caller owns it and closes it after {!stop}.
     @raise Unix.Unix_error when the address cannot be bound. *)
 
 val port : t -> int
@@ -114,8 +108,6 @@ val port : t -> int
 val config : t -> config
 val cache_stats : t -> Cache.stats
 val stopping : t -> bool
-val telemetry : t -> Tel.t
-val recorder : t -> Record.t
 
 val ledger : t -> Ledger.t
 (** The live resource ledger (always on); [LEDGER] serves its
@@ -134,8 +126,9 @@ val metrics_text : t -> string
     [tkr_build_info] family (git SHA, OCaml version), the result cache's
     own [serve_cache_{hits,misses,evictions}_total] counters
     ({!Cache.stats}), the sessions' [serve_plans_total{outcome=...}]
-    counters, the [tkr_tel_events_dropped_total] counter (when
-    telemetry is on) and the [tkr_ledger_*] per-fingerprint families. *)
+    counters, the [tkr_tel_events_dropped_total] counter of the log
+    view's rate limit (when the log view is on) and the [tkr_ledger_*]
+    per-fingerprint families. *)
 
 val health_json : t -> Tkr_obs.Json.t
 (** The [HEALTH] payload: [{"status": "ready" | "draining", ...}]. *)
@@ -146,6 +139,6 @@ val stop : ?reason:string -> t -> unit
     socket (waking threads blocked on a read or on a write to a client
     that stopped reading) and join all threads.  A reply still being
     written at that moment may be cut short.  [reason]
-    (default ["stop"]) tags the drain event in the log — the CLI passes
+    (default ["stop"]) tags the drain event in the log view — the CLI passes
     ["sigterm"].  Idempotent and safe to call from a signal-triggered
     context. *)

@@ -32,7 +32,7 @@ type plan = {
       (** the result-cache key: the normalized final plan plus the
           post-plan shape (ordering, limit, snapshot rendering) *)
   fp : string;
-      (** the key's short digest: the identity the slow-query log, the
+      (** the key's short digest: the identity the stream's entries, the
           ledger and [top] aggregate on *)
 }
 

@@ -462,7 +462,7 @@ type response = {
   rsp_trace_id : string option;
       (** the correlation id the server logged this request under:
           echoes the request's [trace_id], or a server-generated id when
-          telemetry is on and the client sent none *)
+          the event log is on and the client sent none *)
 }
 
 (** The result payload as JSON text — this exact string is what the

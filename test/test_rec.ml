@@ -13,7 +13,6 @@ module Wire = Tkr_serve.Wire
 module Server = Tkr_serve.Server
 module Client = Tkr_serve.Client
 module Console = Tkr_serve.Console
-module Tel = Tkr_tel.Tel
 module Record = Tkr_rec.Record
 module Ledger = Tkr_rec.Ledger
 module Replay = Tkr_replay.Replay
@@ -115,17 +114,19 @@ let test_recorder_sink () =
   let r =
     Record.create
       ~header:(Record.header ~workload:"employee" ~source:"unit" ())
-      (Jsonl.Fn (fun j -> lines := j :: !lines))
+      ~record:(Jsonl.Fn (fun j -> lines := j :: !lines))
+      ()
   in
-  check "fresh recorder enabled" true (Record.enabled r);
-  check "disabled recorder is off" false (Record.enabled Record.disabled);
+  check "fresh recorder enabled" true (Record.recording r);
+  check "no log view" false (Record.logging r);
+  check "disabled recorder is off" false (Record.recording Record.disabled);
   Record.write Record.disabled sample_entry;
   Record.write r sample_entry;
   Record.write r { sample_entry with Record.e_seq = 8 };
   check_int "two entries recorded" 2 (Record.recorded r);
   Record.close r;
   Record.close r;
-  check "closed recorder disabled" false (Record.enabled r);
+  check "closed recorder disabled" false (Record.recording r);
   Record.write r sample_entry;
   check_int "writes after close ignored" 2 (Record.recorded r);
   (* header line first, then the entries *)
@@ -140,7 +141,7 @@ let test_read_restores_arrival_order () =
   let path = Filename.temp_file "tkr_rec" ".jsonl" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
   let oc = open_out path in
-  let r = Record.create (Jsonl.Chan oc) in
+  let r = Record.create ~record:(Jsonl.Chan oc) () in
   (* completion order 2,0,1 — read_file must restore 0,1,2 *)
   List.iter
     (fun s -> Record.write r { sample_entry with Record.e_seq = s })
@@ -256,7 +257,7 @@ let fresh_mw () =
   ignore (M.execute m "CREATE TABLE kv (x int)");
   m
 
-let with_rec_server ?(cache_mb = 16) ?tel ?recorder f =
+let with_rec_server ?(cache_mb = 16) ?stream f =
   let m = fresh_mw () in
   let srv =
     Server.start
@@ -268,7 +269,7 @@ let with_rec_server ?(cache_mb = 16) ?tel ?recorder f =
           max_sessions = 16;
           workers = 4;
         }
-      ?tel ?recorder m
+      ?stream m
   in
   Fun.protect ~finally:(fun () -> Server.stop srv) (fun () -> f m srv)
 
@@ -297,19 +298,19 @@ let session_programs =
    program. *)
 let capture_workload ~order path =
   let oc = open_out path in
-  let recorder =
+  let stream =
     Record.create
       ~header:(Record.header ~workload:"employee" ~source:"test" ())
-      (Jsonl.Chan oc)
+      ~record:(Jsonl.Chan oc) ()
   in
   Fun.protect ~finally:(fun () -> close_out oc) @@ fun () ->
-  (* close the recorder only after [with_rec_server] has run Server.stop:
+  (* close the stream only after [with_rec_server] has run Server.stop:
      entries are written by the connection threads after the response
      is sent, so the last ones land during the stop drain (production
-     does the same — tkr_cli closes the recorder after the server has
+     does the same — tkr_cli closes the stream after the server has
      stopped) *)
-  Fun.protect ~finally:(fun () -> Record.close recorder) @@ fun () ->
-  with_rec_server ~recorder @@ fun _m srv ->
+  Fun.protect ~finally:(fun () -> Record.close stream) @@ fun () ->
+  with_rec_server ~stream @@ fun _m srv ->
   let port = Server.port srv in
   let clients = Array.init 4 (fun _ -> Client.connect ~port ()) in
   let remaining = Array.of_list (List.map (fun p -> ref p) session_programs) in
@@ -413,8 +414,8 @@ let qcheck_shuffled_replay =
 (* ---- scrape surface: LEDGER statement and OpenMetrics families ---- *)
 
 let test_ledger_scrape_and_metrics () =
-  let tel = Tel.create (Jsonl.Fn ignore) in
-  with_rec_server ~tel @@ fun _m srv ->
+  let stream = Record.create ~log:(Jsonl.Fn ignore) () in
+  with_rec_server ~stream @@ fun _m srv ->
   Client.with_client ~port:(Server.port srv) @@ fun c ->
   ignore (Client.run_exn c "INSERT INTO kv VALUES (1), (2)");
   let q = "SELECT x FROM kv" in
@@ -536,10 +537,10 @@ let test_replay_skips_rejected_write () =
   let path = Filename.temp_file "tkr_rec_rejected" ".jsonl" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
   let oc = open_out path in
-  let recorder = Record.create (Jsonl.Chan oc) in
+  let stream = Record.create ~record:(Jsonl.Chan oc) () in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-      Fun.protect ~finally:(fun () -> Record.close recorder) @@ fun () ->
-      with_rec_server ~recorder @@ fun _m srv ->
+      Fun.protect ~finally:(fun () -> Record.close stream) @@ fun () ->
+      with_rec_server ~stream @@ fun _m srv ->
       Client.with_client ~port:(Server.port srv) @@ fun c ->
       (match
          (Client.run ~deadline_ms:0 c "INSERT INTO kv VALUES (99)").Wire.body
@@ -555,21 +556,29 @@ let test_replay_skips_rejected_write () =
   check_int "read matched" 1 o.Replay.matched;
   check "replay identical" true (Replay.identical o)
 
-(* ---- one record, many observers: the recorder, the event log, the
-   ledger and the STATS counters tell the same story ---- *)
+(* ---- one record, many observers: the stream's two views, the ledger
+   and the STATS counters tell the same story ---- *)
+
+let jstr j key =
+  Option.value ~default:"" (Option.bind (Json.member key j) Json.to_string_opt)
+
+let is_event name j = jstr j "event" = name
+
+(* a sink that keeps its lines; the server's threads write concurrently *)
+let collector () =
+  let lock = Mutex.create () and lines = ref [] in
+  ( Jsonl.Fn
+      (fun j ->
+        Mutex.lock lock;
+        lines := j :: !lines;
+        Mutex.unlock lock),
+    fun () -> List.rev !lines )
 
 let test_observers_agree () =
-  let lock = Mutex.create () in
-  let collect r j =
-    Mutex.lock lock;
-    r := j :: !r;
-    Mutex.unlock lock
-  in
-  let events = ref [] and lines = ref [] in
-  let tel = Tel.create (Jsonl.Fn (collect events)) in
-  let recorder = Record.create (Jsonl.Fn (collect lines)) in
+  let log, logged = collector () and record, recorded = collector () in
+  let stream = Record.create ~log ~record () in
   let stats, ledger_count =
-    with_rec_server ~tel ~recorder @@ fun _m srv ->
+    with_rec_server ~stream @@ fun _m srv ->
     (Client.with_client ~port:(Server.port srv) @@ fun c ->
      let q = "SELECT x FROM kv" in
      check "first read misses" false (Client.run_exn c q).Wire.cached;
@@ -590,47 +599,39 @@ let test_observers_agree () =
         0
         (Ledger.rows (Server.ledger srv)) )
   in
-  Record.close recorder;
+  Record.close stream;
   let entries =
     List.filter_map
       (fun j ->
         if Json.member "stmt" j = None then None
         else Some (Record.entry_of_json j))
-      !lines
+      (recorded ())
   in
-  let finishes =
-    List.filter
-      (fun j ->
-        Option.bind (Json.member "event" j) Json.to_string_opt
-        = Some "request_finish")
-      !events
-  in
+  let finishes = List.filter (is_event "request_finish") (logged ()) in
   check_int "one entry per request" 5 (List.length entries);
   check_int "one request_finish per request" 5 (List.length finishes);
+  (* each log line is its recorded entry, field by field *)
   List.iter
     (fun (e : Record.entry) ->
-      let tid =
-        match e.Record.e_trace_id with
-        | Some t -> t
-        | None -> Alcotest.fail "entry without a trace id"
-      in
-      match
-        List.filter
-          (fun j ->
-            Option.bind (Json.member "trace_id" j) Json.to_string_opt
-            = Some tid)
-          finishes
-      with
-      | [ f ] ->
-          check_str ("status of " ^ tid) e.Record.e_status
-            (Option.value ~default:""
-               (Option.bind (Json.member "status" f) Json.to_string_opt));
-          check ("cached of " ^ tid) true
-            (Json.member "cached" f = Some (Json.Bool e.Record.e_cached))
+      check "entry has a trace id" true (e.Record.e_trace_id <> None);
+      match List.filter (fun j -> jint j "seq" = e.Record.e_seq) finishes with
+      | [ f ] -> (
+          check "log line reads back as the entry" true
+            (Record.entry_of_json f = e);
+          match Record.entry_to_json e with
+          | Json.Obj fields ->
+              List.iter
+                (fun (k, v) ->
+                  check
+                    (Printf.sprintf "%s of seq %d" k e.Record.e_seq)
+                    true
+                    (Json.member k f = Some v))
+                fields
+          | _ -> Alcotest.fail "an entry is an object")
       | fs ->
           Alcotest.fail
-            (Printf.sprintf "%d request_finish lines for %s" (List.length fs)
-               tid))
+            (Printf.sprintf "%d request_finish lines for seq %d"
+               (List.length fs) e.Record.e_seq))
     entries;
   let count p = List.length (List.filter p entries) in
   let status s (e : Record.entry) = e.Record.e_status = s in
@@ -661,6 +662,354 @@ let test_observers_agree () =
       ("cache misses", jint cache "misses", count (disp "miss"), 1);
     ];
   check_int "one bypass" 1 (count (disp "bypass"))
+
+(* ---- the log view ---- *)
+
+(* a log-only stream with a pinned clock: mono 0 and a fixed wall
+   clock, so envelope fields are exact *)
+let test_log_envelope_and_fields () =
+  let log, lines = collector () in
+  let stream =
+    Record.create ~clock:(fun () -> 0L) ~wall:(fun () -> 1234.5) ~log ()
+  in
+  check "log view on" true (Record.logging stream);
+  check "no recording view" false (Record.recording stream);
+  let entry status =
+    { sample_entry with Record.e_seq = Record.next_seq stream; e_status = status }
+  in
+  Record.emit stream (Record.Conn_open { sid = 7 });
+  Record.emit stream
+    (Record.Request_start
+       { sid = 7; req = 3; trace_id = Some "t7-1"; stmt = "SELECT 1" });
+  let ok = entry "ok" in
+  Record.write stream ok;
+  Record.emit stream (Record.Admission_reject { sid = 7; reason = "busy" });
+  let failed = entry "PARSE_ERROR" in
+  Record.write stream failed;
+  Record.emit stream (Record.Drain { reason = "stop" });
+  match lines () with
+  | [ open_; start; finish; reject; error; drain ] ->
+      (* envelope: pinned wall clock in exact integer ms; every line
+         takes the stream's next seq, an entry's line its entry's *)
+      check_int "ts_ms" 1_234_500 (jint open_ "ts_ms");
+      check_int "mono_ns" 0 (jint open_ "mono_ns");
+      Alcotest.(check (list int))
+        "seq" [ 0; 1; 2; 3; 4; 5 ]
+        (List.map (fun j -> jint j "seq") [ open_; start; finish; reject; error; drain ]);
+      Alcotest.(check (list string))
+        "events"
+        [ "conn_open"; "request_start"; "request_finish"; "admission_reject";
+          "request_finish"; "drain" ]
+        (List.map (fun j -> jstr j "event") (lines ()));
+      Alcotest.(check (list string))
+        "severities"
+        [ "debug"; "debug"; "info"; "warn"; "error"; "info" ]
+        (List.map (fun j -> jstr j "severity") (lines ()));
+      (* sid and req are named as in the entry *)
+      check_int "open sid" 7 (jint open_ "sid");
+      check_int "start sid" 7 (jint start "sid");
+      check_int "start req" 3 (jint start "req");
+      check_str "start trace" "t7-1" (jstr start "trace_id");
+      check_str "start stmt" "SELECT 1" (jstr start "stmt");
+      check_str "reject reason" "busy" (jstr reject "reason");
+      check_str "drain reason" "stop" (jstr drain "reason");
+      (* a request_finish line is its entry *)
+      check "finish is the entry" true (Record.entry_of_json finish = ok);
+      check "error is the entry" true (Record.entry_of_json error = failed);
+      check_int "nothing dropped" 0 (Record.dropped stream);
+      check_int "nothing recorded" 0 (Record.recorded stream)
+  | l -> Alcotest.fail (Printf.sprintf "expected 6 lines, got %d" (List.length l))
+
+let test_disabled_is_free () =
+  check "no views is the shared disabled stream" true
+    (Record.create () == Record.disabled);
+  check "no log" false (Record.logging Record.disabled);
+  check "no recording" false (Record.recording Record.disabled);
+  Record.emit Record.disabled (Record.Drain { reason = "test" });
+  Record.write Record.disabled sample_entry;
+  Record.close Record.disabled;
+  check_int "nothing recorded" 0 (Record.recorded Record.disabled);
+  check_int "nothing dropped" 0 (Record.dropped Record.disabled);
+  check "nothing stopped" true (Record.stopped Record.disabled = [])
+
+(* the log view writes at most 5,000 lines a second and says what it
+   dropped; the recording view writes every entry *)
+let test_log_rate_limit () =
+  let now = ref 0L in
+  let logged = ref [] and log_lines = ref 0 and recorded = ref 0 in
+  let stream =
+    Record.create
+      ~clock:(fun () -> !now)
+      ~wall:(fun () -> 0.)
+      ~log:
+        (Jsonl.Fn
+           (fun j ->
+             incr log_lines;
+             if !log_lines > 4_999 then logged := j :: !logged))
+      ~record:(Jsonl.Fn (fun _ -> incr recorded))
+      ()
+  in
+  for _ = 1 to 5_003 do
+    Record.write stream
+      { sample_entry with Record.e_seq = Record.next_seq stream }
+  done;
+  check_int "log ceiling" 5_000 !log_lines;
+  check_int "excess dropped" 3 (Record.dropped stream);
+  check_int "the recording is complete" 5_003 (Record.recorded stream);
+  check_int "header and every entry" 5_004 !recorded;
+  (* rolling the window announces the drops on a synthetic line, then
+     admits lines again *)
+  now := 1_000_000_000L;
+  Record.emit stream (Record.Drain { reason = "stop" });
+  match List.rev !logged with
+  | [ _last_admitted; announce; after ] ->
+      check_str "synthetic line" "rate_limited" (jstr announce "event");
+      check_str "announced as a warning" "warn" (jstr announce "severity");
+      check_int "announced drops" 3 (jint announce "dropped");
+      check_str "window reopened" "drain" (jstr after "event");
+      check "announcement takes a seq" true
+        (jint after "seq" > jint announce "seq")
+  | l -> Alcotest.fail (Printf.sprintf "expected 3 lines, got %d" (List.length l))
+
+let test_close () =
+  let log, lines = collector () in
+  let stream = Record.create ~log () in
+  Record.emit stream (Record.Drain { reason = "stop" });
+  Record.close stream;
+  Record.close stream (* idempotent *);
+  check "closed reads off" false (Record.logging stream);
+  Record.emit stream (Record.Drain { reason = "after close" });
+  Record.write stream sample_entry;
+  check_int "no lines after close" 1 (List.length (lines ()));
+  check "closing is not a failure" true (Record.stopped stream = [])
+
+(* ---- a failing sink stops its view, never the server ---- *)
+
+(* a raw connection whose reads give up after 5 s: a server that never
+   answers fails the test instead of hanging the suite *)
+let dial port =
+  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  fd
+
+let read_reply fd =
+  match Wire.read_frame fd with
+  | Some frame -> frame
+  | None -> Alcotest.fail "the server closed the connection"
+  | exception e ->
+      Alcotest.fail ("no reply within 5 s: " ^ Printexc.to_string e)
+
+let served ~port stmts =
+  let fd = dial port in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  (match Wire.greeting_of_string (read_reply fd) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e.Wire.message);
+  List.iteri
+    (fun i stmt ->
+      let id = i + 1 in
+      Wire.write_frame fd
+        (Json.to_string (Wire.request_to_json (Wire.request ~id stmt)));
+      let rsp = Wire.response_of_string (read_reply fd) in
+      check_int "reply id" id rsp.Wire.rsp_id;
+      match rsp.Wire.body with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail (stmt ^ ": " ^ e.Wire.message))
+    stmts
+
+let test_failing_sink view () =
+  let calls = ref 0 in
+  let failing =
+    (* the recording's header goes through; every later line fails *)
+    Jsonl.Fn
+      (fun _ ->
+        incr calls;
+        if view = "log" || !calls > 1 then raise (Sys_error "disk full"))
+  in
+  let stream =
+    if view = "log" then Record.create ~log:failing ()
+    else Record.create ~record:failing ()
+  in
+  with_rec_server ~stream (fun _m srv ->
+      let port = Server.port srv in
+      served ~port
+        [ "INSERT INTO kv VALUES (1)"; "SELECT x FROM kv"; "SELECT x FROM kv" ];
+      served ~port [ "SELECT x FROM kv" ];
+      Server.stop srv);
+  (match Record.stopped stream with
+  | [ (v, err) ] ->
+      check_str "the failing view stopped" view v;
+      check "with its error" true (contains err "disk full")
+  | l -> Alcotest.fail (Printf.sprintf "%d views stopped" (List.length l)));
+  check "the view is off" false
+    (if view = "log" then Record.logging stream else Record.recording stream)
+
+(* ---- the stream projects onto every kind of the former event log ---- *)
+
+(* An employee workload captured through the log view: the ten queries
+   twice (hits), a write (a new epoch, then invalidations), the queries
+   again, a parse error, two reads too big to share a 1 MiB cache (an
+   eviction) and a dial past the session limit (a reject).  Every kind
+   the event log had, with its fields, is rebuilt from the stream and
+   the cache's own counters. *)
+let test_stream_projects_event_kinds () =
+  let log, logged = collector () in
+  let stream = Record.create ~log () in
+  let m = M.create ~db:(W.generate { (W.scaled 150) with W.tmax = 2000 }) () in
+  let srv =
+    Server.start
+      ~config:
+        { Server.default_config with port = 0; cache_mb = 1; max_sessions = 1 }
+      ~stream m
+  in
+  let queries = List.map snd Q.employee in
+  (Fun.protect ~finally:(fun () -> Server.stop srv) @@ fun () ->
+   Client.with_client ~port:(Server.port srv) (fun c ->
+       let run q = ignore (Client.run_exn c q) in
+       List.iter run queries;
+       List.iter run queries;
+       (match Client.connect ~port:(Server.port srv) () with
+       | exception Client.Server_error { Wire.code = Wire.Session_limit; _ } -> ()
+       | _ -> Alcotest.fail "expected SESSION_LIMIT");
+       run "INSERT INTO salaries VALUES (1, 1000000, 0, 10)";
+       List.iter run queries;
+       (match (Client.run c "SELEC x").Wire.body with
+       | Error { Wire.code = Wire.Parse_error; _ } -> ()
+       | _ -> Alcotest.fail "expected PARSE_ERROR");
+       run "SELECT a.emp_no FROM salaries a, employees b";
+       run "SELECT a.salary FROM salaries a, employees b"));
+  Record.close stream;
+  let lines = logged () in
+  let kind name = List.filter (is_event name) lines in
+  let entries =
+    List.sort
+      (fun a b -> compare a.Record.e_seq b.Record.e_seq)
+      (List.map Record.entry_of_json (kind "request_finish"))
+  in
+  let int k v = (k, Json.Int v) and str k v = (k, Json.Str v) in
+  let tid (e : Record.entry) =
+    str "trace_id" (Option.value ~default:"" e.e_trace_id)
+  in
+  (* a lifecycle line's fields under the former log's names *)
+  let lifecycle name renames =
+    List.map
+      (fun j ->
+        List.map
+          (fun (was, now) ->
+            (was, Option.value ~default:Json.Null (Json.member now j)))
+          renames)
+      (kind name)
+  in
+  let where p f = List.map f (List.filter p entries) in
+  let disp d (e : Record.entry) = e.e_disposition = d in
+  let hits = where (disp "hit") (fun e -> [ str "fingerprint" e.e_fp ]) in
+  let misses = where (disp "miss") (fun e -> [ str "fingerprint" e.e_fp ]) in
+  (* consecutive executions of one plan whose dependency vector moved *)
+  let invalidations =
+    let last = Hashtbl.create 16 in
+    List.concat_map
+      (fun (e : Record.entry) ->
+        if not (disp "hit" e || disp "miss" e) then []
+        else
+          let before = Hashtbl.find_opt last e.e_fp in
+          Hashtbl.replace last e.e_fp e.e_deps;
+          match before with
+          | Some deps when deps <> e.e_deps ->
+              List.filter_map
+                (fun (t, v) ->
+                  if List.mem (t, v) deps then None
+                  else Some [ str "table" t; int "version" v ])
+                e.e_deps
+          | _ -> [])
+      entries
+  in
+  (* a write publishes a new epoch, and its entry carries it *)
+  let _, epoch_bumps =
+    List.fold_left
+      (fun (prev, acc) (e : Record.entry) ->
+        ( e.e_epoch,
+          if e.e_epoch > prev then [ int "epoch" e.e_epoch ] :: acc else acc ))
+      ((List.hd entries).e_epoch, [])
+      entries
+  in
+  let slowest =
+    List.fold_left (fun acc (e : Record.entry) -> max acc e.e_total_us) 0 entries
+  in
+  let cs = Server.cache_stats srv in
+  let rebuilt =
+    [
+      ("conn_open", lifecycle "conn_open" [ ("session", "sid") ]);
+      ("conn_close", lifecycle "conn_close" [ ("session", "sid") ]);
+      ( "request_start",
+        lifecycle "request_start"
+          [ ("session", "sid"); ("id", "req"); ("trace_id", "trace_id");
+            ("stmt", "stmt") ] );
+      ( "request_finish",
+        where (fun _ -> true) (fun e ->
+            [ int "session" e.e_session; int "id" e.e_req_id; tid e;
+              str "status" e.e_status; ("cached", Json.Bool e.e_cached);
+              int "elapsed_us" e.e_total_us ]) );
+      ("cache_hit", hits);
+      ("cache_miss", misses);
+      ( "cache_evict",
+        if cs.Tkr_serve.Cache.evictions > 0 then
+          [ [ int "count" cs.Tkr_serve.Cache.evictions ] ]
+        else [] );
+      ("invalidation", invalidations);
+      ( "admission_reject",
+        lifecycle "admission_reject" [ ("session", "sid"); ("reason", "reason") ] );
+      ("epoch_bump", epoch_bumps);
+      ("drain", lifecycle "drain" [ ("reason", "reason") ]);
+      ( "slow_query",
+        where (fun e -> e.e_total_us >= slowest) (fun e ->
+            [ tid e; str "fingerprint" e.e_fp; str "stmt" e.e_stmt;
+              int "queue_us" e.e_queue_us; int "exec_us" e.e_exec_us;
+              int "total_us" e.e_total_us; str "disposition" e.e_disposition ]) );
+    ]
+  in
+  (* the former log's twelve kinds and the fields each line carried *)
+  List.iter
+    (fun (name, fields) ->
+      let events = List.assoc name rebuilt in
+      check (name ^ " found") true (events <> []);
+      List.iter
+        (fun ev ->
+          Alcotest.(check (list string)) (name ^ " fields") fields (List.map fst ev);
+          List.iter
+            (fun (k, v) ->
+              check (name ^ "." ^ k ^ " present") true
+                (v <> Json.Null && v <> Json.Str ""))
+            ev)
+        events)
+    [
+      ("conn_open", [ "session" ]);
+      ("conn_close", [ "session" ]);
+      ("request_start", [ "session"; "id"; "trace_id"; "stmt" ]);
+      ( "request_finish",
+        [ "session"; "id"; "trace_id"; "status"; "cached"; "elapsed_us" ] );
+      ("cache_hit", [ "fingerprint" ]);
+      ("cache_miss", [ "fingerprint" ]);
+      ("cache_evict", [ "count" ]);
+      ("invalidation", [ "table"; "version" ]);
+      ("admission_reject", [ "session"; "reason" ]);
+      ("epoch_bump", [ "epoch" ]);
+      ("drain", [ "reason" ]);
+      ( "slow_query",
+        [ "trace_id"; "fingerprint"; "stmt"; "queue_us"; "exec_us";
+          "total_us"; "disposition" ] );
+    ];
+  (* the projections agree with the cache's own counts and the workload *)
+  check_int "hits" cs.Tkr_serve.Cache.hits (List.length hits);
+  check_int "misses" cs.Tkr_serve.Cache.misses (List.length misses);
+  check "the write's entry carries the new epoch" true
+    (List.exists
+       (fun (e : Record.entry) ->
+         String.starts_with ~prefix:"INSERT" e.e_stmt
+         && List.mem [ int "epoch" e.e_epoch ] epoch_bumps)
+       entries);
+  check "the parse error is an entry" true
+    (List.exists (fun (e : Record.entry) -> e.e_status = "PARSE_ERROR") entries)
 
 (* A recording captured by a server from before the wire codec became
    one scanner (fixtures/flight-employee.jsonl: the employee workload in
@@ -716,6 +1065,19 @@ let suite =
         test_replay_skips_rejected_write;
       Alcotest.test_case "e2e: recorder, event log, ledger and STATS agree"
         `Quick test_observers_agree;
+      Alcotest.test_case "log: envelope and event fields" `Quick
+        test_log_envelope_and_fields;
+      Alcotest.test_case "log: disabled stream is a no-op" `Quick
+        test_disabled_is_free;
+      Alcotest.test_case "log: rate limiting" `Quick test_log_rate_limit;
+      Alcotest.test_case "log: close" `Quick test_close;
+      Alcotest.test_case "e2e: a failing log sink stops the log, not the server"
+        `Quick (test_failing_sink "log");
+      Alcotest.test_case
+        "e2e: a failing recording sink stops the recording, not the server"
+        `Quick (test_failing_sink "record");
+      Alcotest.test_case "e2e: the stream projects onto every event-log kind"
+        `Quick test_stream_projects_event_kinds;
       Alcotest.test_case "e2e: committed older recording replays byte-identically"
         `Quick test_fixture_replays_byte_identically;
     ] )

@@ -19,7 +19,7 @@ module Server = Tkr_serve.Server
 module Client = Tkr_serve.Client
 module Json = Tkr_obs.Json
 module Jsonl = Tkr_obs.Jsonl
-module Tel = Tkr_tel.Tel
+module Record = Tkr_rec.Record
 module W = Tkr_workload.Employees
 module Q = Tkr_workload.Queries
 
@@ -694,14 +694,14 @@ let test_cache_hit_and_invalidation () =
   let c = Cache.create ~max_bytes:10_000 in
   let deps = [ ("works", 1); ("emp", 3) ] in
   check "miss on empty" true (Cache.find c ~key:"k" ~deps = None);
-  ignore (Cache.add c ~key:"k" ~deps "payload-bytes");
+  Cache.add c ~key:"k" ~deps "payload-bytes";
   check "hit on same versions" true
     (Cache.find c ~key:"k" ~deps = Some "payload-bytes");
   (* dependency order must not matter *)
   check "hit is order-insensitive" true
     (Cache.find c ~key:"k" ~deps:(List.rev deps) = Some "payload-bytes");
   (* a bumped version invalidates exactly this entry *)
-  ignore (Cache.add c ~key:"other" ~deps:[ ("salaries", 2) ] "other-bytes");
+  Cache.add c ~key:"other" ~deps:[ ("salaries", 2) ] "other-bytes";
   check "stale versions invalidate" true
     (Cache.find c ~key:"k" ~deps:[ ("works", 2); ("emp", 3) ] = None);
   check "unrelated entry survives" true
@@ -712,16 +712,15 @@ let test_cache_hit_and_invalidation () =
 
 let test_cache_lru_eviction () =
   let c = Cache.create ~max_bytes:30 in
-  check_int "no eviction adding a" 0
-    (Cache.add c ~key:"a" ~deps:[] (String.make 10 'a'));
-  check_int "no eviction adding b" 0
-    (Cache.add c ~key:"b" ~deps:[] (String.make 10 'b'));
-  check_int "no eviction adding c" 0
-    (Cache.add c ~key:"c" ~deps:[] (String.make 10 'c'));
+  let evictions () = (Cache.stats c).Cache.evictions in
+  Cache.add c ~key:"a" ~deps:[] (String.make 10 'a');
+  Cache.add c ~key:"b" ~deps:[] (String.make 10 'b');
+  Cache.add c ~key:"c" ~deps:[] (String.make 10 'c');
+  check_int "no eviction adding a, b, c" 0 (evictions ());
   (* touch a so b is the least recently used *)
   check "a hits" true (Cache.find c ~key:"a" ~deps:[] <> None);
-  check_int "adding d evicts one" 1
-    (Cache.add c ~key:"d" ~deps:[] (String.make 10 'd'));
+  Cache.add c ~key:"d" ~deps:[] (String.make 10 'd');
+  check_int "adding d evicts one" 1 (evictions ());
   check "LRU victim b evicted" true (Cache.find c ~key:"b" ~deps:[] = None);
   check "recently used a survives" true (Cache.find c ~key:"a" ~deps:[] <> None);
   check "newest d present" true (Cache.find c ~key:"d" ~deps:[] <> None);
@@ -729,21 +728,22 @@ let test_cache_lru_eviction () =
   check_int "one eviction" 1 s.Cache.evictions;
   check "byte budget holds" true (s.Cache.bytes <= 30);
   (* a payload alone above the budget is not stored *)
-  check_int "oversized add evicts nothing" 0
-    (Cache.add c ~key:"huge" ~deps:[] (String.make 100 'h'));
+  Cache.add c ~key:"huge" ~deps:[] (String.make 100 'h');
+  check_int "oversized add evicts nothing" 1 (evictions ());
   check "oversized payload not stored" true
     (Cache.find c ~key:"huge" ~deps:[] = None);
   (* disabled cache: every lookup misses, add is a no-op *)
   let off = Cache.create ~max_bytes:0 in
-  check_int "disabled add is a no-op" 0 (Cache.add off ~key:"k" ~deps:[] "p");
+  Cache.add off ~key:"k" ~deps:[] "p";
+  check_int "disabled add is a no-op" 0 (Cache.stats off).Cache.entries;
   check "disabled cache never hits" true (Cache.find off ~key:"k" ~deps:[] = None);
   check "disabled reports disabled" false (Cache.enabled off)
 
 let test_cache_invalidate_table () =
   let c = Cache.create ~max_bytes:10_000 in
-  ignore (Cache.add c ~key:"q1" ~deps:[ ("works", 1) ] "p1");
-  ignore (Cache.add c ~key:"q2" ~deps:[ ("works", 1); ("emp", 1) ] "p2");
-  ignore (Cache.add c ~key:"q3" ~deps:[ ("emp", 1) ] "p3");
+  Cache.add c ~key:"q1" ~deps:[ ("works", 1) ] "p1";
+  Cache.add c ~key:"q2" ~deps:[ ("works", 1); ("emp", 1) ] "p2";
+  Cache.add c ~key:"q3" ~deps:[ ("emp", 1) ] "p3";
   check_int "two entries dropped" 2 (Cache.invalidate_table c "WORKS");
   check "q3 survives" true (Cache.find c ~key:"q3" ~deps:[ ("emp", 1) ] <> None);
   check_int "entries after" 1 (Cache.stats c).Cache.entries
@@ -1209,7 +1209,7 @@ let e2e_queries =
     (fun n -> (n, Q.lookup n Q.employee))
     [ "join-1"; "agg-1"; "agg-3"; "diff-1"; "diff-2" ]
 
-let with_server ?(cache_mb = 16) ?(tel = Tel.disabled) f =
+let with_server ?(cache_mb = 16) ?stream f =
   let m = M.create ~db:(W.generate { (W.scaled 40) with W.tmax = 600 }) () in
   let srv =
     Server.start
@@ -1221,7 +1221,7 @@ let with_server ?(cache_mb = 16) ?(tel = Tel.disabled) f =
           max_sessions = 16;
           workers = 4;
         }
-      ~tel m
+      ?stream m
   in
   Fun.protect ~finally:(fun () -> Server.stop srv) (fun () -> f m srv)
 
@@ -1466,8 +1466,9 @@ let test_e2e_graceful_stop () =
   Client.close c
 
 (* ---- telemetry e2e: every request's log lines carry the trace id the
-   response echoed, cache dispositions and invalidations are logged, and
-   the scrape commands answer on a live connection ---- *)
+   response echoed, the request_finish lines say the cache dispositions,
+   invalidations and epochs, and the scrape commands answer on a live
+   connection ---- *)
 
 let contains hay needle =
   let n = String.length hay and m = String.length needle in
@@ -1487,16 +1488,18 @@ let msg_body (rsp : Wire.response) =
 let test_e2e_telemetry () =
   let lock = Mutex.create () in
   let events = ref [] in
-  let tel =
-    Tel.create
-      (Jsonl.Fn
-         (fun j ->
-           Mutex.lock lock;
-           events := j :: !events;
-           Mutex.unlock lock))
+  let stream =
+    Record.create
+      ~log:
+        (Jsonl.Fn
+           (fun j ->
+             Mutex.lock lock;
+             events := j :: !events;
+             Mutex.unlock lock))
+      ()
   in
   let miss_id = ref "" and hit_id = ref "" in
-  (with_server ~tel @@ fun _m srv ->
+  (with_server ~stream @@ fun _m srv ->
    Client.with_client ~port:(Server.port srv) @@ fun c ->
    (* a client-supplied trace id echoes on the response *)
    let r1 = Client.run_exn ~trace_id:"cli-1" c "CREATE TABLE kv (x int)" in
@@ -1565,16 +1568,38 @@ let test_e2e_telemetry () =
   List.iter
     (fun id -> check ("response id " ^ id ^ " logged") true (List.mem id finish_ids))
     [ "cli-1"; !miss_id; !hit_id ];
-  (* cache disposition events share one plan fingerprint *)
-  (match (by "cache_miss", by "cache_hit") with
-  | miss :: _, [ hit ] ->
-      check_str "fingerprints match" (jstr miss "fingerprint")
-        (jstr hit "fingerprint")
-  | _ -> Alcotest.fail "expected cache_miss and exactly one cache_hit");
-  (* the post-cache INSERT shows up as an invalidation on the dep table *)
-  check "invalidation logged for kv" true
-    (List.exists (fun j -> jstr j "table" = "kv") (by "invalidation"));
-  check "ddl bumped the epoch" true (by "epoch_bump" <> []);
+  (* the SELECT's finish lines: a miss, a hit on the same plan
+     fingerprint, then a miss on a changed kv version (the invalidation) *)
+  let finish = by "request_finish" in
+  let traced id = List.find (fun j -> jstr j "trace_id" = id) finish in
+  let miss = traced !miss_id and hit = traced !hit_id in
+  check_str "miss disposition" "miss" (jstr miss "disp");
+  check_str "hit disposition" "hit" (jstr hit "disp");
+  check_str "fingerprints match" (jstr miss "fp") (jstr hit "fp");
+  (* the read after the INSERT: the same fingerprint on a moved kv *)
+  (match
+     List.filter
+       (fun j ->
+         jstr j "fp" = jstr miss "fp"
+         && Json.member "deps" j <> Json.member "deps" miss)
+       finish
+   with
+  | [ j ] -> check_str "the invalidated read missed" "miss" (jstr j "disp")
+  | l ->
+      Alcotest.fail
+        (Printf.sprintf "expected one read on a moved kv, got %d"
+           (List.length l)));
+  (* each write's line carries the epoch it published *)
+  let epochs =
+    List.filter_map
+      (fun j ->
+        if jstr j "disp" = "bypass" then
+          Option.bind (Json.member "epoch" j) Json.to_int_opt
+        else None)
+      finish
+  in
+  check_int "three writes" 3 (List.length epochs);
+  check "writes carry rising epochs" true (List.sort_uniq compare epochs = epochs);
   (match by "drain" with
   | [ d ] -> check_str "drain reason" "stop" (jstr d "reason")
   | _ -> Alcotest.fail "expected one drain event")
