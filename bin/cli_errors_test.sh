@@ -30,6 +30,10 @@ run run -f no-such-file.sql
 echo "# usage error -> 124"
 run run
 
+echo "# one engine ships: --engine is not an option -> 124 (stderr dropped: cmdliner's wording varies)"
+"$CLI" run --engine row -e "SELECT 1" >/dev/null 2>&1
+echo "exit=$?"
+
 echo "# a script's output precedes its error line; NULL period -> 4"
 run run -e "CREATE TABLE t (x int, b int, e int) PERIOD (b, e); INSERT INTO t VALUES (1, NULL, 3);"
 

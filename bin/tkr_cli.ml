@@ -207,49 +207,14 @@ let workload_queries = function
   | `Employee -> Tkr_workload.Queries.employee
   | `Tpch -> Tkr_workload.Queries.tpch
 
-(* --engine row|vec, shared by run, explain, serve and replay:
-   the vectorized engine is byte-identical to the row engine (the CI
-   vec-differential job diffs the two), so the flag only changes speed *)
-let engine_arg =
-  Arg.(
-    value
-    & opt (enum [ ("row", M.Row); ("vec", M.Vec) ]) M.Vec
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "execution engine: $(b,vec) (columnar batch-at-a-time, the \
-           default) or $(b,row) (interpreted row-at-a-time, the \
-           differential-testing oracle); both produce byte-identical output")
-
-(* --index on|off, shared by run, explain and serve: interval indexes
-   only change the vec engine's access path (EXPLAIN's [access:] line),
-   never a byte of any result — the CI determinism job diffs on/off
-   outputs *)
-let index_arg =
-  Arg.(
-    value
-    & opt (enum [ ("on", true); ("off", false) ]) true
-    & info [ "index" ] ~docv:"on|off"
-        ~doc:
-          "temporal interval indexes: the vec engine answers $(b,AS OF) \
-           timeslices and overlap selections over stored period tables by \
-           endpoint-sorted index probes instead of scans (the row oracle \
-           always scans); $(b,on) (default) and $(b,off) produce \
-           byte-identical output")
-
-let run data workload engine index no_prune sql file explain stats
-    max_rows =
+let run data workload sql file explain stats max_rows =
   (match (sql, file, workload) with
   | Some _, Some _, _ -> usage "provide at most one of -e SQL or -f FILE"
   | None, None, None -> usage "provide -e SQL, -f FILE or --workload NAME"
   | _ -> ());
-  let m =
-    M.create ~engine ~index ~prune:(not no_prune) ~db:(workload_db workload)
-      ()
-  in
+  let m = M.create ~db:(workload_db workload) () in
   (match data with Some dir -> load_dir m dir | None -> ());
-  (* a built-in workload runs its whole query suite; the CI determinism
-     job diffs its output byte-for-byte across engine/index/prune
-     settings *)
+  (* a built-in workload runs its whole query suite *)
   (match workload with
   | None -> ()
   | Some w ->
@@ -328,26 +293,17 @@ let run_cmd =
       value & opt int 100
       & info [ "max-rows" ] ~docv:"N" ~doc:"print at most $(docv) result rows")
   in
-  let no_prune =
-    Arg.(
-      value & flag
-      & info [ "no-prune" ]
-          ~doc:"disable analysis-driven plan pruning (results are \
-                byte-identical either way; useful for differential testing)")
-  in
   Cmd.v
     (Cmd.info "run"
        ~doc:"Execute SQL (including SEQ VT snapshot queries) against CSV data")
     Term.(
-      const (fun a b c d e f g h i j ->
-          guarded (fun () -> run a b c d e f g h i j))
-      $ data $ workload $ engine_arg $ index_arg $ no_prune $ sql
-      $ file $ explain $ stats $ max_rows)
+      const (fun a b c d e f g -> guarded (fun () -> run a b c d e f g))
+      $ data $ workload $ sql $ file $ explain $ stats $ max_rows)
 
 (* --- explain --- *)
 
-let explain data analyze engine index no_prune sql =
-  let m = M.create ~engine ~index ~prune:(not no_prune) () in
+let explain data analyze sql =
+  let m = M.create () in
   (match data with Some dir -> load_dir m dir | None -> ());
   print_endline (if analyze then M.explain_analyze m sql else M.explain m sql)
 
@@ -368,19 +324,13 @@ let explain_cmd =
   let sql =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"SQL")
   in
-  let no_prune =
-    Arg.(
-      value & flag
-      & info [ "no-prune" ]
-          ~doc:"disable analysis-driven plan pruning before explaining")
-  in
   Cmd.v
     (Cmd.info "explain"
        ~doc:"Show the optimized, rewritten plan of a query with the \
              abstract interpreter's inferred per-operator facts")
     Term.(
-      const (fun a b c d e f -> guarded (fun () -> explain a b c d e f))
-      $ data $ analyze $ engine_arg $ index_arg $ no_prune $ sql)
+      const (fun a b c -> guarded (fun () -> explain a b c))
+      $ data $ analyze $ sql)
 
 (* --- lint --- *)
 
@@ -659,9 +609,9 @@ let workload_name = function
   | Some `Tpch -> Some "tpch"
   | None -> None
 
-let serve data workload host port max_sessions queue_depth cache_mb engine
-    index workers metrics_out log record =
-  let m = M.create ~engine ~index ~db:(workload_db workload) () in
+let serve data workload host port max_sessions queue_depth cache_mb workers
+    metrics_out log record =
+  let m = M.create ~db:(workload_db workload) () in
   (match data with Some dir -> load_dir m dir | None -> ());
   (* the observability stream: a log view (a file path or "stderr") and
      a recording view, each off unless asked for *)
@@ -829,11 +779,10 @@ let serve_cmd =
           result cache, live telemetry (STATS/METRICS/HEALTH/LEDGER, event \
           log), optional flight recording; SIGTERM/SIGINT drain gracefully")
     Term.(
-      const (fun a b c d e f g h i j k l m ->
-          guarded (fun () -> serve a b c d e f g h i j k l m))
+      const (fun a b c d e f g h i j k ->
+          guarded (fun () -> serve a b c d e f g h i j k))
       $ data $ workload $ host_arg $ port_arg $ max_sessions $ queue_depth
-      $ cache_mb $ engine_arg $ index_arg $ workers $ metrics_out
-      $ log $ record)
+      $ cache_mb $ workers $ metrics_out $ log $ record)
 
 (* --- replay --- *)
 

@@ -1,8 +1,7 @@
 -- AS OF timeslices and the temporal interval index.  Run with
 --   tkr_cli run -f examples/sql/asof.sql
--- and compare the two access paths (byte-identical results):
---   tkr_cli run -f examples/sql/asof.sql --index off
--- or look at the planner's decision without executing:
+-- (test_vec compares its output with and without the index, byte for
+-- byte) or look at the planner's decision without executing:
 --   tkr_cli explain "SEQ VT AS OF 9 (SELECT name FROM works)"
 
 CREATE TABLE works (name text, skill text, b int, e int) PERIOD (b, e);

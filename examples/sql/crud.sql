@@ -1,8 +1,8 @@
 -- CRUD workload: the full statement surface (CREATE / INSERT / UPDATE /
 -- DELETE, including the SQL:2011 FOR PORTION OF forms) interleaved with
--- snapshot queries.  Deterministic by construction, so CI byte-diffs its
--- output between the row and vec engines.  Run with
---   tkr_cli run -f examples/sql/crud.sql --engine vec
+-- snapshot queries.  Deterministic by construction, so test_vec
+-- byte-compares its output between the row and vec engines.  Run with
+--   tkr_cli run -f examples/sql/crud.sql
 
 CREATE TABLE staff (emp_no int, dept text, salary int, b int, e int)
   PERIOD (b, e);

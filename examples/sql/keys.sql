@@ -4,8 +4,9 @@
 -- mixing ints and floats (stored boxed, where Int 1 and Float 1.0 stay
 -- distinct keys).  Several statements have no ORDER BY, so the engines'
 -- emission orders are compared too.  Deterministic by construction, so
--- CI byte-diffs its output between the row and vec engines.  Run with
---   tkr_cli run -f examples/sql/keys.sql --engine vec
+-- test_vec byte-compares its output between the row and vec engines.
+-- Run with
+--   tkr_cli run -f examples/sql/keys.sql
 
 CREATE TABLE acct (id int, grp int, amt int, b int, e int) PERIOD (b, e);
 

@@ -1,9 +1,9 @@
 -- Non-equi and mixed-residual joins: the nested-loop path (no equality
 -- key at all) and hash joins whose residual mixes overlap tests with
 -- other comparisons, some of them three-valued over NULL columns.
--- Deterministic by construction, so CI byte-diffs its output between
--- the row and vec engines.  Run with
---   tkr_cli run -f examples/sql/nonequi.sql --engine vec
+-- Deterministic by construction, so test_vec byte-compares its output
+-- between the row and vec engines.  Run with
+--   tkr_cli run -f examples/sql/nonequi.sql
 
 CREATE TABLE pay (emp int, dept text, salary int, bonus int, b int, e int)
   PERIOD (b, e);

@@ -4,15 +4,9 @@
     Join strategy: conjunctive predicates are scanned for equi-join keys
     ([Expr.equi_keys]); when any are found a hash join is used with the
     remaining conjuncts (e.g. the interval-overlap condition added by the
-    rewriter) as a residual filter, otherwise a nested-loop join.
-
-    Every operator can report into a {!Tkr_obs.Trace} span (rows in/out,
-    chosen join strategy, residual-filter hit rate); with the default
-    disabled collector the instrumentation reduces to a branch per
-    operator, not per row. *)
+    rewriter) as a residual filter, otherwise a nested-loop join. *)
 
 open Tkr_relation
-module Trace = Tkr_obs.Trace
 
 let select pred (t : Table.t) : Table.t =
   Table.of_array (Table.schema t)
@@ -75,7 +69,7 @@ let nested_loop_join pred (l : Table.t) (r : Table.t) : Table.t =
     (Table.rows l);
   Table.make out_schema (List.rev !buf)
 
-let hash_join ?sp keys residual (l : Table.t) (r : Table.t) : Table.t =
+let hash_join keys residual (l : Table.t) (r : Table.t) : Table.t =
   let out_schema = Schema.concat (Table.schema l) (Table.schema r) in
   let lkeys = List.map fst keys and rkeys = List.map snd keys in
   let index : (Tuple.t, Tuple.t list ref) Hashtbl.t =
@@ -88,7 +82,6 @@ let hash_join ?sp keys residual (l : Table.t) (r : Table.t) : Table.t =
       | Some cell -> cell := rrow :: !cell
       | None -> Hashtbl.add index key (ref [ rrow ]))
     (Table.rows r);
-  let candidates = ref 0 and passed = ref 0 in
   let buf = ref [] in
   Array.iter
     (fun lrow ->
@@ -99,35 +92,22 @@ let hash_join ?sp keys residual (l : Table.t) (r : Table.t) : Table.t =
         | Some matches ->
             List.iter
               (fun rrow ->
-                incr candidates;
                 let row = Tuple.append lrow rrow in
                 let ok =
                   match residual with
                   | None -> true
                   | Some p -> Expr.holds row p
                 in
-                if ok then (
-                  incr passed;
-                  buf := row :: !buf))
+                if ok then buf := row :: !buf)
               (List.rev !matches)
         | None -> ())
     (Table.rows l);
-  Trace.set_int sp "candidates" !candidates;
-  Trace.set_bool sp "residual" (residual <> None);
-  Trace.set_int sp "residual_passed" !passed;
   Table.make out_schema (List.rev !buf)
 
-
-let join ?sp pred (l : Table.t) (r : Table.t) : Table.t =
+let join pred (l : Table.t) (r : Table.t) : Table.t =
   match Expr.equi_keys ~left_arity:(Schema.arity (Table.schema l)) pred with
-  | [], _ ->
-      Trace.set_str sp "strategy" "nested_loop";
-      Trace.set_int sp "pairs" (Table.cardinality l * Table.cardinality r);
-      nested_loop_join pred l r
-  | keys, residual ->
-      Trace.set_str sp "strategy" "hash";
-      Trace.set_int sp "equi_keys" (List.length keys);
-      hash_join ?sp keys residual l r
+  | [], _ -> nested_loop_join pred l r
+  | keys, residual -> hash_join keys residual l r
 
 let aggregate (group : Algebra.proj list) (aggs : Algebra.agg_spec list)
     (t : Table.t) : Table.t =
@@ -184,95 +164,32 @@ let distinct (t : Table.t) : Table.t =
     (Table.rows t);
   Table.make (Table.schema t) (List.rev !buf)
 
-(** Display name of the operator at the root of a plan (trace span
-    labels; shared with the vectorized engine so traces line up). *)
-let op_label (q : Algebra.t) : string =
+let rec eval (db : Database.t) (q : Algebra.t) : Table.t =
   match q with
-  | Rel n -> "scan(" ^ n ^ ")"
-  | ConstRel _ -> "const"
-  | Select _ -> "select"
-  | Project _ -> "project"
-  | Join _ -> "join"
-  | Union _ -> "union"
-  | Diff _ -> "except_all"
-  | Agg _ -> "aggregate"
-  | Distinct _ -> "distinct"
-  | Coalesce _ -> "coalesce"
-  | Split _ -> "split"
-  | Split_agg _ -> "split_agg"
-
-let rows_in sp tables =
-  match sp with
-  | None -> ()
-  | Some _ ->
-      Trace.set_int sp "rows_in"
-        (List.fold_left (fun acc t -> acc + Table.cardinality t) 0 tables)
-
-let rec eval ?(obs = Trace.disabled) (db : Database.t) (q : Algebra.t) :
-    Table.t =
-  Trace.with_span obs (op_label q) @@ fun sp ->
-  let result =
-    match q with
-    | Rel n ->
-        let t = Database.find db n in
-        rows_in sp [ t ];
-        t
-    | ConstRel (schema, tuples) ->
-        let t = Table.make schema tuples in
-        rows_in sp [ t ];
-        t
-    | Select (p, q) ->
-        let t = eval ~obs db q in
-        rows_in sp [ t ];
-        select p t
-    | Project (projs, q) ->
-        let t = eval ~obs db q in
-        rows_in sp [ t ];
-        project projs t
-    | Join (p, l, r) ->
-        let lt = eval ~obs db l in
-        let rt = eval ~obs db r in
-        rows_in sp [ lt; rt ];
-        join ?sp p lt rt
-    | Union (l, r) ->
-        let lt = eval ~obs db l in
-        let rt = eval ~obs db r in
-        rows_in sp [ lt; rt ];
-        union lt rt
-    | Diff (l, r) ->
-        let lt = eval ~obs db l in
-        let rt = eval ~obs db r in
-        rows_in sp [ lt; rt ];
-        except_all lt rt
-    | Agg (group, aggs, q) ->
-        let t = eval ~obs db q in
-        rows_in sp [ t ];
-        aggregate group aggs t
-    | Distinct q ->
-        let t = eval ~obs db q in
-        rows_in sp [ t ];
-        distinct t
-    | Coalesce q ->
-        let t = eval ~obs db q in
-        rows_in sp [ t ];
-        Ops.coalesce ?sp t
-    | Split (g, l, r) ->
-        (* avoid evaluating a shared subquery twice *)
-        if l == r then (
-          let t = eval ~obs db l in
-          rows_in sp [ t ];
-          Ops.split ?sp g t t)
-        else
-          let lt = eval ~obs db l in
-          let rt = eval ~obs db r in
-          rows_in sp [ lt; rt ];
-          Ops.split ?sp g lt rt
-    | Split_agg sa ->
-        let t = eval ~obs db sa.sa_child in
-        rows_in sp [ t ];
-        Ops.split_agg ?sp ~group:sa.sa_group ~aggs:sa.sa_aggs ~gap:sa.sa_gap t
-  in
-  (match sp with
-  | None -> ()
-  | Some _ -> Trace.set_int sp "rows_out" (Table.cardinality result));
-  result
+  | Rel n -> Database.find db n
+  | ConstRel (schema, tuples) -> Table.make schema tuples
+  | Select (p, q) -> select p (eval db q)
+  | Project (projs, q) -> project projs (eval db q)
+  | Join (p, l, r) ->
+      let lt = eval db l in
+      join p lt (eval db r)
+  | Union (l, r) ->
+      let lt = eval db l in
+      union lt (eval db r)
+  | Diff (l, r) ->
+      let lt = eval db l in
+      except_all lt (eval db r)
+  | Agg (group, aggs, q) -> aggregate group aggs (eval db q)
+  | Distinct q -> distinct (eval db q)
+  | Coalesce q -> Ops.coalesce (eval db q)
+  | Split (g, l, r) ->
+      (* avoid evaluating a shared subquery twice *)
+      if l == r then
+        let t = eval db l in
+        Ops.split g t t
+      else
+        let lt = eval db l in
+        Ops.split g lt (eval db r)
+  | Split_agg sa ->
+      Ops.split_agg ~group:sa.sa_group ~aggs:sa.sa_aggs ~gap:sa.sa_gap
+        (eval db sa.sa_child)

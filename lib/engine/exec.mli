@@ -19,17 +19,10 @@ val except_all : Table.t -> Table.t -> Table.t
 
 val nested_loop_join : Expr.t -> Table.t -> Table.t -> Table.t
 val hash_join :
-  ?sp:Tkr_obs.Trace.span ->
-  (int * int) list ->
-  Expr.t option ->
-  Table.t ->
-  Table.t ->
-  Table.t
+  (int * int) list -> Expr.t option -> Table.t -> Table.t -> Table.t
 
-val join : ?sp:Tkr_obs.Trace.span -> Expr.t -> Table.t -> Table.t -> Table.t
-(** Strategy selection: hash join when equi-keys exist, else nested loop.
-    The span (if any) records the chosen strategy and, for hash joins, the
-    candidate count and residual-filter hit rate. *)
+val join : Expr.t -> Table.t -> Table.t -> Table.t
+(** Strategy selection: hash join when equi-keys exist, else nested loop. *)
 
 val aggregate :
   Algebra.proj list -> Algebra.agg_spec list -> Table.t -> Table.t
@@ -38,14 +31,9 @@ val aggregate :
 
 val distinct : Table.t -> Table.t
 
-val op_label : Algebra.t -> string
-(** Trace span label of the root operator (shared with
-    {!Tkr_vec.Vexec} so both engines produce comparable traces). *)
-
-val eval : ?obs:Tkr_obs.Trace.t -> Database.t -> Algebra.t -> Table.t
+val eval : Database.t -> Algebra.t -> Table.t
 (** Evaluate a full plan.  [Split] with physically equal children
-    evaluates the shared subplan once.  With an enabled [obs] collector,
-    every operator reports a span carrying rows in/out and operator
-    internals (default: the disabled collector — no overhead).  Every
-    table is scanned: the interval-index access paths live in the
-    shipped engine ({!Tkr_vec.Vexec}), which this interpreter specifies. *)
+    evaluates the shared subplan once.  Every table is scanned and
+    nothing is traced: the interval-index access paths and the operator
+    spans live in the shipped engine ({!Tkr_vec.Vexec}), which this
+    interpreter specifies. *)

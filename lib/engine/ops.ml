@@ -13,7 +13,6 @@
       paper's optimized rewriting (Section 9). *)
 
 open Tkr_relation
-module Trace = Tkr_obs.Trace
 
 let period_of_row row =
   let n = Tuple.arity row in
@@ -28,7 +27,7 @@ let data_of_row row =
 (** Multiset coalescing: for every distinct data prefix, compute the
     maximal intervals of constant multiplicity (counting open intervals)
     and emit that many duplicate rows per interval. *)
-let coalesce ?sp (t : Table.t) : Table.t =
+let coalesce (t : Table.t) : Table.t =
   let groups : (Tuple.t, (int * int) list ref) Hashtbl.t = Hashtbl.create 256 in
   let order = ref [] in
   Array.iter
@@ -41,14 +40,12 @@ let coalesce ?sp (t : Table.t) : Table.t =
           Hashtbl.add groups data (ref [ p ]);
           order := data :: !order)
     (Table.rows t);
-  (* one group's sweep: its rows in forward (time) order + segment count *)
+  (* one group's sweep: its rows in forward (time) order *)
   let group_rows data =
     let intervals = !(Hashtbl.find groups data) in
-    let segments = ref 0 in
     let buf = ref [] in
     let emit b e count =
       if count > 0 then (
-        incr segments;
         let row = Tuple.append data (Tuple.make [ Value.Int b; Value.Int e ]) in
         for _ = 1 to count do
           buf := row :: !buf
@@ -77,15 +74,9 @@ let coalesce ?sp (t : Table.t) : Table.t =
             sweep t (count + delta) rest)
     in
     (match events with [] -> () | (t0, _) :: _ -> sweep t0 0 events);
-    (List.rev !buf, !segments)
+    List.rev !buf
   in
-  let results = Array.map group_rows (Array.of_list (List.rev !order)) in
-  let segments = Array.fold_left (fun acc (_, s) -> acc + s) 0 results in
-  Trace.set_int sp "groups" (Hashtbl.length groups);
-  Trace.set_int sp "endpoints" (2 * Table.cardinality t);
-  Trace.set_int sp "segments" segments;
-  Table.make (Table.schema t)
-    (List.concat_map fst (Array.to_list results))
+  Table.make (Table.schema t) (List.concat_map group_rows (List.rev !order))
 
 module IS = Set.Make (Int)
 
@@ -153,20 +144,8 @@ let split_with eps key_cols (t : Table.t) : Table.t =
 
 (** N_G(R1, R2) of Def. 8.3: split every R1 row at the endpoints of all
     rows of R1 ∪ R2 that agree with it on the group columns. *)
-let split ?sp group_cols (left : Table.t) (right : Table.t) : Table.t =
-  let eps = endpoint_sets group_cols [ left; right ] in
-  let per_row = Array.map (row_fragments eps group_cols) (Table.rows left) in
-  let fragments =
-    Array.fold_left (fun acc l -> acc + List.length l) 0 per_row
-  in
-  (match sp with
-  | None -> ()
-  | Some _ ->
-      Trace.set_int sp "endpoint_keys" (Hashtbl.length eps);
-      Trace.set_int sp "endpoints"
-        (Hashtbl.fold (fun _ s acc -> acc + IS.cardinal !s) eps 0);
-      Trace.set_int sp "fragments" fragments);
-  Table.make (Table.schema left) (List.concat (Array.to_list per_row))
+let split group_cols (left : Table.t) (right : Table.t) : Table.t =
+  split_with (endpoint_sets group_cols [ left; right ]) group_cols left
 
 (** Fused pre-aggregated split+aggregate (Section 9).
 
@@ -177,7 +156,7 @@ let split ?sp group_cols (left : Table.t) (right : Table.t) : Table.t =
     whole time domain produces a row, using the aggregate's value over the
     empty input when nothing covers the segment — the fix for the
     aggregation-gap bug. *)
-let split_agg ?sp ~(group : int list) ~(aggs : Algebra.agg_spec list)
+let split_agg ~(group : int list) ~(aggs : Algebra.agg_spec list)
     ~(gap : (int * int) option) (child : Table.t) : Table.t =
   let child_schema = Table.schema child in
   let n_aggs = List.length aggs in
@@ -300,16 +279,6 @@ let split_agg ?sp ~(group : int list) ~(aggs : Algebra.agg_spec list)
       segs;
     List.rev !buf
   in
-  let per_group =
-    Array.map group_rows (Array.of_list (List.rev !group_order))
-  in
-  (match sp with
-  | None -> ()
-  | Some _ ->
-      Trace.set_int sp "groups" (Hashtbl.length group_eps);
-      Trace.set_int sp "pre_aggregates" (Hashtbl.length pre);
-      Trace.set_int sp "endpoints"
-        (Hashtbl.fold (fun _ s acc -> acc + IS.cardinal !s) group_eps 0));
   let out_schema =
     let gattrs = List.map (fun i -> Schema.get child_schema i) group in
     let aattrs =
@@ -322,4 +291,4 @@ let split_agg ?sp ~(group : int list) ~(aggs : Algebra.agg_spec list)
       (gattrs @ aattrs
       @ [ Schema.attr "__b" Value.TInt; Schema.attr "__e" Value.TInt ])
   in
-  Table.make out_schema (List.concat (Array.to_list per_group))
+  Table.make out_schema (List.concat_map group_rows (List.rev !group_order))

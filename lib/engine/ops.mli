@@ -17,7 +17,7 @@ val period_of_row : Tuple.t -> int * int
 val data_of_row : Tuple.t -> Tuple.t
 (** Everything but the trailing period. *)
 
-val coalesce : ?sp:Tkr_obs.Trace.span -> Table.t -> Table.t
+val coalesce : Table.t -> Table.t
 (** Emit, per data prefix, the maximal intervals of constant multiplicity,
     duplicated per multiplicity: the unique encoding of the input's
     snapshots. *)
@@ -37,13 +37,11 @@ val split_with :
   (Tuple.t, IS.t ref) Hashtbl.t -> int list -> Table.t -> Table.t
 (** Split every row at the endpoints its key maps to. *)
 
-val split :
-  ?sp:Tkr_obs.Trace.span -> int list -> Table.t -> Table.t -> Table.t
+val split : int list -> Table.t -> Table.t -> Table.t
 (** N_G(R1, R2): split every R1 row at the endpoints of R1 ∪ R2 rows
     agreeing on the group columns (Def. 8.3). *)
 
 val split_agg :
-  ?sp:Tkr_obs.Trace.span ->
   group:int list ->
   aggs:Algebra.agg_spec list ->
   gap:(int * int) option ->

@@ -242,7 +242,7 @@ let make_exec m plan : Trace.t -> Database.t -> Table.t =
   let use_index = m.index in
   match m.engine with
   | Vec -> fun obs db -> Tkr_vec.Vexec.eval ~obs ~use_index db plan
-  | Row -> fun obs db -> Exec.eval ~obs db plan
+  | Row -> fun _ db -> Exec.eval db plan
 
 (* time one preparation phase into a [phase_stats] cell and the
    middleware's cumulative counter *)

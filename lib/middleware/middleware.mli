@@ -47,9 +47,12 @@ type t
 
 type engine = Row | Vec
 (** Columnar batch-at-a-time execution ({!Vec}, {!Tkr_vec.Vexec}, the
-    default) or row-at-a-time interpreted execution ({!Row},
-    {!Tkr_engine.Exec}, the differential-testing oracle).  The vectorized
-    engine reproduces the row engine's output byte-for-byte. *)
+    default and the only engine the CLI runs) or row-at-a-time
+    interpreted execution ({!Row}, {!Tkr_engine.Exec}, the
+    differential-testing oracle that tests select here).  The vectorized
+    engine reproduces the row engine's output byte-for-byte.  The row
+    oracle is not traced: a {!Row} middleware's EXPLAIN ANALYZE shows the
+    plan, result and phase lines but no operator tree. *)
 
 val create :
   ?options:Rewriter.options ->
@@ -70,8 +73,9 @@ val create :
     tables through {!Tkr_idx} instead of scanning (the row oracle always
     scans); also byte-identity preserving, visible only as
     [access: ...=index|scan] in EXPLAIN.  [engine] defaults to {!Vec}.
-    [strict] (--Werror, default false) makes the check phase reject
-    statements on warnings too.  Settings are fixed for the middleware's
+    The CLI runs [prune], [index] and [engine] at their defaults; the
+    other values are overrides for tests.  [strict] (--Werror, default
+    false) makes the check phase reject statements on warnings too.  Settings are fixed for the middleware's
     lifetime; a different setting is a second middleware, possibly over
     the same database. *)
 

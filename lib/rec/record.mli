@@ -66,7 +66,9 @@ type entry = {
   e_total_us : int;
   e_status : string;  (** ["ok"] or the wire error code *)
   e_cached : bool;
-  e_disposition : string;  (** hit | miss | bypass | off | error *)
+  e_disposition : string;
+      (** hit | miss | bypass | off | error | rejected (refused at
+          admission: [SERVER_BUSY] or [SERVER_SHUTDOWN]) *)
   e_fp : string;  (** plan fingerprint *)
   e_epoch : int;  (** middleware catalog epoch at execution *)
   e_deps : (string * int) list;  (** table-version vector at execution *)
@@ -126,7 +128,10 @@ type event =
       stmt : string;
     }
   | Admission_reject of { sid : int; reason : string }
-      (** [sid] 0 for a connection refused at the session limit *)
+      (** a connection refused at the session limit ([sid] 0,
+          [reason] ["session_limit"]): no request exists, so no entry
+          says it.  A request refused at admission is an entry with
+          disposition ["rejected"]. *)
   | Drain of { reason : string }
 
 type t

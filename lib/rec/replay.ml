@@ -28,12 +28,13 @@ type outcome = {
 }
 
 (* requests the capture server rejected before running them (queued past
-   their deadline, or turned away busy): an outcome of capture-time load,
-   not of the data.  They keep their turn in arrival order but are not
-   sent — re-sent without their deadline, a rejected write would run at
-   replay and every later read would diverge — nor byte-diffed *)
+   their deadline, or refused at admission, busy or draining): an outcome
+   of capture-time load, not of the data.  They keep their turn in arrival
+   order but are not sent — re-sent without their deadline, a rejected
+   write would run at replay and every later read would diverge — nor
+   byte-diffed *)
 let rejected (e : Record.entry) =
-  e.Record.e_status = "DEADLINE_EXCEEDED" || e.Record.e_status = "SERVER_BUSY"
+  e.Record.e_status = "DEADLINE_EXCEEDED" || e.Record.e_disposition = "rejected"
 
 let window = 32
 (* max in-flight requests per session: the server runs a connection's

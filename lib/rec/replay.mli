@@ -21,12 +21,14 @@
       (exact ok-frame payload bytes, or error code/message) and diffed
       against [e_digest].
 
-    Recorded [DEADLINE_EXCEEDED] / [SERVER_BUSY] outcomes are requests
-    the capture server rejected before running them — an outcome of
-    capture-time load, not of the data.  They keep their turn in the
-    arrival order but are not sent (a rejected write re-sent would run
-    at replay, where it never ran at capture), are excluded from the
-    byte-diff and are counted as [skipped].
+    Recorded [DEADLINE_EXCEEDED] outcomes and requests refused at
+    admission (disposition [rejected]: [SERVER_BUSY] or
+    [SERVER_SHUTDOWN]) are requests the capture server rejected before
+    running them — an outcome of capture-time load, not of the data.
+    They keep their turn in the arrival order but are not sent (a
+    rejected write re-sent would run at replay, where it never ran at
+    capture), are excluded from the byte-diff and are counted as
+    [skipped].
 
     With [paced] the sender additionally sleeps until each request's
     recorded monotonic offset, reproducing the original arrival tempo;

@@ -116,9 +116,9 @@ type reply = (string * Json.t option, Wire.error) result
 let us_between t0 t1 = Int64.to_int (Int64.div (Int64.sub t1 t0) 1000L)
 
 (* The request's one record.  Every exit path of a job (query, bypass
-   statement, typed error, queued deadline) stamps it here once the
-   reply is ready; the response frame and every observer read from it.
-   [exec_ns] and [gc0] mark the job's execution start. *)
+   statement, typed error, queued deadline, admission refusal) stamps it
+   here once the reply is ready; the response frame and every observer
+   read from it.  [exec_ns] and [gc0] mark the job's execution start. *)
 let record srv (j : job) ~exec_ns ~gc0:(minor0, major0) ~fp ~epoch ~deps
     ~rows_in ~disposition ~rows_out (reply : reply) : reply * Record.entry =
   let total_us = us_between j.j_enq_ns (Clock.now_ns ()) in
@@ -447,29 +447,34 @@ let serve srv fd sess (req : Wire.request) =
          else 0);
       j_trace }
   in
-  let reject reason code message =
-    Record.emit srv.stream (Record.Admission_reject { sid; reason });
-    send_error srv fd ~id:req.Wire.id ?trace_id:req.Wire.trace_id code message
-  in
-  match Admission.acquire srv.gate with
-  | `Granted ->
-      let reply, e =
+  let reply, e =
+    (* a request refused at admission never executes: its record is
+       stamped at once, with the statement's fingerprint and no table
+       versions, like a bypass statement's *)
+    let reject code message =
+      record srv job ~exec_ns:(Clock.now_ns ()) ~gc0:(Trace.alloc_words ())
+        ~fp:(Session.fingerprint req.Wire.stmt)
+        ~epoch:(Middleware.epoch srv.mw) ~deps:[] ~rows_in:0
+        ~disposition:"rejected" ~rows_out:0 (Error { Wire.code; message })
+    in
+    match Admission.acquire srv.gate with
+    | `Granted ->
         Fun.protect
           ~finally:(fun () -> Admission.release srv.gate)
           (fun () -> execute srv job)
-      in
-      let id = req.Wire.id in
-      send_raw fd
-        (match reply with
-        | Ok (payload, trace) ->
-            Wire.ok_frame ~id ~cached:e.Record.e_cached
-              ~elapsed_us:e.Record.e_total_us ?trace ?trace_id:j_trace payload
-        | Error err -> Wire.error_frame ~id ?trace_id:j_trace err);
-      observe srv e
-  | `Busy ->
-      Metrics.incr srv.m_busy;
-      reject "busy" Wire.Server_busy "admission queue full, retry later"
-  | `Draining -> reject "draining" Wire.Server_shutdown "server is draining"
+    | `Busy ->
+        Metrics.incr srv.m_busy;
+        reject Wire.Server_busy "admission queue full, retry later"
+    | `Draining -> reject Wire.Server_shutdown "server is draining"
+  in
+  let id = req.Wire.id in
+  send_raw fd
+    (match reply with
+    | Ok (payload, trace) ->
+        Wire.ok_frame ~id ~cached:e.Record.e_cached
+          ~elapsed_us:e.Record.e_total_us ?trace ?trace_id:j_trace payload
+    | Error err -> Wire.error_frame ~id ?trace_id:j_trace err);
+  observe srv e
 
 let conn_loop srv fd sess () =
   let sid = Session.id sess in

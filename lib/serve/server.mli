@@ -36,13 +36,14 @@
 
     {2 Observability}
 
-    Every finished request (ok, bypass statement, typed error or queued
-    deadline) is described by one {!Tkr_rec.Record.entry}, built once
-    when its reply is ready.  The response's [elapsed_us], the serve
-    counters and [serve_latency_us], the resource ledger and the
-    server's one {!Tkr_rec.Record.t} stream all read from that one
-    value.  The stream also carries what no entry says: connection
-    open/close, request start, admission rejects and the drain.
+    Every finished request (ok, bypass statement, typed error, queued
+    deadline or refusal at admission) is described by one
+    {!Tkr_rec.Record.entry}, built once when its reply is ready.  The
+    response's [elapsed_us], the serve counters and [serve_latency_us],
+    the resource ledger and the server's one {!Tkr_rec.Record.t} stream
+    all read from that one value.  The stream also carries what no entry says: connection
+    open/close, request start, connections refused at the session limit
+    and the drain.
 
     The stream has two views, each off unless asked for.  The log view
     ([serve --log]) writes every entry as a [request_finish] line and

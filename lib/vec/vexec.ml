@@ -19,7 +19,6 @@ open Tkr_relation
 module Batch = Tkr_engine.Batch
 module Table = Tkr_engine.Table
 module Database = Tkr_engine.Database
-module Exec = Tkr_engine.Exec
 module Trace = Tkr_obs.Trace
 module Isort = Tkr_idx.Isort
 module Scratch = Tkr_idx.Scratch
@@ -1328,8 +1327,24 @@ let split_agg sp ~(group : int list) ~(aggs : Algebra.agg_spec list)
 
 (* ---- the interpreter loop ---- *)
 
-(* one operator's span, as the row engine opens it: the engine tag
-   first, the output cardinality last *)
+(* the span label of the operator at the root of a plan *)
+let op_label (q : Algebra.t) : string =
+  match q with
+  | Rel n -> "scan(" ^ n ^ ")"
+  | ConstRel _ -> "const"
+  | Select _ -> "select"
+  | Project _ -> "project"
+  | Join _ -> "join"
+  | Union _ -> "union"
+  | Diff _ -> "except_all"
+  | Agg _ -> "aggregate"
+  | Distinct _ -> "distinct"
+  | Coalesce _ -> "coalesce"
+  | Split _ -> "split"
+  | Split_agg _ -> "split_agg"
+
+(* one operator's span: the engine tag first, the output cardinality
+   last *)
 let op_span ctx label (f : Trace.span option -> Batch.t) : Batch.t =
   Trace.with_span ctx.obs label @@ fun sp ->
   Trace.set_str sp "engine" "vec";
@@ -1350,7 +1365,7 @@ let same_plan (a : Algebra.t) (b : Algebra.t) = a == b || a = b
    adds its predicate's columns to its own [need] unless an exact index
    probe answers it, and every other operator reads all of its input. *)
 let rec eval_batch ?need (ctx : ctx) (q : Algebra.t) : Batch.t =
-  op_span ctx (Exec.op_label q) @@ fun sp ->
+  op_span ctx (op_label q) @@ fun sp ->
   match q with
   | Algebra.Rel n ->
       let b = Table.columnar (Database.find ctx.db n) in

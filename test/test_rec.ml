@@ -663,6 +663,100 @@ let test_observers_agree () =
     ];
   check_int "one bypass" 1 (count (disp "bypass"))
 
+(* ---- a request refused at admission is recorded like any other ---- *)
+
+(* One execution slot and the gate's minimum queue of one waiter: while a
+   write holds the slot, blocked on the catalog's writer mutex, and a
+   read waits for the slot, a second read is refused SERVER_BUSY.  The
+   refusal is an entry with disposition "rejected" in the recording, the
+   ledger and the STATS counters, and replay keeps it unsent. *)
+let test_refused_request_recorded () =
+  let record, recorded = collector () in
+  let stream = Record.create ~record () in
+  let m = fresh_mw () in
+  let srv =
+    Server.start
+      ~config:
+        { Server.default_config with port = 0; workers = 1; queue_depth = 0 }
+      ~stream m
+  in
+  let read = "SELECT x FROM kv" in
+  let held = Semaphore.Binary.make false and go = Semaphore.Binary.make false in
+  let writer_held =
+    Thread.create
+      (fun () ->
+        Tkr_engine.Database.serialized (M.database m) (fun _ ->
+            Semaphore.Binary.release held;
+            Semaphore.Binary.acquire go))
+      ()
+  in
+  Semaphore.Binary.acquire held;
+  let stats, ledger =
+    Fun.protect
+      ~finally:(fun () ->
+        Semaphore.Binary.release go;
+        Thread.join writer_held;
+        Server.stop srv)
+    @@ fun () ->
+    let port = Server.port srv in
+    let in_thread sql =
+      Thread.create
+        (fun () -> Client.with_client ~port (fun c -> ignore (Client.run_exn c sql)))
+        ()
+    in
+    Client.with_client ~port (fun c ->
+        (* HEALTH answers without a slot *)
+        let await key =
+          let give_up = Unix.gettimeofday () +. 10. in
+          while
+            jint (Json.of_string (msg_body (Client.run_exn c "HEALTH"))) key < 1
+          do
+            if Unix.gettimeofday () > give_up then
+              Alcotest.failf "HEALTH %s never reached 1" key;
+            Thread.delay 0.002
+          done
+        in
+        let write = in_thread "INSERT INTO kv VALUES (1)" in
+        await "inflight";
+        let waiting = in_thread read in
+        await "queue_depth";
+        (match (Client.run c read).Wire.body with
+        | Error { Wire.code = Wire.Server_busy; _ } -> ()
+        | _ -> Alcotest.fail "expected SERVER_BUSY");
+        Semaphore.Binary.release go;
+        Thread.join write;
+        Thread.join waiting);
+    Server.stop srv;
+    (Server.stats_json srv, Ledger.rows (Server.ledger srv))
+  in
+  Record.close stream;
+  let entries =
+    List.filter_map
+      (fun j ->
+        if Json.member "stmt" j = None then None
+        else Some (Record.entry_of_json j))
+      (recorded ())
+  in
+  check_int "every request recorded" 3 (List.length entries);
+  let refused =
+    match
+      List.filter (fun e -> e.Record.e_disposition = "rejected") entries
+    with
+    | [ e ] -> e
+    | es -> Alcotest.failf "%d rejected entries" (List.length es)
+  in
+  check_str "refused status" "SERVER_BUSY" refused.Record.e_status;
+  check_str "refused statement" read refused.Record.e_stmt;
+  (match List.filter (fun r -> r.Ledger.r_fp = refused.Record.e_fp) ledger with
+  | [ r ] -> check "the ledger counts the refusal as an error" true (r.Ledger.r_errors >= 1)
+  | _ -> Alcotest.fail "the refused request has no ledger row");
+  check_int "STATS requests" 3 (jint stats "requests");
+  check_int "STATS busy" 1 (jint stats "busy");
+  check_int "STATS errors" 1 (jint stats "errors");
+  let o = replay_against ~cache_mb:16 [ refused ] in
+  check_int "replay keeps the refusal unsent" 1 o.Replay.skipped;
+  check "replay identical" true (Replay.identical o)
+
 (* ---- the log view ---- *)
 
 (* a log-only stream with a pinned clock: mono 0 and a fixed wall
@@ -1065,6 +1159,8 @@ let suite =
         test_replay_skips_rejected_write;
       Alcotest.test_case "e2e: recorder, event log, ledger and STATS agree"
         `Quick test_observers_agree;
+      Alcotest.test_case "e2e: a request refused at admission is recorded"
+        `Quick test_refused_request_recorded;
       Alcotest.test_case "log: envelope and event fields" `Quick
         test_log_envelope_and_fields;
       Alcotest.test_case "log: disabled stream is a no-op" `Quick

@@ -1209,8 +1209,10 @@ let e2e_queries =
     (fun n -> (n, Q.lookup n Q.employee))
     [ "join-1"; "agg-1"; "agg-3"; "diff-1"; "diff-2" ]
 
-let with_server ?(cache_mb = 16) ?stream f =
-  let m = M.create ~db:(W.generate { (W.scaled 40) with W.tmax = 600 }) () in
+let with_server ?(cache_mb = 16) ?engine ?stream f =
+  let m =
+    M.create ?engine ~db:(W.generate { (W.scaled 40) with W.tmax = 600 }) ()
+  in
   let srv =
     Server.start
       ~config:
@@ -1264,9 +1266,10 @@ let test_e2e_byte_identity_cache_off () =
       check_str (name ^ " bytes (2)") want (render_rsp b))
     e2e_queries expected
 
-let test_e2e_concurrent_clients () =
-  with_server @@ fun m srv ->
-  let expected = List.map (fun (_, sql) -> render (M.execute m sql)) e2e_queries in
+(* 8 clients each run [queries] over [srv]; every reply must be the
+   serial rendering [m] gives *)
+let concurrent_clients m srv queries =
+  let expected = List.map (fun (_, sql) -> render (M.execute m sql)) queries in
   let port = Server.port srv in
   let n_clients = 8 in
   let bad = Atomic.make 0 in
@@ -1276,12 +1279,22 @@ let test_e2e_concurrent_clients () =
       List.iter2
         (fun (_, sql) want ->
           if render_rsp (Client.run_exn c sql) <> want then Atomic.incr bad)
-        e2e_queries expected
+        queries expected
     with _ -> Atomic.incr bad
   in
   let threads = List.init n_clients (fun _ -> Thread.create worker ()) in
   List.iter Thread.join threads;
   check_int "8 concurrent connections, all byte-identical" 0 (Atomic.get bad)
+
+let test_e2e_concurrent_clients () =
+  with_server @@ fun m srv -> concurrent_clients m srv e2e_queries
+
+(* the row oracle behind the server, cache off: its results are made from
+   rows, rendered from their columns and decoded into typed columns, and
+   every reply must still be the default engine's serial bytes *)
+let test_e2e_concurrent_clients_row () =
+  with_server ~engine:M.Row ~cache_mb:0 @@ fun m srv ->
+  concurrent_clients (M.create ~db:(M.database m) ()) srv Q.employee
 
 let test_e2e_dml_invalidates () =
   with_server @@ fun _m srv ->
@@ -1822,11 +1835,16 @@ let test_minor_words_counted () =
   let m = M.create ~engine:M.Row ~db:(W.generate { (W.scaled 40) with W.tmax = 600 }) () in
   let srv = Server.start ~config:{ Server.default_config with port = 0; cache_mb = 0 } m in
   Fun.protect ~finally:(fun () -> Server.stop srv) @@ fun () ->
-  Client.with_client ~port:(Server.port srv) @@ fun c ->
   let sql = "SELECT count(*) AS c FROM salaries a, salaries b WHERE a.salary < b.salary" in
-  let w0 = Gc.minor_words () in
-  ignore (Client.run_exn c sql);
-  let delta = Gc.minor_words () -. w0 in
+  let delta =
+    Client.with_client ~port:(Server.port srv) @@ fun c ->
+    let w0 = Gc.minor_words () in
+    ignore (Client.run_exn c sql);
+    Gc.minor_words () -. w0
+  in
+  (* the server observes a request after sending its reply: the drain
+     joins the connection threads, so the ledger has seen it *)
+  Server.stop srv;
   match
     List.find_opt
       (fun r -> r.Tkr_rec.Ledger.r_stmt = sql)
@@ -1866,6 +1884,8 @@ let suite =
         test_e2e_byte_identity_cache_off;
       Alcotest.test_case "e2e: 8 concurrent clients" `Quick
         test_e2e_concurrent_clients;
+      Alcotest.test_case "e2e: 8 concurrent clients, row engine, cache off"
+        `Quick test_e2e_concurrent_clients_row;
       Alcotest.test_case "e2e: DML invalidates cache" `Quick
         test_e2e_dml_invalidates;
       Alcotest.test_case "e2e: stale session plans re-prepare" `Quick

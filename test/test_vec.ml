@@ -812,6 +812,77 @@ let test_middleware_engines () =
         (byte_identical (M.query mrow sql) (M.query mvec sql)))
     e2e_queries
 
+(* ---- every engine, index and prune setting renders the default's bytes ---- *)
+
+(* the row oracle and the index/prune overrides are reached only through
+   [M.create]; the default (vec, index and pruning on) comes first *)
+let settings =
+  [
+    ("default", fun db -> M.create ~db ());
+    ("engine=row", fun db -> M.create ~engine:M.Row ~db ());
+    ("index=off", fun db -> M.create ~index:false ~db ());
+    ("prune=off", fun db -> M.create ~prune:false ~db ());
+    ("engine=row prune=off", fun db -> M.create ~engine:M.Row ~prune:false ~db ());
+  ]
+
+(* a source makes its catalog and its scripts, fresh for every setting.
+   The workloads run at [tkr run --workload]'s scale, the example
+   scripts over an empty catalog, as [tkr run -f] runs them *)
+let script_sources =
+  let file name () =
+    ( Database.create (),
+      [ In_channel.with_open_bin ("../examples/sql/" ^ name) In_channel.input_all ] )
+  in
+  [
+    ( "employee",
+      fun () ->
+        ( Tkr_workload.Employees.generate
+            { (Tkr_workload.Employees.scaled 150) with tmax = 2000 },
+          List.map snd Tkr_workload.Queries.employee ) );
+    ( "tpch",
+      fun () ->
+        ( Tkr_workload.Tpcbih.generate
+            { Tkr_workload.Tpcbih.default with scale = 0.05 },
+          List.map snd Tkr_workload.Queries.tpch ) );
+    ("crud.sql", file "crud.sql");
+    ("nonequi.sql", file "nonequi.sql");
+    ("keys.sql", file "keys.sql");
+    ("asof.sql", file "asof.sql");
+  ]
+
+let render_result = function
+  | M.Rows t -> Table.to_text ~max_rows:1_000_000 t
+  | M.Done msg -> msg ^ "\n"
+
+let test_scripts_all_settings () =
+  List.iter
+    (fun (source, make) ->
+      let run (_, create) =
+        let db, scripts = make () in
+        let m = create db in
+        String.concat ""
+          (List.concat_map
+             (fun s -> List.map render_result (M.execute_script m s))
+             scripts)
+      in
+      let want = run (List.hd settings) in
+      List.iter
+        (fun ((name, _) as setting) ->
+          let got = run setting in
+          if not (String.equal want got) then
+            let lines = String.split_on_char '\n' in
+            let rec first_diff i = function
+              | w :: ws, g :: gs ->
+                  if String.equal w g then first_diff (i + 1) (ws, gs)
+                  else Printf.sprintf "line %d: %S <> %S" i w g
+              | _ -> Printf.sprintf "line %d: one output ends" i
+            in
+            Alcotest.failf "%s under %s differs from the default at %s" source
+              name
+              (first_diff 1 (lines want, lines got)))
+        (List.tl settings))
+    script_sources
+
 (* ---- the shipped default at benchmark scale ---- *)
 
 (* the benchmark's catalog: 1000 employees over [0, 4000) *)
@@ -1220,6 +1291,8 @@ let suite =
       prop_sweeps;
       Alcotest.test_case "middleware: row vs vec end to end" `Quick
         test_middleware_engines;
+      Alcotest.test_case "scripts: every setting renders the default's bytes"
+        `Quick test_scripts_all_settings;
       Alcotest.test_case "benchmark scale: default = row oracle" `Slow
         test_bench_scale_identity;
       Alcotest.test_case "warm serve read: direct major allocation" `Quick
