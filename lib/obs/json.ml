@@ -130,6 +130,7 @@ module Scan = struct
   }
 
   let cursor src = { src; pos = 0; num = 0; exact = false }
+  let source c = c.src
   let position c = c.pos
   let seek c pos = c.pos <- pos
 
@@ -140,7 +141,10 @@ module Scan = struct
 
   (* Each reader below is one function with its loops inline: a call
      per token, not per byte.  Dune's default profile compiles with
-     -opaque, so a call from another module is never inlined. *)
+     -opaque, so a call from another module is never inlined; a caller
+     that reads many tokens of a known form at byte speed (the response
+     decoder's rows) reads [source] itself from [position], and comes
+     back through [seek] for any other form. *)
 
   let is_ws = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false
   let is_digit = function '0' .. '9' -> true | _ -> false

@@ -32,12 +32,18 @@ exception Parse_error of string
     whitespace, consumes one token or value and advances past it.  A
     string without escapes costs one copy; an integer is parsed in
     place.  Every reader raises {!Parse_error} (with the byte offset) on
-    malformed input. *)
+    malformed input.  Each reader is one call per token, which from
+    another module is never inlined: a caller that needs byte speed over
+    a run of tokens of a known form reads {!source} from {!position}
+    itself and {!seek}s back for anything else. *)
 module Scan : sig
   type cursor
 
   val cursor : string -> cursor
   (** A cursor at the start of the string. *)
+
+  val source : cursor -> string
+  (** The string the cursor reads, for a caller's own byte loop. *)
 
   val position : cursor -> int
   (** The byte offset the next reader starts from. *)

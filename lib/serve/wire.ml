@@ -151,7 +151,7 @@ let add_table buf (t : Table.t) =
 
 module Scan = Json.Scan
 
-(* {"f":"<%h>"} *)
+(* {"f":"<%h>"}, in any form [Scan] accepts *)
 let hex_float c =
   Scan.expect c '{';
   if Scan.string c <> "f" then raise (Protocol_error "bad value");
@@ -309,8 +309,10 @@ exception Not_int of float
 
 let not_int f = raise (Not_int f)
 
-(* cell [r] of a column's current chunk: a cell of the column's element
-   type is stored unboxed; any other value boxes the column *)
+(* cell [r] of a column's current chunk, by the [Scan] readers: a cell
+   of the column's element type is stored unboxed; any other value boxes
+   the column.  The general reader: [scan_columns] reads the forms the
+   encoder writes itself, and hands every other cell here. *)
 let scan_cell c (b : builder) r =
   match (b.data, Scan.peek c) with
   | _, 'n' ->
@@ -331,9 +333,175 @@ let scan_cell c (b : builder) r =
 
 let ragged () = raise (Protocol_error "row width differs from the schema")
 
-(* rows straight into typed columns of the schema's element types; a row
-   of another width is a protocol error *)
+(* byte [k] of [s], of length [len], is [ch] *)
+let[@inline] at s len k ch = k < len && String.unsafe_get s k = ch
+
+(* [lit] occurs in [s], of length [len], from byte [k] *)
+let occurs s len k lit =
+  let n = String.length lit in
+  k + n <= len
+  &&
+  let j = ref 0 in
+  while !j < n && String.unsafe_get s (k + !j) = String.unsafe_get lit !j do
+    incr j
+  done;
+  !j = n
+
+(* A float cell from byte [i] of [s] in the form [add_float] writes a
+   normal float or a zero, [{"f":"-0x1.<h>p-<d>"}] with 1 to 13 hex
+   digits [h] or none (and no '.'), into [a.(r)]; the index past it, or
+   [-1] for any other form (a subnormal, a non-finite float, a blank, an
+   escape), with nothing stored.  The mantissa is exact in 53 bits and
+   the exponent keeps it normal, so [Float.ldexp] makes exactly the
+   float [float_of_string] reads from the text. *)
+let float_cell s len i (a : float array) r =
+  let neg = at s len (i + 6) '-' in
+  let e = if neg then i + 7 else i + 6 in
+  (* the digit before the point: 1 for a normal float, 0 for a zero *)
+  if
+    not
+      (occurs s len i {|{"f":"|}
+      && occurs s len e "0x"
+      && (at s len (e + 2) '0' || at s len (e + 2) '1'))
+  then -1
+  else begin
+    let normal = at s len (e + 2) '1' in
+    let e = ref (e + 3) and mant = ref 0 in
+    let digits = ref 0 and point = ref false in
+    if at s len !e '.' then begin
+      point := true;
+      incr e;
+      let more = ref true in
+      while !more && !e < len do
+        match String.unsafe_get s !e with
+        | ('0' .. '9' | 'a' .. 'f') as d ->
+            let h = if d <= '9' then Char.code d - 48 else Char.code d - 87 in
+            mant := (!mant lsl 4) lor h;
+            incr digits;
+            incr e
+        | _ -> more := false
+      done
+    end;
+    if
+      (!point && (!digits = 0 || !digits > 13))
+      || not (at s len !e 'p' && (at s len (!e + 1) '+' || at s len (!e + 1) '-'))
+    then -1
+    else begin
+      let xneg = at s len (!e + 1) '-' in
+      e := !e + 2;
+      (* up to 5 exponent digits; a sixth leaves the cell to [scan_cell] *)
+      let x0 = !e and x = ref 0 in
+      while
+        !e < len && !e - x0 < 5
+        && String.unsafe_get s !e >= '0'
+        && String.unsafe_get s !e <= '9'
+      do
+        x := (!x * 10) + Char.code (String.unsafe_get s !e) - 48;
+        incr e
+      done;
+      let x = if xneg then - !x else !x in
+      if !e = x0 || not (occurs s len !e {|"}|}) then -1
+      else if normal && x >= -1022 && x <= 1023 then begin
+        let m = (1 lsl 52) lor (!mant lsl (4 * (13 - !digits))) in
+        let f = Float.ldexp (Float.of_int m) (x - 52) in
+        a.(r) <- (if neg then -.f else f);
+        !e + 2
+      end
+      else if (not normal) && not !point then begin
+        a.(r) <- (if neg then -0. else 0.);
+        !e + 2
+      end
+      else -1
+    end
+  end
+
+(* One cell from byte [i] of [s] (of length [len]) into row [r] of
+   [b]'s current chunk, in the form [add_cell] writes it: the index past
+   it, or [-1] for any other form, with nothing stored *)
+let fast_cell s len i (b : builder) r =
+  if i >= len then -1
+  else
+    match String.unsafe_get s i with
+    | 'n' ->
+        if occurs s len i "null" then begin
+          set_null b r;
+          i + 4
+        end
+        else -1
+    | ch -> (
+        match b.data with
+        | Batch.Ints a ->
+            (* at most 18 digits, so in the int range; a longer int goes to
+               [scan_cell] *)
+            let neg = ch = '-' in
+            let d0 = if neg then i + 1 else i in
+            let e = ref d0 and acc = ref 0 in
+            while
+              !e < len
+              && String.unsafe_get s !e <= '9'
+              && String.unsafe_get s !e >= '0'
+            do
+              acc := (!acc * 10) + Char.code (String.unsafe_get s !e) - 48;
+              incr e
+            done;
+            if
+              !e = d0 || !e - d0 > 18
+              || (!e < len
+                 && match String.unsafe_get s !e with
+                    | '.' | 'e' | 'E' -> true
+                    | _ -> false)
+            then -1
+            else begin
+              a.(r) <- (if neg then - !acc else !acc);
+              !e
+            end
+        | Strs a ->
+            if ch <> '"' then -1
+            else begin
+              let e = ref (i + 1) in
+              while
+                !e < len
+                && match String.unsafe_get s !e with '"' | '\\' -> false | _ -> true
+              do
+                incr e
+              done;
+              if !e < len && String.unsafe_get s !e = '"' then begin
+                a.(r) <- String.sub s (i + 1) (!e - i - 1);
+                !e + 1
+              end
+              else -1
+            end
+        | Floats a -> if ch = '{' then float_cell s len i a r else -1
+        | Bools a ->
+            if occurs s len i "true" then begin
+              a.(r) <- true;
+              i + 4
+            end
+            else if occurs s len i "false" then begin
+              a.(r) <- false;
+              i + 5
+            end
+            else -1
+        | Boxed _ -> -1)
+
+(* Rows straight into typed columns of the schema's element types; a row
+   of another width is a protocol error.
+
+   One loop reads the rows from the frame's bytes.  A cell in the form
+   [add_cell] writes it goes straight into its column's chunk, with the
+   separator after it: an int of at most 18 digits with no fraction or
+   exponent, a string without escapes (one [String.sub]), a normal or
+   zero float (by [float_cell]), [null], [true] and [false].  At any
+   other cell — a blank, an escape, a fraction in an int column, a boxed
+   column, a subnormal or non-finite float — the cursor goes to
+   [scan_cell] and [Scan.sep] for the rest of the row, and so does a
+   separator the loop does not read, so what decodes to what, and every
+   error, is what those readers decide.  The loop reads [Scan]'s source
+   itself because the dev profile compiles with -opaque: a [Scan] reader
+   is never inlined here, so reading through it costs a call per token. *)
 let scan_columns c (schema : Schema.t) : Batch.t =
+  let s = Scan.source c in
+  let len = String.length s in
   let k = Schema.arity schema in
   let cap = ref 16 and m = ref 0 and n = ref 0 in
   let cols =
@@ -341,6 +509,7 @@ let scan_columns c (schema : Schema.t) : Batch.t =
   in
   Scan.expect c '[';
   if not (Scan.eat c ']') then begin
+    let p = ref (Scan.position c) in
     let more_rows = ref true in
     while !more_rows do
       if !m = !cap then
@@ -357,18 +526,56 @@ let scan_columns c (schema : Schema.t) : Batch.t =
             cols;
           m := 0
         end;
-      Scan.expect c '[';
-      if Scan.eat c ']' then (if k > 0 then ragged ())
-      else if k = 0 then ragged ()
-      else
-        for j = 0 to k - 1 do
-          scan_cell c cols.(j) !m;
-          if Scan.sep c ']' <> (j < k - 1) then ragged ()
-        done;
+      let r = !m in
+      if at s len !p '[' then incr p
+      else begin
+        Scan.seek c !p;
+        Scan.expect c '[';
+        p := Scan.position c
+      end;
+      (* cells [0, j) are read, with the separator after each *)
+      let j = ref 0 and fast = ref (k > 0) in
+      while !fast do
+        let q = fast_cell s len !p cols.(!j) r in
+        if q < 0 then fast := false
+        else begin
+          let last = !j = k - 1 in
+          incr j;
+          fast := not last;
+          if at s len q (if last then ']' else ',') then p := q + 1
+          else begin
+            Scan.seek c q;
+            if Scan.sep c ']' = last then ragged ();
+            p := Scan.position c;
+            fast := false
+          end
+        end
+      done;
+      if !j < k || k = 0 then begin
+        Scan.seek c !p;
+        if !j = 0 && Scan.eat c ']' then (if k > 0 then ragged ())
+        else if k = 0 then ragged ()
+        else
+          for j = !j to k - 1 do
+            scan_cell c cols.(j) r;
+            if Scan.sep c ']' <> (j < k - 1) then ragged ()
+          done;
+        p := Scan.position c
+      end;
       incr m;
       incr n;
-      more_rows := Scan.sep c ']'
-    done
+      if at s len !p ',' then incr p
+      else if at s len !p ']' then begin
+        incr p;
+        more_rows := false
+      end
+      else begin
+        Scan.seek c !p;
+        more_rows := Scan.sep c ']';
+        p := Scan.position c
+      end
+    done;
+    Scan.seek c !p
   end;
   Batch.of_cols schema !n (Array.map (fun b -> finish b !m) cols)
 

@@ -119,7 +119,9 @@ val response_of_string : string -> response
     into typed columns of the element types its schema declares, with
     no JSON tree and no tuple in between, and become a table made from
     columns ({!Table.of_batch}), whose rows are boxed when first asked
-    for.  A column holds its cells boxed from the first cell that does
+    for.  A cell in the form the encoder writes it is read by one byte
+    loop, with no string made for an int, a float or a literal; any other
+    form decodes, and fails, exactly as {!Json.Scan} reads it.  A column holds its cells boxed from the first cell that does
     not fit its declared type.  The payload's ["rows"] may come before
     its ["schema"] (then they are decoded once the schema is read).
     @raise Protocol_error or [Json.Parse_error] on a malformed frame,

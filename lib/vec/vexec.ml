@@ -178,26 +178,30 @@ let except_all sp (a : Batch.t) (b : Batch.t) : Batch.t =
 
 (* ---- join ---- *)
 
-(* One conjunct [x op y] of a residual over two non-null unboxed int
-   columns, each read at the pair's left ([x_left]) or right physical
-   row. *)
+(* One conjunct [x + dx op y + dy] of a residual over two non-null
+   unboxed int columns, each read at the pair's left ([x_left]) or right
+   physical row and shifted by an int constant (0 for a bare column). *)
 type fused_cmp = {
   op : Expr.cmp;
   x : int array;
   x_left : bool;
+  dx : int;
   y : int array;
   y_left : bool;
+  dy : int;
 }
 
 (* The residual compiled to {!fused_cmp}s when every conjunct compares
-   two non-null unboxed int columns — the shape the period encoding
-   produces for interval overlap ([b1 < e2 AND b2 < e1]).  Such
-   conjuncts are two-valued, so testing pairs inline is exactly
+   two non-null unboxed int columns, each perhaps plus or minus an int
+   constant — the shape the period encoding produces for interval
+   overlap ([b1 < e2 AND b2 < e1]), and a band such as [a.x > b.x +
+   3000].  Such conjuncts are two-valued, and the offsets wrap as
+   [Veval.binop]'s int addition does, so testing pairs inline is exactly
    [Veval.filter] on the materialized candidates, without ever gathering
    the rejected ones.  [None] for any other residual. *)
 let fused_residual (la : int) (lb : Batch.t) (rb : Batch.t) (p : Expr.t) :
     fused_cmp array option =
-  let operand j =
+  let column j =
     let c, left =
       if j < la then (lb.Batch.cols.(j), true) else (rb.Batch.cols.(j - la), false)
     in
@@ -205,10 +209,21 @@ let fused_residual (la : int) (lb : Batch.t) (rb : Batch.t) (p : Expr.t) :
     | Batch.Ints a, None -> Some (a, left)
     | _ -> None
   in
+  (* [x - d] is [x + (-d)] in wrapping arithmetic, [min_int] included *)
+  let operand = function
+    | Expr.Col j -> Option.map (fun (a, left) -> (a, left, 0)) (column j)
+    | Expr.Binop (Expr.Add, Expr.Col j, Expr.Const (Value.Int d))
+    | Expr.Binop (Expr.Add, Expr.Const (Value.Int d), Expr.Col j) ->
+        Option.map (fun (a, left) -> (a, left, d)) (column j)
+    | Expr.Binop (Expr.Sub, Expr.Col j, Expr.Const (Value.Int d)) ->
+        Option.map (fun (a, left) -> (a, left, -d)) (column j)
+    | _ -> None
+  in
   let conj = function
-    | Expr.Cmp (op, Expr.Col x, Expr.Col y) -> (
+    | Expr.Cmp (op, x, y) -> (
         match (operand x, operand y) with
-        | Some (x, x_left), Some (y, y_left) -> Some { op; x; x_left; y; y_left }
+        | Some (x, x_left, dx), Some (y, y_left, dy) ->
+            Some { op; x; x_left; dx; y; y_left; dy }
         | _ -> None)
     | _ -> None
   in
@@ -304,15 +319,17 @@ let keep (s : pairs) (n : int) : unit =
     Ibuf.append s.rout s.br n
   end
 
-(* Keep the pairs [k < n] of [bl]/[br] with [x.(xi.(k)) op y.(yi.(k))],
-   compacting both in place (in order), where [xi]/[yi] are [bl] or [br]
-   as the operands read the left or the right row; the number kept.  One
-   loop per operator ([>] and [>=] as [<] and [<=] with the operands
-   swapped): the comparison is not dispatched per pair. *)
+(* Keep the pairs [k < n] of [bl]/[br] with
+   [x.(xi.(k)) + dx op y.(yi.(k)) + dy], compacting both in place (in
+   order), where [xi]/[yi] are [bl] or [br] as the operands read the left
+   or the right row; the number kept.  One loop per operator ([>] and
+   [>=] as [<] and [<=] with the operands swapped): the comparison is not
+   dispatched per pair. *)
 let filter_pairs (t : fused_cmp) (bl : int array) (br : int array) (n : int) :
     int =
   let swap = match t.op with Expr.Gt | Expr.Ge -> true | _ -> false in
   let x = if swap then t.y else t.x and y = if swap then t.x else t.y in
+  let dx = if swap then t.dy else t.dx and dy = if swap then t.dx else t.dy in
   let x_left = if swap then t.y_left else t.x_left
   and y_left = if swap then t.x_left else t.y_left in
   let xi = if x_left then bl else br and yi = if y_left then bl else br in
@@ -320,7 +337,7 @@ let filter_pairs (t : fused_cmp) (bl : int array) (br : int array) (n : int) :
   (match t.op with
   | Expr.Lt | Expr.Gt ->
       for k = 0 to n - 1 do
-        if x.(xi.(k)) < y.(yi.(k)) then begin
+        if x.(xi.(k)) + dx < y.(yi.(k)) + dy then begin
           bl.(!w) <- bl.(k);
           br.(!w) <- br.(k);
           incr w
@@ -328,7 +345,7 @@ let filter_pairs (t : fused_cmp) (bl : int array) (br : int array) (n : int) :
       done
   | Expr.Le | Expr.Ge ->
       for k = 0 to n - 1 do
-        if x.(xi.(k)) <= y.(yi.(k)) then begin
+        if x.(xi.(k)) + dx <= y.(yi.(k)) + dy then begin
           bl.(!w) <- bl.(k);
           br.(!w) <- br.(k);
           incr w
@@ -336,7 +353,7 @@ let filter_pairs (t : fused_cmp) (bl : int array) (br : int array) (n : int) :
       done
   | Expr.Eq ->
       for k = 0 to n - 1 do
-        if x.(xi.(k)) = y.(yi.(k)) then begin
+        if x.(xi.(k)) + dx = y.(yi.(k)) + dy then begin
           bl.(!w) <- bl.(k);
           br.(!w) <- br.(k);
           incr w
@@ -344,7 +361,7 @@ let filter_pairs (t : fused_cmp) (bl : int array) (br : int array) (n : int) :
       done
   | _ ->
       for k = 0 to n - 1 do
-        if x.(xi.(k)) <> y.(yi.(k)) then begin
+        if x.(xi.(k)) + dx <> y.(yi.(k)) + dy then begin
           bl.(!w) <- bl.(k);
           br.(!w) <- br.(k);
           incr w

@@ -219,8 +219,9 @@ let test_op_project () =
    to [Vexec.fused_cmp]s, and [Vexec.filter_fused] on a block of pairs
    keeps exactly the pairs [Veval.filter] keeps on the materialized
    pairs, in order, for all six operators with
-   operands from either input in both positions (and a conjunction of
-   two).  A nullable operand does not compile. *)
+   operands from either input in both positions, bare or plus or minus an
+   int constant (and a conjunction of two).  A nullable operand does not
+   compile. *)
 let test_fused_residual () =
   let ints a = { Batch.data = Batch.Ints a; nulls = None } in
   let s2 =
@@ -266,6 +267,27 @@ let test_fused_residual () =
     ops;
   agree "overlap b1 < e2 AND b2 < e1"
     (Expr.And (Expr.Cmp (Expr.Lt, col 0, col 3), Expr.Cmp (Expr.Lt, col 2, col 1)));
+  (* an operand plus or minus an int constant, on either side, wrapping
+     at the ends of the int range as [Veval]'s addition does *)
+  let plus j d = Expr.Binop (Expr.Add, col j, Expr.Const (Value.Int d)) in
+  let minus j d = Expr.Binop (Expr.Sub, col j, Expr.Const (Value.Int d)) in
+  let plus_left j d = Expr.Binop (Expr.Add, Expr.Const (Value.Int d), col j) in
+  List.iter
+    (fun (oname, op) ->
+      List.iter
+        (fun (pname, x, y) ->
+          agree (Printf.sprintf "%s %s" pname oname) (Expr.Cmp (op, x, y)))
+        [
+          ("l.l+3", col 0, plus 1 3);
+          ("l.r-2", col 0, minus 2 2);
+          ("(3+r).l", plus_left 3 3, col 1);
+          ("(r-4).(l+1)", minus 2 4, plus 1 1);
+          ("(l+max_int).r", plus 0 max_int, col 2);
+          ("r.(l-min_int)", col 3, minus 1 min_int);
+        ])
+    ops;
+  agree "band a.p > b.p + 3 AND a.q - 1 <= b.q"
+    (Expr.And (Expr.Cmp (Expr.Gt, col 0, plus 2 3), Expr.Cmp (Expr.Le, minus 1 1, col 3)));
   let nullable =
     { Batch.data = Batch.Ints [| 1; 2; 3; 4 |]; nulls = Some [| false; true; false; false |] }
   in
@@ -1219,7 +1241,9 @@ let test_block_residual_alloc () =
    survivors allocates almost nothing directly in the major heap: the
    fused residual tests each pair in place, and no pair index is kept
    when no output column is read (the candidate and gathered arrays took
-   23.7M words before). *)
+   23.7M words before).  So does a band [a.x > b.x + 3000], whose
+   operand offset the fused test applies (the blocked [Veval] test of it
+   took about 6 words per pair). *)
 let test_nested_loop_alloc () =
   let s = Schema.make [ Schema.attr "x" Value.TInt ] in
   let db = Database.create ~tmin:0 ~tmax:24 () in
@@ -1227,20 +1251,27 @@ let test_nested_loop_alloc () =
     (Table.make s
        (List.init 1415 (fun i -> Tuple.make [ Value.Int (i * 7919 mod 1000) ])));
   let t = Algebra.Rel "t" in
-  let q =
-    Algebra.Agg
-      ( [],
-        [ { Algebra.func = Agg.Count_star; agg_name = "n" } ],
-        Algebra.Join (Expr.Cmp (Expr.Lt, col 0, col 1), t, t) )
-  in
-  ignore (Vexec.eval db q);
-  let _, promoted0, major0 = Gc.counters () in
-  ignore (Vexec.eval db q);
-  let _, promoted1, major1 = Gc.counters () in
-  let direct = major1 -. major0 -. (promoted1 -. promoted0) in
-  if direct > 10_000. then
-    Alcotest.failf "a 2M-pair nested loop allocated %.0f words directly in the \
-                    major heap (bound 10000)" direct
+  List.iter
+    (fun (name, residual) ->
+      let q =
+        Algebra.Agg
+          ( [],
+            [ { Algebra.func = Agg.Count_star; agg_name = "n" } ],
+            Algebra.Join (residual, t, t) )
+      in
+      ignore (Vexec.eval db q);
+      let _, promoted0, major0 = Gc.counters () in
+      ignore (Vexec.eval db q);
+      let _, promoted1, major1 = Gc.counters () in
+      let direct = major1 -. major0 -. (promoted1 -. promoted0) in
+      if direct > 10_000. then
+        Alcotest.failf "a 2M-pair nested loop on %s allocated %.0f words directly \
+                        in the major heap (bound 10000)" name direct)
+    [
+      ("a.x < b.x", Expr.Cmp (Expr.Lt, col 0, col 1));
+      ( "a.x > b.x + 3000",
+        Expr.Cmp (Expr.Gt, col 0, Expr.Binop (Expr.Add, col 1, Expr.Const (Value.Int 3000))) );
+    ]
 
 (* The temporal sweeps allocate nothing per group and the join nothing
    per candidate: a warm execution of SEQ VT agg-1 (split_agg), diff-2
