@@ -34,6 +34,10 @@ echo "# one engine ships: --engine is not an option -> 124 (stderr dropped: cmdl
 "$CLI" run --engine row -e "SELECT 1" >/dev/null 2>&1
 echo "exit=$?"
 
+echo "# one JSON switch: lint --json is not an option (--format json is) -> 124 (stderr dropped)"
+"$CLI" lint -e "SELECT 1" --json >/dev/null 2>&1
+echo "exit=$?"
+
 echo "# a script's output precedes its error line; NULL period -> 4"
 run run -e "CREATE TABLE t (x int, b int, e int) PERIOD (b, e); INSERT INTO t VALUES (1, NULL, 3);"
 

@@ -622,9 +622,17 @@ let check_read_after_insert () =
    and the INSERTs alternate between them (the first side flips every
    round), so a slow patch of the machine lands on both sizes.  Median
    of 301 INSERTs per size, each timed alone; copying the row array on
-   every INSERT read ~9.4x. *)
+   every INSERT read ~9.4x.  Its deterministic twin counts the words
+   the same INSERTs allocate, outside the clock: minor words plus words
+   allocated directly in the major heap (major minus promoted), as a
+   mean per INSERT.  The count is the same for the same binary on any
+   machine, so its bound is tight. *)
 let check_insert_cost () =
-  let bound = 1.5 and rounds = 301 in
+  let bound = 1.5 and words_bound = 1.1 and rounds = 301 in
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
   let table n =
     let db = Database.create ~tmin:0 ~tmax:2000 () in
     Database.add_period_table db "history" (W.coalesce_input ~n ~seed:31 ~tmax:2000);
@@ -637,9 +645,11 @@ let check_insert_cost () =
       Printf.sprintf "INSERT INTO history VALUES (%d, %d, %d)" i (i mod 1900)
         ((i mod 1900) + 50)
     in
+    let w0 = words () in
     let t0 = Tkr_obs.Clock.now_ns () in
     ignore (Sys.opaque_identity (M.execute m sql));
-    Int64.to_float (Int64.sub (Tkr_obs.Clock.now_ns ()) t0) /. 1e9
+    let t = Int64.to_float (Int64.sub (Tkr_obs.Clock.now_ns ()) t0) /. 1e9 in
+    (t, words () -. w0)
   in
   Gc.full_major ();
   let pairs =
@@ -651,11 +661,17 @@ let check_insert_cost () =
           let l = insert large_m i in
           (insert small_m i, l))
   in
-  let smalls = List.map fst pairs and larges = List.map snd pairs in
+  let smalls, small_words = List.split (List.map fst pairs)
+  and larges, large_words = List.split (List.map snd pairs) in
   let small = median smalls and large = median larges in
   verdict (large <= bound *. small)
     "writes/insert-cost: one-row INSERT %s at 100k rows vs %s at 10k (%.2fx, need <= %.1fx)"
-    (show_ms ~digits:4 larges) (show_ms ~digits:4 smalls) (large /. small) bound
+    (show_ms ~digits:4 larges) (show_ms ~digits:4 smalls) (large /. small) bound;
+  let per_insert ws = List.fold_left ( +. ) 0. ws /. float_of_int rounds in
+  let small_w = per_insert small_words and large_w = per_insert large_words in
+  verdict (large_w <= words_bound *. small_w)
+    "writes/insert-words: one-row INSERT allocates %.1f words at 100k rows vs %.1f at 10k (%.3fx, need <= %.1fx)"
+    large_w small_w (large_w /. small_w) words_bound
 
 (* The shipped vec engine never loses to the row oracle on the ten
    employee queries at the benchmark's scale (1000 employees). *)

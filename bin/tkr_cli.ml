@@ -503,8 +503,7 @@ let lint_run data workload sql files profile werror json_out =
                  Printf.sprintf "lint: %d of %d statements failed" bad
                    (List.length reports) ))
 
-let lint data workload sql files profile werror json_out format list_codes
-    describe =
+let lint data workload sql files profile werror format list_codes describe =
   if list_codes then
     (* expose the stable diagnostic registry: every TKR code with its
        one-line description *)
@@ -524,8 +523,7 @@ let lint data workload sql files profile werror json_out format list_codes
                      "unknown diagnostic code %s (see lint --list-codes)" code
                  )))
     | None ->
-        let json_out = json_out || format = `Json in
-        lint_run data workload sql files profile werror json_out
+        lint_run data workload sql files profile werror (format = `Json)
 
 let lint_cmd =
   let data =
@@ -566,16 +564,12 @@ let lint_cmd =
       value & flag
       & info [ "Werror" ] ~doc:"treat warnings as errors (exit non-zero)")
   in
-  let json_out =
-    Arg.(
-      value & flag & info [ "json" ] ~doc:"print diagnostics as JSON")
-  in
   let format =
     Arg.(
       value
       & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
       & info [ "format" ] ~docv:"FMT"
-          ~doc:"output format: text (default) or json (same as --json)")
+          ~doc:"output format: text (default) or json")
   in
   let list_codes =
     Arg.(
@@ -597,10 +591,10 @@ let lint_cmd =
              validate plan invariants, run the abstract interpreter \
              (TKR4xx) and lint for snapshot-semantics bugs (AG/BD)")
     Term.(
-      const (fun a b c d e f g h i j ->
-          guarded (fun () -> lint a b c d e f g h i j))
-      $ data $ workload $ sql $ files $ profile $ werror $ json_out $ format
-      $ list_codes $ describe)
+      const (fun a b c d e f g h i ->
+          guarded (fun () -> lint a b c d e f g h i))
+      $ data $ workload $ sql $ files $ profile $ werror $ format $ list_codes
+      $ describe)
 
 (* --- serve --- *)
 

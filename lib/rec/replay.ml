@@ -23,7 +23,6 @@ type outcome = {
   failed : int;
   cached : int;
   wall_ns : float;
-  lat_us : float array;
   sessions : int;
 }
 
@@ -46,27 +45,6 @@ let window = 32
    — reads commute — so only barriers need strict ordering against the
    rest of the stream *)
 let is_barrier (e : Record.entry) = e.Record.e_deps = []
-
-type session_chan = {
-  sc_fd : Unix.file_descr;
-  sc_indices : int list;  (* positions into the entry array, in order *)
-  sc_lock : Mutex.t;
-  sc_cond : Condition.t;
-  mutable sc_inflight : int;
-  mutable sc_received : int;
-  mutable sc_dead : bool;
-  mutable sc_out : int;
-      (* outstanding requests of this session, guarded by the turnstile
-         lock — drained to zero when the connection dies so barrier
-         waits cannot hang on a dead channel *)
-  mutable sc_drained : bool;
-      (* reader exited: pipeline accounting for this channel is closed,
-         late sends must not re-enter it (guarded by the turnstile lock) *)
-}
-
-let locked mu f =
-  Mutex.lock mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
 
 let connect ~host ~port : Unix.file_descr =
   match Tkr_serve.Client.dial ~host ~port () with
@@ -105,214 +83,19 @@ let digest_of_frame (frame : string) : int option * (string * bool) option =
         Some (Record.digest_error ~code:!code ~message:!message, false)
     | _ -> None )
 
-let run ?(paced = false) ?(host = "127.0.0.1") ~port
-    (entries : Record.entry list) : outcome =
-  let entries = Array.of_list entries in
-  let n = Array.length entries in
-  (* sessions in order of first appearance; each gets one connection *)
-  let session_order = ref [] in
-  let by_session : (int, int list ref) Hashtbl.t = Hashtbl.create 8 in
-  Array.iteri
-    (fun i (e : Record.entry) ->
-      match Hashtbl.find_opt by_session e.Record.e_session with
-      | Some l -> l := i :: !l
-      | None ->
-          Hashtbl.replace by_session e.Record.e_session (ref [ i ]);
-          session_order := e.Record.e_session :: !session_order)
-    entries;
-  let sessions = List.rev !session_order in
-  let chans =
-    List.map
-      (fun sid ->
-        {
-          sc_fd = connect ~host ~port;
-          sc_indices = List.rev !(Hashtbl.find by_session sid);
-          sc_lock = Mutex.create ();
-          sc_cond = Condition.create ();
-          sc_inflight = 0;
-          sc_received = 0;
-          sc_dead = false;
-          sc_out = 0;
-          sc_drained = false;
-        })
-      sessions
-  in
-  let got : (string * bool) option array = Array.make n None in
-  let send_ns = Array.make n 0L in
-  let recv_ns = Array.make n 0L in
-  (* the global turnstile: requests leave in the order of the entry
-     array, whatever session they belong to — cross-session arrival
-     order is reproduced, per-session order is a subsequence of it *)
-  let turn = ref 0 in
-  let t_lock = Mutex.create () in
-  let t_cond = Condition.create () in
-  (* sent-but-unanswered requests across every session, and per-entry
-     send/completion state — all guarded by [t_lock]; barriers wait on
-     them.  [account] writes off one entry's pipeline debt; it is
-     idempotent so the response path, the write-failure path and the
-     reader-exit drain can each fire without double-counting *)
-  let g_inflight = ref 0 in
-  let sent_ = Array.make n false in
-  let done_ = Array.make n false in
-  let account (sc : session_chan) gi =
-    if sent_.(gi) && not done_.(gi) then begin
-      done_.(gi) <- true;
-      decr g_inflight;
-      sc.sc_out <- sc.sc_out - 1;
-      Condition.broadcast t_cond
-    end
-  in
-  let base_arrive_ns =
-    if n = 0 then 0L else entries.(0).Record.e_arrive_ns
-  in
-  let t0 = Clock.now_ns () in
-  let sender (sc : session_chan) () =
-    List.iter
-      (fun gi ->
-        let e = entries.(gi) in
-        let skip = rejected e in
-        let barrier = is_barrier e && not skip in
-        locked t_lock (fun () ->
-            while !turn <> gi do
-              Condition.wait t_cond t_lock
-            done;
-            (* a write must observe every earlier request's effects:
-               drain the pipeline before it goes out (holding the turn,
-               so nothing new enters meanwhile) *)
-            if barrier then
-              while !g_inflight > 0 do
-                Condition.wait t_cond t_lock
-              done);
-        if paced && not skip then begin
-          let target_s =
-            Int64.to_float (Int64.sub e.Record.e_arrive_ns base_arrive_ns)
-            /. 1e9
-          in
-          let elapsed_s =
-            Int64.to_float (Int64.sub (Clock.now_ns ()) t0) /. 1e9
-          in
-          if target_s > elapsed_s then Thread.delay (target_s -. elapsed_s)
-        end;
-        let send =
-          (not skip)
-          && locked sc.sc_lock (fun () ->
-              while sc.sc_inflight >= window && not sc.sc_dead do
-                Condition.wait sc.sc_cond sc.sc_lock
-              done;
-              if sc.sc_dead then false
-              else begin
-                sc.sc_inflight <- sc.sc_inflight + 1;
-                true
-              end)
-        in
-        let sent = ref false in
-        (if send then begin
-           (* count the request as in flight BEFORE it hits the wire:
-              the reader's decrement can then never outrun the
-              increment, and a reader that exits in between drains the
-              entry itself via [account] (it sees [sent_]) *)
-           locked t_lock (fun () ->
-               sent_.(gi) <- true;
-               if sc.sc_drained then done_.(gi) <- true
-               else begin
-                 incr g_inflight;
-                 sc.sc_out <- sc.sc_out + 1
-               end);
-           sent := true;
-           let frame =
-             Json.to_string
-               (Wire.request_to_json (Wire.request ~id:gi e.Record.e_stmt))
-           in
-           try
-             send_ns.(gi) <- Clock.now_ns ();
-             Wire.write_frame sc.sc_fd frame
-           with Unix.Unix_error _ | Wire.Protocol_error _ ->
-             locked t_lock (fun () -> account sc gi);
-             locked sc.sc_lock (fun () ->
-                 sc.sc_dead <- true;
-                 Condition.broadcast sc.sc_cond)
-         end);
-        (* a write also holds the turn until its response arrived, so
-           the next arrival (possibly another session's read) executes
-           against post-write state, exactly as recorded.  [done_] is
-           guaranteed to be set eventually: by the response, by the
-           write-failure path, or by the reader-exit drain *)
-        if barrier && !sent then
-          locked t_lock (fun () ->
-              while not done_.(gi) do
-                Condition.wait t_cond t_lock
-              done);
-        locked t_lock (fun () ->
-            incr turn;
-            Condition.broadcast t_cond))
-      sc.sc_indices
-  in
-  let reader (sc : session_chan) () =
-    let expected =
-      List.length
-        (List.filter (fun gi -> not (rejected entries.(gi))) sc.sc_indices)
-    in
-    let rec loop () =
-      let continue =
-        locked sc.sc_lock (fun () -> sc.sc_received < expected && not sc.sc_dead)
-      in
-      if continue then
-        match Wire.read_frame sc.sc_fd with
-        | Some frame ->
-            (match digest_of_frame frame with
-            | Some gi, digest when gi >= 0 && gi < n ->
-                recv_ns.(gi) <- Clock.now_ns ();
-                got.(gi) <- digest;
-                locked t_lock (fun () -> account sc gi)
-            | _ -> ()
-            | exception Json.Parse_error _ -> ());
-            locked sc.sc_lock (fun () ->
-                sc.sc_received <- sc.sc_received + 1;
-                sc.sc_inflight <- sc.sc_inflight - 1;
-                Condition.broadcast sc.sc_cond);
-            loop ()
-        | None | (exception Wire.Protocol_error _) | (exception Unix.Unix_error _)
-          ->
-            locked sc.sc_lock (fun () ->
-                sc.sc_dead <- true;
-                Condition.broadcast sc.sc_cond)
-    in
-    (* on exit — clean or dead — write off whatever this channel still
-       owes the pipeline, or a barrier elsewhere would wait forever;
-       [sc_drained] keeps a racing late send from re-entering it *)
-    Fun.protect
-      ~finally:(fun () ->
-        locked t_lock (fun () ->
-            sc.sc_drained <- true;
-            List.iter (fun gi -> account sc gi) sc.sc_indices))
-      loop
-  in
-  let threads =
-    List.concat_map
-      (fun sc ->
-        [ Thread.create (reader sc) (); Thread.create (sender sc) () ])
-      chans
-  in
-  List.iter Thread.join threads;
-  let wall_ns = Int64.to_float (Int64.sub (Clock.now_ns ()) t0) in
-  List.iter
-    (fun sc -> try Unix.close sc.sc_fd with Unix.Unix_error _ -> ())
-    chans;
+(* the outcome, once every sent entry was answered or given up *)
+let tally entries (got : (string * bool) option array) ~wall_ns ~sessions =
   let compared = ref 0 in
   let matched = ref 0 in
   let skipped = ref 0 in
   let failed = ref 0 in
   let cached = ref 0 in
   let mismatches = ref [] in
-  let lat_us = Array.make n 0.0 in
   Array.iteri
     (fun gi (e : Record.entry) ->
       (match got.(gi) with
       | Some (_, c) -> if c then incr cached
       | None -> ());
-      if recv_ns.(gi) <> 0L && send_ns.(gi) <> 0L then
-        lat_us.(gi) <-
-          Int64.to_float (Int64.sub recv_ns.(gi) send_ns.(gi)) /. 1e3;
       if rejected e then incr skipped
       else
         match got.(gi) with
@@ -332,7 +115,7 @@ let run ?(paced = false) ?(host = "127.0.0.1") ~port
                 :: !mismatches)
     entries;
   {
-    total = n;
+    total = Array.length entries;
     compared = !compared;
     matched = !matched;
     mismatches = List.rev !mismatches;
@@ -340,9 +123,149 @@ let run ?(paced = false) ?(host = "127.0.0.1") ~port
     failed = !failed;
     cached = !cached;
     wall_ns;
-    lat_us;
-    sessions = List.length sessions;
+    sessions;
   }
+
+(* A recorded session's connection closes once its last entry is
+   answered.  The first [max_open] sessions are dialed before the clock
+   starts; a later one is dialed when its first entry is sent, after a
+   drain if [max_open] connections are open (the drain closes the
+   finished ones).  Each connection and its server's end stay within
+   [Unix.select]'s 1,024 descriptors unless a recording holds more than
+   [max_open] sessions open across each other. *)
+let max_open = 256
+
+type link = Unopened | Open of Unix.file_descr | Closed
+
+type conn = {
+  mutable link : link;  (* [Closed] early: a read or write failed *)
+  mutable inflight : int;  (* sent, not yet answered *)
+  mutable pending : int;  (* entries to send or answer *)
+}
+
+let close c =
+  (match c.link with
+  | Open fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
+  | Unopened | Closed -> ());
+  c.link <- Closed;
+  c.inflight <- 0
+
+(* read every response that arrives within [timeout] seconds (negative:
+   block until one does) and file it under the entry it answers.  A
+   socket that fails closes, and its in-flight entries go unanswered. *)
+let receive conns got timeout =
+  let busy =
+    List.filter_map
+      (fun c ->
+        match c.link with
+        | Open fd when c.inflight > 0 -> Some (fd, c)
+        | _ -> None)
+      conns
+  in
+  match Unix.select (List.map fst busy) [] [] timeout with
+  | ready, _, _ ->
+      List.iter
+        (fun (fd, c) ->
+          if List.mem fd ready then
+            match Wire.read_frame fd with
+            | Some frame -> (
+                c.inflight <- c.inflight - 1;
+                c.pending <- c.pending - 1;
+                if c.pending = 0 then close c;
+                match digest_of_frame frame with
+                | Some gi, digest when gi >= 0 && gi < Array.length got ->
+                    got.(gi) <- digest
+                | _ -> ()
+                | exception Json.Parse_error _ -> ())
+            | None | (exception (Wire.Protocol_error _ | Unix.Unix_error _))
+              ->
+                close c)
+        busy
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+
+let run ?(paced = false) ?(host = "127.0.0.1") ~port
+    (entries : Record.entry list) : outcome =
+  (* a server that hangs up must cost its session, not the process *)
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+   with Invalid_argument _ -> ());
+  let entries = Array.of_list entries in
+  let n = Array.length entries in
+  (* sessions in order of first appearance *)
+  let by_session = Hashtbl.create 8 and conns = ref [] in
+  let conn_of =
+    Array.map
+      (fun (e : Record.entry) ->
+        let c =
+          match Hashtbl.find_opt by_session e.Record.e_session with
+          | Some c -> c
+          | None ->
+              let c = { link = Unopened; inflight = 0; pending = 0 } in
+              Hashtbl.replace by_session e.Record.e_session c;
+              conns := c :: !conns;
+              c
+        in
+        if not (rejected e) then c.pending <- c.pending + 1;
+        c)
+      entries
+  in
+  let conns = List.rev !conns in
+  Fun.protect ~finally:(fun () -> List.iter close conns) @@ fun () ->
+  let dial c = c.link <- Open (connect ~host ~port) in
+  List.iteri (fun i c -> if i < max_open && c.pending > 0 then dial c) conns;
+  let got = Array.make n None in
+  let in_flight () = List.fold_left (fun k c -> k + c.inflight) 0 conns in
+  let drain () = while in_flight () > 0 do receive conns got (-1.) done in
+  let opened () =
+    List.length (List.filter (fun c -> match c.link with Open _ -> true | _ -> false) conns)
+  in
+  let t0 = Clock.now_ns () in
+  let elapsed_s () = Int64.to_float (Int64.sub (Clock.now_ns ()) t0) /. 1e9 in
+  let base_arrive_ns = if n = 0 then 0L else entries.(0).Record.e_arrive_ns in
+  Array.iteri
+    (fun gi (e : Record.entry) ->
+      let c = conn_of.(gi) in
+      if not (rejected e || c.link = Closed) then begin
+        (* a write must observe every earlier request's effects *)
+        if is_barrier e then drain ();
+        (if paced then
+           let offset_s =
+             Int64.to_float (Int64.sub e.Record.e_arrive_ns base_arrive_ns)
+             /. 1e9
+           in
+           let rec pace () =
+             let left = offset_s -. elapsed_s () in
+             if left > 0. then (
+               receive conns got left;
+               pace ())
+           in
+           pace ());
+        while c.inflight >= window do receive conns got (-1.) done;
+        if c.link = Unopened then (
+          if opened () >= max_open then drain ();
+          dial c);
+        match c.link with
+        | Open fd -> (
+            (* a request is one statement's bytes, so [window] of them
+               never fill a socket buffer: a blocking write cannot wedge
+               the loop *)
+            match
+              Wire.write_frame fd
+                (Json.to_string
+                   (Wire.request_to_json (Wire.request ~id:gi e.Record.e_stmt)))
+            with
+            | () ->
+                c.inflight <- c.inflight + 1;
+                (* a write holds the next entry back until its response
+                   arrived, so whatever follows runs against post-write
+                   state, exactly as recorded *)
+                if is_barrier e then drain ()
+            | exception (Wire.Protocol_error _ | Unix.Unix_error _) -> close c)
+        | Unopened | Closed -> ()
+      end)
+    entries;
+  drain ();
+  tally entries got ~wall_ns:(elapsed_s () *. 1e9)
+    ~sessions:(Hashtbl.length by_session)
 
 let identical (o : outcome) =
   o.mismatches = [] && o.failed = 0 && o.compared = o.matched

@@ -5,7 +5,9 @@
    over a 4-session interleaved DML workload with the cache on and off
    (alcotest + a qcheck shuffle of cross-session arrival order), the
    LEDGER scrape surface, the zero-window [tkr_cli top] frame, replay
-   leaving unsent the writes the capture server rejected, and the
+   leaving unsent the writes the capture server rejected, a paced
+   replay, replay against a stand-in server (a connection that dies
+   mid-replay, more sessions than [select] can watch at once), and the
    recorder, event log, ledger and STATS agreeing on every request. *)
 
 module M = Tkr_middleware.Middleware
@@ -335,9 +337,9 @@ let round_robin_order =
     (fun _ -> [ 0; 1; 2; 3 ])
     (List.init (List.length (List.nth session_programs 0)) Fun.id)
 
-let replay_against ~cache_mb entries =
+let replay_against ?paced ~cache_mb entries =
   with_rec_server ~cache_mb @@ fun _m srv ->
-  Replay.run ~port:(Server.port srv) entries
+  Replay.run ?paced ~port:(Server.port srv) entries
 
 let test_capture_replay_byte_identity () =
   let path = Filename.temp_file "tkr_rec_e2e" ".jsonl" in
@@ -555,6 +557,146 @@ let test_replay_skips_rejected_write () =
   check_int "read compared" 1 o.Replay.compared;
   check_int "read matched" 1 o.Replay.matched;
   check "replay identical" true (Replay.identical o)
+
+(* ---- replay: the recorded tempo, and a connection that dies ---- *)
+
+(* three requests captured 0.1 s apart: a paced replay holds each until
+   its recorded offset, so it takes at least the 0.2 s they spanned *)
+let test_paced_replay () =
+  let path = Filename.temp_file "tkr_rec_paced" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let oc = open_out path in
+  let stream = Record.create ~record:(Jsonl.Chan oc) () in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
+      Fun.protect ~finally:(fun () -> Record.close stream) @@ fun () ->
+      with_rec_server ~stream @@ fun _m srv ->
+      Client.with_client ~port:(Server.port srv) @@ fun c ->
+      List.iteri
+        (fun i stmt ->
+          if i > 0 then Thread.delay 0.1;
+          ignore (Client.run_exn c stmt))
+        [ "INSERT INTO kv VALUES (1)"; "SELECT x FROM kv"; "SELECT x FROM kv" ]);
+  let _, entries = Record.read_file path in
+  check_int "three requests recorded" 3 (List.length entries);
+  let o = replay_against ~paced:true ~cache_mb:16 entries in
+  check "paced replay identical" true (Replay.identical o);
+  check "paced replay kept the recorded tempo (>= 0.2 s)" true
+    (o.Replay.wall_ns >= 0.2e9)
+
+(* a stand-in server: it greets each of [connections] connections and
+   answers every request with one fixed ok frame.  With [~dies_after:k],
+   the first connection it accepts reads [k] requests, answers the first
+   and closes: the replay has sent all [k] by then, so the client sees
+   one reply and then a clean end of stream.  Every socket gives up
+   after 10 s without a request, so a replay that hangs fails the test
+   instead of wedging the suite. *)
+let fixed_payload = Wire.body_to_payload (Wire.Message "ok")
+
+let with_fixed_server ?dies_after ~connections f =
+  let lfd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt lfd Unix.SO_REUSEADDR true;
+  Unix.setsockopt_float lfd Unix.SO_RCVTIMEO 10.0;
+  Unix.bind lfd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lfd 8;
+  let port =
+    match Unix.getsockname lfd with Unix.ADDR_INET (_, p) -> p | _ -> 0
+  in
+  let reply fd frame =
+    let req = Wire.request_of_json (Json.of_string frame) in
+    Wire.write_frame fd
+      (Wire.ok_frame ~id:req.Wire.id ~cached:false ~elapsed_us:0 fixed_payload)
+  in
+  let serve i fd =
+    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+    let rec loop () =
+      match Wire.read_frame fd with
+      | Some frame ->
+          reply fd frame;
+          loop ()
+      | None -> ()
+    in
+    (try
+       Wire.write_frame fd (Wire.greeting_frame ~session_id:(i + 1));
+       match dies_after with
+       | Some k when i = 0 ->
+           let first = Wire.read_frame fd in
+           for _ = 2 to k do
+             ignore (Wire.read_frame fd)
+           done;
+           Option.iter (reply fd) first
+       | _ -> loop ()
+     with Unix.Unix_error _ | Wire.Protocol_error _ -> ());
+    Unix.close fd
+  in
+  let acceptor =
+    Thread.create
+      (fun () ->
+        let rec accept i served =
+          if i = connections then served
+          else
+            match Unix.accept ~cloexec:true lfd with
+            | fd, _ -> accept (i + 1) (Thread.create (serve i) fd :: served)
+            | exception Unix.Unix_error _ -> served
+        in
+        List.iter Thread.join (accept 0 []))
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Thread.join acceptor;
+      Unix.close lfd)
+    (fun () -> f port)
+
+(* an entry whose recorded reply is the stand-in's fixed frame: a read
+   when it has [deps], else a write (a barrier) *)
+let fixed_entry seq session deps =
+  {
+    sample_entry with
+    Record.e_seq = seq;
+    e_session = session;
+    e_req_id = seq + 1;
+    e_stmt = (if deps = [] then "INSERT INTO kv VALUES (1)" else "SELECT x FROM kv");
+    e_arrive_ns = Int64.of_int seq;
+    e_deadline_ms = None;
+    e_status = "ok";
+    e_cached = false;
+    e_disposition = (if deps = [] then "write" else "miss");
+    e_deps = deps;
+    e_digest = Record.digest fixed_payload;
+  }
+
+(* session 1 sends three reads and its connection dies after the first
+   reply; session 2 then sends a read, a write (a barrier) and a read.
+   The write must not wait for the dead session, the replay must return,
+   and session 2's entries must all match *)
+let test_replay_survives_a_dying_connection () =
+  let entry = fixed_entry and read = [ ("kv", 1) ] in
+  let entries =
+    [
+      entry 0 1 read; entry 1 1 read; entry 2 1 read;
+      entry 3 2 read; entry 4 2 []; entry 5 2 read;
+    ]
+  in
+  let o =
+    with_fixed_server ~dies_after:3 ~connections:2 (fun port ->
+        Replay.run ~port entries)
+  in
+  check_int "two sessions" 2 o.Replay.sessions;
+  check_int "the dead session's two unanswered reads failed" 2 o.Replay.failed;
+  check_int "the first reply and the live session compared" 4 o.Replay.compared;
+  check_int "every compared entry matched" 4 o.Replay.matched;
+  check "not identical" false (Replay.identical o)
+
+(* 600 one-read sessions: more than select's 1,024 descriptors would
+   hold if every connection, and the server's end of each, were open at
+   once *)
+let test_replay_many_sessions () =
+  let n = 600 in
+  let entries = List.init n (fun i -> fixed_entry i i [ ("kv", 1) ]) in
+  let o = with_fixed_server ~connections:n (fun port -> Replay.run ~port entries) in
+  check_int "every session replayed" n o.Replay.sessions;
+  check_int "every entry matched" n o.Replay.matched;
+  check "identical" true (Replay.identical o)
 
 (* ---- one record, many observers: the stream's two views, the ledger
    and the STATS counters tell the same story ---- *)
@@ -1157,6 +1299,12 @@ let suite =
         test_console_zero_window;
       Alcotest.test_case "e2e: replay skips writes rejected at capture" `Quick
         test_replay_skips_rejected_write;
+      Alcotest.test_case "e2e: a paced replay keeps the recorded tempo" `Quick
+        test_paced_replay;
+      Alcotest.test_case "replay: a dying connection ends the replay" `Quick
+        test_replay_survives_a_dying_connection;
+      Alcotest.test_case "replay: more sessions than select's descriptors" `Quick
+        test_replay_many_sessions;
       Alcotest.test_case "e2e: recorder, event log, ledger and STATS agree"
         `Quick test_observers_agree;
       Alcotest.test_case "e2e: a request refused at admission is recorded"
