@@ -615,19 +615,18 @@ let check_read_after_insert () =
         n (show_ms ~digits:3 ds) (show_ms ~digits:3 bs) (d /. b) bound)
     [ (10_000, 201); (100_000, 61) ]
 
-(* A one-row INSERT through [Middleware.execute] costs the same at 10k
-   and 100k rows: it appends a segment, and merges copy each row
-   O(log n) times, amortized.  Each table's index is built first, as a
-   served table's is.  Both tables are built before any INSERT is timed,
-   and the INSERTs alternate between them (the first side flips every
-   round), so a slow patch of the machine lands on both sizes.  Median
-   of 301 INSERTs per size, each timed alone; copying the row array on
-   every INSERT read ~9.4x.  Its deterministic twin counts the words
-   the same INSERTs allocate, outside the clock: minor words plus words
-   allocated directly in the major heap (major minus promoted), as a
-   mean per INSERT.  The count is the same for the same binary on any
-   machine, so its bound is tight. *)
-let check_insert_cost () =
+(* A one-row write through [Middleware.execute] costs the same at 10k
+   and 100k rows.  Each table's index is built first, as a served
+   table's is, and [warm], when given, runs once on each table before
+   the clock.  Both tables are built before any write is timed, and the
+   writes alternate between them (the first side flips every round), so
+   a slow patch of the machine lands on both sizes.  Median of 301
+   writes per size, each timed alone.  Its deterministic twin counts
+   the words the same writes allocate, outside the clock: minor words
+   plus words allocated directly in the major heap (major minus
+   promoted), as a mean per write.  The count is the same for the same
+   binary on any machine, so its bound is tight. *)
+let check_write_cost ~name ~what ?warm (sql : int -> string) =
   let bound = 1.5 and words_bound = 1.1 and rounds = 301 in
   let words () =
     let _, promoted, major = Gc.counters () in
@@ -637,14 +636,13 @@ let check_insert_cost () =
     let db = Database.create ~tmin:0 ~tmax:2000 () in
     Database.add_period_table db "history" (W.coalesce_input ~n ~seed:31 ~tmax:2000);
     ignore (Tkr_engine.Idx_cache.get db "history");
-    M.create ~db ()
+    let m = M.create ~db () in
+    Option.iter (fun w -> ignore (M.execute m w)) warm;
+    m
   in
   let small_m = table 10_000 and large_m = table 100_000 in
-  let insert m i =
-    let sql =
-      Printf.sprintf "INSERT INTO history VALUES (%d, %d, %d)" i (i mod 1900)
-        ((i mod 1900) + 50)
-    in
+  let write m i =
+    let sql = sql i in
     let w0 = words () in
     let t0 = Tkr_obs.Clock.now_ns () in
     ignore (Sys.opaque_identity (M.execute m sql));
@@ -655,23 +653,46 @@ let check_insert_cost () =
   let pairs =
     List.init rounds (fun i ->
         if i land 1 = 0 then
-          let s = insert small_m i in
-          (s, insert large_m i)
+          let s = write small_m i in
+          (s, write large_m i)
         else
-          let l = insert large_m i in
-          (insert small_m i, l))
+          let l = write large_m i in
+          (write small_m i, l))
   in
   let smalls, small_words = List.split (List.map fst pairs)
   and larges, large_words = List.split (List.map snd pairs) in
   let small = median smalls and large = median larges in
   verdict (large <= bound *. small)
-    "writes/insert-cost: one-row INSERT %s at 100k rows vs %s at 10k (%.2fx, need <= %.1fx)"
+    "writes/%s-cost: %s %s at 100k rows vs %s at 10k (%.2fx, need <= %.1fx)" name what
     (show_ms ~digits:4 larges) (show_ms ~digits:4 smalls) (large /. small) bound;
-  let per_insert ws = List.fold_left ( +. ) 0. ws /. float_of_int rounds in
-  let small_w = per_insert small_words and large_w = per_insert large_words in
+  let per_write ws = List.fold_left ( +. ) 0. ws /. float_of_int rounds in
+  let small_w = per_write small_words and large_w = per_write large_words in
   verdict (large_w <= words_bound *. small_w)
-    "writes/insert-words: one-row INSERT allocates %.1f words at 100k rows vs %.1f at 10k (%.3fx, need <= %.1fx)"
-    large_w small_w (large_w /. small_w) words_bound
+    "writes/%s-words: %s allocates %.1f words at 100k rows vs %.1f at 10k (%.3fx, need <= %.1fx)"
+    name what large_w small_w (large_w /. small_w) words_bound
+
+(* INSERT appends a segment, and merges copy each row O(log n) times,
+   amortized; copying the row array on every INSERT read ~9.4x *)
+let check_insert_cost () =
+  check_write_cost ~name:"insert" ~what:"one-row INSERT" (fun i ->
+      Printf.sprintf "INSERT INTO history VALUES (%d, %d, %d)" i (i mod 1900)
+        ((i mod 1900) + 50))
+
+(* A one-key UPDATE ... FOR PORTION OF finds its rows through each
+   segment's key order of [emp_no] and sets bits in one chunk of the
+   large segment's deletion bitmap.  Its keys, 1 to 2,499, hold about
+   four rows each at both sizes; the warm-up UPDATE builds the large
+   segment's key order, as a served table's first UPDATE does.  A WHERE
+   evaluated on every boxed row read 9.6x in time and 9.7x in words. *)
+let check_update_cost () =
+  let portion i = i * 37 mod 1900 in
+  check_write_cost ~name:"update" ~what:"one-key UPDATE"
+    ~warm:"UPDATE history FOR PORTION OF PERIOD FROM 0 TO 10 SET emp_no = emp_no WHERE emp_no = 2500"
+    (fun i ->
+      Printf.sprintf
+        "UPDATE history FOR PORTION OF PERIOD FROM %d TO %d SET emp_no = emp_no \
+         WHERE emp_no = %d"
+        (portion i) (portion i + 100) (1 + (i * 7919 mod 2499)))
 
 (* The shipped vec engine never loses to the row oracle on the ten
    employee queries at the benchmark's scale (1000 employees). *)
@@ -761,6 +782,7 @@ let check () =
   check_index ();
   check_read_after_insert ();
   check_insert_cost ();
+  check_update_cost ();
   let db = W.generate { (W.scaled 1000) with W.tmax = 4000 } in
   check_vec db;
   check_optimizer db;

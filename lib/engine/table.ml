@@ -16,17 +16,20 @@ type column_stats = {
 type stats = {
   columns : column_stats option Atomic.t array;
   mean_period : float option option Atomic.t;
+  orders : int array option Atomic.t array;
+      (* per column, the key order {!where} reads an int column's
+         equality through *)
 }
 (* per-entry slots inside the statistics slot, each filled on first use *)
 
 (* A segment: rows that never change, as boxed rows and as a columnar
-   image, and the interval index and statistics made from them on first
-   use.  A segment is made from one of the two forms (INSERT, DML and
-   CSV make rows; an executed query makes a batch) and makes the other
-   on first use, so every slot but [index] and [stats] starts with at
-   least one of [rows] and [columnar] filled.  Catalog values share
-   segments; a value hides the rows it deleted with a bitmap of its
-   own. *)
+   image, and the interval index and statistics (with the key orders)
+   made from them on first use.  A segment is made from one of the two
+   forms (INSERT, DML and CSV make rows; an executed query makes a
+   batch) and makes the other on first use, so every slot but [index]
+   and [stats] starts with at least one of [rows] and [columnar]
+   filled.  Catalog values share segments; a value hides the rows it
+   deleted with a bitmap of its own. *)
 type seg = {
   nrows : int;
   rows : Tuple.t array option Atomic.t;
@@ -92,16 +95,131 @@ let seg_index ~rebuild schema (s : seg) =
       Tkr_idx.Stats.record_build ~rebuild;
       idx)
 
-(* Deletion bitmaps: bit [i] set when row [i] of the segment is
-   deleted; the empty bitmap deletes nothing. *)
-let no_deletions = Bytes.empty
+(* Deletion bitmaps, in chunks of [chunk_rows] rows: bit
+   [i mod chunk_rows] of chunk [i / chunk_rows] is set when row [i] of
+   the segment is deleted, and [counts.(k)] is how many bits chunk [k]
+   sets.  A chunk that sets none may be empty, and the empty bitmap
+   deletes nothing.  A write copies the two arrays and the chunks it
+   sets bits in, so a DML that deletes a few rows of a large segment
+   copies O(rows / chunk_rows + chunk_rows / 8) bytes, not the
+   segment's bitmap, and a position converts to a row and back by
+   walking the counts and one chunk's bytes ({!rank}, {!unrank}). *)
+type dead = { chunks : Bytes.t array; counts : int array }
 
-let is_dead (d : Bytes.t) i =
-  Bytes.length d > 0 && Char.code (Bytes.get d (i lsr 3)) land (1 lsl (i land 7)) <> 0
+let chunk_log = 12
+let chunk_rows = 1 lsl chunk_log
+let no_deletions = { chunks = [||]; counts = [||] }
+let clean_bitmap d = Array.length d.counts = 0
 
-let kill (d : Bytes.t) i =
-  let c = Char.code (Bytes.get d (i lsr 3)) in
-  Bytes.set d (i lsr 3) (Char.chr (c lor (1 lsl (i land 7))))
+(* bits set in each byte value *)
+let pop8 =
+  String.init 256 (fun b ->
+      let rec bits x = if x = 0 then 0 else (x land 1) + bits (x lsr 1) in
+      Char.chr (bits b))
+
+let pop x = Char.code (String.unsafe_get pop8 x)
+let byte (c : Bytes.t) b = if Bytes.length c = 0 then 0 else Char.code (Bytes.get c b)
+
+let is_dead d i =
+  (not (clean_bitmap d))
+  && byte d.chunks.(i lsr chunk_log) ((i land (chunk_rows - 1)) lsr 3)
+     land (1 lsl (i land 7))
+     <> 0
+
+(* [d], a bitmap of a segment of [rows] rows, with the rows [js]
+   (ascending, live in [d]) deleted as well *)
+let kill_rows d ~rows (js : int list) =
+  let n = (rows + chunk_rows - 1) / chunk_rows in
+  let fresh () = (Array.make n Bytes.empty, Array.make n 0) in
+  let chunks, counts =
+    if clean_bitmap d then fresh () else (Array.copy d.chunks, Array.copy d.counts)
+  in
+  let copied = ref (-1) in
+  List.iter
+    (fun j ->
+      let k = j lsr chunk_log and i = j land (chunk_rows - 1) in
+      if k <> !copied then begin
+        let c = chunks.(k) in
+        chunks.(k) <-
+          (if Bytes.length c > 0 then Bytes.copy c
+           else Bytes.make ((min chunk_rows (rows - (k lsl chunk_log)) + 7) / 8) '\000');
+        copied := k
+      end;
+      let c = chunks.(k) in
+      Bytes.set c (i lsr 3) (Char.chr (Char.code (Bytes.get c (i lsr 3)) lor (1 lsl (i land 7))));
+      counts.(k) <- counts.(k) + 1)
+    js;
+  { chunks; counts }
+
+(* A walk forward over one segment's bitmap: it stands at byte [b] of
+   chunk [k], with [kdead] deleted rows in the chunks before [k] and
+   [bdead] in the bytes of [k] before [b].  Each step passes a chunk by
+   its count or a byte by its bits, so a walk over ascending rows costs
+   the chunks and the bytes of the chunks it stops in. *)
+type walk = {
+  d : dead;
+  mutable k : int;
+  mutable kdead : int;
+  mutable b : int;
+  mutable bdead : int;
+}
+
+let walk d = { d; k = 0; kdead = 0; b = 0; bdead = 0 }
+
+let next_chunk w =
+  w.kdead <- w.kdead + w.d.counts.(w.k);
+  w.k <- w.k + 1;
+  w.b <- 0;
+  w.bdead <- 0
+
+let next_byte w =
+  w.bdead <- w.bdead + pop (byte w.d.chunks.(w.k) w.b);
+  w.b <- w.b + 1
+
+(* the deleted rows before row [j]; [j] at or after the rows asked of
+   [w] before *)
+let rank w j =
+  if clean_bitmap w.d then 0
+  else begin
+    while w.k < j lsr chunk_log do
+      next_chunk w
+    done;
+    if w.d.counts.(w.k) = 0 then w.kdead
+    else begin
+      let b = (j land (chunk_rows - 1)) lsr 3 in
+      while w.b < b do
+        next_byte w
+      done;
+      w.kdead + w.bdead + pop (byte w.d.chunks.(w.k) b land ((1 lsl (j land 7)) - 1))
+    end
+  end
+
+(* the row of a segment of [rows] rows that is its [l]th live one; [l]
+   above the ones asked of [w] before *)
+let unrank w ~rows l =
+  if clean_bitmap w.d then l
+  else begin
+    (* pass the chunks, then the bytes, whose live rows end at or
+       before the [l]th *)
+    while l >= min rows ((w.k + 1) lsl chunk_log) - w.kdead - w.d.counts.(w.k) do
+      next_chunk w
+    done;
+    if w.d.counts.(w.k) = 0 then l + w.kdead
+    else begin
+      let c = w.d.chunks.(w.k) in
+      let start () = (w.k lsl chunk_log) + (w.b lsl 3) in
+      while l >= start () + 8 - w.kdead - w.bdead - pop (byte c w.b) do
+        next_byte w
+      done;
+      let v = byte c w.b and r = start () in
+      let rec bit i dead =
+        if v land (1 lsl i) <> 0 then bit (i + 1) (dead + 1)
+        else if r + i - dead = l then r + i
+        else bit (i + 1) dead
+      in
+      bit 0 (w.kdead + w.bdead)
+    end
+  end
 
 (* Trailing segments merge on each append while the one before the last
    is below [tail_rows] rows or at most [merge_ratio] times the last,
@@ -125,7 +243,7 @@ let tail_divisor = 16
 (* a segment as one value holds it *)
 type part = {
   seg : seg;
-  dead : Bytes.t;  (* the deletion bitmap *)
+  dead : dead;  (* the deletion bitmap *)
   live : int;  (* rows not deleted *)
 }
 
@@ -178,7 +296,7 @@ let layout (t : t) =
 (* the live rows of a part *)
 let live_rows p =
   let rows = seg_rows p.seg in
-  if Bytes.length p.dead = 0 then rows
+  if clean_bitmap p.dead then rows
   else begin
     let out = Array.make p.live (Tuple.make []) and k = ref 0 in
     Array.iteri
@@ -193,7 +311,7 @@ let live_rows p =
 
 (* the segment of parts that are one segment without deletions *)
 let clean = function
-  | [| { seg; dead; _ } |] when Bytes.length dead = 0 -> Some seg
+  | [| { seg; dead; _ } |] when clean_bitmap dead -> Some seg
   | _ -> None
 
 (* The value as one segment without deletions.  Any other value
@@ -240,8 +358,7 @@ let write (t : t) ~(deleted : int array) ~(added : Tuple.t array) : t =
         invalid_arg "Table.write: deleted")
     deleted;
   (* the deleted rows, part by part: [first] is the position of the
-     part's first live row; [j] walks its rows, [pos] is row [j]'s
-     position when it is live *)
+     part's first live row *)
   let k = ref 0 and first = ref 0 in
   let old = Atomic.get t.parts in
   let parts =
@@ -251,20 +368,16 @@ let write (t : t) ~(deleted : int array) ~(added : Tuple.t array) : t =
         let p =
           if !k >= nd || deleted.(!k) >= stop then p
           else begin
-            let d =
-              if Bytes.length p.dead = 0 then Bytes.make ((size p + 7) / 8) '\000'
-              else Bytes.copy p.dead
-            in
-            let j = ref 0 and pos = ref !first and k0 = !k in
+            let w = walk p.dead and js = ref [] and k0 = !k in
             while !k < nd && deleted.(!k) < stop do
-              while is_dead p.dead !j || !pos < deleted.(!k) do
-                if not (is_dead p.dead !j) then incr pos;
-                incr j
-              done;
-              kill d !j;
+              js := unrank w ~rows:(size p) (deleted.(!k) - !first) :: !js;
               incr k
             done;
-            { p with dead = d; live = p.live - (!k - k0) }
+            {
+              p with
+              dead = kill_rows p.dead ~rows:(size p) (List.rev !js);
+              live = p.live - (!k - k0);
+            }
           end
         in
         first := stop;
@@ -362,14 +475,183 @@ let probe ?need (t : t) ~b_hi ~e_lo : probe option =
     Some { view; candidates = !n; segments = ns; scanned = !scanned }
   end
 
+(* the segment's statistics slot, made on first use *)
+let seg_stats schema (s : seg) =
+  let slots () = Array.init (Schema.arity schema) (fun _ -> Atomic.make None) in
+  fill s.stats (fun () ->
+      { columns = slots (); mean_period = Atomic.make None; orders = slots () })
+
+(* ---- the rows a WHERE clause selects ---- *)
+
+(* What an expression's non-NULL values are over the columns of an
+   image: always NULL, of one type, or unknown (a boxed column, a CASE
+   of mixed types).  [Partial]: some row could make it raise, as
+   {!Expr.eval} does on a comparison of unlike types, on arithmetic or
+   negation of a non-number and on LIKE of a non-string. *)
+type kind = Nulls | Ty of Value.ty | Unknown
+
+exception Partial
+
+let rec kind (b : Batch.t) (e : Expr.t) : kind =
+  let numeric k = match k with Nulls | Ty (TInt | TFloat) -> k | _ -> raise Partial in
+  let comparable x y =
+    match (x, y) with
+    | Nulls, _ | _, Nulls | Ty (TInt | TFloat), Ty (TInt | TFloat) -> ()
+    | Ty a, Ty b when a = b -> ()
+    | _ -> raise Partial
+  in
+  let join x y =
+    match (x, y) with
+    | Nulls, k | k, Nulls -> k
+    | Ty a, Ty b when a = b -> x
+    | _ -> Unknown
+  in
+  match e with
+  | Expr.Col i -> (
+      match b.cols.(i).data with
+      | Ints _ -> Ty TInt
+      | Floats _ -> Ty TFloat
+      | Bools _ -> Ty TBool
+      | Strs _ -> Ty TStr
+      | Boxed _ -> Unknown)
+  | Const v -> Option.fold ~none:Nulls ~some:(fun ty -> Ty ty) (Value.type_of v)
+  | Binop (_, x, y) -> (
+      match (numeric (kind b x), numeric (kind b y)) with
+      | Nulls, _ | _, Nulls -> Nulls
+      | Ty TInt, Ty TInt -> Ty TInt
+      | _ -> Ty TFloat)
+  | Neg x -> numeric (kind b x)
+  | Cmp (_, x, y) ->
+      comparable (kind b x) (kind b y);
+      Ty TBool
+  | And (x, y) | Or (x, y) ->
+      ignore (kind b x);
+      ignore (kind b y);
+      Ty TBool
+  | Not x | Is_null x ->
+      ignore (kind b x);
+      Ty TBool
+  | Like (x, _) -> (
+      match kind b x with Nulls | Ty TStr -> Ty TBool | _ -> raise Partial)
+  | In_list (x, vs) ->
+      let k = kind b x in
+      List.iter (fun v -> comparable k (kind b (Const v))) vs;
+      Ty TBool
+  | Case (branches, default) ->
+      List.fold_left
+        (fun acc (c, r) ->
+          ignore (kind b c);
+          join acc (kind b r))
+        (Option.fold ~none:Nulls ~some:(kind b) default)
+        branches
+  | Greatest (x, y) | Least (x, y) ->
+      let kx = kind b x and ky = kind b y in
+      comparable kx ky;
+      join kx ky
+
+let total b e = match kind b e with _ -> true | exception Partial -> false
+
+(* [Col c = Const (Int k)], either way round, over an int column: its
+   column and key *)
+let int_key (b : Batch.t) (conj : Expr.t) =
+  match conj with
+  | Expr.Cmp (Eq, Col c, Const (Int k)) | Cmp (Eq, Const (Int k), Col c) -> (
+      match b.cols.(c).data with Ints a -> Some (c, a, k) | _ -> None)
+  | _ -> None
+
+(* the segment's non-NULL rows of int column [c] (values [a]) by value,
+   rows of one value ascending; made on first use *)
+let key_order schema (s : seg) (b : Batch.t) c (a : int array) =
+  fill (seg_stats schema s).orders.(c) (fun () ->
+      let nulls = b.cols.(c).nulls in
+      let rows = ref [] in
+      for i = b.nrows - 1 downto 0 do
+        if not (Batch.null_in nulls i) then rows := i :: !rows
+      done;
+      let o = Array.of_list !rows in
+      Array.stable_sort (fun x y -> Int.compare a.(x) a.(y)) o;
+      o)
+
+(* the rows of [o] whose value in [a] is [k], ascending *)
+let key_rows (o : int array) (a : int array) k =
+  (* the first index of [o] whose value is at least [k] (or above [k]) *)
+  let bound above =
+    let lo = ref 0 and hi = ref (Array.length o) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      let v = a.(o.(mid)) in
+      if v < k || (above && v = k) then lo := mid + 1 else hi := mid
+    done;
+    !lo
+  in
+  let lo = bound false in
+  Array.sub o lo (bound true - lo)
+
+(* a segment's row [j] as stored: its boxed row, or boxed from its
+   image *)
+let seg_row (s : seg) j =
+  match Atomic.get s.rows with
+  | Some rows -> rows.(j)
+  | None ->
+      let b = Option.get (Atomic.get s.columnar) in
+      Tuple.of_array (Array.map (fun c -> Batch.value c j) b.cols)
+
+(* Each part in turn.  A predicate that cannot raise over the part's
+   image ({!kind}) selects its rows from the image: through the key
+   order when a conjunct is an int column's equality, the other
+   conjuncts then filtering those rows, or else by [filter] over the
+   whole image; the deleted rows are dropped.  One that may raise is
+   evaluated row by row, so the first row that raises raises what
+   {!Expr.holds} raises there, after [f] has seen the matches before
+   it. *)
+let where ~(filter : Batch.t -> Expr.t -> int array) f (t : t) (pred : Expr.t) =
+  let first = ref 0 in
+  Array.iter
+    (fun p ->
+      let s = p.seg in
+      let b = seg_columnar t.schema s in
+      if not (total b pred) then begin
+        let pos = ref !first in
+        for j = 0 to s.nrows - 1 do
+          if not (is_dead p.dead j) then begin
+            let row = seg_row s j in
+            if Expr.holds row pred then f !pos row;
+            incr pos
+          end
+        done
+      end
+      else begin
+        (* the first int equality, and the other conjuncts *)
+        let rec split before = function
+          | [] -> None
+          | e :: rest -> (
+              match int_key b e with
+              | Some key -> Some (key, List.rev_append before rest)
+              | None -> split (e :: before) rest)
+        in
+        let rows =
+          match split [] (Expr.conjuncts pred) with
+          | Some ((c, a, k), rest) -> (
+              let cands = key_rows (key_order t.schema s b c a) a k in
+              match rest with
+              | [] -> cands
+              | e :: es ->
+                  if Array.length cands = 0 then cands
+                  else
+                    filter (Batch.with_sel b cands)
+                      (List.fold_left (fun acc e -> Expr.And (acc, e)) e es))
+          | None -> filter b pred
+        in
+        let w = walk p.dead in
+        Array.iter
+          (fun j -> if not (is_dead p.dead j) then f (!first + j - rank w j) (seg_row s j))
+          rows
+      end;
+      first := !first + p.live)
+    (Atomic.get t.parts)
+
 (* ---- statistics ---- *)
 
-let seg_stats schema (s : seg) =
-  fill s.stats (fun () ->
-      {
-        columns = Array.init (Schema.arity schema) (fun _ -> Atomic.make None);
-        mean_period = Atomic.make None;
-      })
 
 let has_stats (t : t) =
   match clean (Atomic.get t.parts) with

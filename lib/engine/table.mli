@@ -9,7 +9,8 @@ type t
     rows that never change and are shared between values, and one
     deletion bitmap per segment.  Its rows, in row order, are the
     segments' rows that are not deleted, segment by segment.  A write
-    ({!write}) makes a successor: it sets the deleted rows' bits and
+    ({!write}) makes a successor: it sets the deleted rows' bits,
+    copying only the bitmap's chunks of 4,096 rows that change, and
     appends the new rows as a segment, merging trailing segments by a
     rule on their sizes ({!merge_ratio}, {!tail_rows}), so INSERT and
     DELETE keep every other row in place and an UPDATE's new rows come
@@ -52,12 +53,35 @@ val write : t -> deleted:int array -> added:Tuple.t array -> t
     same schema; the rows of [t] at the positions [deleted] (in
     {!rows} order, ascending) are gone, the others keep their order,
     and [added] follows them.  Shares [t]'s segments, and copies only
-    the deletion bitmaps of segments that lose rows and the trailing
-    segments that merge.  Building an index for the successor
+    the changed chunks of the deletion bitmaps of segments that lose
+    rows, and the trailing segments that merge.  Building an index for the successor
     counts as a rebuild ({!Tkr_idx.Stats}) when [t] or any value it
     succeeded had an index built.
     @raise Invalid_argument unless [deleted] ascends strictly within
     [\[0, cardinality t)]. *)
+
+val where :
+  filter:(Batch.t -> Expr.t -> int array) ->
+  (int -> Tuple.t -> unit) ->
+  t ->
+  Expr.t ->
+  unit
+(** [where ~filter f t pred] calls [f i row] for each row of [t] on
+    which the resolved predicate [pred] holds ({!Expr.holds}), in row
+    order, [i] its position (as {!write} takes it) and [row] the stored
+    row, without compacting [t].  [filter b pred] must return the
+    physical rows of [b]'s selection on which [pred] holds, in order
+    ([Tkr_vec.Veval.filter]).  Segment by segment: where no row of the
+    segment can make [pred] raise (judged from its image's column
+    representations), an [int] column's equality with an [int] literal
+    reads its candidates from the segment's key order of that column
+    (its non-NULL rows sorted by value, made on first use and kept in
+    the segment's statistics slot) and
+    [filter]s them by the other conjuncts, and any other predicate is
+    [filter]ed over the segment's image; deleted rows are dropped.
+    Where a row could raise, the segment's rows are evaluated one by
+    one, so [where] raises what [Expr.holds] raises on the first row
+    that does, after calling [f] on the matches before it. *)
 
 val iteri : (int -> Tuple.t -> unit) -> t -> unit
 (** [iteri f t] calls [f i row] for each row in row order, [i] its
@@ -157,7 +181,8 @@ val mean_period : t -> float option
 
 val has_stats : t -> bool
 (** Whether this value is one segment without deletions whose
-    statistics slot has been made. *)
+    statistics slot has been made (also by a {!where} that read a key
+    order of it). *)
 
 val pp : Format.formatter -> t -> unit
 (** Sorted, for deterministic test failure output. *)

@@ -759,13 +759,14 @@ let insert_tuples db ins_name (rows : Ast.expr list list) : Tuple.t list =
 
 (* What an UPDATE or DELETE over [t] writes: the positions of the rows
    it replaces, ascending, the rows that replace them, in that order,
-   and how many matched.  [change] maps a matching row to its new value
-   ([None]: deleted).  Under FOR PORTION OF [a, b) (SQL:2011) a matching
-   row changes only on the overlap of its period (the trailing two
-   columns) with [a, b); the parts before and after keep the old values,
-   and a row whose period misses the portion is neither changed nor
-   counted. *)
-let dml_rows ~matches ~portion ~(change : Tuple.t -> Tuple.t option)
+   and how many matched.  The rows it touches are those the resolved
+   WHERE clause [where] selects ({!Table.where}).
+   [change] maps a matching row to its new value ([None]: deleted).
+   Under FOR PORTION OF [a, b) (SQL:2011) a matching row changes only on
+   the overlap of its period (the trailing two columns) with [a, b); the
+   parts before and after keep the old values, and a row whose period
+   misses the portion is neither changed nor counted. *)
+let dml_rows ~where ~portion ~(change : Tuple.t -> Tuple.t option)
     (t : Table.t) : int array * Tuple.t array * int =
   let with_period r b e =
     let n = Tuple.arity r in
@@ -780,31 +781,30 @@ let dml_rows ~matches ~portion ~(change : Tuple.t -> Tuple.t option)
     deleted := i :: !deleted;
     added := List.rev_append frags !added
   in
-  Table.iteri
-    (fun i row ->
-      if matches row then
-        match portion with
-        | None -> edit i (Option.to_list (change row))
-        | Some (a, b) ->
-            let rb, re = Tkr_engine.Ops.period_of_row row in
-            let ob = Int.max rb a and oe = Int.min re b in
-            if ob < oe then begin
-              let after = if oe < re then [ with_period row oe re ] else [] in
-              let mid =
-                match change row with
-                | Some r -> with_period r ob oe :: after
-                | None -> after
-              in
-              edit i (if rb < ob then with_period row rb ob :: mid else mid)
-            end)
-    t;
+  let matched i row =
+    match portion with
+    | None -> edit i (Option.to_list (change row))
+    | Some (a, b) ->
+        let rb, re = Tkr_engine.Ops.period_of_row row in
+        let ob = Int.max rb a and oe = Int.min re b in
+        if ob < oe then begin
+          let after = if oe < re then [ with_period row oe re ] else [] in
+          let mid =
+            match change row with
+            | Some r -> with_period r ob oe :: after
+            | None -> after
+          in
+          edit i (if rb < ob then with_period row rb ob :: mid else mid)
+        end
+  in
+  Table.where ~filter:Tkr_vec.Veval.filter matched t where;
   (Array.of_list (List.rev !deleted), Array.of_list (List.rev !added), !count)
 
-(* the rows of [schema] an UPDATE's or DELETE's WHERE clause selects *)
-let where_matches schema where : Tuple.t -> bool =
-  match Option.map (Analyzer.resolve ~schema ~on_agg:Analyzer.no_agg) where with
-  | None -> fun _ -> true
-  | Some p -> fun row -> Expr.holds row p
+(* an UPDATE's or DELETE's WHERE clause, resolved over [schema]; no
+   clause selects every row *)
+let resolve_where schema = function
+  | None -> Expr.Const (Value.Bool true)
+  | Some w -> Analyzer.resolve ~schema ~on_agg:Analyzer.no_agg w
 
 let check_portion db name portion =
   if portion <> None && not (Database.is_period db name) then
@@ -834,7 +834,7 @@ let update_rows db upd_name ~portion ~sets ~upd_where :
           Tkr_sql.Analyzer.resolve ~schema ~on_agg:Tkr_sql.Analyzer.no_agg e ))
       sets
   in
-  let matches = where_matches schema upd_where in
+  let where = resolve_where schema upd_where in
   let apply_sets row =
     let out = Array.copy (row : Tuple.t :> Value.t array) in
     List.iter (fun (i, e) -> out.(i) <- Expr.eval row e) sets;
@@ -842,7 +842,7 @@ let update_rows db upd_name ~portion ~sets ~upd_where :
     if is_period then check_period ~what:("UPDATE " ^ upd_name) schema t;
     t
   in
-  dml_rows ~matches ~portion
+  dml_rows ~where ~portion
     ~change:(fun row -> Some (apply_sets row))
     (Database.find db upd_name)
 
@@ -851,7 +851,7 @@ let delete_rows db del_name ~portion ~del_where :
     int array * Tuple.t array * int =
   check_portion db del_name portion;
   dml_rows
-    ~matches:(where_matches (Database.schema_of db del_name) del_where)
+    ~where:(resolve_where (Database.schema_of db del_name) del_where)
     ~portion
     ~change:(fun _ -> None)
     (Database.find db del_name)

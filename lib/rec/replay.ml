@@ -150,9 +150,23 @@ let close c =
   c.link <- Closed;
   c.inflight <- 0
 
+(* read one response from [c]'s ready socket and file it under the
+   entry it answers; a socket that fails closes, and its in-flight
+   entries go unanswered *)
+let take c fd got =
+  match Wire.read_frame fd with
+  | Some frame -> (
+      c.inflight <- c.inflight - 1;
+      c.pending <- c.pending - 1;
+      if c.pending = 0 then close c;
+      match digest_of_frame frame with
+      | Some gi, digest when gi >= 0 && gi < Array.length got -> got.(gi) <- digest
+      | _ -> ()
+      | exception Json.Parse_error _ -> ())
+  | None | (exception (Wire.Protocol_error _ | Unix.Unix_error _)) -> close c
+
 (* read every response that arrives within [timeout] seconds (negative:
-   block until one does) and file it under the entry it answers.  A
-   socket that fails closes, and its in-flight entries go unanswered. *)
+   block until one does) *)
 let receive conns got timeout =
   let busy =
     List.filter_map
@@ -163,25 +177,26 @@ let receive conns got timeout =
       conns
   in
   match Unix.select (List.map fst busy) [] [] timeout with
-  | ready, _, _ ->
-      List.iter
-        (fun (fd, c) ->
-          if List.mem fd ready then
-            match Wire.read_frame fd with
-            | Some frame -> (
-                c.inflight <- c.inflight - 1;
-                c.pending <- c.pending - 1;
-                if c.pending = 0 then close c;
-                match digest_of_frame frame with
-                | Some gi, digest when gi >= 0 && gi < Array.length got ->
-                    got.(gi) <- digest
-                | _ -> ()
-                | exception Json.Parse_error _ -> ())
-            | None | (exception (Wire.Protocol_error _ | Unix.Unix_error _))
-              ->
-                close c)
-        busy
+  | ready, _, _ -> List.iter (fun (fd, c) -> if List.mem fd ready then take c fd got) busy
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+
+(* close [c] after a failed write: the responses its socket already
+   holds are read first, so only the entries the server never answered
+   go unanswered *)
+let abandon c got =
+  let rec salvage () =
+    match c.link with
+    | Open fd when c.inflight > 0 -> (
+        match Unix.select [ fd ] [] [] 0. with
+        | [], _, _ -> ()
+        | _ ->
+            take c fd got;
+            salvage ()
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> salvage ())
+    | _ -> ()
+  in
+  salvage ();
+  close c
 
 let run ?(paced = false) ?(host = "127.0.0.1") ~port
     (entries : Record.entry list) : outcome =
@@ -259,7 +274,7 @@ let run ?(paced = false) ?(host = "127.0.0.1") ~port
                    arrived, so whatever follows runs against post-write
                    state, exactly as recorded *)
                 if is_barrier e then drain ()
-            | exception (Wire.Protocol_error _ | Unix.Unix_error _) -> close c)
+            | exception (Wire.Protocol_error _ | Unix.Unix_error _) -> abandon c got)
         | Unopened | Closed -> ()
       end)
     entries;

@@ -136,3 +136,107 @@ let rec pp ppf (q : t) =
         pp sa.sa_child
 
 let to_string q = Format.asprintf "%a" pp q
+
+(* ---- the plan as a key ---- *)
+
+(* Every node writes a tag byte, then its fields: an int as 8 bytes, a
+   string as its length and bytes, a list as its length and items, so
+   no two distinct plans write the same bytes. *)
+let add_int buf i = Buffer.add_int64_le buf (Int64.of_int i)
+
+let add_str buf s =
+  add_int buf (String.length s);
+  Buffer.add_string buf s
+
+let add_list buf f l =
+  add_int buf (List.length l);
+  List.iter f l
+
+let add_value buf (v : Value.t) =
+  match v with
+  | Null -> Buffer.add_char buf 'N'
+  | Bool b -> Buffer.add_char buf (if b then 'T' else 'F')
+  | Int i ->
+      Buffer.add_char buf 'I';
+      add_int buf i
+  | Float f ->
+      Buffer.add_char buf 'D';
+      Buffer.add_int64_le buf (Int64.bits_of_float f)
+  | Str s ->
+      Buffer.add_char buf 'S';
+      add_str buf s
+
+let rec add_expr buf (e : Expr.t) =
+  (* a tag, then the subexpressions *)
+  let node tag subs =
+    Buffer.add_string buf tag;
+    List.iter (add_expr buf) subs
+  in
+  match e with
+  | Col i -> node "c" []; add_int buf i
+  | Const v -> node "k" []; add_value buf v
+  | Binop (op, a, b) ->
+      node (match op with Add -> "b+" | Sub -> "b-" | Mul -> "b*" | Div -> "b/" | Mod -> "b%") [ a; b ]
+  | Neg a -> node "n" [ a ]
+  | Cmp (op, a, b) ->
+      node (match op with Eq -> "p=" | Ne -> "p!" | Lt -> "p<" | Le -> "pl" | Gt -> "p>" | Ge -> "pg") [ a; b ]
+  | And (a, b) -> node "&" [ a; b ]
+  | Or (a, b) -> node "|" [ a; b ]
+  | Not a -> node "~" [ a ]
+  | Is_null a -> node "0" [ a ]
+  | Like (a, pat) -> node "L" [ a ]; add_str buf pat
+  | In_list (a, vs) -> node "i" [ a ]; add_list buf (add_value buf) vs
+  | Case (branches, default) ->
+      node "?" [];
+      add_list buf (fun (c, r) -> node "" [ c; r ]) branches;
+      (match default with None -> node "." [] | Some d -> node ";" [ d ])
+  | Greatest (a, b) -> node "G" [ a; b ]
+  | Least (a, b) -> node "l" [ a; b ]
+
+let add_agg buf { func; agg_name } =
+  (match func with
+  | Agg.Count_star -> Buffer.add_char buf '*'
+  | Count e -> Buffer.add_char buf 'C'; add_expr buf e
+  | Sum e -> Buffer.add_char buf 'S'; add_expr buf e
+  | Avg e -> Buffer.add_char buf 'A'; add_expr buf e
+  | Min e -> Buffer.add_char buf 'm'; add_expr buf e
+  | Max e -> Buffer.add_char buf 'M'; add_expr buf e);
+  add_str buf agg_name
+
+let add_proj buf { expr; name } =
+  add_expr buf expr;
+  add_str buf name
+
+let rec add_key buf (q : t) =
+  let tag c = Buffer.add_char buf c and sub = add_key buf in
+  match q with
+  | Rel n -> tag 'R'; add_str buf n
+  | ConstRel (s, ts) ->
+      tag 'K';
+      add_list buf
+        (fun (a : Schema.attr) ->
+          add_str buf a.name;
+          tag (match a.ty with TBool -> 'b' | TInt -> 'i' | TFloat -> 'f' | TStr -> 's'))
+        (Schema.attrs s);
+      add_list buf (fun t -> add_list buf (add_value buf) (Tuple.to_list t)) ts
+  | Select (p, q) -> tag 's'; add_expr buf p; sub q
+  | Project (projs, q) -> tag 'P'; add_list buf (add_proj buf) projs; sub q
+  | Join (p, l, r) -> tag 'J'; add_expr buf p; sub l; sub r
+  | Union (l, r) -> tag 'U'; sub l; sub r
+  | Diff (l, r) -> tag 'D'; sub l; sub r
+  | Agg (group, aggs, q) ->
+      tag 'g';
+      add_list buf (add_proj buf) group;
+      add_list buf (add_agg buf) aggs;
+      sub q
+  | Distinct q -> tag 'd'; sub q
+  | Coalesce q -> tag 'c'; sub q
+  | Split (g, l, r) -> tag 'n'; add_list buf (add_int buf) g; sub l; sub r
+  | Split_agg sa ->
+      tag 'a';
+      add_list buf (add_int buf) sa.sa_group;
+      add_list buf (add_agg buf) sa.sa_aggs;
+      (match sa.sa_gap with
+      | None -> tag '.'
+      | Some (lo, hi) -> tag ';'; add_int buf lo; add_int buf hi);
+      sub sa.sa_child

@@ -50,3 +50,10 @@ val schema_of : lookup:(string -> Schema.t) -> t -> Schema.t
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
+
+val add_key : Buffer.t -> t -> unit
+(** Append the plan's key: a tagged, length-prefixed encoding of every
+    node, expression and constant, written in one walk.  Equal plans
+    append equal bytes and distinct plans distinct ones (an [Int 1] and
+    a [Float 1.], or two constant relations of as many rows, differ;
+    in {!to_string} they do not). *)

@@ -72,20 +72,27 @@ let outcomes m =
     ("hit", Atomic.get o.hits);
   ]
 
-(* the cache key: normalized final plan plus the post-plan shape
-   (ordering, limit, snapshot rendering) — everything that determines the
-   result bytes besides the dependency table states *)
+(* the cache key: the final plan ({!Algebra.add_key}) plus the
+   post-plan shape (ordering, limit, snapshot rendering) — everything
+   that determines the result bytes besides the dependency table
+   states *)
 let plan_key (p : Middleware.prepared) =
-  String.concat "\x00"
-    [
-      Algebra.to_string p.Middleware.plan;
-      String.concat ","
-        (List.map
-           (fun (i, asc) -> Printf.sprintf "%d%c" i (if asc then 'a' else 'd'))
-           p.Middleware.order_by);
-      (match p.Middleware.limit with Some n -> string_of_int n | None -> "");
-      (if p.Middleware.snapshot then "s" else "");
-    ]
+  let buf = Buffer.create 256 in
+  Algebra.add_key buf p.Middleware.plan;
+  let add_int i = Buffer.add_int64_le buf (Int64.of_int i) in
+  add_int (List.length p.Middleware.order_by);
+  List.iter
+    (fun (i, asc) ->
+      add_int i;
+      Buffer.add_char buf (if asc then 'a' else 'd'))
+    p.Middleware.order_by;
+  (match p.Middleware.limit with
+  | Some n ->
+      Buffer.add_char buf 'l';
+      add_int n
+  | None -> Buffer.add_char buf '.');
+  Buffer.add_char buf (if p.Middleware.snapshot then 's' else 'p');
+  Buffer.contents buf
 
 let fingerprint (text : string) : string =
   String.sub (Digest.to_hex (Digest.string text)) 0 12

@@ -29,11 +29,19 @@ module Middleware = Tkr_middleware.Middleware
 type plan = {
   prepared : Middleware.prepared;
   key : string;
-      (** the result-cache key: the normalized final plan plus the
-          post-plan shape (ordering, limit, snapshot rendering) *)
+      (** the result-cache key: the final plan's {!Tkr_relation.Algebra.add_key}
+          bytes (every node, expression and constant, tagged and
+          length-prefixed), then the post-plan shape: the ordering's
+          length and each column and direction, the limit and the
+          snapshot flag.  Made in one walk into a buffer, without
+          rendering the plan; equal plans give equal keys and distinct
+          plans distinct ones *)
   fp : string;
-      (** the key's short digest: the identity the stream's entries, the
-          ledger and [top] aggregate on *)
+      (** {!fingerprint} [key]: the identity the stream's entries, the
+          ledger and [top] aggregate on.  Its bytes are not those of
+          servers that keyed plans by their {!Tkr_relation.Algebra.to_string}
+          rendering; replay compares results, not fingerprints, so
+          their recordings still replay *)
 }
 
 type session

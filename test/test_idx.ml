@@ -895,6 +895,229 @@ let prop_successor_chains =
          done;
          !ok))
 
+(* ---- DML's WHERE clause against the row-at-a-time reference ---- *)
+
+let dml_schema =
+  Schema.make
+    [
+      Schema.attr "emp_no" Value.TInt;
+      Schema.attr "name" Value.TStr;
+      Schema.attr "f" Value.TFloat;
+      Schema.attr "x" Value.TInt;
+      Schema.attr "b" Value.TInt;
+      Schema.attr "e" Value.TInt;
+    ]
+
+(* A value of several segments with deletions: a load of up to 300 rows,
+   or one time in 12 of 4,000 to 9,000 (past a deletion-bitmap chunk),
+   then writes that delete rows at random and append up to 80.  NULLs
+   in every data column; with [mixed], a row in 40 holds 5.0 as its
+   [emp_no] or 'x' as its [x], so its segment keeps that column boxed. *)
+let dml_table st ~mixed =
+  let rnd n = Random.State.int st n in
+  let row () =
+    let b = rnd 40 in
+    let odd () = mixed && rnd 40 = 0 in
+    Tuple.make
+      [
+        (if odd () then Value.Float 5. else if rnd 20 = 0 then Value.Null else Value.Int (rnd 12));
+        (match rnd 6 with 0 -> Value.Null | k -> Value.Str (String.make 1 "abcab".[k - 1]));
+        (if rnd 8 = 0 then Value.Null else Value.Float (float_of_int (rnd 8) /. 4.));
+        (if odd () then Value.Str "x" else if rnd 5 = 0 then Value.Null else Value.Int (rnd 8));
+        Value.Int b;
+        Value.Int (b + 1 + rnd 12);
+      ]
+  in
+  let load = if rnd 12 = 0 then 4_000 + rnd 5_000 else rnd 300 in
+  let t = ref (Table.of_array dml_schema (Array.init load (fun _ -> row ()))) in
+  for _ = 1 to 1 + rnd 5 do
+    let p = 1 + rnd 8 in
+    let deleted =
+      List.filter (fun _ -> rnd (4 * p) = 0) (List.init (Table.cardinality !t) Fun.id)
+    in
+    t := Table.write !t ~deleted:(Array.of_list deleted) ~added:(Array.init (1 + rnd 80) (fun _ -> row ()))
+  done;
+  !t
+
+let live_list t =
+  let l = ref [] in
+  Table.iteri (fun i r -> l := (i, r) :: !l) t;
+  List.rev !l
+
+(* The reference: every live row in order through {!Expr.holds}, and
+   for a write, the rows that replace a matching row right after it,
+   as the middleware documents: the parts of its period outside the
+   portion keep the old values. *)
+let reference_where t p =
+  List.filter (fun (_, r) -> Expr.holds r p) (live_list t)
+
+let reference_write t p ~portion ~change =
+  let deleted = ref [] and added = ref [] and count = ref 0 in
+  let with_period r b e =
+    let a = Array.init 6 (Tuple.get r) in
+    a.(4) <- Value.Int b;
+    a.(5) <- Value.Int e;
+    Tuple.of_array a
+  in
+  List.iter
+    (fun (i, r) ->
+      if Expr.holds r p then begin
+        let period = function Value.Int v -> v | _ -> assert false in
+        let rb = period (Tuple.get r 4) and re = period (Tuple.get r 5) in
+        let frags =
+          match portion with
+          | None -> Some (Option.to_list (change r))
+          | Some (a, b) ->
+              let ob = max rb a and oe = min re b in
+              if ob >= oe then None
+              else
+                Some
+                  ((if rb < ob then [ with_period r rb ob ] else [])
+                  @ (match change r with Some c -> [ with_period c ob oe ] | None -> [])
+                  @ if oe < re then [ with_period r oe re ] else [])
+        in
+        Option.iter
+          (fun fs ->
+            incr count;
+            deleted := i :: !deleted;
+            added := List.rev_append fs !added)
+          frags
+      end)
+    (live_list t);
+  (List.rev !deleted, List.rev !added, !count)
+
+let outcome f = match f () with v -> Ok v | exception e -> Error (Printexc.to_string e)
+
+(* Over random multi-segment values, WHERE clauses of every form the
+   access path tells apart (an int key with and without other
+   conjuncts, two keys, text equality, IN, LIKE, BETWEEN, OR, NOT,
+   = NULL, an int key against a float, division by zero, and clauses
+   that raise on a text or boxed value), each run three ways against
+   the reference: {!Table.where} gives its positions and rows; UPDATE
+   and DELETE, with and without FOR PORTION OF, give its message, the
+   rows after the write (read without compacting) or its error; CHECK
+   of the statement fails as the write does. *)
+let prop_dml_where =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:60 ~name:"DML WHERE: Table.where = Expr.holds row by row"
+       QCheck.(pair bool int)
+       (fun (mixed, seed) ->
+         let st = Random.State.make [| seed |] in
+         let rnd n = Random.State.int st n in
+         let t = dml_table st ~mixed in
+         let k = rnd 13 and k' = rnd 13 in
+         let wheres =
+           [
+             Printf.sprintf "emp_no = %d" k;
+             Printf.sprintf "%d = emp_no" k;
+             Printf.sprintf "emp_no = %d AND name = 'a'" k;
+             Printf.sprintf "emp_no = %d AND f > 0.5" k;
+             Printf.sprintf "x IS NULL AND emp_no = %d" k;
+             Printf.sprintf "emp_no = %d AND emp_no = %d" k k';
+             Printf.sprintf "emp_no = %d AND x / 0 = 1" k;
+             Printf.sprintf "emp_no = %d AND 1 / 0 IS NULL" k;
+             "name = 'a'";
+             "name IN ('a', 'b')";
+             "name LIKE 'a%'";
+             "x BETWEEN 2 AND 5";
+             Printf.sprintf "emp_no = %d OR name = 'b'" k;
+             "NOT (name = 'a')";
+             "x = NULL";
+             "emp_no = 5.0";
+             "name = 5";
+             Printf.sprintf "emp_no = %d AND name + 1 = 2" k;
+             Printf.sprintf "emp_no = %d AND x = 3" k;
+             "x LIKE 'a%'";
+             Printf.sprintf "emp_no = %d AND x LIKE 'a%%'" k;
+             "name = 'q' AND x LIKE 'a%'";
+           ]
+         in
+         let resolve w =
+           match Tkr_sql.Parser.statement ("DELETE FROM w WHERE " ^ w) with
+           | Tkr_sql.Ast.Delete { del_where = Some w; _ } ->
+               Tkr_sql.Analyzer.resolve ~schema:dml_schema ~on_agg:Tkr_sql.Analyzer.no_agg w
+           | _ -> assert false
+         in
+         let m () =
+           let db = Database.create ~tmin:0 ~tmax:60 () in
+           Database.add_period_table db "w" t;
+           M.create ~db ()
+         in
+         let live = live_list t in
+         List.for_all
+           (fun w ->
+             let p = resolve w in
+             let got =
+               outcome (fun () ->
+                   let l = ref [] in
+                   Table.where ~filter:Tkr_vec.Veval.filter (fun i r -> l := (i, r) :: !l) t p;
+                   List.rev !l)
+             in
+             let same_matches =
+               match (outcome (fun () -> reference_where t p), got) with
+               | Ok a, Ok b ->
+                   List.length a = List.length b
+                   && List.for_all2 (fun (i, r) (j, s) -> i = j && Tuple.equal r s) a b
+               | Error a, Error b -> String.equal a b
+               | _ -> false
+             in
+             same_matches
+             && List.for_all
+                  (fun (portion, update) ->
+                    let sql =
+                      let por =
+                        Option.fold ~none:""
+                          ~some:(fun (a, b) -> Printf.sprintf " FOR PORTION OF PERIOD FROM %d TO %d" a b)
+                          portion
+                      in
+                      if update then Printf.sprintf "UPDATE w%s SET name = 'z', x = x + 1 WHERE %s" por w
+                      else Printf.sprintf "DELETE FROM w%s WHERE %s" por w
+                    in
+                    let change r =
+                      if update then
+                        Some
+                          (Tuple.of_array
+                             (Array.init 6 (fun c ->
+                                  match c with
+                                  | 1 -> Value.Str "z"
+                                  | 3 -> Value.add (Tuple.get r 3) (Value.Int 1)
+                                  | c -> Tuple.get r c)))
+                      else None
+                    in
+                    let want =
+                      outcome (fun () ->
+                          let deleted, added, count = reference_write t p ~portion ~change in
+                          ( Printf.sprintf
+                              (if update then "updated %d rows in w" else "deleted %d rows from w")
+                              count,
+                            let gone = Hashtbl.create 16 in
+                            List.iter (fun i -> Hashtbl.replace gone i ()) deleted;
+                            List.filter (fun (i, _) -> not (Hashtbl.mem gone i)) live
+                            |> List.map snd
+                            |> fun kept -> kept @ added ))
+                    in
+                    let m = m () in
+                    let checked = outcome (fun () -> M.check m sql) in
+                    let have =
+                      outcome (fun () ->
+                          match M.execute m sql with
+                          | M.Done msg -> (msg, List.map snd (live_list (Database.find (M.database m) "w")))
+                          | M.Rows _ -> ("rows", []))
+                    in
+                    (match (want, have) with
+                    | Ok (msg, rows), Ok (msg', rows') ->
+                        String.equal msg msg'
+                        && List.length rows = List.length rows'
+                        && List.for_all2 Tuple.equal rows rows'
+                    | Error a, Error b -> String.equal a b
+                    | _ -> false)
+                    && (match (want, checked) with
+                       | Ok _, Ok [] -> true
+                       | Error a, Error b -> String.equal a b
+                       | _ -> false))
+                  [ (None, true); (None, false); (Some (5, 20), true); (Some (5, 20), false) ])
+           wheres))
+
 (* Live words after [Gc.full_major], beyond [base]. *)
 let live_words () =
   Gc.full_major ();
@@ -1246,6 +1469,7 @@ let suite =
       Alcotest.test_case "index build edge cases" `Quick test_build_edges;
       prop_derived_images;
       prop_successor_chains;
+      prop_dml_where;
       Alcotest.test_case "unread writes pin no chain of values" `Quick
         test_no_pinned_chain;
       Alcotest.test_case "replaced segments are collected unless pinned" `Quick

@@ -589,13 +589,16 @@ let test_paced_replay () =
    and closes: the replay has sent all [k] by then, so the client sees
    one reply and then a clean end of stream.  Every socket gives up
    after 10 s without a request, so a replay that hangs fails the test
-   instead of wedging the suite. *)
+   instead of wedging the suite, and reads through a 64 KiB receive
+   buffer, so a request of several MiB holds its writer until the
+   stand-in reads it. *)
 let fixed_payload = Wire.body_to_payload (Wire.Message "ok")
 
 let with_fixed_server ?dies_after ~connections f =
   let lfd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt lfd Unix.SO_REUSEADDR true;
   Unix.setsockopt_float lfd Unix.SO_RCVTIMEO 10.0;
+  Unix.setsockopt_int lfd Unix.SO_RCVBUF 65536;
   Unix.bind lfd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
   Unix.listen lfd 8;
   let port =
@@ -686,6 +689,28 @@ let test_replay_survives_a_dying_connection () =
   check_int "the first reply and the live session compared" 4 o.Replay.compared;
   check_int "every compared entry matched" 4 o.Replay.matched;
   check "not identical" false (Replay.identical o)
+
+(* session 1 sends a read, then a read of 8 MiB, which fills the
+   socket and holds the replay in its write; the stand-in answers the
+   first and hangs up without reading the second, so that write fails
+   with the first reply unread in the socket.  That reply still counts:
+   only the unanswered read fails, and session 2 goes on *)
+let test_replay_reads_replies_before_closing () =
+  let read = [ ("kv", 1) ] in
+  let big =
+    {
+      (fixed_entry 1 1 read) with
+      Record.e_stmt = "SELECT x FROM kv WHERE x = '" ^ String.make (8 lsl 20) 'x' ^ "'";
+    }
+  in
+  let entries = [ fixed_entry 0 1 read; big; fixed_entry 2 2 read ] in
+  let o =
+    with_fixed_server ~dies_after:1 ~connections:2 (fun port ->
+        Replay.run ~port entries)
+  in
+  check_int "only the unanswered read failed" 1 o.Replay.failed;
+  check_int "the reply read before closing and session 2 compared" 2 o.Replay.compared;
+  check_int "both matched" 2 o.Replay.matched
 
 (* 600 one-read sessions: more than select's 1,024 descriptors would
    hold if every connection, and the server's end of each, were open at
@@ -1303,6 +1328,8 @@ let suite =
         test_paced_replay;
       Alcotest.test_case "replay: a dying connection ends the replay" `Quick
         test_replay_survives_a_dying_connection;
+      Alcotest.test_case "replay: a failed write reads the replies already sent"
+        `Quick test_replay_reads_replies_before_closing;
       Alcotest.test_case "replay: more sessions than select's descriptors" `Quick
         test_replay_many_sessions;
       Alcotest.test_case "e2e: recorder, event log, ledger and STATS agree"

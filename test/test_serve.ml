@@ -1157,6 +1157,75 @@ let test_session_binds_match_prepare () =
   check_binds_match_prepare "index and prune off"
     (M.create ~index:false ~prune:false ~db:(db ()) ())
 
+(* Plan keys, over every employee and TPC-H query, as written and AS
+   OF points inside and at the edges of the time bounds, and near-twins
+   that rendered alike before (an int literal against a float one) or
+   differ in one output name,
+   one ordering direction or a LIMIT: two statements' keys are equal
+   exactly when their final plans and post-plan shapes (ordering, limit,
+   snapshot flag) are, and so are their fingerprints. *)
+let test_plan_keys () =
+  let tests =
+    [
+      ( W.generate { (W.scaled 20) with W.tmax = 300 },
+        Q.employee,
+        [
+          "SEQ VT AS OF 10 (SELECT emp_no FROM salaries WHERE salary = 1)";
+          "SEQ VT AS OF 10 (SELECT emp_no FROM salaries WHERE salary = 1.0)";
+          "SEQ VT AS OF 10 (SELECT emp_no AS e FROM salaries)";
+          "SEQ VT AS OF 10 (SELECT emp_no AS f FROM salaries)";
+          "SEQ VT (SELECT emp_no FROM salaries) ORDER BY emp_no";
+          "SEQ VT (SELECT emp_no FROM salaries) ORDER BY emp_no DESC";
+          "SEQ VT (SELECT emp_no FROM salaries) ORDER BY emp_no LIMIT 3";
+          "SEQ VT (SELECT emp_no FROM salaries) ORDER BY emp_no LIMIT 4";
+          "SELECT 1 AS a FROM titles";
+          "SELECT 2 AS a FROM titles";
+          "SELECT 1.0 AS a FROM titles";
+          "SELECT emp_no FROM salaries";
+          "SEQ VT (SELECT emp_no FROM salaries)";
+        ] );
+      ( Tkr_workload.Tpcbih.generate { Tkr_workload.Tpcbih.default with scale = 0.01 },
+        Q.tpch,
+        [] );
+    ]
+  in
+  let shape (p : M.prepared) = (p.M.plan, p.M.order_by, p.M.limit, p.M.snapshot) in
+  let plans =
+    List.concat_map
+      (fun (db, queries, twins) ->
+        let m = M.pin (M.create ~db ()) in
+        let _, s = one_session () in
+        let tmin, tmax = Database.time_bounds db in
+        let at_points sql =
+          let n = String.length "SEQ VT (" in
+          if String.length sql > n && String.sub sql 0 n = "SEQ VT (" then
+            List.map
+              (fun t -> Printf.sprintf "SEQ VT AS OF %d (%s" t (String.sub sql n (String.length sql - n)))
+              [ tmin - 1; tmin; (tmin + tmax) / 2; tmax - 1 ]
+          else []
+        in
+        let texts = List.concat_map (fun (_, sql) -> sql :: at_points sql) queries @ twins in
+        List.map
+          (fun sql ->
+            let p = session_plan s m sql in
+            (sql, shape p.Session.prepared, p))
+          texts)
+      tests
+  in
+  check "some plans share a key" true
+    (List.exists
+       (fun (a, _, p) -> List.exists (fun (b, _, q) -> a <> b && p.Session.key = q.Session.key) plans)
+       plans);
+  List.iter
+    (fun (a, sa, p) ->
+      List.iter
+        (fun (b, sb, q) ->
+          let same = compare sa sb = 0 in
+          check (Printf.sprintf "key: %s / %s" a b) same (String.equal p.Session.key q.Session.key);
+          check (Printf.sprintf "fp: %s / %s" a b) same (String.equal p.Session.fp q.Session.fp))
+        plans)
+    plans
+
 (* ---- admission control ---- *)
 
 (* poll [cond] every 10 ms for up to [secs] seconds *)
@@ -2052,6 +2121,8 @@ let suite =
         `Quick test_session_shape_outcomes;
       Alcotest.test_case "session: bound plans = fresh prepares, both engines"
         `Quick test_session_binds_match_prepare;
+      Alcotest.test_case "session: one key per plan and post-plan shape" `Quick
+        test_plan_keys;
       Alcotest.test_case "e2e: METRICS cache counters equal STATS cache" `Quick
         test_e2e_cache_metrics_match_stats;
       Alcotest.test_case "e2e: plan outcomes in STATS and METRICS" `Quick
