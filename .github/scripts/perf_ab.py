@@ -11,15 +11,20 @@ pair share a seed, and the side that runs first alternates from pair to
 pair, so drift on the runner falls on both sides alike.
 
 Per end-to-end metric of HEAD_DIR/BENCHMARK.json, the medians of the two
-sides are compared against the metric's bound.  The gate fails (exit 1)
+sides are compared against the metric's bound, and the pairs the head
+won are counted: a pair is won when the head's run is better than the
+base's run of the same seed, and a tie counts for neither side.  A
+claimed gain is read from that count (nine of ten pairs won) and from
+the medians, as committed BENCH_PR<n>.json reports are made; the count
+does not change the verdict.  The gate fails (exit 1)
 when a run exits non-zero, when a head run reports failed operations or
 correct: false, or when a head median is worse than the base median by
 more than the bound.  A metric whose base quartile spread (Q3 - Q1) /
 median exceeds its bound cannot be judged on this runner; it is printed
 as "unresolved" and does not fail the gate.
 
-The medians and verdicts are written to perf_ab_<WORKLOAD>.json in the
-current directory.
+The medians, pairs won and verdicts are written to perf_ab_<WORKLOAD>.json
+in the current directory.
 """
 
 import json
@@ -28,7 +33,7 @@ import statistics
 import subprocess
 import sys
 
-K = 5  # alternating pairs
+K = 10  # alternating pairs
 RUN_TIMEOUT_S = 900
 
 
@@ -83,17 +88,19 @@ def main():
             if side == "head" and (r["failed"] > 0 or not r["correct"]):
                 problems.append("head seed %d: %d failed operations, correct %s"
                                 % (seed, r["failed"], r["correct"]))
-            runs[side].append(r)
+            runs[side].append((seed, r))
 
     report = {"workload": workload, "pairs": K, "run_seconds": seconds,
               "metrics": {}}
     print("\n%s: %d pairs of %d s runs" % (workload, K, seconds))
-    print("  %-18s %12s %12s %8s %8s %6s  %s" % (
-        "metric", "base", "head", "change", "spread", "bound", "verdict"))
+    print("  %-18s %12s %12s %8s %8s %6s %7s  %s" % (
+        "metric", "base", "head", "change", "spread", "bound", "won",
+        "verdict"))
     for name, m in metrics.items():
-        vals = {side: [r["metrics"][name]["value"] for r in rs
-                       if name in r["metrics"]]
-                for side, rs in runs.items()}
+        by_seed = {side: {seed: r["metrics"][name]["value"] for seed, r in rs
+                          if name in r["metrics"]}
+                   for side, rs in runs.items()}
+        vals = {side: list(v.values()) for side, v in by_seed.items()}
         if len(vals["base"]) < 2 or len(vals["head"]) < 2:
             continue
         base, head = summary(vals["base"]), summary(vals["head"])
@@ -101,6 +108,11 @@ def main():
         change = (hmed - bmed) / bmed if bmed else 0.0
         worse = change if m["better"] == "lower" else -change
         spread = (base["q3"] - base["q1"]) / bmed if bmed else float("inf")
+        pairs = [(b, by_seed["head"][seed])
+                 for seed, b in by_seed["base"].items()
+                 if seed in by_seed["head"]]
+        won = sum(1 for b, h in pairs
+                  if (h < b if m["better"] == "lower" else h > b))
         if spread > m["bound"]:
             verdict = "unresolved"
         elif worse > m["bound"]:
@@ -111,10 +123,11 @@ def main():
             verdict = "ok"
         report["metrics"][name] = {"base": base, "head": head, "change": change,
                                    "base_spread": spread, "bound": m["bound"],
+                                   "pairs": len(pairs), "head_won": won,
                                    "verdict": verdict}
-        print("  %-18s %12.5g %12.5g %+7.1f%% %7.1f%% %5.0f%%  %s" % (
+        print("  %-18s %12.5g %12.5g %+7.1f%% %7.1f%% %5.0f%% %7s  %s" % (
             name, bmed, hmed, 100 * change, 100 * spread, 100 * m["bound"],
-            verdict), flush=True)
+            "%d/%d" % (won, len(pairs)), verdict), flush=True)
 
     report["problems"] = problems
     with open("perf_ab_%s.json" % workload, "w") as f:

@@ -16,9 +16,9 @@
     order.  Filters narrow the selection instead of materializing; payload
     columns are only gathered when an operator needs dense data
     ({!compact}) or at the row boundary ({!to_rows}).  A table segment
-    made from rows makes its columnar image on first use; one made from
-    a batch ({!Table.of_batch}) keeps the batch as its image and boxes
-    its rows only when asked. *)
+    is a batch: rows written to a table are stored as {!of_rows} stores
+    them, and the table boxes rows from its batches only when asked,
+    keeping none. *)
 
 open Tkr_relation
 
@@ -68,24 +68,19 @@ let value (c : col) (i : int) : Value.t =
 
 (* ---- column construction ---- *)
 
+exception Mismatch
+
+(* the mask [m], or a fresh one of [n] rows, with row [i] set *)
+let with_null m n i =
+  let m = match m with Some m -> m | None -> Array.make n false in
+  m.(i) <- true;
+  Some m
+
 (** Build a column of [n] values fetched by [get], stored unboxed when
     every value matches [ty] (NULLs go to the validity mask), boxed
     otherwise. *)
 let col_of_values (ty : Value.ty) (n : int) (get : int -> Value.t) : col =
   let nulls = ref None in
-  let set_null i =
-    let m =
-      match !nulls with
-      | Some m -> m
-      | None ->
-          let m = Array.make n false in
-          nulls := Some m;
-          m
-    in
-    m.(i) <- true
-  in
-  let box () = { data = Boxed (Array.init n get); nulls = None } in
-  let exception Mismatch in
   try
     let data =
       match ty with
@@ -94,7 +89,7 @@ let col_of_values (ty : Value.ty) (n : int) (get : int -> Value.t) : col =
           for i = 0 to n - 1 do
             match get i with
             | Value.Int v -> a.(i) <- v
-            | Value.Null -> set_null i
+            | Value.Null -> nulls := with_null !nulls n i
             | _ -> raise Mismatch
           done;
           Ints a
@@ -103,7 +98,7 @@ let col_of_values (ty : Value.ty) (n : int) (get : int -> Value.t) : col =
           for i = 0 to n - 1 do
             match get i with
             | Value.Float v -> a.(i) <- v
-            | Value.Null -> set_null i
+            | Value.Null -> nulls := with_null !nulls n i
             | _ -> raise Mismatch
           done;
           Floats a
@@ -112,7 +107,7 @@ let col_of_values (ty : Value.ty) (n : int) (get : int -> Value.t) : col =
           for i = 0 to n - 1 do
             match get i with
             | Value.Bool v -> a.(i) <- v
-            | Value.Null -> set_null i
+            | Value.Null -> nulls := with_null !nulls n i
             | _ -> raise Mismatch
           done;
           Bools a
@@ -121,13 +116,13 @@ let col_of_values (ty : Value.ty) (n : int) (get : int -> Value.t) : col =
           for i = 0 to n - 1 do
             match get i with
             | Value.Str v -> a.(i) <- v
-            | Value.Null -> set_null i
+            | Value.Null -> nulls := with_null !nulls n i
             | _ -> raise Mismatch
           done;
           Strs a
     in
     { data; nulls = !nulls }
-  with Mismatch -> box ()
+  with Mismatch -> { data = Boxed (Array.init n get); nulls = None }
 
 let const_col (v : Value.t) (n : int) : col =
   match v with
@@ -179,7 +174,7 @@ let gather_boxed (a : Value.t array) (idx : int array) n (out : Value.t array) o
 
 (* The data of an [n]-row column made from the columns [cs]: of the
    element type they all store, boxed when any is boxed or they differ.
-   The one rule for combining columns ({!gather_parts}, {!append}). *)
+   {!gather_parts}'s rule for combining columns. *)
 let blank_data (cs : col array) (n : int) : data =
   let all p = Array.for_all (fun (c : col) -> p c.data) cs in
   if all (function Ints _ -> true | _ -> false) then Ints (Array.make n 0)
@@ -254,6 +249,17 @@ let of_rows (schema : Schema.t) (rows : Tuple.t array) : t =
         col_of_values (Schema.ty schema j) n (fun i -> Tuple.get rows.(i) j))
   in
   { schema; nrows = n; cols; sel = None }
+
+(** [b] (without a selection) with each column stored as {!of_rows}
+    stores its values; a column of the schema's type without a mask is
+    kept. *)
+let as_of_rows (b : t) : t =
+  let col j (c : col) =
+    match (c.data, Schema.ty b.schema j, c.nulls) with
+    | Ints _, TInt, None | Floats _, TFloat, None | Bools _, TBool, None | Strs _, TStr, None -> c
+    | _, ty, _ -> col_of_values ty b.nrows (value c)
+  in
+  { b with cols = Array.mapi col b.cols }
 
 (* ---- gathers across batches ---- *)
 
@@ -369,10 +375,29 @@ let sort_order (keys : (int * bool) list) (b : t) : int array =
   perm
 
 (** The logical rows of [a], then those of [b], dense; the schemas must
-    be union-compatible, the left schema names the result. *)
+    be union-compatible, the left schema names the result.  A column
+    whose two sides store one element type is their arrays appended,
+    with a validity mask when either has one; any other is boxed, its
+    NULLs as [Value.Null], without a mask. *)
 let append (a : t) (b : t) : t =
-  let part (x : t) = (x, Array.init (length x) (phys x), length x) in
-  gather_parts a.schema [| part a; part b |]
+  let a = compact a and b = compact b in
+  let mask n = function Some m -> m | None -> Array.make n false in
+  let col (x : col) (y : col) =
+    let nulls =
+      match (x.nulls, y.nulls) with
+      | None, None -> None
+      | m, n -> Some (Array.append (mask a.nrows m) (mask b.nrows n))
+    in
+    match (x.data, y.data) with
+    | Ints p, Ints q -> { data = Ints (Array.append p q); nulls }
+    | Floats p, Floats q -> { data = Floats (Array.append p q); nulls }
+    | Bools p, Bools q -> { data = Bools (Array.append p q); nulls }
+    | Strs p, Strs q -> { data = Strs (Array.append p q); nulls }
+    | _ ->
+        let boxed n (c : col) = Array.init n (value c) in
+        { data = Boxed (Array.append (boxed a.nrows x) (boxed b.nrows y)); nulls = None }
+  in
+  { a with nrows = a.nrows + b.nrows; cols = Array.map2 col a.cols b.cols }
 
 (** The (b, e) period columns of a batch under the trailing-period
     encoding, as dense int arrays indexed by {e physical} row.

@@ -108,6 +108,11 @@ let install ~ddl v name (entry : entry option) =
     schema_epoch = (if ddl then v.schema_epoch + 1 else v.schema_epoch);
   }
 
+(* [v] with [tmin, tmax) widened to [lo, hi) *)
+let widen v lo hi =
+  if lo = v.tmin && hi = v.tmax then v
+  else { v with tmin = lo; tmax = hi; schema_epoch = v.schema_epoch + 1 }
+
 (* [v] with [tmin, tmax) widened to cover the periods (trailing two
    columns) of [rows]; [fn] names the caller in the error *)
 let widen_bounds v fn (rows : Tuple.t array) =
@@ -121,8 +126,7 @@ let widen_bounds v fn (rows : Tuple.t array) =
           if e > !hi then hi := e
       | _ -> invalid_arg (fn ^ ": non-integer period"))
     rows;
-  if !lo = v.tmin && !hi = v.tmax then v
-  else { v with tmin = !lo; tmax = !hi; schema_epoch = v.schema_epoch + 1 }
+  widen v !lo !hi
 
 (** Register a plain (non-temporal) table. *)
 let add_table db name table =
@@ -151,10 +155,14 @@ let add_period_table db name ?begin_col ?end_col table =
         (Array.map (Tuple.project order) (Table.rows table))
   in
   let entry = { table = reordered; is_period = true; order = Array.of_list order } in
+  (* the bounds are read from the period columns, boxing no row *)
+  let b, e =
+    try Batch.period_arrays (Table.columnar reordered)
+    with Invalid_argument _ -> invalid_arg "Database.add_period_table: non-integer period"
+  in
   write db @@ fun v ->
-  install ~ddl:true
-    (widen_bounds v "Database.add_period_table" (Table.rows reordered))
-    name (Some entry)
+  let lo = Array.fold_left Int.min v.tmin b and hi = Array.fold_left Int.max v.tmax e in
+  install ~ddl:true (widen v lo hi) name (Some entry)
 
 let entry_in v name =
   match Names.find_opt (key name) v.tables with

@@ -58,14 +58,14 @@ let except_all (a : Table.t) (b : Table.t) : Table.t =
 
 let nested_loop_join pred (l : Table.t) (r : Table.t) : Table.t =
   let out_schema = Schema.concat (Table.schema l) (Table.schema r) in
-  let buf = ref [] in
+  let buf = ref [] and rrows = Table.rows r in
   Array.iter
     (fun lrow ->
       Array.iter
         (fun rrow ->
           let row = Tuple.append lrow rrow in
           if Expr.holds row pred then buf := row :: !buf)
-        (Table.rows r))
+        rrows)
     (Table.rows l);
   Table.make out_schema (List.rev !buf)
 

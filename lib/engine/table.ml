@@ -1,7 +1,7 @@
-(** Physical multiset tables: the engine's row representation of SQL
-    (period) relations.  Duplicates are physical rows, matching the paper's
-    implementation level where N^T-relations are encoded as SQL multiset
-    relations (Section 8). *)
+(** Physical multiset tables: the engine's stored representation of SQL
+    (period) relations, as columns.  Duplicates are physical rows,
+    matching the paper's implementation level where N^T-relations are
+    encoded as SQL multiset relations (Section 8). *)
 
 open Tkr_relation
 
@@ -22,40 +22,18 @@ type stats = {
 }
 (* per-entry slots inside the statistics slot, each filled on first use *)
 
-(* A segment: rows that never change, as boxed rows and as a columnar
-   image, and the interval index and statistics (with the key orders)
-   made from them on first use.  A segment is made from one of the two
-   forms (INSERT, DML and CSV make rows; an executed query makes a
-   batch) and makes the other on first use, so every slot but [index]
-   and [stats] starts with at least one of [rows] and [columnar]
-   filled.  Catalog values share segments; a value hides the rows it
-   deleted with a bitmap of its own. *)
+(* A segment: rows that never change, as a columnar image (a batch
+   without a selection), and the interval index and statistics (with
+   the key orders) made from it on first use.  Rows are boxed from the
+   image when asked and kept nowhere.  Catalog values share segments; a
+   value hides the rows it deleted with a bitmap of its own. *)
 type seg = {
-  nrows : int;
-  rows : Tuple.t array option Atomic.t;
-  columnar : Batch.t option Atomic.t;
+  image : Batch.t;
   index : Tkr_idx.Interval.t option option Atomic.t;
   stats : stats option Atomic.t;
 }
 
-let seg rows =
-  {
-    nrows = Array.length rows;
-    rows = Atomic.make (Some rows);
-    columnar = Atomic.make None;
-    index = Atomic.make None;
-    stats = Atomic.make None;
-  }
-
-(* [b] has no selection *)
-let seg_of_batch (b : Batch.t) =
-  {
-    nrows = b.nrows;
-    rows = Atomic.make None;
-    columnar = Atomic.make (Some b);
-    index = Atomic.make None;
-    stats = Atomic.make None;
-  }
+let seg image = { image; index = Atomic.make None; stats = Atomic.make None }
 
 (* [slot]'s value, made by [f] on first use.  Slots only ever fill: of
    racing first uses, every one returns the value the first to publish
@@ -68,12 +46,8 @@ let fill slot f =
       if Atomic.compare_and_set slot None (Some v) then v
       else Option.get (Atomic.get slot)
 
-(* a segment without rows has its image *)
-let seg_rows (s : seg) =
-  fill s.rows (fun () -> Batch.to_rows (Option.get (Atomic.get s.columnar)))
-
-let seg_columnar schema (s : seg) =
-  fill s.columnar (fun () -> Batch.of_rows schema (seg_rows s))
+(* row [j] of an image, boxed *)
+let row_at (b : Batch.t) j = Tuple.of_array (Array.map (fun c -> Batch.value c j) b.cols)
 
 (* the trailing two columns of an image, when both are null-free int
    columns: the period an index reads *)
@@ -85,13 +59,9 @@ let period_cols (b : Batch.t) =
     | { data = Ints b; nulls = None }, { data = Ints e; nulls = None } -> Some (b, e)
     | _ -> None
 
-let seg_index ~rebuild schema (s : seg) =
+let seg_index ~rebuild (s : seg) =
   fill s.index (fun () ->
-      let idx =
-        Option.map
-          (fun (b, e) -> Tkr_idx.Interval.build b e)
-          (period_cols (seg_columnar schema s))
-      in
+      let idx = Option.map (fun (b, e) -> Tkr_idx.Interval.build b e) (period_cols s.image) in
       Tkr_idx.Stats.record_build ~rebuild;
       idx)
 
@@ -267,47 +237,58 @@ let of_parts schema ~indexed_before parts =
     parts = Atomic.make parts;
   }
 
-let of_array schema rows : t =
+(* a value of one segment, [image] *)
+let of_image schema (image : Batch.t) =
   of_parts schema ~indexed_before:false
-    [| { seg = seg rows; dead = no_deletions; live = Array.length rows } |]
+    [| { seg = seg image; dead = no_deletions; live = image.nrows } |]
 
+let of_array schema rows : t = of_image schema (Batch.of_rows schema rows)
 let make schema rows = of_array schema (Array.of_list rows)
 let empty schema = of_array schema [||]
 let schema t = t.schema
 let cardinality t = t.cardinality
+let size p = p.seg.image.nrows
 
 (* [f i row] for each live row, [i] its position in row order *)
 let iteri f (t : t) =
   let i = ref 0 in
   Array.iter
     (fun p ->
-      Array.iteri
-        (fun j row ->
-          if not (is_dead p.dead j) then begin
-            f !i row;
-            incr i
-          end)
-        (seg_rows p.seg))
+      for j = 0 to size p - 1 do
+        if not (is_dead p.dead j) then begin
+          f !i (row_at p.seg.image j);
+          incr i
+        end
+      done)
     (Atomic.get t.parts)
 
-let layout (t : t) =
-  Array.map (fun p -> (p.seg.nrows, p.live)) (Atomic.get t.parts)
+let layout (t : t) = Array.map (fun p -> (size p, p.live)) (Atomic.get t.parts)
 
-(* the live rows of a part *)
+(* A part's live rows as a batch without a selection: the image of a
+   part without deletions, or else its live rows, each column stored
+   as {!Batch.of_rows} stores them. *)
 let live_rows p =
-  let rows = seg_rows p.seg in
-  if clean_bitmap p.dead then rows
+  if clean_bitmap p.dead then p.seg.image
   else begin
-    let out = Array.make p.live (Tuple.make []) and k = ref 0 in
-    Array.iteri
-      (fun j row ->
-        if not (is_dead p.dead j) then begin
-          out.(!k) <- row;
-          incr k
-        end)
-      rows;
-    out
+    let live = Array.make p.live 0 and k = ref 0 in
+    for j = 0 to size p - 1 do
+      if not (is_dead p.dead j) then begin
+        live.(!k) <- j;
+        incr k
+      end
+    done;
+    Batch.as_of_rows (Batch.compact (Batch.with_sel p.seg.image live))
   end
+
+(* One segment of the parts' live rows, in order, their columns
+   appended (the smaller parts first): of parts stored as
+   {!Batch.of_rows} stores their rows, the columns it stores of all. *)
+let concat schema parts =
+  let n = Array.length parts in
+  let rec from i =
+    if i = n - 1 then live_rows parts.(i) else Batch.append (live_rows parts.(i)) (from (i + 1))
+  in
+  seg (if n = 0 then Batch.of_rows schema [||] else { (from 0) with schema })
 
 (* the segment of parts that are one segment without deletions *)
 let clean = function
@@ -324,30 +305,27 @@ let rec whole (t : t) =
   match clean parts with
   | Some s -> s
   | None ->
-      let s = seg (Array.concat (Array.to_list (Array.map live_rows parts))) in
+      let s = concat t.schema parts in
       let one = [| { seg = s; dead = no_deletions; live = t.cardinality } |] in
       if Atomic.compare_and_set t.parts parts one then s else whole t
 
-let rows t = seg_rows (whole t)
+let columnar (t : t) : Batch.t = (whole t).image
+let rows t = Batch.to_rows (columnar t)
 let to_list t = Array.to_list (rows t)
-let columnar (t : t) : Batch.t = seg_columnar t.schema (whole t)
-let index (t : t) = seg_index ~rebuild:t.indexed_before t.schema (whole t)
+let index (t : t) = seg_index ~rebuild:t.indexed_before (whole t)
 
 let of_batch (b : Batch.t) : t =
   let b = Batch.compact b in
-  of_parts b.schema ~indexed_before:false
-    [| { seg = seg_of_batch b; dead = no_deletions; live = b.nrows } |]
-
-let size p = p.seg.nrows
+  of_image b.schema b
 
 (* parts, last first, with the last two merged by the rule above until
    it no longer applies *)
-let rec settle = function
+let rec settle schema = function
   | l :: p :: older
     when size p <= merge_ratio * size l
          || (size p < tail_rows && (older <> [] || size p < tail_divisor * size l)) ->
-      let rows = Array.append (live_rows p) (live_rows l) in
-      settle ({ seg = seg rows; dead = no_deletions; live = p.live + l.live } :: older)
+      settle schema
+        ({ seg = concat schema [| p; l |]; dead = no_deletions; live = p.live + l.live } :: older)
   | stack -> stack
 
 let write (t : t) ~(deleted : int array) ~(added : Tuple.t array) : t =
@@ -390,7 +368,9 @@ let write (t : t) ~(deleted : int array) ~(added : Tuple.t array) : t =
   in
   let stack =
     if Array.length added = 0 then stack
-    else settle ({ seg = seg added; dead = no_deletions; live = Array.length added } :: stack)
+    else
+      let image = Batch.of_rows t.schema added in
+      settle t.schema ({ seg = seg image; dead = no_deletions; live = image.nrows } :: stack)
   in
   let indexed p = Option.is_some (Atomic.get p.seg.index) in
   of_parts t.schema
@@ -409,7 +389,6 @@ type probe = { view : Batch.t; candidates : int; segments : int; scanned : int }
 let probe ?need (t : t) ~b_hi ~e_lo : probe option =
   let parts = Atomic.get t.parts in
   let ns = Array.length parts in
-  let images = Array.map (fun p -> seg_columnar t.schema p.seg) parts in
   let found = Array.make ns ([||], 0) in
   let typed = ref true and scanned = ref 0 in
   Array.iteri
@@ -417,7 +396,7 @@ let probe ?need (t : t) ~b_hi ~e_lo : probe option =
       let buf, m =
         if not !typed then ([||], 0)
         else if s > 0 && s = ns - 1 && size p < tail_rows then (
-          match period_cols images.(s) with
+          match period_cols p.seg.image with
           | None ->
               typed := false;
               ([||], 0)
@@ -432,7 +411,7 @@ let probe ?need (t : t) ~b_hi ~e_lo : probe option =
               done;
               (buf, !m))
         else
-          match seg_index ~rebuild:t.indexed_before t.schema p.seg with
+          match seg_index ~rebuild:t.indexed_before p.seg with
           | None ->
               typed := false;
               ([||], 0)
@@ -466,18 +445,18 @@ let probe ?need (t : t) ~b_hi ~e_lo : probe option =
     let view =
       if !holding <= 1 && ns > 0 then
         let buf, m = found.(!last) in
-        Batch.with_sel images.(!last) (Array.sub buf 0 m)
+        Batch.with_sel parts.(!last).seg.image (Array.sub buf 0 m)
       else
         Batch.gather_parts ?need t.schema
-          (Array.mapi (fun s (buf, m) -> (images.(s), buf, m)) found)
+          (Array.mapi (fun s (buf, m) -> (parts.(s).seg.image, buf, m)) found)
     in
     release ();
     Some { view; candidates = !n; segments = ns; scanned = !scanned }
   end
 
 (* the segment's statistics slot, made on first use *)
-let seg_stats schema (s : seg) =
-  let slots () = Array.init (Schema.arity schema) (fun _ -> Atomic.make None) in
+let seg_stats (s : seg) =
+  let slots () = Array.init (Array.length s.image.cols) (fun _ -> Atomic.make None) in
   fill s.stats (fun () ->
       { columns = slots (); mean_period = Atomic.make None; orders = slots () })
 
@@ -561,8 +540,9 @@ let int_key (b : Batch.t) (conj : Expr.t) =
 
 (* the segment's non-NULL rows of int column [c] (values [a]) by value,
    rows of one value ascending; made on first use *)
-let key_order schema (s : seg) (b : Batch.t) c (a : int array) =
-  fill (seg_stats schema s).orders.(c) (fun () ->
+let key_order (s : seg) c (a : int array) =
+  let b = s.image in
+  fill (seg_stats s).orders.(c) (fun () ->
       let nulls = b.cols.(c).nulls in
       let rows = ref [] in
       for i = b.nrows - 1 downto 0 do
@@ -587,15 +567,6 @@ let key_rows (o : int array) (a : int array) k =
   let lo = bound false in
   Array.sub o lo (bound true - lo)
 
-(* a segment's row [j] as stored: its boxed row, or boxed from its
-   image *)
-let seg_row (s : seg) j =
-  match Atomic.get s.rows with
-  | Some rows -> rows.(j)
-  | None ->
-      let b = Option.get (Atomic.get s.columnar) in
-      Tuple.of_array (Array.map (fun c -> Batch.value c j) b.cols)
-
 (* Each part in turn.  A predicate that cannot raise over the part's
    image ({!kind}) selects its rows from the image: through the key
    order when a conjunct is an int column's equality, the other
@@ -608,13 +579,12 @@ let where ~(filter : Batch.t -> Expr.t -> int array) f (t : t) (pred : Expr.t) =
   let first = ref 0 in
   Array.iter
     (fun p ->
-      let s = p.seg in
-      let b = seg_columnar t.schema s in
+      let b = p.seg.image in
       if not (total b pred) then begin
         let pos = ref !first in
-        for j = 0 to s.nrows - 1 do
+        for j = 0 to b.nrows - 1 do
           if not (is_dead p.dead j) then begin
-            let row = seg_row s j in
+            let row = row_at b j in
             if Expr.holds row pred then f !pos row;
             incr pos
           end
@@ -632,7 +602,7 @@ let where ~(filter : Batch.t -> Expr.t -> int array) f (t : t) (pred : Expr.t) =
         let rows =
           match split [] (Expr.conjuncts pred) with
           | Some ((c, a, k), rest) -> (
-              let cands = key_rows (key_order t.schema s b c a) a k in
+              let cands = key_rows (key_order p.seg c a) a k in
               match rest with
               | [] -> cands
               | e :: es ->
@@ -644,7 +614,7 @@ let where ~(filter : Batch.t -> Expr.t -> int array) f (t : t) (pred : Expr.t) =
         in
         let w = walk p.dead in
         Array.iter
-          (fun j -> if not (is_dead p.dead j) then f (!first + j - rank w j) (seg_row s j))
+          (fun j -> if not (is_dead p.dead j) then f (!first + j - rank w j) (row_at b j))
           rows
       end;
       first := !first + p.live)
@@ -681,16 +651,14 @@ let describe (c : Batch.col) (n : int) : column_stats =
 
 let column_stats (t : t) (i : int) : column_stats =
   let s = whole t in
-  fill (seg_stats t.schema s).columns.(i) (fun () ->
-      let b = seg_columnar t.schema s in
-      describe b.Batch.cols.(i) b.Batch.nrows)
+  fill (seg_stats s).columns.(i) (fun () -> describe s.image.cols.(i) s.image.nrows)
 
 (* like the index, the mean period length reads the trailing two columns
    and exists only when both are null-free int columns *)
 let mean_period (t : t) : float option =
   let s = whole t in
-  fill (seg_stats t.schema s).mean_period (fun () ->
-      match period_cols (seg_columnar t.schema s) with
+  fill (seg_stats s).mean_period (fun () ->
+      match period_cols s.image with
       | Some (b, e) when Array.length b > 0 ->
           let sum = ref 0 in
           Array.iteri (fun i bi -> sum := !sum + (e.(i) - bi)) b;
@@ -721,17 +689,13 @@ let equal_bag (a : t) (b : t) =
   let module NR = Krel.Make (Tkr_semiring.Nat) in
   NR.equal (to_nrel a) (to_nrel b)
 
-(** Rows in canonical order, for deterministic output. *)
-let sorted_rows (t : t) =
-  let r = Array.copy (rows t) in
-  Array.sort Tuple.compare r;
-  r
-
 let pp ppf (t : t) =
+  let r = rows t in
+  Array.sort Tuple.compare r;
   Format.fprintf ppf "@[<v>%a (%d rows)@,%a@]" Schema.pp t.schema
     (cardinality t)
     Fmt.(list ~sep:cut Tuple.pp)
-    (Array.to_list (sorted_rows t))
+    (Array.to_list r)
 
 (** Render as an aligned text table (used by the CLI and examples).  Row
     order is preserved (results of ORDER BY queries print as sorted). *)

@@ -14,9 +14,16 @@ type t
     appends the new rows as a segment, merging trailing segments by a
     rule on their sizes ({!merge_ratio}, {!tail_rows}), so INSERT and
     DELETE keep every other row in place and an UPDATE's new rows come
-    last.  A segment is made from rows ({!make}, {!of_array}, {!write})
-    or from columns ({!of_batch}), and makes the other form, its
-    interval index and its statistics on first use.
+    last.
+
+    A segment is stored once, as columns: a {!Batch.t} without a
+    selection, its image.  Rows written ({!make}, {!of_array},
+    {!write}) are stored as {!Batch.of_rows} stores them, a batch
+    ({!of_batch}) as it is, and a merge or a compaction appends the
+    parts' live rows' columns.  A segment makes its interval index and
+    statistics on first use.  The row reads ({!rows}, {!to_list},
+    {!iteri}, {!where}, {!to_text}) box rows from the images on each
+    call and keep none.
 
     A value holds nothing beside its segments.  The whole-value reads
     ({!rows}, {!columnar}, {!index}, the statistics, and so every scan)
@@ -24,7 +31,7 @@ type t
     Any other value they compact, once: its live rows, in row order,
     become one new segment that replaces its segments, and the
     successors {!write} makes from then on share it.  Compacting copies
-    the value's row pointers, in O(n), and costs one index build, also
+    the value's columns, in O(n), and costs one index build, also
     O(n), at the next index read ({!probe}), which the replaced
     segments' indexes would have answered. *)
 
@@ -33,6 +40,8 @@ val of_array : Schema.t -> Tuple.t array -> t
 val empty : Schema.t -> t
 val schema : t -> Schema.t
 val rows : t -> Tuple.t array
+(** The rows in row order, boxed from {!columnar} on each call. *)
+
 val cardinality : t -> int
 val to_list : t -> Tuple.t list
 
@@ -45,18 +54,15 @@ val of_nrel : Tkr_semiring.Nat.t Krel.t -> t
 val equal_bag : t -> t -> bool
 (** Bag equality: same rows with same multiplicities; order-insensitive. *)
 
-val sorted_rows : t -> Tuple.t array
-(** A sorted copy, for deterministic output. *)
-
 val write : t -> deleted:int array -> added:Tuple.t array -> t
 (** [write t ~deleted ~added]: the value of [t]'s table after DML —
     same schema; the rows of [t] at the positions [deleted] (in
     {!rows} order, ascending) are gone, the others keep their order,
     and [added] follows them.  Shares [t]'s segments, and copies only
     the changed chunks of the deletion bitmaps of segments that lose
-    rows, and the trailing segments that merge.  Building an index for the successor
-    counts as a rebuild ({!Tkr_idx.Stats}) when [t] or any value it
-    succeeded had an index built.
+    rows, and the trailing segments that merge.  Building an index for
+    the successor counts as a rebuild ({!Tkr_idx.Stats}) when [t] or
+    any value it succeeded had an index built.
     @raise Invalid_argument unless [deleted] ascends strictly within
     [\[0, cardinality t)]. *)
 
@@ -68,9 +74,10 @@ val where :
   unit
 (** [where ~filter f t pred] calls [f i row] for each row of [t] on
     which the resolved predicate [pred] holds ({!Expr.holds}), in row
-    order, [i] its position (as {!write} takes it) and [row] the stored
-    row, without compacting [t].  [filter b pred] must return the
-    physical rows of [b]'s selection on which [pred] holds, in order
+    order, [i] its position (as {!write} takes it) and [row] the row,
+    boxed from its segment's image, without compacting [t].
+    [filter b pred] must return the physical rows of [b]'s selection
+    on which [pred] holds, in order
     ([Tkr_vec.Veval.filter]).  Segment by segment: where no row of the
     segment can make [pred] raise (judged from its image's column
     representations), an [int] column's equality with an [int] literal
@@ -85,7 +92,8 @@ val where :
 
 val iteri : (int -> Tuple.t -> unit) -> t -> unit
 (** [iteri f t] calls [f i row] for each row in row order, [i] its
-    position, without making {!rows}. *)
+    position, boxing one row at a time from the segments' images,
+    without compacting [t]. *)
 
 val merge_ratio : int
 val tail_rows : int
@@ -102,21 +110,17 @@ val layout : t -> (int * int) array
 (** Each segment's rows and rows not deleted, in order. *)
 
 val columnar : t -> Batch.t
-(** The columnar image of {!rows}: a batch without a selection whose
-    logical rows equal {!rows}, value by value ([Batch.to_rows
-    (columnar t)] and [rows t] are equal arrays of equal values).  A
-    value made by {!of_batch} returns that batch, compacted; any other
-    compacts the value and makes [Batch.of_rows (schema t) (rows t)] on
-    first use.  The column representations may differ between the two
-    (a column-made value may keep a column boxed that {!Batch.of_rows}
-    would type). *)
+(** The image of the value's one segment, which it compacts to first: a
+    batch without a selection whose logical rows are the value's rows
+    ([rows t] is [Batch.to_rows (columnar t)]).  Of rows written as
+    rows, its columns are those {!Batch.of_rows} makes from them; a
+    batch given to {!of_batch} keeps its columns (it may keep a column
+    boxed that {!Batch.of_rows} would type). *)
 
 val of_batch : Batch.t -> t
 (** The logical rows of a batch as a table of one segment, with the
-    batch's schema.  The batch ({!Batch.compact}ed if it has a
-    selection) is the segment's columnar image; its rows are boxed on
-    first use ({!rows}, {!iteri}, {!to_text}, ...), and the image is
-    kept after that. *)
+    batch's schema: the batch, {!Batch.compact}ed if it has a
+    selection, is the segment's image. *)
 
 val index : t -> Tkr_idx.Interval.t option
 (** The interval index over the trailing two columns of {!columnar}
@@ -155,7 +159,7 @@ val probe :
 
 (** {2 Statistics}
 
-    The optimizer's inputs, derived from the columnar image.  They
+    The optimizer's inputs, derived from the segment's image.  They
     compact the value like the other whole-value reads and belong to its
     one segment: the segment's statistics slot is made on the first
     request, and within it each column's entry, and the mean period

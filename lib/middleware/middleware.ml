@@ -29,6 +29,7 @@ module Json = Tkr_obs.Json
 module Metrics = Tkr_obs.Metrics
 module Diagnostic = Tkr_check.Diagnostic
 module Check = Tkr_check.Check
+module Typecheck = Tkr_check.Typecheck
 module Lint = Tkr_check.Lint
 module Absint = Tkr_check.Absint
 
@@ -800,11 +801,20 @@ let dml_rows ~where ~portion ~(change : Tuple.t -> Tuple.t option)
   Table.where ~filter:Tkr_vec.Veval.filter matched t where;
   (Array.of_list (List.rev !deleted), Array.of_list (List.rev !added), !count)
 
-(* an UPDATE's or DELETE's WHERE clause, resolved over [schema]; no
-   clause selects every row *)
-let resolve_where schema = function
-  | None -> Expr.Const (Value.Bool true)
-  | Some w -> Analyzer.resolve ~schema ~on_agg:Analyzer.no_agg w
+(* An UPDATE's or DELETE's WHERE clause resolved over [schema] (none
+   selects every row), type-checked with its SET expressions [sets]
+   before any row is read, as a query is: errors raise {!Rejected}. *)
+let resolve_where ?(sets = []) schema w =
+  let where =
+    match w with
+    | None -> Expr.Const (Value.Bool true)
+    | Some w -> Analyzer.resolve ~schema ~on_agg:Analyzer.no_agg w
+  in
+  let typed e = snd (Typecheck.expr ~schema e) in
+  let ds = Typecheck.predicate ~schema ~what:"WHERE clause" where @ List.concat_map typed sets in
+  match Check.verdict ds with
+  | Ok _ -> where
+  | Error ds -> raise (Rejected (Diagnostic.sort ds))
 
 let check_portion db name portion =
   if portion <> None && not (Database.is_period db name) then
@@ -834,7 +844,7 @@ let update_rows db upd_name ~portion ~sets ~upd_where :
           Tkr_sql.Analyzer.resolve ~schema ~on_agg:Tkr_sql.Analyzer.no_agg e ))
       sets
   in
-  let where = resolve_where schema upd_where in
+  let where = resolve_where ~sets:(List.map snd sets) schema upd_where in
   let apply_sets row =
     let out = Array.copy (row : Tuple.t :> Value.t array) in
     List.iter (fun (i, e) -> out.(i) <- Expr.eval row e) sets;
@@ -970,6 +980,7 @@ let rec check_statement m (stmt : Ast.statement) : Diagnostic.t list =
     match ignore (f ()) with
     | () -> []
     | exception (Error d | Analyzer.Error d) -> [ d ]
+    | exception Rejected ds -> ds
     | exception Schema.Unknown _ -> []
   in
   match stmt with

@@ -103,6 +103,45 @@ let test_whole_domain_insert_then_query () =
   let r = M.query m "SEQ VT AS OF 0 (SELECT name FROM works)" in
   Alcotest.(check int) "only Zed at 0" 1 (Table.cardinality r)
 
+(* An UPDATE's or DELETE's WHERE and SET clauses are type-checked
+   before any row is read, as a query's are: an ill-typed one rejects
+   the statement with the query's diagnostic, writes nothing, and CHECK
+   of it returns that diagnostic.  Without the check the comparison of
+   'Ann' with 5 raised from [Value.sql_compare] on the stored row. *)
+let test_dml_type_errors () =
+  let codes ds = List.map (fun (d : Tkr_check.Diagnostic.t) -> d.code) ds in
+  let rejected sql =
+    let m = fresh () in
+    match M.execute m sql with
+    | _ -> Alcotest.failf "%s: expected a rejection" sql
+    | exception M.Rejected ds ->
+        Alcotest.(check int) (sql ^ ": nothing written") 1
+          (Table.cardinality (Database.find (M.database m) "works"));
+        codes ds
+  in
+  let query = M.query (fresh ()) in
+  Alcotest.(check (list string)) "the query's diagnostic" [ "TKR102" ]
+    (match query "SELECT name FROM works WHERE name = 5" with
+    | _ -> []
+    | exception M.Rejected ds -> codes ds);
+  Alcotest.(check (list string)) "UPDATE ... WHERE name = 5" [ "TKR102" ]
+    (rejected "UPDATE works SET skill = 'x' WHERE name = 5");
+  Alcotest.(check (list string)) "DELETE ... WHERE name = 5" [ "TKR102" ]
+    (rejected "DELETE FROM works WHERE name = 5");
+  Alcotest.(check (list string)) "UPDATE ... SET skill = b + name" [ "TKR101" ]
+    (rejected "UPDATE works SET skill = b + name WHERE b = 3");
+  Alcotest.(check (list string)) "CHECK (UPDATE ... b + name = 1)" [ "TKR101" ]
+    (codes
+       (M.check (fresh ())
+          "CHECK (UPDATE works SET skill = 'x' WHERE name LIKE 'A%' AND b + name = 1)"));
+  Alcotest.(check (list string)) "CHECK (DELETE ... FOR PORTION OF ... name = 5)"
+    [ "TKR102" ]
+    (codes
+       (M.check (fresh ())
+          "DELETE FROM works FOR PORTION OF PERIOD FROM 4 TO 6 WHERE name = 5"));
+  Alcotest.(check (list string)) "a well-typed UPDATE checks clean" []
+    (codes (M.check (fresh ()) "UPDATE works SET skill = 'x' WHERE name = 'Ann' AND b + 1 = 4"))
+
 let suite =
   ( "middleware error handling",
     errors
@@ -114,4 +153,6 @@ let suite =
         Alcotest.test_case "self join with aliases" `Quick test_same_table_twice;
         Alcotest.test_case "AS OF after insert" `Quick
           test_whole_domain_insert_then_query;
+        Alcotest.test_case "DML clauses are type-checked before reading rows"
+          `Quick test_dml_type_errors;
       ] )
